@@ -68,14 +68,37 @@ void BM_FrameStorePutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameStorePutGet);
 
+media::SyntheticVideoSource SizedWorkoutSource(int width) {
+  media::SceneOptions scene;
+  scene.width = width;
+  scene.height = width * 3 / 4;
+  return media::SyntheticVideoSource(media::DefaultWorkoutScript(), 20.0,
+                                     scene);
+}
+
+// The raw-pixel path (training, datasets, the e2e ledger's render
+// replay).
 void BM_CaptureFrame(benchmark::State& state) {
-  media::SyntheticVideoSource source(media::DefaultWorkoutScript(), 20.0);
+  const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
   uint64_t seq = 0;
   for (auto _ : state) {
     const media::Frame frame = source.CaptureFrame(seq++ % 600);
     benchmark::DoNotOptimize(frame.image.data().data());
   }
 }
-BENCHMARK(BM_CaptureFrame);
+BENCHMARK(BM_CaptureFrame)->Arg(160)->Arg(320);
+
+// The camera's path: the same bytes as EncodeFrame(CaptureFrame(seq)),
+// with the noise fused into quantization.
+void BM_CaptureEncoded(benchmark::State& state) {
+  const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    const uint64_t s = seq++ % 600;
+    const Bytes wire = source.CaptureEncoded(s, source.CaptureTime(s));
+    benchmark::DoNotOptimize(wire.data());
+  }
+}
+BENCHMARK(BM_CaptureEncoded)->Arg(160)->Arg(320);
 
 }  // namespace

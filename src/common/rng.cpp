@@ -38,7 +38,7 @@ uint64_t Rng::NextU64() {
 
 double Rng::NextDouble() {
   // 53 random bits into [0,1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  return static_cast<double>(NextU53()) * 0x1.0p-53;
 }
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
@@ -55,16 +55,30 @@ double Rng::NextGaussian() {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  const BoxMullerDraw draw = NextBoxMullerDraw();
+  const GaussianPair pair = BoxMuller(BoxMullerRadius(draw.u1_bits),
+                                      draw.u2_bits);
+  cached_gaussian_ = pair.second;
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return pair.first;
+}
+
+Rng::BoxMullerDraw Rng::NextBoxMullerDraw() {
+  uint64_t u1_bits = 0;
+  do {
+    u1_bits = NextU53();
+  } while (u1_bits == 0);  // ln(0) is -inf
+  return BoxMullerDraw{u1_bits, NextU53()};
+}
+
+double BoxMullerRadius(uint64_t u1_bits) {
+  const double u1 = static_cast<double>(u1_bits) * 0x1.0p-53;
+  return std::sqrt(-2.0 * std::log(u1));
+}
+
+GaussianPair BoxMuller(double radius, uint64_t u2_bits) {
+  const double theta = 2.0 * M_PI * (static_cast<double>(u2_bits) * 0x1.0p-53);
+  return GaussianPair{radius * std::cos(theta), radius * std::sin(theta)};
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

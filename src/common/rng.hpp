@@ -19,6 +19,9 @@ class Rng {
   /// Uniform 64-bit value.
   uint64_t NextU64();
 
+  /// Uniform 53-bit integer; NextDouble() is this times 2^-53.
+  uint64_t NextU53() { return NextU64() >> 11; }
+
   /// Uniform in [0, 1).
   double NextDouble();
 
@@ -30,6 +33,16 @@ class Rng {
 
   /// Standard normal via Box–Muller (cached second value).
   double NextGaussian();
+
+  /// The two uniforms of one fresh Box–Muller pair as 53-bit integers,
+  /// drawn exactly as NextGaussian draws them (u1 is redrawn while 0).
+  /// Lets a caller that only needs a bound on the pair (|g| <= radius)
+  /// skip the transform; BoxMuller() finishes it.
+  struct BoxMullerDraw {
+    uint64_t u1_bits;
+    uint64_t u2_bits;
+  };
+  BoxMullerDraw NextBoxMullerDraw();
 
   /// Gaussian with the given mean/stddev.
   double NextGaussian(double mean, double stddev) {
@@ -57,5 +70,17 @@ class Rng {
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+/// Box–Muller radius sqrt(-2 ln u1) for u1 = u1_bits·2^-53 (u1_bits > 0);
+/// it decreases as u1_bits grows, and bounds both values of the pair.
+double BoxMullerRadius(uint64_t u1_bits);
+
+/// The standard-normal pair (r·cos θ, r·sin θ), θ = 2π·u2_bits·2^-53,
+/// that NextGaussian returns (first) and caches (second).
+struct GaussianPair {
+  double first;
+  double second;
+};
+GaussianPair BoxMuller(double radius, uint64_t u2_bits);
 
 }  // namespace vp

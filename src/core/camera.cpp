@@ -90,12 +90,11 @@ void CameraDriver::CaptureAndEmit() {
   emitted_any_ = true;
   metrics_->OnSourceTick();
 
-  media::Frame frame = source_.CaptureFrame(seq);
-  frame.capture_time = sim_->Now();
-  Bytes encoded = media::EncodeFrame(frame);
-  const Duration cost = options_.capture_cost +
-                        media::EncodeCost(frame.image);
   const TimePoint capture_time = sim_->Now();
+  Bytes encoded = source_.CaptureEncoded(seq, capture_time);
+  const media::SceneOptions& scene = source_.scene();
+  const Duration cost = options_.capture_cost +
+                        media::EncodeCost(scene.width, scene.height);
   metrics_->OnCaptured(seq, capture_time);
 
   lane_->Run(cost, [this, seq, capture_time,

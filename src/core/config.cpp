@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -37,6 +38,21 @@ Result<std::vector<std::string>> StringList(const json::Value& v,
   return out;
 }
 
+// The frame codec carries width and height as u16.
+constexpr int kMaxSourceDimension = 65535;
+
+bool ValidSourceDimension(int pixels) {
+  return pixels > 0 && pixels <= kMaxSourceDimension;
+}
+
+// Clamped before the cast so that a value no int can hold stays out of
+// range instead of wrapping into it.
+int SourceDimension(const json::Value& source, const std::string& key,
+                    int fallback) {
+  return static_cast<int>(std::clamp(source.GetDouble(key, fallback), -1.0,
+                                     kMaxSourceDimension + 1.0));
+}
+
 }  // namespace
 
 Status ValidatePipelineSpec(const PipelineSpec& spec) {
@@ -48,6 +64,12 @@ Status ValidatePipelineSpec(const PipelineSpec& spec) {
   }
   if (spec.source.fps <= 0) {
     return Status(StatusCode::kInvalidArgument, "source fps must be positive");
+  }
+  if (!ValidSourceDimension(spec.source.width) ||
+      !ValidSourceDimension(spec.source.height)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "source width and height must be in 1.." +
+                      std::to_string(kMaxSourceDimension));
   }
   if (!spec.priority.empty() && spec.priority != "interactive" &&
       spec.priority != "normal" && spec.priority != "background") {
@@ -159,8 +181,8 @@ Result<PipelineSpec> ParsePipelineConfig(const json::Value& doc,
       source != nullptr && source->is_object()) {
     spec.source.module = source->GetString("module");
     spec.source.fps = source->GetDouble("fps", 20.0);
-    spec.source.width = static_cast<int>(source->GetInt("width", 320));
-    spec.source.height = static_cast<int>(source->GetInt("height", 240));
+    spec.source.width = SourceDimension(*source, "width", 320);
+    spec.source.height = SourceDimension(*source, "height", 240);
   }
 
   const json::Value* modules = doc.Find("modules");

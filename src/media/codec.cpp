@@ -7,9 +7,10 @@ namespace vp::media {
 
 namespace {
 constexpr uint32_t kFrameMagic = 0x56504631;  // "VPF1"
-}
 
-Bytes EncodeFrame(const Frame& frame) {
+// `quant` maps a channel of the frame's image to its 4-bit bucket.
+template <typename Quant>
+Bytes Encode(const Frame& frame, Quant quant) {
   ByteWriter w;
   w.WriteU32(kFrameMagic);
   w.WriteU64(frame.seq);
@@ -25,9 +26,6 @@ Bytes EncodeFrame(const Frame& frame) {
   ByteWriter rle;
   size_t i = 0;
   const size_t n = data.size();
-  const auto quant = [](uint8_t v) -> uint8_t {
-    return static_cast<uint8_t>(v >> 4);
-  };
   while (i + 2 < n) {
     const uint8_t r = quant(data[i]);
     const uint8_t g = quant(data[i + 1]);
@@ -47,6 +45,17 @@ Bytes EncodeFrame(const Frame& frame) {
   }
   w.WriteBytes(rle.data());
   return w.Take();
+}
+
+}  // namespace
+
+Bytes EncodeFrame(const Frame& frame) {
+  return Encode(frame,
+                [](uint8_t v) { return static_cast<uint8_t>(v >> 4); });
+}
+
+Bytes EncodeQuantizedFrame(const Frame& frame) {
+  return Encode(frame, [](uint8_t v) { return v; });
 }
 
 Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
@@ -108,10 +117,13 @@ Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
   return frame;
 }
 
-Duration EncodeCost(const Image& image) {
-  const double megapixels =
-      static_cast<double>(image.width()) * image.height() / 1e6;
+Duration EncodeCost(int width, int height) {
+  const double megapixels = static_cast<double>(width) * height / 1e6;
   return Duration::Millis(0.3 + 19.5 * megapixels);  // 640x480 ≈ 6 ms
+}
+
+Duration EncodeCost(const Image& image) {
+  return EncodeCost(image.width(), image.height());
 }
 
 Duration DecodeCost(size_t encoded_bytes) {

@@ -1,6 +1,7 @@
 #include "media/renderer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace vp::media {
@@ -15,10 +16,48 @@ Point2 BodyToPixel(const Point2& body_point, const SceneOptions& options) {
                 top_y + body_point.y * person_px_h};
 }
 
+namespace {
+
+Rng SensorNoiseRng(uint64_t frame_seed) {
+  return Rng(frame_seed ^ 0xC0FFEE123456789ULL);
+}
+
+uint8_t AddSensorNoise(uint8_t channel, double noise) {
+  return static_cast<uint8_t>(std::clamp(channel + noise, 0.0, 255.0));
+}
+
+// Distance from a channel value to the edge of its 16-level codec
+// bucket: |noise| < kHeadroom[c] keeps (c + noise) in c's bucket. The
+// clamped side of buckets 0 and 15 has no edge.
+constexpr std::array<uint8_t, 256> kHeadroom = [] {
+  std::array<uint8_t, 256> headroom{};
+  for (int c = 0; c < 256; ++c) {
+    const int lo = c & 0xF0;
+    const int down = lo == 0 ? 16 : c - lo;
+    const int up = lo == 0xF0 ? 16 : lo + 16 - c;
+    headroom[static_cast<size_t>(c)] =
+        static_cast<uint8_t>(std::min(down, up));
+  }
+  return headroom;
+}();
+
+}  // namespace
+
 Image RenderScene(const Pose& pose, const SceneOptions& options,
                   uint64_t frame_seed) {
+  Image image = RenderCleanScene(pose, options);
+  if (options.noise_stddev > 0) {
+    Rng rng = SensorNoiseRng(frame_seed);
+    for (auto& channel : image.data()) {
+      channel = AddSensorNoise(channel,
+                               rng.NextGaussian(0.0, options.noise_stddev));
+    }
+  }
+  return image;
+}
+
+Image RenderCleanScene(const Pose& pose, const SceneOptions& options) {
   Image image(options.width, options.height, options.background);
-  Rng rng(frame_seed ^ 0xC0FFEE123456789ULL);
 
   // Props (furniture / IoT devices) behind the person.
   for (const Prop& prop : options.props) {
@@ -59,17 +98,68 @@ Image RenderScene(const Pose& pose, const SceneOptions& options,
                    static_cast<int>(std::lround(p.y)), options.joint_radius,
                    KeypointColor(k));
   }
+  return image;
+}
 
-  // Sensor noise.
-  if (options.noise_stddev > 0) {
-    auto& data = image.data();
-    for (auto& channel : data) {
-      const double noisy =
-          channel + rng.NextGaussian(0.0, options.noise_stddev);
-      channel = static_cast<uint8_t>(std::clamp(noisy, 0.0, 255.0));
+NoisyQuantizer::NoisyQuantizer(double noise_stddev)
+    : stddev_(noise_stddev) {
+  // Above u1_threshold_[h], stddev·r stays below h - kSlack. The
+  // inverse of r = sqrt(-2 ln u1) gives the boundary to within an ulp
+  // or two; it is then stepped up until the very expression the exact
+  // path evaluates agrees (the radius decreases as u1 grows). The slack
+  // absorbs ulp-level non-monotonicity of libm and the rounding of
+  // c + noise. Sources are built per deploy, so this stays cheap.
+  constexpr uint64_t kMaxBits = (uint64_t{1} << 53) - 1;
+  constexpr double kSlack = 1e-6;
+  u1_threshold_.fill(kMaxBits);  // no fast path for headroom 0
+  if (!(stddev_ > 0)) return;
+  for (size_t h = 1; h < u1_threshold_.size(); ++h) {
+    const double limit = static_cast<double>(h) - kSlack;
+    const double r_max = limit / stddev_;
+    const double u1_min = std::exp(-0.5 * r_max * r_max);
+    uint64_t first_safe = static_cast<uint64_t>(
+        std::clamp(std::ceil(u1_min * 0x1.0p53), 1.0, 0x1.0p53));
+    while (first_safe <= kMaxBits &&
+           stddev_ * BoxMullerRadius(first_safe) > limit) {
+      ++first_safe;
+    }
+    u1_threshold_[h] = first_safe - 1;
+  }
+}
+
+void NoisyQuantizer::Apply(Image& image, uint64_t frame_seed) const {
+  std::vector<uint8_t>& data = image.data();
+  if (!(stddev_ > 0)) {
+    for (uint8_t& v : data) v = static_cast<uint8_t>(v >> 4);
+    return;
+  }
+  Rng rng = SensorNoiseRng(frame_seed);
+  const size_t n = data.size();
+  // One Box–Muller pair per two channels, as RenderScene draws them; an
+  // odd last channel takes the first value of a fresh pair.
+  for (size_t i = 0; i < n; i += 2) {
+    const bool pair = i + 1 < n;
+    const uint8_t c0 = data[i];
+    const uint8_t c1 = pair ? data[i + 1] : c0;
+    const Rng::BoxMullerDraw draw = rng.NextBoxMullerDraw();
+    const uint8_t headroom = std::min(kHeadroom[c0], kHeadroom[c1]);
+    if (draw.u1_bits > u1_threshold_[headroom]) {
+      // |stddev·r·cos θ| and |stddev·r·sin θ| are at most stddev·r,
+      // which is below both headrooms: neither bucket changes.
+      data[i] = static_cast<uint8_t>(c0 >> 4);
+      if (pair) data[i + 1] = static_cast<uint8_t>(c1 >> 4);
+      continue;
+    }
+    // NextGaussian(0, sd) is 0.0 + sd·g; adding it to a channel gives
+    // the same double as adding sd·g (the two differ only for -0.0).
+    const GaussianPair g =
+        BoxMuller(BoxMullerRadius(draw.u1_bits), draw.u2_bits);
+    data[i] = static_cast<uint8_t>(AddSensorNoise(c0, stddev_ * g.first) >> 4);
+    if (pair) {
+      data[i + 1] =
+          static_cast<uint8_t>(AddSensorNoise(c1, stddev_ * g.second) >> 4);
     }
   }
-  return image;
 }
 
 }  // namespace vp::media

@@ -7,6 +7,7 @@
 // its output honestly imperfect.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,29 @@ struct SceneOptions {
 /// frame differs (deterministically).
 Image RenderScene(const Pose& pose, const SceneOptions& options,
                   uint64_t frame_seed);
+
+/// RenderScene without the sensor noise (`noise_stddev` is ignored).
+Image RenderCleanScene(const Pose& pose, const SceneOptions& options);
+
+/// Sensor noise fused with the codec's quantisation. Apply() turns a
+/// RenderCleanScene image, in place, into the 4-bit buckets (v >> 4)
+/// of the RenderScene image with the same pose, options and seed, bit
+/// for bit, without building that noisy image. It steps the same noise
+/// stream, but skips the Box–Muller transform for a pair whose radius
+/// cannot carry either channel out of its bucket (see codec.hpp), which
+/// is most pairs at the default noise.
+class NoisyQuantizer {
+ public:
+  explicit NoisyQuantizer(double noise_stddev);
+
+  void Apply(Image& clean, uint64_t frame_seed) const;
+
+ private:
+  double stddev_;
+  /// Indexed by bucket headroom (0..16): a pair whose u1 is above
+  /// u1_threshold_[h] moves no channel by h or more.
+  std::array<uint64_t, 17> u1_threshold_;
+};
 
 /// The body-space → pixel transform used by RenderScene; exposed so
 /// accuracy evaluations can map ground-truth poses into pixel space.

@@ -2,32 +2,59 @@
 
 #include <cmath>
 
+#include "media/codec.hpp"
+
 namespace vp::media {
 
 SyntheticVideoSource::SyntheticVideoSource(MotionScript script, double fps,
                                            SceneOptions scene, uint64_t seed)
-    : script_(std::move(script)), fps_(fps), scene_(scene), seed_(seed) {}
+    : script_(std::move(script)), fps_(fps), scene_(scene), seed_(seed),
+      quantizer_(scene_.noise_stddev) {}
 
 uint64_t SyntheticVideoSource::frame_count() const {
   return static_cast<uint64_t>(std::floor(script_.total_duration() * fps_));
 }
 
 Frame SyntheticVideoSource::CaptureFrame(uint64_t seq) const {
-  const double t = static_cast<double>(seq) / fps_;
-  Pose pose = script_.PoseAt(t);
+  const Pose pose = JitteredPose(seq);
+  Frame frame;
+  frame.seq = seq;
+  frame.capture_time = CaptureTime(seq);
+  frame.image = RenderScene(pose, scene_, NoiseSeed(seq));
+  frame.ground_truth = GroundTruth(seq, pose);
+  return frame;
+}
 
+Bytes SyntheticVideoSource::CaptureEncoded(uint64_t seq,
+                                           TimePoint capture_time) const {
+  const Pose pose = JitteredPose(seq);
+  Frame frame;
+  frame.seq = seq;
+  frame.capture_time = capture_time;
+  frame.image = RenderCleanScene(pose, scene_);
+  quantizer_.Apply(frame.image, NoiseSeed(seq));
+  frame.ground_truth = GroundTruth(seq, pose);
+  return EncodeQuantizedFrame(frame);
+}
+
+Pose SyntheticVideoSource::JitteredPose(uint64_t seq) const {
+  Pose pose = script_.PoseAt(static_cast<double>(seq) / fps_);
   // Pose jitter: small per-joint tremor, deterministic per (seed, seq).
   Rng rng(seed_ * 0x9E3779B97F4A7C15ULL + seq);
   for (auto& pt : pose.points) {
     pt.x += rng.NextGaussian(0.0, 0.003);
     pt.y += rng.NextGaussian(0.0, 0.003);
   }
+  return pose;
+}
 
-  Frame frame;
-  frame.seq = seq;
-  frame.capture_time = CaptureTime(seq);
-  frame.image = RenderScene(pose, scene_, seed_ ^ (seq * 1000003ULL));
+uint64_t SyntheticVideoSource::NoiseSeed(uint64_t seq) const {
+  return seed_ ^ (seq * 1000003ULL);
+}
 
+json::Value SyntheticVideoSource::GroundTruth(uint64_t seq,
+                                              const Pose& pose) const {
+  const double t = static_cast<double>(seq) / fps_;
   json::Value gt = json::Value::MakeObject();
   gt["activity"] = json::Value(script_.LabelAt(t));
   gt["reps"] = json::Value(script_.RepsUpTo(t));
@@ -42,8 +69,7 @@ Frame SyntheticVideoSource::CaptureFrame(uint64_t seq) const {
     px.push_back(json::Value(std::move(pt)));
   }
   gt["pose_px"] = json::Value(std::move(px));
-  frame.ground_truth = std::move(gt);
-  return frame;
+  return gt;
 }
 
 MotionScript DefaultWorkoutScript() {

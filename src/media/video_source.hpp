@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "media/frame.hpp"
 #include "media/motion.hpp"
@@ -31,6 +32,11 @@ class SyntheticVideoSource {
   /// until registered with a FrameStore.
   Frame CaptureFrame(uint64_t seq) const;
 
+  /// Exactly EncodeFrame(f) for f = CaptureFrame(seq) with its
+  /// capture_time replaced, without building f's noisy image: the clean
+  /// render is quantized in place by NoisyQuantizer.
+  Bytes CaptureEncoded(uint64_t seq, TimePoint capture_time) const;
+
   /// Capture timestamp of frame `seq`.
   TimePoint CaptureTime(uint64_t seq) const {
     return TimePoint::FromMicros(
@@ -38,10 +44,15 @@ class SyntheticVideoSource {
   }
 
  private:
+  Pose JitteredPose(uint64_t seq) const;
+  uint64_t NoiseSeed(uint64_t seq) const;
+  json::Value GroundTruth(uint64_t seq, const Pose& pose) const;
+
   MotionScript script_;
   double fps_;
   SceneOptions scene_;
   uint64_t seed_;
+  NoisyQuantizer quantizer_;
 };
 
 /// The default fitness-session script used by the examples and

@@ -246,8 +246,57 @@ TEST(Config, ValidateSpecDirectly) {
   out.signal_source = true;
   spec.modules = {cam, out};
   EXPECT_TRUE(ValidatePipelineSpec(spec).ok());
+
+  // Source size: 1..65535 on each axis.
+  for (int bad : {0, -1, 65536}) {
+    spec.source.width = bad;
+    EXPECT_FALSE(ValidatePipelineSpec(spec).ok()) << "width " << bad;
+    spec.source.width = 320;
+    spec.source.height = bad;
+    EXPECT_FALSE(ValidatePipelineSpec(spec).ok()) << "height " << bad;
+    spec.source.height = 240;
+  }
+  spec.source.width = 65535;
+  spec.source.height = 1;
+  EXPECT_TRUE(ValidatePipelineSpec(spec).ok());
+
   spec.source.module = "out";
   EXPECT_FALSE(ValidatePipelineSpec(spec).ok());
+}
+
+// The codec carries the frame size in u16 fields, and a negative size
+// would wrap into a huge image allocation.
+std::string ConfigWithSourceSize(const std::string& width,
+                                 const std::string& height) {
+  return R"CFG({
+  "name": "mini",
+  "source": { "module": "src", "fps": 10, "width": )CFG" +
+         width + R"CFG(, "height": )CFG" + height + R"CFG( },
+  "modules": [
+    { "name": "src", "type": "source", "next_module": ["sink"] },
+    { "name": "sink", "code": "function event_received(m) {}",
+      "signal_source": true }
+  ]
+})CFG";
+}
+
+TEST(Config, SourceSizeBounds) {
+  for (const char* ok : {"1", "320", "65535"}) {
+    auto spec = ParsePipelineConfigText(ConfigWithSourceSize(ok, ok),
+                                        EmptyResolver());
+    EXPECT_TRUE(spec.ok()) << ok << ": " << spec.error().ToString();
+  }
+  // Each bound, on each axis; 4294967616 would wrap to 320 as an int.
+  for (const char* bad : {"0", "-1", "-240", "65536", "4294967616"}) {
+    EXPECT_FALSE(ParsePipelineConfigText(ConfigWithSourceSize(bad, "240"),
+                                         EmptyResolver())
+                     .ok())
+        << "width " << bad;
+    EXPECT_FALSE(ParsePipelineConfigText(ConfigWithSourceSize("320", bad),
+                                         EmptyResolver())
+                     .ok())
+        << "height " << bad;
+  }
 }
 
 }  // namespace

@@ -491,6 +491,108 @@ TEST(VideoSource, GroundTruthAnnotations) {
   EXPECT_EQ(pose_px->AsArray().size(), 17u);
 }
 
+// CaptureEncoded must be the camera's old two-step path, byte for byte.
+Bytes EncodeCapturedFrame(const SyntheticVideoSource& source, uint64_t seq,
+                          TimePoint capture_time) {
+  Frame frame = source.CaptureFrame(seq);
+  frame.capture_time = capture_time;
+  return EncodeFrame(frame);
+}
+
+struct CaptureEncodedCase {
+  int width;
+  int height;
+  double noise;
+};
+
+class CaptureEncodedExact
+    : public ::testing::TestWithParam<CaptureEncodedCase> {};
+
+TEST_P(CaptureEncodedExact, MatchesEncodeOfCaptureFrame) {
+  SceneOptions scene;
+  scene.width = GetParam().width;
+  scene.height = GetParam().height;
+  scene.noise_stddev = GetParam().noise;
+  for (uint64_t seed : {1u, 7u, 90210u}) {
+    SyntheticVideoSource source(DefaultWorkoutScript(), 20.0, scene, seed);
+    for (uint64_t seq : {0u, 1u, 37u, 160u, 301u, 555u, 799u}) {
+      const TimePoint t = TimePoint::FromMicros(1000 + 50 * seq);
+      EXPECT_EQ(source.CaptureEncoded(seq, t),
+                EncodeCapturedFrame(source, seq, t))
+          << "seed " << seed << " seq " << seq;
+    }
+  }
+}
+
+// 5×3 has an odd channel count: its last channel takes the first value
+// of a fresh Box–Muller pair. Noise 40 pushes channels through both
+// clamps.
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndNoise, CaptureEncodedExact,
+    ::testing::Values(CaptureEncodedCase{320, 240, 0.0},
+                      CaptureEncodedCase{320, 240, 0.5},
+                      CaptureEncodedCase{320, 240, 3.0},
+                      CaptureEncodedCase{320, 240, 40.0},
+                      CaptureEncodedCase{64, 48, 0.0},
+                      CaptureEncodedCase{64, 48, 0.5},
+                      CaptureEncodedCase{64, 48, 3.0},
+                      CaptureEncodedCase{64, 48, 40.0},
+                      CaptureEncodedCase{5, 3, 0.0},
+                      CaptureEncodedCase{5, 3, 0.5},
+                      CaptureEncodedCase{5, 3, 3.0},
+                      CaptureEncodedCase{5, 3, 40.0}));
+
+TEST(CaptureEncoded, MatchesAcrossTheWorkoutScript) {
+  SceneOptions scene;
+  scene.width = 320;
+  scene.height = 240;
+  const SyntheticVideoSource source(DefaultWorkoutScript(), 10.0, scene, 3);
+  for (uint64_t seq = 0; seq < source.frame_count(); seq += 7) {
+    const TimePoint t = source.CaptureTime(seq);
+    ASSERT_EQ(source.CaptureEncoded(seq, t),
+              EncodeCapturedFrame(source, seq, t))
+        << "seq " << seq;
+  }
+}
+
+TEST(CaptureEncoded, MatchesAtEveryBucketEdge) {
+  // A 16×16 grid of props whose colors cover every channel value, so
+  // every bucket edge (and headroom 0) meets the noise.
+  SceneOptions scene;
+  scene.width = 96;
+  scene.height = 64;
+  for (int k = 0; k < 256; ++k) {
+    Prop prop;
+    prop.x = (k % 16) / 16.0;
+    prop.y = (k / 16) / 16.0;
+    prop.w = 1.0 / 16;
+    prop.h = 1.0 / 16;
+    prop.color = Rgb{static_cast<uint8_t>(k), static_cast<uint8_t>(255 - k),
+                     static_cast<uint8_t>(k * 7)};
+    scene.props.push_back(prop);
+  }
+  // A small person in a corner leaves most props uncovered.
+  scene.person_height = 0.3;
+  scene.person_center_x = 0.85;
+  scene.noise_stddev = 0.0;
+  const SyntheticVideoSource clean(DefaultGestureScript(), 15.0, scene, 11);
+  const Frame clean_frame = clean.CaptureFrame(0);
+  std::set<uint8_t> values;
+  for (uint8_t v : clean_frame.image.data()) values.insert(v);
+  ASSERT_EQ(values.size(), 256u);
+
+  for (double noise : {0.5, 3.0, 40.0}) {
+    scene.noise_stddev = noise;
+    const SyntheticVideoSource source(DefaultGestureScript(), 15.0, scene, 11);
+    for (uint64_t seq = 0; seq < 40; ++seq) {
+      const TimePoint t = source.CaptureTime(seq);
+      ASSERT_EQ(source.CaptureEncoded(seq, t),
+                EncodeCapturedFrame(source, seq, t))
+          << "noise " << noise << " seq " << seq;
+    }
+  }
+}
+
 TEST(VideoSource, DefaultScriptsCoverTheApplications) {
   const MotionScript workout = DefaultWorkoutScript();
   EXPECT_GT(workout.total_duration(), 30.0);
