@@ -3,7 +3,7 @@
 // and a 100-pipeline burst wakeup under admission control.
 //
 //   cold  — parse + resolve + compile + Load into a fresh context
-//           (program cache bypassed);
+//           (program cache cleared before every Load);
 //   warm  — Load served by the content-hash program cache: the
 //           pre-compiled bytecode links into a fresh VM, no parser;
 //   hot   — a pre-Loaded context drawn from the lifecycle warm pool:
@@ -182,34 +182,23 @@ Ladder MeasureLadder(int iterations) {
   Ladder ladder;
   script::ProgramCache::Global().Clear();
 
-  // Cold: cache bypassed, every Load pays the full pipeline.
-  {
-    script::ContextOptions options;
-    options.engine = script::ScriptEngine::kVm;
-    options.share_programs = false;
-    {  // untimed warmup (allocator, page faults)
-      script::Context context(options);
-      if (!context.Load(kModuleSource).ok()) std::abort();
-    }
-    ladder.cold_us = BestBatchUs(iterations, [&] {
-      script::Context context(options);
-      if (!context.Load(kModuleSource).ok()) std::abort();
-    });
-  }
+  // Cold: the cache is emptied before every Load, so each one pays the
+  // full pipeline.
+  auto cold_load = [] {
+    script::ProgramCache::Global().Clear();
+    script::Context context;
+    if (!context.Load(kModuleSource).ok()) std::abort();
+  };
+  cold_load();  // untimed warmup (allocator, page faults)
+  ladder.cold_us = BestBatchUs(iterations, cold_load);
 
   // Warm: one Load populates the cache, the timed ones link bytecode.
-  {
-    script::ContextOptions options;
-    options.engine = script::ScriptEngine::kVm;
-    {
-      script::Context seed_context(options);
-      if (!seed_context.Load(kModuleSource).ok()) std::abort();
-    }
-    ladder.warm_us = BestBatchUs(iterations, [&] {
-      script::Context context(options);
-      if (!context.Load(kModuleSource).ok()) std::abort();
-    });
-  }
+  auto warm_load = [] {
+    script::Context context;
+    if (!context.Load(kModuleSource).ok()) std::abort();
+  };
+  warm_load();  // untimed warmup; the entry is already cached
+  ladder.warm_us = BestBatchUs(iterations, warm_load);
 
   // Hot: contexts pre-Loaded into the warm pool; the timed path is
   // what a wakeup pays — the pool handoff.

@@ -2,8 +2,8 @@
 // per-event overhead every module pays.
 //
 // Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// runs a quick manual A/B of the resolver (resolved vs. Environment
-// fallback), writing BENCH_script.json for CI to archive.
+// times event dispatch, Context::Load and one host call through the
+// boxed bridge, writing BENCH_script.json for CI to archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -59,22 +59,43 @@ void BM_EventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatch);
 
-void BM_EventDispatchEngine(benchmark::State& state) {
-  script::ContextOptions options;
-  options.engine = state.range(0) == 0 ? script::ScriptEngine::kVm
-                                       : script::ScriptEngine::kInterp;
-  script::Context context(options);
-  (void)context.Load(kModuleSource);
-  auto message = script::Value::MakeObject();
-  message.AsObject()->Set("value", script::Value(1.5));
+/// Host calls per script entry in the host-call measurements: enough
+/// that the one Context::Call around them is noise.
+constexpr int kHostCallsPerEntry = 1000;
+
+/// A module that calls host function `sink` with a small object
+/// argument `n` times. Each call crosses the boxed bridge twice: the
+/// object is deep-converted out of the VM and the result back in.
+const char* kHostCallSource = R"JS(
+function host_calls(n) {
+  var total = 0;
+  for (var i = 0; i < n; i++) total += sink({ x: i, y: 2 });
+  return total;
+}
+)JS";
+
+std::unique_ptr<script::Context> MakeHostCallContext() {
+  auto context = std::make_unique<script::Context>();
+  context->RegisterHostFunction(
+      "sink",
+      [](std::vector<script::Value>& args) -> Result<script::Value> {
+        return script::Value(
+            static_cast<double>(args[0].AsObject()->size()));
+      });
+  if (!context->Load(kHostCallSource).ok()) std::abort();
+  return context;
+}
+
+void BM_HostCall(benchmark::State& state) {
+  auto context = MakeHostCallContext();
+  const script::Value n(static_cast<double>(kHostCallsPerEntry));
   for (auto _ : state) {
-    auto result = context.Call("event_received", {message});
+    auto result = context->Call("host_calls", {n});
     benchmark::DoNotOptimize(result);
   }
+  state.SetItemsProcessed(state.iterations() * kHostCallsPerEntry);
 }
-BENCHMARK(BM_EventDispatchEngine)
-    ->Arg(0)   // bytecode VM
-    ->Arg(1);  // tree-walking interpreter (resolver path)
+BENCHMARK(BM_HostCall);
 
 void BM_Fibonacci(benchmark::State& state) {
   script::Context context;
@@ -113,96 +134,59 @@ double NowUs() {
       .count();
 }
 
-/// Per-event dispatch cost (µs) for several engine configurations,
-/// measured together: each round times every configuration back to
-/// back before the next round starts, and each configuration keeps its
-/// best round. Interleaving keeps a host-level noise burst from
-/// landing on one configuration's entire measurement window, which
-/// would skew the speedup ratios; best-of is unbiased because
-/// scheduler noise is strictly additive.
-std::vector<double> MeasureDispatchUs(
-    const std::vector<script::ContextOptions>& configs, int rounds,
-    int calls) {
-  std::vector<std::unique_ptr<script::Context>> contexts;
-  auto message = script::Value::MakeObject();
-  message.AsObject()->Set("value", script::Value(1.5));
-  for (const auto& options : configs) {
-    auto context = std::make_unique<script::Context>(options);
-    if (!context->Load(kModuleSource).ok()) std::abort();
-    for (int i = 0; i < 2000; ++i) {  // warm caches / pools
-      (void)context->Call("event_received", {message});
-    }
-    contexts.push_back(std::move(context));
-  }
-  std::vector<double> best(configs.size(), 1e18);
-  for (int r = 0; r < rounds; ++r) {
-    for (size_t c = 0; c < contexts.size(); ++c) {
-      const double start = NowUs();
-      for (int i = 0; i < calls; ++i) {
-        auto result = contexts[c]->Call("event_received", {message});
-        benchmark::DoNotOptimize(result);
-      }
-      best[c] = std::min(best[c], (NowUs() - start) / calls);
-    }
-  }
-  return best;
-}
-
-/// Context::Load cost (µs): parse + resolve + top-level execution.
-double MeasureLoadUs(bool resolve, int rounds, int loads) {
+/// Best-of-`rounds` wall time (µs) of `calls` invocations of `fn`.
+/// Scheduler noise is strictly additive, so the minimum is unbiased.
+template <typename Fn>
+double BestUs(int rounds, int calls, Fn&& fn) {
   double best = 1e18;
   for (int r = 0; r < rounds; ++r) {
     const double start = NowUs();
-    for (int i = 0; i < loads; ++i) {
-      script::ContextOptions options;
-      options.resolve = resolve;
-      script::Context context(options);
-      benchmark::DoNotOptimize(context.Load(kModuleSource));
-    }
-    best = std::min(best, (NowUs() - start) / loads);
+    for (int i = 0; i < calls; ++i) fn();
+    best = std::min(best, (NowUs() - start) / calls);
   }
   return best;
 }
 
 int SmokeMain() {
-  // Best-of-9: scheduler noise is strictly additive, so more rounds
-  // tighten the minimum without biasing it.
+  // Best-of-9: more rounds tighten the minimum without biasing it.
   const int rounds = 9;
-  // Three engine configurations: the bytecode VM, the tree-walking
-  // interpreter on its resolver path (the PR 4 baseline the VM is
-  // measured against), and the unresolved Environment-chain fallback.
-  script::ContextOptions vm;
-  vm.engine = script::ScriptEngine::kVm;
-  script::ContextOptions interp;
-  interp.engine = script::ScriptEngine::kInterp;
-  script::ContextOptions fallback;
-  fallback.resolve = false;
-  const std::vector<double> dispatch =
-      MeasureDispatchUs({vm, interp, fallback}, rounds, 5000);
-  const double vm_us = dispatch[0];
-  const double resolved_us = dispatch[1];
-  const double fallback_us = dispatch[2];
-  const double load_resolved_us = MeasureLoadUs(true, rounds, 300);
-  const double load_fallback_us = MeasureLoadUs(false, rounds, 300);
+
+  // Per-event dispatch: one Context::Call of the module's handler.
+  script::Context context;
+  if (!context.Load(kModuleSource).ok()) std::abort();
+  auto message = script::Value::MakeObject();
+  message.AsObject()->Set("value", script::Value(1.5));
+  auto dispatch = [&] {
+    auto result = context.Call("event_received", {message});
+    benchmark::DoNotOptimize(result);
+  };
+  for (int i = 0; i < 2000; ++i) dispatch();  // warm caches
+  const double dispatch_us = BestUs(rounds, 5000, dispatch);
+
+  // Load: a fresh context linking the cached program + top level.
+  const double load_us = BestUs(rounds, 300, [] {
+    script::Context fresh;
+    benchmark::DoNotOptimize(fresh.Load(kModuleSource));
+  });
+
+  // One host call with a small object argument, through the bridge.
+  auto host = MakeHostCallContext();
+  const script::Value n(static_cast<double>(kHostCallsPerEntry));
+  const double host_call_us =
+      BestUs(rounds, 20, [&] {
+        auto result = host->Call("host_calls", {n});
+        benchmark::DoNotOptimize(result);
+      }) /
+      kHostCallsPerEntry;
 
   json::Value doc = json::Value::MakeObject();
   doc["bench"] = json::Value("micro_script");
-  doc["dispatch_us_vm"] = json::Value(vm_us);
-  doc["dispatch_us_resolved"] = json::Value(resolved_us);
-  doc["dispatch_us_fallback"] = json::Value(fallback_us);
-  doc["dispatch_speedup"] = json::Value(fallback_us / resolved_us);
-  doc["vm_speedup_vs_resolved"] = json::Value(resolved_us / vm_us);
-  doc["vm_speedup_vs_fallback"] = json::Value(fallback_us / vm_us);
-  doc["load_us_resolved"] = json::Value(load_resolved_us);
-  doc["load_us_fallback"] = json::Value(load_fallback_us);
-  doc["load_overhead"] = json::Value(load_resolved_us / load_fallback_us);
+  doc["dispatch_us_vm"] = json::Value(dispatch_us);
+  doc["load_us"] = json::Value(load_us);
+  doc["host_call_us"] = json::Value(host_call_us);
   bench::WriteBenchJson("script", doc);
-  std::printf(
-      "dispatch: vm %.2f us, resolved %.2f us, fallback %.2f us "
-      "(vm %.2fx vs resolved, %.2fx vs fallback); "
-      "load: resolved %.1f us, fallback %.1f us\n",
-      vm_us, resolved_us, fallback_us, resolved_us / vm_us,
-      fallback_us / vm_us, load_resolved_us, load_fallback_us);
+  std::printf("dispatch %.2f us, load %.1f us, host call %.3f us\n",
+              dispatch_us, load_us, host_call_us);
   return 0;
 }
 

@@ -175,8 +175,7 @@ int main(int argc, char** argv) {
   args.extra_host_functions["notify_module"].emplace_back(
       "notify",
       [&notifications, sim = &cluster->simulator()](
-          std::vector<script::Value>& fn_args,
-          script::Interpreter&) -> Result<script::Value> {
+          std::vector<script::Value>& fn_args) -> Result<script::Value> {
         notifications.emplace_back(
             sim->Now().seconds(),
             fn_args.empty() ? "?" : fn_args[0].ToDisplayString());

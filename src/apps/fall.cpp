@@ -3,8 +3,8 @@
 namespace vp::apps::fall {
 
 script::HostFunction AlertLog::MakeHostFunction(sim::Simulator* sim) {
-  return [this, sim](std::vector<script::Value>& args,
-                     script::Interpreter&) -> Result<script::Value> {
+  return [this, sim](
+             std::vector<script::Value>& args) -> Result<script::Value> {
     Alert alert;
     alert.when = sim->Now();
     if (!args.empty() && args[0].is_object()) {

@@ -26,8 +26,8 @@ const IoTHub::DeviceState* IoTHub::Find(const std::string& device) const {
 }
 
 script::HostFunction IoTHub::MakeHostFunction(sim::Simulator* sim) {
-  return [this, sim](std::vector<script::Value>& args,
-                     script::Interpreter&) -> Result<script::Value> {
+  return [this, sim](
+             std::vector<script::Value>& args) -> Result<script::Value> {
     if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
       return ScriptError("iot_command(device, action) expects two strings");
     }

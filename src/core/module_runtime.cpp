@@ -49,35 +49,31 @@ Status ModuleRuntime::BindAndStart(
 
   const std::string log_prefix =
       pipeline_->spec().name + "/" + spec_->name;
-  context_->interpreter().set_print_handler(
+  context_->set_print_handler(
       [log_prefix](const std::string& line) {
         VP_INFO("module") << log_prefix << ": " << line;
       });
 
   context_->RegisterHostFunction(
-      "call_service", [this](std::vector<script::Value>& args,
-                             script::Interpreter&) {
+      "call_service", [this](std::vector<script::Value>& args) {
         return HostCallService(args);
       });
   context_->RegisterHostFunction(
-      "call_module", [this](std::vector<script::Value>& args,
-                            script::Interpreter&) {
+      "call_module", [this](std::vector<script::Value>& args) {
         return HostCallModule(args);
       });
   context_->RegisterHostFunction(
-      "busy_ms",
-      [this](std::vector<script::Value>& args, script::Interpreter&) {
+      "busy_ms", [this](std::vector<script::Value>& args) {
         return HostBusyMs(args);
       });
   context_->RegisterHostFunction(
-      "frame_info",
-      [this](std::vector<script::Value>& args, script::Interpreter&) {
+      "frame_info", [this](std::vector<script::Value>& args) {
         return HostFrameInfo(args);
       });
   context_->RegisterHostFunction(
-      "log", [this, log_prefix](std::vector<script::Value>& args,
-                                script::Interpreter&)
-                 -> Result<script::Value> {
+      "log",
+      [this, log_prefix](
+          std::vector<script::Value>& args) -> Result<script::Value> {
         std::string line;
         for (size_t i = 0; i < args.size(); ++i) {
           if (i) line += ' ';
@@ -87,8 +83,7 @@ Status ModuleRuntime::BindAndStart(
         return script::Value::Undefined();
       });
   context_->RegisterHostFunction(
-      "now_ms", [this](std::vector<script::Value>&, script::Interpreter&)
-                    -> Result<script::Value> {
+      "now_ms", [this](std::vector<script::Value>&) -> Result<script::Value> {
         return script::Value(
             orchestrator_->cluster().simulator().Now().millis());
       });
@@ -98,8 +93,7 @@ Status ModuleRuntime::BindAndStart(
   // housekeeping without holding frames.
   context_->RegisterHostFunction(
       "set_timer",
-      [this](std::vector<script::Value>& args,
-             script::Interpreter&) -> Result<script::Value> {
+      [this](std::vector<script::Value>& args) -> Result<script::Value> {
         if (args.empty() || !args[0].is_number()) {
           return ScriptError("set_timer(ms[, payload]): ms needed");
         }

@@ -80,7 +80,7 @@ struct ModelLifecycleOptions {
 struct OrchestratorOptions {
   /// Per-event module runtime overhead (context dispatch), ref ms.
   Duration module_event_overhead = Duration::Millis(0.25);
-  script::InterpreterLimits script_limits;
+  script::ScriptLimits script_limits;
   services::ContainerOptions container_options;
   CameraOptions camera_options;
   /// Multiplicative stddev applied to service compute times

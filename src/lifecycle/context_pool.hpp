@@ -26,7 +26,7 @@ namespace vp::lifecycle {
 struct ContextPoolOptions {
   /// Pooled contexts kept at once (oldest evicted beyond this).
   size_t capacity = 64;
-  script::InterpreterLimits limits;
+  script::ScriptLimits limits;
 };
 
 struct ContextPoolStats {

@@ -1,15 +1,10 @@
 // vpscript abstract syntax tree.
 //
-// Plain struct hierarchy with unique_ptr ownership. The interpreter
-// walks this tree directly; no bytecode stage (module scripts are tiny
-// — the paper's modules are "lightweight application code"). A resolver
-// pass (resolver.hpp) runs between parse and execution and annotates
-// the tree in place: identifiers get (frame slot | interned-name)
-// coordinates, member accesses and object-literal keys get interned
-// property ids, operators get dense opcodes and constant
-// subexpressions are folded. Unannotated trees still execute — the
-// interpreter falls back to string lookups — so the resolver is an
-// accelerator, never a prerequisite.
+// Plain struct hierarchy with unique_ptr ownership, produced by the
+// parser and consumed once by the bytecode compiler (compiler.hpp). A
+// resolver pass (resolver.hpp) runs in between and rewrites the tree
+// in place: member names and object-literal keys get interned property
+// ids, and constant subexpressions are folded.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +21,8 @@ struct Stmt;
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
-/// Dense operator codes, assigned by the parser so the interpreter
-/// dispatches on an integer instead of comparing operator spellings.
+/// Dense operator codes, assigned by the parser so the compiler and the
+/// constant folder switch on an integer instead of operator spellings.
 enum class OpCode : uint8_t {
   kNone,
   // binary
@@ -40,13 +35,6 @@ enum class OpCode : uint8_t {
   kNeg, kPos, kNot, kTypeof,
   // update
   kInc, kDec,
-};
-
-/// How an identifier reference was resolved.
-enum class RefKind : uint8_t {
-  kDynamic,  // unresolved: string lookup through the Environment chain
-  kSlot,     // local in a slot-mode function: index into the flat frame
-  kEnv,      // environment-backed: interned-id lookup through the chain
 };
 
 // ---------------------------------------------------------------- Expr
@@ -69,26 +57,9 @@ enum class ExprKind {
 
 struct ObjectProperty {
   std::string key;
-  /// Interned by the resolver; kNoNameId on the fallback path.
+  /// Interned by the resolver (kNoNameId before it runs).
   uint32_t key_id = kNoNameId;
   ExprPtr value;
-};
-
-/// Out-of-line resolver annotations for the two node kinds that need
-/// vectors — functions (parameter slots) and switch statements (case
-/// scope slots). Keeping these behind one pointer keeps every
-/// Expr/Stmt in the same malloc size class as before the resolver
-/// existed; parse speed is dominated by node allocation.
-struct ResolverAux {
-  /// Function body executes against a pooled flat frame.
-  bool slot_mode = false;
-  uint16_t frame_size = 0;  // slots incl. params (slot mode)
-  /// Frame slot of each positional parameter (slot mode).
-  std::vector<uint16_t> param_slots;
-  /// kSwitch only: slots declared directly in the cases, reset to
-  /// undefined on entry so fall-through dispatch never observes values
-  /// from a previous execution of the same switch.
-  std::vector<uint16_t> scope_slots;
 };
 
 struct Expr {
@@ -98,24 +69,10 @@ struct Expr {
   /// Integer dispatch code for op (for kAssign: the compound binary op,
   /// kNone for plain '=').
   OpCode op_code = OpCode::kNone;
-  // --- resolution annotations (kIdentifier / kMember) ---
-  RefKind ref = RefKind::kDynamic;
   bool bool_value = false;    // kBool
   bool prefix = false;        // kUpdate
-  bool const_slot = false;    // kSlot: binding declared const
-  uint16_t slot = 0;          // kSlot: index into the flat frame
-  uint32_t name_id = kNoNameId;  // kEnv identifier / kMember property id
-  /// Inline cache for kEnv lookups: last environment (by identity) in
-  /// which this reference resolved as a *direct* binding, and its
-  /// binding index there. Verified against name_id before use, so a
-  /// stale hit degrades to a chain walk, never a wrong binding. The
-  /// environment pointer overlays the number-literal payload — a node
-  /// is either a number or an identifier, never both.
-  mutable uint32_t cache_index = 0;
-  union {
-    double number = 0;               // kNumber
-    mutable const void* cache_env;   // kIdentifier (kEnv)
-  };
+  uint32_t name_id = kNoNameId;  // kMember: interned property id
+  double number = 0;          // kNumber
 
   std::string string_value;  // string literal / identifier / member name
   std::string op;  // operator spelling for unary/binary/assign/update
@@ -129,8 +86,6 @@ struct Expr {
   std::vector<std::string> params;
   std::vector<StmtPtr> body;
   std::string function_name;  // optional (named function expressions)
-  /// Resolver annotations (kFunction); null until resolved.
-  std::unique_ptr<ResolverAux> aux;
 };
 
 // ---------------------------------------------------------------- Stmt
@@ -166,11 +121,6 @@ struct Stmt {
   std::string name;  // var name / function name / for-in variable
   bool is_const = false;
 
-  // --- resolution annotations (kVarDecl / kForIn / kTry catch name) ---
-  RefKind ref = RefKind::kDynamic;
-  uint16_t slot = 0;
-  uint32_t name_id = kNoNameId;
-
   // kIf
   std::vector<StmtPtr> then_branch;
   std::vector<StmtPtr> else_branch;
@@ -188,16 +138,11 @@ struct Stmt {
 
   // kSwitch
   std::vector<SwitchCase> cases;
-
-  /// Resolver annotations (kFunction / kSwitch); null until resolved.
-  std::unique_ptr<ResolverAux> aux;
 };
 
 /// A parsed program: top-level statements.
 struct Program {
   std::vector<StmtPtr> statements;
-  /// Set by the resolver pass; informational.
-  bool resolved = false;
 };
 
 }  // namespace vp::script

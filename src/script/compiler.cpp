@@ -15,9 +15,9 @@ struct LocalVar {
   int depth;
   bool is_const;
   /// A slot is reserved at block entry but stays invisible to direct
-  /// references until its declaration statement compiles — mirrors the
-  /// interpreter, where `var` defines at execution and earlier reads
-  /// in the block resolve outward.
+  /// references until its declaration statement compiles: `var`
+  /// defines at execution, and earlier reads in the block resolve
+  /// outward.
   bool visible;
 };
 
@@ -296,7 +296,7 @@ class FnCompiler {
   void PatchJump(size_t operand_pos) {
     const size_t offset = Here() - (operand_pos + 2);
     if (offset > 0xffff) {
-      Fail("jump too long");
+      Fail("jump too long (max 65535 bytes)");
       return;
     }
     proto_->code[operand_pos] = static_cast<uint8_t>(offset & 0xff);
@@ -306,7 +306,7 @@ class FnCompiler {
   void PatchJumpTo(size_t operand_pos, size_t target) {
     const size_t offset = target - (operand_pos + 2);
     if (offset > 0xffff) {
-      Fail("jump too long");
+      Fail("jump too long (max 65535 bytes)");
       return;
     }
     proto_->code[operand_pos] = static_cast<uint8_t>(offset & 0xff);
@@ -317,7 +317,7 @@ class FnCompiler {
     EmitOp(Op::kLoop, line);
     const size_t offset = Here() + 2 - target;
     if (offset > 0xffff) {
-      Fail("loop body too long");
+      Fail("loop body too long (max 65535 bytes)");
       EmitU16(0);
       return;
     }
@@ -325,7 +325,9 @@ class FnCompiler {
   }
 
   uint16_t AddConstant(VpValue v) {
-    if (proto_->constants.size() >= 0xffff) Fail("too many constants");
+    if (proto_->constants.size() >= 0xffff) {
+      Fail("too many constants (max 65535)");
+    }
     proto_->constants.push_back(v);
     return static_cast<uint16_t>(proto_->constants.size() - 1);
   }
@@ -366,7 +368,7 @@ class FnCompiler {
 
   void Fail(const std::string& what) {
     if (error_->ok()) {
-      *error_ = Status(StatusCode::kInternal, "script compile: " + what);
+      *error_ = Status(StatusCode::kScriptError, "script compile: " + what);
     }
   }
 
@@ -406,7 +408,7 @@ class FnCompiler {
   }
 
   uint16_t AddLocal(std::string name, bool is_const, bool visible) {
-    if (locals_.size() >= 0xffff) Fail("too many locals");
+    if (locals_.size() >= 0xffff) Fail("too many locals (max 65535)");
     locals_.push_back(LocalVar{std::move(name), scope_depth_, is_const,
                                visible});
     return static_cast<uint16_t>(locals_.size() - 1);
@@ -443,7 +445,7 @@ class FnCompiler {
         return static_cast<int>(i);
       }
     }
-    if (upvals_.size() >= 0xffff) Fail("too many upvalues");
+    if (upvals_.size() >= 0xffff) Fail("too many upvalues (max 65535)");
     upvals_.push_back(UpvalInfo{from_local, index, is_const});
     return static_cast<int>(upvals_.size() - 1);
   }
@@ -512,8 +514,8 @@ class FnCompiler {
   bool AtGlobalScope() const { return is_script_ && scope_depth_ == 0; }
 
   /// Reserve one slot per var/function declared directly in `stmts`
-  /// (deduplicated: redeclaration overwrites in place, like
-  /// Environment::Define).
+  /// (deduplicated: a redeclaration reuses the slot, overwriting the
+  /// binding in place).
   void DeclareBlockLocals(const std::vector<StmtPtr>& stmts) {
     int fresh = 0;
     for (const StmtPtr& stmt : stmts) {
@@ -614,7 +616,7 @@ class FnCompiler {
                                  handler_depth_, false, 0});
         CompileScopedBlock(stmt.body, stmt.line);
         // continue lands on the condition (evaluated in the outer
-        // scope, exactly like the interpreter).
+        // scope).
         const size_t cond_pos = Here();
         for (const size_t j : loops_.back().continue_jumps) {
           PatchJumpTo(j, cond_pos);
@@ -796,9 +798,8 @@ class FnCompiler {
     CompileExpr(*stmt.expr);  // discriminant, evaluated in outer scope
     BeginScope();
     const uint16_t disc_slot = AddLocal("(switch)", false, false);
-    // One shared scope across all cases (slot-mode interpreter
-    // semantics): every case-declared var gets a slot, reset to
-    // undefined on switch entry.
+    // One shared scope across all cases: every case-declared var gets
+    // a slot, reset to undefined on switch entry.
     for (const SwitchCase& c : stmt.cases) DeclareBlockLocals(c.body);
     loops_.push_back(LoopCtx{false, outer_depth, outer_depth, handler_depth_,
                              false, 0});
@@ -878,7 +879,7 @@ class FnCompiler {
         return;
       case ExprKind::kArrayLiteral: {
         if (e.elements.size() > 0xffff) {
-          Fail("array literal too large");
+          Fail("array literal too large (max 65535 elements)");
           return;
         }
         for (const ExprPtr& el : e.elements) CompileExpr(*el);
@@ -888,7 +889,7 @@ class FnCompiler {
       }
       case ExprKind::kObjectLiteral: {
         if (e.properties.size() > 0xffff) {
-          Fail("object literal too large");
+          Fail("object literal too large (max 65535 properties)");
           return;
         }
         for (const ObjectProperty& p : e.properties) {
@@ -993,9 +994,9 @@ class FnCompiler {
     }
   }
 
-  /// Compound assignment and ++/-- mirror the interpreter's
-  /// double evaluation of the target: read via the full expression,
-  /// then write via the assignment path (which re-evaluates the base).
+  /// Compound assignment and ++/-- evaluate the target twice: read
+  /// via the full expression, then write via the assignment path
+  /// (which re-evaluates the base).
   void CompileAssign(const Expr& e) {
     const Expr& target = *e.a;
     CompileExpr(*e.b);  // rhs first — its side effects predate the read
@@ -1056,7 +1057,7 @@ class FnCompiler {
 
   void CompileCall(const Expr& e) {
     if (e.elements.size() > 255) {
-      Fail("too many call arguments");
+      Fail("too many call arguments (max 255)");
       return;
     }
     const Expr& callee = *e.a;
@@ -1086,7 +1087,7 @@ class FnCompiler {
     // Slot 0 holds the callee. Named function expressions bind it so
     // the function can recurse by name; declarations resolve their own
     // name through the enclosing scope instead (a reassigned binding
-    // must be observed, as in the interpreter).
+    // must be observed).
     child.AddLocal(bind_self && !name.empty() ? name : "(fn)", false, true);
     for (const std::string& p : params) child.AddLocal(p, false, true);
     // The body shares the parameter scope: `var a` with a parameter
@@ -1119,9 +1120,9 @@ class FnCompiler {
 
 Result<const FunctionProto*> CompileProgram(const Program& program, Vm& vm) {
   Status error = Status::Ok();
-  // Allocate global slots in the interpreter's definition order
-  // (hoisted functions first, then top-level vars in statement order)
-  // so state snapshots list module globals identically across engines.
+  // Allocate global slots in definition order (hoisted functions
+  // first, then top-level vars in statement order): state snapshots
+  // list module globals in slot order.
   for (const StmtPtr& stmt : program.statements) {
     if (stmt->kind == StmtKind::kFunction) vm.GlobalSlot(stmt->name);
   }

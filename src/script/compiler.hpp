@@ -5,25 +5,22 @@
 // lexical upvalue resolution), nested functions compile inline into
 // child FunctionProtos adopted by the Vm.
 //
-// The tree the compiler consumes is the interpreter's: to keep the two
-// engines bit-identical (ResolverEquivalence / ErrorsMatchAcrossModes
-// extend across engines) the compiler re-derives scope layout itself
-// rather than reusing the resolver's slot frames — the resolver only
-// slots capture-free functions, the VM slots everything.
-//
-// Semantics mirrored from interp.cpp, notably:
+// Scope semantics, notably:
 //  * `var` is block-scoped; a declaration executes at its statement
 //    (reads earlier in the block resolve outward), so block entry
 //    reserves slots that stay invisible until the declaration runs;
 //  * function declarations hoist per block;
 //  * compound assignment / ++ / -- evaluate their target expression
-//    twice (read then write), exactly as the tree-walker does;
+//    twice (read then write);
 //  * `const` violations are runtime errors (dead branches may contain
 //    them) — the compiler emits kRuntimeError instead of failing.
 //
-// A compile error (pathological nesting blowing a u16 operand) is
-// returned as a Status; the Context then falls back to the
-// tree-walking interpreter, which has no such limits.
+// Bytecode operands bound what a program may contain; a program past
+// any of these limits fails to compile with a kScriptError naming it:
+//  * 255 arguments per call (u8 argc);
+//  * 65535 bytes per jump or loop body (u16 offset);
+//  * 65535 constants, locals or upvalues per function, and 65535
+//    elements per array/object literal (u16 index / count).
 #pragma once
 
 #include "common/error.hpp"

@@ -1,141 +1,53 @@
 #include "script/context.hpp"
 
-#include <cstdlib>
-#include <set>
-#include <string_view>
-
-#include "script/compiler.hpp"
-#include "script/convert.hpp"
+#include "common/log.hpp"
 #include "script/program_cache.hpp"
-#include "script/resolver.hpp"
 
 namespace vp::script {
 
-namespace {
-
-ScriptEngine ResolveEngine(ScriptEngine requested) {
-  if (requested != ScriptEngine::kAuto) return requested;
-  const char* env = std::getenv("VP_SCRIPT_ENGINE");
-  if (env != nullptr && std::string_view(env) == "interp") {
-    return ScriptEngine::kInterp;
-  }
-  return ScriptEngine::kVm;
-}
-
-}  // namespace
-
-Context::Context(ContextOptions options)
-    : resolve_(options.resolve), options_(options) {
-  globals_ = std::make_shared<Environment>();
-  InstallStdlib(*globals_, options.random_seed);
-  interp_ = std::make_unique<Interpreter>(globals_, options.limits);
-  // The VM compiles the resolved AST; without resolution only the
-  // interpreter can run the program.
-  engine_ = resolve_ ? ResolveEngine(options.engine) : ScriptEngine::kInterp;
-}
-
-Context::~Context() {
-  // The interpreter's closures and environments form shared_ptr cycles
-  // (closure → environment → binding → closure); sever them explicitly
-  // so a destroyed context releases its heap immediately.
-  Environment::TearDownChain(globals_);
+Context::Context(ContextOptions options) : options_(options) {
+  print_ = [](const std::string& line) { VP_INFO("script") << line; };
+  baseline_ = MakeStdlib(options.random_seed, [this](const std::string& line) {
+    if (print_) print_(line);
+  });
 }
 
 void Context::RegisterHostFunction(const std::string& name, HostFunction fn) {
-  Value v = Value::MakeHostFunction(name, std::move(fn));
-  if (vm_ != nullptr) vm_->ImportGlobal(name, v, /*baseline=*/true);
-  globals_->Define(name, std::move(v));
+  DefineGlobal(name, Value::MakeHostFunction(name, std::move(fn)));
 }
 
 void Context::DefineGlobal(const std::string& name, Value v) {
   if (vm_ != nullptr) vm_->ImportGlobal(name, v, /*baseline=*/true);
-  globals_->Define(name, std::move(v));
+  for (auto& [existing, value] : baseline_) {
+    if (existing == name) {
+      value = std::move(v);
+      return;
+    }
+  }
+  baseline_.emplace_back(name, std::move(v));
 }
 
 Status Context::Load(const std::string& source) {
-  // A reload replaces the whole program. Drop the previous VM now:
-  // if compilation of the new program fails below, execution falls to
-  // the interpreter, and a stale vm_ would otherwise keep routing
-  // Call/GetGlobal/SnapshotState to the old program's state.
+  // A reload replaces the whole program: drop the previous VM first so
+  // a rejected source leaves no trace of the old program's state.
   vm_.reset();
-  cached_program_.reset();
-
-  if (engine_ == ScriptEngine::kVm && options_.share_programs) {
-    // Cache-first: identical source across contexts (fleet-scale
-    // deploys, pipeline wakeups) links pre-compiled bytecode and never
-    // touches the parser. VM engine only — the interpreter writes
-    // inline caches into the AST while executing, so its contexts keep
-    // a private parse below.
-    auto cached = ProgramCache::Global().Acquire(source, options_.limits);
-    if (!cached.ok()) return Status(cached.error());
-    if (*cached != nullptr) {
-      cached_program_ = *cached;
-      program_ = cached_program_->program();
-      baseline_globals_ = globals_->LocalNames();
-      auto vm = std::make_unique<Vm>(options_.limits, interp_.get());
-      const FunctionProto* top = cached_program_->LinkInto(*vm);
-      // Baselines after the link: program-referenced names already own
-      // the low slots (the bytecode's operands); stdlib + host imports
-      // fill them or append.
-      for (const std::string& name : baseline_globals_) {
-        if (const Value* v = globals_->Find(name)) {
-          vm->ImportGlobal(name, *v, /*baseline=*/true);
-        }
-      }
-      vm_ = std::move(vm);
-      return vm_->RunTopLevel(top);
-    }
-    // The compiler rejects this source: interpreter from here on.
-    engine_ = ScriptEngine::kInterp;
+  auto cached = ProgramCache::Global().Acquire(source, options_.limits);
+  if (!cached.ok()) return Status(cached.error());
+  auto vm = std::make_unique<Vm>(options_.limits);
+  const FunctionProto* top = (*cached)->LinkInto(*vm);
+  // Baselines after the link: program-referenced names already own the
+  // low slots (the bytecode's operands); stdlib + host imports fill
+  // them or append.
+  for (const auto& [name, value] : baseline_) {
+    vm->ImportGlobal(name, value, /*baseline=*/true);
   }
-
-  auto program = ParseProgram(source);
-  if (!program.ok()) return Status(program.error());
-  program_ = *program;
-  if (resolve_) ResolveProgram(*program_);
-  baseline_globals_ = globals_->LocalNames();
-
-  if (engine_ == ScriptEngine::kVm) {
-    auto vm = std::make_unique<Vm>(options_.limits, interp_.get());
-    // Baseline first: stdlib + host functions occupy the low global
-    // slots, flagged so snapshots skip them.
-    for (const std::string& name : baseline_globals_) {
-      if (const Value* v = globals_->Find(name)) {
-        vm->ImportGlobal(name, *v, /*baseline=*/true);
-      }
-    }
-    auto top = CompileProgram(*program_, *vm);
-    if (top.ok()) {
-      vm_ = std::move(vm);
-      return vm_->RunTopLevel(*top);
-    }
-    // Compilation failed (program uses something the compiler does not
-    // support): fall back to the interpreter for this context.
-    engine_ = ScriptEngine::kInterp;
-  }
-
-  interp_->ResetBudget();
-  auto result = interp_->RunProgram(program_);
-  if (!result.ok()) return Status(result.error());
-  return Status::Ok();
+  vm_ = std::move(vm);
+  return vm_->RunTopLevel(top);
 }
 
 json::Value Context::SnapshotState() const {
-  if (vm_ != nullptr) return vm_->SnapshotState();
-  json::Value snapshot = json::Value::MakeObject();
-  std::set<std::string> baseline(baseline_globals_.begin(),
-                                 baseline_globals_.end());
-  for (const std::string& name : globals_->LocalNames()) {
-    if (baseline.count(name) != 0) continue;
-    const Value* value = globals_->Find(name);
-    if (value == nullptr || value->is_function()) continue;
-    auto serialized = ScriptToJson(*value);
-    if (!serialized.ok()) continue;  // skip non-serializable state
-    // Distinguish "undefined" (skip) from an explicit null.
-    if (value->is_undefined()) continue;
-    snapshot[name] = std::move(*serialized);
-  }
-  return snapshot;
+  if (vm_ == nullptr) return json::Value::MakeObject();
+  return vm_->SnapshotState();
 }
 
 Status Context::RestoreState(const json::Value& snapshot) {
@@ -143,52 +55,26 @@ Status Context::RestoreState(const json::Value& snapshot) {
     return Status(StatusCode::kInvalidArgument,
                   "state snapshot must be an object");
   }
-  if (vm_ != nullptr) {
-    vm_->RestoreState(snapshot);
-    return Status::Ok();
+  if (vm_ == nullptr) {
+    return Status(StatusCode::kFailedPrecondition,
+                  "no module program loaded to restore into");
   }
-  for (const auto& [name, value] : snapshot.AsObject()) {
-    globals_->Define(name, JsonToScript(value));
-  }
+  vm_->RestoreState(snapshot);
   return Status::Ok();
 }
 
 bool Context::HasFunction(const std::string& name) const {
-  if (vm_ != nullptr) return vm_->GlobalIsFunction(name);
-  Value* v = globals_->Find(name);
-  return v != nullptr && v->is_function();
+  return vm_ != nullptr && vm_->GlobalIsFunction(name);
 }
 
 Result<Value> Context::Call(const std::string& name, std::vector<Value> args) {
-  if (vm_ != nullptr) {
-    vm_->ResetBudget();
-    return vm_->CallGlobal(name, std::move(args));
-  }
-  Value* fn = nullptr;
-  if (name == call_cache_name_) {
-    fn = globals_->ValueAtIfId(call_cache_index_, call_cache_id_);
-  }
-  if (fn == nullptr) {
-    const uint32_t id = Interner::Global().Intern(name);
-    const uint32_t index = globals_->LocalIndexById(id);
-    if (index != Environment::kNpos) {
-      fn = globals_->ValueAtIfId(index, id);
-      call_cache_name_ = name;
-      call_cache_id_ = id;
-      call_cache_index_ = index;
-    }
-  }
-  if (fn == nullptr || !fn->is_function()) {
-    return NotFound("no function '" + name + "' in module");
-  }
-  interp_->ResetBudget();
-  return interp_->Call(*fn, std::move(args));
+  if (vm_ == nullptr) return NotFound("no function '" + name + "' in module");
+  vm_->ResetBudget();
+  return vm_->CallGlobal(name, std::move(args));
 }
 
 Value Context::GetGlobal(const std::string& name) const {
-  if (vm_ != nullptr) return vm_->GetGlobalBoxed(name);
-  Value* v = globals_->Find(name);
-  return v ? *v : Value::Undefined();
+  return vm_ != nullptr ? vm_->GetGlobalBoxed(name) : Value::Undefined();
 }
 
 }  // namespace vp::script

@@ -6,54 +6,38 @@
 // context has its own global scope, stdlib instance and step budget;
 // host functions (the Table-1 API) are registered by the module
 // runtime before the module source is loaded.
+//
+// Load has one path: the process-wide program cache (program_cache.hpp)
+// parses, resolves and compiles each distinct source once; the context
+// links the cached bytecode into a fresh Vm, imports its baseline
+// globals (stdlib + host functions) and runs the top level.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "json/value.hpp"
-#include "script/interp.hpp"
-#include "script/parser.hpp"
+#include "script/stdlib.hpp"
 #include "script/value.hpp"
 #include "script/vm.hpp"
 
 namespace vp::script {
 
-/// Which engine executes module code.
-enum class ScriptEngine {
-  /// Read VP_SCRIPT_ENGINE from the environment ("vm" / "interp");
-  /// defaults to the bytecode VM when unset or unrecognized.
-  kAuto,
-  /// Bytecode VM with NaN-boxed values and a tracing GC (vm.hpp).
-  kVm,
-  /// Tree-walking interpreter (interp.hpp). Also the automatic
-  /// fallback when resolution is disabled or compilation fails.
-  kInterp,
-};
-
 struct ContextOptions {
-  InterpreterLimits limits;
+  ScriptLimits limits;
   /// Seed for this context's Math.random.
   uint64_t random_seed = 1234;
-  /// Run the resolver pass (resolver.hpp) on loaded programs. Off
-  /// switches the interpreter to its dynamic Environment-only fallback
-  /// — same semantics, slower; kept for A/B tests and benchmarks.
-  /// The bytecode VM requires resolved programs, so `resolve = false`
-  /// also forces the interpreter engine.
-  bool resolve = true;
-  ScriptEngine engine = ScriptEngine::kAuto;
-  /// Serve Load() from the process-wide compiled-program cache
-  /// (program_cache.hpp) on the VM engine: identical source links
-  /// pre-compiled bytecode instead of re-parsing. Semantically
-  /// transparent; off only for cache-bypass benchmarking.
-  bool share_programs = true;
 };
 
 class Context {
  public:
   explicit Context(ContextOptions options = {});
-  ~Context();
+
+  // The stdlib's console.log calls back into this object.
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   /// Expose a host function as a global, e.g. call_service.
   void RegisterHostFunction(const std::string& name, HostFunction fn);
@@ -61,8 +45,10 @@ class Context {
   /// Define an arbitrary global value (configuration constants…).
   void DefineGlobal(const std::string& name, Value v);
 
-  /// Parse + execute module source. Top-level code runs immediately;
-  /// function declarations become callable afterwards.
+  /// Parse + compile + execute module source. Top-level code runs
+  /// immediately; function declarations become callable afterwards. A
+  /// reload replaces the previous program; a load that fails to parse
+  /// or compile leaves no program at all.
   Status Load(const std::string& source);
 
   bool HasFunction(const std::string& name) const;
@@ -86,44 +72,25 @@ class Context {
   /// Overwrite globals from a snapshot produced by SnapshotState().
   Status RestoreState(const json::Value& snapshot);
 
-  Interpreter& interpreter() { return *interp_; }
+  /// Where console.log output goes (default: VP_INFO log).
+  void set_print_handler(PrintFn handler) { print_ = std::move(handler); }
 
-  /// Engine actually executing this context's code — resolved from the
-  /// options / VP_SCRIPT_ENGINE after Load (compile failures fall back
-  /// to the interpreter).
-  ScriptEngine engine() const { return engine_; }
-
-  /// The VM backing this context, or nullptr on the interpreter
-  /// engine. Exposed for GC instrumentation in tests and benchmarks.
+  /// The VM running the loaded program, or nullptr before a successful
+  /// parse + compile. Exposed for GC instrumentation in tests and
+  /// benchmarks.
   Vm* vm() { return vm_.get(); }
 
-  /// Script-engine heap bytes currently resident. The tree-walking
-  /// interpreter does not track allocation and reports 0 — the
-  /// lifecycle memory accounting is VM-engine-honest only.
+  /// Script-engine heap bytes currently resident.
   size_t MemoryBytes() const { return vm_ ? vm_->bytes_allocated() : 0; }
 
  private:
-  bool resolve_ = true;
-  ScriptEngine engine_ = ScriptEngine::kInterp;
   ContextOptions options_;
+  PrintFn print_;
+  /// Stdlib + host functions + DefineGlobal values, in definition
+  /// order — imported into every Vm this context links, flagged so
+  /// snapshots skip them.
+  GlobalList baseline_;
   std::unique_ptr<Vm> vm_;
-  /// One-entry cache for Call's name→binding lookup: the module
-  /// runtime invokes the same handler (`event_received`) per event, so
-  /// the repeat lookup is a string equality + an index probe instead
-  /// of a hash + scan. Verified against the interned id, so a stale
-  /// entry (redefined global) degrades to the full lookup.
-  std::string call_cache_name_;
-  uint32_t call_cache_id_ = kNoNameId;
-  uint32_t call_cache_index_ = 0;
-  std::shared_ptr<Environment> globals_;
-  std::unique_ptr<Interpreter> interp_;
-  std::shared_ptr<Program> program_;
-  /// Cache entry backing vm_'s bytecode (VM engine + share_programs
-  /// only). Held so the linked program outlives cache eviction.
-  std::shared_ptr<const class CachedProgram> cached_program_;
-  /// Globals present before user code ran (stdlib + host functions) —
-  /// excluded from snapshots.
-  std::vector<std::string> baseline_globals_;
 };
 
 }  // namespace vp::script

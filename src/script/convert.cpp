@@ -55,7 +55,6 @@ Result<json::Value> ScriptToJson(const Value& v) {
       }
       return json::Value(std::move(obj));
     }
-    case ValueType::kFunction:
     case ValueType::kHostFunction:
       return ScriptError("cannot serialize a function to JSON");
   }

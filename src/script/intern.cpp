@@ -76,11 +76,6 @@ uint32_t Interner::Lookup(std::string_view name) const {
   return FindLocked(name, Hash(name));
 }
 
-const std::string& Interner::NameOf(uint32_t id) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return names_[id];
-}
-
 size_t Interner::size() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   return names_.size();

@@ -28,7 +28,7 @@ class Interner {
   /// The process-wide table shared by every script context. On the
   /// parallel fleet engine, script contexts on different shards intern
   /// and look up names concurrently, so the table is guarded by a
-  /// reader/writer lock: the hot runtime paths (Lookup/NameOf on
+  /// reader/writer lock: the hot runtime paths (Lookup on
   /// already-interned names) take the shared side; only first-time
   /// interning writes.
   static Interner& Global();
@@ -41,10 +41,6 @@ class Interner {
   /// (and therefore cannot be bound anywhere that uses ids).
   uint32_t Lookup(std::string_view name) const;
 
-  /// The spelling for an interned id. The reference stays valid
-  /// forever: names are append-only in a deque and never mutated.
-  const std::string& NameOf(uint32_t id) const;
-
   size_t size() const;
 
  private:
@@ -54,7 +50,7 @@ class Interner {
   uint32_t FindLocked(std::string_view name, uint32_t h) const;
   void Rehash(size_t capacity);
 
-  // deque: stable string storage, so NameOf references survive growth.
+  // Spellings by id, append-only.
   std::deque<std::string> names_;
   // Interning sits on the resolve and context-construction paths, so
   // the index is a flat open-addressing table (linear probing,

@@ -1,7 +1,7 @@
 // vpscript lexer.
 //
 // vpscript is VideoPipe's module language: a small, strict subset of
-// JavaScript executed by a tree-walking interpreter (our stand-in for
+// JavaScript compiled to bytecode and run by a VM (our stand-in for
 // the paper's Duktape engine). The lexer produces a flat token stream
 // with line/column positions for error reporting.
 #pragma once

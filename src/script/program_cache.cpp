@@ -1,7 +1,5 @@
 #include "script/program_cache.hpp"
 
-#include <algorithm>
-
 #include "script/compiler.hpp"
 #include "script/parser.hpp"
 #include "script/resolver.hpp"
@@ -54,7 +52,7 @@ ProgramCache& ProgramCache::Global() {
 }
 
 Result<std::shared_ptr<const CachedProgram>> ProgramCache::Acquire(
-    const std::string& source, const InterpreterLimits& limits) {
+    const std::string& source, const ScriptLimits& limits) {
   const uint64_t hash = HashProgramSource(source);
   std::lock_guard<std::mutex> lock(mu_);
 
@@ -64,11 +62,6 @@ Result<std::shared_ptr<const CachedProgram>> ProgramCache::Acquire(
       return entry;
     }
   }
-  if (std::find(failed_hashes_.begin(), failed_hashes_.end(), hash) !=
-      failed_hashes_.end()) {
-    ++stats_.uncompilable;
-    return std::shared_ptr<const CachedProgram>();
-  }
   ++stats_.misses;
 
   auto program = ParseProgram(source);
@@ -77,20 +70,14 @@ Result<std::shared_ptr<const CachedProgram>> ProgramCache::Acquire(
 
   // Scratch compile with NO baseline globals: the slot table then
   // records exactly the names the program references, in compile
-  // order, which is what LinkInto replays. The fallback interpreter is
-  // never touched at compile time.
-  auto scratch = std::make_unique<Vm>(limits, /*fallback_interp=*/nullptr);
+  // order, which is what LinkInto replays.
+  auto scratch = std::make_unique<Vm>(limits);
   auto top = CompileProgram(**program, *scratch);
-  if (!top.ok()) {
-    failed_hashes_.push_back(hash);
-    ++stats_.uncompilable;
-    return std::shared_ptr<const CachedProgram>();
-  }
+  if (!top.ok()) return top.error();
 
   auto entry = std::make_shared<CachedProgram>();
   entry->hash_ = hash;
   entry->source_ = source;
-  entry->program_ = *program;
   for (size_t i = 0; i < scratch->proto_count(); ++i) {
     const FunctionProto* proto =
         scratch->proto_at(static_cast<uint16_t>(i));
@@ -108,10 +95,9 @@ Result<std::shared_ptr<const CachedProgram>> ProgramCache::Acquire(
       if (c.is_heap()) {
         if (c.AsHeap()->type != GcType::kString) {
           // A non-string heap constant would need its own portable
-          // form; the compiler emits none today. Treat as uncacheable.
-          failed_hashes_.push_back(hash);
-          ++stats_.uncompilable;
-          return std::shared_ptr<const CachedProgram>();
+          // form; the compiler emits none.
+          return Error(StatusCode::kInternal,
+                       "script compile: non-string heap constant");
         }
         const auto* gs = static_cast<const GcString*>(c.AsHeap());
         pc.is_string = true;
@@ -143,7 +129,6 @@ void ProgramCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.evictions += entries_.size();
   entries_.clear();
-  failed_hashes_.clear();
   stats_.entries = 0;
 }
 

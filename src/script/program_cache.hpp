@@ -1,19 +1,15 @@
 // Content-hash-keyed compiled-program cache.
 //
-// A fleet deploys the same handful of module scripts into thousands of
-// contexts; without sharing, every context re-parses, re-resolves and
-// re-compiles identical source. The cache compiles each distinct
-// source exactly once (under a mutex, into a throwaway Vm) and keeps a
+// Every Context::Load goes through this cache. A fleet deploys the
+// same handful of module scripts into thousands of contexts; without
+// sharing, every context would re-parse, re-resolve and re-compile
+// identical source. The cache compiles each distinct source exactly
+// once (under a mutex, into a throwaway Vm) and keeps only a
 // *portable* form of the result — bytecode, constants, slot-ordered
 // global names — that links into any fresh Vm without touching the
-// parser, the resolver or the compiler again. Warm pipeline wakeups
-// (src/lifecycle) and ordinary repeat deploys both ride on it.
-//
-// Engine scope: VM only. The tree-walking interpreter writes inline
-// caches into the AST while executing (ast.hpp cache_index/cache_env),
-// so an AST shared across interpreter contexts would be a data race on
-// the parallel fleet engine. The VM never reads the AST after
-// compilation, so the cached (resolved) AST is safe to share there.
+// parser, the resolver or the compiler again. The AST is dropped after
+// compilation. Warm pipeline wakeups (src/lifecycle) and ordinary
+// repeat deploys both ride on it.
 //
 // Linking reproduces exactly what a private compile would have built:
 // global-slot operands in the bytecode are indices into the Vm's slot
@@ -30,7 +26,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "script/interp.hpp"
 #include "script/vm.hpp"
 
 namespace vp::script {
@@ -43,9 +38,6 @@ struct ProgramCacheStats {
   uint64_t misses = 0;
   /// Entries dropped by Clear() or capacity pressure.
   uint64_t evictions = 0;
-  /// Sources the compiler rejected (interpreter-only programs); these
-  /// are remembered so repeat loads skip the doomed compile attempt.
-  uint64_t uncompilable = 0;
   size_t entries = 0;
 };
 
@@ -57,11 +49,6 @@ class CachedProgram {
   /// slots replayed in compile order) and return the top-level proto.
   /// `vm` must be freshly constructed — no protos, no global slots.
   const FunctionProto* LinkInto(Vm& vm) const;
-
-  /// The resolved AST the program was compiled from. Shared across VM
-  /// contexts only (see file comment); kept so Context::Load on a hit
-  /// skips the parse entirely.
-  const std::shared_ptr<Program>& program() const { return program_; }
 
   uint64_t hash() const { return hash_; }
   /// Bytecode + constant bytes (cache-footprint accounting).
@@ -90,7 +77,6 @@ class CachedProgram {
 
   uint64_t hash_ = 0;
   std::string source_;  // exact-match guard against hash collisions
-  std::shared_ptr<Program> program_;
   std::vector<PortableProto> protos_;
   uint16_t top_index_ = 0;
   /// Global names in slot-allocation order (the compiler's
@@ -110,13 +96,10 @@ class ProgramCache {
   static ProgramCache& Global();
 
   /// Look up `source`, compiling (parse + resolve + compile) on miss.
-  /// Returns:
-  ///   ok + entry      — cached program ready to LinkInto a Vm
-  ///   ok + nullptr    — the compiler rejects this source; caller must
-  ///                     fall back to its private interpreter path
-  ///   parse error     — the source does not parse at all
+  /// Returns the cached program, ready to LinkInto a Vm, or the parse
+  /// or compile error. Failures are not cached.
   Result<std::shared_ptr<const CachedProgram>> Acquire(
-      const std::string& source, const InterpreterLimits& limits);
+      const std::string& source, const ScriptLimits& limits);
 
   /// Registry-style teardown: drop every entry (tests, fleet restarts).
   /// Outstanding shared_ptrs keep already-linked contexts valid.
@@ -133,7 +116,6 @@ class ProgramCache {
   mutable std::mutex mu_;
   size_t capacity_ = 256;
   std::vector<std::shared_ptr<const CachedProgram>> entries_;  // FIFO
-  std::vector<uint64_t> failed_hashes_;  // uncompilable sources
   ProgramCacheStats stats_;
 };
 

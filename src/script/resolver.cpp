@@ -1,87 +1,62 @@
 #include "script/resolver.hpp"
 
+#include <cmath>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "script/interp.hpp"  // EvalBinaryOp: folding shares run-time semantics
 #include "script/value.hpp"
 
 namespace vp::script {
 namespace {
 
-// ------------------------------------------------------------------
-// Pre-scan: decides whether a function body qualifies for slot mode.
-// A body qualifies iff it contains no nested function (statement or
-// expression) at any depth — then no closure can ever capture one of
-// its locals, so the Environment chain is unobservable and a flat
-// frame is semantically equivalent. Named function expressions that
-// reference their own name additionally need the per-call self
-// binding, which only the Environment path provides.
-
-struct ScanResult {
-  bool has_function = false;
-  bool refs_self = false;
-  size_t decl_count = 0;
-};
-
-void ScanExpr(const Expr& e, const std::string* self, ScanResult* out);
-void ScanStmts(const std::vector<StmtPtr>& stmts, const std::string* self,
-               ScanResult* out);
-
-void ScanStmt(const Stmt& s, const std::string* self, ScanResult* out) {
-  if (out->has_function) return;
-  switch (s.kind) {
-    case StmtKind::kFunction:
-      out->has_function = true;
-      return;
-    case StmtKind::kVarDecl:
-    case StmtKind::kForIn:
-    case StmtKind::kTry:  // catch binding
-      ++out->decl_count;
-      break;
-    default:
-      break;
-  }
-  if (s.expr) ScanExpr(*s.expr, self, out);
-  if (s.init) ScanStmt(*s.init, self, out);
-  if (s.condition) ScanExpr(*s.condition, self, out);
-  if (s.step) ScanExpr(*s.step, self, out);
-  ScanStmts(s.then_branch, self, out);
-  ScanStmts(s.else_branch, self, out);
-  ScanStmts(s.body, self, out);
-  for (const auto& c : s.cases) {
-    if (c.test) ScanExpr(*c.test, self, out);
-    ScanStmts(c.body, self, out);
-  }
-}
-
-void ScanStmts(const std::vector<StmtPtr>& stmts, const std::string* self,
-               ScanResult* out) {
-  for (const auto& s : stmts) {
-    if (out->has_function) return;
-    ScanStmt(*s, self, out);
-  }
-}
-
-void ScanExpr(const Expr& e, const std::string* self, ScanResult* out) {
-  if (out->has_function) return;
-  if (e.kind == ExprKind::kFunction) {
-    out->has_function = true;
-    return;
-  }
-  if (e.kind == ExprKind::kIdentifier && self != nullptr &&
-      e.string_value == *self) {
-    out->refs_self = true;
-  }
-  for (const auto& el : e.elements) ScanExpr(*el, self, out);
-  for (const auto& p : e.properties) ScanExpr(*p.value, self, out);
-  if (e.a) ScanExpr(*e.a, self, out);
-  if (e.b) ScanExpr(*e.b, self, out);
-  if (e.c) ScanExpr(*e.c, self, out);
-}
-
 // ------------------------------------------------------ constant fold
+
+/// Binary operator semantics on boxed literals. Must agree bit for bit
+/// with the VM's arithmetic and comparison opcodes (vm.cpp), so a
+/// folded `2 * 3 + "x"` displays exactly as the unfolded one would.
+/// Errors on OpCode::kNone / non-binary codes.
+Result<Value> EvalBinaryOp(OpCode op, const Value& a, const Value& b) {
+  switch (op) {
+    case OpCode::kAdd:
+      if (a.is_string() || b.is_string()) {
+        return Value(a.ToDisplayString() + b.ToDisplayString());
+      }
+      return Value(a.ToNumber() + b.ToNumber());
+    case OpCode::kSub: return Value(a.ToNumber() - b.ToNumber());
+    case OpCode::kMul: return Value(a.ToNumber() * b.ToNumber());
+    case OpCode::kDiv: return Value(a.ToNumber() / b.ToNumber());
+    case OpCode::kMod:
+      return Value(std::fmod(a.ToNumber(), b.ToNumber()));
+    case OpCode::kEq: return Value(a.LooseEquals(b));
+    case OpCode::kNe: return Value(!a.LooseEquals(b));
+    case OpCode::kStrictEq: return Value(a.StrictEquals(b));
+    case OpCode::kStrictNe: return Value(!a.StrictEquals(b));
+    case OpCode::kLt:
+    case OpCode::kLe:
+    case OpCode::kGt:
+    case OpCode::kGe: {
+      if (a.is_string() && b.is_string()) {
+        const int cmp = a.AsString().compare(b.AsString());
+        switch (op) {
+          case OpCode::kLt: return Value(cmp < 0);
+          case OpCode::kLe: return Value(cmp <= 0);
+          case OpCode::kGt: return Value(cmp > 0);
+          default: return Value(cmp >= 0);
+        }
+      }
+      const double x = a.ToNumber();
+      const double y = b.ToNumber();
+      switch (op) {
+        case OpCode::kLt: return Value(x < y);
+        case OpCode::kLe: return Value(x <= y);
+        case OpCode::kGt: return Value(x > y);
+        default: return Value(x >= y);
+      }
+    }
+    default:
+      return ScriptError("unknown binary operator");
+  }
+}
 
 bool IsLiteral(const Expr& e) {
   switch (e.kind) {
@@ -141,114 +116,11 @@ void ReplaceWithChild(Expr& e, ExprPtr child) {
 
 class Resolver {
  public:
-  void Run(Program& program) {
-    // The top level is an environment region: globals must stay
-    // Environment-backed for Context interop (Get/Set/Call, snapshot
-    // and restore, host bindings).
-    ResolveStmts(program.statements);
-    program.resolved = true;
-  }
+  void Run(Program& program) { ResolveStmts(program.statements); }
 
  private:
-  struct Local {
-    uint32_t name_id;
-    uint16_t slot;
-  };
-  struct Scope {
-    std::vector<Local> locals;
-  };
-  struct FunctionCtx {
-    uint32_t next_slot = 0;
-    std::vector<Scope> scopes;
-    std::vector<bool> slot_is_const;  // indexed by slot
-  };
-
-  // Non-null while resolving the body of a slot-mode function.
-  FunctionCtx* fn_ = nullptr;
-
   static uint32_t Intern(const std::string& s) {
     return Interner::Global().Intern(s);
-  }
-
-  bool InSlotMode() const { return fn_ != nullptr; }
-
-  void PushScope() {
-    if (fn_) fn_->scopes.push_back({});
-  }
-  void PopScope(std::vector<uint16_t>* collect = nullptr) {
-    if (!fn_) return;
-    if (collect) {
-      for (const Local& l : fn_->scopes.back().locals) {
-        collect->push_back(l.slot);
-      }
-    }
-    fn_->scopes.pop_back();
-  }
-
-  uint16_t Declare(uint32_t name_id, bool is_const) {
-    Scope& scope = fn_->scopes.back();
-    for (const Local& l : scope.locals) {
-      if (l.name_id == name_id) {
-        // Redeclaration in the same scope reuses the binding, exactly
-        // like Environment::Define.
-        fn_->slot_is_const[l.slot] = is_const;
-        return l.slot;
-      }
-    }
-    const auto slot = static_cast<uint16_t>(fn_->next_slot++);
-    scope.locals.push_back(Local{name_id, slot});
-    fn_->slot_is_const.push_back(is_const);
-    return slot;
-  }
-
-  const Local* Lookup(uint32_t name_id) const {
-    for (auto it = fn_->scopes.rbegin(); it != fn_->scopes.rend(); ++it) {
-      for (const Local& l : it->locals) {
-        if (l.name_id == name_id) return &l;
-      }
-    }
-    return nullptr;
-  }
-
-  void ResolveFunction(const std::vector<std::string>& params,
-                       std::vector<StmtPtr>& body,
-                       const std::string& self_name,
-                       std::unique_ptr<ResolverAux>& aux) {
-    ScanResult scan;
-    const std::string* self = self_name.empty() ? nullptr : &self_name;
-    ScanStmts(body, self, &scan);
-    // decl_count is a conservative upper bound on slots; uint16 frames
-    // cap out far above any real module, but bail to env mode rather
-    // than overflow.
-    const bool qualifies = !scan.has_function && !scan.refs_self &&
-                           params.size() + scan.decl_count < 60000;
-    FunctionCtx* saved = fn_;
-    if (qualifies) {
-      FunctionCtx ctx;
-      fn_ = &ctx;
-      // Params and body-top-level vars share one scope, mirroring the
-      // env path (params Defined in the call env, body run against it).
-      fn_->scopes.push_back({});
-      if (!aux) aux = std::make_unique<ResolverAux>();
-      aux->param_slots.clear();
-      aux->param_slots.reserve(params.size());
-      for (const auto& p : params) {
-        aux->param_slots.push_back(Declare(Intern(p), /*is_const=*/false));
-      }
-      ResolveStmts(body);
-      fn_ = saved;
-      aux->slot_mode = true;
-      aux->frame_size = static_cast<uint16_t>(ctx.next_slot);
-    } else {
-      fn_ = nullptr;  // the body is an environment region
-      ResolveStmts(body);
-      fn_ = saved;
-      if (aux) {
-        aux->slot_mode = false;
-        aux->frame_size = 0;
-        aux->param_slots.clear();
-      }
-    }
   }
 
   void ResolveStmts(std::vector<StmtPtr>& stmts) {
@@ -256,191 +128,58 @@ class Resolver {
   }
 
   void ResolveStmt(Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kExpr:
-      case StmtKind::kReturn:
-      case StmtKind::kThrow:
-        if (s.expr) ResolveExpr(*s.expr);
-        break;
-      case StmtKind::kVarDecl:
-        // The initializer is resolved before the name is declared:
-        // references to the name inside it resolve outward, matching
-        // the env path where Define runs only after the init evaluates.
-        if (s.expr) ResolveExpr(*s.expr);
-        s.name_id = Intern(s.name);
-        if (InSlotMode()) {
-          s.ref = RefKind::kSlot;
-          s.slot = Declare(s.name_id, s.is_const);
-        } else {
-          s.ref = RefKind::kEnv;
-        }
-        break;
-      case StmtKind::kFunction:
-        // Only reachable in environment regions — a body containing a
-        // function declaration never qualifies for slot mode. The
-        // declared name stays env-backed (hoisting needs an env), but
-        // the function's own body may still be slot mode.
-        s.name_id = Intern(s.name);
-        ResolveFunction(s.params, s.body, /*self_name=*/std::string(),
-                        s.aux);
-        break;
-      case StmtKind::kIf:
-        ResolveExpr(*s.expr);
-        PushScope();
-        ResolveStmts(s.then_branch);
-        PopScope();
-        PushScope();
-        ResolveStmts(s.else_branch);
-        PopScope();
-        break;
-      case StmtKind::kWhile:
-      case StmtKind::kDoWhile:
-        ResolveExpr(*s.expr);
-        PushScope();
-        ResolveStmts(s.body);
-        PopScope();
-        break;
-      case StmtKind::kFor:
-        PushScope();  // loop scope: init declaration, cond, step
-        if (s.init) ResolveStmt(*s.init);
-        if (s.condition) ResolveExpr(*s.condition);
-        if (s.step) ResolveExpr(*s.step);
-        PushScope();  // per-iteration body scope
-        ResolveStmts(s.body);
-        PopScope();
-        PopScope();
-        break;
-      case StmtKind::kForIn:
-        ResolveExpr(*s.expr);  // the object, in the enclosing scope
-        s.name_id = Intern(s.name);
-        PushScope();
-        if (InSlotMode()) {
-          s.ref = RefKind::kSlot;
-          s.slot = Declare(s.name_id, /*is_const=*/false);
-        } else {
-          s.ref = RefKind::kEnv;
-        }
-        ResolveStmts(s.body);
-        PopScope();
-        break;
-      case StmtKind::kBlock:
-        PushScope();
-        ResolveStmts(s.body);
-        PopScope();
-        break;
-      case StmtKind::kTry:
-        PushScope();
-        ResolveStmts(s.body);
-        PopScope();
-        s.name_id = Intern(s.name);
-        PushScope();
-        if (InSlotMode()) {
-          s.ref = RefKind::kSlot;
-          s.slot = Declare(s.name_id, /*is_const=*/false);
-        } else {
-          s.ref = RefKind::kEnv;
-        }
-        ResolveStmts(s.else_branch);
-        PopScope();
-        break;
-      case StmtKind::kSwitch:
-        ResolveExpr(*s.expr);
-        // All cases share one scope (matching the env path's single
-        // switch scope with fall-through).
-        PushScope();
-        for (auto& c : s.cases) {
-          if (c.test) ResolveExpr(*c.test);
-          ResolveStmts(c.body);
-        }
-        if (InSlotMode()) {
-          if (!s.aux) s.aux = std::make_unique<ResolverAux>();
-          s.aux->scope_slots.clear();
-          PopScope(&s.aux->scope_slots);
-        } else {
-          PopScope();
-        }
-        break;
-      case StmtKind::kBreak:
-      case StmtKind::kContinue:
-        break;
+    if (s.expr) ResolveExpr(*s.expr);
+    if (s.init) ResolveStmt(*s.init);
+    if (s.condition) ResolveExpr(*s.condition);
+    if (s.step) ResolveExpr(*s.step);
+    ResolveStmts(s.then_branch);
+    ResolveStmts(s.else_branch);
+    ResolveStmts(s.body);
+    for (auto& c : s.cases) {
+      if (c.test) ResolveExpr(*c.test);
+      ResolveStmts(c.body);
     }
   }
 
   void ResolveExpr(Expr& e) {
     switch (e.kind) {
-      case ExprKind::kNumber:
-      case ExprKind::kString:
-      case ExprKind::kBool:
-      case ExprKind::kNull:
-      case ExprKind::kUndefined:
-        break;
-      case ExprKind::kIdentifier: {
-        const uint32_t id = Intern(e.string_value);
-        if (InSlotMode()) {
-          if (const Local* l = Lookup(id)) {
-            e.ref = RefKind::kSlot;
-            e.slot = l->slot;
-            e.const_slot = fn_->slot_is_const[l->slot];
-            break;
-          }
-        }
-        e.ref = RefKind::kEnv;
-        e.name_id = id;
-        break;
-      }
-      case ExprKind::kArrayLiteral:
-        for (auto& el : e.elements) ResolveExpr(*el);
-        break;
       case ExprKind::kObjectLiteral:
         for (auto& p : e.properties) {
           p.key_id = Intern(p.key);
           ResolveExpr(*p.value);
         }
-        break;
-      case ExprKind::kUnary:
+        return;
+      case ExprKind::kMember:
         ResolveExpr(*e.a);
+        e.name_id = Intern(e.string_value);
+        return;
+      case ExprKind::kFunction:
+        ResolveStmts(e.body);
+        return;
+      default:
+        break;
+    }
+    for (auto& el : e.elements) ResolveExpr(*el);
+    if (e.a) ResolveExpr(*e.a);
+    if (e.b) ResolveExpr(*e.b);
+    if (e.c) ResolveExpr(*e.c);
+    switch (e.kind) {
+      case ExprKind::kUnary:
         FoldUnary(e);
         break;
-      case ExprKind::kUpdate:
-        ResolveExpr(*e.a);
-        break;
       case ExprKind::kBinary:
-        ResolveExpr(*e.a);
-        ResolveExpr(*e.b);
         FoldBinary(e);
         break;
       case ExprKind::kLogical:
-        ResolveExpr(*e.a);
-        ResolveExpr(*e.b);
         FoldLogical(e);
         break;
       case ExprKind::kConditional:
-        ResolveExpr(*e.a);
-        ResolveExpr(*e.b);
-        ResolveExpr(*e.c);
         if (IsLiteral(*e.a)) {
           ReplaceWithChild(e, LiteralValue(*e.a).Truthy() ? std::move(e.b)
                                                           : std::move(e.c));
         }
         break;
-      case ExprKind::kAssign:
-        ResolveExpr(*e.a);
-        ResolveExpr(*e.b);
-        break;
-      case ExprKind::kCall:
-        ResolveExpr(*e.a);
-        for (auto& arg : e.elements) ResolveExpr(*arg);
-        break;
-      case ExprKind::kMember:
-        ResolveExpr(*e.a);
-        e.name_id = Intern(e.string_value);
-        break;
-      case ExprKind::kIndex:
-        ResolveExpr(*e.a);
-        ResolveExpr(*e.b);
-        break;
-      case ExprKind::kFunction:
-        ResolveFunction(e.params, e.body, e.function_name, e.aux);
+      default:
         break;
     }
   }
@@ -452,14 +191,14 @@ class Resolver {
       case OpCode::kNeg: ReplaceWithLiteral(e, Value(-v.ToNumber())); break;
       case OpCode::kPos: ReplaceWithLiteral(e, Value(v.ToNumber())); break;
       case OpCode::kNot: ReplaceWithLiteral(e, Value(!v.Truthy())); break;
-      default: break;  // typeof et al.: leave to the interpreter
+      default: break;  // typeof et al.: left to run time
     }
   }
 
   void FoldBinary(Expr& e) {
     if (!IsLiteral(*e.a) || !IsLiteral(*e.b)) return;
     auto r = EvalBinaryOp(e.op_code, LiteralValue(*e.a), LiteralValue(*e.b));
-    if (!r.ok()) return;  // unknown op — let the interpreter report it
+    if (!r.ok()) return;  // unknown op — the compiler reports it
     ReplaceWithLiteral(e, *r);
   }
 

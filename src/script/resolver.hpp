@@ -1,27 +1,17 @@
-// vpscript resolver pass: parse → **resolve** → execute.
+// vpscript resolver pass: parse → **resolve** → compile → execute.
 //
-// Runs once per Context::Load, between the parser and the interpreter,
-// and annotates the AST in place so the per-event hot path stops
-// paying for string scans and per-scope heap allocations:
+// Runs once per distinct source (the program cache compiles each
+// source once), between the parser and the compiler, and rewrites the
+// AST in place:
 //
-//   * identifiers are interned and resolved to either a flat frame
-//     slot (locals of slot-mode functions) or an interned-id
-//     environment reference (globals / captured scopes);
-//   * functions whose locals are provably never captured by a closure
-//     are marked **slot mode**: the interpreter executes them against
-//     a pooled flat frame — no `make_shared<Environment>` per call,
-//     block or loop iteration. Functions that create closures (or
-//     named function expressions that reference their own name) keep
-//     today's Environment-chain semantics;
 //   * member accesses and object-literal keys are pre-interned so
-//     `ScriptObject` lookups compare integer ids;
+//     property lookups in the VM compare integer ids;
 //   * constant subexpressions (`2 * 3 + 1`, `"a" + "b"`, `!false`,
-//     folded conditionals) are evaluated at resolve time.
+//     folded conditionals and short-circuits) are evaluated at resolve
+//     time with the VM's own operator semantics.
 //
-// Unresolved programs still execute correctly (the interpreter's
-// dynamic fallback), which is the escape hatch `ContextOptions.resolve
-// = false` uses; checkpoint/restore, host interop and `Context`
-// globals always stay Environment-backed.
+// Scope layout (locals, upvalues, globals) is the compiler's business;
+// the resolver never changes what a program means.
 #pragma once
 
 #include "script/ast.hpp"

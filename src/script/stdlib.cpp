@@ -1,7 +1,7 @@
-// vpscript standard library: builtin properties/methods on strings and
-// arrays, plus the global console / Math / JSON / Object / Array
-// namespaces. Kept deliberately close to the JavaScript surface that
-// Duktape offers module authors.
+// vpscript standard library: builtin string properties/methods, plus
+// the global console / Math / JSON / Object / Array namespaces (array
+// methods are native to the VM, vm.cpp). Kept deliberately close to
+// the JavaScript surface that Duktape offers module authors.
 #include <algorithm>
 #include <cmath>
 
@@ -10,21 +10,24 @@
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "script/convert.hpp"
-#include "script/interp.hpp"
+#include "script/stdlib.hpp"
 
 namespace vp::script {
 namespace {
+
+using Args = std::vector<Value>;
 
 Value Method(std::string name, HostFunction fn) {
   return Value::MakeHostFunction(std::move(name), std::move(fn));
 }
 
-Result<Value> StringProperty(const std::string& s, const std::string& name) {
+}  // namespace
+
+Value StringProperty(const std::string& s, const std::string& name) {
   if (name == "length") return Value(static_cast<double>(s.size()));
   if (name == "substring" || name == "slice") {
     const bool is_slice = name == "slice";
-    return Method(name, [s, is_slice](std::vector<Value>& args,
-                                      Interpreter&) -> Result<Value> {
+    return Method(name, [s, is_slice](Args& args) -> Result<Value> {
       int64_t n = static_cast<int64_t>(s.size());
       int64_t a = args.size() > 0 ? static_cast<int64_t>(args[0].ToNumber()) : 0;
       int64_t b = args.size() > 1 ? static_cast<int64_t>(args[1].ToNumber()) : n;
@@ -40,16 +43,14 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
     });
   }
   if (name == "indexOf") {
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       if (args.empty()) return Value(-1.0);
       const size_t pos = s.find(args[0].ToDisplayString());
       return Value(pos == std::string::npos ? -1.0 : static_cast<double>(pos));
     });
   }
   if (name == "split") {
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       auto arr = std::make_shared<ScriptArray>();
       if (args.empty() || !args[0].is_string() || args[0].AsString().empty()) {
         arr->push_back(Value(s));
@@ -71,8 +72,7 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
   }
   if (name == "toUpperCase" || name == "toLowerCase") {
     const bool upper = name == "toUpperCase";
-    return Method(name, [s, upper](std::vector<Value>&,
-                                   Interpreter&) -> Result<Value> {
+    return Method(name, [s, upper](Args&) -> Result<Value> {
       std::string out = s;
       for (char& c : out) {
         c = static_cast<char>(upper ? std::toupper(static_cast<unsigned char>(c))
@@ -82,8 +82,7 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
     });
   }
   if (name == "charAt") {
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       const auto i = args.empty() ? 0 : static_cast<int64_t>(args[0].ToNumber());
       if (i < 0 || static_cast<size_t>(i) >= s.size()) return Value("");
       return Value(std::string(1, s[static_cast<size_t>(i)]));
@@ -91,21 +90,19 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
   }
   if (name == "startsWith" || name == "endsWith") {
     const bool starts = name == "startsWith";
-    return Method(name, [s, starts](std::vector<Value>& args,
-                                    Interpreter&) -> Result<Value> {
+    return Method(name, [s, starts](Args& args) -> Result<Value> {
       if (args.empty()) return Value(false);
       const std::string p = args[0].ToDisplayString();
       return Value(starts ? StartsWith(s, p) : EndsWith(s, p));
     });
   }
   if (name == "trim") {
-    return Method(name, [s](std::vector<Value>&, Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args&) -> Result<Value> {
       return Value(std::string(Trim(s)));
     });
   }
   if (name == "replace") {  // first occurrence, plain-string pattern
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       if (args.size() < 2) return Value(s);
       const std::string pattern = args[0].ToDisplayString();
       const std::string replacement = args[1].ToDisplayString();
@@ -118,8 +115,7 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
     });
   }
   if (name == "repeat") {
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       const auto n = args.empty()
                          ? 0
                          : static_cast<int64_t>(args[0].ToNumber());
@@ -133,8 +129,7 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
     });
   }
   if (name == "padStart") {
-    return Method(name, [s](std::vector<Value>& args,
-                            Interpreter&) -> Result<Value> {
+    return Method(name, [s](Args& args) -> Result<Value> {
       const auto width = args.empty()
                              ? 0
                              : static_cast<int64_t>(args[0].ToNumber());
@@ -154,266 +149,27 @@ Result<Value> StringProperty(const std::string& s, const std::string& name) {
   return Value::Undefined();
 }
 
-// Array builtins are dispatched by enum so the interpreter's
-// method-call fast path (CallArrayMethod) can invoke them directly,
-// without materializing a bound host-function Value per access.
-enum class ArrayMethod {
-  kPush, kPop, kShift, kUnshift, kSlice, kJoin, kIndexOf, kConcat,
-  kMap, kFilter, kForEach, kReverse, kIncludes, kSort, kReduce,
-};
-
-struct ArrayMethodEntry {
-  const char* name;
-  uint32_t name_id;
-  ArrayMethod method;
-};
-
-const std::vector<ArrayMethodEntry>& ArrayMethodTable() {
-  static const std::vector<ArrayMethodEntry> table = [] {
-    auto& interner = Interner::Global();
-    std::vector<ArrayMethodEntry> t = {
-        {"push", 0, ArrayMethod::kPush},
-        {"pop", 0, ArrayMethod::kPop},
-        {"shift", 0, ArrayMethod::kShift},
-        {"unshift", 0, ArrayMethod::kUnshift},
-        {"slice", 0, ArrayMethod::kSlice},
-        {"join", 0, ArrayMethod::kJoin},
-        {"indexOf", 0, ArrayMethod::kIndexOf},
-        {"concat", 0, ArrayMethod::kConcat},
-        {"map", 0, ArrayMethod::kMap},
-        {"filter", 0, ArrayMethod::kFilter},
-        {"forEach", 0, ArrayMethod::kForEach},
-        {"reverse", 0, ArrayMethod::kReverse},
-        {"includes", 0, ArrayMethod::kIncludes},
-        {"sort", 0, ArrayMethod::kSort},
-        {"reduce", 0, ArrayMethod::kReduce},
-    };
-    for (auto& e : t) e.name_id = interner.Intern(e.name);
-    return t;
-  }();
-  return table;
-}
-
-Result<Value> InvokeArrayMethod(const std::shared_ptr<ScriptArray>& arr,
-                                ArrayMethod method, std::vector<Value>& args,
-                                Interpreter& interp) {
-  switch (method) {
-    case ArrayMethod::kPush: {
-      for (Value& v : args) arr->push_back(std::move(v));
-      return Value(static_cast<double>(arr->size()));
-    }
-    case ArrayMethod::kPop: {
-      if (arr->empty()) return Value::Undefined();
-      Value v = std::move(arr->back());
-      arr->pop_back();
-      return v;
-    }
-    case ArrayMethod::kShift: {
-      if (arr->empty()) return Value::Undefined();
-      Value v = std::move(arr->front());
-      arr->erase(arr->begin());
-      return v;
-    }
-    case ArrayMethod::kUnshift: {
-      arr->insert(arr->begin(), args.begin(), args.end());
-      return Value(static_cast<double>(arr->size()));
-    }
-    case ArrayMethod::kSlice: {
-      int64_t n = static_cast<int64_t>(arr->size());
-      int64_t a = args.size() > 0 ? static_cast<int64_t>(args[0].ToNumber()) : 0;
-      int64_t b = args.size() > 1 ? static_cast<int64_t>(args[1].ToNumber()) : n;
-      if (a < 0) a += n;
-      if (b < 0) b += n;
-      a = std::clamp<int64_t>(a, 0, n);
-      b = std::clamp<int64_t>(b, 0, n);
-      auto out = std::make_shared<ScriptArray>();
-      for (int64_t i = a; i < b; ++i) {
-        out->push_back((*arr)[static_cast<size_t>(i)]);
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kJoin: {
-      const std::string sep = args.empty() ? "," : args[0].ToDisplayString();
-      std::string out;
-      for (size_t i = 0; i < arr->size(); ++i) {
-        if (i) out += sep;
-        out += (*arr)[i].ToDisplayString();
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kIndexOf: {
-      if (args.empty()) return Value(-1.0);
-      for (size_t i = 0; i < arr->size(); ++i) {
-        if ((*arr)[i].StrictEquals(args[0])) {
-          return Value(static_cast<double>(i));
-        }
-      }
-      return Value(-1.0);
-    }
-    case ArrayMethod::kConcat: {
-      auto out = std::make_shared<ScriptArray>(*arr);
-      for (const Value& v : args) {
-        if (v.is_array()) {
-          out->insert(out->end(), v.AsArray()->begin(), v.AsArray()->end());
-        } else {
-          out->push_back(v);
-        }
-      }
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kMap:
-    case ArrayMethod::kFilter:
-    case ArrayMethod::kForEach: {
-      if (args.empty() || !args[0].is_function()) {
-        return ScriptError("expected a callback function");
-      }
-      auto out = std::make_shared<ScriptArray>();
-      for (size_t i = 0; i < arr->size(); ++i) {
-        auto r = interp.Call(args[0],
-                             {(*arr)[i], Value(static_cast<double>(i))});
-        if (!r.ok()) return r;
-        switch (method) {
-          case ArrayMethod::kMap: out->push_back(std::move(*r)); break;
-          case ArrayMethod::kFilter:
-            if (r->Truthy()) out->push_back((*arr)[i]);
-            break;
-          default: break;
-        }
-      }
-      if (method == ArrayMethod::kForEach) return Value::Undefined();
-      return Value(std::move(out));
-    }
-    case ArrayMethod::kReverse: {
-      std::reverse(arr->begin(), arr->end());
-      return Value(arr);
-    }
-    case ArrayMethod::kIncludes: {
-      if (args.empty()) return Value(false);
-      for (const Value& v : *arr) {
-        if (v.StrictEquals(args[0])) return Value(true);
-      }
-      return Value(false);
-    }
-    case ArrayMethod::kSort: {
-      Status failure = Status::Ok();
-      if (!args.empty() && args[0].is_function()) {
-        std::stable_sort(arr->begin(), arr->end(),
-                         [&](const Value& a, const Value& b) {
-                           if (!failure.ok()) return false;
-                           auto r = interp.Call(args[0], {a, b});
-                           if (!r.ok()) {
-                             failure = Status(r.error());
-                             return false;
-                           }
-                           return r->ToNumber() < 0;
-                         });
-      } else {
-        // Default: numeric when everything is a number, else lexical
-        // (saner than JS's always-lexicographic default).
-        bool all_numbers = true;
-        for (const Value& v : *arr) all_numbers &= v.is_number();
-        std::stable_sort(arr->begin(), arr->end(),
-                         [all_numbers](const Value& a, const Value& b) {
-                           if (all_numbers) return a.AsNumber() < b.AsNumber();
-                           return a.ToDisplayString() < b.ToDisplayString();
-                         });
-      }
-      if (!failure.ok()) return failure.error();
-      return Value(arr);
-    }
-    case ArrayMethod::kReduce: {
-      if (args.empty() || !args[0].is_function()) {
-        return ScriptError("expected a callback function");
-      }
-      size_t start = 0;
-      Value acc;
-      if (args.size() > 1) {
-        acc = args[1];
-      } else {
-        if (arr->empty()) return ScriptError("reduce of empty array");
-        acc = (*arr)[0];
-        start = 1;
-      }
-      for (size_t i = start; i < arr->size(); ++i) {
-        auto r = interp.Call(
-            args[0], {std::move(acc), (*arr)[i], Value(static_cast<double>(i))});
-        if (!r.ok()) return r;
-        acc = std::move(*r);
-      }
-      return acc;
-    }
-  }
-  return Value::Undefined();
-}
-
-Result<Value> ArrayProperty(const std::shared_ptr<ScriptArray>& arr,
-                            const std::string& name) {
-  if (name == "length") return Value(static_cast<double>(arr->size()));
-  for (const auto& entry : ArrayMethodTable()) {
-    if (name == entry.name) {
-      const ArrayMethod method = entry.method;
-      return Method(name, [arr, method](std::vector<Value>& args,
-                                        Interpreter& interp) -> Result<Value> {
-        return InvokeArrayMethod(arr, method, args, interp);
-      });
-    }
-  }
-  return Value::Undefined();
-}
-
-}  // namespace
-
-bool CallArrayMethod(const std::shared_ptr<ScriptArray>& arr, uint32_t name_id,
-                     std::vector<Value>& args, Interpreter& interp,
-                     Result<Value>* out) {
-  if (name_id == kNoNameId) return false;
-  for (const auto& entry : ArrayMethodTable()) {
-    if (entry.name_id == name_id) {
-      *out = InvokeArrayMethod(arr, entry.method, args, interp);
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<Value> GetProperty(const Value& object, const std::string& name,
-                          Interpreter& interp) {
-  (void)interp;
-  switch (object.type()) {
-    case ValueType::kObject: {
-      const Value* v = object.AsObject()->Find(name);
-      return v ? *v : Value::Undefined();
-    }
-    case ValueType::kArray:
-      return ArrayProperty(object.AsArray(), name);
-    case ValueType::kString:
-      return StringProperty(object.AsString(), name);
-    default:
-      return Value::Undefined();
-  }
-}
-
-void InstallStdlib(Environment& globals, uint64_t seed) {
+GlobalList MakeStdlib(uint64_t seed, PrintFn print) {
+  GlobalList globals;
   // ---- console ------------------------------------------------------
   auto console = std::make_shared<ScriptObject>();
   console->Set("log", Value::MakeHostFunction(
-                          "log", [](std::vector<Value>& args,
-                                    Interpreter& interp) -> Result<Value> {
+                          "log", [print](Args& args) -> Result<Value> {
                             std::string line;
                             for (size_t i = 0; i < args.size(); ++i) {
                               if (i) line += ' ';
                               line += args[i].ToDisplayString();
                             }
-                            interp.Print(line);
+                            print(line);
                             return Value::Undefined();
                           }));
-  globals.Define("console", Value(console));
+  globals.emplace_back("console", Value(console));
 
   // ---- Math ---------------------------------------------------------
   auto math = std::make_shared<ScriptObject>();
   auto unary = [](const char* name, double (*fn)(double)) {
     return Value::MakeHostFunction(
-        name, [fn](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+        name, [fn](Args& args) -> Result<Value> {
           return Value(fn(args.empty() ? std::nan("") : args[0].ToNumber()));
         });
   };
@@ -429,16 +185,14 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
   math->Set("trunc", unary("trunc", std::trunc));
   math->Set("log2", unary("log2", std::log2));
   math->Set("sign", Value::MakeHostFunction(
-                        "sign", [](std::vector<Value>& args,
-                                   Interpreter&) -> Result<Value> {
+                        "sign", [](Args& args) -> Result<Value> {
                           const double v =
                               args.empty() ? std::nan("") : args[0].ToNumber();
                           if (std::isnan(v)) return Value(std::nan(""));
                           return Value(v > 0 ? 1.0 : v < 0 ? -1.0 : 0.0);
                         }));
   math->Set("min", Value::MakeHostFunction(
-                       "min", [](std::vector<Value>& args,
-                                 Interpreter&) -> Result<Value> {
+                       "min", [](Args& args) -> Result<Value> {
                          double best = INFINITY;
                          for (const Value& v : args) {
                            best = std::min(best, v.ToNumber());
@@ -446,8 +200,7 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                          return Value(best);
                        }));
   math->Set("max", Value::MakeHostFunction(
-                       "max", [](std::vector<Value>& args,
-                                 Interpreter&) -> Result<Value> {
+                       "max", [](Args& args) -> Result<Value> {
                          double best = -INFINITY;
                          for (const Value& v : args) {
                            best = std::max(best, v.ToNumber());
@@ -455,22 +208,19 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                          return Value(best);
                        }));
   math->Set("pow", Value::MakeHostFunction(
-                       "pow", [](std::vector<Value>& args,
-                                 Interpreter&) -> Result<Value> {
+                       "pow", [](Args& args) -> Result<Value> {
                          if (args.size() < 2) return Value(std::nan(""));
                          return Value(std::pow(args[0].ToNumber(),
                                                args[1].ToNumber()));
                        }));
   math->Set("atan2", Value::MakeHostFunction(
-                         "atan2", [](std::vector<Value>& args,
-                                     Interpreter&) -> Result<Value> {
+                         "atan2", [](Args& args) -> Result<Value> {
                            if (args.size() < 2) return Value(std::nan(""));
                            return Value(std::atan2(args[0].ToNumber(),
                                                    args[1].ToNumber()));
                          }));
   math->Set("hypot", Value::MakeHostFunction(
-                         "hypot", [](std::vector<Value>& args,
-                                     Interpreter&) -> Result<Value> {
+                         "hypot", [](Args& args) -> Result<Value> {
                            double sum = 0.0;
                            for (const Value& v : args) {
                              sum += v.ToNumber() * v.ToNumber();
@@ -481,28 +231,25 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
   // must be reproducible.
   auto rng = std::make_shared<Rng>(seed);
   math->Set("random", Value::MakeHostFunction(
-                          "random", [rng](std::vector<Value>&,
-                                          Interpreter&) -> Result<Value> {
+                          "random", [rng](Args&) -> Result<Value> {
                             return Value(rng->NextDouble());
                           }));
   math->Set("PI", Value(M_PI));
   math->Set("E", Value(M_E));
-  globals.Define("Math", Value(math));
+  globals.emplace_back("Math", Value(math));
 
   // ---- JSON ---------------------------------------------------------
   auto json_ns = std::make_shared<ScriptObject>();
   json_ns->Set("stringify",
                Value::MakeHostFunction(
-                   "stringify", [](std::vector<Value>& args,
-                                   Interpreter&) -> Result<Value> {
+                   "stringify", [](Args& args) -> Result<Value> {
                      if (args.empty()) return Value("undefined");
                      auto j = ScriptToJson(args[0]);
                      if (!j.ok()) return j.error();
                      return Value(json::Write(*j));
                    }));
   json_ns->Set("parse", Value::MakeHostFunction(
-                            "parse", [](std::vector<Value>& args,
-                                        Interpreter&) -> Result<Value> {
+                            "parse", [](Args& args) -> Result<Value> {
                               if (args.empty() || !args[0].is_string()) {
                                 return ScriptError("JSON.parse needs a string");
                               }
@@ -510,13 +257,12 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                               if (!j.ok()) return j.error();
                               return JsonToScript(*j);
                             }));
-  globals.Define("JSON", Value(json_ns));
+  globals.emplace_back("JSON", Value(json_ns));
 
   // ---- Object / Array helpers ----------------------------------------
   auto object_ns = std::make_shared<ScriptObject>();
   object_ns->Set("keys", Value::MakeHostFunction(
-                             "keys", [](std::vector<Value>& args,
-                                        Interpreter&) -> Result<Value> {
+                             "keys", [](Args& args) -> Result<Value> {
                                auto out = std::make_shared<ScriptArray>();
                                if (!args.empty() && args[0].is_object()) {
                                  for (const auto& entry :
@@ -526,52 +272,47 @@ void InstallStdlib(Environment& globals, uint64_t seed) {
                                }
                                return Value(std::move(out));
                              }));
-  globals.Define("Object", Value(object_ns));
+  globals.emplace_back("Object", Value(object_ns));
 
   auto array_ns = std::make_shared<ScriptObject>();
   array_ns->Set("isArray", Value::MakeHostFunction(
-                               "isArray", [](std::vector<Value>& args,
-                                             Interpreter&) -> Result<Value> {
+                               "isArray", [](Args& args) -> Result<Value> {
                                  return Value(!args.empty() &&
                                               args[0].is_array());
                                }));
-  globals.Define("Array", Value(array_ns));
+  globals.emplace_back("Array", Value(array_ns));
 
   // ---- Primitive conversion helpers -----------------------------------
-  globals.Define("String", Value::MakeHostFunction(
-                               "String", [](std::vector<Value>& args,
-                                            Interpreter&) -> Result<Value> {
+  globals.emplace_back("String", Value::MakeHostFunction(
+                               "String", [](Args& args) -> Result<Value> {
                                  return Value(args.empty()
                                                   ? ""
                                                   : args[0].ToDisplayString());
                                }));
-  globals.Define("Number", Value::MakeHostFunction(
-                               "Number", [](std::vector<Value>& args,
-                                            Interpreter&) -> Result<Value> {
+  globals.emplace_back("Number", Value::MakeHostFunction(
+                               "Number", [](Args& args) -> Result<Value> {
                                  return Value(args.empty()
                                                   ? 0.0
                                                   : args[0].ToNumber());
                                }));
-  globals.Define("parseInt",
+  globals.emplace_back("parseInt",
                  Value::MakeHostFunction(
-                     "parseInt", [](std::vector<Value>& args,
-                                    Interpreter&) -> Result<Value> {
+                     "parseInt", [](Args& args) -> Result<Value> {
                        if (args.empty()) return Value(std::nan(""));
                        return Value(std::trunc(args[0].ToNumber()));
                      }));
-  globals.Define("parseFloat",
+  globals.emplace_back("parseFloat",
                  Value::MakeHostFunction(
-                     "parseFloat", [](std::vector<Value>& args,
-                                      Interpreter&) -> Result<Value> {
+                     "parseFloat", [](Args& args) -> Result<Value> {
                        if (args.empty()) return Value(std::nan(""));
                        return Value(args[0].ToNumber());
                      }));
-  globals.Define("isNaN", Value::MakeHostFunction(
-                              "isNaN", [](std::vector<Value>& args,
-                                          Interpreter&) -> Result<Value> {
+  globals.emplace_back("isNaN", Value::MakeHostFunction(
+                              "isNaN", [](Args& args) -> Result<Value> {
                                 return Value(args.empty() ||
                                              std::isnan(args[0].ToNumber()));
                               }));
+  return globals;
 }
 
 }  // namespace vp::script

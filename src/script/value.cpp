@@ -1,96 +1,10 @@
 #include "script/value.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <unordered_set>
 
 namespace vp::script {
-
-namespace {
-std::atomic<size_t> g_live_environments{0};
-
-// Registry of every live Environment. Teardown must find closure
-// cycles that are no longer reachable from any root (a module that
-// overwrites registry["x"] orphans the old handler<->dispatch cycle),
-// so walking binding values from the root cannot be complete; instead
-// we enumerate all live environments and select by ownership. Leaked
-// intentionally (function-local static pointer) so environments
-// destroyed during process teardown never race its destruction.
-std::mutex g_env_registry_mutex;
-std::unordered_set<Environment*>& EnvRegistry() {
-  static auto* registry = new std::unordered_set<Environment*>();
-  return *registry;
-}
-}  // namespace
-
-Environment::Environment(std::shared_ptr<Environment> parent)
-    : parent_(std::move(parent)) {
-  g_live_environments.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_env_registry_mutex);
-  EnvRegistry().insert(this);
-}
-
-Environment::~Environment() {
-  g_live_environments.fetch_sub(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_env_registry_mutex);
-  EnvRegistry().erase(this);
-}
-
-size_t Environment::live_count() {
-  return g_live_environments.load(std::memory_order_relaxed);
-}
-
-void Environment::TearDownChain(const std::shared_ptr<Environment>& root) {
-  if (root == nullptr) return;
-  // Phase 1: select every live environment whose parent chain
-  // terminates at `root`. Ownership-by-parent-chain is what makes this
-  // complete: a closure cycle orphaned by an overwrite is unreachable
-  // from root's bindings, but its environments still chain their
-  // parents back to the module scope they were created under.
-  // Environments belonging to other contexts chain to a different root
-  // and are left alone. A shared_ptr pins each selection so phase 2
-  // can sever environments in any order without dangling.
-  std::vector<std::shared_ptr<Environment>> doomed;
-  std::vector<Value> scrap;  // binding values, destroyed after unlock
-  {
-    std::lock_guard<std::mutex> lock(g_env_registry_mutex);
-    for (Environment* env : EnvRegistry()) {
-      for (Environment* e = env; e != nullptr; e = e->parent_.get()) {
-        if (e == root.get()) {
-          // lock() instead of shared_from_this: an env whose last
-          // reference dropped on another thread is still registered
-          // while its destructor waits on this mutex; its control
-          // block is already expired.
-          if (auto pinned = env->weak_from_this().lock()) {
-            doomed.push_back(std::move(pinned));
-          }
-          break;
-        }
-      }
-    }
-
-    // Phase 2: sever — still under the lock, so a concurrent teardown's
-    // phase-1 chain walk never observes a half-reset parent_. Binding
-    // values are moved out, not destroyed here: their destructors can
-    // release foreign environments whose ~Environment takes this same
-    // mutex. parent_.reset() is safe under the lock — every ancestor of
-    // a doomed env chains to root, so it is pinned in `doomed` (or is
-    // root itself, pinned by the caller).
-    for (const auto& env : doomed) {
-      for (auto& binding : env->bindings_) {
-        scrap.push_back(std::move(binding.value));
-      }
-      env->bindings_.clear();
-      env->parent_.reset();
-    }
-  }
-  // Dropping `scrap` releases the closures those environments kept
-  // alive; dropping `doomed` releases the environments themselves —
-  // both outside the lock.
-}
 
 const char* ValueTypeName(ValueType t) {
   switch (t) {
@@ -101,7 +15,6 @@ const char* ValueTypeName(ValueType t) {
     case ValueType::kString: return "string";
     case ValueType::kObject: return "object";
     case ValueType::kArray: return "array";
-    case ValueType::kFunction: return "function";
     case ValueType::kHostFunction: return "function";
   }
   return "?";
@@ -226,8 +139,6 @@ std::string Value::ToDisplayString() const {
       }
       return out + "]";
     }
-    case ValueType::kFunction:
-      return "function " + AsFunction()->name + "() { … }";
     case ValueType::kHostFunction:
       return "function " + AsHostFunction()->name + "() { [native] }";
   }
@@ -271,8 +182,6 @@ bool Value::StrictEquals(const Value& o) const {
       return AsObject() == o.AsObject();
     case ValueType::kArray:
       return AsArray() == o.AsArray();
-    case ValueType::kFunction:
-      return AsFunction() == o.AsFunction();
     case ValueType::kHostFunction:
       return AsHostFunction() == o.AsHostFunction();
   }
@@ -289,98 +198,6 @@ bool Value::LooseEquals(const Value& o) const {
   // bool coerces to number
   if (is_bool()) return Value(ToNumber()).LooseEquals(o);
   if (o.is_bool()) return LooseEquals(Value(o.ToNumber()));
-  return false;
-}
-
-void Environment::Define(const std::string& name, Value v, bool is_const) {
-  DefineById(Interner::Global().Intern(name), std::move(v), is_const);
-}
-
-void Environment::DefineById(uint32_t name_id, Value v, bool is_const) {
-  for (auto& binding : bindings_) {
-    if (binding.name_id == name_id) {
-      binding.value = std::move(v);
-      binding.is_const = is_const;
-      return;
-    }
-  }
-  bindings_.push_back(Binding{name_id, std::move(v), is_const});
-}
-
-Value* Environment::Find(const std::string& name) {
-  // Every Define interns: a name absent from the table is bound
-  // nowhere.
-  const uint32_t id = Interner::Global().Lookup(name);
-  return id == kNoNameId ? nullptr : FindById(id);
-}
-
-Value* Environment::FindById(uint32_t name_id) {
-  for (Environment* env = this; env != nullptr; env = env->parent_.get()) {
-    for (auto& binding : env->bindings_) {
-      if (binding.name_id == name_id) return &binding.value;
-    }
-  }
-  return nullptr;
-}
-
-Status Environment::Assign(const std::string& name, Value v) {
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id != kNoNameId) return AssignById(id, std::move(v));
-  return Status(StatusCode::kScriptError,
-                "assignment to undeclared variable '" + name + "'");
-}
-
-Status Environment::AssignById(uint32_t name_id, Value v) {
-  for (Environment* env = this; env != nullptr; env = env->parent_.get()) {
-    for (auto& binding : env->bindings_) {
-      if (binding.name_id == name_id) {
-        if (binding.is_const) {
-          return Status(StatusCode::kScriptError,
-                        "assignment to const '" +
-                            Interner::Global().NameOf(name_id) + "'");
-        }
-        binding.value = std::move(v);
-        return Status::Ok();
-      }
-    }
-  }
-  return Status(StatusCode::kScriptError,
-                "assignment to undeclared variable '" +
-                    Interner::Global().NameOf(name_id) + "'");
-}
-
-uint32_t Environment::LocalIndexById(uint32_t name_id) const {
-  for (size_t i = 0; i < bindings_.size(); ++i) {
-    if (bindings_[i].name_id == name_id) return static_cast<uint32_t>(i);
-  }
-  return kNpos;
-}
-
-Value* Environment::ValueAtIfId(uint32_t index, uint32_t name_id) {
-  if (index < bindings_.size() && bindings_[index].name_id == name_id) {
-    return &bindings_[index].value;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> Environment::LocalNames() const {
-  std::vector<std::string> names;
-  names.reserve(bindings_.size());
-  for (const auto& binding : bindings_) {
-    names.push_back(Interner::Global().NameOf(binding.name_id));
-  }
-  return names;
-}
-
-bool Environment::IsConst(const std::string& name) const {
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return false;
-  for (const Environment* env = this; env != nullptr;
-       env = env->parent_.get()) {
-    for (const auto& binding : env->bindings_) {
-      if (binding.name_id == id) return binding.is_const;
-    }
-  }
   return false;
 }
 

@@ -1,9 +1,13 @@
 // vpscript runtime values.
 //
-// Values have JavaScript-like semantics: numbers are doubles, objects
-// and arrays are reference types (shared), functions are first-class
-// closures. Host functions let the VideoPipe runtime expose the
-// paper's Table-1 API (call_service / call_module / …) to module code.
+// The boxed Value is the host-side representation: what host functions
+// receive and return, what Context::Call/GetGlobal exchange with C++
+// code, and what snapshots convert to and from JSON. Values have
+// JavaScript-like semantics: numbers are doubles, objects and arrays
+// are reference types (shared). Host functions let the VideoPipe
+// runtime expose the paper's Table-1 API (call_service / call_module /
+// …) to module code; script closures crossing to the host are wrapped
+// as host functions too (vm.hpp).
 #pragma once
 
 #include <functional>
@@ -18,36 +22,12 @@
 namespace vp::script {
 
 class Value;
-class Interpreter;
-struct Program;
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
-
 class ScriptObject;
 
 using ScriptArray = std::vector<Value>;
 
-/// A script-defined function (closure).
-struct ScriptFunction {
-  std::string name;  // may be empty
-  std::vector<std::string> params;
-  /// Non-owning view of the body; `owner` keeps the AST alive.
-  const std::vector<StmtPtr>* body = nullptr;
-  std::shared_ptr<Program> owner;
-  std::shared_ptr<class Environment> closure;
-  /// Resolver verdict (copied from the AST node): slot-mode functions
-  /// execute against a pooled flat frame of `frame_size` values instead
-  /// of a heap Environment chain. Only functions whose locals are
-  /// provably never captured by a closure qualify.
-  bool slot_mode = false;
-  uint16_t frame_size = 0;
-  /// Frame slot for each positional parameter (slot mode only).
-  const std::vector<uint16_t>* param_slots = nullptr;
-};
-
 /// A C++ function exposed to scripts.
-using HostFunction =
-    std::function<Result<Value>(std::vector<Value>& args, Interpreter& interp)>;
+using HostFunction = std::function<Result<Value>(std::vector<Value>& args)>;
 
 struct HostFunctionValue {
   std::string name;
@@ -56,14 +36,14 @@ struct HostFunctionValue {
 
 enum class ValueType {
   kUndefined, kNull, kBool, kNumber, kString, kObject, kArray,
-  kFunction, kHostFunction,
+  kHostFunction,
 };
 
 const char* ValueTypeName(ValueType t);
 
-/// Number formatting shared by every engine ("NaN", "Infinity",
-/// integers up to 1e15 without exponent, %g otherwise) — display
-/// output must be byte-identical across the interpreter and the VM.
+/// Number formatting shared by the boxed and the VM value ("NaN",
+/// "Infinity", integers up to 1e15 without exponent, %g otherwise) —
+/// display output must not depend on which side formats it.
 std::string NumberToString(double d);
 
 class Value {
@@ -77,7 +57,6 @@ class Value {
   Value(std::string s) : data_(std::move(s)) {}
   Value(std::shared_ptr<ScriptObject> o) : data_(std::move(o)) {}
   Value(std::shared_ptr<ScriptArray> a) : data_(std::move(a)) {}
-  Value(std::shared_ptr<ScriptFunction> f) : data_(std::move(f)) {}
   Value(std::shared_ptr<HostFunctionValue> h) : data_(std::move(h)) {}
 
   static Value Undefined() { return Value(); }
@@ -98,10 +77,7 @@ class Value {
   bool is_string() const { return type() == ValueType::kString; }
   bool is_object() const { return type() == ValueType::kObject; }
   bool is_array() const { return type() == ValueType::kArray; }
-  bool is_function() const {
-    return type() == ValueType::kFunction ||
-           type() == ValueType::kHostFunction;
-  }
+  bool is_function() const { return type() == ValueType::kHostFunction; }
 
   bool AsBool() const { return std::get<bool>(data_); }
   double AsNumber() const { return std::get<double>(data_); }
@@ -111,9 +87,6 @@ class Value {
   }
   const std::shared_ptr<ScriptArray>& AsArray() const {
     return std::get<std::shared_ptr<ScriptArray>>(data_);
-  }
-  const std::shared_ptr<ScriptFunction>& AsFunction() const {
-    return std::get<std::shared_ptr<ScriptFunction>>(data_);
   }
   const std::shared_ptr<HostFunctionValue>& AsHostFunction() const {
     return std::get<std::shared_ptr<HostFunctionValue>>(data_);
@@ -152,7 +125,6 @@ class Value {
 
   std::variant<std::monostate, std::nullptr_t, bool, double, std::string,
                std::shared_ptr<ScriptObject>, std::shared_ptr<ScriptArray>,
-               std::shared_ptr<ScriptFunction>,
                std::shared_ptr<HostFunctionValue>>
       data_;
 };
@@ -184,72 +156,6 @@ class ScriptObject {
 
  private:
   std::vector<Entry> items_;
-};
-
-/// Lexical scope chain. Binding names are interned (see intern.hpp),
-/// so lookups from resolved code compare integer ids; the string API
-/// is kept for host code and the unresolved fallback path.
-class Environment : public std::enable_shared_from_this<Environment> {
- public:
-  static constexpr uint32_t kNpos = 0xFFFFFFFFu;
-
-  explicit Environment(std::shared_ptr<Environment> parent = nullptr);
-  ~Environment();
-
-  /// Environments currently alive in the process. Closure-captured
-  /// environments form shared_ptr cycles the refcount can never
-  /// reclaim; this counter is how tests prove TearDownChain (and the
-  /// VM's tracing GC, which never creates Environments at all)
-  /// actually return the heap to baseline.
-  static size_t live_count();
-
-  /// Explicitly sever every environment owned by the scope chain
-  /// rooted at `root`: each live environment whose parent chain
-  /// terminates at `root` has its bindings and parent link cleared —
-  /// including closure cycles that are no longer reachable from the
-  /// root's bindings (orphaned by overwrites) but still parent-chain
-  /// into it. Called when a Context is destroyed — the values inside
-  /// become unusable, so only tear down a scope chain that nothing
-  /// will touch again.
-  static void TearDownChain(const std::shared_ptr<Environment>& root);
-
-  /// Define in this scope (shadows outer scopes).
-  void Define(const std::string& name, Value v, bool is_const = false);
-  void DefineById(uint32_t name_id, Value v, bool is_const = false);
-
-  /// Lookup through the chain; nullptr when unbound.
-  Value* Find(const std::string& name);
-  Value* FindById(uint32_t name_id);
-
-  /// Assign to an existing binding; errors when unbound or const.
-  Status Assign(const std::string& name, Value v);
-  Status AssignById(uint32_t name_id, Value v);
-
-  bool IsConst(const std::string& name) const;
-
-  /// Index of a binding directly in this scope (not the chain), or
-  /// kNpos. Indices are stable: bindings are never erased.
-  uint32_t LocalIndexById(uint32_t name_id) const;
-  /// Binding value at `index` iff that binding is named `name_id`,
-  /// else nullptr — the verification step of the interpreter's inline
-  /// caches.
-  Value* ValueAtIfId(uint32_t index, uint32_t name_id);
-  bool ConstAt(uint32_t index) const { return bindings_[index].is_const; }
-
-  /// Names bound directly in this scope (not the chain), in
-  /// definition order — used for module state snapshots.
-  std::vector<std::string> LocalNames() const;
-
-  const std::shared_ptr<Environment>& parent() const { return parent_; }
-
- private:
-  struct Binding {
-    uint32_t name_id;
-    Value value;
-    bool is_const = false;
-  };
-  std::shared_ptr<Environment> parent_;
-  std::vector<Binding> bindings_;
 };
 
 }  // namespace vp::script

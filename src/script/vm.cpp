@@ -1,9 +1,9 @@
 // vpscript bytecode VM: dispatch loop, NaN-boxed values, tracing GC.
 //
 // Semantics (error messages, coercions, stdlib behaviour, snapshot key
-// order) mirror interp.cpp byte-for-byte — the cross-engine equivalence
-// tests diff both engines' outputs directly. Deviate only with a
-// matching interpreter change.
+// order) are pinned by the golden corpus in tests/test_script_vm.cpp —
+// outputs frozen from the retired tree-walking interpreter, which the
+// VM matched byte for byte. Deviate only with a matching corpus change.
 #include "script/vm.hpp"
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "common/strings.hpp"
 #include "script/convert.hpp"
+#include "script/stdlib.hpp"
 
 // Token-threaded dispatch needs GNU "labels as values"; fall back to a
 // plain switch elsewhere. Define VP_VM_FORCE_SWITCH to benchmark the
@@ -76,8 +77,7 @@ constexpr size_t kStackCapacity = 1 << 17;
 constexpr size_t kStackHeadroom = 4096;
 constexpr size_t kInitialGcThreshold = 256 * 1024;
 
-/// Array builtin ordinals — same order as stdlib.cpp's ArrayMethod so
-/// the two tables can never drift apart silently.
+/// Array builtin ordinals, indexing ArrayMethodNames().
 enum class ArrMethod : uint8_t {
   kPush, kPop, kShift, kUnshift, kSlice, kJoin, kIndexOf, kConcat,
   kMap, kFilter, kForEach, kReverse, kIncludes, kSort, kReduce,
@@ -134,7 +134,8 @@ ValueType VmValueType(VpValue v) {
       case GcType::kString: return ValueType::kString;
       case GcType::kArray: return ValueType::kArray;
       case GcType::kObject: return ValueType::kObject;
-      case GcType::kClosure: return ValueType::kFunction;
+      // Closures share the boxed function type: both are "function".
+      case GcType::kClosure:
       case GcType::kHostFn:
       case GcType::kBoundMethod: return ValueType::kHostFunction;
       case GcType::kUpvalue: break;  // never script-visible
@@ -207,8 +208,7 @@ void FreeObject(GcObj* obj) {
 
 // -------------------------------------------------------- construction
 
-Vm::Vm(InterpreterLimits limits, Interpreter* fallback_interp)
-    : limits_(limits), interp_(fallback_interp) {
+Vm::Vm(ScriptLimits limits) : limits_(limits) {
   static_assert(std::is_trivially_copyable_v<VpValue> &&
                 std::is_trivially_destructible_v<VpValue>);
   stack_.reset(static_cast<VpValue*>(
@@ -551,8 +551,8 @@ Status Vm::PushFrame(VpValue callee, int argc, int line) {
   (void)line;
   auto* closure = static_cast<GcClosure*>(callee.AsHeap());
   const FunctionProto* proto = closure->proto;
-  // Interpreter parity: call_depth_ >= max_call_depth rejects the call.
-  // depth_base_ maps frame count to interpreter depth for this entry.
+  // A call at depth max_call_depth is rejected; depth_base_ maps frame
+  // count to call depth for this entry.
   if (frames_.size() >=
       depth_base_ + static_cast<size_t>(limits_.max_call_depth)) {
     return Status(StatusCode::kScriptError,
@@ -567,8 +567,8 @@ Status Vm::PushFrame(VpValue callee, int argc, int line) {
   if (base + proto->max_stack > kStackCapacity) {
     return Status(StatusCode::kScriptError, "stack overflow");
   }
-  // Arity fixup, as the interpreter's positional parameter bind: extra
-  // arguments dropped, missing ones undefined.
+  // Arity fixup, positional parameter bind: extra arguments dropped,
+  // missing ones undefined.
   while (argc > proto->arity) {
     --sp_;
     --argc;
@@ -646,16 +646,15 @@ Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
   for (int i = 0; i < argc; ++i) {
     boxed.push_back(ExportValueRec(args[i], memo));
   }
-  auto r = host->host->fn(boxed, *interp_);
+  auto r = host->host->fn(boxed);
   if (!r.ok()) return r.status();
   *out = BoxedToVm(*r);
   return Status::Ok();
 }
 
 // ------------------------------------------------- native array methods
-// Exact mirrors of stdlib.cpp's InvokeArrayMethod, operating on VM
-// values in place. Arguments live on the VM stack (rooted across
-// reentrant callbacks).
+// Array builtins operate on VM values in place. Arguments live on the
+// VM stack (rooted across reentrant callbacks).
 
 Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
                              int line, VpValue* out) {
@@ -752,7 +751,8 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
       GcArray* result = NewArray();
       TempRootScope roots(*this);
       roots.Pin(VpValue::Heap(result));  // survives callback-driven GC
-      // Live re-reads of size/elements each iteration, like stdlib.
+      // Live re-reads of size/elements each iteration: callbacks may
+      // mutate the array.
       for (size_t i = 0; i < arr->items.size(); ++i) {
         VpValue cb_args[2] = {arr->items[i],
                               VpValue::Number(static_cast<double>(i))};
@@ -878,7 +878,7 @@ Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
     }
     const uint8_t method = ArrayMethodOf(name);
     if (method != kNoArrayMethod) {
-      // Fresh per access, like stdlib's ArrayProperty bound Method.
+      // Fresh per access: two reads are two distinct functions.
       return VpValue::Heap(NewBoundMethod(obj, method, name->text));
     }
     return VpValue::Undefined();
@@ -887,9 +887,7 @@ Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
     // String methods bridge through the boxed stdlib (they capture the
     // string by value, so the round trip is loss-free).
     auto* s = static_cast<GcString*>(obj.AsHeap());
-    auto r = GetProperty(Value(s->text), name->text, *interp_);
-    if (!r.ok()) return r.error();
-    return BoxedToVm(*r);
+    return BoxedToVm(StringProperty(s->text, name->text));
   }
   return VpValue::Undefined();  // numbers, booleans, functions
 }
@@ -1550,8 +1548,8 @@ Status Vm::Run(size_t base_frames) {
             GcArray* keys = NewArray();
             Push(VpValue::Heap(keys));
             keys->items.reserve(o->items.size());
-            // Keys snapshot up-front (mutation during the loop does not
-            // change the iteration), matching the interpreter.
+            // Keys snapshot up-front: mutation during the loop does not
+            // change the iteration.
             for (const auto& e : o->items) {
               keys->items.push_back(VpValue::Heap(NewString(e.key)));
             }
@@ -1598,7 +1596,7 @@ Status Vm::Run(size_t base_frames) {
 
   unwind:
     // Everything except budget exhaustion is catchable (call-depth
-    // errors included), exactly like the tree-walker.
+    // errors included).
     if (err.code() != StatusCode::kResourceExhausted && !handlers_.empty() &&
         handlers_.back().frame_index >= base_frames) {
       const Handler h = handlers_.back();
@@ -1714,8 +1712,8 @@ Result<Value> Vm::CallGlobal(const std::string& name,
 
   if (fn.IsHeapType(GcType::kHostFn)) {
     // A host function stored in a global: call it on boxed values
-    // directly, no VM frame involved (matches the interpreter).
-    auto r = static_cast<GcHostFn*>(fn.AsHeap())->host->fn(args, *interp_);
+    // directly, no VM frame involved.
+    auto r = static_cast<GcHostFn*>(fn.AsHeap())->host->fn(args);
     if (!r.ok()) return r.error();
     return *r;
   }
@@ -1747,9 +1745,8 @@ Result<Value> Vm::CallGlobal(const std::string& name,
 
 json::Value Vm::SnapshotState() {
   json::Value snapshot = json::Value::MakeObject();
-  // Slot order is the interpreter's definition order (hoisted functions
-  // first, then vars — see CompileProgram), so keys match across
-  // engines.
+  // Slot order is definition order (hoisted functions first, then
+  // vars — see CompileProgram).
   for (const GlobalSlotData& g : globals_) {
     if (g.baseline || g.value.is_empty() || g.value.is_undefined()) continue;
     if (IsCallable(g.value)) continue;
@@ -1822,19 +1819,6 @@ VpValue Vm::ImportValueRec(const Value& v) {
       }
       return out;
     }
-    case ValueType::kFunction: {
-      // A tree-walker closure escaping into the VM: wrap it as a host
-      // function that calls back through the interpreter.
-      const Value boxed_fn = v;
-      Interpreter* interp = interp_;
-      auto host = std::make_shared<HostFunctionValue>();
-      host->name = v.AsFunction()->name;
-      host->fn = [boxed_fn, interp](std::vector<Value>& args,
-                                    Interpreter&) -> Result<Value> {
-        return interp->Call(boxed_fn, args);
-      };
-      return VpValue::Heap(NewHostFn(std::move(host)));
-    }
     case ValueType::kHostFunction:
       return VpValue::Heap(NewHostFn(v.AsHostFunction()));
   }
@@ -1886,8 +1870,7 @@ Value Vm::ExportValueRec(VpValue v,
                        : static_cast<GcBoundMethod*>(obj)->name;
       Vm* vm = this;
       const VpValue callee = v;
-      host->fn = [vm, callee](std::vector<Value>& args,
-                              Interpreter&) -> Result<Value> {
+      host->fn = [vm, callee](std::vector<Value>& args) -> Result<Value> {
         std::vector<VpValue> vm_args;
         vm_args.reserve(args.size());
         vm->import_memo_.clear();

@@ -1,16 +1,16 @@
 // vpscript bytecode virtual machine.
 //
 // The VM executes compact bytecode produced by compiler.hpp from the
-// resolved AST. It replaces the boxed, shared_ptr-based Value on its
-// hot path with a NaN-boxed 64-bit representation: doubles are stored
+// resolved AST; it is the only engine that runs module code. It keeps
+// the boxed, shared_ptr-based Value (value.hpp) off its hot path with a
+// NaN-boxed 64-bit representation: doubles are stored
 // verbatim, singletons (undefined/null/true/false) live in the quiet
 // NaN space, and heap objects (strings, arrays, objects, closures,
 // upvalue cells, host-function wrappers) are 48-bit pointers into a
 // VM-owned heap reclaimed by a mark-and-sweep tracing collector.
 //
-// Why: the tree-walking interpreter's closures hold
-// shared_ptr<Environment> while environments hold the Values that own
-// those closures — a reference cycle that reference counting can never
+// Why tracing: closures capture scopes that hold values that own the
+// closures — a reference cycle that reference counting can never
 // reclaim. The tracing GC eliminates that class of leak by
 // construction: anything unreachable from the VM roots (value stack,
 // call frames, globals, open upvalues, host-escaped handles) is
@@ -37,12 +37,21 @@
 
 #include "common/error.hpp"
 #include "json/value.hpp"
-#include "script/interp.hpp"
 #include "script/value.hpp"
 
 namespace vp::script {
 
 class Vm;
+
+/// Per-context execution limits — what a FaaS runtime enforces on
+/// untrusted functions: a runaway `while(true)` in module code cannot
+/// stall the device runtime, and unbounded recursion errors out
+/// cleanly.
+struct ScriptLimits {
+  /// Maximum VM instructions per entry (Load's top level or one Call).
+  uint64_t max_steps = 5'000'000;
+  int max_call_depth = 128;
+};
 
 // ------------------------------------------------------------ values
 
@@ -184,9 +193,8 @@ struct GcClosure : GcObj {
                                                proto(p) {}
 };
 
-/// A boxed host function (or a boxed tree-walker closure) exposed to
-/// VM code. Calls deep-convert arguments to boxed Values and the
-/// result back.
+/// A boxed host function exposed to VM code. Calls deep-convert
+/// arguments to boxed Values and the result back.
 struct GcHostFn : GcObj {
   std::shared_ptr<HostFunctionValue> host;
   explicit GcHostFn(std::shared_ptr<HostFunctionValue> h)
@@ -258,7 +266,7 @@ enum class Op : uint8_t {
 /// mirroring the paper's one-Duktape-context-per-module design).
 class Vm {
  public:
-  explicit Vm(InterpreterLimits limits, Interpreter* fallback_interp);
+  explicit Vm(ScriptLimits limits = {});
   ~Vm();
 
   Vm(const Vm&) = delete;
@@ -284,8 +292,8 @@ class Vm {
   }
   size_t global_count() const { return globals_.size(); }
 
-  /// Import a boxed value as a defined global (baseline import from the
-  /// Environment at Load, or a post-Load DefineGlobal).
+  /// Import a boxed value as a defined global (a baseline import at
+  /// Load, or a post-Load DefineGlobal).
   void ImportGlobal(const std::string& name, const Value& v, bool baseline);
 
   /// Run the top-level proto. Call once per Load.
@@ -331,8 +339,6 @@ class Vm {
   /// Deep conversions across the host boundary (cycle-safe).
   VpValue BoxedToVm(const Value& v);
   Value VmToBoxed(VpValue v);
-
-  Interpreter* fallback_interpreter() const { return interp_; }
 
  private:
   struct Frame {
@@ -403,8 +409,7 @@ class Vm {
   void TraceReferences();
   void Sweep();
 
-  InterpreterLimits limits_;
-  Interpreter* interp_;  // print handler + boxed-closure fallback calls
+  ScriptLimits limits_;
 
   // Execution state. The stack has fixed capacity so upvalue pointers
   // into it stay stable. The backing is raw UNINITIALIZED storage:
@@ -447,9 +452,9 @@ class Vm {
   /// here for the life of the Vm — the host-side shared_ptr is
   /// invisible to the collector.
   std::vector<VpValue> escaped_;
-  /// Frame count corresponding to interpreter call depth 0 for the
-  /// current entry (1 for RunTopLevel — the script frame is not a
-  /// "call" — 0 for CallGlobal).
+  /// Frame count corresponding to call depth 0 for the current entry
+  /// (1 for RunTopLevel — the script frame is not a "call" — 0 for
+  /// CallGlobal).
   size_t depth_base_ = 0;
 
   friend class TempRootScope;

@@ -70,8 +70,7 @@ TEST(ScriptTryCatch, UncaughtRethrows) {
 TEST(ScriptTryCatch, HostErrorsAreCatchable) {
   script::Context context;
   context.RegisterHostFunction(
-      "flaky", [](std::vector<script::Value>&,
-                  script::Interpreter&) -> Result<script::Value> {
+      "flaky", [](std::vector<script::Value>&) -> Result<script::Value> {
         return Unavailable("service down");
       });
   ASSERT_TRUE(context

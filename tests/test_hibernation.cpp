@@ -1,8 +1,7 @@
 // Scale-to-zero lifecycle: program cache, warm pool, hibernation,
 // rehydration, burst wakeup admission.
 //
-// Seed-sweepable: set VP_TEST_SEED (CI runs 1..5); default 42. Runs
-// under both script engines via the VP_SCRIPT_ENGINE ctest matrix.
+// Seed-sweepable: set VP_TEST_SEED (CI runs 1..5); default 42.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -41,7 +40,7 @@ TEST(ProgramCache, HitMissAndSharing) {
     var calls = 0;
     function bump(n) { calls = calls + n; return calls; }
   )";
-  script::InterpreterLimits limits;
+  script::ScriptLimits limits;
   auto first = script::ProgramCache::Global().Acquire(source, limits);
   ASSERT_TRUE(first.ok());
   ASSERT_NE(*first, nullptr);
@@ -60,10 +59,8 @@ TEST(ProgramCache, ContextsShareCompiledProgramsButNotState) {
     var counter = 0;
     function tick() { counter = counter + 1; return counter; }
   )";
-  script::ContextOptions options;
-  options.engine = script::ScriptEngine::kVm;  // cache is VM-only
-  script::Context a(options);
-  script::Context b(options);
+  script::Context a;
+  script::Context b;
   ASSERT_TRUE(a.Load(source).ok());
   ASSERT_TRUE(b.Load(source).ok());
   const auto stats = script::ProgramCache::Global().stats();
@@ -77,14 +74,26 @@ TEST(ProgramCache, ContextsShareCompiledProgramsButNotState) {
   EXPECT_EQ(b.GetGlobal("counter").ToNumber(), 1.0);
 }
 
-TEST(ProgramCache, UncompilableSourceFallsBackWithoutPoisoning) {
+TEST(ProgramCache, RejectedSourceIsNotCached) {
   script::ProgramCache::Global().Clear();
-  script::ContextOptions options;
-  options.engine = script::ScriptEngine::kVm;
-  script::Context context(options);
-  // Valid program; still must load (possibly via interp fallback if
-  // the compiler rejects a construct) — Load never hard-fails just
-  // because the cache cannot serve it.
+  // 256 call arguments exceed the compiler's u8 argc operand.
+  std::string args = "0";
+  for (int i = 1; i < 256; ++i) args += ", 0";
+  const std::string rejected = "function f() {} f(" + args + ");";
+  script::ScriptLimits limits;
+  const auto before = script::ProgramCache::Global().stats();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto r = script::ProgramCache::Global().Acquire(rejected, limits);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), StatusCode::kScriptError);
+  }
+  const auto after = script::ProgramCache::Global().stats();
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses + 2);  // retried, never memoized
+
+  // The cache still serves valid sources.
+  script::Context context;
   ASSERT_TRUE(context.Load("var x = 1;").ok());
   EXPECT_EQ(context.GetGlobal("x").ToNumber(), 1.0);
 }
@@ -187,11 +196,9 @@ TEST(Hibernation, IdleDetectionHibernatesAndReleasesResources) {
   EXPECT_EQ(lifecycle::HibernationManager::ResidentScriptBytes(
                 *rig.pipeline),
             0u);
-  if (resident_running > 0) {  // VM engine tracks bytes; interp is 0
-    EXPECT_LT(lifecycle::HibernationManager::ResidentScriptBytes(
-                  *rig.pipeline),
-              resident_running / 2);
-  }
+  EXPECT_GT(resident_running, 0u);
+  EXPECT_LT(lifecycle::HibernationManager::ResidentScriptBytes(*rig.pipeline),
+            resident_running / 2);
   // Exclusive frame stores cleared.
   const std::string device = rig.pipeline->plan().module_device.at("m");
   EXPECT_EQ(rig.orchestrator->store(device).size(), 0u);

@@ -18,8 +18,7 @@ namespace {
 TEST(StateSnapshot, CapturesModuleDefinedGlobalsOnly) {
   script::Context context;
   context.RegisterHostFunction(
-      "host_fn", [](std::vector<script::Value>&,
-                    script::Interpreter&) -> Result<script::Value> {
+      "host_fn", [](std::vector<script::Value>&) -> Result<script::Value> {
         return script::Value(1.0);
       });
   ASSERT_TRUE(context

@@ -3,9 +3,7 @@
 // The point of the bytecode VM is that module heap usage is bounded by
 // liveness, not by allocation history: closure cycles that reference
 // counting could never reclaim are collected, and a long soak settles
-// into a flat heap profile. The interpreter path gets the complementary
-// guarantee: explicit environment-chain teardown returns the process to
-// its Environment baseline when contexts die.
+// into a flat heap profile.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,12 +15,6 @@
 
 namespace vp::script {
 namespace {
-
-ContextOptions WithEngine(ScriptEngine engine) {
-  ContextOptions options;
-  options.engine = engine;
-  return options;
-}
 
 /// A handler that churns closures, arrays and objects every event —
 /// each call creates garbage (including cyclic structures) that only a
@@ -55,9 +47,8 @@ int SoakEvents() {
 }
 
 TEST(VmGc, AllocationPressureSoakStaysFlat) {
-  Context context(WithEngine(ScriptEngine::kVm));
+  Context context;
   ASSERT_TRUE(context.Load(kChurnModule).ok());
-  ASSERT_EQ(context.engine(), ScriptEngine::kVm);
   Vm* vm = context.vm();
   ASSERT_NE(vm, nullptr);
 
@@ -94,7 +85,7 @@ TEST(VmGc, CollectionIsDrivenByAllocationPressureOnly) {
   std::vector<uint64_t> cycles;
   std::vector<size_t> live;
   for (int run = 0; run < 2; ++run) {
-    Context context(WithEngine(ScriptEngine::kVm));
+    Context context;
     ASSERT_TRUE(context.Load(kChurnModule).ok());
     auto e = Value::MakeObject();
     for (int i = 0; i < 20'000; ++i) {
@@ -112,7 +103,7 @@ TEST(VmGc, CheckpointSurvivesCollection) {
   // checkpoint -> GC -> checkpoint must be byte-identical (collection
   // must never move or drop reachable state), and a restore after a
   // forced GC must resume exactly.
-  Context source(WithEngine(ScriptEngine::kVm));
+  Context source;
   ASSERT_TRUE(source.Load(kChurnModule).ok());
   auto e = Value::MakeObject();
   for (int i = 0; i < 500; ++i) {
@@ -124,7 +115,7 @@ TEST(VmGc, CheckpointSurvivesCollection) {
   const std::string after = json::Write(source.SnapshotState());
   EXPECT_EQ(before, after);
 
-  Context target(WithEngine(ScriptEngine::kVm));
+  Context target;
   ASSERT_TRUE(target.Load(kChurnModule).ok());
   ASSERT_TRUE(target.RestoreState(source.SnapshotState()).ok());
   target.vm()->CollectGarbage();
@@ -132,66 +123,6 @@ TEST(VmGc, CheckpointSurvivesCollection) {
     ASSERT_TRUE(target.Call("event_received", {e}).ok());
   }
   EXPECT_DOUBLE_EQ(target.GetGlobal("events").AsNumber(), 600.0);
-}
-
-// --------------------------------------- interpreter-path leak tests
-
-/// Deploy/undeploy a closure-heavy module repeatedly; the live
-/// Environment count must return to its pre-deploy baseline every
-/// time. Before explicit chain teardown this leaked one environment
-/// chain per deploy (closure -> environment -> closure cycles).
-TEST(EnvironmentLifecycle, DeployUndeployChurnReturnsToBaseline) {
-  const char* module = R"(
-    var registry = {};
-    function subscribe(topic) {
-      var queue = [];
-      var handler = function (m) { queue.push(m); return dispatch; };
-      function dispatch(x) { return handler(x); }
-      registry[topic] = { on: handler, dispatch: dispatch, queue: queue };
-      return dispatch;
-    }
-    for (var i = 0; i < 20; i++) subscribe("topic-" + i);
-    function event_received(e) { return subscribe("dyn")("x"); }
-  )";
-  const size_t baseline = Environment::live_count();
-  for (int round = 0; round < 100; ++round) {
-    Context context(WithEngine(ScriptEngine::kInterp));
-    ASSERT_TRUE(context.Load(module).ok());
-    auto e = Value::MakeObject();
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(context.Call("event_received", {e}).ok());
-    }
-    EXPECT_GT(Environment::live_count(), baseline);  // module is live
-  }
-  // Every context destroyed: the chains it created must be gone.
-  EXPECT_EQ(Environment::live_count(), baseline);
-}
-
-TEST(EnvironmentLifecycle, VmEngineCreatesNoEnvironmentsPerEvent) {
-  // The VM never allocates Environments at all on its execution path —
-  // only the baseline (stdlib installation) scope chain exists.
-  Context context(WithEngine(ScriptEngine::kVm));
-  ASSERT_TRUE(context.Load(kChurnModule).ok());
-  const size_t after_load = Environment::live_count();
-  auto e = Value::MakeObject();
-  for (int i = 0; i < 1'000; ++i) {
-    ASSERT_TRUE(context.Call("event_received", {e}).ok());
-  }
-  EXPECT_EQ(Environment::live_count(), after_load);
-}
-
-TEST(EnvironmentLifecycle, TearDownChainHandlesSharedStructure) {
-  // Two contexts sharing values through a snapshot must tear down
-  // independently without double-free or dangling access.
-  const size_t baseline = Environment::live_count();
-  {
-    Context a(WithEngine(ScriptEngine::kInterp));
-    ASSERT_TRUE(a.Load("var state = { xs: [1, 2, 3] };").ok());
-    Context b(WithEngine(ScriptEngine::kInterp));
-    ASSERT_TRUE(b.Load("var state = {};").ok());
-    ASSERT_TRUE(b.RestoreState(a.SnapshotState()).ok());
-  }
-  EXPECT_EQ(Environment::live_count(), baseline);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the vpscript interpreter, standard library, contexts and
+// Tests for the vpscript language, standard library, contexts and
 // JSON interop.
 #include <gtest/gtest.h>
 
@@ -269,7 +269,7 @@ TEST(Stdlib, ConversionHelpers) {
 TEST(Stdlib, ConsoleLogGoesToPrintHandler) {
   Context context;
   std::vector<std::string> lines;
-  context.interpreter().set_print_handler(
+  context.set_print_handler(
       [&](const std::string& line) { lines.push_back(line); });
   ASSERT_TRUE(context.Load("console.log('a', 1, [2]);").ok());
   ASSERT_EQ(lines.size(), 1u);
@@ -332,7 +332,7 @@ TEST(Context, HostFunctionsCallable) {
   Context context;
   double received = 0;
   context.RegisterHostFunction(
-      "report", [&](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "report", [&](std::vector<Value>& args) -> Result<Value> {
         received = args.empty() ? -1 : args[0].ToNumber();
         return Value(received * 2);
       });

@@ -1,9 +1,12 @@
-// Deep semantic tests for the vpscript interpreter: scoping, closures,
+// Deep semantic tests for the vpscript engine: scoping, closures,
 // coercions, reference semantics — the behaviours module authors rely
 // on without thinking about them.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "script/context.hpp"
 
@@ -84,7 +87,7 @@ TEST(Scoping, InnerFunctionsHoistWithinBlocks) {
 
 TEST(Scoping, NestedBlocksShadowIndependently) {
   // Each block level introduces its own binding; exits restore the
-  // outer one — exercised across both slot-resolved and env scopes.
+  // outer one — exercised in function-local and captured scopes.
   EXPECT_EQ(Str(R"(
     function probe() {
       var x = "a";
@@ -412,70 +415,73 @@ TEST(Corners, JsonRoundTripInsideScript) {
                    1);
 }
 
-// --------------------------------------------- resolved vs. fallback
+// ------------------------------------------------ resolver golden corpus
 //
-// The resolver (resolver.hpp) is a pure optimization: slot-resolved
-// execution and the dynamic Environment fallback must be observably
-// identical. Run a battery of scope/closure/coercion programs both
-// ways and compare the display form of `result`.
+// The resolver (resolver.hpp) interns names and folds constants; it
+// must never change what a program means. Expected outputs were frozen
+// from runs on which resolved and unresolved execution agreed.
 
-std::string EvalWith(const std::string& body, bool resolve) {
-  ContextOptions options;
-  options.resolve = resolve;
-  Context context(options);
+std::string EvalDisplay(const std::string& body) {
+  Context context;
   Status loaded = context.Load(body);
   if (!loaded.ok()) return "load error: " + loaded.error().ToString();
   return context.GetGlobal("result").ToDisplayString();
 }
 
-TEST(ResolverEquivalence, SameResultsWithAndWithoutResolver) {
-  const std::vector<std::string> programs = {
+TEST(ResolverEquivalence, ResultsMatchGoldenCorpus) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
       // Shadowing across nested blocks.
-      R"(var x = 1; { var x = 2; { var x = 3; } } var result = x;)",
+      {R"(var x = 1; { var x = 2; { var x = 3; } } var result = x;)", "1"},
       // Closure over a loop variable (shared binding).
-      R"(var f = []; for (var i = 0; i < 3; i++) f.push(function () { return i; });
+      {R"(var f = []; for (var i = 0; i < 3; i++) f.push(function () { return i; });
          var result = f[0]() + f[2]();)",
+       "6"},
       // Catch binding shadows a global of the same name.
-      R"(var e = 7; try { throw 1; } catch (e) { e = e + 1; } var result = e;)",
+      {R"(var e = 7; try { throw 1; } catch (e) { e = e + 1; } var result = e;)",
+       "7"},
       // Hoisted self-reference + recursion.
-      R"(var result = fact(5); function fact(n) { return n < 2 ? 1 : n * fact(n - 1); })",
+      {R"(var result = fact(5); function fact(n) { return n < 2 ? 1 : n * fact(n - 1); })",
+       "120"},
       // Named function expression self-reference.
-      R"(var f = function g(n) { return n < 2 ? 1 : n * g(n - 1); }; var result = f(5);)",
+      {R"(var f = function g(n) { return n < 2 ? 1 : n * g(n - 1); }; var result = f(5);)",
+       "120"},
       // Compound assignment / update operators on members and slots.
-      R"(var o = { n: 1 }; var t = 0; for (var i = 0; i < 4; i++) { o.n *= 2; t += o.n; }
+      {R"(var o = { n: 1 }; var t = 0; for (var i = 0; i < 4; i++) { o.n *= 2; t += o.n; }
          var result = t * 100 + o.n;)",
+       "3016"},
       // Switch with fall-through and block-scoped cases.
-      R"(var out = ""; var k = 1;
+      {R"(var out = ""; var k = 1;
          switch (k) { case 0: out += "a"; case 1: out += "b"; case 2: out += "c"; break;
                       default: out += "d"; }
          var result = out;)",
-      // String/number coercion through binary fast paths.
-      R"(var result = "3" * "4" + ("1" + 2) + (0 / 0 == 0 / 0 ? "eq" : "ne");)",
+       "bc"},
+      // String/number coercion through binary fast paths (folded).
+      {R"(var result = "3" * "4" + ("1" + 2) + (0 / 0 == 0 / 0 ? "eq" : "ne");)",
+       "1212ne"},
       // Array methods + length through the interned fast path.
-      R"(var a = [3, 1, 2]; a.sort(); a.push(9); var result = a.join("-") + ":" + a.length;)",
+      {R"(var a = [3, 1, 2]; a.sort(); a.push(9); var result = a.join("-") + ":" + a.length;)",
+       "1-2-3-9:4"},
   };
-  for (const std::string& program : programs) {
-    EXPECT_EQ(EvalWith(program, true), EvalWith(program, false)) << program;
+  for (const auto& [program, expected] : cases) {
+    EXPECT_EQ(EvalDisplay(program), expected) << program;
   }
 }
 
-TEST(ResolverEquivalence, ErrorsMatchAcrossModes) {
-  const std::vector<std::string> programs = {
-      "var result = missing;",             // unbound identifier
-      "var result = missing();",           // unbound call
-      "var o = {}; var result = o.a.b;",   // member of undefined
+TEST(ResolverEquivalence, ErrorsMatchGoldenCorpus) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // unbound identifier
+      {"var result = missing;", "script:1: 'missing' is not defined"},
+      // unbound call
+      {"var result = missing();", "script:1: 'missing' is not defined"},
+      // member of undefined
+      {"var o = {}; var result = o.a.b;",
+       "script:1: cannot read property 'b' of undefined"},
   };
-  for (const std::string& program : programs) {
-    ContextOptions on;
-    ContextOptions off;
-    off.resolve = false;
-    Context resolved(on);
-    Context fallback(off);
-    const Status a = resolved.Load(program);
-    const Status b = fallback.Load(program);
-    EXPECT_FALSE(a.ok()) << program;
-    EXPECT_EQ(a.code(), b.code()) << program;
-    EXPECT_EQ(a.message(), b.message()) << program;
+  for (const auto& [program, expected] : cases) {
+    Context context;
+    const Status s = context.Load(program);
+    EXPECT_EQ(s.code(), StatusCode::kScriptError) << program;
+    EXPECT_EQ(s.message(), expected) << program;
   }
 }
 
