@@ -2,8 +2,8 @@
 // per-event overhead every module pays.
 //
 // Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// times event dispatch, Context::Load and one host call through the
-// boxed bridge, writing BENCH_script.json for CI to archive.
+// times event dispatch, Context::Load and one native host call,
+// writing BENCH_script.json for CI to archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "harness.hpp"
 #include "script/context.hpp"
-#include "script/convert.hpp"
 #include "script/parser.hpp"
 
 using namespace vp;
@@ -50,8 +49,8 @@ BENCHMARK(BM_ContextLoad);
 void BM_EventDispatch(benchmark::State& state) {
   script::Context context;
   (void)context.Load(kModuleSource);
-  auto message = script::Value::MakeObject();
-  message.AsObject()->Set("value", script::Value(1.5));
+  json::Value message = json::Value::MakeObject();
+  message["value"] = json::Value(1.5);
   for (auto _ : state) {
     auto result = context.Call("event_received", {message});
     benchmark::DoNotOptimize(result);
@@ -64,8 +63,8 @@ BENCHMARK(BM_EventDispatch);
 constexpr int kHostCallsPerEntry = 1000;
 
 /// A module that calls host function `sink` with a small object
-/// argument `n` times. Each call crosses the boxed bridge twice: the
-/// object is deep-converted out of the VM and the result back in.
+/// argument `n` times. The host function reads the object in place on
+/// the VM stack and returns a number; nothing is converted.
 const char* kHostCallSource = R"JS(
 function host_calls(n) {
   var total = 0;
@@ -78,9 +77,9 @@ std::unique_ptr<script::Context> MakeHostCallContext() {
   auto context = std::make_unique<script::Context>();
   context->RegisterHostFunction(
       "sink",
-      [](std::vector<script::Value>& args) -> Result<script::Value> {
-        return script::Value(
-            static_cast<double>(args[0].AsObject()->size()));
+      [](script::Vm&, script::HostArgs args) -> Result<script::VpValue> {
+        return script::VpValue::Number(static_cast<double>(
+            static_cast<script::GcObject*>(args[0].AsHeap())->items.size()));
       });
   if (!context->Load(kHostCallSource).ok()) std::abort();
   return context;
@@ -88,7 +87,7 @@ std::unique_ptr<script::Context> MakeHostCallContext() {
 
 void BM_HostCall(benchmark::State& state) {
   auto context = MakeHostCallContext();
-  const script::Value n(static_cast<double>(kHostCallsPerEntry));
+  const json::Value n(static_cast<double>(kHostCallsPerEntry));
   for (auto _ : state) {
     auto result = context->Call("host_calls", {n});
     benchmark::DoNotOptimize(result);
@@ -103,13 +102,15 @@ void BM_Fibonacci(benchmark::State& state) {
       "function fib(n) { return n < 2 ? n : fib(n-1) + fib(n-2); }");
   for (auto _ : state) {
     auto result = context.Call(
-        "fib", {script::Value(static_cast<double>(state.range(0)))});
+        "fib", {json::Value(static_cast<double>(state.range(0)))});
     benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK(BM_Fibonacci)->Arg(10)->Arg(15);
 
-void BM_JsonToScriptRoundTrip(benchmark::State& state) {
+/// A pose-sized service response into the VM and back out: the
+/// conversion every call_service pays on its response and request.
+void BM_JsonVmRoundTrip(benchmark::State& state) {
   json::Value doc = json::Value::MakeObject();
   for (int i = 0; i < 17; ++i) {
     json::Value kp = json::Value::MakeObject();
@@ -118,13 +119,16 @@ void BM_JsonToScriptRoundTrip(benchmark::State& state) {
     kp["detected"] = json::Value(true);
     doc["keypoints"].PushBack(std::move(kp));
   }
+  script::Vm vm;
   for (auto _ : state) {
-    const script::Value v = script::JsonToScript(doc);
-    auto back = script::ScriptToJson(v);
+    const script::VpValue v = vm.FromJson(doc);
+    auto back = vm.ToJson(v);
     benchmark::DoNotOptimize(back);
+    // Nothing here is rooted: collect under the VM's own pressure rule.
+    if (vm.bytes_allocated() > (1 << 20)) vm.CollectGarbage();
   }
 }
-BENCHMARK(BM_JsonToScriptRoundTrip);
+BENCHMARK(BM_JsonVmRoundTrip);
 
 // ------------------------------------------------------- smoke mode
 
@@ -154,8 +158,8 @@ int SmokeMain() {
   // Per-event dispatch: one Context::Call of the module's handler.
   script::Context context;
   if (!context.Load(kModuleSource).ok()) std::abort();
-  auto message = script::Value::MakeObject();
-  message.AsObject()->Set("value", script::Value(1.5));
+  json::Value message = json::Value::MakeObject();
+  message["value"] = json::Value(1.5);
   auto dispatch = [&] {
     auto result = context.Call("event_received", {message});
     benchmark::DoNotOptimize(result);
@@ -169,9 +173,9 @@ int SmokeMain() {
     benchmark::DoNotOptimize(fresh.Load(kModuleSource));
   });
 
-  // One host call with a small object argument, through the bridge.
+  // One native host call with a small object argument.
   auto host = MakeHostCallContext();
-  const script::Value n(static_cast<double>(kHostCallsPerEntry));
+  const json::Value n(static_cast<double>(kHostCallsPerEntry));
   const double host_call_us =
       BestUs(rounds, 20, [&] {
         auto result = host->Call("host_calls", {n});

@@ -175,11 +175,11 @@ int main(int argc, char** argv) {
   args.extra_host_functions["notify_module"].emplace_back(
       "notify",
       [&notifications, sim = &cluster->simulator()](
-          std::vector<script::Value>& fn_args) -> Result<script::Value> {
+          script::Vm&, script::HostArgs fn_args) -> Result<script::VpValue> {
         notifications.emplace_back(
             sim->Now().seconds(),
-            fn_args.empty() ? "?" : fn_args[0].ToDisplayString());
-        return script::Value(true);
+            fn_args.empty() ? "?" : script::Vm::ToDisplayString(fn_args[0]));
+        return script::VpValue::Boolean(true);
       });
 
   auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
@@ -199,10 +199,8 @@ int main(int argc, char** argv) {
   }
   core::ModuleRuntime* notify = (*deployment)->FindModule("notify_module");
   std::printf("\nvisitors counted: %s, packages seen: %s\n",
-              notify->context().GetGlobal("visitors")
-                  .ToDisplayString().c_str(),
-              notify->context().GetGlobal("packages_seen")
-                  .ToDisplayString().c_str());
+              notify->context().GetGlobal("visitors").Dump().c_str(),
+              notify->context().GetGlobal("packages_seen").Dump().c_str());
   std::printf("pipeline: %.2f fps over %llu frames\n",
               (*deployment)->metrics().EndToEndFps(),
               static_cast<unsigned long long>(

@@ -40,10 +40,10 @@ int main() {
   std::printf("%6s %-10s %10s\n", "t(s)", "truth", "monitor");
   for (int second = 2; second <= 20; second += 2) {
     orchestrator.RunFor(Duration::Seconds(2));
-    const script::Value fallen = monitor->context().GetGlobal("was_fallen");
+    const json::Value fallen = monitor->context().GetGlobal("was_fallen");
     std::printf("%6d %-10s %10s\n", second,
                 session.LabelAt(second - 0.5).c_str(),
-                fallen.Truthy() ? "FALLEN" : "ok");
+                fallen.is_bool() && fallen.AsBool() ? "FALLEN" : "ok");
   }
 
   std::printf("\nalerts raised: %zu\n", alerts.alerts().size());

@@ -66,12 +66,13 @@ void RunSession(core::PlacementPolicy policy) {
   for (int second = 1; second <= 41; ++second) {
     orchestrator.RunFor(Duration::Seconds(1));
     if (second % 4 != 0) continue;
-    const script::Value activity = display->context().GetGlobal("activity");
-    const script::Value reps = display->context().GetGlobal("reps");
+    const json::Value activity = display->context().GetGlobal("activity");
+    const json::Value reps = display->context().GetGlobal("reps");
     std::printf("%6d %-14s %-14s %6s %8.2f\n", second,
                 workout.LabelAt(second - 0.5).c_str(),
-                activity.ToDisplayString().c_str(),
-                reps.ToDisplayString().c_str(),
+                (activity.is_string() ? activity.AsString() : activity.Dump())
+                    .c_str(),
+                reps.Dump().c_str(),
                 pipeline.metrics().EndToEndFps());
   }
 

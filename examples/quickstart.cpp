@@ -70,10 +70,11 @@ int main() {
 
   // What did the user see on the TV? Ask the display module's context.
   core::ModuleRuntime* display = pipeline.FindModule("display_module");
-  const script::Value reps = display->context().GetGlobal("reps");
-  const script::Value activity = display->context().GetGlobal("activity");
+  const json::Value reps = display->context().GetGlobal("reps");
+  const json::Value activity = display->context().GetGlobal("activity");
   std::printf("\nTV overlay at the end: activity=%s reps=%s\n",
-              activity.ToDisplayString().c_str(),
-              reps.ToDisplayString().c_str());
+              (activity.is_string() ? activity.AsString() : activity.Dump())
+                  .c_str(),
+              reps.Dump().c_str());
   return 0;
 }

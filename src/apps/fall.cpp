@@ -3,23 +3,23 @@
 namespace vp::apps::fall {
 
 script::HostFunction AlertLog::MakeHostFunction(sim::Simulator* sim) {
-  return [this, sim](
-             std::vector<script::Value>& args) -> Result<script::Value> {
+  return [this, sim](script::Vm&,
+                     script::HostArgs args) -> Result<script::VpValue> {
     Alert alert;
     alert.when = sim->Now();
-    if (!args.empty() && args[0].is_object()) {
-      const auto& obj = args[0].AsObject();
-      if (const script::Value* v = obj->Find("fallen_fraction");
+    if (!args.empty() && args[0].IsHeapType(script::GcType::kObject)) {
+      auto* details = static_cast<script::GcObject*>(args[0].AsHeap());
+      if (const script::VpValue* v = details->Find("fallen_fraction");
           v != nullptr && v->is_number()) {
         alert.fallen_fraction = v->AsNumber();
       }
-      if (const script::Value* v = obj->Find("torso_angle_deg");
+      if (const script::VpValue* v = details->Find("torso_angle_deg");
           v != nullptr && v->is_number()) {
         alert.torso_angle_deg = v->AsNumber();
       }
     }
     alerts_.push_back(alert);
-    return script::Value(true);
+    return script::VpValue::Boolean(true);
   };
 }
 

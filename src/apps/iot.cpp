@@ -26,13 +26,13 @@ const IoTHub::DeviceState* IoTHub::Find(const std::string& device) const {
 }
 
 script::HostFunction IoTHub::MakeHostFunction(sim::Simulator* sim) {
-  return [this, sim](
-             std::vector<script::Value>& args) -> Result<script::Value> {
+  return [this, sim](script::Vm&,
+                     script::HostArgs args) -> Result<script::VpValue> {
     if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
       return ScriptError("iot_command(device, action) expects two strings");
     }
     Execute(args[0].AsString(), args[1].AsString(), sim->Now());
-    return script::Value(true);
+    return script::VpValue::Boolean(true);
   };
 }
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "script/value.hpp"
+#include "script/vm.hpp"
 #include "sim/simulator.hpp"
 
 namespace vp::apps {

@@ -5,7 +5,6 @@
 #include "common/log.hpp"
 #include "core/orchestrator.hpp"
 #include "media/codec.hpp"
-#include "script/convert.hpp"
 
 namespace vp::core {
 
@@ -42,49 +41,40 @@ Status ModuleRuntime::BindAndStart(
     const std::vector<std::pair<std::string, script::HostFunction>>&
         extra_host_functions,
     bool load) {
-  context_->DefineGlobal("MODULE_NAME", script::Value(spec_->name));
-  context_->DefineGlobal("DEVICE_NAME", script::Value(device_));
+  context_->DefineGlobal("MODULE_NAME", json::Value(spec_->name));
+  context_->DefineGlobal("DEVICE_NAME", json::Value(device_));
   context_->DefineGlobal("PIPELINE_NAME",
-                         script::Value(pipeline_->spec().name));
+                         json::Value(pipeline_->spec().name));
 
   const std::string log_prefix =
       pipeline_->spec().name + "/" + spec_->name;
-  context_->set_print_handler(
-      [log_prefix](const std::string& line) {
-        VP_INFO("module") << log_prefix << ": " << line;
-      });
+  script::PrintFn print = [log_prefix](const std::string& line) {
+    VP_INFO("module") << log_prefix << ": " << line;
+  };
+  context_->set_print_handler(print);
+  // `log(...)` is console.log under a shorter name.
+  context_->RegisterHostFunction("log", script::LogFunction(print));
 
   context_->RegisterHostFunction(
-      "call_service", [this](std::vector<script::Value>& args) {
-        return HostCallService(args);
+      "call_service", [this](script::Vm& vm, script::HostArgs args) {
+        return HostCallService(vm, args);
       });
   context_->RegisterHostFunction(
-      "call_module", [this](std::vector<script::Value>& args) {
-        return HostCallModule(args);
+      "call_module", [this](script::Vm& vm, script::HostArgs args) {
+        return HostCallModule(vm, args);
       });
   context_->RegisterHostFunction(
-      "busy_ms", [this](std::vector<script::Value>& args) {
+      "busy_ms", [this](script::Vm&, script::HostArgs args) {
         return HostBusyMs(args);
       });
   context_->RegisterHostFunction(
-      "frame_info", [this](std::vector<script::Value>& args) {
-        return HostFrameInfo(args);
+      "frame_info", [this](script::Vm& vm, script::HostArgs args) {
+        return HostFrameInfo(vm, args);
       });
   context_->RegisterHostFunction(
-      "log",
-      [this, log_prefix](
-          std::vector<script::Value>& args) -> Result<script::Value> {
-        std::string line;
-        for (size_t i = 0; i < args.size(); ++i) {
-          if (i) line += ' ';
-          line += args[i].ToDisplayString();
-        }
-        VP_INFO("module") << log_prefix << ": " << line;
-        return script::Value::Undefined();
-      });
-  context_->RegisterHostFunction(
-      "now_ms", [this](std::vector<script::Value>&) -> Result<script::Value> {
-        return script::Value(
+      "now_ms",
+      [this](script::Vm&, script::HostArgs) -> Result<script::VpValue> {
+        return script::VpValue::Number(
             orchestrator_->cluster().simulator().Now().millis());
       });
   // set_timer(ms[, payload]) — one-shot: after `ms` virtual
@@ -93,7 +83,8 @@ Status ModuleRuntime::BindAndStart(
   // housekeeping without holding frames.
   context_->RegisterHostFunction(
       "set_timer",
-      [this](std::vector<script::Value>& args) -> Result<script::Value> {
+      [this](script::Vm& vm,
+             script::HostArgs args) -> Result<script::VpValue> {
         if (args.empty() || !args[0].is_number()) {
           return ScriptError("set_timer(ms[, payload]): ms needed");
         }
@@ -102,8 +93,8 @@ Status ModuleRuntime::BindAndStart(
           return ScriptError("set_timer: ms must be in [0, 3.6e6]");
         }
         json::Value payload = json::Value::MakeObject();
-        if (args.size() > 1 && args[1].is_object()) {
-          auto converted = script::ScriptToJson(args[1]);
+        if (args.size() > 1 && args[1].IsHeapType(script::GcType::kObject)) {
+          auto converted = vm.ToJson(args[1]);
           if (!converted.ok()) return converted.error();
           payload = std::move(*converted);
         }
@@ -122,7 +113,7 @@ Status ModuleRuntime::BindAndStart(
               message.set_seq(seq);
               OnMessage(std::move(message));
             });
-        return script::Value(true);
+        return script::VpValue::Boolean(true);
       });
 
   for (const auto& [name, fn] : extra_host_functions) {
@@ -242,8 +233,7 @@ void ModuleRuntime::ExecuteHandler(net::Message message) {
   const TimePoint start = orchestrator_->cluster().Now();
   pipeline_->metrics().OnStageStart(current_seq_, name(), start);
 
-  auto arg = script::JsonToScript(payload);
-  auto result = context_->Call("event_received", {std::move(arg)});
+  auto result = context_->Call("event_received", {std::move(payload)});
   if (!result.ok() && !orchestrator_->draining_fibers()) {
     ++stats_.script_errors;
     VP_WARN("module") << name() << ": event_received failed: "
@@ -286,56 +276,60 @@ void ModuleRuntime::FinishEvent() {
   }
 }
 
-Result<script::Value> ModuleRuntime::HostCallService(
-    std::vector<script::Value>& args) {
-  if (args.size() < 1 || !args[0].is_string()) {
+namespace {
+
+/// Argument `i` as the message payload: absent is null, and values
+/// with no JSON form (functions, cycles, runaway nesting) are a
+/// catchable script error.
+Result<json::Value> PayloadArg(script::Vm& vm, script::HostArgs args,
+                               size_t i) {
+  if (args.size() <= i) return json::Value();
+  return vm.ToJson(args[i]);
+}
+
+}  // namespace
+
+Result<script::VpValue> ModuleRuntime::HostCallService(
+    script::Vm& vm, script::HostArgs args) {
+  if (args.empty() || !args[0].is_string()) {
     return ScriptError("call_service(service, message): service name needed");
   }
-  const std::string& service = args[0].AsString();
+  const std::string service = args[0].AsString();
   if (std::find(spec_->services.begin(), spec_->services.end(), service) ==
       spec_->services.end()) {
     return ScriptError("module '" + name() + "' does not declare service '" +
                        service + "' in its config");
   }
-  json::Value payload;
-  if (args.size() > 1) {
-    auto converted = script::ScriptToJson(args[1]);
-    if (!converted.ok()) return converted.error();
-    payload = std::move(*converted);
-  }
+  auto payload = PayloadArg(vm, args, 1);
+  if (!payload.ok()) return payload.error();
   ++stats_.service_calls;
   auto response = orchestrator_->CallService(*this, service,
-                                             std::move(payload));
+                                             std::move(*payload));
   if (!response.ok()) return response.error();
-  return script::JsonToScript(*response);
+  return vm.FromJson(*response);
 }
 
-Result<script::Value> ModuleRuntime::HostCallModule(
-    std::vector<script::Value>& args) {
-  if (args.size() < 1 || !args[0].is_string()) {
+Result<script::VpValue> ModuleRuntime::HostCallModule(
+    script::Vm& vm, script::HostArgs args) {
+  if (args.empty() || !args[0].is_string()) {
     return ScriptError("call_module(module, message): module name needed");
   }
-  const std::string& target = args[0].AsString();
+  const std::string target = args[0].AsString();
   if (std::find(spec_->next_modules.begin(), spec_->next_modules.end(),
                 target) == spec_->next_modules.end()) {
     return ScriptError("module '" + name() + "' has no edge to '" + target +
                        "' (declare it in next_module)");
   }
-  json::Value payload;
-  if (args.size() > 1) {
-    auto converted = script::ScriptToJson(args[1]);
-    if (!converted.ok()) return converted.error();
-    payload = std::move(*converted);
-  }
+  auto payload = PayloadArg(vm, args, 1);
+  if (!payload.ok()) return payload.error();
   ++stats_.module_sends;
-  Status sent = orchestrator_->SendToModule(*this, target, std::move(payload));
+  Status sent = orchestrator_->SendToModule(*this, target, std::move(*payload));
   if (!sent.ok()) return ScriptError(sent.message());
-  return script::Value::Undefined();
+  return script::VpValue::Undefined();
 }
 
-Result<script::Value> ModuleRuntime::HostBusyMs(
-    std::vector<script::Value>& args) {
-  const double ms = args.empty() ? 0.0 : args[0].ToNumber();
+Result<script::VpValue> ModuleRuntime::HostBusyMs(script::HostArgs args) {
+  const double ms = args.empty() ? 0.0 : script::Vm::ToNumber(args[0]);
   if (!(ms >= 0.0) || ms > 60000.0) {
     return ScriptError("busy_ms(ms): ms must be in [0, 60000]");
   }
@@ -343,25 +337,23 @@ Result<script::Value> ModuleRuntime::HostBusyMs(
   Status status = orchestrator_->BlockOnLane(device->module_lane(),
                                              Duration::Millis(ms));
   if (!status.ok()) return status.error();
-  return script::Value::Undefined();
+  return script::VpValue::Undefined();
 }
 
-Result<script::Value> ModuleRuntime::HostFrameInfo(
-    std::vector<script::Value>& args) {
+Result<script::VpValue> ModuleRuntime::HostFrameInfo(
+    script::Vm& vm, script::HostArgs args) {
   if (args.empty() || !args[0].is_number()) {
     return ScriptError("frame_info(frame_id): numeric id needed");
   }
   const auto id = static_cast<media::FrameId>(args[0].AsNumber());
   auto frame = orchestrator_->store(device_).Get(id);
   if (!frame.ok()) return frame.error();
-  auto info = script::Value::MakeObject();
-  info.AsObject()->Set("seq",
-                       script::Value(static_cast<double>((*frame)->seq)));
-  info.AsObject()->Set("width", script::Value((*frame)->image.width()));
-  info.AsObject()->Set("height", script::Value((*frame)->image.height()));
-  info.AsObject()->Set(
-      "capture_ms", script::Value((*frame)->capture_time.millis()));
-  return info;
+  json::Value info = json::Value::MakeObject();
+  info["seq"] = json::Value(static_cast<double>((*frame)->seq));
+  info["width"] = json::Value((*frame)->image.width());
+  info["height"] = json::Value((*frame)->image.height());
+  info["capture_ms"] = json::Value((*frame)->capture_time.millis());
+  return vm.FromJson(info);
 }
 
 }  // namespace vp::core

@@ -128,10 +128,13 @@ class ModuleRuntime {
   void FinishEvent();
 
   // Host-function implementations (Table 1).
-  Result<script::Value> HostCallService(std::vector<script::Value>& args);
-  Result<script::Value> HostCallModule(std::vector<script::Value>& args);
-  Result<script::Value> HostBusyMs(std::vector<script::Value>& args);
-  Result<script::Value> HostFrameInfo(std::vector<script::Value>& args);
+  Result<script::VpValue> HostCallService(script::Vm& vm,
+                                          script::HostArgs args);
+  Result<script::VpValue> HostCallModule(script::Vm& vm,
+                                         script::HostArgs args);
+  Result<script::VpValue> HostBusyMs(script::HostArgs args);
+  Result<script::VpValue> HostFrameInfo(script::Vm& vm,
+                                        script::HostArgs args);
 
   Orchestrator* orchestrator_;
   PipelineDeployment* pipeline_;

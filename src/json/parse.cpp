@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "common/strings.hpp"
 
@@ -13,93 +14,44 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Value> ParseDocument() {
-    auto v = ParseValue();
-    if (!v.ok()) return v;
+    Value out;
+    if (!ParseInto(&out)) return *error_;
     SkipWhitespace();
     if (pos_ != text_.size()) return Fail("trailing characters after document");
-    return v;
+    return out;
   }
 
  private:
-  Result<Value> ParseValue() {
+  // The recursion (ParseInto → ParseArrayInto / ParseObjectInto →
+  // ParseInto) runs once per nesting level, on handler fibers too
+  // (JSON.parse). Each level writes into its output in place and leaves
+  // temporaries to non-recursive helpers, so its frames stay small.
+
+  /// Parse one value into `*out`; false on error (see error_).
+  bool ParseInto(Value* out) {
     SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
+    if (pos_ >= text_.size()) return Reject(Fail("unexpected end of input"));
     const char c = text_[pos_];
-    switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': {
-        auto s = ParseString();
-        if (!s.ok()) return s.error();
-        return Value(std::move(*s));
-      }
-      case 't':
-        if (Match("true")) return Value(true);
-        return Fail("invalid literal");
-      case 'f':
-        if (Match("false")) return Value(false);
-        return Fail("invalid literal");
-      case 'n':
-        if (Match("null")) return Value(nullptr);
-        return Fail("invalid literal");
-      default:
-        return ParseNumber();
-    }
+    if (c != '[' && c != '{') return ParseScalarInto(out);
+    if (depth_ == kMaxParseDepth) return RejectNesting();
+    ++depth_;
+    const bool ok = c == '[' ? ParseArrayInto(out) : ParseObjectInto(out);
+    --depth_;
+    return ok;
   }
 
-  Result<Value> ParseObject() {
-    ++pos_;  // '{'
-    Value::Object obj;
-    SkipWhitespace();
-    if (Peek() == '}') {
-      ++pos_;
-      return Value(std::move(obj));
-    }
-    while (true) {
-      SkipWhitespace();
-      if (Peek() == '}') {  // trailing comma
-        ++pos_;
-        return Value(std::move(obj));
-      }
-      if (Peek() != '"') return Fail("expected object key string");
-      auto key = ParseString();
-      if (!key.ok()) return key.error();
-      SkipWhitespace();
-      if (Peek() != ':') return Fail("expected ':' after key");
-      ++pos_;
-      auto val = ParseValue();
-      if (!val.ok()) return val;
-      obj[*key] = std::move(*val);
-      SkipWhitespace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return Value(std::move(obj));
-      }
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  Result<Value> ParseArray() {
+  bool ParseArrayInto(Value* out) {
     ++pos_;  // '['
-    Value::Array arr;
-    SkipWhitespace();
-    if (Peek() == ']') {
-      ++pos_;
-      return Value(std::move(arr));
-    }
+    *out = Value::MakeArray();
+    Value::Array& arr = out->AsArray();
     while (true) {
       SkipWhitespace();
-      if (Peek() == ']') {  // trailing comma
+      if (Peek() == ']') {  // empty, or a trailing comma
         ++pos_;
-        return Value(std::move(arr));
+        return true;
       }
-      auto val = ParseValue();
-      if (!val.ok()) return val;
-      arr.push_back(std::move(*val));
+      arr.emplace_back();
+      if (!ParseInto(&arr.back())) return false;
       SkipWhitespace();
       if (Peek() == ',') {
         ++pos_;
@@ -107,10 +59,94 @@ class Parser {
       }
       if (Peek() == ']') {
         ++pos_;
-        return Value(std::move(arr));
+        return true;
       }
-      return Fail("expected ',' or ']' in array");
+      return Reject(Fail("expected ',' or ']' in array"));
     }
+  }
+
+  bool ParseObjectInto(Value* out) {
+    ++pos_;  // '{'
+    *out = Value::MakeObject();
+    Value::Object& obj = out->AsObject();
+    while (true) {
+      SkipWhitespace();
+      if (Peek() == '}') {  // empty, or a trailing comma
+        ++pos_;
+        return true;
+      }
+      Value* slot = ParseKey(obj);
+      if (slot == nullptr || !ParseInto(slot)) return false;
+      SkipWhitespace();
+      if (Peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (Peek() == '}') {
+        ++pos_;
+        return true;
+      }
+      return Reject(Fail("expected ',' or '}' in object"));
+    }
+  }
+
+  /// `"key":` — the member's slot in `obj` (a repeated key overwrites),
+  /// or nullptr on error.
+  Value* ParseKey(Value::Object& obj) {
+    if (Peek() != '"') {
+      Reject(Fail("expected object key string"));
+      return nullptr;
+    }
+    auto key = ParseString();
+    if (!key.ok()) {
+      Reject(key.error());
+      return nullptr;
+    }
+    SkipWhitespace();
+    if (Peek() != ':') {
+      Reject(Fail("expected ':' after key"));
+      return nullptr;
+    }
+    ++pos_;
+    return &obj[*key];
+  }
+
+  bool ParseScalarInto(Value* out) {
+    switch (text_[pos_]) {
+      case '"': {
+        auto s = ParseString();
+        if (!s.ok()) return Reject(s.error());
+        *out = Value(std::move(*s));
+        return true;
+      }
+      case 't':
+        if (!Match("true")) return Reject(Fail("invalid literal"));
+        *out = Value(true);
+        return true;
+      case 'f':
+        if (!Match("false")) return Reject(Fail("invalid literal"));
+        *out = Value(false);
+        return true;
+      case 'n':
+        if (!Match("null")) return Reject(Fail("invalid literal"));
+        *out = Value(nullptr);
+        return true;
+      default: {
+        auto n = ParseNumber();
+        if (!n.ok()) return Reject(n.error());
+        *out = std::move(*n);
+        return true;
+      }
+    }
+  }
+
+  bool Reject(Error error) {
+    error_.emplace(std::move(error));
+    return false;
+  }
+
+  bool RejectNesting() {
+    return Reject(Fail(Format("nesting deeper than %d", kMaxParseDepth)));
   }
 
   Result<std::string> ParseString() {
@@ -235,6 +271,8 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open around pos_
+  std::optional<Error> error_;
 };
 
 }  // namespace

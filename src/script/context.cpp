@@ -5,26 +5,35 @@
 
 namespace vp::script {
 
-Context::Context(ContextOptions options) : options_(options) {
+Context::Context(ContextOptions options)
+    : options_(options), rng_(options.random_seed) {
   print_ = [](const std::string& line) { VP_INFO("script") << line; };
-  baseline_ = MakeStdlib(options.random_seed, [this](const std::string& line) {
-    if (print_) print_(line);
-  });
+}
+
+void Context::Import(Vm& vm, const BaselineGlobal& global) {
+  const VpValue v = global.fn ? VpValue::Heap(vm.NewHostFn(global.name,
+                                                           global.fn))
+                              : vm.FromJson(global.value);
+  vm.DefineGlobal(global.name, v, /*baseline=*/true);
 }
 
 void Context::RegisterHostFunction(const std::string& name, HostFunction fn) {
-  DefineGlobal(name, Value::MakeHostFunction(name, std::move(fn)));
+  AddBaseline({name, std::move(fn), json::Value()});
 }
 
-void Context::DefineGlobal(const std::string& name, Value v) {
-  if (vm_ != nullptr) vm_->ImportGlobal(name, v, /*baseline=*/true);
-  for (auto& [existing, value] : baseline_) {
-    if (existing == name) {
-      value = std::move(v);
+void Context::DefineGlobal(const std::string& name, json::Value v) {
+  AddBaseline({name, HostFunction(), std::move(v)});
+}
+
+void Context::AddBaseline(BaselineGlobal global) {
+  if (vm_ != nullptr) Import(*vm_, global);
+  for (BaselineGlobal& existing : baseline_) {
+    if (existing.name == global.name) {
+      existing = std::move(global);
       return;
     }
   }
-  baseline_.emplace_back(name, std::move(v));
+  baseline_.push_back(std::move(global));
 }
 
 Status Context::Load(const std::string& source) {
@@ -38,9 +47,8 @@ Status Context::Load(const std::string& source) {
   // Baselines after the link: program-referenced names already own the
   // low slots (the bytecode's operands); stdlib + host imports fill
   // them or append.
-  for (const auto& [name, value] : baseline_) {
-    vm->ImportGlobal(name, value, /*baseline=*/true);
-  }
+  InstallStdlib(*vm, rng_, print_);
+  for (const BaselineGlobal& global : baseline_) Import(*vm, global);
   vm_ = std::move(vm);
   return vm_->RunTopLevel(top);
 }
@@ -67,14 +75,23 @@ bool Context::HasFunction(const std::string& name) const {
   return vm_ != nullptr && vm_->GlobalIsFunction(name);
 }
 
-Result<Value> Context::Call(const std::string& name, std::vector<Value> args) {
+Result<json::Value> Context::Call(const std::string& name,
+                                  std::initializer_list<json::Value> args) {
   if (vm_ == nullptr) return NotFound("no function '" + name + "' in module");
   vm_->ResetBudget();
-  return vm_->CallGlobal(name, std::move(args));
+  std::vector<VpValue> vm_args;
+  vm_args.reserve(args.size());
+  for (const json::Value& a : args) vm_args.push_back(vm_->FromJson(a));
+  auto result = vm_->CallGlobal(name, vm_args);
+  if (!result.ok()) return result.error();
+  auto j = vm_->ToJson(*result);
+  return j.ok() ? std::move(*j) : json::Value(nullptr);
 }
 
-Value Context::GetGlobal(const std::string& name) const {
-  return vm_ != nullptr ? vm_->GetGlobalBoxed(name) : Value::Undefined();
+json::Value Context::GetGlobal(const std::string& name) const {
+  if (vm_ == nullptr) return json::Value(nullptr);
+  auto j = vm_->ToJson(vm_->GetGlobal(name));
+  return j.ok() ? std::move(*j) : json::Value(nullptr);
 }
 
 }  // namespace vp::script

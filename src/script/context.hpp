@@ -9,18 +9,24 @@
 //
 // Load has one path: the process-wide program cache (program_cache.hpp)
 // parses, resolves and compiles each distinct source once; the context
-// links the cached bytecode into a fresh Vm, imports its baseline
-// globals (stdlib + host functions) and runs the top level.
+// links the cached bytecode into a fresh Vm, installs the stdlib and
+// its baseline globals (host functions + DefineGlobal values) and runs
+// the top level.
+//
+// The host-facing surface speaks JSON, the paper's message format:
+// DefineGlobal, Call and GetGlobal convert through Vm::ToJson/FromJson.
+// Host functions are native (vm.hpp HostFunction).
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "json/value.hpp"
 #include "script/stdlib.hpp"
-#include "script/value.hpp"
 #include "script/vm.hpp"
 
 namespace vp::script {
@@ -42,8 +48,8 @@ class Context {
   /// Expose a host function as a global, e.g. call_service.
   void RegisterHostFunction(const std::string& name, HostFunction fn);
 
-  /// Define an arbitrary global value (configuration constants…).
-  void DefineGlobal(const std::string& name, Value v);
+  /// Define a global data value (configuration constants…).
+  void DefineGlobal(const std::string& name, json::Value v);
 
   /// Parse + compile + execute module source. Top-level code runs
   /// immediately; function declarations become callable afterwards. A
@@ -53,12 +59,17 @@ class Context {
 
   bool HasFunction(const std::string& name) const;
 
-  /// Call a global function by name. Resets the step budget first, so
-  /// each event gets the full budget (FaaS-style per-invocation cap).
-  Result<Value> Call(const std::string& name, std::vector<Value> args);
+  /// Call a global function by name with JSON arguments. Resets the
+  /// step budget first, so each event gets the full budget (FaaS-style
+  /// per-invocation cap). Success depends only on the call: a result
+  /// with no JSON form (undefined, a function, a cyclic value…) comes
+  /// back as null.
+  Result<json::Value> Call(const std::string& name,
+                           std::initializer_list<json::Value> args = {});
 
-  /// Read a global (undefined if absent).
-  Value GetGlobal(const std::string& name) const;
+  /// Read a global as JSON; null when absent, undefined or not
+  /// serializable.
+  json::Value GetGlobal(const std::string& name) const;
 
   /// Snapshot the module-defined, JSON-serializable globals — the
   /// variables the module source created on top of the baseline
@@ -76,20 +87,33 @@ class Context {
   void set_print_handler(PrintFn handler) { print_ = std::move(handler); }
 
   /// The VM running the loaded program, or nullptr before a successful
-  /// parse + compile. Exposed for GC instrumentation in tests and
-  /// benchmarks.
+  /// parse + compile. Exposed for tests and benchmarks (GC
+  /// instrumentation, reading globals as script values).
   Vm* vm() { return vm_.get(); }
 
   /// Script-engine heap bytes currently resident.
   size_t MemoryBytes() const { return vm_ ? vm_->bytes_allocated() : 0; }
 
  private:
+  /// A host function (`fn` set) or a DefineGlobal data value.
+  struct BaselineGlobal {
+    std::string name;
+    HostFunction fn;
+    json::Value value;
+  };
+  /// Define `global` in `vm` as a baseline (snapshot-skipped) global.
+  static void Import(Vm& vm, const BaselineGlobal& global);
+  /// Record `global` (replacing one of the same name) and define it in
+  /// the live VM, if any.
+  void AddBaseline(BaselineGlobal global);
+
   ContextOptions options_;
   PrintFn print_;
-  /// Stdlib + host functions + DefineGlobal values, in definition
-  /// order — imported into every Vm this context links, flagged so
-  /// snapshots skip them.
-  GlobalList baseline_;
+  /// Math.random's generator: one sequence per context, across reloads.
+  Rng rng_;
+  /// Host functions + DefineGlobal values in definition order,
+  /// installed after the stdlib into every Vm this context links.
+  std::vector<BaselineGlobal> baseline_;
   std::unique_ptr<Vm> vm_;
 };
 

@@ -4,59 +4,15 @@
 #include <string>
 #include <utility>
 
-#include "script/value.hpp"
+#include "script/vm.hpp"
 
 namespace vp::script {
 namespace {
 
 // ------------------------------------------------------ constant fold
-
-/// Binary operator semantics on boxed literals. Must agree bit for bit
-/// with the VM's arithmetic and comparison opcodes (vm.cpp), so a
-/// folded `2 * 3 + "x"` displays exactly as the unfolded one would.
-/// Errors on OpCode::kNone / non-binary codes.
-Result<Value> EvalBinaryOp(OpCode op, const Value& a, const Value& b) {
-  switch (op) {
-    case OpCode::kAdd:
-      if (a.is_string() || b.is_string()) {
-        return Value(a.ToDisplayString() + b.ToDisplayString());
-      }
-      return Value(a.ToNumber() + b.ToNumber());
-    case OpCode::kSub: return Value(a.ToNumber() - b.ToNumber());
-    case OpCode::kMul: return Value(a.ToNumber() * b.ToNumber());
-    case OpCode::kDiv: return Value(a.ToNumber() / b.ToNumber());
-    case OpCode::kMod:
-      return Value(std::fmod(a.ToNumber(), b.ToNumber()));
-    case OpCode::kEq: return Value(a.LooseEquals(b));
-    case OpCode::kNe: return Value(!a.LooseEquals(b));
-    case OpCode::kStrictEq: return Value(a.StrictEquals(b));
-    case OpCode::kStrictNe: return Value(!a.StrictEquals(b));
-    case OpCode::kLt:
-    case OpCode::kLe:
-    case OpCode::kGt:
-    case OpCode::kGe: {
-      if (a.is_string() && b.is_string()) {
-        const int cmp = a.AsString().compare(b.AsString());
-        switch (op) {
-          case OpCode::kLt: return Value(cmp < 0);
-          case OpCode::kLe: return Value(cmp <= 0);
-          case OpCode::kGt: return Value(cmp > 0);
-          default: return Value(cmp >= 0);
-        }
-      }
-      const double x = a.ToNumber();
-      const double y = b.ToNumber();
-      switch (op) {
-        case OpCode::kLt: return Value(x < y);
-        case OpCode::kLe: return Value(x <= y);
-        case OpCode::kGt: return Value(x > y);
-        default: return Value(x >= y);
-      }
-    }
-    default:
-      return ScriptError("unknown binary operator");
-  }
-}
+// Literals fold through the VM's own value semantics (Vm::ToNumber,
+// ToDisplayString, StrictEquals, LooseEquals, Compare, Truthy), so a
+// folded `2 * 3 + "x"` displays exactly as the unfolded one would.
 
 bool IsLiteral(const Expr& e) {
   switch (e.kind) {
@@ -71,39 +27,79 @@ bool IsLiteral(const Expr& e) {
   }
 }
 
-Value LiteralValue(const Expr& e) {
+/// A literal as a VM value. A string literal is backed by `scratch`,
+/// which must outlive the value; the static helpers never touch a heap.
+VpValue LiteralValue(const Expr& e, GcString& scratch) {
   switch (e.kind) {
-    case ExprKind::kNumber: return Value(e.number);
-    case ExprKind::kString: return Value(e.string_value);
-    case ExprKind::kBool: return Value(e.bool_value);
-    case ExprKind::kNull: return Value(nullptr);
-    default: return Value::Undefined();
+    case ExprKind::kNumber: return VpValue::Number(e.number);
+    case ExprKind::kString:
+      scratch.text = e.string_value;
+      return VpValue::Heap(&scratch);
+    case ExprKind::kBool: return VpValue::Boolean(e.bool_value);
+    case ExprKind::kNull: return VpValue::Null();
+    default: return VpValue::Undefined();
   }
 }
 
-void ReplaceWithLiteral(Expr& e, const Value& v) {
+bool LiteralTruthy(const Expr& e) {
+  GcString scratch{std::string()};
+  return Vm::Truthy(LiteralValue(e, scratch));
+}
+
+/// Rewrite `e` as the literal `v` (a number, boolean, null or
+/// undefined; strings go through ReplaceWithString).
+void ReplaceWithLiteral(Expr& e, VpValue v) {
   const int line = e.line;
   e = Expr{};
   e.line = line;
-  switch (v.type()) {
-    case ValueType::kNumber:
-      e.kind = ExprKind::kNumber;
-      e.number = v.AsNumber();
-      break;
-    case ValueType::kString:
-      e.kind = ExprKind::kString;
-      e.string_value = v.AsString();
-      break;
-    case ValueType::kBool:
-      e.kind = ExprKind::kBool;
-      e.bool_value = v.AsBool();
-      break;
-    case ValueType::kNull:
-      e.kind = ExprKind::kNull;
-      break;
-    default:
-      e.kind = ExprKind::kUndefined;
-      break;
+  if (v.is_number()) {
+    e.kind = ExprKind::kNumber;
+    e.number = v.AsNumber();
+  } else if (v.is_bool()) {
+    e.kind = ExprKind::kBool;
+    e.bool_value = v.AsBool();
+  } else if (v.is_null()) {
+    e.kind = ExprKind::kNull;
+  } else {
+    e.kind = ExprKind::kUndefined;
+  }
+}
+
+void ReplaceWithString(Expr& e, std::string s) {
+  const int line = e.line;
+  e = Expr{};
+  e.line = line;
+  e.kind = ExprKind::kString;
+  e.string_value = std::move(s);
+}
+
+/// Fold `a op b` into `e` with the VM's operator semantics; other
+/// operator codes are left for the compiler.
+void FoldBinaryLiterals(Expr& e, OpCode op, VpValue a, VpValue b) {
+  auto number = [&e](double d) { ReplaceWithLiteral(e, VpValue::Number(d)); };
+  auto boolean = [&e](bool v) { ReplaceWithLiteral(e, VpValue::Boolean(v)); };
+  switch (op) {
+    case OpCode::kAdd:
+      if (a.is_string() || b.is_string()) {
+        ReplaceWithString(e, Vm::ToDisplayString(a) + Vm::ToDisplayString(b));
+      } else {
+        number(Vm::ToNumber(a) + Vm::ToNumber(b));
+      }
+      return;
+    case OpCode::kSub: return number(Vm::ToNumber(a) - Vm::ToNumber(b));
+    case OpCode::kMul: return number(Vm::ToNumber(a) * Vm::ToNumber(b));
+    case OpCode::kDiv: return number(Vm::ToNumber(a) / Vm::ToNumber(b));
+    case OpCode::kMod:
+      return number(std::fmod(Vm::ToNumber(a), Vm::ToNumber(b)));
+    case OpCode::kEq: return boolean(Vm::LooseEquals(a, b));
+    case OpCode::kNe: return boolean(!Vm::LooseEquals(a, b));
+    case OpCode::kStrictEq: return boolean(Vm::StrictEquals(a, b));
+    case OpCode::kStrictNe: return boolean(!Vm::StrictEquals(a, b));
+    case OpCode::kLt: return boolean(Vm::Compare(Op::kLt, a, b));
+    case OpCode::kLe: return boolean(Vm::Compare(Op::kLe, a, b));
+    case OpCode::kGt: return boolean(Vm::Compare(Op::kGt, a, b));
+    case OpCode::kGe: return boolean(Vm::Compare(Op::kGe, a, b));
+    default: return;
   }
 }
 
@@ -175,8 +171,8 @@ class Resolver {
         break;
       case ExprKind::kConditional:
         if (IsLiteral(*e.a)) {
-          ReplaceWithChild(e, LiteralValue(*e.a).Truthy() ? std::move(e.b)
-                                                          : std::move(e.c));
+          ReplaceWithChild(e, LiteralTruthy(*e.a) ? std::move(e.b)
+                                                  : std::move(e.c));
         }
         break;
       default:
@@ -186,25 +182,34 @@ class Resolver {
 
   void FoldUnary(Expr& e) {
     if (!IsLiteral(*e.a)) return;
-    const Value v = LiteralValue(*e.a);
+    GcString scratch{std::string()};
+    const VpValue v = LiteralValue(*e.a, scratch);
     switch (e.op_code) {
-      case OpCode::kNeg: ReplaceWithLiteral(e, Value(-v.ToNumber())); break;
-      case OpCode::kPos: ReplaceWithLiteral(e, Value(v.ToNumber())); break;
-      case OpCode::kNot: ReplaceWithLiteral(e, Value(!v.Truthy())); break;
+      case OpCode::kNeg:
+        ReplaceWithLiteral(e, VpValue::Number(-Vm::ToNumber(v)));
+        break;
+      case OpCode::kPos:
+        ReplaceWithLiteral(e, VpValue::Number(Vm::ToNumber(v)));
+        break;
+      case OpCode::kNot:
+        ReplaceWithLiteral(e, VpValue::Boolean(!Vm::Truthy(v)));
+        break;
       default: break;  // typeof et al.: left to run time
     }
   }
 
   void FoldBinary(Expr& e) {
     if (!IsLiteral(*e.a) || !IsLiteral(*e.b)) return;
-    auto r = EvalBinaryOp(e.op_code, LiteralValue(*e.a), LiteralValue(*e.b));
-    if (!r.ok()) return;  // unknown op — the compiler reports it
-    ReplaceWithLiteral(e, *r);
+    GcString scratch_a{std::string()};
+    GcString scratch_b{std::string()};
+    const VpValue a = LiteralValue(*e.a, scratch_a);
+    const VpValue b = LiteralValue(*e.b, scratch_b);
+    FoldBinaryLiterals(e, e.op_code, a, b);
   }
 
   void FoldLogical(Expr& e) {
     if (!IsLiteral(*e.a)) return;
-    const bool truthy = LiteralValue(*e.a).Truthy();
+    const bool truthy = LiteralTruthy(*e.a);
     if (e.op_code == OpCode::kAndAnd) {
       ReplaceWithChild(e, truthy ? std::move(e.b) : std::move(e.a));
     } else if (e.op_code == OpCode::kOrOr) {

@@ -1,33 +1,30 @@
 // vpscript standard library.
 //
-// The stdlib is plain data: an ordered list of named boxed values
-// (host functions and namespace objects) that a Context imports into
-// every Vm it links, ahead of the module's own globals.
+// The stdlib is native: InstallStdlib defines its globals (host
+// functions and namespace objects) straight into a Vm, ahead of the
+// module's own globals. String and array methods are native to the VM
+// (vm.cpp).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "script/value.hpp"
+#include "common/rng.hpp"
+#include "script/vm.hpp"
 
 namespace vp::script {
-
-/// Named globals in definition order.
-using GlobalList = std::vector<std::pair<std::string, Value>>;
 
 /// Where console.log lines go.
 using PrintFn = std::function<void(const std::string&)>;
 
-/// The standard library globals (console, Math, JSON, Object, Array,
-/// String/Number helpers). `seed` drives Math.random determinism;
-/// console.log hands each line to `print`.
-GlobalList MakeStdlib(uint64_t seed, PrintFn print);
+/// console.log: the arguments' display strings, space-separated, as one
+/// line to `print`.
+HostFunction LogFunction(PrintFn print);
 
-/// Property `name` of string `s`: `length` or a string method bound to
-/// `s`; undefined for anything else.
-Value StringProperty(const std::string& s, const std::string& name);
+/// Define the standard library globals (console, Math, JSON, Object,
+/// Array, String/Number helpers) in `vm` as baseline globals.
+/// Math.random draws from `rng`; console.log hands each line to `print`
+/// (skipped while it is empty). Both must outlive `vm`.
+void InstallStdlib(Vm& vm, Rng& rng, const PrintFn& print);
 
 }  // namespace vp::script

@@ -9,11 +9,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/strings.hpp"
-#include "script/convert.hpp"
-#include "script/stdlib.hpp"
+#include "json/parse.hpp"
 
 // Token-threaded dispatch needs GNU "labels as values"; fall back to a
 // plain switch elsewhere. Define VP_VM_FORCE_SWITCH to benchmark the
@@ -28,9 +29,13 @@
 
 namespace vp::script {
 
+static_assert(kMaxValueDepth <= json::kMaxParseDepth,
+              "everything ToJson emits must parse back");
+
 // ----------------------------------------------------- GcObject lookup
-// Exact mirror of ScriptObject (value.cpp): insertion order, id upgrade
-// for entries stored without one.
+// Insertion order (for-in and display iterate it). Entries stored
+// without an id (dynamic keys, JSON) are matched by spelling and
+// upgraded, so the next interned lookup is an integer compare.
 
 VpValue* GcObject::Find(const std::string& key) {
   for (auto& e : items) {
@@ -77,46 +82,76 @@ constexpr size_t kStackCapacity = 1 << 17;
 constexpr size_t kStackHeadroom = 4096;
 constexpr size_t kInitialGcThreshold = 256 * 1024;
 
-/// Array builtin ordinals, indexing ArrayMethodNames().
+constexpr uint8_t kNoMethod = 0xff;
+
+/// The native method names of one receiver type, with their interned
+/// ids: members read through resolved code compare integers.
+template <size_t N>
+class MethodTable {
+ public:
+  explicit MethodTable(std::array<const char*, N> names) : names_(names) {
+    for (size_t i = 0; i < N; ++i) {
+      ids_[i] = Interner::Global().Intern(names_[i]);
+    }
+  }
+
+  /// Ordinal of `name`, or kNoMethod.
+  uint8_t Find(const GcString* name) const {
+    for (uint8_t i = 0; i < N; ++i) {
+      if (name->name_id != kNoNameId ? ids_[i] == name->name_id
+                                     : name->text == names_[i]) {
+        return i;
+      }
+    }
+    return kNoMethod;
+  }
+  const char* name(uint8_t i) const { return names_[i]; }
+
+ private:
+  std::array<const char*, N> names_;
+  std::array<uint32_t, N> ids_{};
+};
+
+/// Array builtin ordinals, in ArrayMethods() order.
 enum class ArrMethod : uint8_t {
   kPush, kPop, kShift, kUnshift, kSlice, kJoin, kIndexOf, kConcat,
   kMap, kFilter, kForEach, kReverse, kIncludes, kSort, kReduce,
 };
-constexpr uint8_t kNumArrayMethods = 15;
-constexpr uint8_t kNoArrayMethod = 0xff;
 
-const std::array<const char*, kNumArrayMethods>& ArrayMethodNames() {
-  static const std::array<const char*, kNumArrayMethods> names = {
+const MethodTable<15>& ArrayMethods() {
+  static const MethodTable<15> table({
       "push", "pop", "shift", "unshift", "slice", "join", "indexOf",
       "concat", "map", "filter", "forEach", "reverse", "includes", "sort",
-      "reduce"};
-  return names;
+      "reduce"});
+  return table;
 }
 
-const std::array<uint32_t, kNumArrayMethods>& ArrayMethodIds() {
-  static const std::array<uint32_t, kNumArrayMethods> ids = [] {
-    std::array<uint32_t, kNumArrayMethods> a{};
-    for (size_t i = 0; i < kNumArrayMethods; ++i) {
-      a[i] = Interner::Global().Intern(ArrayMethodNames()[i]);
-    }
-    return a;
-  }();
-  return ids;
+/// String builtin ordinals, in StringMethods() order.
+enum class StrMethod : uint8_t {
+  kSubstring, kSlice, kIndexOf, kSplit, kToUpperCase, kToLowerCase,
+  kCharAt, kStartsWith, kEndsWith, kTrim, kReplace, kRepeat, kPadStart,
+};
+
+const MethodTable<13>& StringMethods() {
+  static const MethodTable<13> table({
+      "substring", "slice", "indexOf", "split", "toUpperCase",
+      "toLowerCase", "charAt", "startsWith", "endsWith", "trim", "replace",
+      "repeat", "padStart"});
+  return table;
 }
 
-uint8_t ArrayMethodOf(const GcString* name) {
-  if (name->name_id != kNoNameId) {
-    const auto& ids = ArrayMethodIds();
-    for (uint8_t i = 0; i < kNumArrayMethods; ++i) {
-      if (ids[i] == name->name_id) return i;
-    }
-    return kNoArrayMethod;
+/// Native method ordinal for `name` on `receiver`, or kNoMethod.
+uint8_t MethodOf(VpValue receiver, const GcString* name) {
+  if (receiver.IsHeapType(GcType::kArray)) return ArrayMethods().Find(name);
+  if (receiver.IsHeapType(GcType::kString)) {
+    return StringMethods().Find(name);
   }
-  const auto& names = ArrayMethodNames();
-  for (uint8_t i = 0; i < kNumArrayMethods; ++i) {
-    if (name->text == names[i]) return i;
-  }
-  return kNoArrayMethod;
+  return kNoMethod;
+}
+
+const char* MethodName(VpValue receiver, uint8_t method) {
+  return receiver.IsHeapType(GcType::kArray) ? ArrayMethods().name(method)
+                                             : StringMethods().name(method);
 }
 
 bool IsCallable(VpValue v) {
@@ -124,33 +159,192 @@ bool IsCallable(VpValue v) {
          v.IsHeapType(GcType::kBoundMethod);
 }
 
-/// Boxed-equivalent type of a VM value, for coercion rules and names.
-ValueType VmValueType(VpValue v) {
-  if (v.is_number()) return ValueType::kNumber;
-  if (v.is_bool()) return ValueType::kBool;
-  if (v.is_null()) return ValueType::kNull;
+/// Script-visible type of a value: coercion rules and type names.
+enum class Kind { kUndefined, kNull, kBool, kNumber, kString, kObject,
+                  kArray, kFunction };
+
+Kind KindOf(VpValue v) {
+  if (v.is_number()) return Kind::kNumber;
+  if (v.is_bool()) return Kind::kBool;
+  if (v.is_null()) return Kind::kNull;
   if (v.is_heap()) {
     switch (v.AsHeap()->type) {
-      case GcType::kString: return ValueType::kString;
-      case GcType::kArray: return ValueType::kArray;
-      case GcType::kObject: return ValueType::kObject;
-      // Closures share the boxed function type: both are "function".
+      case GcType::kString: return Kind::kString;
+      case GcType::kArray: return Kind::kArray;
+      case GcType::kObject: return Kind::kObject;
       case GcType::kClosure:
       case GcType::kHostFn:
-      case GcType::kBoundMethod: return ValueType::kHostFunction;
+      case GcType::kBoundMethod: return Kind::kFunction;
       case GcType::kUpvalue: break;  // never script-visible
     }
   }
-  return ValueType::kUndefined;  // undefined / empty sentinel
+  return Kind::kUndefined;  // undefined / empty sentinel
 }
 
 const char* TypeofName(VpValue v) {
-  const ValueType t = VmValueType(v);
-  if (t == ValueType::kArray || t == ValueType::kNull) return "object";
-  return ValueTypeName(t);
+  const Kind k = KindOf(v);
+  if (k == Kind::kArray || k == Kind::kNull) return "object";
+  return Vm::TypeName(v);
 }
 
-/// Mirror of Value::ToNumberSlow's string branch.
+/// Number formatting: "NaN", "Infinity", integers up to 1e15 without
+/// exponent, %g otherwise.
+std::string NumberToString(double d) {
+  if (std::isnan(d)) return "NaN";
+  if (std::isinf(d)) return d > 0 ? "Infinity" : "-Infinity";
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%g", d);
+  return buf;
+}
+
+Error StringTooLong() {
+  return ScriptError(Format("string longer than %zu bytes", kMaxStringLength));
+}
+
+/// `ancestors` holds the containers enclosing the one being converted.
+bool IsAncestor(const std::vector<const GcObj*>& ancestors,
+                const GcObj* obj) {
+  return std::find(ancestors.begin(), ancestors.end(), obj) !=
+         ancestors.end();
+}
+
+/// Display of `v` nested inside a container, appended to `out`.
+void AppendDisplay(std::string& out, VpValue v,
+                   std::vector<const GcObj*>& ancestors) {
+  if (out.size() > kMaxStringLength) return;
+  if (v.is_string()) {
+    out += '"';
+    out += v.AsString();
+    out += '"';
+    return;
+  }
+  if (!v.IsHeapType(GcType::kArray) && !v.IsHeapType(GcType::kObject)) {
+    out += Vm::ToDisplayString(v);
+    return;
+  }
+  const GcObj* obj = v.AsHeap();
+  if (ancestors.size() >= static_cast<size_t>(kMaxValueDepth) ||
+      IsAncestor(ancestors, obj)) {
+    out += "[...]";
+    return;
+  }
+  ancestors.push_back(obj);
+  bool first = true;
+  if (obj->type == GcType::kObject) {
+    out += '{';
+    for (const auto& e : static_cast<const GcObject*>(obj)->items) {
+      if (!first) out += ", ";
+      first = false;
+      out += e.key;
+      out += ": ";
+      AppendDisplay(out, e.value, ancestors);
+      if (out.size() > kMaxStringLength) break;
+    }
+    out += '}';
+  } else {
+    out += '[';
+    for (VpValue item : static_cast<const GcArray*>(obj)->items) {
+      if (!first) out += ", ";
+      first = false;
+      AppendDisplay(out, item, ancestors);
+      if (out.size() > kMaxStringLength) break;
+    }
+    out += ']';
+  }
+  ancestors.pop_back();
+}
+
+/// One bounded ToJson conversion (see kMaxConversionWork). Convert
+/// recurses once per container level on the caller's (possibly fiber)
+/// stack, so it writes into its output in place and leaves every
+/// temporary to helpers: the recursive frame stays a few words.
+class JsonConversion {
+ public:
+  /// Convert `v` into `*out` (null on entry); false once the
+  /// conversion failed, with the reason in error().
+  bool Convert(VpValue v, json::Value* out) {
+    if (!Admit(v)) return false;
+    if (v.IsHeapType(GcType::kArray)) {
+      const auto& items = static_cast<const GcArray*>(v.AsHeap())->items;
+      json::Value::Array& arr = MakeArray(out, items.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (!Convert(items[i], &arr[i])) return false;
+      }
+    } else if (v.IsHeapType(GcType::kObject)) {
+      json::Value::Object& fields = MakeObject(out);
+      for (const auto& e : static_cast<const GcObject*>(v.AsHeap())->items) {
+        work_ += e.key.size();  // checked by the value's Admit
+        if (!Convert(e.value, &fields[e.key])) return false;
+      }
+    } else {
+      SetScalar(v, out);
+      return true;
+    }
+    ancestors_.pop_back();
+    return true;
+  }
+
+  const Error& error() const { return *error_; }
+
+ private:
+  /// Charge `v`'s visit and check every bound; a container that passes
+  /// is pushed on the ancestor chain.
+  bool Admit(VpValue v) {
+    work_ += 32 + (v.is_string() ? v.AsString().size() : 0);
+    if (work_ > kMaxConversionWork) {
+      return Fail("value too large to serialize to JSON");
+    }
+    if (!v.is_heap() || v.is_string()) return true;
+    const GcObj* obj = v.AsHeap();
+    if (obj->type != GcType::kArray && obj->type != GcType::kObject) {
+      return Fail("cannot serialize a function to JSON");
+    }
+    if (ancestors_.size() >= static_cast<size_t>(kMaxValueDepth)) {
+      return Fail(Format("cannot serialize JSON nested deeper than %d",
+                         kMaxValueDepth));
+    }
+    if (IsAncestor(ancestors_, obj)) {
+      return Fail("cannot serialize a cyclic value to JSON");
+    }
+    ancestors_.push_back(obj);
+    return true;
+  }
+
+  bool Fail(std::string what) {
+    error_.emplace(StatusCode::kScriptError, std::move(what));
+    return false;
+  }
+
+  static json::Value::Array& MakeArray(json::Value* out, size_t size) {
+    *out = json::Value(json::Value::Array(size));
+    return out->AsArray();
+  }
+  static json::Value::Object& MakeObject(json::Value* out) {
+    *out = json::Value::MakeObject();
+    return out->AsObject();
+  }
+  static void SetScalar(VpValue v, json::Value* out) {
+    if (v.is_number()) {
+      *out = json::Value(v.AsNumber());
+    } else if (v.is_bool()) {
+      *out = json::Value(v.AsBool());
+    } else if (v.is_string()) {
+      *out = json::Value(v.AsString());
+    }  // undefined and null stay null
+  }
+
+  std::vector<const GcObj*> ancestors_;
+  size_t work_ = 0;
+  std::optional<Error> error_;
+};
+
+/// ToNumber of a string: "" is 0, trailing spaces are tolerated, any
+/// other junk is NaN.
 double StringToNumber(const std::string& s) {
   if (s.empty()) return 0.0;
   char* end = nullptr;
@@ -265,20 +459,25 @@ GcUpvalue* Vm::NewUpvalue(VpValue* slot) {
   return obj;
 }
 
-GcHostFn* Vm::NewHostFn(std::shared_ptr<HostFunctionValue> host) {
-  auto* obj = new GcHostFn(std::move(host));
+GcHostFn* Vm::NewHostFn(std::string name, HostFunction fn) {
+  auto* obj = new GcHostFn(std::move(name), std::move(fn));
   TrackAllocation(obj, ApproxSize(obj));
   return obj;
 }
 
 GcBoundMethod* Vm::NewBoundMethod(VpValue receiver, uint8_t method,
-                                  std::string name) {
+                                  const char* name) {
   auto* obj = new GcBoundMethod();
   obj->receiver = receiver;
   obj->method = method;
-  obj->name = std::move(name);
+  obj->name = name;
   TrackAllocation(obj, ApproxSize(obj));
   return obj;
+}
+
+Result<VpValue> Vm::MakeString(std::string s) {
+  if (s.size() > kMaxStringLength) return StringTooLong();
+  return VpValue::Heap(NewString(std::move(s)));
 }
 
 // ------------------------------------------------------------------ GC
@@ -355,7 +554,6 @@ void Vm::CollectGarbage() {
   }
   for (const GlobalSlotData& g : globals_) MarkValue(g.value);
   for (VpValue v : temp_roots_) MarkValue(v);
-  for (VpValue v : escaped_) MarkValue(v);
   for (const auto& proto : protos_) {
     for (VpValue c : proto->constants) MarkValue(c);
   }
@@ -389,94 +587,94 @@ double Vm::ToNumber(VpValue v) {
   return std::nan("");
 }
 
+int64_t Vm::ToInteger(VpValue v) {
+  constexpr double kLimit = 9007199254740992.0;  // 2^53
+  const double d = ToNumber(v);
+  if (std::isnan(d)) return 0;
+  return static_cast<int64_t>(std::clamp(std::trunc(d), -kLimit, kLimit));
+}
+
 bool Vm::StrictEquals(VpValue a, VpValue b) {
   if (a.is_number() || b.is_number()) {
     return a.is_number() && b.is_number() && a.AsNumber() == b.AsNumber();
   }
-  if (a.is_heap() && b.is_heap()) {
-    GcObj* x = a.AsHeap();
-    GcObj* y = b.AsHeap();
-    if (x == y) return true;
-    if (x->type != y->type) return false;
-    // Strings compare by value; host fns by the wrapped host identity
-    // (two GcHostFn wrappers may box the same host function).
-    if (x->type == GcType::kString) {
-      return static_cast<GcString*>(x)->text ==
-             static_cast<GcString*>(y)->text;
-    }
-    if (x->type == GcType::kHostFn) {
-      return static_cast<GcHostFn*>(x)->host.get() ==
-             static_cast<GcHostFn*>(y)->host.get();
-    }
-    return false;
-  }
-  return a.bits == b.bits;  // singleton tags
+  if (a.is_string() && b.is_string()) return a.AsString() == b.AsString();
+  return a.bits == b.bits;  // singletons; other heap values by identity
 }
 
 bool Vm::LooseEquals(VpValue a, VpValue b) {
-  const ValueType ta = VmValueType(a);
-  const ValueType tb = VmValueType(b);
-  if (ta == tb) return StrictEquals(a, b);
+  const Kind ka = KindOf(a);
+  const Kind kb = KindOf(b);
+  if (ka == kb) return StrictEquals(a, b);
   if (a.is_nullish() && b.is_nullish()) return true;
-  if ((ta == ValueType::kNumber && tb == ValueType::kString) ||
-      (ta == ValueType::kString && tb == ValueType::kNumber)) {
+  if ((ka == Kind::kNumber && kb == Kind::kString) ||
+      (ka == Kind::kString && kb == Kind::kNumber)) {
     return ToNumber(a) == ToNumber(b);
   }
-  if (ta == ValueType::kBool) {
+  if (ka == Kind::kBool) {
     return LooseEquals(VpValue::Number(ToNumber(a)), b);
   }
-  if (tb == ValueType::kBool) {
+  if (kb == Kind::kBool) {
     return LooseEquals(a, VpValue::Number(ToNumber(b)));
   }
   return false;
 }
 
-const char* Vm::TypeName(VpValue v) { return ValueTypeName(VmValueType(v)); }
+bool Vm::Compare(Op op, VpValue a, VpValue b) {
+  if (a.is_string() && b.is_string()) {
+    const int cmp = a.AsString().compare(b.AsString());
+    return op == Op::kLt   ? cmp < 0
+           : op == Op::kLe ? cmp <= 0
+           : op == Op::kGt ? cmp > 0
+                           : cmp >= 0;
+  }
+  const double x = ToNumber(a);
+  const double y = ToNumber(b);
+  return op == Op::kLt   ? x < y
+         : op == Op::kLe ? x <= y
+         : op == Op::kGt ? x > y
+                         : x >= y;
+}
 
-std::string Vm::ToDisplayString(VpValue v) const {
+const char* Vm::TypeName(VpValue v) {
+  switch (KindOf(v)) {
+    case Kind::kUndefined: return "undefined";
+    case Kind::kNull: return "null";
+    case Kind::kBool: return "boolean";
+    case Kind::kNumber: return "number";
+    case Kind::kString: return "string";
+    case Kind::kObject: return "object";
+    case Kind::kArray: return "array";
+    case Kind::kFunction: return "function";
+  }
+  return "?";
+}
+
+std::string Vm::ToDisplayString(VpValue v) {
   if (v.is_number()) return NumberToString(v.AsNumber());
   if (v.is_undefined() || v.is_empty()) return "undefined";
   if (v.is_null()) return "null";
   if (v.is_bool()) return v.AsBool() ? "true" : "false";
-  GcObj* obj = v.AsHeap();
+  const GcObj* obj = v.AsHeap();
   switch (obj->type) {
     case GcType::kString:
-      return static_cast<GcString*>(obj)->text;
-    case GcType::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& e : static_cast<GcObject*>(obj)->items) {
-        if (!first) out += ", ";
-        first = false;
-        out += e.key + ": " +
-               (e.value.IsHeapType(GcType::kString)
-                    ? "\"" + static_cast<GcString*>(e.value.AsHeap())->text +
-                          "\""
-                    : ToDisplayString(e.value));
-      }
-      return out + "}";
-    }
+      return v.AsString();
+    case GcType::kObject:
     case GcType::kArray: {
-      std::string out = "[";
-      bool first = true;
-      for (VpValue item : static_cast<GcArray*>(obj)->items) {
-        if (!first) out += ", ";
-        first = false;
-        out += item.IsHeapType(GcType::kString)
-                   ? "\"" + static_cast<GcString*>(item.AsHeap())->text + "\""
-                   : ToDisplayString(item);
-      }
-      return out + "]";
+      std::string out;
+      std::vector<const GcObj*> ancestors;
+      AppendDisplay(out, v, ancestors);
+      return out;
     }
     case GcType::kClosure:
-      return "function " + static_cast<GcClosure*>(obj)->proto->name +
+      return "function " + static_cast<const GcClosure*>(obj)->proto->name +
              "() { … }";
     case GcType::kHostFn:
-      return "function " + static_cast<GcHostFn*>(obj)->host->name +
+      return "function " + static_cast<const GcHostFn*>(obj)->name +
              "() { [native] }";
     case GcType::kBoundMethod:
-      return "function " + static_cast<GcBoundMethod*>(obj)->name +
-             "() { [native] }";
+      return std::string("function ") +
+             static_cast<const GcBoundMethod*>(obj)->name + "() { [native] }";
     case GcType::kUpvalue:
       break;
   }
@@ -585,28 +783,24 @@ Status Vm::PushFrame(VpValue callee, int argc, int line) {
 Status Vm::CallNonClosure(VpValue callee, int argc, int line) {
   // Stack holds [callee, args...]; on success they are replaced by the
   // result. On error the caller unwinds sp_.
+  VpValue out;
   if (callee.IsHeapType(GcType::kHostFn)) {
-    VpValue out;
-    Status s = CallHostFn(static_cast<GcHostFn*>(callee.AsHeap()),
-                          &stack_[sp_ - static_cast<size_t>(argc)], argc,
-                          line, &out);
-    if (!s.ok()) return s;
-    sp_ -= static_cast<size_t>(argc) + 1;
-    Push(out);
-    return Status::Ok();
-  }
-  if (callee.IsHeapType(GcType::kBoundMethod)) {
+    const std::span<const VpValue> args(
+        &stack_[sp_ - static_cast<size_t>(argc)], static_cast<size_t>(argc));
+    auto r = static_cast<GcHostFn*>(callee.AsHeap())->fn(*this, args);
+    if (!r.ok()) return r.status();
+    out = *r;
+  } else if (callee.IsHeapType(GcType::kBoundMethod)) {
     auto* bm = static_cast<GcBoundMethod*>(callee.AsHeap());
-    VpValue out;
-    Status s = InvokeArrayMethod(static_cast<GcArray*>(bm->receiver.AsHeap()),
-                                 bm->method, argc, line, &out);
+    Status s = InvokeMethod(bm->receiver, bm->method, argc, line, &out);
     if (!s.ok()) return s;
-    sp_ -= static_cast<size_t>(argc) + 1;
-    Push(out);
-    return Status::Ok();
+  } else {
+    return Status(StatusCode::kScriptError,
+                  std::string("attempt to call a ") + TypeName(callee));
   }
-  return Status(StatusCode::kScriptError,
-                std::string("attempt to call a ") + TypeName(callee));
+  sp_ -= static_cast<size_t>(argc) + 1;
+  Push(out);
+  return Status::Ok();
 }
 
 Result<VpValue> Vm::CallValue(VpValue callee, const VpValue* args, int argc,
@@ -637,24 +831,20 @@ Result<VpValue> Vm::CallValue(VpValue callee, const VpValue* args, int argc,
   return Pop();
 }
 
-Status Vm::CallHostFn(GcHostFn* host, const VpValue* args, int argc,
-                      int line, VpValue* out) {
-  (void)line;
-  std::vector<Value> boxed;
-  boxed.reserve(static_cast<size_t>(argc));
-  std::unordered_map<const GcObj*, Value> memo;  // arg-sharing per call
-  for (int i = 0; i < argc; ++i) {
-    boxed.push_back(ExportValueRec(args[i], memo));
-  }
-  auto r = host->host->fn(boxed);
-  if (!r.ok()) return r.status();
-  *out = BoxedToVm(*r);
-  return Status::Ok();
-}
+// ------------------------------------------------------ native methods
+// Array and string builtins operate on VM values in place. Arguments
+// live on the VM stack (rooted across reentrant callbacks).
 
-// ------------------------------------------------- native array methods
-// Array builtins operate on VM values in place. Arguments live on the
-// VM stack (rooted across reentrant callbacks).
+Status Vm::InvokeMethod(VpValue receiver, uint8_t method, int argc,
+                        int line, VpValue* out) {
+  GcObj* target = receiver.AsHeap();
+  if (target->type == GcType::kArray) {
+    return InvokeArrayMethod(static_cast<GcArray*>(target), method, argc,
+                             line, out);
+  }
+  return InvokeStringMethod(static_cast<GcString*>(target), method, argc,
+                            out);
+}
 
 Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
                              int line, VpValue* out) {
@@ -692,8 +882,8 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
     }
     case ArrMethod::kSlice: {
       int64_t n = static_cast<int64_t>(arr->items.size());
-      int64_t a = argc > 0 ? static_cast<int64_t>(ToNumber(arg(0))) : 0;
-      int64_t b = argc > 1 ? static_cast<int64_t>(ToNumber(arg(1))) : n;
+      int64_t a = argc > 0 ? ToInteger(arg(0)) : 0;
+      int64_t b = argc > 1 ? ToInteger(arg(1)) : n;
       if (a < 0) a += n;
       if (b < 0) b += n;
       a = std::clamp<int64_t>(a, 0, n);
@@ -711,8 +901,11 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
       for (size_t i = 0; i < arr->items.size(); ++i) {
         if (i) joined += sep;
         joined += ToDisplayString(arr->items[i]);
+        if (joined.size() > kMaxStringLength) return Status(StringTooLong());
       }
-      *out = VpValue::Heap(NewString(std::move(joined)));
+      auto r = MakeString(std::move(joined));
+      if (!r.ok()) return r.status();
+      *out = *r;
       return Status::Ok();
     }
     case ArrMethod::kIndexOf: {
@@ -855,6 +1048,133 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
   return Status(ScriptError("unknown array method"));
 }
 
+Status Vm::InvokeStringMethod(const GcString* str, uint8_t method, int argc,
+                              VpValue* out) {
+  const std::string& s = str->text;
+  const size_t args_base = sp_ - static_cast<size_t>(argc);
+  auto arg = [&](int i) { return stack_[args_base + static_cast<size_t>(i)]; };
+  auto text = [&](std::string t) {
+    auto r = MakeString(std::move(t));
+    if (r.ok()) *out = *r;
+    return r.status();
+  };
+  const int64_t n = static_cast<int64_t>(s.size());
+  switch (static_cast<StrMethod>(method)) {
+    case StrMethod::kSubstring:
+    case StrMethod::kSlice: {
+      const bool is_slice = static_cast<StrMethod>(method) == StrMethod::kSlice;
+      int64_t a = argc > 0 ? ToInteger(arg(0)) : 0;
+      int64_t b = argc > 1 ? ToInteger(arg(1)) : n;
+      if (is_slice) {  // negative indexes count from the end
+        if (a < 0) a += n;
+        if (b < 0) b += n;
+      }
+      a = std::clamp<int64_t>(a, 0, n);
+      b = std::clamp<int64_t>(b, 0, n);
+      if (!is_slice && a > b) std::swap(a, b);
+      if (a >= b) return text(std::string());
+      return text(s.substr(static_cast<size_t>(a), static_cast<size_t>(b - a)));
+    }
+    case StrMethod::kIndexOf: {
+      const size_t pos =
+          argc == 0 ? std::string::npos : s.find(ToDisplayString(arg(0)));
+      *out = VpValue::Number(pos == std::string::npos
+                                 ? -1.0
+                                 : static_cast<double>(pos));
+      return Status::Ok();
+    }
+    case StrMethod::kSplit: {
+      GcArray* parts = NewArray();
+      *out = VpValue::Heap(parts);
+      if (argc == 0 || !arg(0).is_string() || arg(0).AsString().empty()) {
+        parts->items.push_back(VpValue::Heap(NewString(s)));
+        return Status::Ok();
+      }
+      const std::string& sep = arg(0).AsString();
+      size_t start = 0;
+      while (true) {
+        const size_t pos = s.find(sep, start);
+        if (pos == std::string::npos) {
+          parts->items.push_back(VpValue::Heap(NewString(s.substr(start))));
+          return Status::Ok();
+        }
+        parts->items.push_back(
+            VpValue::Heap(NewString(s.substr(start, pos - start))));
+        start = pos + sep.size();
+      }
+    }
+    case StrMethod::kToUpperCase:
+    case StrMethod::kToLowerCase: {
+      const bool upper =
+          static_cast<StrMethod>(method) == StrMethod::kToUpperCase;
+      std::string t = s;
+      for (char& c : t) {
+        c = static_cast<char>(upper ? std::toupper(static_cast<unsigned char>(c))
+                                    : std::tolower(static_cast<unsigned char>(c)));
+      }
+      return text(std::move(t));
+    }
+    case StrMethod::kCharAt: {
+      const int64_t i = argc > 0 ? ToInteger(arg(0)) : 0;
+      if (i < 0 || i >= n) return text(std::string());
+      return text(std::string(1, s[static_cast<size_t>(i)]));
+    }
+    case StrMethod::kStartsWith:
+    case StrMethod::kEndsWith: {
+      if (argc == 0) {
+        *out = VpValue::Boolean(false);
+        return Status::Ok();
+      }
+      const std::string p = ToDisplayString(arg(0));
+      *out = VpValue::Boolean(
+          static_cast<StrMethod>(method) == StrMethod::kStartsWith
+              ? StartsWith(s, p)
+              : EndsWith(s, p));
+      return Status::Ok();
+    }
+    case StrMethod::kTrim:
+      return text(std::string(Trim(s)));
+    case StrMethod::kReplace: {  // first occurrence, plain-string pattern
+      if (argc < 2) return text(s);
+      const std::string pattern = ToDisplayString(arg(0));
+      const std::string replacement = ToDisplayString(arg(1));
+      const size_t pos = pattern.empty() ? std::string::npos : s.find(pattern);
+      if (pos == std::string::npos) return text(s);
+      if (s.size() - pattern.size() + replacement.size() > kMaxStringLength) {
+        return Status(StringTooLong());
+      }
+      std::string t = s;
+      t.replace(pos, pattern.size(), replacement);
+      return text(std::move(t));
+    }
+    case StrMethod::kRepeat: {
+      const int64_t count = argc > 0 ? ToInteger(arg(0)) : 0;
+      if (count < 0) return Status(ScriptError("repeat count out of range"));
+      if (s.empty()) return text(std::string());
+      if (static_cast<uint64_t>(count) > kMaxStringLength / s.size()) {
+        return Status(StringTooLong());
+      }
+      std::string t;
+      t.reserve(s.size() * static_cast<size_t>(count));
+      for (int64_t i = 0; i < count; ++i) t += s;
+      return text(std::move(t));
+    }
+    case StrMethod::kPadStart: {
+      const int64_t width = argc > 0 ? ToInteger(arg(0)) : 0;
+      const std::string pad = argc > 1 ? ToDisplayString(arg(1)) : " ";
+      if (pad.empty() || width <= n) return text(s);
+      if (static_cast<uint64_t>(width) > kMaxStringLength) {
+        return Status(StringTooLong());
+      }
+      std::string t;
+      while (t.size() + s.size() < static_cast<size_t>(width)) t += pad;
+      t.resize(static_cast<size_t>(width) - s.size());
+      return text(t + s);
+    }
+  }
+  return Status(ScriptError("unknown string method"));
+}
+
 // ----------------------------------------------------------- properties
 
 Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
@@ -871,23 +1191,18 @@ Result<VpValue> Vm::GetPropertyVm(VpValue obj, const GcString* name,
                      : o->Find(name->text);
     return v != nullptr ? *v : VpValue::Undefined();
   }
-  if (obj.IsHeapType(GcType::kArray)) {
-    auto* arr = static_cast<GcArray*>(obj.AsHeap());
+  if (obj.IsHeapType(GcType::kArray) || obj.IsHeapType(GcType::kString)) {
     if (name->text == "length") {
-      return VpValue::Number(static_cast<double>(arr->items.size()));
+      return VpValue::Number(static_cast<double>(
+          obj.is_string() ? obj.AsString().size()
+                          : static_cast<GcArray*>(obj.AsHeap())->items.size()));
     }
-    const uint8_t method = ArrayMethodOf(name);
-    if (method != kNoArrayMethod) {
+    const uint8_t method = MethodOf(obj, name);
+    if (method != kNoMethod) {
       // Fresh per access: two reads are two distinct functions.
-      return VpValue::Heap(NewBoundMethod(obj, method, name->text));
+      return VpValue::Heap(
+          NewBoundMethod(obj, method, MethodName(obj, method)));
     }
-    return VpValue::Undefined();
-  }
-  if (obj.IsHeapType(GcType::kString)) {
-    // String methods bridge through the boxed stdlib (they capture the
-    // string by value, so the round trip is loss-free).
-    auto* s = static_cast<GcString*>(obj.AsHeap());
-    return BoxedToVm(StringProperty(s->text, name->text));
   }
   return VpValue::Undefined();  // numbers, booleans, functions
 }
@@ -1188,12 +1503,11 @@ Status Vm::Run(size_t base_frames) {
           const VpValue obj = Pop();
           if (obj.IsHeapType(GcType::kArray)) {
             auto* arr = static_cast<GcArray*>(obj.AsHeap());
-            const double d = ToNumber(index);
-            if (std::isnan(d)) {
+            if (std::isnan(ToNumber(index))) {
               err = Raise(line, "array index is NaN");
               goto unwind;
             }
-            const int64_t i = static_cast<int64_t>(d);
+            const int64_t i = ToInteger(index);
             if (i < 0 || static_cast<size_t>(i) >= arr->items.size()) {
               Push(VpValue::Undefined());
             } else {
@@ -1206,9 +1520,8 @@ Status Vm::Run(size_t base_frames) {
           } else if (obj.IsHeapType(GcType::kString)) {
             const std::string& s =
                 static_cast<GcString*>(obj.AsHeap())->text;
-            const double d = ToNumber(index);
             const int64_t i =
-                std::isnan(d) ? -1 : static_cast<int64_t>(d);
+                std::isnan(ToNumber(index)) ? -1 : ToInteger(index);
             if (i < 0 || static_cast<size_t>(i) >= s.size()) {
               Push(VpValue::Undefined());
             } else {
@@ -1234,7 +1547,7 @@ Status Vm::Run(size_t base_frames) {
               goto unwind;
             }
             auto* arr = static_cast<GcArray*>(obj.AsHeap());
-            const size_t i = static_cast<size_t>(d);
+            const size_t i = static_cast<size_t>(ToInteger(index));
             if (i >= arr->items.size()) arr->items.resize(i + 1);
             arr->items[i] = value;
             Push(value);
@@ -1254,10 +1567,15 @@ Status Vm::Run(size_t base_frames) {
           const VpValue a = Pop();
           if (a.is_number() && b.is_number()) {
             Push(VpValue::Number(a.AsNumber() + b.AsNumber()));
-          } else if (a.IsHeapType(GcType::kString) ||
-                     b.IsHeapType(GcType::kString)) {
-            Push(VpValue::Heap(
-                NewString(ToDisplayString(a) + ToDisplayString(b))));
+          } else if (a.is_string() || b.is_string()) {
+            std::string joined = ToDisplayString(a);
+            const std::string tail = ToDisplayString(b);
+            if (joined.size() + tail.size() > kMaxStringLength) {
+              err = Raise(line_at(), StringTooLong().message());
+              goto unwind;
+            }
+            joined += tail;
+            Push(VpValue::Heap(NewString(std::move(joined))));
           } else {
             Push(VpValue::Number(ToNumber(a) + ToNumber(b)));
           }
@@ -1317,25 +1635,7 @@ Status Vm::Run(size_t base_frames) {
         VM_CASE(kGe): {
           const VpValue b = Pop();
           const VpValue a = Pop();
-          bool result;
-          if (a.IsHeapType(GcType::kString) &&
-              b.IsHeapType(GcType::kString)) {
-            const int cmp =
-                static_cast<GcString*>(a.AsHeap())
-                    ->text.compare(static_cast<GcString*>(b.AsHeap())->text);
-            result = op == Op::kLt   ? cmp < 0
-                     : op == Op::kLe ? cmp <= 0
-                     : op == Op::kGt ? cmp > 0
-                                     : cmp >= 0;
-          } else {
-            const double x = ToNumber(a);
-            const double y = ToNumber(b);
-            result = op == Op::kLt   ? x < y
-                     : op == Op::kLe ? x <= y
-                     : op == Op::kGt ? x > y
-                                     : x >= y;
-          }
-          Push(VpValue::Boolean(result));
+          Push(VpValue::Boolean(Compare(op, a, b)));
           VM_NEXT();
         }
         VM_CASE(kNegate):
@@ -1424,32 +1724,23 @@ Status Vm::Run(size_t base_frames) {
           }
           frame->ip = ip;
           VpValue callee = VpValue::Undefined();
-          if (receiver.IsHeapType(GcType::kArray)) {
-            const uint8_t method = ArrayMethodOf(name);
-            if (method != kNoArrayMethod) {
-              // Fused native dispatch: no bound-method allocation.
-              VpValue invoke_out;
-              steps_used_ = steps;
-              Status s = InvokeArrayMethod(
-                  static_cast<GcArray*>(receiver.AsHeap()), method, argc,
-                  line, &invoke_out);
-              steps = steps_used_;
-              refresh();
-              if (!s.ok()) {
-                err = AnnotateCallError(s, line);
-                goto unwind;
-              }
-              sp_ -= static_cast<size_t>(argc) + 1;
-              Push(invoke_out);
-              VM_NEXT();
-            }
-            auto r = GetPropertyVm(receiver, name, line);
-            if (!r.ok()) {
-              err = r.status();
+          if (const uint8_t method = MethodOf(receiver, name);
+              method != kNoMethod) {
+            // Fused native dispatch: no bound-method allocation.
+            VpValue invoke_out;
+            steps_used_ = steps;
+            Status s = InvokeMethod(receiver, method, argc, line, &invoke_out);
+            steps = steps_used_;
+            refresh();
+            if (!s.ok()) {
+              err = AnnotateCallError(s, line);
               goto unwind;
             }
-            callee = *r;
-          } else if (receiver.IsHeapType(GcType::kObject)) {
+            sp_ -= static_cast<size_t>(argc) + 1;
+            Push(invoke_out);
+            VM_NEXT();
+          }
+          if (receiver.IsHeapType(GcType::kObject)) {
             auto* o = static_cast<GcObject*>(receiver.AsHeap());
             VpValue* v = name->name_id != kNoNameId
                              ? o->FindInterned(name->name_id, name->text)
@@ -1646,11 +1937,9 @@ uint16_t Vm::GlobalSlot(const std::string& name) {
   return slot;
 }
 
-void Vm::ImportGlobal(const std::string& name, const Value& v,
-                      bool baseline) {
+void Vm::DefineGlobal(const std::string& name, VpValue v, bool baseline) {
   const uint16_t slot = GlobalSlot(name);
-  import_memo_.clear();
-  globals_[slot].value = ImportValueRec(v);
+  globals_[slot].value = v;
   globals_[slot].is_const = false;
   globals_[slot].baseline = baseline;
 }
@@ -1674,65 +1963,40 @@ Status Vm::RunTopLevel(const FunctionProto* top) {
 
 // ---------------------------------------------------- host entry points
 
-bool Vm::HasGlobal(const std::string& name) const {
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return false;
-  auto it = global_index_.find(id);
-  return it != global_index_.end() && !globals_[it->second].value.is_empty();
-}
-
 bool Vm::GlobalIsFunction(const std::string& name) const {
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return false;
-  auto it = global_index_.find(id);
-  return it != global_index_.end() && IsCallable(globals_[it->second].value);
+  return IsCallable(GetGlobal(name));
 }
 
-Value Vm::GetGlobalBoxed(const std::string& name) {
+VpValue Vm::GetGlobal(const std::string& name) const {
   const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return Value::Undefined();
+  if (id == kNoNameId) return VpValue::Undefined();
   auto it = global_index_.find(id);
-  if (it == global_index_.end()) return Value::Undefined();
+  if (it == global_index_.end()) return VpValue::Undefined();
   const VpValue v = globals_[it->second].value;
-  if (v.is_empty()) return Value::Undefined();
-  return VmToBoxed(v);
+  return v.is_empty() ? VpValue::Undefined() : v;
 }
 
-Result<Value> Vm::CallGlobal(const std::string& name,
-                             std::vector<Value> args) {
-  const auto not_found = [&name]() {
+Result<VpValue> Vm::CallGlobal(const std::string& name,
+                               std::span<const VpValue> args) {
+  const VpValue fn = GetGlobal(name);
+  if (!IsCallable(fn)) {
     return NotFound("no function '" + name + "' in module");
-  };
-  const uint32_t id = Interner::Global().Lookup(name);
-  if (id == kNoNameId) return not_found();
-  auto it = global_index_.find(id);
-  if (it == global_index_.end()) return not_found();
-  const VpValue fn = globals_[it->second].value;
-  if (!IsCallable(fn)) return not_found();
-
-  if (fn.IsHeapType(GcType::kHostFn)) {
-    // A host function stored in a global: call it on boxed values
-    // directly, no VM frame involved.
-    auto r = static_cast<GcHostFn*>(fn.AsHeap())->host->fn(args);
-    if (!r.ok()) return r.error();
-    return *r;
   }
-
   const size_t entry_sp = sp_;
   const size_t base_frames = frames_.size();
   if (sp_ + args.size() + 1 > kStackCapacity) {
     return Error(StatusCode::kScriptError, "stack overflow");
   }
   Push(fn);
-  import_memo_.clear();  // one conversion: boxed arg sharing preserved
-  for (const Value& a : args) Push(ImportValueRec(a));
+  for (VpValue a : args) Push(a);
   depth_base_ = frames_.size();  // the called function is depth 1
+  const int argc = static_cast<int>(args.size());
   Status s;
   if (fn.IsHeapType(GcType::kClosure)) {
-    s = PushFrame(fn, static_cast<int>(args.size()), 0);
+    s = PushFrame(fn, argc, 0);
     if (s.ok()) s = Run(base_frames);
   } else {
-    s = CallNonClosure(fn, static_cast<int>(args.size()), 0);
+    s = CallNonClosure(fn, argc, 0);
   }
   if (!s.ok()) {
     CloseUpvalues(&stack_[entry_sp]);
@@ -1740,7 +2004,7 @@ Result<Value> Vm::CallGlobal(const std::string& name,
     frames_.resize(base_frames);
     return s.error();
   }
-  return VmToBoxed(Pop());
+  return Pop();
 }
 
 json::Value Vm::SnapshotState() {
@@ -1750,7 +2014,7 @@ json::Value Vm::SnapshotState() {
   for (const GlobalSlotData& g : globals_) {
     if (g.baseline || g.value.is_empty() || g.value.is_undefined()) continue;
     if (IsCallable(g.value)) continue;
-    auto j = ScriptToJson(VmToBoxed(g.value));
+    auto j = ToJson(g.value);
     if (!j.ok()) continue;  // non-serializable state is skipped
     snapshot[g.name] = std::move(*j);
   }
@@ -1760,141 +2024,44 @@ json::Value Vm::SnapshotState() {
 void Vm::RestoreState(const json::Value& snapshot) {
   for (const auto& [key, value] : snapshot.AsObject()) {
     const uint16_t slot = GlobalSlot(key);
-    import_memo_.clear();
-    globals_[slot].value = ImportValueRec(JsonToScript(value));
+    globals_[slot].value = FromJson(value);
     globals_[slot].is_const = false;
   }
 }
 
-// ------------------------------------------------------ host conversion
+// ---------------------------------------------------------------- JSON
 
-VpValue Vm::BoxedToVm(const Value& v) {
-  // The memo only lives for one conversion: collections happen solely
-  // at instruction boundaries, never mid-conversion, so nothing in the
-  // memo needs rooting — and a persistent memo would pin every payload
-  // ever imported.
-  import_memo_.clear();
-  return ImportValueRec(v);
+Result<json::Value> Vm::ToJson(VpValue v) const {
+  JsonConversion conversion;
+  json::Value out;
+  if (!conversion.Convert(v, &out)) return conversion.error();
+  return out;
 }
 
-Value Vm::VmToBoxed(VpValue v) {
-  std::unordered_map<const GcObj*, Value> memo;
-  return ExportValueRec(v, memo);
-}
-
-VpValue Vm::ImportValueRec(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kUndefined:
-      return VpValue::Undefined();
-    case ValueType::kNull:
-      return VpValue::Null();
-    case ValueType::kBool:
-      return VpValue::Boolean(v.AsBool());
-    case ValueType::kNumber:
-      return VpValue::Number(v.AsNumber());
-    case ValueType::kString:
-      return VpValue::Heap(NewString(v.AsString()));
-    case ValueType::kObject: {
-      const void* identity = v.AsObject().get();
-      auto it = import_memo_.find(identity);
-      if (it != import_memo_.end()) return it->second;
-      GcObject* obj = NewObject();
-      const VpValue out = VpValue::Heap(obj);
-      import_memo_.emplace(identity, out);  // before children: cycles
-      for (const auto& e : v.AsObject()->items()) {
-        obj->items.push_back(
-            GcObject::Entry{e.key_id, e.key, ImportValueRec(e.value)});
-      }
-      return out;
-    }
-    case ValueType::kArray: {
-      const void* identity = v.AsArray().get();
-      auto it = import_memo_.find(identity);
-      if (it != import_memo_.end()) return it->second;
+VpValue Vm::FromJson(const json::Value& j) {
+  switch (j.type()) {
+    case json::Type::kNull: return VpValue::Null();
+    case json::Type::kBool: return VpValue::Boolean(j.AsBool());
+    case json::Type::kNumber: return VpValue::Number(j.AsDouble());
+    case json::Type::kString: return VpValue::Heap(NewString(j.AsString()));
+    case json::Type::kArray: {
       GcArray* arr = NewArray();
-      const VpValue out = VpValue::Heap(arr);
-      import_memo_.emplace(identity, out);
-      for (const Value& item : *v.AsArray()) {
-        arr->items.push_back(ImportValueRec(item));
+      arr->items.reserve(j.AsArray().size());
+      for (const json::Value& item : j.AsArray()) {
+        arr->items.push_back(FromJson(item));
       }
-      return out;
+      return VpValue::Heap(arr);
     }
-    case ValueType::kHostFunction:
-      return VpValue::Heap(NewHostFn(v.AsHostFunction()));
+    case json::Type::kObject: {
+      GcObject* obj = NewObject();
+      obj->items.reserve(j.AsObject().size());
+      for (const auto& [key, item] : j.AsObject()) {
+        obj->items.push_back(GcObject::Entry{kNoNameId, key, FromJson(item)});
+      }
+      return VpValue::Heap(obj);
+    }
   }
-  return VpValue::Undefined();
-}
-
-Value Vm::ExportValueRec(VpValue v,
-                         std::unordered_map<const GcObj*, Value>& memo) {
-  if (v.is_number()) return Value(v.AsNumber());
-  if (v.is_undefined() || v.is_empty()) return Value::Undefined();
-  if (v.is_null()) return Value(nullptr);
-  if (v.is_bool()) return Value(v.AsBool());
-  GcObj* obj = v.AsHeap();
-  auto it = memo.find(obj);
-  if (it != memo.end()) return it->second;
-  switch (obj->type) {
-    case GcType::kString:
-      return Value(static_cast<GcString*>(obj)->text);
-    case GcType::kArray: {
-      auto out = std::make_shared<ScriptArray>();
-      Value result(out);
-      memo.emplace(obj, result);
-      for (VpValue item : static_cast<GcArray*>(obj)->items) {
-        out->push_back(ExportValueRec(item, memo));
-      }
-      return result;
-    }
-    case GcType::kObject: {
-      auto out = std::make_shared<ScriptObject>();
-      Value result(out);
-      memo.emplace(obj, result);
-      for (const auto& e : static_cast<GcObject*>(obj)->items) {
-        if (e.key_id != kNoNameId) {
-          out->SetInterned(e.key_id, e.key, ExportValueRec(e.value, memo));
-        } else {
-          out->Set(e.key, ExportValueRec(e.value, memo));
-        }
-      }
-      return result;
-    }
-    case GcType::kClosure:
-    case GcType::kBoundMethod: {
-      // The host-side shared_ptr is invisible to the collector: pin the
-      // underlying object for the life of the Vm.
-      escaped_.push_back(v);
-      auto host = std::make_shared<HostFunctionValue>();
-      host->name = obj->type == GcType::kClosure
-                       ? static_cast<GcClosure*>(obj)->proto->name
-                       : static_cast<GcBoundMethod*>(obj)->name;
-      Vm* vm = this;
-      const VpValue callee = v;
-      host->fn = [vm, callee](std::vector<Value>& args) -> Result<Value> {
-        std::vector<VpValue> vm_args;
-        vm_args.reserve(args.size());
-        vm->import_memo_.clear();
-        for (const Value& a : args) {
-          vm_args.push_back(vm->ImportValueRec(a));
-        }
-        auto r = vm->CallValue(callee, vm_args.data(),
-                               static_cast<int>(vm_args.size()), 0);
-        if (!r.ok()) return r.error();
-        std::unordered_map<const GcObj*, Value> export_memo;
-        return vm->ExportValueRec(*r, export_memo);
-      };
-      Value result(std::move(host));
-      memo.emplace(obj, result);
-      return result;
-    }
-    case GcType::kHostFn:
-      // Identity round trip: the same shared host function crosses back
-      // unchanged (Math.random keeps its seeded Rng).
-      return Value(static_cast<GcHostFn*>(obj)->host);
-    case GcType::kUpvalue:
-      break;  // never escapes
-  }
-  return Value::Undefined();
+  return VpValue::Null();
 }
 
 }  // namespace vp::script

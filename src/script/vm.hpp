@@ -1,19 +1,18 @@
 // vpscript bytecode virtual machine.
 //
 // The VM executes compact bytecode produced by compiler.hpp from the
-// resolved AST; it is the only engine that runs module code. It keeps
-// the boxed, shared_ptr-based Value (value.hpp) off its hot path with a
-// NaN-boxed 64-bit representation: doubles are stored
+// resolved AST; it is the only engine that runs module code, and its
+// NaN-boxed 64-bit VpValue is the only script value: doubles are stored
 // verbatim, singletons (undefined/null/true/false) live in the quiet
 // NaN space, and heap objects (strings, arrays, objects, closures,
-// upvalue cells, host-function wrappers) are 48-bit pointers into a
-// VM-owned heap reclaimed by a mark-and-sweep tracing collector.
+// upvalue cells, host functions, bound methods) are 48-bit pointers
+// into a VM-owned heap reclaimed by a mark-and-sweep tracing collector.
 //
 // Why tracing: closures capture scopes that hold values that own the
 // closures — a reference cycle that reference counting can never
 // reclaim. The tracing GC eliminates that class of leak by
 // construction: anything unreachable from the VM roots (value stack,
-// call frames, globals, open upvalues, host-escaped handles) is
+// call frames, globals, open upvalues, native-method temporaries) is
 // reclaimed, cycles included.
 //
 // Determinism: collection is driven purely by allocation pressure
@@ -21,27 +20,60 @@
 // boundaries. Wall-clock time never influences when a collection runs,
 // so a GC pause cannot perturb the discrete-event simulator.
 //
-// Host interop: values crossing the host boundary (host functions,
-// GetGlobal, snapshots) are deep-converted to/from the boxed Value.
-// Every host function in the runtime (call_service, Math.*, JSON.*,
-// console.log, …) only reads its arguments and returns plain data, so
-// deep conversion is semantically transparent.
+// Host interop: host functions are native — they receive the Vm and
+// its argument values in place (HostFunction) and build their result
+// on the same heap. JSON is the only other representation: ToJson /
+// FromJson convert module messages, service requests and responses and
+// snapshots, under the guard rails below, since module state is
+// untrusted and may be cyclic, absurdly deep or exponentially shared.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
 #include "json/value.hpp"
-#include "script/value.hpp"
+#include "script/intern.hpp"
 
 namespace vp::script {
 
 class Vm;
+struct VpValue;
+
+/// A host function's arguments: the caller's values in place on the VM
+/// stack, rooted for the duration of the call.
+using HostArgs = std::span<const VpValue>;
+
+/// A C++ function exposed to scripts (the paper's Table-1 API, the
+/// stdlib). The result is a value of the same Vm; allocation never
+/// collects, so values a host function builds need no rooting before it
+/// returns.
+using HostFunction = std::function<Result<VpValue>(Vm& vm, HostArgs args)>;
+
+// ------------------------------------------------------------ guard rails
+
+/// Deepest container nesting ToJson serializes and display descends
+/// into. Handlers run on 256 KiB fiber stacks (sim::Fiber), and ToJson,
+/// json::Write and copying or destroying the json::Value all recurse
+/// once per level: ~0.2 KiB a level optimized, up to 2.4 KiB (a
+/// json::Value copy) in a Debug + ASan build, where 64 levels stay
+/// under ~160 KiB. json::Parse accepts at least this depth
+/// (static_assert in vm.cpp): everything ToJson emits parses back.
+inline constexpr int kMaxValueDepth = 64;
+/// Work bound of one ToJson: each value visited costs 32 units (about
+/// its json::Value footprint), each string or key byte copied costs
+/// one. A DAG that shares one array twice per level, or one big string
+/// pushed many times, fails fast instead of expanding without limit.
+inline constexpr size_t kMaxConversionWork = size_t{8} << 20;
+/// Longest string a script can build (`+`, join, repeat, padStart,
+/// replace, String(), JSON.stringify).
+inline constexpr size_t kMaxStringLength = size_t{1} << 20;
 
 /// Per-context execution limits — what a FaaS runtime enforces on
 /// untrusted functions: a runaway `while(true)` in module code cannot
@@ -119,6 +151,9 @@ struct VpValue {
         static_cast<uintptr_t>(bits & ~(kSignBit | kQnan)));
   }
   bool IsHeapType(GcType t) const { return is_heap() && AsHeap()->type == t; }
+  bool is_string() const { return IsHeapType(GcType::kString); }
+  /// The text of a string value (is_string() must hold).
+  const std::string& AsString() const;
 };
 
 struct GcString : GcObj {
@@ -129,6 +164,10 @@ struct GcString : GcObj {
   explicit GcString(std::string s) : GcObj(GcType::kString),
                                      text(std::move(s)) {}
 };
+
+inline const std::string& VpValue::AsString() const {
+  return static_cast<const GcString*>(AsHeap())->text;
+}
 
 struct GcArray : GcObj {
   std::vector<VpValue> items;
@@ -193,20 +232,21 @@ struct GcClosure : GcObj {
                                                proto(p) {}
 };
 
-/// A boxed host function exposed to VM code. Calls deep-convert
-/// arguments to boxed Values and the result back.
+/// A host function exposed to VM code.
 struct GcHostFn : GcObj {
-  std::shared_ptr<HostFunctionValue> host;
-  explicit GcHostFn(std::shared_ptr<HostFunctionValue> h)
-      : GcObj(GcType::kHostFn), host(std::move(h)) {}
+  std::string name;
+  HostFunction fn;
+  GcHostFn(std::string n, HostFunction f)
+      : GcObj(GcType::kHostFn), name(std::move(n)), fn(std::move(f)) {}
 };
 
-/// `array.method` read without being called: a method bound to its
-/// receiver, so a later call still mutates the original array.
+/// `array.method` / `string.method` read without being called: a native
+/// method bound to its receiver, so a later call still acts on (and, for
+/// arrays, mutates) the original.
 struct GcBoundMethod : GcObj {
-  VpValue receiver;
-  uint8_t method;  // ArrayMethod ordinal (vm.cpp)
-  std::string name;
+  VpValue receiver;  // an array or a string
+  uint8_t method;    // ordinal in the receiver type's method table (vm.cpp)
+  const char* name;  // the table's spelling
   GcBoundMethod() : GcObj(GcType::kBoundMethod) {}
 };
 
@@ -292,18 +332,21 @@ class Vm {
   }
   size_t global_count() const { return globals_.size(); }
 
-  /// Import a boxed value as a defined global (a baseline import at
-  /// Load, or a post-Load DefineGlobal).
-  void ImportGlobal(const std::string& name, const Value& v, bool baseline);
+  /// Define a global (a stdlib or host import at Load, or a post-Load
+  /// Context::DefineGlobal). Baseline globals are left out of snapshots.
+  void DefineGlobal(const std::string& name, VpValue v, bool baseline);
 
   /// Run the top-level proto. Call once per Load.
   Status RunTopLevel(const FunctionProto* top);
 
   // -- host entry points ----------------------------------------------
-  bool HasGlobal(const std::string& name) const;
   bool GlobalIsFunction(const std::string& name) const;
-  Value GetGlobalBoxed(const std::string& name);
-  Result<Value> CallGlobal(const std::string& name, std::vector<Value> args);
+  /// A global's value; undefined when absent.
+  VpValue GetGlobal(const std::string& name) const;
+  /// Call the global function `name`. `args` need not be rooted: they
+  /// are pushed before anything can collect.
+  Result<VpValue> CallGlobal(const std::string& name,
+                             std::span<const VpValue> args);
 
   json::Value SnapshotState();
   void RestoreState(const json::Value& snapshot);
@@ -324,21 +367,40 @@ class Vm {
   GcObject* NewObject();
   GcClosure* NewClosure(const FunctionProto* proto);
   GcUpvalue* NewUpvalue(VpValue* slot);
-  GcHostFn* NewHostFn(std::shared_ptr<HostFunctionValue> host);
+  GcHostFn* NewHostFn(std::string name, HostFunction fn);
   GcBoundMethod* NewBoundMethod(VpValue receiver, uint8_t method,
-                                std::string name);
+                                const char* name);
+  /// A new string, or kScriptError when `s` is longer than
+  /// kMaxStringLength.
+  Result<VpValue> MakeString(std::string s);
 
-  // -- value helpers (exact mirrors of the boxed Value semantics) ------
+  // -- value semantics (the constant folder uses these too) -----------
   static bool Truthy(VpValue v);
   static double ToNumber(VpValue v);
-  std::string ToDisplayString(VpValue v) const;
+  /// ToNumber truncated toward zero, NaN as 0, clamped to ±2^53 — index
+  /// and count arguments, without an out-of-range float→int cast.
+  static int64_t ToInteger(VpValue v);
+  /// Abstract ToString (`+` concatenation, console.log, String()).
+  /// Cycles and nesting past kMaxValueDepth print as "[...]"; output
+  /// stops growing once it passes kMaxStringLength, so callers that
+  /// keep the string check that bound.
+  static std::string ToDisplayString(VpValue v);
   static bool StrictEquals(VpValue a, VpValue b);
   static bool LooseEquals(VpValue a, VpValue b);
+  /// Relational operators (kLt/kLe/kGt/kGe): two strings compare
+  /// bytewise, anything else numerically.
+  static bool Compare(Op op, VpValue a, VpValue b);
   static const char* TypeName(VpValue v);
 
-  /// Deep conversions across the host boundary (cycle-safe).
-  VpValue BoxedToVm(const Value& v);
-  Value VmToBoxed(VpValue v);
+  // -- JSON ------------------------------------------------------------
+  /// Serialize a value: undefined → null, functions are rejected, and
+  /// so are cycles, nesting past kMaxValueDepth and conversions past
+  /// kMaxConversionWork (kScriptError). Shared acyclic values serialize
+  /// once per reference.
+  Result<json::Value> ToJson(VpValue v) const;
+  /// Deserialize (total). The result is unrooted: push or store it
+  /// before the next instruction boundary.
+  VpValue FromJson(const json::Value& j);
 
  private:
   struct Frame {
@@ -386,18 +448,18 @@ class Vm {
   GcUpvalue* CaptureUpvalue(VpValue* slot);
   void CloseUpvalues(VpValue* from);
 
+  // Native methods: `argc` arguments on top of the stack. InvokeMethod
+  // dispatches on the receiver (an array or a string).
+  Status InvokeMethod(VpValue receiver, uint8_t method, int argc, int line,
+                      VpValue* out);
   Status InvokeArrayMethod(GcArray* arr, uint8_t method, int argc, int line,
                            VpValue* out);
-  Status CallHostFn(GcHostFn* host, const VpValue* args, int argc, int line,
-                    VpValue* out);
+  Status InvokeStringMethod(const GcString* str, uint8_t method, int argc,
+                            VpValue* out);
   /// Call a non-closure callee (host fn / bound method / error case);
   /// stack holds [callee, args...], replaced by the result on success.
   Status CallNonClosure(VpValue callee, int argc, int line);
   Result<VpValue> GetPropertyVm(VpValue obj, const GcString* name, int line);
-
-  VpValue ImportValueRec(const Value& v);
-  Value ExportValueRec(VpValue v,
-                       std::unordered_map<const GcObj*, Value>& memo);
 
   void Push(VpValue v) { stack_[sp_++] = v; }
   VpValue Pop() { return stack_[--sp_]; }
@@ -442,16 +504,6 @@ class Vm {
   /// Extra roots for native-method temporaries that live across a
   /// reentrant script callback (map/filter accumulators, …).
   std::vector<VpValue> temp_roots_;
-  /// Import memo: boxed heap identity -> converted VM object within
-  /// one host-boundary conversion, so shared/cyclic boxed structure
-  /// keeps its shape. Cleared per conversion; no GC can run while a
-  /// conversion is in flight (collection only happens at instruction
-  /// boundaries), so the memo is not a root.
-  std::unordered_map<const void*, VpValue> import_memo_;
-  /// VM closures handed to the host (VmToBoxed wrappers) stay rooted
-  /// here for the life of the Vm — the host-side shared_ptr is
-  /// invisible to the collector.
-  std::vector<VpValue> escaped_;
   /// Frame count corresponding to call depth 0 for the current entry
   /// (1 for RunTopLevel — the script frame is not a "call" — 0 for
   /// CallGlobal).

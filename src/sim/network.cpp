@@ -183,7 +183,10 @@ void Network::SendReliable(const std::string& from, const std::string& to,
   auto state = std::make_shared<bool>(false);  // delivered yet?
   auto task = std::make_shared<Task>(std::move(on_delivery));
   auto attempt = std::make_shared<std::function<void(int)>>();
-  *attempt = [this, from, to, bytes, state, task, attempt, kRetryTimeout](
+  // The retry loop refers to itself weakly: the pending retry timer
+  // holds the only strong reference, so the loop is freed once it stops.
+  std::weak_ptr<std::function<void(int)>> self = attempt;
+  *attempt = [this, from, to, bytes, state, task, self, kRetryTimeout](
                  int tries_left) {
     if (*state || tries_left <= 0) return;
     SendTagged(from, to, bytes,
@@ -192,8 +195,8 @@ void Network::SendReliable(const std::string& from, const std::string& to,
                  *state = true;
                  if (*task) (*task)();
                });
-    sim_->After(kRetryTimeout, [state, attempt, tries_left]() {
-      if (!*state) (*attempt)(tries_left - 1);
+    sim_->After(kRetryTimeout, [state, retry = self.lock(), tries_left]() {
+      if (!*state) (*retry)(tries_left - 1);
     });
   };
   (*attempt)(kMaxAttempts);

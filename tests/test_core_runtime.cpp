@@ -61,14 +61,14 @@ TEST(Runtime, ApplicationLogicActuallyWorks) {
   // The display module's script state reflects the workout: squats,
   // jacks and lunges were recognized and reps counted.
   ModuleRuntime* display = d.pipeline->FindModule("display_module");
-  const script::Value reps = display->context().GetGlobal("reps");
+  const json::Value reps = display->context().GetGlobal("reps");
   ASSERT_TRUE(reps.is_number());
-  EXPECT_GE(reps.AsNumber(), 8);   // ground truth is 15; k-means counter
-  EXPECT_LE(reps.AsNumber(), 18);  // may miss a few across transitions
-  const script::Value rendered =
+  EXPECT_GE(reps.AsDouble(), 8);   // ground truth is 15; k-means counter
+  EXPECT_LE(reps.AsDouble(), 18);  // may miss a few across transitions
+  const json::Value rendered =
       display->context().GetGlobal("frames_rendered");
   ASSERT_TRUE(rendered.is_number());
-  EXPECT_GT(rendered.AsNumber(), 300);
+  EXPECT_GT(rendered.AsDouble(), 300);
 }
 
 TEST(Runtime, QueueFreeFlowControl) {

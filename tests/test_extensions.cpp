@@ -16,7 +16,7 @@ namespace {
 
 // ------------------------------------------------------ script extras
 
-Result<script::Value> Eval(const std::string& body) {
+Result<json::Value> Eval(const std::string& body) {
   script::Context context;
   Status loaded = context.Load(body);
   if (!loaded.ok()) return loaded.error();
@@ -27,7 +27,7 @@ double Num(const std::string& body) {
   auto v = Eval(body);
   EXPECT_TRUE(v.ok() && v->is_number())
       << body << (v.ok() ? "" : ": " + v.error().ToString());
-  return v.ok() && v->is_number() ? v->AsNumber() : -9999;
+  return v.ok() && v->is_number() ? v->AsDouble() : -9999;
 }
 
 std::string Str(const std::string& body) {
@@ -70,7 +70,7 @@ TEST(ScriptTryCatch, UncaughtRethrows) {
 TEST(ScriptTryCatch, HostErrorsAreCatchable) {
   script::Context context;
   context.RegisterHostFunction(
-      "flaky", [](std::vector<script::Value>&) -> Result<script::Value> {
+      "flaky", [](script::Vm&, script::HostArgs) -> Result<script::VpValue> {
         return Unavailable("service down");
       });
   ASSERT_TRUE(context
@@ -160,6 +160,66 @@ TEST(ScriptStdlibExtras, StringMethods) {
   EXPECT_EQ(Str("var result = 'a-b-c'.replace('-', '+');"), "a+b-c");
   EXPECT_EQ(Str("var result = 'ab'.repeat(3);"), "ababab");
   EXPECT_EQ(Str("var result = '7'.padStart(3, '0');"), "007");
+}
+
+/// The message of the error `body` fails to load with ("" if it loads).
+std::string LoadError(const std::string& body) {
+  auto v = Eval(body);
+  if (v.ok()) return "";
+  EXPECT_EQ(v.error().code(), StatusCode::kScriptError) << body;
+  return v.error().message();
+}
+
+TEST(ScriptStdlibExtras, StringGrowthIsBoundedBeforeItHappens) {
+  // Each of these used to abort the process with std::bad_alloc (the
+  // repeat count wrapped the old `n * size` guard to 0).
+  const char* too_long = "string longer than 1048576 bytes";
+  for (const char* body : {
+           "var result = 'ab'.padStart(1e11);",
+           "var result = 'abcd'.repeat(4611686018427387904);",
+           "var s = 'x'; for (var i = 0; i < 40; i++) s = s + s;",
+       }) {
+    EXPECT_NE(LoadError(body).find(too_long), std::string::npos) << body;
+  }
+  // Every way a string grows checks the same bound: `+`, join,
+  // replace, String(), JSON.stringify, padStart.
+  const std::string big = "var big = 'x'.repeat(600000);\n";
+  for (const char* grow : {
+           "var result = big + big;",
+           "var result = [big, big].join('');",
+           "var result = big.replace('x', big);",
+           "var result = String([big, big]);",
+           "var result = JSON.stringify([big, big]);",
+           "var result = big.padStart(1200000);",
+       }) {
+    EXPECT_EQ(LoadError(big + grow), std::string("script:2: ") + too_long)
+        << grow;
+  }
+  // The bound is inclusive, and the error is catchable.
+  EXPECT_DOUBLE_EQ(Num("var result = 'ab'.repeat(524288).length;"), 1048576);
+  EXPECT_EQ(Str(R"(
+    var result = "";
+    try { "ab".repeat(524289); } catch (e) { result = e.code; }
+  )"),
+            "SCRIPT_ERROR");
+}
+
+TEST(ScriptStdlibExtras, IndexAndCountArgumentsClamp) {
+  // NaN reads as 0; infinities and out-of-range doubles clamp instead of
+  // hitting an undefined float-to-integer cast.
+  EXPECT_EQ(Str("var result = 'abc'.charAt(1e300);"), "");
+  EXPECT_EQ(Str("var result = 'abc'.charAt(-1e300);"), "");
+  EXPECT_EQ(Str("var result = 'abc'.charAt(0 / 0);"), "a");
+  EXPECT_EQ(Str("var result = 'abc'.substring(0 / 0);"), "abc");
+  EXPECT_EQ(Str("var result = 'abc'.substring(1, 1 / 0);"), "bc");
+  EXPECT_EQ(Str("var result = 'abc'.slice(-1e300, 1e300);"), "abc");
+  EXPECT_EQ(Str("var result = 'ab'.repeat(0 / 0);"), "");
+  EXPECT_EQ(Str("var result = ''.repeat(1e300);"), "");
+  EXPECT_EQ(Str("var result = 'abc'.padStart(0 / 0);"), "abc");
+  EXPECT_EQ(Str("var result = [1, 2, 3].slice(0 / 0, 1e300).join('');"),
+            "123");
+  EXPECT_EQ(Str("var result = typeof 'abc'[1e300] + typeof [1][-1e300];"),
+            "undefinedundefined");
 }
 
 TEST(ScriptStdlibExtras, ArrayMethods) {
@@ -506,9 +566,9 @@ TEST(TrackerService, TracksThroughThePipeline) {
   core::ModuleRuntime* module = (*deployment)->FindModule("track_module");
   EXPECT_EQ(module->stats().script_errors, 0u);
   // One static lamp → exactly one stable track id for the whole run.
-  const script::Value ids = module->context().GetGlobal("seen_ids");
+  const json::Value ids = module->context().GetGlobal("seen_ids");
   ASSERT_TRUE(ids.is_object());
-  EXPECT_EQ(ids.AsObject()->size(), 1u);
+  EXPECT_EQ(ids.AsObject().size(), 1u);
 }
 
 }  // namespace

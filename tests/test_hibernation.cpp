@@ -70,8 +70,8 @@ TEST(ProgramCache, ContextsShareCompiledProgramsButNotState) {
   ASSERT_TRUE(a.Call("tick", {}).ok());
   ASSERT_TRUE(a.Call("tick", {}).ok());
   ASSERT_TRUE(b.Call("tick", {}).ok());
-  EXPECT_EQ(a.GetGlobal("counter").ToNumber(), 2.0);
-  EXPECT_EQ(b.GetGlobal("counter").ToNumber(), 1.0);
+  EXPECT_EQ(a.GetGlobal("counter").AsDouble(), 2.0);
+  EXPECT_EQ(b.GetGlobal("counter").AsDouble(), 1.0);
 }
 
 TEST(ProgramCache, RejectedSourceIsNotCached) {
@@ -95,7 +95,7 @@ TEST(ProgramCache, RejectedSourceIsNotCached) {
   // The cache still serves valid sources.
   script::Context context;
   ASSERT_TRUE(context.Load("var x = 1;").ok());
-  EXPECT_EQ(context.GetGlobal("x").ToNumber(), 1.0);
+  EXPECT_EQ(context.GetGlobal("x").AsDouble(), 1.0);
 }
 
 // ---------------------------------------------------- context pool
@@ -110,7 +110,7 @@ TEST(ContextPool, AcquireMatchesSourceAndSeed) {
   EXPECT_EQ(pool.Acquire("var other = 1;", 7), nullptr);  // wrong code
   auto context = pool.Acquire(source, 7);
   ASSERT_NE(context, nullptr);
-  EXPECT_EQ(context->GetGlobal("ready").ToNumber(), 1.0);
+  EXPECT_EQ(context->GetGlobal("ready").AsDouble(), 1.0);
   EXPECT_EQ(pool.size(), 0u);  // consumed
 
   const auto stats = pool.stats();
@@ -218,7 +218,7 @@ TEST(Hibernation, StateSurvivesHibernateAndWake) {
   core::ModuleRuntime* module = rig.pipeline->FindModule("m");
   ASSERT_NE(module, nullptr);
   const double counter_before =
-      module->context().GetGlobal("counter").ToNumber();
+      module->context().GetGlobal("counter").AsDouble();
   ASSERT_GT(counter_before, 10);
   const uint64_t completed_before =
       rig.pipeline->metrics().frames_completed();
@@ -243,7 +243,7 @@ TEST(Hibernation, StateSurvivesHibernateAndWake) {
   module = rig.pipeline->FindModule("m");
   ASSERT_NE(module, nullptr);
   const double counter_after =
-      module->context().GetGlobal("counter").ToNumber();
+      module->context().GetGlobal("counter").AsDouble();
   EXPECT_GE(counter_after, counter_before);
   EXPECT_GT(rig.pipeline->metrics().frames_completed(), completed_before);
   EXPECT_EQ(module->stats().script_errors, 0u);
@@ -628,7 +628,7 @@ HomeFingerprint RunFleetWithHibernation(int homes, int probe_home) {
   fp.wakes = probe.orchestrator->wakes();
   core::ModuleRuntime* module = probe.pipelines[0]->FindModule("m");
   if (module != nullptr) {
-    fp.counter = module->context().GetGlobal("counter").ToNumber();
+    fp.counter = module->context().GetGlobal("counter").AsDouble();
   }
   return fp;
 }
@@ -684,7 +684,7 @@ TEST(Hibernation, SleepSnapshotsLandInTheHealerStore) {
   rig.orchestrator->RunFor(Duration::Seconds(3));
 
   core::ModuleRuntime* module = rig.pipeline->FindModule("m");
-  const double counter = module->context().GetGlobal("counter").ToNumber();
+  const double counter = module->context().GetGlobal("counter").AsDouble();
   ASSERT_TRUE(rig.manager->Hibernate(rig.pipeline).ok());
 
   // The healer's store holds the sleep-time snapshot (not an older

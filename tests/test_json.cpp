@@ -152,6 +152,37 @@ TEST(JsonParse, DeepNesting) {
   ASSERT_TRUE(v.ok());
 }
 
+TEST(JsonParse, NestingBoundAtTheLimit) {
+  // Arrays and objects nest kMaxParseDepth deep; one more is a parse
+  // error, and so is a hostile 200 000-deep document (it used to
+  // overflow the stack).
+  auto arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  auto objects = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += "{\"k\":";
+    text += "1";
+    return text + std::string(static_cast<size_t>(depth), '}');
+  };
+  EXPECT_TRUE(Parse(arrays(kMaxParseDepth)).ok());
+  // The innermost `1` is a scalar, not a container: depth counts the
+  // objects only.
+  EXPECT_TRUE(Parse(objects(kMaxParseDepth)).ok());
+  for (const std::string& text :
+       {arrays(kMaxParseDepth + 1), objects(kMaxParseDepth + 1),
+        std::string(200000, '[')}) {
+    auto v = Parse(text);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error().code(), StatusCode::kParseError);
+    EXPECT_NE(v.error().message().find(
+                  "nesting deeper than " + std::to_string(kMaxParseDepth)),
+              std::string::npos)
+        << v.error().message();
+  }
+}
+
 // ---------------------------------------------------------------- Write
 
 TEST(JsonWrite, CompactRoundTrip) {

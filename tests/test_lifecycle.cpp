@@ -56,8 +56,8 @@ TEST(ModuleTimers, FireAfterTheRequestedDelay) {
   orchestrator.RunFor(Duration::Seconds(10));
 
   core::ModuleRuntime* module = (*deployment)->FindModule("tick_module");
-  const double fires = module->context().GetGlobal("timer_fires").ToNumber();
-  const double frames = module->context().GetGlobal("frames").ToNumber();
+  const double fires = module->context().GetGlobal("timer_fires").AsDouble();
+  const double frames = module->context().GetGlobal("frames").AsDouble();
   // ~2 heartbeats per second once armed, alongside normal frames.
   EXPECT_GE(fires, 15);
   EXPECT_LE(fires, 21);
@@ -95,7 +95,7 @@ TEST(ModuleTimers, TimerEventsCarryThePayload) {
                 ->FindModule("m")
                 ->context()
                 .GetGlobal("tag")
-                .ToDisplayString(),
+                .AsString(),
             "hello");
 }
 

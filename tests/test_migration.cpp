@@ -18,8 +18,8 @@ namespace {
 TEST(StateSnapshot, CapturesModuleDefinedGlobalsOnly) {
   script::Context context;
   context.RegisterHostFunction(
-      "host_fn", [](std::vector<script::Value>&) -> Result<script::Value> {
-        return script::Value(1.0);
+      "host_fn", [](script::Vm&, script::HostArgs) -> Result<script::VpValue> {
+        return script::VpValue::Number(1.0);
       });
   ASSERT_TRUE(context
                   .Load(R"(
@@ -57,7 +57,7 @@ TEST(StateSnapshot, RestoreResumesBehaviour) {
   ASSERT_TRUE(resumed.RestoreState(original.SnapshotState()).ok());
   auto result = resumed.Call("bump", {});
   ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->AsNumber(), 6);  // continues from 5
+  EXPECT_DOUBLE_EQ(result->AsDouble(), 6);  // continues from 5
 }
 
 TEST(StateSnapshot, RestoreRejectsNonObjects) {
@@ -122,11 +122,11 @@ TEST(Migration, RepCountContinuesAcrossTheMove) {
   orchestrator.RunFor(Duration::Seconds(12));
   core::ModuleRuntime* display = pipeline.FindModule("display_module");
   const double reps_before_move =
-      display->context().GetGlobal("reps").ToNumber();
+      display->context().GetGlobal("reps").AsDouble();
   ASSERT_TRUE(
       orchestrator.MigrateModule(pipeline, "rep_counter_module", "tv").ok());
   orchestrator.RunFor(Duration::Seconds(29));
-  const double reps_after = display->context().GetGlobal("reps").ToNumber();
+  const double reps_after = display->context().GetGlobal("reps").AsDouble();
   // Counting resumed from the migrated state, not from zero.
   EXPECT_GE(reps_after, reps_before_move + 5);
   EXPECT_GE(reps_after, 10);

@@ -53,7 +53,7 @@ TEST(VmGc, AllocationPressureSoakStaysFlat) {
   ASSERT_NE(vm, nullptr);
 
   const int events = SoakEvents();
-  auto e = Value::MakeObject();
+  const json::Value e = json::Value::MakeObject();
   size_t peak_live = 0;
   for (int i = 0; i < events; ++i) {
     auto r = context.Call("event_received", {e});
@@ -75,7 +75,7 @@ TEST(VmGc, AllocationPressureSoakStaysFlat) {
   // The module still works after heavy collection.
   auto r = context.Call("event_received", {e});
   ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(context.GetGlobal("events").AsNumber(),
+  EXPECT_DOUBLE_EQ(context.GetGlobal("events").AsDouble(),
                    static_cast<double>(events + 1));
 }
 
@@ -87,7 +87,7 @@ TEST(VmGc, CollectionIsDrivenByAllocationPressureOnly) {
   for (int run = 0; run < 2; ++run) {
     Context context;
     ASSERT_TRUE(context.Load(kChurnModule).ok());
-    auto e = Value::MakeObject();
+    const json::Value e = json::Value::MakeObject();
     for (int i = 0; i < 20'000; ++i) {
       ASSERT_TRUE(context.Call("event_received", {e}).ok());
     }
@@ -105,7 +105,7 @@ TEST(VmGc, CheckpointSurvivesCollection) {
   // forced GC must resume exactly.
   Context source;
   ASSERT_TRUE(source.Load(kChurnModule).ok());
-  auto e = Value::MakeObject();
+  const json::Value e = json::Value::MakeObject();
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(source.Call("event_received", {e}).ok());
   }
@@ -122,7 +122,7 @@ TEST(VmGc, CheckpointSurvivesCollection) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(target.Call("event_received", {e}).ok());
   }
-  EXPECT_DOUBLE_EQ(target.GetGlobal("events").AsNumber(), 600.0);
+  EXPECT_DOUBLE_EQ(target.GetGlobal("events").AsDouble(), 600.0);
 }
 
 }  // namespace

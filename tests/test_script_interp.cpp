@@ -5,13 +5,12 @@
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "script/context.hpp"
-#include "script/convert.hpp"
 
 namespace vp::script {
 namespace {
 
 /// Evaluate a script and return the value of global `result`.
-Result<Value> Eval(const std::string& body, ContextOptions options = {}) {
+Result<json::Value> Eval(const std::string& body, ContextOptions options = {}) {
   Context context(options);
   Status loaded = context.Load(body);
   if (!loaded.ok()) return loaded.error();
@@ -22,7 +21,7 @@ double Num(const std::string& body) {
   auto v = Eval(body);
   EXPECT_TRUE(v.ok()) << (v.ok() ? "" : v.error().ToString());
   EXPECT_TRUE(v.ok() && v->is_number()) << body;
-  return v.ok() && v->is_number() ? v->AsNumber() : -9999;
+  return v.ok() && v->is_number() ? v->AsDouble() : -9999;
 }
 
 std::string Str(const std::string& body) {
@@ -198,9 +197,9 @@ TEST(Stdlib, MathRandomDeterministicPerSeed) {
   auto va = Eval("var result = Math.random();", a);
   auto vb = Eval("var result = Math.random();", b);
   ASSERT_TRUE(va.ok() && vb.ok());
-  EXPECT_DOUBLE_EQ(va->AsNumber(), vb->AsNumber());
-  EXPECT_GE(va->AsNumber(), 0.0);
-  EXPECT_LT(va->AsNumber(), 1.0);
+  EXPECT_DOUBLE_EQ(va->AsDouble(), vb->AsDouble());
+  EXPECT_GE(va->AsDouble(), 0.0);
+  EXPECT_LT(va->AsDouble(), 1.0);
 }
 
 TEST(Stdlib, StringMethods) {
@@ -307,7 +306,7 @@ TEST(Guards, CallDepthLimit) {
   options.limits.max_call_depth = 32;
   Context context(options);
   ASSERT_TRUE(context.Load("function deep(n) { return deep(n + 1); }").ok());
-  auto result = context.Call("deep", {Value(0.0)});
+  auto result = context.Call("deep", {json::Value(0.0)});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), StatusCode::kScriptError);
 }
@@ -332,13 +331,13 @@ TEST(Context, HostFunctionsCallable) {
   Context context;
   double received = 0;
   context.RegisterHostFunction(
-      "report", [&](std::vector<Value>& args) -> Result<Value> {
-        received = args.empty() ? -1 : args[0].ToNumber();
-        return Value(received * 2);
+      "report", [&](Vm&, HostArgs args) -> Result<VpValue> {
+        received = args.empty() ? -1 : Vm::ToNumber(args[0]);
+        return VpValue::Number(received * 2);
       });
   ASSERT_TRUE(context.Load("var doubled = report(21);").ok());
   EXPECT_DOUBLE_EQ(received, 21);
-  EXPECT_DOUBLE_EQ(context.GetGlobal("doubled").AsNumber(), 42);
+  EXPECT_DOUBLE_EQ(context.GetGlobal("doubled").AsDouble(), 42);
 }
 
 TEST(Context, CallsNamedFunctionsWithArgs) {
@@ -346,9 +345,9 @@ TEST(Context, CallsNamedFunctionsWithArgs) {
   ASSERT_TRUE(context.Load("function add(a, b) { return a + b; }").ok());
   EXPECT_TRUE(context.HasFunction("add"));
   EXPECT_FALSE(context.HasFunction("sub"));
-  auto result = context.Call("add", {Value(2.0), Value(3.0)});
+  auto result = context.Call("add", {json::Value(2.0), json::Value(3.0)});
   ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->AsNumber(), 5);
+  EXPECT_DOUBLE_EQ(result->AsDouble(), 5);
   EXPECT_EQ(context.Call("sub", {}).code(), StatusCode::kNotFound);
 }
 
@@ -358,9 +357,9 @@ TEST(Context, StatePersistsAcrossCalls) {
                   .Load("var count = 0;\n"
                         "function bump() { count = count + 1; return count; }")
                   .ok());
-  EXPECT_DOUBLE_EQ(context.Call("bump", {})->AsNumber(), 1);
-  EXPECT_DOUBLE_EQ(context.Call("bump", {})->AsNumber(), 2);
-  EXPECT_DOUBLE_EQ(context.GetGlobal("count").AsNumber(), 2);
+  EXPECT_DOUBLE_EQ(context.Call("bump", {})->AsDouble(), 1);
+  EXPECT_DOUBLE_EQ(context.Call("bump", {})->AsDouble(), 2);
+  EXPECT_DOUBLE_EQ(context.GetGlobal("count").AsDouble(), 2);
 }
 
 TEST(Context, IsolationBetweenContexts) {
@@ -374,18 +373,18 @@ TEST(Context, IsolationBetweenContexts) {
 
 // ------------------------------------------------------------- convert
 
-TEST(Convert, JsonToScriptToJsonRoundTrip) {
+TEST(Convert, JsonToVmToJsonRoundTrip) {
   const char* docs[] = {
       R"({"a":1,"b":[true,null,"x"],"c":{"d":2.5}})",
       "[]",
       "[[1],[2,[3]]]",
       "\"plain\"",
   };
+  Vm vm;
   for (const char* doc : docs) {
     auto parsed = json::Parse(doc);
     ASSERT_TRUE(parsed.ok());
-    const Value script_value = JsonToScript(*parsed);
-    auto back = ScriptToJson(script_value);
+    auto back = vm.ToJson(vm.FromJson(*parsed));
     ASSERT_TRUE(back.ok()) << doc;
     EXPECT_EQ(*parsed, *back) << doc;
   }
@@ -394,11 +393,14 @@ TEST(Convert, JsonToScriptToJsonRoundTrip) {
 TEST(Convert, FunctionsAreNotSerializable) {
   Context context;
   ASSERT_TRUE(context.Load("var f = function () {};").ok());
-  EXPECT_FALSE(ScriptToJson(context.GetGlobal("f")).ok());
+  Vm* vm = context.vm();
+  EXPECT_FALSE(vm->ToJson(vm->GetGlobal("f")).ok());
+  EXPECT_TRUE(context.GetGlobal("f").is_null());
 }
 
 TEST(Convert, UndefinedBecomesNull) {
-  auto v = ScriptToJson(Value::Undefined());
+  Vm vm;
+  auto v = vm.ToJson(VpValue::Undefined());
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
 }

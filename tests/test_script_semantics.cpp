@@ -13,7 +13,7 @@
 namespace vp::script {
 namespace {
 
-Result<Value> Eval(const std::string& body) {
+Result<json::Value> Eval(const std::string& body) {
   Context context;
   Status loaded = context.Load(body);
   if (!loaded.ok()) return loaded.error();
@@ -24,7 +24,7 @@ double Num(const std::string& body) {
   auto v = Eval(body);
   EXPECT_TRUE(v.ok() && v->is_number())
       << body << (v.ok() ? "" : " → " + v.error().ToString());
-  return v.ok() && v->is_number() ? v->AsNumber() : -9999;
+  return v.ok() && v->is_number() ? v->AsDouble() : -9999;
 }
 
 std::string Str(const std::string& body) {
@@ -425,7 +425,7 @@ std::string EvalDisplay(const std::string& body) {
   Context context;
   Status loaded = context.Load(body);
   if (!loaded.ok()) return "load error: " + loaded.error().ToString();
-  return context.GetGlobal("result").ToDisplayString();
+  return Vm::ToDisplayString(context.vm()->GetGlobal("result"));
 }
 
 TEST(ResolverEquivalence, ResultsMatchGoldenCorpus) {

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "json/write.hpp"
 #include "script/context.hpp"
+#include "sim/fiber.hpp"
 
 namespace vp::script {
 namespace {
@@ -25,7 +27,7 @@ std::string Eval(const std::string& body) {
   Context context;
   Status loaded = context.Load(body);
   if (!loaded.ok()) return "load error: " + loaded.error().ToString();
-  return context.GetGlobal("result").ToDisplayString();
+  return Vm::ToDisplayString(context.vm()->GetGlobal("result"));
 }
 
 /// "CODE|message" — the golden form of a failed Status.
@@ -119,7 +121,7 @@ TEST(VmEquivalence, ResultsMatchGoldenCorpus) {
       {R"(var result = typeof [] + "," + typeof null + "," + typeof (function () {})
                     + "," + (0 || "x") + "," + (1 && "y") + "," + (undefined ? 1 : null ? 2 : 3);)",
        "object,object,function,x,y,3"},
-      // String methods through the VM's boxed bridge.
+      // String methods bound natively on the string receiver.
       {R"(var s = "  Video,Pipe  ";
          var result = s.trim().split(",").map(function (w) { return w.toUpperCase(); }).join("+")
                     + ":" + s.trim().length + ":" + "ab".repeat(3);)",
@@ -206,7 +208,7 @@ TEST(VmEquivalence, CallErrorsMatchGoldenCorpus) {
   for (const auto& [name, expected] : cases) {
     Context context;
     ASSERT_TRUE(context.Load(module).ok());
-    auto r = context.Call(name, {Value(3.0)});
+    auto r = context.Call(name, {json::Value(3.0)});
     ASSERT_FALSE(r.ok()) << name;
     EXPECT_EQ(Describe(Status(r.error())), expected) << name;
   }
@@ -241,11 +243,11 @@ TEST(VmEquivalence, HostFunctionsSeeBoxedArguments) {
   Context context;
   std::vector<std::string> seen;
   context.RegisterHostFunction(
-      "record", [&seen](std::vector<Value>& args) -> Result<Value> {
+      "record", [&seen](Vm&, HostArgs args) -> Result<VpValue> {
         std::string all;
-        for (const Value& v : args) all += v.ToDisplayString() + ";";
+        for (VpValue v : args) all += Vm::ToDisplayString(v) + ";";
         seen.push_back(all);
-        return Value(static_cast<double>(args.size()));
+        return VpValue::Number(static_cast<double>(args.size()));
       });
   ASSERT_TRUE(context
                   .Load(R"(
@@ -253,33 +255,13 @@ TEST(VmEquivalence, HostFunctionsSeeBoxedArguments) {
     function handler(e) { return record(e, e.nested); }
   )")
                   .ok());
-  auto e = Value::MakeObject();
-  e.AsObject()->Set("nested", Value::MakeArray());
-  e.AsObject()->Set("k", Value(7.0));
+  json::Value e = json::Value::MakeObject();
+  e["nested"] = json::Value::MakeArray();
+  e["k"] = json::Value(7.0);
   ASSERT_TRUE(context.Call("handler", {e}).ok());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "1;two;[3, {four: 4}];null;undefined;");
   EXPECT_EQ(seen[1], "{nested: [], k: 7};[];");
-}
-
-TEST(VmEquivalence, ScriptClosuresEscapeToTheHostAndBack) {
-  Context context;
-  ASSERT_TRUE(context
-                  .Load(R"(
-    var count = 0;
-    function tick() { count += 1; return count; }
-  )")
-                  .ok());
-  // GetGlobal wraps the VM closure as a callable host value; calling
-  // it must mutate the module's state.
-  Value tick = context.GetGlobal("tick");
-  ASSERT_TRUE(tick.is_function());
-  std::vector<Value> no_args;
-  auto r1 = tick.AsHostFunction()->fn(no_args);
-  auto r2 = tick.AsHostFunction()->fn(no_args);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_DOUBLE_EQ(r2->AsNumber(), 2.0);
-  EXPECT_DOUBLE_EQ(context.GetGlobal("count").AsNumber(), 2.0);
 }
 
 // --------------------------------------------------- checkpoint / restore
@@ -300,8 +282,8 @@ const char* kStatefulModule = R"(
 
 void Drive(Context& context, int from, int count) {
   for (int i = from; i < from + count; ++i) {
-    auto e = Value::MakeObject();
-    e.AsObject()->Set("value", Value(static_cast<double>(i)));
+    json::Value e = json::Value::MakeObject();
+    e["value"] = json::Value(static_cast<double>(i));
     ASSERT_TRUE(context.Call("event_received", {e}).ok());
   }
 }
@@ -376,9 +358,9 @@ TEST(VmDeterminism, SeededRunsMatchGoldenBits) {
     ASSERT_TRUE(context.Load(module).ok());
     uint64_t h = 0xcbf29ce484222325ull;
     for (int i = 0; i < 50; ++i) {
-      auto r = context.Call("event_received", {Value::MakeObject()});
+      auto r = context.Call("event_received", {json::Value::MakeObject()});
       ASSERT_TRUE(r.ok());
-      const double d = r->AsNumber();
+      const double d = r->AsDouble();
       uint64_t bits;
       std::memcpy(&bits, &d, sizeof(bits));
       h = Fnv(h, bits);
@@ -467,7 +449,7 @@ TEST(VmContextReload, RejectedReloadLeavesNoProgram) {
   EXPECT_EQ(reloaded.code(), StatusCode::kScriptError);
   EXPECT_FALSE(context.HasFunction("probe"));
   EXPECT_FALSE(context.HasFunction("wide"));
-  EXPECT_TRUE(context.GetGlobal("result").is_undefined());
+  EXPECT_TRUE(context.GetGlobal("result").is_null());
   EXPECT_EQ(context.vm(), nullptr);
 }
 
@@ -480,9 +462,158 @@ TEST(VmContextReload, UnloadedContextIsEmpty) {
     auto r = context->Call("init", {});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), StatusCode::kNotFound);
-    EXPECT_TRUE(context->GetGlobal("result").is_undefined());
+    EXPECT_TRUE(context->GetGlobal("result").is_null());
     EXPECT_EQ(json::Write(context->SnapshotState()), "{}");
   }
+}
+
+// ------------------------------------------------------- hostile values
+// Module state is untrusted. Every case below brought the whole
+// process down (stack overflow, std::bad_alloc) while conversions and
+// display recursed without bounds; now each fails one conversion.
+
+const char* kCyclicModule = R"(
+  var a = { x: 1 };
+  a.self = a;
+  var b = [1];
+  b.push(b);
+  var keep = 2;
+)";
+
+/// Run `fn` to completion on a sim::Fiber: the 256 KiB heap stack,
+/// without a guard page, that module handlers run on.
+void OnFiber(std::function<void()> fn) {
+  sim::Fiber* fiber = sim::Fiber::Spawn(std::move(fn));
+  ASSERT_TRUE(fiber->finished());
+  delete fiber;
+}
+
+/// `nest(n)`: n arrays, each the only element of the next.
+const char* kNest = R"(
+  function nest(n) { var a = []; for (var i = 1; i < n; i++) a = [a]; return a; }
+)";
+
+/// The display of global `result` after running `body` after kNest.
+std::string EvalNested(const std::string& body) {
+  return Eval(std::string(kNest) + body);
+}
+
+TEST(VmHostileValues, CyclicGlobalsAreLeftOutOfSnapshots) {
+  Context context;
+  ASSERT_TRUE(context.Load(kCyclicModule).ok());
+  EXPECT_EQ(json::Write(context.SnapshotState()), R"({"keep":2})");
+  EXPECT_TRUE(context.GetGlobal("a").is_null());
+}
+
+TEST(VmHostileValues, StringifyOfACycleIsACatchableError) {
+  EXPECT_EQ(Eval(std::string(kCyclicModule) + R"(
+    var result = "";
+    try { JSON.stringify(a); } catch (e) { result += e.code + "|" + e.message; }
+    try { JSON.stringify(b); } catch (e) { result += ";" + e.message; }
+  )"),
+            "SCRIPT_ERROR|script:9: cannot serialize a cyclic value to JSON;"
+            "script:10: cannot serialize a cyclic value to JSON");
+}
+
+TEST(VmHostileValues, DisplayOfACyclePrintsAPlaceholder) {
+  EXPECT_EQ(Eval(std::string(kCyclicModule) + R"(
+    var result = "" + b + " " + String(a);
+  )"),
+            "[1, [...]] {x: 1, self: [...]}");
+  Context context;
+  std::vector<std::string> lines;
+  context.set_print_handler(
+      [&lines](const std::string& line) { lines.push_back(line); });
+  ASSERT_TRUE(context.Load(std::string(kCyclicModule) + "console.log(b, a);")
+                  .ok());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "[1, [...]] {x: 1, self: [...]}");
+}
+
+TEST(VmHostileValues, SharedAcyclicValuesStillSerialize) {
+  EXPECT_EQ(Eval(R"(
+    var x = [1, { y: 2 }];
+    var result = JSON.stringify({ a: x, b: x, c: [x, x] }) + " " + { a: x, b: x };
+  )"),
+            R"({"a":[1,{"y":2}],"b":[1,{"y":2}],"c":[[1,{"y":2}],[1,{"y":2}]]} )"
+            R"({a: [1, {y: 2}], b: [1, {y: 2}]})");
+}
+
+TEST(VmHostileValues, HundredThousandDeepNestingIsLeftOutOfSnapshots) {
+  OnFiber([] {
+    Context context;
+    ASSERT_TRUE(context
+                    .Load(std::string(kNest) +
+                          "var deep = nest(100000); var keep = 2;")
+                    .ok());
+    EXPECT_EQ(json::Write(context.SnapshotState()), R"({"keep":2})");
+    EXPECT_TRUE(context.GetGlobal("deep").is_null());
+  });
+}
+
+TEST(VmHostileValues, ExponentialSharingFailsFast) {
+  const std::string doubling = R"(
+    var a = [];
+    for (var i = 0; i < 30; i++) a = [a, a];
+    var keep = 2;
+  )";
+  Context context;
+  ASSERT_TRUE(context.Load(doubling).ok());
+  EXPECT_EQ(json::Write(context.SnapshotState()), R"({"keep":2})");
+  EXPECT_EQ(Eval(doubling + R"(
+    var result = "";
+    try { JSON.stringify(a); } catch (e) { result += e.message; }
+    try { result += "" + a; } catch (e) { result += ";" + e.message; }
+  )"),
+            "script:7: value too large to serialize to JSON;"
+            "script:8: string longer than 1048576 bytes");
+}
+
+TEST(VmHostileValues, NestingBoundHoldsOnAHandlerFiber) {
+  // At the bound: serializes, parses back and displays in full.
+  const std::string at_limit = std::to_string(kMaxValueDepth);
+  const std::string past_limit = std::to_string(kMaxValueDepth + 1);
+  OnFiber([&] {
+    EXPECT_EQ(EvalNested("var s = JSON.stringify(nest(" + at_limit + "));"
+                         "var back = JSON.stringify(JSON.parse(s));"
+                         "var shown = '' + nest(" + at_limit + ");"
+                         "var result = (s == back) + ':' + s.length + ':' +"
+                         "  shown.length + ':' + shown.indexOf('[...]');"),
+              "true:" + std::to_string(2 * kMaxValueDepth) + ":" +
+                  std::to_string(2 * kMaxValueDepth) + ":-1");
+  });
+  // One level deeper, and far deeper: a catchable error, a placeholder.
+  for (const std::string& depth : {past_limit, std::string("2000")}) {
+    OnFiber([&] {
+      EXPECT_EQ(
+          EvalNested("var result = '';"
+                     "try { JSON.stringify(nest(" + depth + ")); }"
+                     "catch (e) { result = e.message; }"
+                     "var shown = '' + nest(" + depth + ");"
+                     "result += ':' + shown.indexOf('[...]');"),
+          "script:3: cannot serialize JSON nested deeper than " +
+              std::to_string(kMaxValueDepth) + ":" +
+              std::to_string(kMaxValueDepth));
+    });
+  }
+}
+
+TEST(VmHostileValues, HostArgumentsWithoutAJsonFormFailTheCall) {
+  // The same bounded ToJson guards every host function that ships a
+  // value: a cycle handed to one is a catchable script error.
+  Context context;
+  context.RegisterHostFunction(
+      "ship", [](Vm& vm, HostArgs args) -> Result<VpValue> {
+        auto j = vm.ToJson(args[0]);
+        if (!j.ok()) return j.error();
+        return VpValue::Boolean(true);
+      });
+  ASSERT_TRUE(context.Load(std::string(kCyclicModule) + R"(
+    var result = "";
+    try { ship(a); } catch (e) { result = e.code + "|" + e.message; }
+  )").ok());
+  EXPECT_EQ(Vm::ToDisplayString(context.vm()->GetGlobal("result")),
+            "SCRIPT_ERROR|script:9: cannot serialize a cyclic value to JSON");
 }
 
 }  // namespace

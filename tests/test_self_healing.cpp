@@ -7,10 +7,12 @@
 #include <cstdlib>
 
 #include "apps/fitness.hpp"
+#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "core/self_healing.hpp"
 #include "json/write.hpp"
+#include "lifecycle/hibernation.hpp"
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_injector.hpp"
@@ -267,14 +269,14 @@ TEST(SelfHealing, CheckpointRestoreResumesToGoldenState) {
   auto drive = [](script::Context& context, int from, int to) {
     for (int i = from; i < to; ++i) {
       auto r = context.Call("event_received",
-                            {script::Value(static_cast<double>(i * 3))});
+                            {json::Value(static_cast<double>(i * 3))});
       ASSERT_TRUE(r.ok()) << r.error().ToString();
     }
   };
   auto state_of = [](script::Context& context) {
     auto r = context.Call("state_string", {});
     EXPECT_TRUE(r.ok());
-    return r.ok() ? r->ToDisplayString() : "<err>";
+    return r.ok() && r->is_string() ? r->AsString() : "<err>";
   };
 
   auto first = make_context();
@@ -291,6 +293,109 @@ TEST(SelfHealing, CheckpointRestoreResumesToGoldenState) {
   const char* golden = "12|198|33|0,6,12,18,24,30,36,42,48,54,60,66";
   EXPECT_EQ(state_of(*first), golden);
   EXPECT_EQ(state_of(*second), golden);
+}
+
+TEST(SelfHealing, HostileModuleStateSurvivesEverySnapshotPath) {
+  // A module whose globals include a self-referencing object and a
+  // 100 000-deep array. Every path that snapshots module state —
+  // shipped checkpoints, hibernation, live migration and failure
+  // restore (RestoreModule) — must leave both out instead of taking
+  // the process down, and the pipeline must keep completing frames.
+  const char* spec_text = R"CFG({
+    "name": "hostile",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["holder"] },
+      { "name": "holder", "next_module": ["sink"],
+        "code": "
+          var count = 0;
+          var refused = '';
+          var cyclic = { name: 'loop' };
+          cyclic.self = cyclic;
+          var deep = [];
+          for (var i = 0; i < 100000; i++) deep = [deep];
+          function init() { set_timer(50); }
+          function event_received(m) {
+            if (m.timer) {
+              try { call_module('sink', cyclic); } catch (e) { refused = e.code; }
+              call_module('sink', cyclic);
+              return;
+            }
+            count = count + 1;
+            call_module('sink', { seq: m.seq, count: count });
+          }" },
+      { "name": "sink", "signal_source": true,
+        "code": "var last = 0; function event_received(m) { last = m.count; }" }
+    ]
+  })CFG";
+  auto rig = MakeRig(
+      core::ParsePipelineConfigText(spec_text, core::MapResolver({})));
+  lifecycle::HibernationOptions sleep;
+  sleep.auto_hibernate = false;
+  lifecycle::HibernationManager manager(rig.orchestrator.get(), sleep);
+  manager.AttachHealer(rig.healer.get());
+  manager.Start();
+
+  auto holder = [&rig] { return rig.pipeline->FindModule("holder"); };
+  auto expect_clean = [](const json::Value& state, const char* where) {
+    EXPECT_NE(state.Find("count"), nullptr) << where;
+    EXPECT_EQ(state.Find("cyclic"), nullptr) << where;
+    EXPECT_EQ(state.Find("deep"), nullptr) << where;
+  };
+  uint64_t completed = 0;
+  auto expect_progress = [&](const char* phase) {
+    const uint64_t now = rig.pipeline->metrics().frames_completed();
+    EXPECT_GT(now, completed + 10) << phase;
+    completed = now;
+  };
+
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  expect_progress("deployed");
+  // The timer handler's call_module(next, cyclic) failed with a script
+  // error, once caught and once counted.
+  EXPECT_EQ(holder()->context().GetGlobal("refused").AsString(),
+            "SCRIPT_ERROR");
+  EXPECT_EQ(holder()->stats().script_errors, 1u);
+  expect_clean(holder()->context().SnapshotState(), "live");
+  const core::ModuleCheckpoint* shipped =
+      rig.healer->checkpoint("hostile", "holder");
+  ASSERT_NE(shipped, nullptr);
+  expect_clean(shipped->state, "shipped checkpoint");
+
+  ASSERT_TRUE(manager.Hibernate(rig.pipeline).ok());
+  expect_clean(rig.pipeline->hibernation_checkpoints().at("holder").state,
+               "hibernation");
+  Status woke(StatusCode::kInternal, "pending");
+  manager.RequestWake("hostile", [&woke](const Status& s) { woke = s; });
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  ASSERT_TRUE(woke.ok()) << woke.ToString();
+  expect_progress("woken");
+
+  const std::string from = rig.pipeline->plan().module_device.at("holder");
+  const std::string to = from == "nuc" ? "desktop" : "nuc";
+  ASSERT_TRUE(
+      rig.orchestrator->MigrateModule(*rig.pipeline, "holder", to).ok());
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  expect_progress("migrated");
+
+  // Failure restore: the healer re-places the module from its last
+  // shipped checkpoint.
+  ASSERT_TRUE(rig.injector
+                  ->ScheduleDeviceCrash(
+                      to,
+                      rig.cluster->simulator().Now() + Duration::Millis(100),
+                      Duration::Zero())
+                  .ok());
+  rig.orchestrator->RunFor(Duration::Seconds(5));
+  EXPECT_GE(rig.pipeline->metrics().checkpoints_restored(), 1u);
+  EXPECT_NE(rig.pipeline->plan().module_device.at("holder"), to);
+  expect_progress("restored");
+  expect_clean(holder()->context().SnapshotState(), "restored");
+
+  core::InvariantChecker checker(rig.orchestrator.get());
+  checker.CheckNow();
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
 }
 
 TEST(SelfHealing, SourceDeviceCrashPausesThenRebootResumes) {
