@@ -6,6 +6,7 @@
 #include "cv/pose_detector.hpp"
 #include "cv/rep_counter.hpp"
 #include "media/renderer.hpp"
+#include "media/video_source.hpp"
 #include "services/models.hpp"
 
 using namespace vp;
@@ -24,6 +25,36 @@ void BM_DetectPose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectPose)->Arg(160)->Arg(320)->Arg(640);
+
+// Training set-up's per-frame work at the default 160×120: render a
+// squat frame and detect its pose, through the full noisy image or
+// through the exact sparse path (noise only on the pixels the detector
+// could match).
+media::SyntheticVideoSource SquatSource() {
+  auto script = media::MotionScript::Make({{"squat", 10.0, {}}});
+  return media::SyntheticVideoSource(std::move(*script), 15.0);
+}
+
+void BM_CaptureFrameDetectPose(benchmark::State& state) {
+  const media::SyntheticVideoSource source = SquatSource();
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    const cv::DetectedPose pose =
+        cv::DetectPose(source.CaptureFrame(seq++ % 150).image);
+    benchmark::DoNotOptimize(pose.num_detected);
+  }
+}
+BENCHMARK(BM_CaptureFrameDetectPose);
+
+void BM_DetectCapturedPose(benchmark::State& state) {
+  const media::SyntheticVideoSource source = SquatSource();
+  uint64_t seq = 0;
+  for (auto _ : state) {
+    const cv::DetectedPose pose = cv::DetectPose(source, seq++ % 150);
+    benchmark::DoNotOptimize(pose.num_detected);
+  }
+}
+BENCHMARK(BM_DetectCapturedPose);
 
 void BM_PoseFeatures(benchmark::State& state) {
   const media::Image image = media::RenderScene(media::Pose::Standing(),

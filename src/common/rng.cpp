@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,18 +20,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(sm);
   // Avoid the all-zero state, which is a fixed point of xoshiro.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::NextDouble() {
@@ -61,14 +47,6 @@ double Rng::NextGaussian() {
   cached_gaussian_ = pair.second;
   has_cached_gaussian_ = true;
   return pair.first;
-}
-
-Rng::BoxMullerDraw Rng::NextBoxMullerDraw() {
-  uint64_t u1_bits = 0;
-  do {
-    u1_bits = NextU53();
-  } while (u1_bits == 0);  // ln(0) is -inf
-  return BoxMullerDraw{u1_bits, NextU53()};
 }
 
 double BoxMullerRadius(uint64_t u1_bits) {

@@ -16,8 +16,20 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Uniform 64-bit value.
-  uint64_t NextU64();
+  /// Uniform 64-bit value. Inline, as is NextBoxMullerDraw: stepping the
+  /// stream past draws a caller does not need then costs only the
+  /// xoshiro arithmetic.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform 53-bit integer; NextDouble() is this times 2^-53.
   uint64_t NextU53() { return NextU64() >> 11; }
@@ -42,7 +54,13 @@ class Rng {
     uint64_t u1_bits;
     uint64_t u2_bits;
   };
-  BoxMullerDraw NextBoxMullerDraw();
+  BoxMullerDraw NextBoxMullerDraw() {
+    uint64_t u1_bits = 0;
+    do {
+      u1_bits = NextU53();
+    } while (u1_bits == 0);  // ln(0) is -inf
+    return BoxMullerDraw{u1_bits, NextU53()};
+  }
 
   /// Gaussian with the given mean/stddev.
   double NextGaussian(double mean, double stddev) {
@@ -66,6 +84,8 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

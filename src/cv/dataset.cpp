@@ -44,8 +44,7 @@ std::vector<LabeledWindow> GenerateActivityDataset(
       std::vector<DetectedPose> poses;
       poses.reserve(kActivityWindow);
       for (int f = 0; f < kActivityWindow; ++f) {
-        const media::Frame frame = source.CaptureFrame(start + f);
-        poses.push_back(DetectPose(frame.image));
+        poses.push_back(DetectPose(source, start + f));
       }
       windows.push_back(LabeledWindow{WindowFeatures(poses), label});
     }
@@ -108,9 +107,7 @@ Result<RepEvalResult> EvaluateRepCounter(const std::string& exercise,
   const auto frames =
       static_cast<uint64_t>(std::floor(duration_seconds * fps));
   for (uint64_t f = 0; f < frames; ++f) {
-    const media::Frame frame = source.CaptureFrame(f);
-    const DetectedPose pose = DetectPose(frame.image);
-    auto next = counter.Step(std::move(state), pose);
+    auto next = counter.Step(std::move(state), DetectPose(source, f));
     if (!next.ok()) return next.error();
     state = std::move(*next);
   }

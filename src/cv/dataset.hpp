@@ -5,6 +5,16 @@
 // a withheld test set", §4.1.2). Windows are produced by the full
 // honest path: motion model → renderer → pixels → pose detector →
 // features, so classifier accuracy reflects real detection noise.
+//
+// Each frame goes through DetectPose(source, seq), which returns
+// exactly what DetectPose on the rendered noisy frame returns: it
+// renders the clean scene, keeps the pixels whose color noise could
+// bring within the detector's tolerance of a joint color (clean
+// distance <= tolerance + media::MaxSensorNoiseShift, by the triangle
+// inequality), and gives only those their exact sensor noise before
+// the same per-pixel rule. Every other pixel fails that rule whatever
+// its noise, so the features and trained models are bit-identical to
+// detecting on full frames, at a fraction of the cost.
 #pragma once
 
 #include <string>

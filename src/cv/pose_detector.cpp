@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "media/renderer.hpp"
+#include "media/video_source.hpp"
 
 namespace vp::cv {
 
@@ -54,49 +58,77 @@ Result<DetectedPose> DetectedPose::FromJson(const json::Value& v) {
   return pose;
 }
 
-DetectedPose DetectPose(const media::Image& image,
-                        const PoseDetectorOptions& options) {
-  struct Accumulator {
-    double sx = 0, sy = 0;
-    int count = 0;
-  };
-  std::array<Accumulator, media::kNumKeypoints> acc{};
+namespace {
 
-  // One pass over the pixels; nearest palette color within tolerance.
-  for (int y = 0; y < image.height(); ++y) {
-    for (int x = 0; x < image.width(); ++x) {
-      const media::Rgb c = image.At(x, y);
-      // Quick reject: markers are saturated; the background and bones
-      // are dark/gray.
-      const int maxc = std::max({c.r, c.g, c.b});
-      const int minc = std::min({c.r, c.g, c.b});
-      if (maxc < 100 || (maxc - minc) < 40) {
-        // Could still be the white right-hip marker (255,255,255).
-        if (maxc < 200) continue;
-      }
-      int best_joint = -1;
-      int best_dist = options.color_tolerance + 1;
-      for (int k = 0; k < media::kNumKeypoints; ++k) {
-        const int d = media::ColorDistance(c, media::KeypointColor(k));
-        if (d < best_dist) {
-          best_dist = d;
-          best_joint = k;
-        }
-      }
-      if (best_joint >= 0) {
-        auto& a = acc[static_cast<size_t>(best_joint)];
-        a.sx += x;
-        a.sy += y;
-        ++a.count;
-      }
+/// Sums of the coordinates of the pixels matching one joint, added in
+/// raster order.
+struct BlobSums {
+  double sx = 0, sy = 0;
+  int count = 0;
+};
+using JointSums = std::array<BlobSums, media::kNumKeypoints>;
+
+/// The detector's per-pixel rule, with the joint palette at hand.
+class JointMatcher {
+ public:
+  explicit JointMatcher(int color_tolerance) : tolerance_(color_tolerance) {
+    for (int k = 0; k < media::kNumKeypoints; ++k) {
+      palette_[static_cast<size_t>(k)] = media::KeypointColor(k);
     }
   }
 
+  /// The joint whose palette color is nearest `c` within the tolerance,
+  /// or -1.
+  int Match(media::Rgb c) const {
+    // Quick reject: markers are saturated; the background and bones
+    // are dark/gray.
+    const int maxc = std::max({c.r, c.g, c.b});
+    const int minc = std::min({c.r, c.g, c.b});
+    if (maxc < 100 || (maxc - minc) < 40) {
+      // Could still be the white right-hip marker (255,255,255).
+      if (maxc < 200) return -1;
+    }
+    int best_joint = -1;
+    int best_dist = tolerance_ + 1;
+    for (int k = 0; k < media::kNumKeypoints; ++k) {
+      const int d = media::ColorDistance(c, palette_[static_cast<size_t>(k)]);
+      if (d < best_dist) {
+        best_dist = d;
+        best_joint = k;
+      }
+    }
+    return best_joint;
+  }
+
+  /// Whether some joint's palette color lies within `reach` of `c`.
+  bool WithinReach(media::Rgb c, int reach) const {
+    for (const media::Rgb& joint : palette_) {
+      if (media::ColorDistance(c, joint) <= reach) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::array<media::Rgb, media::kNumKeypoints> palette_;
+  int tolerance_;
+};
+
+void Accumulate(JointSums& sums, int joint, int x, int y) {
+  if (joint < 0) return;
+  BlobSums& a = sums[static_cast<size_t>(joint)];
+  a.sx += x;
+  a.sy += y;
+  ++a.count;
+}
+
+/// Blob centroids → keypoints → the person's bounding box.
+DetectedPose FinishPose(const JointSums& sums, int width, int height,
+                        const PoseDetectorOptions& options) {
   DetectedPose pose;
   const double expected_area =
       M_PI * 2.2 * 2.2;  // nominal marker radius from SceneOptions
   for (int k = 0; k < media::kNumKeypoints; ++k) {
-    const auto& a = acc[static_cast<size_t>(k)];
+    const BlobSums& a = sums[static_cast<size_t>(k)];
     DetectedKeypoint& kp = pose.keypoints[static_cast<size_t>(k)];
     if (a.count >= options.min_blob_pixels) {
       kp.detected = true;
@@ -116,15 +148,70 @@ DetectedPose DetectPose(const media::Image& image,
       x1 = std::max(x1, kp.x);
       y1 = std::max(y1, kp.y);
     }
-    pose.bbox = BoundingBox{std::max(0.0, x0 - options.bbox_margin),
-                            std::max(0.0, y0 - options.bbox_margin),
-                            std::min<double>(image.width() - 1,
-                                             x1 + options.bbox_margin),
-                            std::min<double>(image.height() - 1,
-                                             y1 + options.bbox_margin),
-                            true};
+    pose.bbox = BoundingBox{
+        std::max(0.0, x0 - options.bbox_margin),
+        std::max(0.0, y0 - options.bbox_margin),
+        std::min<double>(width - 1, x1 + options.bbox_margin),
+        std::min<double>(height - 1, y1 + options.bbox_margin), true};
   }
   return pose;
+}
+
+}  // namespace
+
+DetectedPose DetectPose(const media::Image& image,
+                        const PoseDetectorOptions& options) {
+  // One pass over the pixels; nearest palette color within tolerance.
+  const JointMatcher matcher(options.color_tolerance);
+  JointSums sums{};
+  for (int y = 0; y < image.height(); ++y) {
+    for (int x = 0; x < image.width(); ++x) {
+      Accumulate(sums, matcher.Match(image.At(x, y)), x, y);
+    }
+  }
+  return FinishPose(sums, image.width(), image.height(), options);
+}
+
+DetectedPose DetectPose(const media::SyntheticVideoSource& source,
+                        uint64_t seq, const PoseDetectorOptions& options) {
+  media::Image image = source.CaptureClean(seq);
+  const int width = image.width();
+
+  // A pixel is live if its noisy color could match a joint. Noise moves
+  // each channel at most `shift` from its clean value, so a match within
+  // the tolerance of joint k needs the clean color within tolerance +
+  // shift of k's color (triangle inequality); a pixel further than that
+  // from every joint color is rejected whatever its noise. Scenes are
+  // runs of one color, so each pixel reuses the verdict of the last.
+  const int reach =
+      options.color_tolerance +
+      media::MaxSensorNoiseShift(source.scene().noise_stddev);
+  const JointMatcher matcher(options.color_tolerance);
+  std::vector<uint32_t> live;  // pixel indices y·width + x, ascending
+  media::Rgb last_color;
+  bool last_live = matcher.WithinReach(last_color, reach);
+  for (int y = 0; y < image.height(); ++y) {
+    for (int x = 0; x < width; ++x) {
+      const media::Rgb c = image.At(x, y);
+      if (!(c == last_color)) {
+        last_color = c;
+        last_live = matcher.WithinReach(c, reach);
+      }
+      if (last_live) live.push_back(static_cast<uint32_t>(y * width + x));
+    }
+  }
+
+  // Only the live pixels get their noise; the rest of the stream is
+  // stepped past. They are then matched in raster order, as the
+  // full-image pass meets them, so the blob sums are the same doubles.
+  source.AddCaptureNoiseAt(image, seq, live);
+  JointSums sums{};
+  for (const uint32_t p : live) {
+    const int x = static_cast<int>(p % static_cast<uint32_t>(width));
+    const int y = static_cast<int>(p / static_cast<uint32_t>(width));
+    Accumulate(sums, matcher.Match(image.At(x, y)), x, y);
+  }
+  return FinishPose(sums, width, image.height(), options);
 }
 
 Duration PoseDetectCost(const media::Image& image) {

@@ -14,11 +14,16 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 
 #include "common/time.hpp"
 #include "json/value.hpp"
 #include "media/image.hpp"
 #include "media/skeleton.hpp"
+
+namespace vp::media {
+class SyntheticVideoSource;
+}  // namespace vp::media
 
 namespace vp::cv {
 
@@ -56,9 +61,23 @@ struct PoseDetectorOptions {
   double bbox_margin = 4.0;
 };
 
-/// Run detection on an image.
+/// Run detection on an image: the pose service's path on decoded
+/// frames, and the reference for the overload below.
 DetectedPose DetectPose(const media::Image& image,
                         const PoseDetectorOptions& options = {});
+
+/// Exactly DetectPose(source.CaptureFrame(seq).image, options), without
+/// building the noisy image. A pixel can only match a joint if its color
+/// is within color_tolerance of that joint's; noise moves a channel at
+/// most media::MaxSensorNoiseShift from its clean value, so a pixel
+/// whose clean color is further than tolerance + shift from every joint
+/// color is rejected whatever its noise. At the default noise that is
+/// every pixel but the markers'. Only the remaining (live) pixels get
+/// their exact sensor noise (media::AddSensorNoiseAt steps the stream
+/// past the rest) and go through the same per-pixel rule, in the same
+/// raster order, so every field, doubles included, is bit-identical.
+DetectedPose DetectPose(const media::SyntheticVideoSource& source,
+                        uint64_t seq, const PoseDetectorOptions& options = {});
 
 /// Reference-device compute cost of one detection (the dominant cost
 /// in the paper's pipeline; Fig. 6 shows pose detection at ~55–75 ms).

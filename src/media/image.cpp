@@ -6,13 +6,6 @@
 
 namespace vp::media {
 
-int ColorDistance(Rgb a, Rgb b) {
-  const int dr = std::abs(static_cast<int>(a.r) - static_cast<int>(b.r));
-  const int dg = std::abs(static_cast<int>(a.g) - static_cast<int>(b.g));
-  const int db = std::abs(static_cast<int>(a.b) - static_cast<int>(b.b));
-  return std::max({dr, dg, db});
-}
-
 Image::Image(int width, int height, Rgb fill)
     : width_(width), height_(height),
       data_(static_cast<size_t>(width) * static_cast<size_t>(height) * 3) {

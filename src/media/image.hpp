@@ -6,7 +6,9 @@
 // transfer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -18,8 +20,14 @@ struct Rgb {
   bool operator==(const Rgb&) const = default;
 };
 
-/// Chebyshev (max-channel) distance between two colors.
-int ColorDistance(Rgb a, Rgb b);
+/// Chebyshev (max-channel) distance between two colors. Inline: the
+/// pose detector runs it for every candidate pixel and joint.
+inline int ColorDistance(Rgb a, Rgb b) {
+  const int dr = std::abs(static_cast<int>(a.r) - static_cast<int>(b.r));
+  const int dg = std::abs(static_cast<int>(a.g) - static_cast<int>(b.g));
+  const int db = std::abs(static_cast<int>(a.b) - static_cast<int>(b.b));
+  return std::max({dr, dg, db});
+}
 
 class Image {
  public:

@@ -38,7 +38,7 @@ class MotionModel {
 
   /// Ground-truth completed repetitions at time t (0 for non-exercise
   /// motions).
-  virtual int RepsCompleted(double t) const { return 0; }
+  virtual int RepsCompleted(double /*t*/) const { return 0; }
 };
 
 /// Labels understood by MakeMotion.

@@ -101,6 +101,42 @@ Image RenderCleanScene(const Pose& pose, const SceneOptions& options) {
   return image;
 }
 
+int MaxSensorNoiseShift(double noise_stddev) {
+  if (!(noise_stddev > 0)) return 0;
+  const double shift = std::ceil(noise_stddev * BoxMullerRadius(1)) + 1;
+  return static_cast<int>(std::min(shift, 256.0));
+}
+
+void AddSensorNoiseAt(Image& image, std::span<const uint32_t> pixels,
+                      double noise_stddev, uint64_t frame_seed) {
+  if (!(noise_stddev > 0)) return;
+  std::vector<uint8_t>& data = image.data();
+  const size_t n = data.size();
+  Rng rng = SensorNoiseRng(frame_seed);
+  // Pair q carries channels 2q and 2q + 1, as RenderScene draws them;
+  // pixel p's channels 3p..3p+2 lie in pairs 3p/2..(3p+2)/2. Pairs
+  // before `next` are drawn (the previous pixel may share one).
+  size_t next = 0;
+  for (const uint32_t pixel : pixels) {
+    const size_t first = std::max(size_t{3} * pixel / 2, next);
+    const size_t last = (size_t{3} * pixel + 2) / 2;
+    for (; next < first; ++next) rng.NextBoxMullerDraw();
+    for (; next <= last; ++next) {
+      const Rng::BoxMullerDraw draw = rng.NextBoxMullerDraw();
+      // As in NoisyQuantizer::Apply, sd·g adds to a channel exactly as
+      // NextGaussian(0, sd) does.
+      const GaussianPair g =
+          BoxMuller(BoxMullerRadius(draw.u1_bits), draw.u2_bits);
+      const size_t i = 2 * next;
+      data[i] = AddSensorNoise(data[i], noise_stddev * g.first);
+      // An odd last channel takes the first value of a fresh pair.
+      if (i + 1 < n) {
+        data[i + 1] = AddSensorNoise(data[i + 1], noise_stddev * g.second);
+      }
+    }
+  }
+}
+
 NoisyQuantizer::NoisyQuantizer(double noise_stddev)
     : stddev_(noise_stddev) {
   // Above u1_threshold_[h], stddev·r stays below h - kSlack. The

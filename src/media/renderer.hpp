@@ -8,6 +8,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,22 @@ Image RenderScene(const Pose& pose, const SceneOptions& options,
 
 /// RenderScene without the sensor noise (`noise_stddev` is ignored).
 Image RenderCleanScene(const Pose& pose, const SceneOptions& options);
+
+/// The furthest RenderScene moves a channel from its RenderCleanScene
+/// value: ⌈stddev·BoxMullerRadius(1)⌉ + 1 (u1_bits >= 1 caps the radius
+/// at ~8.5716, clamping to [0, 255] only moves a channel back toward
+/// its clean value, and the + 1 absorbs rounding), capped at 256; 0
+/// without noise, as RenderScene skips it unless stddev > 0.
+int MaxSensorNoiseShift(double noise_stddev);
+
+/// RenderScene's sensor noise on some pixels of a RenderCleanScene
+/// image. `pixels` lists pixel indices (y·width + x) in ascending order.
+/// Every Box–Muller pair that reaches a listed pixel's channels gives
+/// both its channels RenderScene's exact values for the same options
+/// and seed; the stream is stepped past all other pairs without the
+/// transform, and their channels keep their clean values.
+void AddSensorNoiseAt(Image& clean, std::span<const uint32_t> pixels,
+                      double noise_stddev, uint64_t frame_seed);
 
 /// Sensor noise fused with the codec's quantisation. Apply() turns a
 /// RenderCleanScene image, in place, into the 4-bit buckets (v >> 4)

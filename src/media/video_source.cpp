@@ -37,6 +37,15 @@ Bytes SyntheticVideoSource::CaptureEncoded(uint64_t seq,
   return EncodeQuantizedFrame(frame);
 }
 
+Image SyntheticVideoSource::CaptureClean(uint64_t seq) const {
+  return RenderCleanScene(JitteredPose(seq), scene_);
+}
+
+void SyntheticVideoSource::AddCaptureNoiseAt(
+    Image& clean, uint64_t seq, std::span<const uint32_t> pixels) const {
+  AddSensorNoiseAt(clean, pixels, scene_.noise_stddev, NoiseSeed(seq));
+}
+
 Pose SyntheticVideoSource::JitteredPose(uint64_t seq) const {
   Pose pose = script_.PoseAt(static_cast<double>(seq) / fps_);
   // Pose jitter: small per-joint tremor, deterministic per (seed, seq).

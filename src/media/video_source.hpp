@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -36,6 +37,15 @@ class SyntheticVideoSource {
   /// capture_time replaced, without building f's noisy image: the clean
   /// render is quantized in place by NoisyQuantizer.
   Bytes CaptureEncoded(uint64_t seq, TimePoint capture_time) const;
+
+  /// CaptureFrame(seq)'s image before its sensor noise: RenderCleanScene
+  /// of the same jittered pose.
+  Image CaptureClean(uint64_t seq) const;
+
+  /// AddSensorNoiseAt with frame `seq`'s noise seed: on CaptureClean(seq),
+  /// the listed pixels become exactly CaptureFrame(seq).image's.
+  void AddCaptureNoiseAt(Image& clean, uint64_t seq,
+                         std::span<const uint32_t> pixels) const;
 
   /// Capture timestamp of frame `seq`.
   TimePoint CaptureTime(uint64_t seq) const {

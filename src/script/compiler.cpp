@@ -603,7 +603,7 @@ class FnCompiler {
         CompileExpr(*stmt.expr);
         const size_t exit = EmitJump(Op::kJumpIfFalse, stmt.line);
         loops_.push_back(LoopCtx{true, scope_depth_, scope_depth_,
-                                 handler_depth_, true, loop_start});
+                                 handler_depth_, true, loop_start, {}, {}});
         CompileScopedBlock(stmt.body, stmt.line);
         EmitLoop(loop_start, stmt.line);
         PatchJump(exit);
@@ -613,7 +613,7 @@ class FnCompiler {
       case StmtKind::kDoWhile: {
         const size_t loop_start = Here();
         loops_.push_back(LoopCtx{true, scope_depth_, scope_depth_,
-                                 handler_depth_, false, 0});
+                                 handler_depth_, false, 0, {}, {}});
         CompileScopedBlock(stmt.body, stmt.line);
         // continue lands on the condition (evaluated in the outer
         // scope).
@@ -731,7 +731,7 @@ class FnCompiler {
       exit = EmitJump(Op::kJumpIfFalse, stmt.line);
     }
     loops_.push_back(LoopCtx{true, outer_depth, scope_depth_, handler_depth_,
-                             false, 0});
+                             false, 0, {}, {}});
     // Per-iteration body scope: body-declared locals close every
     // iteration, so closures capture per-iteration cells.
     CompileScopedBlock(stmt.body, stmt.line);
@@ -763,7 +763,7 @@ class FnCompiler {
     EmitU16(0xffff);
     const size_t exit_operand = Here() - 2;
     loops_.push_back(LoopCtx{true, outer_depth, scope_depth_, handler_depth_,
-                             true, next_pos});
+                             true, next_pos, {}, {}});
     BeginScope();  // per-iteration: loop variable + body locals
     AddLocal(stmt.name, false, true);
     CompileBlockInCurrentScope(stmt.body);
@@ -802,7 +802,7 @@ class FnCompiler {
     // a slot, reset to undefined on switch entry.
     for (const SwitchCase& c : stmt.cases) DeclareBlockLocals(c.body);
     loops_.push_back(LoopCtx{false, outer_depth, outer_depth, handler_depth_,
-                             false, 0});
+                             false, 0, {}, {}});
     // Dispatch: strict-equality tests in case order, default last.
     std::vector<size_t> case_jumps(stmt.cases.size(), 0);
     int default_index = -1;

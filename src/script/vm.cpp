@@ -206,6 +206,16 @@ Error StringTooLong() {
   return ScriptError(Format("string longer than %zu bytes", kMaxStringLength));
 }
 
+Error ArrayTooLong() {
+  return ScriptError(
+      Format("array longer than %zu elements", kMaxArrayLength));
+}
+
+/// Whether growing an array of `size` by `more` stays within the bound.
+bool ArrayFits(size_t size, size_t more) {
+  return size <= kMaxArrayLength && more <= kMaxArrayLength - size;
+}
+
 /// `ancestors` holds the containers enclosing the one being converted.
 bool IsAncestor(const std::vector<const GcObj*>& ancestors,
                 const GcObj* obj) {
@@ -852,6 +862,9 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
   auto arg = [&](int i) { return stack_[args_base + static_cast<size_t>(i)]; };
   switch (static_cast<ArrMethod>(method)) {
     case ArrMethod::kPush: {
+      if (!ArrayFits(arr->items.size(), static_cast<size_t>(argc))) {
+        return Status(ArrayTooLong());
+      }
       for (int i = 0; i < argc; ++i) arr->items.push_back(arg(i));
       *out = VpValue::Number(static_cast<double>(arr->items.size()));
       return Status::Ok();
@@ -875,6 +888,9 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
       return Status::Ok();
     }
     case ArrMethod::kUnshift: {
+      if (!ArrayFits(arr->items.size(), static_cast<size_t>(argc))) {
+        return Status(ArrayTooLong());
+      }
       arr->items.insert(arr->items.begin(), &stack_[args_base],
                         &stack_[args_base] + argc);
       *out = VpValue::Number(static_cast<double>(arr->items.size()));
@@ -920,6 +936,16 @@ Status Vm::InvokeArrayMethod(GcArray* arr, uint8_t method, int argc,
       return Status::Ok();
     }
     case ArrMethod::kConcat: {
+      size_t length = arr->items.size();
+      for (int i = 0; i < argc; ++i) {
+        const VpValue v = arg(i);
+        const size_t more =
+            v.IsHeapType(GcType::kArray)
+                ? static_cast<GcArray*>(v.AsHeap())->items.size()
+                : 1;
+        if (!ArrayFits(length, more)) return Status(ArrayTooLong());
+        length += more;
+      }
       GcArray* result = NewArray();
       result->items = arr->items;
       for (int i = 0; i < argc; ++i) {
@@ -1093,6 +1119,9 @@ Status Vm::InvokeStringMethod(const GcString* str, uint8_t method, int argc,
       const std::string& sep = arg(0).AsString();
       size_t start = 0;
       while (true) {
+        if (parts->items.size() == kMaxArrayLength) {
+          return Status(ArrayTooLong());
+        }
         const size_t pos = s.find(sep, start);
         if (pos == std::string::npos) {
           parts->items.push_back(VpValue::Heap(NewString(s.substr(start))));
@@ -1548,7 +1577,13 @@ Status Vm::Run(size_t base_frames) {
             }
             auto* arr = static_cast<GcArray*>(obj.AsHeap());
             const size_t i = static_cast<size_t>(ToInteger(index));
-            if (i >= arr->items.size()) arr->items.resize(i + 1);
+            if (i >= arr->items.size()) {
+              if (i >= kMaxArrayLength) {
+                err = Raise(line, ArrayTooLong().message());
+                goto unwind;
+              }
+              arr->items.resize(i + 1);
+            }
             arr->items[i] = value;
             Push(value);
           } else if (obj.IsHeapType(GcType::kObject)) {

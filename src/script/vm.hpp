@@ -74,6 +74,12 @@ inline constexpr size_t kMaxConversionWork = size_t{8} << 20;
 /// Longest string a script can build (`+`, join, repeat, padStart,
 /// replace, String(), JSON.stringify).
 inline constexpr size_t kMaxStringLength = size_t{1} << 20;
+/// Longest array a script can build (an index store past the end,
+/// push, unshift, concat, split). Values are 8 bytes, so one array stays
+/// within 8 MiB, far past any module's state, and one statement cannot
+/// ask the host for more: without the bound, `a[1e12] = 1` would resize
+/// the array to the index and abort the process.
+inline constexpr size_t kMaxArrayLength = size_t{1} << 20;
 
 /// Per-context execution limits — what a FaaS runtime enforces on
 /// untrusted functions: a runaway `while(true)` in module code cannot

@@ -2,7 +2,11 @@
 // k-means, rep counting, object/face/fall detection, classification.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cv/activity.hpp"
 #include "cv/classifier.hpp"
@@ -111,6 +115,85 @@ TEST(PoseDetector, CostGrowsWithResolution) {
             PoseDetectCost(media::Image(320, 240)).millis());
   // The Fig. 6 calibration point: ~55 ms at 320×240 reference speed.
   EXPECT_NEAR(PoseDetectCost(media::Image(320, 240)).millis(), 55.0, 3.0);
+}
+
+/// The first field in which two detections differ, doubles compared bit
+/// for bit; empty when they agree everywhere.
+std::string FirstDifference(const DetectedPose& a, const DetectedPose& b) {
+  auto same = [](double x, double y) {
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+  };
+  for (int k = 0; k < media::kNumKeypoints; ++k) {
+    const DetectedKeypoint& ka = a.keypoints[static_cast<size_t>(k)];
+    const DetectedKeypoint& kb = b.keypoints[static_cast<size_t>(k)];
+    if (ka.detected != kb.detected || !same(ka.x, kb.x) ||
+        !same(ka.y, kb.y) || !same(ka.confidence, kb.confidence)) {
+      return std::string("keypoint ") + media::KeypointName(k);
+    }
+  }
+  if (a.bbox.valid != b.bbox.valid || !same(a.bbox.x0, b.bbox.x0) ||
+      !same(a.bbox.y0, b.bbox.y0) || !same(a.bbox.x1, b.bbox.x1) ||
+      !same(a.bbox.y1, b.bbox.y1)) {
+    return "bbox";
+  }
+  if (a.num_detected != b.num_detected) return "num_detected";
+  return "";
+}
+
+TEST(PoseDetector, CapturedFrameDetectionIsBitIdenticalToTheImagePath) {
+  // Noise from none to far past the markers' separation, frame sizes
+  // down to an odd channel count (5×3), every motion, several frames.
+  // One scene variant adds a prop 6 levels from the nose color (it
+  // matches); another one tolerance + 4 levels away, so that only the
+  // noise decides whether its pixels match: the liveness bound must
+  // carry the noise shift for those frames to agree.
+  const PoseDetectorOptions options;
+  const media::Rgb nose = media::KeypointColor(media::kNose);
+  auto prop = [&](int levels_off_nose) {
+    const auto red = static_cast<uint8_t>(nose.r - levels_off_nose);
+    return media::Prop{"box", 0.05, 0.1, 0.15, 0.2,
+                       media::Rgb{red, nose.g, nose.b}};
+  };
+  const std::vector<std::vector<media::Prop>> props = {
+      {}, {prop(6)}, {prop(options.color_tolerance + 4)}};
+  const uint64_t seeds[] = {3, 11, 2024};
+  const std::pair<int, int> sizes[] = {{160, 120}, {320, 240}, {64, 48},
+                                       {5, 3}};
+  int frames = 0;
+  int mismatches = 0;
+  std::string first_mismatch;
+  for (const double noise : {0.0, 0.5, 3.0, 9.0, 40.0}) {
+    for (const auto& [width, height] : sizes) {
+      for (const std::string& label : media::KnownMotionLabels()) {
+        for (size_t variant = 0; variant < props.size(); ++variant) {
+          media::SceneOptions scene;
+          scene.width = width;
+          scene.height = height;
+          scene.noise_stddev = noise;
+          scene.props = props[variant];
+          auto script = media::MotionScript::Make({{label, 3.0, {}}});
+          ASSERT_TRUE(script.ok());
+          const media::SyntheticVideoSource source(std::move(*script), 15.0,
+                                                   scene, seeds[variant]);
+          for (const uint64_t seq : {0, 4, 13, 29}) {
+            ++frames;
+            const std::string diff = FirstDifference(
+                DetectPose(source.CaptureFrame(seq).image, options),
+                DetectPose(source, seq, options));
+            if (!diff.empty() && mismatches++ == 0) {
+              first_mismatch = diff + " at noise " + std::to_string(noise) +
+                               ", " + std::to_string(width) + "x" +
+                               std::to_string(height) + ", " + label +
+                               ", variant " + std::to_string(variant) +
+                               ", seq " + std::to_string(seq);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(frames, 1680);
+  EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
 }
 
 // ------------------------------------------------------------- Features

@@ -15,6 +15,13 @@
 namespace vp::media {
 namespace {
 
+/// A frame holding only a black image of the given size.
+Frame BlankFrame(int width, int height) {
+  Frame frame;
+  frame.image = Image(width, height);
+  return frame;
+}
+
 // ---------------------------------------------------------------- Image
 
 TEST(Image, ConstructionAndPixelAccess) {
@@ -360,7 +367,7 @@ TEST(Codec, CompressesSyntheticScenes) {
 
 TEST(Codec, RejectsGarbage) {
   EXPECT_FALSE(DecodeFrame(Bytes{1, 2, 3}).ok());
-  Bytes wire = EncodeFrame(Frame{.image = Image(8, 8)});
+  Bytes wire = EncodeFrame(BlankFrame(8, 8));
   wire[0] ^= 0xFF;
   EXPECT_FALSE(DecodeFrame(wire).ok());
   wire[0] ^= 0xFF;
@@ -423,17 +430,17 @@ TEST(FrameStore, IdsAreUnique) {
   FrameStore store(100);
   std::set<FrameId> ids;
   for (int i = 0; i < 50; ++i) {
-    ids.insert(store.Put(Frame{.image = Image(2, 2)}));
+    ids.insert(store.Put(BlankFrame(2, 2)));
   }
   EXPECT_EQ(ids.size(), 50u);
 }
 
 TEST(FrameStore, EvictsOldestAtCapacity) {
   FrameStore store(3);
-  const FrameId first = store.Put(Frame{.image = Image(2, 2)});
-  store.Put(Frame{.image = Image(2, 2)});
-  store.Put(Frame{.image = Image(2, 2)});
-  const FrameId fourth = store.Put(Frame{.image = Image(2, 2)});
+  const FrameId first = store.Put(BlankFrame(2, 2));
+  store.Put(BlankFrame(2, 2));
+  store.Put(BlankFrame(2, 2));
+  const FrameId fourth = store.Put(BlankFrame(2, 2));
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.evictions(), 1u);
   EXPECT_FALSE(store.Get(first).ok());
@@ -442,8 +449,8 @@ TEST(FrameStore, EvictsOldestAtCapacity) {
 
 TEST(FrameStore, EncodedCache) {
   FrameStore store(4);
-  const FrameId a = store.Put(Frame{.image = Image(2, 2)}, Bytes{1, 2, 3});
-  const FrameId b = store.Put(Frame{.image = Image(2, 2)});
+  const FrameId a = store.Put(BlankFrame(2, 2), Bytes{1, 2, 3});
+  const FrameId b = store.Put(BlankFrame(2, 2));
   ASSERT_NE(store.Encoded(a), nullptr);
   EXPECT_EQ(*store.Encoded(a), (Bytes{1, 2, 3}));
   EXPECT_EQ(store.Encoded(b), nullptr);
@@ -455,8 +462,8 @@ TEST(FrameStore, EncodedCache) {
 
 TEST(FrameStore, ResidentBytesTracksPixels) {
   FrameStore store(4);
-  store.Put(Frame{.image = Image(10, 10)});
-  store.Put(Frame{.image = Image(10, 10)});
+  store.Put(BlankFrame(10, 10));
+  store.Put(BlankFrame(10, 10));
   EXPECT_EQ(store.resident_bytes(), 2u * 10u * 10u * 3u);
 }
 

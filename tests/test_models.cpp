@@ -6,6 +6,7 @@
 // default 42. Content addressing must hold under every seed.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "core/trace_export.hpp"
+#include "cv/dataset.hpp"
 #include "json/write.hpp"
 #include "media/renderer.hpp"
 #include "modelreg/registry.hpp"
@@ -88,6 +90,53 @@ TEST(ModelRegistry, PoisonedVariantIsADistinctWorseVersion) {
   EXPECT_GT((*bad_artifact)->InferenceCost(),
             (*good_artifact)->InferenceCost() * 2);
   EXPECT_EQ(registry.trainings(), 2u);
+}
+
+/// FNV-1a over each window's label (with its terminator), feature
+/// count and feature bit patterns, in order.
+uint64_t WindowsFingerprint(const std::vector<cv::LabeledWindow>& windows) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001B3ULL;
+    }
+  };
+  for (const cv::LabeledWindow& window : windows) {
+    mix(window.label.c_str(), window.label.size() + 1);
+    const uint64_t count = window.features.size();
+    mix(&count, sizeof(count));
+    for (double feature : window.features) {
+      const auto bits = std::bit_cast<uint64_t>(feature);
+      mix(&bits, sizeof(bits));
+    }
+  }
+  return hash;
+}
+
+TEST(ModelRegistry, GoldenTrainingFingerprint) {
+  // Frozen from the detector's full-image path: any change to the
+  // synthetic dataset, the split or the training shows up here, even
+  // one that two registries in the same process would agree on.
+  const modelreg::ModelSpec activity = modelreg::DefaultActivitySpec();
+  cv::DatasetOptions options;
+  options.samples_per_label = activity.samples_per_label;
+  options.seed = activity.train_seed;
+  const std::vector<cv::LabeledWindow> dataset =
+      cv::GenerateActivityDataset(options);
+  EXPECT_EQ(dataset.size(), 84u);
+  EXPECT_EQ(WindowsFingerprint(dataset), 0xF1D23D3ACB496661ULL);
+
+  modelreg::ModelRegistry registry;
+  auto activity_artifact = registry.TrainOrGet(activity);
+  auto image_artifact = registry.TrainOrGet(modelreg::DefaultImageSpec());
+  ASSERT_TRUE(activity_artifact.ok());
+  ASSERT_TRUE(image_artifact.ok());
+  EXPECT_EQ((*activity_artifact)->test_accuracy, 19.0 / 21.0);
+  EXPECT_EQ((*image_artifact)->test_accuracy, 1.0);
+  EXPECT_EQ((*activity_artifact)->holdout.size(), 21u);
+  EXPECT_EQ(WindowsFingerprint((*activity_artifact)->holdout),
+            0x86A1AF1F245A7994ULL);
 }
 
 TEST(ModelRegistry, ImageSpecTrainsTheImageKind) {

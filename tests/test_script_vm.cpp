@@ -598,6 +598,67 @@ TEST(VmHostileValues, NestingBoundHoldsOnAHandlerFiber) {
   }
 }
 
+// Array growth is bounded at every site a script grows an array; the
+// bound is a catchable error, and the array keeps its contents.
+const std::string kArrayAtBound =
+    "var a = []; a[" + std::to_string(kMaxArrayLength - 1) +
+    "] = 0; var result = '';";
+
+TEST(VmHostileValues, IndexStorePastTheArrayBoundIsACatchableError) {
+  EXPECT_EQ(Eval(R"(
+    var a = [1];
+    var result = "";
+    try { a[1e12] = 1; } catch (e) { result = e.code + "|" + e.message; }
+    a[1048575] = 2;
+    result += "|" + a.length + "|" + a[0];
+  )"),
+            "SCRIPT_ERROR|script:4: array longer than 1048576 elements|"
+            "1048576|1");
+}
+
+TEST(VmHostileValues, PushPastTheArrayBoundIsACatchableError) {
+  EXPECT_EQ(Eval(kArrayAtBound + R"(
+    try { a.push(1); } catch (e) { result = e.code + "|" + e.message; }
+    result += "|" + a.length;
+  )"),
+            "SCRIPT_ERROR|script:2: array longer than 1048576 elements|"
+            "1048576");
+}
+
+TEST(VmHostileValues, UnshiftPastTheArrayBoundIsACatchableError) {
+  EXPECT_EQ(Eval(kArrayAtBound + R"(
+    try { a.unshift(1); } catch (e) { result = e.code + "|" + e.message; }
+    result += "|" + a.length + "|" + a[0];
+  )"),
+            "SCRIPT_ERROR|script:2: array longer than 1048576 elements|"
+            "1048576|undefined");
+}
+
+TEST(VmHostileValues, DoublingConcatStopsAtTheArrayBound) {
+  EXPECT_EQ(Eval(R"(
+    var a = [1];
+    var doublings = 0;
+    var result = "";
+    try {
+      for (var i = 0; i < 40; i = i + 1) { a = a.concat(a); doublings++; }
+    } catch (e) { result = e.code + "|" + e.message + "|" + doublings; }
+    result += "|" + a.length;
+  )"),
+            "SCRIPT_ERROR|script:6: array longer than 1048576 elements|20|"
+            "1048576");
+}
+
+TEST(VmHostileValues, SplitPastTheArrayBoundIsACatchableError) {
+  EXPECT_EQ(Eval(R"(
+    var s = ",".repeat(1048576);
+    var result = "";
+    try { s.split(","); } catch (e) { result = e.code + "|" + e.message; }
+    result += "|" + ",".repeat(1048575).split(",").length;
+  )"),
+            "SCRIPT_ERROR|script:4: array longer than 1048576 elements|"
+            "1048576");
+}
+
 TEST(VmHostileValues, HostArgumentsWithoutAJsonFormFailTheCall) {
   // The same bounded ToJson guards every host function that ships a
   // value: a cycle handed to one is a catchable script error.

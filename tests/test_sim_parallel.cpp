@@ -102,7 +102,10 @@ std::vector<std::string> RunRing(int shards, int threads) {
   ring->engine = &engine;
   ring->note = note;
   ring->shards = shards;
-  ring->tick = [ring](int shard, int hop) {
+  // The tick refers to the ring weakly (the ring owns the tick); the
+  // events it schedules hold the strong references.
+  ring->tick = [weak = std::weak_ptr<Ring>(ring)](int shard, int hop) {
+    const std::shared_ptr<Ring> ring = weak.lock();
     sim::Simulator& self = ring->engine->shard(shard);
     ring->note(shard, self.Now(), "tick" + std::to_string(hop));
     if (hop >= 12) return;
@@ -148,9 +151,11 @@ TEST(ParallelSimulator, BarrierTasksRunQuiescedAtTheFence) {
   for (int s = 0; s < 4; ++s) {
     auto tick = std::make_shared<std::function<void()>>();
     sim::Simulator& shard = engine.shard(s);
-    *tick = [&shard, tick] {
+    // Weak self-reference: the pending event holds the strong one, so
+    // the loop is freed once it stops.
+    *tick = [&shard, self = std::weak_ptr(tick)] {
       if (shard.Now() < TimePoint::FromMicros(400'000)) {
-        shard.After(Duration::Millis(1), *tick);
+        shard.After(Duration::Millis(1), [next = self.lock()] { (*next)(); });
       }
     };
     engine.Post(s, TimePoint::FromMicros(1000), [tick] { (*tick)(); });
@@ -167,7 +172,9 @@ TEST(ParallelSimulator, BarrierTasksRunQuiescedAtTheFence) {
     for (int s = 0; s < 4; ++s) {
       EXPECT_EQ(engine.shard(s).Now(), engine.Now());
       TimePoint next;
-      if (engine.shard(s).PeekNextTime(&next)) EXPECT_GE(next, engine.Now());
+      if (engine.shard(s).PeekNextTime(&next)) {
+        EXPECT_GE(next, engine.Now());
+      }
     }
   });
   uint64_t cancelled = engine.AtBarrier(due, [] { FAIL(); });
@@ -182,10 +189,12 @@ TEST(SimulatorPool, SelfReschedulingChainRecyclesNodes) {
   sim::Simulator sim;
   auto tick = std::make_shared<std::function<void()>>();
   int runs = 0;
-  *tick = [&sim, tick, &runs] {
-    if (++runs < 10'000) sim.After(Duration::Micros(10), *tick);
+  *tick = [&sim, self = std::weak_ptr(tick), &runs] {
+    if (++runs < 10'000) {
+      sim.After(Duration::Micros(10), [next = self.lock()] { (*next)(); });
+    }
   };
-  sim.After(Duration::Micros(10), *tick);
+  sim.After(Duration::Micros(10), [tick] { (*tick)(); });
   sim.RunUntilIdle();
   EXPECT_EQ(runs, 10'000);
   const sim::SimAllocStats stats = sim.alloc_stats();
@@ -329,11 +338,13 @@ FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
   if (cloud) {
     for (int id = 0; id < fleet.size(); ++id) {
       auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&fleet, id, tick] {
+      *tick = [&fleet, id, self = std::weak_ptr(tick)] {
         fleet.CloudSubmit(id, Duration::Millis(30));
-        fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+        fleet.home_simulator(id).After(Duration::Millis(250),
+                                       [next = self.lock()] { (*next)(); });
       };
-      fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+      fleet.home_simulator(id).After(Duration::Millis(250),
+                                     [tick] { (*tick)(); });
     }
   }
   fleet.StartAll();
