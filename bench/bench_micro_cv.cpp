@@ -5,6 +5,7 @@
 #include "cv/kmeans.hpp"
 #include "cv/pose_detector.hpp"
 #include "cv/rep_counter.hpp"
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "media/video_source.hpp"
 #include "services/models.hpp"
@@ -25,6 +26,23 @@ void BM_DetectPose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectPose)->Arg(160)->Arg(320)->Arg(640);
+
+// The pose service's path: the same frame as BM_DetectPose/320 after
+// the codec, detected on its runs without decoding a pixel.
+void BM_DetectPoseRuns(benchmark::State& state) {
+  media::SceneOptions scene;
+  scene.width = 320;
+  scene.height = 240;
+  media::Frame frame;
+  frame.image = media::RenderScene(media::Pose::Standing(), scene, 1);
+  const auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
+  for (auto _ : state) {
+    const cv::DetectedPose pose = cv::DetectPose(*encoded);
+    benchmark::DoNotOptimize(pose.num_detected);
+  }
+  state.counters["runs"] = static_cast<double>(encoded->runs().size() / 4);
+}
+BENCHMARK(BM_DetectPoseRuns);
 
 // Training set-up's per-frame work at the default 160×120: render a
 // squat frame and detect its pose, through the full noisy image or

@@ -91,13 +91,18 @@ Result<std::string> ByteReader::ReadString() {
 }
 
 Result<Bytes> ByteReader::ReadBytes() {
+  auto view = ReadBytesView();
+  if (!view.ok()) return view.error();
+  return Bytes(view->begin(), view->end());
+}
+
+Result<std::span<const uint8_t>> ByteReader::ReadBytesView() {
   auto len = ReadU32();
   if (!len.ok()) return len.error();
   if (!Need(*len)) return ParseError("ReadBytes past end");
-  Bytes b(data_.begin() + static_cast<ptrdiff_t>(pos_),
-          data_.begin() + static_cast<ptrdiff_t>(pos_ + *len));
+  const std::span<const uint8_t> view = data_.subspan(pos_, *len);
   pos_ += *len;
-  return b;
+  return view;
 }
 
 std::string HexDump(std::span<const uint8_t> data, size_t max_bytes) {

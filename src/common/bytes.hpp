@@ -54,6 +54,8 @@ class ByteReader {
   Result<double> ReadF64();
   Result<std::string> ReadString();
   Result<Bytes> ReadBytes();
+  /// ReadBytes without the copy: a view into the reader's data.
+  Result<std::span<const uint8_t>> ReadBytesView();
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

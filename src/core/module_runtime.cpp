@@ -214,20 +214,22 @@ void ModuleRuntime::ExecuteHandler(net::Message message) {
   json::Value payload = std::move(message.payload());
 
   // Register an attached encoded frame in this device's store and
-  // rewrite the reference (the decode cost was charged pre-handler;
-  // the pixel work happens here, once, for real).
+  // rewrite the reference (the decode cost was charged pre-handler).
+  // `frame` holds it until the handler returns; a same-device message
+  // holds its frame the same way, for as long as `message` lives.
+  media::FrameRef frame;
   if (!message.parts().empty()) {
-    auto frame = media::DecodeFrame(message.parts().front());
-    if (!frame.ok()) {
+    auto put = orchestrator_->store(device_).Put(
+        std::move(message.mutable_parts().front()));
+    if (!put.ok()) {
       ++stats_.script_errors;
       VP_WARN("module") << name() << ": undecodable frame: "
-                        << frame.error().ToString();
+                        << put.error().ToString();
       FinishEvent();
       return;
     }
-    const media::FrameId id = orchestrator_->store(device_).Put(
-        std::move(*frame), std::move(message.mutable_parts().front()));
-    payload["frame_id"] = json::Value(static_cast<double>(id));
+    frame = std::move(*put);
+    payload["frame_id"] = json::Value(static_cast<double>(frame->id()));
   }
 
   const TimePoint start = orchestrator_->cluster().Now();
@@ -345,14 +347,14 @@ Result<script::VpValue> ModuleRuntime::HostFrameInfo(
   if (args.empty() || !args[0].is_number()) {
     return ScriptError("frame_info(frame_id): numeric id needed");
   }
-  const auto id = static_cast<media::FrameId>(args[0].AsNumber());
-  auto frame = orchestrator_->store(device_).Get(id);
+  auto frame = orchestrator_->store(device_).Get(
+      media::FrameIdFromNumber(args[0].AsNumber()));
   if (!frame.ok()) return frame.error();
   json::Value info = json::Value::MakeObject();
-  info["seq"] = json::Value(static_cast<double>((*frame)->seq));
-  info["width"] = json::Value((*frame)->image.width());
-  info["height"] = json::Value((*frame)->image.height());
-  info["capture_ms"] = json::Value((*frame)->capture_time.millis());
+  info["seq"] = json::Value(static_cast<double>((*frame)->seq()));
+  info["width"] = json::Value((*frame)->width());
+  info["height"] = json::Value((*frame)->height());
+  info["capture_ms"] = json::Value((*frame)->capture_time().millis());
   return vm.FromJson(info);
 }
 

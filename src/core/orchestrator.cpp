@@ -41,10 +41,13 @@ bool RetryableCode(StatusCode code) {
   return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
 }
 
+/// The frame a payload's "frame_id" names; nullopt when it names none.
+/// A number that is not a valid id maps to kInvalidFrameId, which
+/// resolves nowhere — the NOT_FOUND an evicted id gets.
 std::optional<media::FrameId> FrameIdOf(const json::Value& payload) {
   const json::Value* id = payload.Find("frame_id");
   if (id == nullptr || !id->is_number()) return std::nullopt;
-  return static_cast<media::FrameId>(id->AsDouble());
+  return media::FrameIdFromNumber(id->AsDouble());
 }
 
 }  // namespace
@@ -312,13 +315,13 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
             // until dispatch, so there is no lane to charge yet.
             Bytes part = std::move(message.mutable_parts().front());
             sreq.extra_cost = media::DecodeCost(part.size());
-            auto frame = media::DecodeFrame(part);
+            auto frame = media::EncodedFrame::Parse(std::move(part));
             if (!frame.ok()) {
               once(MakeReply(frame.error()));
               return;
             }
             sreq.request.frame =
-                std::make_shared<const media::Frame>(std::move(*frame));
+                std::make_shared<const media::EncodedFrame>(std::move(*frame));
           }
           sreq.request.payload = std::move(payload);
           sreq.done = [once](Result<json::Value> result) {
@@ -372,13 +375,13 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
                part = std::move(part), once]() mutable {
                 services::ServiceRequest request;
                 request.payload = std::move(payload);
-                auto frame = media::DecodeFrame(part);
+                auto frame = media::EncodedFrame::Parse(std::move(part));
                 if (!frame.ok()) {
                   once(MakeReply(frame.error()));
                   return;
                 }
-                request.frame =
-                    std::make_shared<const media::Frame>(std::move(*frame));
+                request.frame = std::make_shared<const media::EncodedFrame>(
+                    std::move(*frame));
                 instance->Invoke(std::move(request),
                                  [once](Result<json::Value> result) {
                                    once(MakeReply(result));
@@ -875,21 +878,10 @@ Result<json::Value> Orchestrator::CallServiceOnce(
   message.set_seq(caller.current_seq());
   json::Value body = payload;  // copy: a retry rebuilds from the original
   if (auto frame_id = FrameIdOf(body)) {
-    media::FrameStore& caller_store = store(caller.device());
-    auto frame = caller_store.Get(*frame_id);
+    auto frame = store(caller.device()).Get(*frame_id);
     if (!frame.ok()) return frame.error();
-    std::shared_ptr<const Bytes> encoded = caller_store.Encoded(*frame_id);
-    if (encoded == nullptr) {
-      // Encode on the calling device (charged, blocking), then cache.
-      Bytes bytes = media::EncodeFrame(**frame);
-      sim::Device* device = cluster_->FindDevice(caller.device());
-      VP_RETURN_IF_ERROR_R(BlockOnLane(device->module_lane(),
-                                       media::EncodeCost((*frame)->image)));
-      caller_store.CacheEncoded(*frame_id, bytes);
-      encoded = caller_store.Encoded(*frame_id);
-    }
     body.AsObject().Erase("frame_id");  // remote ids are meaningless
-    message.AddPart(*encoded);
+    message.AddPart((*frame)->wire());
   }
   if (options_.serving.enabled) {
     // Piggyback the scheduling plan; the remote gateway strips it
@@ -956,21 +948,15 @@ Status Orchestrator::SendToModule(ModuleRuntime& caller,
   message.set_fence_epoch(caller.epoch());
 
   if (auto frame_id = FrameIdOf(payload)) {
+    auto frame = store(caller.device()).Get(*frame_id);
     if (target_device != caller.device()) {
-      media::FrameStore& caller_store = store(caller.device());
-      auto frame = caller_store.Get(*frame_id);
       if (!frame.ok()) return frame.status();
-      std::shared_ptr<const Bytes> encoded = caller_store.Encoded(*frame_id);
-      if (encoded == nullptr) {
-        Bytes bytes = media::EncodeFrame(**frame);
-        sim::Device* device = cluster_->FindDevice(caller.device());
-        VP_RETURN_IF_ERROR(BlockOnLane(device->module_lane(),
-                                       media::EncodeCost((*frame)->image)));
-        caller_store.CacheEncoded(*frame_id, bytes);
-        encoded = caller_store.Encoded(*frame_id);
-      }
       payload.AsObject().Erase("frame_id");
-      message.AddPart(*encoded);
+      message.AddPart((*frame)->wire());
+    } else if (frame.ok()) {
+      // The id travels as is; the message keeps the frame resident
+      // until the receiving handler is done with it.
+      message.Hold(std::move(*frame));
     }
   }
   message.set_payload(std::move(payload));

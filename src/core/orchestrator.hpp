@@ -86,7 +86,8 @@ struct OrchestratorOptions {
   /// Multiplicative stddev applied to service compute times
   /// (models real-device variance; keeps FPS rows honest).
   double service_cost_jitter = 0.06;
-  /// Frame-store capacity per device.
+  /// Frame-store capacity per device: an overflow bound on the frames
+  /// in flight there (past it, the oldest ids stop resolving).
   size_t frame_store_capacity = 64;
   services::AutoscalerOptions autoscaler_options;
   ServiceCallOptions service_call;

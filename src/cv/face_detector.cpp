@@ -52,9 +52,8 @@ DetectedFace DetectFace(const media::Image& image) {
   return FaceFromPose(DetectPose(image));
 }
 
-Duration FaceDetectCost(const media::Image& image) {
-  const double megapixels =
-      static_cast<double>(image.width()) * image.height() / 1e6;
+Duration FaceDetectCost(int width, int height) {
+  const double megapixels = static_cast<double>(width) * height / 1e6;
   return Duration::Millis(14.0 + 70.0 * megapixels);
 }
 

@@ -28,6 +28,7 @@ DetectedFace DetectFace(const media::Image& image);
 /// Detect a face from an existing pose detection (cheaper path).
 DetectedFace FaceFromPose(const DetectedPose& pose);
 
-Duration FaceDetectCost(const media::Image& image);
+/// Reference-device cost of one detection on a width×height frame.
+Duration FaceDetectCost(int width, int height);
 
 }  // namespace vp::cv

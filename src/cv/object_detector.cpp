@@ -137,9 +137,8 @@ std::vector<DetectedObject> DetectObjects(
   return objects;
 }
 
-Duration ObjectDetectCost(const media::Image& image) {
-  const double megapixels =
-      static_cast<double>(image.width()) * image.height() / 1e6;
+Duration ObjectDetectCost(int width, int height) {
+  const double megapixels = static_cast<double>(width) * height / 1e6;
   return Duration::Millis(18.0 + 90.0 * megapixels);
 }
 

@@ -44,6 +44,7 @@ struct ObjectDetectorOptions {
 std::vector<DetectedObject> DetectObjects(const media::Image& image,
                                           const ObjectDetectorOptions& options);
 
-Duration ObjectDetectCost(const media::Image& image);
+/// Reference-device cost of one detection on a width×height frame.
+Duration ObjectDetectCost(int width, int height);
 
 }  // namespace vp::cv

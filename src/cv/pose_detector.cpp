@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "media/video_source.hpp"
 
@@ -214,12 +215,37 @@ DetectedPose DetectPose(const media::SyntheticVideoSource& source,
   return FinishPose(sums, width, image.height(), options);
 }
 
-Duration PoseDetectCost(const media::Image& image) {
+DetectedPose DetectPose(const media::EncodedFrame& frame,
+                        const PoseDetectorOptions& options) {
+  const JointMatcher matcher(options.color_tolerance);
+  const auto width = static_cast<size_t>(frame.width());
+  JointSums sums{};
+  media::ForEachRun(frame.runs(), [&](media::Rgb color, size_t first,
+                                      size_t count) {
+    if (count == 0) return;
+    const int joint = matcher.Match(color);
+    if (joint < 0) return;
+    BlobSums& a = sums[static_cast<size_t>(joint)];
+    // A run can wrap rows: add it one row segment [x0, x1) at a time.
+    for (size_t p = first, end = first + count; p < end;) {
+      const size_t y = p / width;
+      const size_t x0 = p % width;
+      const size_t x1 = std::min(width, x0 + (end - p));
+      const size_t n = x1 - x0;
+      a.sx += static_cast<double>((x0 + x1 - 1) * n / 2);
+      a.sy += static_cast<double>(y * n);
+      a.count += static_cast<int>(n);
+      p += n;
+    }
+  });
+  return FinishPose(sums, frame.width(), frame.height(), options);
+}
+
+Duration PoseDetectCost(int width, int height) {
   // CNN inference dominated by a fixed network cost plus modest
   // resolution scaling; calibrated so the paper's desktop runs it in
   // ~55 ms (Fig. 6).
-  const double megapixels =
-      static_cast<double>(image.width()) * image.height() / 1e6;
+  const double megapixels = static_cast<double>(width) * height / 1e6;
   return Duration::Millis(45.0 + 130.0 * megapixels);
 }
 

@@ -22,6 +22,7 @@
 #include "media/skeleton.hpp"
 
 namespace vp::media {
+class EncodedFrame;
 class SyntheticVideoSource;
 }  // namespace vp::media
 
@@ -61,8 +62,7 @@ struct PoseDetectorOptions {
   double bbox_margin = 4.0;
 };
 
-/// Run detection on an image: the pose service's path on decoded
-/// frames, and the reference for the overload below.
+/// Run detection on an image: the reference for the overloads below.
 DetectedPose DetectPose(const media::Image& image,
                         const PoseDetectorOptions& options = {});
 
@@ -79,8 +79,17 @@ DetectedPose DetectPose(const media::Image& image,
 DetectedPose DetectPose(const media::SyntheticVideoSource& source,
                         uint64_t seq, const PoseDetectorOptions& options = {});
 
-/// Reference-device compute cost of one detection (the dominant cost
-/// in the paper's pipeline; Fig. 6 shows pose detection at ~55–75 ms).
-Duration PoseDetectCost(const media::Image& image);
+/// Exactly DetectPose(frame.image(), options), without decoding: each
+/// run's color is matched once and the run's pixel coordinates are
+/// added to that joint's blob sums. The sums are sums of integers,
+/// exact in a double whatever the order, so every field is
+/// bit-identical to the pixel pass.
+DetectedPose DetectPose(const media::EncodedFrame& frame,
+                        const PoseDetectorOptions& options = {});
+
+/// Reference-device compute cost of one detection on a width×height
+/// frame (the dominant cost in the paper's pipeline; Fig. 6 shows pose
+/// detection at ~55–75 ms).
+Duration PoseDetectCost(int width, int height);
 
 }  // namespace vp::cv

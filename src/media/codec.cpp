@@ -58,13 +58,26 @@ Bytes EncodeQuantizedFrame(const Frame& frame) {
   return Encode(frame, [](uint8_t v) { return v; });
 }
 
-Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
+namespace {
+
+/// A wire frame's fields, checked: every field reads, the ground truth
+/// parses, and the runs cover exactly width·height pixels.
+struct WireFrame {
+  uint64_t seq = 0;
+  TimePoint capture_time;
+  json::Value ground_truth;
+  int width = 0;
+  int height = 0;
+  std::span<const uint8_t> runs;
+};
+
+Result<WireFrame> ParseWire(std::span<const uint8_t> data) {
   ByteReader r(data);
   auto magic = r.ReadU32();
   if (!magic.ok()) return magic.error();
   if (*magic != kFrameMagic) return ParseError("bad frame magic");
 
-  Frame frame;
+  WireFrame frame;
   auto seq = r.ReadU64();
   if (!seq.ok()) return seq.error();
   frame.seq = *seq;
@@ -83,47 +96,78 @@ Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
   if (!w16.ok()) return w16.error();
   auto h16 = r.ReadU16();
   if (!h16.ok()) return h16.error();
+  frame.width = *w16;
+  frame.height = *h16;
 
-  auto rle = r.ReadBytes();
+  auto rle = r.ReadBytesView();
   if (!rle.ok()) return rle.error();
+  frame.runs = *rle;
 
-  Image image(*w16, *h16);
-  auto& out = image.data();
-  size_t pos = 0;
-  const Bytes& src = *rle;
-  size_t si = 0;
-  while (si + 4 <= src.size()) {
-    const uint8_t run = src[si];
-    // Dequantize to bucket centers.
-    const auto dequant = [](uint8_t q) -> uint8_t {
-      return static_cast<uint8_t>((q << 4) | 8);
-    };
-    const uint8_t cr = dequant(src[si + 1]);
-    const uint8_t cg = dequant(src[si + 2]);
-    const uint8_t cb = dequant(src[si + 3]);
-    si += 4;
-    for (uint8_t k = 0; k < run; ++k) {
-      if (pos + 2 >= out.size()) {
-        return ParseError("frame RLE overruns pixel buffer");
-      }
-      out[pos] = cr;
-      out[pos + 1] = cg;
-      out[pos + 2] = cb;
-      pos += 3;
-    }
-  }
-  if (pos != out.size()) return ParseError("frame RLE underfills pixel buffer");
-  frame.image = std::move(image);
+  // The run total is checked against the header's dimensions before
+  // anything is sized from them: a forged 65535×65535 header would
+  // otherwise allocate ~12.9 GB.
+  const size_t pixels =
+      static_cast<size_t>(frame.width) * static_cast<size_t>(frame.height);
+  size_t total = 0;
+  ForEachRun(frame.runs, [&total](Rgb, size_t, size_t count) {
+    total += count;
+  });
+  if (total > pixels) return ParseError("frame RLE overruns pixel buffer");
+  if (total < pixels) return ParseError("frame RLE underfills pixel buffer");
   return frame;
+}
+
+/// Fill `image` (already sized) from a checked RLE section.
+void DecodeRuns(std::span<const uint8_t> runs, Image& image) {
+  uint8_t* out = image.data().data();
+  ForEachRun(runs, [out](Rgb color, size_t first, size_t count) {
+    for (size_t p = first * 3, end = (first + count) * 3; p < end; p += 3) {
+      out[p] = color.r;
+      out[p + 1] = color.g;
+      out[p + 2] = color.b;
+    }
+  });
+}
+
+}  // namespace
+
+Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
+  auto wire = ParseWire(data);
+  if (!wire.ok()) return wire.error();
+  Frame frame;
+  frame.seq = wire->seq;
+  frame.capture_time = wire->capture_time;
+  frame.ground_truth = std::move(wire->ground_truth);
+  frame.image = Image(wire->width, wire->height);
+  DecodeRuns(wire->runs, frame.image);
+  return frame;
+}
+
+Result<EncodedFrame> EncodedFrame::Parse(Bytes wire) {
+  auto parsed = ParseWire(wire);
+  if (!parsed.ok()) return parsed.error();
+  EncodedFrame frame;
+  frame.seq_ = parsed->seq;
+  frame.capture_time_ = parsed->capture_time;
+  frame.width_ = parsed->width;
+  frame.height_ = parsed->height;
+  frame.runs_offset_ = static_cast<size_t>(parsed->runs.data() - wire.data());
+  frame.runs_size_ = parsed->runs.size();
+  frame.wire_ = std::move(wire);
+  return frame;
+}
+
+const Image& EncodedFrame::image() const {
+  if (!image_) {
+    image_.emplace(width_, height_);
+    DecodeRuns(runs(), *image_);
+  }
+  return *image_;
 }
 
 Duration EncodeCost(int width, int height) {
   const double megapixels = static_cast<double>(width) * height / 1e6;
   return Duration::Millis(0.3 + 19.5 * megapixels);  // 640x480 ≈ 6 ms
-}
-
-Duration EncodeCost(const Image& image) {
-  return EncodeCost(image.width(), image.height());
 }
 
 Duration DecodeCost(size_t encoded_bytes) {

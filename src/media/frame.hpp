@@ -1,8 +1,8 @@
 // Video frames.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "common/time.hpp"
 #include "json/value.hpp"
@@ -14,8 +14,17 @@ namespace vp::media {
 using FrameId = uint64_t;
 inline constexpr FrameId kInvalidFrameId = 0;
 
+/// The frame id a script number names. Ids travel through scripts as
+/// doubles, so only an integer in [1, 2^53) names a frame; anything
+/// else (fractions, negatives, NaN, 1e300) maps to kInvalidFrameId,
+/// which no store resolves. The one conversion from a number to an id.
+inline FrameId FrameIdFromNumber(double v) {
+  constexpr double kLimit = 9007199254740992.0;  // 2^53
+  if (!(v >= 1.0 && v < kLimit) || v != std::floor(v)) return kInvalidFrameId;
+  return static_cast<FrameId>(v);
+}
+
 struct Frame {
-  FrameId id = kInvalidFrameId;
   /// Source sequence number (frame index at the camera).
   uint64_t seq = 0;
   /// Virtual capture timestamp.
@@ -26,7 +35,5 @@ struct Frame {
   /// — only by accuracy evaluations.
   json::Value ground_truth;
 };
-
-using FramePtr = std::shared_ptr<const Frame>;
 
 }  // namespace vp::media

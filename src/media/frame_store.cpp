@@ -1,70 +1,42 @@
 #include "media/frame_store.hpp"
 
+#include <string>
+
 namespace vp::media {
 
-FrameId FrameStore::Put(Frame frame, Bytes encoded) {
+Result<FrameRef> FrameStore::Put(Bytes wire) {
+  auto parsed = EncodedFrame::Parse(std::move(wire));
+  if (!parsed.ok()) return parsed.error();
   const FrameId id = next_id_++;
-  frame.id = id;
-  Entry entry;
-  entry.frame = std::make_shared<const Frame>(std::move(frame));
-  if (!encoded.empty()) {
-    entry.encoded = std::make_shared<const Bytes>(std::move(encoded));
+  parsed->id_ = id;
+  // The last reference erases the entry. The index is held weakly: a
+  // reference may outlive the store (a message still queued in the
+  // simulator when the orchestrator goes).
+  FrameRef ref(new EncodedFrame(std::move(*parsed)),
+               [index = std::weak_ptr<Index>(index_),
+                id](const EncodedFrame* frame) {
+                 if (auto live = index.lock()) live->erase(id);
+                 delete frame;
+               });
+  index_->emplace(id, ref);
+  while (index_->size() > capacity_) {
+    index_->erase(index_->begin());
+    ++evictions_;
   }
-  frames_[id] = std::move(entry);
-  order_.push_back(id);
-  ++puts_;
-  while (frames_.size() > capacity_ && !order_.empty()) {
-    const FrameId victim = order_.front();
-    order_.pop_front();
-    if (frames_.erase(victim) > 0) ++evictions_;
-  }
-  return id;
+  return ref;
 }
 
-Result<FramePtr> FrameStore::Get(FrameId id) const {
-  auto it = frames_.find(id);
-  if (it == frames_.end()) {
-    return NotFound("frame " + std::to_string(id) + " not in store");
+Result<FrameRef> FrameStore::Get(FrameId id) const {
+  if (auto it = index_->find(id); it != index_->end()) {
+    if (FrameRef live = it->second.lock()) return live;
   }
-  return it->second.frame;
-}
-
-std::shared_ptr<const Bytes> FrameStore::Encoded(FrameId id) const {
-  auto it = frames_.find(id);
-  return it == frames_.end() ? nullptr : it->second.encoded;
-}
-
-void FrameStore::CacheEncoded(FrameId id, Bytes encoded) {
-  auto it = frames_.find(id);
-  if (it == frames_.end()) return;
-  it->second.encoded = std::make_shared<const Bytes>(std::move(encoded));
-}
-
-bool FrameStore::Release(FrameId id) {
-  const bool erased = frames_.erase(id) > 0;
-  // Released ids stay in order_ until eviction would reach them; under
-  // heavy Put/Release churn that deque would grow without bound. Amortized
-  // O(1) compaction: once the dead entries outnumber the live ones (and
-  // we are past `capacity_`), rebuild order_ from the live ids only.
-  if (erased && order_.size() > capacity_ &&
-      order_.size() > 2 * frames_.size()) {
-    Compact();
-  }
-  return erased;
-}
-
-void FrameStore::Compact() {
-  std::deque<FrameId> live;
-  for (FrameId id : order_) {
-    if (frames_.count(id) > 0) live.push_back(id);
-  }
-  order_ = std::move(live);
+  return NotFound("frame " + std::to_string(id) + " not in store");
 }
 
 size_t FrameStore::resident_bytes() const {
   size_t total = 0;
-  for (const auto& [id, entry] : frames_) {
-    total += entry.frame->image.byte_size();
+  for (const auto& [id, frame] : *index_) {
+    if (FrameRef live = frame.lock()) total += live->resident_bytes();
   }
   return total;
 }

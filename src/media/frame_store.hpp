@@ -3,80 +3,71 @@
 // §3: "rather than copying the full image frames to the module, we
 // pass on a reference id that identifies the frame." Each device
 // runtime owns one FrameStore; modules and co-located services resolve
-// ids against it in O(1) without copying pixels. Capacity is bounded;
-// the oldest frames are evicted first (a live pipeline only ever needs
-// a handful of frames in flight).
+// ids against it without copying pixels.
+//
+// Frames rest in their wire encoding (media::EncodedFrame): a frame
+// whose pixels nothing reads is never decoded. The store does not own
+// them. A FrameRef does: the handler a frame arrived for, a
+// same-device message naming it, a service request carrying it. When
+// the last reference goes, the frame leaves the store, so the store
+// holds the frames in flight and no more. The capacity is an overflow
+// bound on top: past it, the oldest ids stop resolving.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <map>
+#include <memory>
 
 #include "common/error.hpp"
-#include "media/frame.hpp"
+#include "media/codec.hpp"
 
 namespace vp::media {
 
 class FrameStore {
  public:
-  /// `capacity` = max resident frames; evicts oldest on overflow.
-  explicit FrameStore(size_t capacity = 64) : capacity_(capacity) {}
+  /// `capacity` = max resident frames; past it the oldest id stops
+  /// resolving (its holders keep the frame itself).
+  explicit FrameStore(size_t capacity = 64)
+      : capacity_(capacity), index_(std::make_shared<Index>()) {}
+  // A copy would share the index its references erase from.
+  FrameStore(const FrameStore&) = delete;
+  FrameStore& operator=(const FrameStore&) = delete;
 
-  /// Register a frame, assigning it a fresh id (ignores frame->id).
-  /// Returns the new id. `encoded` optionally caches the frame's wire
-  /// encoding so later transfers skip re-encoding (real systems reuse
-  /// the camera JPEG; the baseline benefits from this too).
-  FrameId Put(Frame frame, Bytes encoded = {});
+  /// Check `wire` (EncodedFrame::Parse, so it errors exactly where
+  /// DecodeFrame would) and register it under a fresh id. The returned
+  /// reference is the frame's first holder: drop it, and every copy,
+  /// and the id stops resolving.
+  Result<FrameRef> Put(Bytes wire);
 
-  /// Resolve an id. Errors with kNotFound when absent/evicted.
-  Result<FramePtr> Get(FrameId id) const;
+  /// Another reference to a resident frame. Errors with kNotFound once
+  /// it was released, evicted or cleared.
+  Result<FrameRef> Get(FrameId id) const;
 
-  /// Cached wire encoding; nullptr when none was stored.
-  std::shared_ptr<const Bytes> Encoded(FrameId id) const;
-
-  /// Attach a wire encoding after the fact.
-  void CacheEncoded(FrameId id, Bytes encoded);
-
-  /// Drop a frame explicitly (sinks call this when done). Lazily
-  /// compacts the eviction bookkeeping so Put/Release churn keeps
-  /// memory bounded by the live frames.
-  bool Release(FrameId id);
-
-  /// Drop everything — the store's RAM died with its device. Resident
-  /// frames count as evictions; ids are NOT reused (next_id_ keeps
-  /// advancing), so stale references fail with kNotFound, never alias.
+  /// Forget every frame — the store's RAM died with its device (or the
+  /// pipeline hibernated). Resident frames count as evictions. Ids are
+  /// NOT reused (next_id_ keeps advancing), so stale ids fail with
+  /// kNotFound, never alias; outstanding references stay valid.
   void Clear() {
-    evictions_ += frames_.size();
-    frames_.clear();
-    order_.clear();
+    evictions_ += index_->size();
+    index_->clear();
   }
 
-  size_t size() const { return frames_.size(); }
+  size_t size() const { return index_->size(); }
   size_t capacity() const { return capacity_; }
-  /// Length of the eviction-order bookkeeping (live + not-yet-reaped
-  /// released ids). Bounded at max(capacity, 2·size): Release compacts
-  /// lazily, so churn cannot grow this without bound.
-  size_t order_size() const { return order_.size(); }
   uint64_t evictions() const { return evictions_; }
-  uint64_t puts() const { return puts_; }
 
-  /// Total pixel bytes currently resident.
+  /// Every byte the resident frames hold, encoded and decoded.
   size_t resident_bytes() const;
 
  private:
-  struct Entry {
-    FramePtr frame;
-    std::shared_ptr<const Bytes> encoded;  // optional wire-format cache
-  };
-  /// Drop released ids from order_ (rebuild keeping live ids only).
-  void Compact();
+  /// Resident frames by id, so oldest first. Weak: the references own
+  /// the frames, and the last one to go erases its entry.
+  using Index = std::map<FrameId, std::weak_ptr<const EncodedFrame>>;
 
   size_t capacity_;
   FrameId next_id_ = 1;
-  std::unordered_map<FrameId, Entry> frames_;
-  std::deque<FrameId> order_;  // insertion order for eviction
+  std::shared_ptr<Index> index_;
   uint64_t evictions_ = 0;
-  uint64_t puts_ = 0;
 };
 
 }  // namespace vp::media

@@ -29,8 +29,7 @@ class SyntheticVideoSource {
   /// Number of frames the script covers at this fps.
   uint64_t frame_count() const;
 
-  /// Generate frame `seq` (deterministic in seq). The frame's id is 0
-  /// until registered with a FrameStore.
+  /// Generate frame `seq` (deterministic in seq).
   Frame CaptureFrame(uint64_t seq) const;
 
   /// Exactly EncodeFrame(f) for f = CaptureFrame(seq) with its

@@ -73,6 +73,12 @@ class Message {
   void AddPart(Bytes part) { mutable_parts().push_back(std::move(part)); }
   void ClearParts() { parts_.reset(); }
 
+  /// Keep `object` alive while this message, or a copy of it, exists.
+  /// A same-device message holds the frame its payload names this
+  /// way, so every path that drops the message releases the frame.
+  /// Not part of the wire format: it never leaves the device.
+  void Hold(std::shared_ptr<const void> object) { held_ = std::move(object); }
+
   /// Exact size of Encode()'s output, without encoding. The payload's
   /// serialized size is computed once and cached (shared copies reuse
   /// it — the payload is immutable while shared).
@@ -97,6 +103,7 @@ class Message {
   uint64_t fence_epoch_ = 0;
   std::shared_ptr<json::Value> payload_;
   std::shared_ptr<std::vector<Bytes>> parts_;
+  std::shared_ptr<const void> held_;
   /// json::Write(payload).size(), or kNoSize before first use.
   mutable size_t payload_bytes_ = kNoSize;
   /// True once payload() handed out a mutable reference: the caller

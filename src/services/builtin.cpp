@@ -44,7 +44,8 @@ class PoseDetectorService : public Service {
  public:
   std::string name() const override { return "pose_detector"; }
   Duration Cost(const ServiceRequest& request) const override {
-    return request.frame ? cv::PoseDetectCost(request.frame->image)
+    return request.frame ? cv::PoseDetectCost(request.frame->width(),
+                                              request.frame->height())
                          : Duration::Millis(0.1);
   }
   Duration BatchCost(const ServiceBatch& batch) const override {
@@ -57,8 +58,8 @@ class PoseDetectorService : public Service {
     if (!request.frame) {
       return InvalidArgument("pose_detector: request carries no frame");
     }
-    json::Value out = cv::DetectPose(request.frame->image).ToJson();
-    out["frame_seq"] = json::Value(static_cast<double>(request.frame->seq));
+    json::Value out = cv::DetectPose(*request.frame).ToJson();
+    out["frame_seq"] = json::Value(static_cast<double>(request.frame->seq()));
     return out;
   }
 };
@@ -174,7 +175,8 @@ class ObjectDetectorService : public Service {
  public:
   std::string name() const override { return "object_detector"; }
   Duration Cost(const ServiceRequest& request) const override {
-    return request.frame ? cv::ObjectDetectCost(request.frame->image)
+    return request.frame ? cv::ObjectDetectCost(request.frame->width(),
+                                                request.frame->height())
                          : Duration::Millis(0.1);
   }
   Duration BatchCost(const ServiceBatch& batch) const override {
@@ -198,7 +200,7 @@ class ObjectDetectorService : public Service {
     json::Value out = json::Value::MakeObject();
     json::Value::Array objects;
     for (const cv::DetectedObject& object :
-         cv::DetectObjects(request.frame->image, options)) {
+         cv::DetectObjects(request.frame->image(), options)) {
       objects.push_back(object.ToJson());
     }
     out["objects"] = json::Value(std::move(objects));
@@ -214,7 +216,8 @@ class FaceDetectorService : public Service {
     if (request.payload.Find("pose") != nullptr) {
       return Duration::Millis(0.8);
     }
-    return request.frame ? cv::FaceDetectCost(request.frame->image)
+    return request.frame ? cv::FaceDetectCost(request.frame->width(),
+                                              request.frame->height())
                          : Duration::Millis(0.1);
   }
   Duration BatchCost(const ServiceBatch& batch) const override {
@@ -230,7 +233,7 @@ class FaceDetectorService : public Service {
     if (!request.frame) {
       return InvalidArgument("face_detector: no frame and no pose");
     }
-    return cv::DetectFace(request.frame->image).ToJson();
+    return cv::FaceFromPose(cv::DetectPose(*request.frame)).ToJson();
   }
 };
 
@@ -266,7 +269,7 @@ class ImageClassifierService : public ModelBackedService {
     if (!artifact || !artifact->image.has_value()) {
       return Internal("image_classifier: no model bound");
     }
-    auto prediction = artifact->image->Classify(request.frame->image);
+    auto prediction = artifact->image->Classify(request.frame->image());
     if (!prediction.ok()) return prediction.error();
     json::Value out = json::Value::MakeObject();
     out["label"] = json::Value(prediction->label);
@@ -283,7 +286,10 @@ class ObjectTrackerService : public Service {
   std::string name() const override { return "object_tracker"; }
   Duration Cost(const ServiceRequest& request) const override {
     Duration cost = cv::TrackerCost();
-    if (request.frame) cost += cv::ObjectDetectCost(request.frame->image);
+    if (request.frame) {
+      cost += cv::ObjectDetectCost(request.frame->width(),
+                                   request.frame->height());
+    }
     return cost;
   }
   Result<json::Value> Handle(const ServiceRequest& request) override {
@@ -319,7 +325,7 @@ class ObjectTrackerService : public Service {
                          static_cast<uint8_t>(cls.GetInt("b"))}});
         }
       }
-      detections = cv::DetectObjects(request.frame->image, options);
+      detections = cv::DetectObjects(request.frame->image(), options);
     } else {
       return InvalidArgument(
           "object_tracker: need 'objects' or a frame to detect in");

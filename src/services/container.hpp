@@ -22,11 +22,6 @@
 
 namespace vp::services {
 
-/// Resolves a "frame_id" in a request against the *serving* device's
-/// frame store. Provided by the core runtime (which owns the stores).
-using FrameResolver = std::function<Result<media::FramePtr>(
-    const std::string& device, media::FrameId id)>;
-
 struct ServiceInstanceStats {
   uint64_t requests = 0;
   uint64_t errors = 0;

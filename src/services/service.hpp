@@ -21,7 +21,7 @@
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "json/value.hpp"
-#include "media/frame.hpp"
+#include "media/codec.hpp"
 
 namespace vp::modelreg {
 class ModelHandle;
@@ -31,9 +31,11 @@ namespace vp::services {
 
 struct ServiceRequest {
   json::Value payload;
-  /// Frame resolved from the payload's "frame_id" against the serving
-  /// device's FrameStore (nullptr when the request carries no frame).
-  media::FramePtr frame;
+  /// The frame the caller's "frame_id" named (co-located) or shipped
+  /// (remote); nullptr when the request carries no frame. Holding it
+  /// keeps a co-located frame resident, queued or not. Its pixels
+  /// decode on first read, so a service that needs none reads none.
+  media::FrameRef frame;
 };
 
 /// A micro-batch of requests handed to one replica in a single

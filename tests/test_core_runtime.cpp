@@ -361,5 +361,70 @@ TEST(Runtime, BusyMsHostFunctionChargesTheLane) {
   EXPECT_LT(latency.mean_ms, 140.0);
 }
 
+// ------------------------------------------------- hostile frame ids
+
+// Script numbers that name no frame — out of range for a 64-bit id,
+// negative, NaN, fractional, past 2^53 — must get exactly what a stale
+// id (999999, never assigned) gets: a catchable NOT_FOUND from
+// frame_info and call_service, and call_module's usual outcome (the
+// id rides along to a same-device module; a remote one rejects it).
+TEST(HostileFrameIds, GetWhatAStaleIdGets) {
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  auto spec = ParsePipelineConfigText(R"CFG({
+    "name": "hostile",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["probe"] },
+      { "name": "probe", "signal_source": true, "device": "desktop",
+        "service": ["pose_detector"], "next_module": ["near", "far"],
+        "code": "
+          var rows = [];
+          function code_of(f) {
+            try { f(); return 'ok'; } catch (e) { return e.code; }
+          }
+          function event_received(m) {
+            if (rows.length > 0) return;
+            var ids = [999999, 1e300, -1, 0/0, 0.5, 9007199254740994];
+            for (var i = 0; i < ids.length; i++) {
+              var id = ids[i];
+              var near = { frame_id: id };
+              var far = { frame_id: id };
+              rows.push(code_of(function () { frame_info(id); }) + ',' +
+                  code_of(function () {
+                    call_service('pose_detector', { frame_id: id });
+                  }) + ',' +
+                  code_of(function () { call_module('near', near); }) + ',' +
+                  code_of(function () { call_module('far', far); }));
+            }
+            frame_info(m.frame_id);
+          }" },
+      { "name": "near", "device": "desktop",
+        "code": "function event_received(m) {}" },
+      { "name": "far", "device": "tv",
+        "code": "function event_received(m) {}" }
+    ]
+  })CFG",
+                                      MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.error().ToString();
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.error().ToString();
+  (*deployment)->Start();
+  orchestrator.RunFor(Duration::Seconds(2));
+
+  ModuleRuntime* probe = (*deployment)->FindModule("probe");
+  EXPECT_EQ(probe->stats().script_errors, 0u);
+  const json::Value rows = probe->context().GetGlobal("rows");
+  ASSERT_TRUE(rows.is_array());
+  ASSERT_EQ(rows.AsArray().size(), 6u);
+  EXPECT_EQ(rows.AsArray()[0].AsString(),
+            "NOT_FOUND,NOT_FOUND,ok,SCRIPT_ERROR");
+  for (const json::Value& row : rows.AsArray()) {
+    EXPECT_EQ(row.AsString(), rows.AsArray()[0].AsString());
+  }
+}
+
 }  // namespace
 }  // namespace vp::core

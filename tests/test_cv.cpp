@@ -18,8 +18,10 @@
 #include "cv/object_detector.hpp"
 #include "cv/pose_detector.hpp"
 #include "cv/rep_counter.hpp"
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "media/video_source.hpp"
+#include "scene_matrix.hpp"
 
 namespace vp::cv {
 namespace {
@@ -111,10 +113,10 @@ TEST(PoseDetector, FromJsonRejectsBadInput) {
 }
 
 TEST(PoseDetector, CostGrowsWithResolution) {
-  EXPECT_GT(PoseDetectCost(media::Image(640, 480)).millis(),
-            PoseDetectCost(media::Image(320, 240)).millis());
+  EXPECT_GT(PoseDetectCost(640, 480).millis(),
+            PoseDetectCost(320, 240).millis());
   // The Fig. 6 calibration point: ~55 ms at 320×240 reference speed.
-  EXPECT_NEAR(PoseDetectCost(media::Image(320, 240)).millis(), 55.0, 3.0);
+  EXPECT_NEAR(PoseDetectCost(320, 240).millis(), 55.0, 3.0);
 }
 
 /// The first field in which two detections differ, doubles compared bit
@@ -141,59 +143,52 @@ std::string FirstDifference(const DetectedPose& a, const DetectedPose& b) {
 }
 
 TEST(PoseDetector, CapturedFrameDetectionIsBitIdenticalToTheImagePath) {
-  // Noise from none to far past the markers' separation, frame sizes
-  // down to an odd channel count (5×3), every motion, several frames.
-  // One scene variant adds a prop 6 levels from the nose color (it
-  // matches); another one tolerance + 4 levels away, so that only the
-  // noise decides whether its pixels match: the liveness bound must
-  // carry the noise shift for those frames to agree.
+  // The prop tolerance + 4 levels off the nose color matches only
+  // through noise: the liveness bound must carry the noise shift for
+  // those frames to agree.
   const PoseDetectorOptions options;
-  const media::Rgb nose = media::KeypointColor(media::kNose);
-  auto prop = [&](int levels_off_nose) {
-    const auto red = static_cast<uint8_t>(nose.r - levels_off_nose);
-    return media::Prop{"box", 0.05, 0.1, 0.15, 0.2,
-                       media::Rgb{red, nose.g, nose.b}};
-  };
-  const std::vector<std::vector<media::Prop>> props = {
-      {}, {prop(6)}, {prop(options.color_tolerance + 4)}};
-  const uint64_t seeds[] = {3, 11, 2024};
-  const std::pair<int, int> sizes[] = {{160, 120}, {320, 240}, {64, 48},
-                                       {5, 3}};
-  int frames = 0;
   int mismatches = 0;
   std::string first_mismatch;
-  for (const double noise : {0.0, 0.5, 3.0, 9.0, 40.0}) {
-    for (const auto& [width, height] : sizes) {
-      for (const std::string& label : media::KnownMotionLabels()) {
-        for (size_t variant = 0; variant < props.size(); ++variant) {
-          media::SceneOptions scene;
-          scene.width = width;
-          scene.height = height;
-          scene.noise_stddev = noise;
-          scene.props = props[variant];
-          auto script = media::MotionScript::Make({{label, 3.0, {}}});
-          ASSERT_TRUE(script.ok());
-          const media::SyntheticVideoSource source(std::move(*script), 15.0,
-                                                   scene, seeds[variant]);
-          for (const uint64_t seq : {0, 4, 13, 29}) {
-            ++frames;
-            const std::string diff = FirstDifference(
-                DetectPose(source.CaptureFrame(seq).image, options),
-                DetectPose(source, seq, options));
-            if (!diff.empty() && mismatches++ == 0) {
-              first_mismatch = diff + " at noise " + std::to_string(noise) +
-                               ", " + std::to_string(width) + "x" +
-                               std::to_string(height) + ", " + label +
-                               ", variant " + std::to_string(variant) +
-                               ", seq " + std::to_string(seq);
-            }
-          }
+  const int frames = test_support::ForEachMatrixFrame(
+      [&](const media::SyntheticVideoSource& source, uint64_t seq,
+          const std::string& where) {
+        const std::string diff = FirstDifference(
+            DetectPose(source.CaptureFrame(seq).image, options),
+            DetectPose(source, seq, options));
+        if (!diff.empty() && mismatches++ == 0) {
+          first_mismatch = diff + " at " + where;
         }
-      }
-    }
-  }
+      });
   EXPECT_EQ(frames, 1680);
   EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
+}
+
+TEST(PoseDetector, RunDetectionIsBitIdenticalToTheImagePath) {
+  // The pose service's path: the camera's bytes, detected on their runs,
+  // against the same bytes decoded and detected pixel by pixel.
+  const PoseDetectorOptions options;
+  int mismatches = 0;
+  int people = 0;
+  std::string first_mismatch;
+  const int frames = test_support::ForEachMatrixFrame(
+      [&](const media::SyntheticVideoSource& source, uint64_t seq,
+          const std::string& where) {
+        const Bytes wire = source.CaptureEncoded(seq, source.CaptureTime(seq));
+        const auto decoded = media::DecodeFrame(wire);
+        const auto encoded = media::EncodedFrame::Parse(wire);
+        ASSERT_TRUE(decoded.ok() && encoded.ok()) << where;
+        const DetectedPose from_pixels = DetectPose(decoded->image, options);
+        if (from_pixels.person_found()) ++people;
+        const std::string diff =
+            FirstDifference(from_pixels, DetectPose(*encoded, options));
+        if (!diff.empty() && mismatches++ == 0) {
+          first_mismatch = diff + " at " + where;
+        }
+      });
+  EXPECT_EQ(frames, 1680);
+  EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
+  // Not vacuous: most frames hold a detectable person.
+  EXPECT_GT(people, frames / 2);
 }
 
 // ------------------------------------------------------------- Features

@@ -2,15 +2,22 @@
 // renderer, the codec, frame stores and the synthetic camera.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
+#include "cv/pose_detector.hpp"
 #include "media/codec.hpp"
 #include "media/frame_store.hpp"
 #include "media/motion.hpp"
 #include "media/renderer.hpp"
 #include "media/video_source.hpp"
+#include "scene_matrix.hpp"
 
 namespace vp::media {
 namespace {
@@ -376,8 +383,7 @@ TEST(Codec, RejectsGarbage) {
 }
 
 TEST(Codec, CostModelsScaleWithSize) {
-  EXPECT_GT(EncodeCost(Image(640, 480)).millis(),
-            EncodeCost(Image(160, 120)).millis());
+  EXPECT_GT(EncodeCost(640, 480).millis(), EncodeCost(160, 120).millis());
   EXPECT_GT(DecodeCost(100000).millis(), DecodeCost(1000).millis());
 }
 
@@ -408,63 +414,334 @@ INSTANTIATE_TEST_SUITE_P(
                       CodecCase{320, 240, 3.0}, CodecCase{320, 240, 10.0},
                       CodecCase{640, 480, 3.0}, CodecCase{17, 13, 5.0}));
 
+TEST(Codec, ForgedDimensionsAreRejectedBeforeAllocating) {
+  // A 2×2 frame whose header claims 65535×65535: sizing the pixels from
+  // the header would allocate ~12.9 GB before reading a run.
+  const Bytes wire = EncodeFrame(BlankFrame(2, 2));
+  // The wire ends u16 width, u16 height, u32 run-section length and
+  // the frame's one run.
+  const size_t dims = wire.size() - 4 - 4 - 4;
+  Bytes forged = wire;
+  forged[dims] = forged[dims + 1] = forged[dims + 2] = forged[dims + 3] = 0xFF;
+  const auto decoded = DecodeFrame(forged);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().message(), "frame RLE underfills pixel buffer");
+  FrameStore store(4);
+  const auto put = store.Put(forged);
+  ASSERT_FALSE(put.ok());
+  EXPECT_EQ(put.error().message(), "frame RLE underfills pixel buffer");
+  // Claiming fewer pixels than the runs hold is the other side.
+  forged = wire;
+  forged[dims] = 1;
+  forged[dims + 1] = 0;
+  const auto shrunk = DecodeFrame(forged);
+  ASSERT_FALSE(shrunk.ok());
+  EXPECT_EQ(shrunk.error().message(), "frame RLE overruns pixel buffer");
+}
+
+// ------------------------------------------------ wire-format mutations
+
+/// The codec's run expansion written out one pixel at a time: the
+/// reference the decoders' pixels are checked against.
+std::vector<uint8_t> ReferencePixels(std::span<const uint8_t> runs) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 4 <= runs.size(); i += 4) {
+    for (int k = 0; k < runs[i]; ++k) {
+      for (int c = 1; c <= 3; ++c) {
+        out.push_back(static_cast<uint8_t>(((runs[i + c] & 0x0F) << 4) | 8));
+      }
+    }
+  }
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SamePose(const cv::DetectedPose& a, const cv::DetectedPose& b) {
+  for (size_t k = 0; k < a.keypoints.size(); ++k) {
+    const cv::DetectedKeypoint& ka = a.keypoints[k];
+    const cv::DetectedKeypoint& kb = b.keypoints[k];
+    if (ka.detected != kb.detected || !SameBits(ka.x, kb.x) ||
+        !SameBits(ka.y, kb.y) || !SameBits(ka.confidence, kb.confidence)) {
+      return false;
+    }
+  }
+  return a.bbox.valid == b.bbox.valid && SameBits(a.bbox.x0, b.bbox.x0) &&
+         SameBits(a.bbox.y0, b.bbox.y0) && SameBits(a.bbox.x1, b.bbox.x1) &&
+         SameBits(a.bbox.y1, b.bbox.y1) && a.num_detected == b.num_detected;
+}
+
+/// Where EncodeFrame put each field of `wire`.
+struct WireLayout {
+  size_t width_at = 0;   // u16 width, then u16 height
+  size_t runs_at = 0;    // first run quad
+  size_t runs = 0;       // run quads
+};
+
+WireLayout LayoutOf(const Bytes& wire) {
+  const size_t gt_len = wire[20] | (wire[21] << 8) | (wire[22] << 16) |
+                        (static_cast<size_t>(wire[23]) << 24);
+  WireLayout layout;
+  layout.width_at = 24 + gt_len;
+  layout.runs_at = layout.width_at + 4 + 4;
+  layout.runs = (wire.size() - layout.runs_at) / 4;
+  return layout;
+}
+
+enum class Expect { kAccept, kReject, kEither };
+
+struct Mutant {
+  Bytes wire;
+  Expect expect;
+  std::string what;
+};
+
+/// Truncations, byte flips, run-length edits and header edits of one
+/// valid frame, with the verdict each must get where it is known.
+std::vector<Mutant> Mutate(const Bytes& wire, Rng& rng) {
+  const WireLayout layout = LayoutOf(wire);
+  std::vector<Mutant> out;
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.NextInt(0, static_cast<int64_t>(n) - 1));
+  };
+  auto run_count = [&](size_t run) -> uint8_t& {
+    return out.back().wire[layout.runs_at + 4 * run];
+  };
+  auto add = [&](Expect expect, std::string what) {
+    out.push_back({wire, expect, std::move(what)});
+  };
+
+  for (size_t cut : {size_t{3}, size_t{20}, layout.width_at + 2,
+                     layout.runs_at - 1, pick(wire.size()),
+                     pick(wire.size())}) {
+    add(Expect::kReject, "truncated to " + std::to_string(cut));
+    out.back().wire.resize(cut);
+  }
+  for (int i = 0; i < 6; ++i) {
+    const size_t at = pick(wire.size());
+    add(Expect::kEither, "byte " + std::to_string(at) + " flipped");
+    out.back().wire[at] ^= static_cast<uint8_t>(rng.NextInt(1, 255));
+  }
+  add(Expect::kEither, "trailing bytes");
+  out.back().wire.push_back(0x5A);
+
+  // Run-length edits: one pixel more or fewer fails the run total;
+  // moving a pixel from one run to another keeps it and shifts pixels.
+  for (int i = 0; i < 3 && layout.runs > 0; ++i) {
+    const size_t a = pick(layout.runs);
+    const size_t b = pick(layout.runs);
+    add(Expect::kReject, "run " + std::to_string(a) + " grown");
+    if (run_count(a) == 255) {
+      out.pop_back();
+    } else {
+      ++run_count(a);
+    }
+    add(Expect::kReject, "run " + std::to_string(a) + " shrunk");
+    if (run_count(a) == 0) {
+      out.pop_back();
+    } else {
+      --run_count(a);
+    }
+    add(Expect::kAccept, "pixel moved from run " + std::to_string(a) +
+                             " to run " + std::to_string(b));
+    if (a == b || run_count(a) == 0 || run_count(b) == 255) {
+      out.pop_back();
+    } else {
+      --run_count(a);
+      ++run_count(b);
+    }
+  }
+
+  // Header edits.
+  add(Expect::kReject, "bad magic");
+  out.back().wire[0] ^= 0x01;
+  add(Expect::kAccept, "new seq and capture time");
+  for (size_t i = 4; i < 20; ++i) {
+    out.back().wire[i] = static_cast<uint8_t>(rng.NextInt(0, 255));
+  }
+  add(Expect::kAccept, "width and height swapped");
+  std::swap(out.back().wire[layout.width_at],
+            out.back().wire[layout.width_at + 2]);
+  std::swap(out.back().wire[layout.width_at + 1],
+            out.back().wire[layout.width_at + 3]);
+  add(Expect::kReject, "width + 1");
+  ++out.back().wire[layout.width_at];
+  add(Expect::kReject, "65535x65535");
+  for (size_t i = 0; i < 4; ++i) out.back().wire[layout.width_at + i] = 0xFF;
+  add(Expect::kReject, "ground truth made invalid JSON");
+  out.back().wire[24] = '}';
+  return out;
+}
+
+TEST(FrameWireMutations, ParseAcceptsExactlyWhatDecodeFrameAccepts) {
+  // Encoded frames from the pose-exactness scene matrix (every 7th),
+  // each mutated; seeded, so every run checks the same inputs.
+  Rng rng(20261017);
+  int checked = 0;
+  int mutants = 0;
+  int accepted = 0;
+  int people = 0;
+  test_support::ForEachMatrixFrame([&](const SyntheticVideoSource& source,
+                                       uint64_t seq, const std::string& where) {
+    if (checked++ % 7 != 0) return;
+    const Bytes wire = source.CaptureEncoded(seq, source.CaptureTime(seq));
+    for (const Mutant& m : Mutate(wire, rng)) {
+      SCOPED_TRACE(where + ": " + m.what);
+      ++mutants;
+      const auto decoded = DecodeFrame(m.wire);
+      const auto parsed = EncodedFrame::Parse(m.wire);
+      ASSERT_EQ(parsed.ok(), decoded.ok());
+      if (m.expect != Expect::kEither) {
+        EXPECT_EQ(decoded.ok(), m.expect == Expect::kAccept);
+      }
+      if (!decoded.ok()) {
+        EXPECT_EQ(parsed.error().ToString(), decoded.error().ToString());
+        continue;
+      }
+      ++accepted;
+      // Header fields come from the parse, with no pixel decoded.
+      EXPECT_EQ(parsed->resident_bytes(), m.wire.size());
+      EXPECT_EQ(parsed->seq(), decoded->seq);
+      EXPECT_EQ(parsed->capture_time(), decoded->capture_time);
+      EXPECT_EQ(parsed->width(), decoded->image.width());
+      EXPECT_EQ(parsed->height(), decoded->image.height());
+      // Pixels read lazily equal DecodeFrame's, and both the reference's.
+      EXPECT_EQ(parsed->image().data(), decoded->image.data());
+      EXPECT_EQ(decoded->image.data(), ReferencePixels(parsed->runs()));
+      const cv::DetectedPose from_pixels = cv::DetectPose(decoded->image);
+      if (from_pixels.person_found()) ++people;
+      EXPECT_TRUE(SamePose(cv::DetectPose(*parsed), from_pixels));
+    }
+  });
+  EXPECT_EQ(checked, 1680);
+  EXPECT_EQ(mutants, 6677);
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(people, 200);
+}
+
 // ------------------------------------------------------------ FrameStore
+
+/// Put a frame's encoding; the returned reference holds it resident.
+FrameRef PutFrame(FrameStore& store, const Frame& frame) {
+  auto put = store.Put(EncodeFrame(frame));
+  EXPECT_TRUE(put.ok()) << put.error().ToString();
+  return put.ok() ? *put : nullptr;
+}
 
 TEST(FrameStore, PutGetRelease) {
   FrameStore store(8);
   Frame frame;
   frame.seq = 5;
+  frame.capture_time = TimePoint::FromMicros(7000);
   frame.image = Image(4, 4);
-  const FrameId id = store.Put(std::move(frame));
+  FrameRef held = PutFrame(store, frame);
+  ASSERT_NE(held, nullptr);
+  const FrameId id = held->id();
   EXPECT_NE(id, kInvalidFrameId);
   auto got = store.Get(id);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ((*got)->seq, 5u);
-  EXPECT_EQ((*got)->id, id);
-  EXPECT_TRUE(store.Release(id));
-  EXPECT_FALSE(store.Release(id));
+  EXPECT_EQ((*got)->seq(), 5u);
+  EXPECT_EQ((*got)->id(), id);
+  EXPECT_EQ((*got)->capture_time().micros(), 7000);
+  EXPECT_EQ((*got)->width(), 4);
+  EXPECT_EQ((*got)->height(), 4);
+  // Released when the last reference goes, and not before.
+  held.reset();
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.Get(id).ok());
+  got->reset();
+  EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.Get(id).code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.evictions(), 0u);
 }
 
 TEST(FrameStore, IdsAreUnique) {
   FrameStore store(100);
   std::set<FrameId> ids;
   for (int i = 0; i < 50; ++i) {
-    ids.insert(store.Put(BlankFrame(2, 2)));
+    ids.insert(PutFrame(store, BlankFrame(2, 2))->id());
   }
   EXPECT_EQ(ids.size(), 50u);
 }
 
 TEST(FrameStore, EvictsOldestAtCapacity) {
   FrameStore store(3);
-  const FrameId first = store.Put(BlankFrame(2, 2));
-  store.Put(BlankFrame(2, 2));
-  store.Put(BlankFrame(2, 2));
-  const FrameId fourth = store.Put(BlankFrame(2, 2));
+  std::vector<FrameRef> held;
+  for (int i = 0; i < 4; ++i) held.push_back(PutFrame(store, BlankFrame(2, 2)));
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.evictions(), 1u);
-  EXPECT_FALSE(store.Get(first).ok());
-  EXPECT_TRUE(store.Get(fourth).ok());
+  EXPECT_FALSE(store.Get(held[0]->id()).ok());
+  EXPECT_TRUE(store.Get(held[3]->id()).ok());
+  // Eviction only unmaps the id: its holder keeps the frame.
+  EXPECT_EQ(held[0]->image().width(), 2);
 }
 
-TEST(FrameStore, EncodedCache) {
+TEST(FrameStore, KeepsTheWireBytesAndDecodesOnFirstPixelRead) {
   FrameStore store(4);
-  const FrameId a = store.Put(BlankFrame(2, 2), Bytes{1, 2, 3});
-  const FrameId b = store.Put(BlankFrame(2, 2));
-  ASSERT_NE(store.Encoded(a), nullptr);
-  EXPECT_EQ(*store.Encoded(a), (Bytes{1, 2, 3}));
-  EXPECT_EQ(store.Encoded(b), nullptr);
-  store.CacheEncoded(b, Bytes{9});
-  ASSERT_NE(store.Encoded(b), nullptr);
-  EXPECT_EQ(store.Encoded(b)->size(), 1u);
-  EXPECT_EQ(store.Encoded(999), nullptr);
+  Frame frame = BlankFrame(10, 10);
+  frame.image.Set(3, 4, Rgb{200, 40, 40});
+  const Bytes wire = EncodeFrame(frame);
+  FrameRef a = PutFrame(store, frame);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->wire(), wire);
+  EXPECT_EQ(store.resident_bytes(), wire.size());
+  const auto decoded = DecodeFrame(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(a->image().data(), decoded->image.data());
+  EXPECT_EQ(store.Get(999).code(), StatusCode::kNotFound);
 }
 
-TEST(FrameStore, ResidentBytesTracksPixels) {
+TEST(FrameStore, ResidentBytesCountsWireAndDecodedPixels) {
   FrameStore store(4);
-  store.Put(BlankFrame(10, 10));
-  store.Put(BlankFrame(10, 10));
-  EXPECT_EQ(store.resident_bytes(), 2u * 10u * 10u * 3u);
+  FrameRef a = PutFrame(store, BlankFrame(10, 10));
+  FrameRef b = PutFrame(store, BlankFrame(10, 10));
+  const size_t wire = a->wire().size() + b->wire().size();
+  EXPECT_EQ(store.resident_bytes(), wire);
+  a->image();
+  b->image();
+  EXPECT_EQ(store.resident_bytes(), wire + 2u * 10u * 10u * 3u);
+  a.reset();
+  b.reset();
+  EXPECT_EQ(store.resident_bytes(), 0u);
+}
+
+TEST(FrameStore, PutRejectsWhatDecodeFrameRejects) {
+  FrameStore store(4);
+  Bytes wire = EncodeFrame(BlankFrame(8, 8));
+  wire.resize(wire.size() - 4);  // one run short
+  const auto decoded = DecodeFrame(wire);
+  ASSERT_FALSE(decoded.ok());
+  const auto put = store.Put(wire);
+  ASSERT_FALSE(put.ok());
+  EXPECT_EQ(put.error().ToString(), decoded.error().ToString());
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(FrameStore, ClearMakesIdsUnresolvableButKeepsHolders) {
+  FrameStore store(4);
+  FrameRef a = PutFrame(store, BlankFrame(2, 2));
+  store.Clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_EQ(store.Get(a->id()).code(), StatusCode::kNotFound);
+  EXPECT_EQ(a->width(), 2);
+  // Ids are never reused, and dropping the old holder later is harmless.
+  FrameRef b = PutFrame(store, BlankFrame(2, 2));
+  EXPECT_GT(b->id(), a->id());
+  a.reset();
+  EXPECT_TRUE(store.Get(b->id()).ok());
+}
+
+TEST(FrameStore, ReferencesMayOutliveTheStore) {
+  FrameRef held;
+  {
+    FrameStore store(4);
+    held = PutFrame(store, BlankFrame(2, 2));
+  }
+  EXPECT_EQ(held->height(), 2);
+  held.reset();  // no store left to erase from
 }
 
 // ----------------------------------------------------------- VideoSource

@@ -17,6 +17,7 @@
 #include "core/trace_export.hpp"
 #include "cv/dataset.hpp"
 #include "json/write.hpp"
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "modelreg/registry.hpp"
 #include "modelreg/rollout.hpp"
@@ -150,12 +151,13 @@ TEST(ModelRegistry, ImageSpecTrainsTheImageKind) {
 
 // ------------------------------------- scheduler drain + traffic split
 
-media::FramePtr MakeFrame(uint64_t seed) {
-  auto frame = std::make_shared<media::Frame>();
-  frame->seq = seed;
-  frame->image =
+media::FrameRef MakeFrame(uint64_t seed) {
+  media::Frame frame;
+  frame.seq = seed;
+  frame.image =
       media::RenderScene(media::Pose::Standing(), media::SceneOptions{}, seed);
-  return frame;
+  auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
+  return std::make_shared<const media::EncodedFrame>(std::move(*encoded));
 }
 
 std::shared_ptr<const modelreg::ModelArtifact> FakeArtifact(

@@ -5,10 +5,12 @@
 // seeds (the CI seed-sweep job runs 1..5); default 42.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "apps/fitness.hpp"
 #include "core/orchestrator.hpp"
+#include "core/self_healing.hpp"
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "media/codec.hpp"
@@ -363,32 +365,303 @@ TEST(FlowControl, StaleCreditCannotDoubleAdmit) {
 
 // ----------------------------------------------- bounded bookkeeping
 
-TEST(FrameStoreBounds, PutReleaseChurnKeepsOrderBounded) {
+TEST(FrameStoreBounds, PutReleaseChurnKeepsTheIndexBounded) {
   media::FrameStore store(8);
+  const Bytes wire = media::EncodeFrame(media::Frame{});
   for (int i = 0; i < 5000; ++i) {
-    const media::FrameId id = store.Put(media::Frame{});
-    ASSERT_TRUE(store.Release(id));
-    // Lazy compaction: the eviction deque never grows past O(capacity)
-    // even though every frame is released out-of-band.
-    EXPECT_LE(store.order_size(), 2 * store.capacity() + 1);
+    auto put = store.Put(wire);
+    ASSERT_TRUE(put.ok());
+    ASSERT_EQ(store.size(), 1u);
+    put->reset();
+    // Released on the spot: the index holds the live frames only, so
+    // churn cannot grow it.
+    EXPECT_EQ(store.size(), 0u);
   }
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.evictions(), 0u);
 }
 
 TEST(FrameStoreBounds, MixedChurnStaysBoundedAndResolvable) {
   media::FrameStore store(16);
-  std::vector<media::FrameId> resident;
+  const Bytes wire = media::EncodeFrame(media::Frame{});
+  std::vector<media::FrameRef> resident;
   for (int i = 0; i < 3000; ++i) {
-    resident.push_back(store.Put(media::Frame{}));
-    if (resident.size() > 4) {
-      store.Release(resident.front());
-      resident.erase(resident.begin());
-    }
-    EXPECT_LE(store.order_size(), 2 * store.capacity() + 1);
+    auto put = store.Put(wire);
+    ASSERT_TRUE(put.ok());
+    resident.push_back(*put);
+    if (resident.size() > 4) resident.erase(resident.begin());
+    EXPECT_EQ(store.size(), resident.size());
   }
-  for (media::FrameId id : resident) {
-    EXPECT_TRUE(store.Get(id).ok());
+  for (const media::FrameRef& frame : resident) {
+    EXPECT_TRUE(store.Get(frame->id()).ok());
   }
+}
+
+// ------------------------------------------------------ frame lifetime
+//
+// A frame stays in its device's store while a handler, a same-device
+// message or a queued service request holds it, and leaves when the
+// last holder goes. Whichever way a frame's work ends, nothing may keep
+// it: once the cameras stop and the fabric drains, every store is
+// empty.
+
+/// Stop the cameras, let everything in flight finish, and expect every
+/// device's store to hold no frame.
+void ExpectStoresDrain(sim::Cluster& cluster,
+                       core::Orchestrator& orchestrator) {
+  for (const auto& pipeline : orchestrator.pipelines()) pipeline->Stop();
+  orchestrator.RunFor(Duration::Seconds(5));
+  for (const sim::Device* device : cluster.devices()) {
+    EXPECT_EQ(orchestrator.store(device->name()).size(), 0u)
+        << device->name();
+  }
+}
+
+/// Register a 4×4 frame in `device`'s store; the caller holds it.
+media::FrameRef PutTestFrame(core::Orchestrator& orchestrator,
+                             const std::string& device) {
+  media::Frame frame;
+  frame.image = media::Image(4, 4);
+  auto put = orchestrator.store(device).Put(media::EncodeFrame(frame));
+  EXPECT_TRUE(put.ok());
+  return put.ok() ? *put : nullptr;
+}
+
+TEST(FrameLifetime, BranchFinishingAfterTheSinkStillResolvesItsFrame) {
+  // split fans each frame out to the sink, which returns the credit at
+  // once, and to a slow branch that reads the frame ~100 ms later. The
+  // slow branch also overflows its parked slot, so replaced messages
+  // must release their frames too.
+  auto rig = MakeRig(core::ParsePipelineConfigText(R"CFG({
+    "name": "fanout",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["split"] },
+      { "name": "split", "device": "desktop",
+        "next_module": ["sink", "slow"],
+        "code": "function event_received(m) { call_module('sink', { frame_id: m.frame_id }); call_module('slow', { frame_id: m.frame_id }); }" },
+      { "name": "sink", "device": "desktop", "signal_source": true,
+        "code": "function event_received(m) {}" },
+      { "name": "slow", "device": "desktop", "service": ["pose_detector"],
+        "code": "var resolved = 0; var failed = 0; function event_received(m) { busy_ms(40); try { frame_info(m.frame_id); call_service('pose_detector', { frame_id: m.frame_id }); resolved = resolved + 1; } catch (e) { failed = failed + 1; } }" }
+    ]
+  })CFG",
+                                                   core::MapResolver({})),
+                     core::OrchestratorOptions{});
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(5));
+
+  core::ModuleRuntime* slow = rig.pipeline->FindModule("slow");
+  ASSERT_NE(slow, nullptr);
+  const json::Value state = slow->context().SnapshotState();
+  EXPECT_GT(state.GetDouble("resolved", 0), 20.0);
+  EXPECT_EQ(state.GetDouble("failed", -1), 0.0);
+  EXPECT_GT(slow->stats().dropped_replaced, 0u);
+  // The sink ran ahead of the slow branch the whole time.
+  EXPECT_GT(rig.pipeline->FindModule("sink")->stats().events,
+            slow->stats().events + 20);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+}
+
+TEST(FrameLifetime, UndecodableFramesAndHandlerErrorsRelease) {
+  auto rig = MakeRig(core::ParsePipelineConfigText(R"CFG({
+    "name": "errors",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["proc"] },
+      { "name": "proc", "device": "desktop", "next_module": ["sink"],
+        "code": "function event_received(m) { call_module('sink', { frame_id: m.frame_id }); if (m.seq % 2 == 0) { throw 'boom'; } }" },
+      { "name": "sink", "device": "desktop", "signal_source": true,
+        "code": "function event_received(m) { frame_info(m.frame_id); }" }
+    ]
+  })CFG",
+                                                   core::MapResolver({})),
+                     core::OrchestratorOptions{});
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(2));
+  // Frames whose bytes do not decode never enter the store.
+  auto proc_address = rig.pipeline->ModuleAddress("proc");
+  ASSERT_TRUE(proc_address.ok());
+  for (int i = 0; i < 5; ++i) {
+    net::Message garbage("frame");
+    garbage.set_sender("cam");
+    garbage.AddPart(Bytes{1, 2, 3, 4, 5});
+    ASSERT_TRUE(rig.orchestrator->fabric()
+                    .Push("desktop", *proc_address, std::move(garbage))
+                    .ok());
+    rig.orchestrator->RunFor(Duration::Millis(150));
+  }
+  rig.orchestrator->RunFor(Duration::Seconds(2));
+
+  core::ModuleRuntime* proc = rig.pipeline->FindModule("proc");
+  ASSERT_NE(proc, nullptr);
+  EXPECT_GT(proc->stats().script_errors, 20u);
+  EXPECT_EQ(rig.pipeline->FindModule("sink")->stats().script_errors, 0u);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+}
+
+TEST(FrameLifetime, RequestQueuedPastItsCallersTimeoutHoldsItsFrame) {
+  // The caller gives up after 20 ms; the ~55 ms pose replica works
+  // through a queue of abandoned requests, each still holding its frame
+  // until it is served.
+  core::OrchestratorOptions options = FastRecoveryOptions();
+  options.service_call.timeout = Duration::Millis(20);
+  options.service_call.max_retries = 0;
+  options.serving.enabled = true;
+  auto rig = MakeRig(core::ParsePipelineConfigText(R"CFG({
+    "name": "impatient",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["proc"] },
+      { "name": "proc", "device": "desktop", "signal_source": true,
+        "service": ["pose_detector"],
+        "code": "var timeouts = 0; function event_received(m) { try { call_service('pose_detector', { frame_id: m.frame_id }); } catch (e) { if (e.code == 'TIMEOUT') timeouts = timeouts + 1; } }" }
+    ]
+  })CFG",
+                                                   core::MapResolver({})),
+                     options);
+  ASSERT_EQ(rig.pipeline->plan().service_device.at("pose_detector"),
+            "desktop");
+  rig.pipeline->Start();
+  size_t most_held = 0;
+  for (int i = 0; i < 40; ++i) {
+    rig.orchestrator->RunFor(Duration::Millis(100));
+    most_held = std::max(most_held, rig.orchestrator->store("desktop").size());
+  }
+  core::ModuleRuntime* proc = rig.pipeline->FindModule("proc");
+  ASSERT_NE(proc, nullptr);
+  EXPECT_GT(proc->context().SnapshotState().GetDouble("timeouts", 0), 20.0);
+  // More frames resident than the one handler could hold: the queued
+  // requests hold the rest.
+  EXPECT_GT(most_held, 2u);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+}
+
+TEST(FrameLifetime, HibernateAndUndeployRelease) {
+  auto rig = MakeRig(apps::fitness::Spec(), core::OrchestratorOptions{});
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  const std::string device =
+      rig.pipeline->plan().module_device.at("pose_detection_module");
+
+  // Hibernation clears the store at once: ids stop resolving, though a
+  // holder keeps its frame.
+  media::FrameRef held = PutTestFrame(*rig.orchestrator, device);
+  ASSERT_NE(held, nullptr);
+  ASSERT_TRUE(rig.orchestrator->HibernatePipeline(rig.pipeline).ok());
+  EXPECT_EQ(rig.orchestrator->store(device).Get(held->id()).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(held->width(), 4);
+  held.reset();
+  rig.orchestrator->RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(rig.orchestrator->WakePipeline(rig.pipeline).ok());
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  EXPECT_GT(rig.pipeline->metrics().frames_completed(), 40u);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+
+  // Undeploy mid-stream: the stores are not cleared, but every frame
+  // in flight is released as its holders finish or are dropped.
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(rig.orchestrator->Undeploy(rig.pipeline).ok());
+  rig.orchestrator->RunFor(Duration::Seconds(5));
+  for (const sim::Device* d : rig.cluster->devices()) {
+    EXPECT_EQ(rig.orchestrator->store(d->name()).size(), 0u) << d->name();
+  }
+}
+
+core::SelfHealingOptions LifetimeHealing() {
+  core::SelfHealingOptions options;
+  options.detector.heartbeat_interval = Duration::Millis(100);
+  options.detector.suspect_after = Duration::Millis(250);
+  options.detector.suspicion_window = Duration::Millis(400);
+  options.checkpoint_interval = Duration::Seconds(1);
+  options.detector.controller_device = "tv";
+  return options;
+}
+
+struct HealingRig {
+  std::unique_ptr<sim::Cluster> cluster;
+  std::unique_ptr<core::Orchestrator> orchestrator;
+  std::unique_ptr<sim::FaultInjector> injector;
+  std::unique_ptr<core::SelfHealer> healer;
+  core::PipelineDeployment* pipeline = nullptr;
+};
+
+HealingRig MakeHealingRig() {
+  HealingRig rig;
+  rig.cluster = sim::MakeExtendedTestbed(TestSeed());
+  core::OrchestratorOptions options;
+  options.seed = TestSeed();
+  rig.orchestrator =
+      std::make_unique<core::Orchestrator>(rig.cluster.get(), options);
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.seed = TestSeed();
+  auto deployment =
+      rig.orchestrator->Deploy(*apps::fitness::Spec(), std::move(args));
+  EXPECT_TRUE(deployment.ok()) << deployment.status().ToString();
+  rig.pipeline = *deployment;
+  rig.injector = std::make_unique<sim::FaultInjector>(
+      &rig.cluster->simulator(), &rig.cluster->network(), TestSeed());
+  rig.orchestrator->RegisterReplicasForFaults(*rig.injector);
+  rig.orchestrator->RegisterDevicesForFaults(*rig.injector);
+  rig.healer = std::make_unique<core::SelfHealer>(rig.orchestrator.get(),
+                                                  LifetimeHealing());
+  EXPECT_TRUE(rig.healer->Start().ok());
+  return rig;
+}
+
+TEST(FrameLifetime, DeviceCrashClearsAtOnceAndDeadLanesRelease) {
+  // a and b share the desktop's module lane: a's busy_ms holds it, so
+  // b's next event waits on the lane for most of every cycle — a crash
+  // then finds b's frame admitted but not yet handled.
+  auto rig = MakeRig(core::ParsePipelineConfigText(R"CFG({
+    "name": "crashy",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["a"] },
+      { "name": "a", "device": "desktop", "next_module": ["b"],
+        "code": "function event_received(m) { call_module('b', { frame_id: m.frame_id }); busy_ms(80); }" },
+      { "name": "b", "device": "desktop", "signal_source": true,
+        "code": "function event_received(m) { frame_info(m.frame_id); }" }
+    ]
+  })CFG",
+                                                   core::MapResolver({})),
+                     core::OrchestratorOptions{});
+  sim::FaultInjector injector(&rig.cluster->simulator(),
+                              &rig.cluster->network(), TestSeed());
+  rig.orchestrator->RegisterDevicesForFaults(injector);
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  core::ModuleRuntime* b = rig.pipeline->FindModule("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_GT(b->stats().events, 10u);
+
+  media::FrameRef held = PutTestFrame(*rig.orchestrator, "desktop");
+  ASSERT_NE(held, nullptr);
+  ASSERT_TRUE(injector.CrashDeviceNow("desktop", Duration::Seconds(1)).ok());
+  // Same event: the crash wiped the store; the holder keeps its frame.
+  EXPECT_EQ(rig.orchestrator->store("desktop").Get(held->id()).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(held->height(), 4);
+  held.reset();
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  EXPECT_GT(b->stats().dropped_device_down, 0u);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+}
+
+TEST(FrameLifetime, StaleEpochFenceReleases) {
+  // The partitioned desktop keeps running its stale runtimes; what
+  // they send after recovery bumped the epochs is fenced and dropped.
+  auto rig = MakeHealingRig();
+  rig.pipeline->Start();
+  rig.injector->SchedulePartition({{"desktop"}, {"phone", "tv", "nuc"}},
+                                  TimePoint() + Duration::Seconds(5),
+                                  Duration::Seconds(3));
+  rig.orchestrator->RunFor(Duration::Seconds(20));
+  EXPECT_GT(rig.pipeline->metrics().zombies_fenced(), 0u);
+  ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
 }
 
 TEST(MetricsRetention, EvictedTracesFoldIntoSummaries) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cv/pose_detector.hpp"
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "media/video_source.hpp"
 #include "services/autoscaler.hpp"
@@ -16,12 +17,13 @@
 namespace vp::services {
 namespace {
 
-media::FramePtr MakeFrame(uint64_t seed = 1) {
-  auto frame = std::make_shared<media::Frame>();
-  frame->seq = seed;
-  frame->image =
+media::FrameRef MakeFrame(uint64_t seed = 1) {
+  media::Frame frame;
+  frame.seq = seed;
+  frame.image =
       media::RenderScene(media::Pose::Standing(), media::SceneOptions{}, seed);
-  return frame;
+  auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
+  return std::make_shared<const media::EncodedFrame>(std::move(*encoded));
 }
 
 /// Run one request through an instance synchronously (drains the sim).
@@ -365,12 +367,15 @@ TEST_F(BuiltinsTest, ObjectDetectorWithClasses) {
   media::SceneOptions scene;
   scene.props.push_back(
       media::Prop{"lamp", 0.05, 0.1, 0.1, 0.25, media::Rgb{200, 160, 40}});
-  auto frame = std::make_shared<media::Frame>();
+  media::Frame frame;
   media::Pose hidden;
   hidden.visible.fill(false);
-  frame->image = media::RenderScene(hidden, scene, 80);
+  frame.image = media::RenderScene(hidden, scene, 80);
+  auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
+  ASSERT_TRUE(encoded.ok());
   ServiceRequest request;
-  request.frame = frame;
+  request.frame =
+      std::make_shared<const media::EncodedFrame>(std::move(*encoded));
   json::Value cls = json::Value::MakeObject();
   cls["name"] = json::Value("lamp");
   cls["r"] = json::Value(200);
@@ -394,7 +399,7 @@ TEST_F(BuiltinsTest, FaceDetectorBothPaths) {
 
   ServiceRequest by_pose;
   by_pose.payload["pose"] =
-      cv::DetectPose(MakeFrame(6)->image).ToJson();
+      cv::DetectPose(MakeFrame(6)->image()).ToJson();
   auto from_pose = Call("face_detector", std::move(by_pose));
   ASSERT_TRUE(from_pose.ok());
   EXPECT_TRUE(from_pose->GetBool("found"));
@@ -584,7 +589,8 @@ TEST(ContainerBatch, InvokeBatchDeliversPerEntryResultsAndAmortizes) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     BatchEntry entry;
     entry.request.frame = MakeFrame(seed);
-    solo_cost += cv::PoseDetectCost(entry.request.frame->image);
+    solo_cost += cv::PoseDetectCost(entry.request.frame->width(),
+                                    entry.request.frame->height());
     entry.done = [&results](Result<json::Value> r) {
       results.push_back(std::move(r));
     };

@@ -15,6 +15,7 @@
 #include "core/orchestrator.hpp"
 #include "core/trace_export.hpp"
 #include "json/write.hpp"
+#include "media/codec.hpp"
 #include "media/renderer.hpp"
 #include "serving/request_scheduler.hpp"
 #include "services/container.hpp"
@@ -29,12 +30,13 @@ uint64_t TestSeed() {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
 }
 
-media::FramePtr MakeFrame(uint64_t seed = 1) {
-  auto frame = std::make_shared<media::Frame>();
-  frame->seq = seed;
-  frame->image =
+media::FrameRef MakeFrame(uint64_t seed = 1) {
+  media::Frame frame;
+  frame.seq = seed;
+  frame.image =
       media::RenderScene(media::Pose::Standing(), media::SceneOptions{}, seed);
-  return frame;
+  auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
+  return std::make_shared<const media::EncodedFrame>(std::move(*encoded));
 }
 
 // ------------------------------------------------- scheduler unit rig
