@@ -108,4 +108,52 @@ void BM_CaptureEncoded(benchmark::State& state) {
 }
 BENCHMARK(BM_CaptureEncoded)->Arg(160)->Arg(320);
 
+// CaptureEncoded's three pieces, on frame 80 of the workout (a squat):
+// the clean render, the noise fused with quantisation, and the RLE.
+void BM_RenderCleanScene(benchmark::State& state) {
+  const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const media::Image image = source.CaptureClean(80);
+    benchmark::DoNotOptimize(image.data().data());
+  }
+}
+BENCHMARK(BM_RenderCleanScene)->Arg(64)->Arg(320);
+
+// Each iteration first copies the clean render back (a memcpy of the
+// image), since Apply quantizes in place.
+void BM_NoisyQuantizerApply(benchmark::State& state) {
+  const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
+  const media::Image clean = source.CaptureClean(80);
+  const media::NoisyQuantizer quantizer(source.scene().noise_stddev);
+  media::Image work = clean;
+  uint64_t seed = 0;
+  uint64_t tail = 0;
+  uint64_t exact = 0;
+  for (auto _ : state) {
+    work.data() = clean.data();
+    const auto counts = quantizer.Apply(work, seed++);
+    tail += counts.tail;
+    exact += counts.exact;
+    benchmark::DoNotOptimize(work.data().data());
+    benchmark::ClobberMemory();
+  }
+  // Per frame: pairs past the fast path, and those that reached libm.
+  const auto frames = static_cast<double>(state.iterations());
+  state.counters["tail"] = static_cast<double>(tail) / frames;
+  state.counters["libm"] = static_cast<double>(exact) / frames;
+}
+BENCHMARK(BM_NoisyQuantizerApply)->Arg(64)->Arg(320);
+
+void BM_EncodeQuantizedFrame(benchmark::State& state) {
+  const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
+  media::Frame frame;
+  frame.image = source.CaptureClean(80);
+  media::NoisyQuantizer(source.scene().noise_stddev).Apply(frame.image, 1);
+  for (auto _ : state) {
+    const Bytes wire = media::EncodeQuantizedFrame(frame);
+    benchmark::DoNotOptimize(wire.data());
+  }
+}
+BENCHMARK(BM_EncodeQuantizedFrame)->Arg(64)->Arg(320);
+
 }  // namespace

@@ -1,5 +1,9 @@
 #include "media/codec.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "json/parse.hpp"
 #include "json/write.hpp"
 
@@ -8,9 +12,45 @@ namespace vp::media {
 namespace {
 constexpr uint32_t kFrameMagic = 0x56504631;  // "VPF1"
 
-// `quant` maps a channel of the frame's image to its 4-bit bucket.
-template <typename Quant>
-Bytes Encode(const Frame& frame, Quant quant) {
+// The RLE of `buckets` (4-bit buckets, three per pixel, in raster
+// order): a (count u8, r', g', b') quad per run of identical pixels, at
+// most 255 pixels a run. A pixel extends the run when each of its bytes
+// equals the byte three before it, so the scan compares eight bytes
+// with the eight three before them at a time. A trailing partial pixel
+// is ignored.
+Bytes ScanRuns(std::span<const uint8_t> buckets) {
+  const size_t end = buckets.size() - buckets.size() % 3;
+  const uint8_t* q = buckets.data();
+  ByteWriter rle;
+  for (size_t start = 0; start < end;) {
+    const size_t limit = std::min(end, start + 255 * 3);
+    size_t j = start + 3;  // the first byte that may break the run
+    for (; j + 8 <= limit; j += 8) {
+      uint64_t now = 0;
+      uint64_t before = 0;
+      std::memcpy(&now, q + j, 8);
+      std::memcpy(&before, q + j - 3, 8);
+      if (const uint64_t diff = now ^ before; diff != 0) {
+        j += static_cast<size_t>(std::endian::native == std::endian::little
+                                     ? std::countr_zero(diff)
+                                     : std::countl_zero(diff)) /
+             8;
+        break;
+      }
+    }
+    while (j < limit && q[j] == q[j - 3]) ++j;  // the tail, or no-op
+    const size_t run = (j - start) / 3;  // pixels whose bytes all matched
+    rle.WriteU8(static_cast<uint8_t>(run));
+    rle.WriteU8(q[start]);
+    rle.WriteU8(q[start + 1]);
+    rle.WriteU8(q[start + 2]);
+    start += run * 3;
+  }
+  return rle.Take();
+}
+
+// The wire frame: header, ground truth, size and the runs of `buckets`.
+Bytes Encode(const Frame& frame, std::span<const uint8_t> buckets) {
   ByteWriter w;
   w.WriteU32(kFrameMagic);
   w.WriteU64(frame.seq);
@@ -18,44 +58,25 @@ Bytes Encode(const Frame& frame, Quant quant) {
   w.WriteString(json::Write(frame.ground_truth));
   w.WriteU16(static_cast<uint16_t>(frame.image.width()));
   w.WriteU16(static_cast<uint16_t>(frame.image.height()));
-
-  // Lossy compression, JPEG-in-spirit: quantize each channel to 16
-  // levels (sensor noise collapses into the bucket), then RLE over the
-  // quantized RGB triples: (run_len u8, r', g', b'), max run 255.
-  const auto& data = frame.image.data();
-  ByteWriter rle;
-  size_t i = 0;
-  const size_t n = data.size();
-  while (i + 2 < n) {
-    const uint8_t r = quant(data[i]);
-    const uint8_t g = quant(data[i + 1]);
-    const uint8_t b = quant(data[i + 2]);
-    size_t run = 1;
-    while (run < 255 && i + run * 3 + 2 < n &&
-           quant(data[i + run * 3]) == r &&
-           quant(data[i + run * 3 + 1]) == g &&
-           quant(data[i + run * 3 + 2]) == b) {
-      ++run;
-    }
-    rle.WriteU8(static_cast<uint8_t>(run));
-    rle.WriteU8(r);
-    rle.WriteU8(g);
-    rle.WriteU8(b);
-    i += run * 3;
-  }
-  w.WriteBytes(rle.data());
+  w.WriteBytes(ScanRuns(buckets));
   return w.Take();
 }
 
 }  // namespace
 
+// Lossy compression, JPEG-in-spirit: quantize each channel to 16 levels
+// (sensor noise collapses into the bucket), then run-length encode the
+// quantized RGB triples.
 Bytes EncodeFrame(const Frame& frame) {
-  return Encode(frame,
-                [](uint8_t v) { return static_cast<uint8_t>(v >> 4); });
+  const std::vector<uint8_t>& data = frame.image.data();
+  Bytes buckets(data.size());
+  std::transform(data.begin(), data.end(), buckets.begin(),
+                 [](uint8_t v) { return static_cast<uint8_t>(v >> 4); });
+  return Encode(frame, buckets);
 }
 
 Bytes EncodeQuantizedFrame(const Frame& frame) {
-  return Encode(frame, [](uint8_t v) { return v; });
+  return Encode(frame, frame.image.data());
 }
 
 namespace {

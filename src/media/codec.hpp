@@ -14,7 +14,15 @@
 // from c to the nearer bucket edge, with no edge on the clamped side of
 // buckets 0 and 15 — leaves the quantized channel unchanged. The camera
 // path (SyntheticVideoSource::CaptureEncoded, via NoisyQuantizer) relies
-// on this to skip the noise of most channels.
+// on this to skip the noise of most channels. Past the headroom, the
+// bucket of c + noise is still a monotone function of the noise (the
+// addition, the clamp to [0, 255], the truncation and the >> 4 each
+// are), so noise known to lie in an interval whose two ends give the
+// same bucket gives that bucket: NoisyQuantizer settles most of the
+// remaining channels from such intervals, without libm.
+//
+// One RLE scanner reads bucket bytes: EncodeFrame quantizes a copy of
+// the image first, EncodeQuantizedFrame passes its buckets through.
 #pragma once
 
 #include <memory>

@@ -3,20 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 namespace vp::media {
 
 Image::Image(int width, int height, Rgb fill)
     : width_(width), height_(height),
-      data_(static_cast<size_t>(width) * static_cast<size_t>(height) * 3) {
-  Fill(fill);
+      data_(static_cast<size_t>(width) * static_cast<size_t>(height) * 3,
+            fill.r) {
+  // A gray fill (black included) is the byte fill above.
+  if (fill.g != fill.r || fill.b != fill.r) Fill(fill);
 }
 
 void Image::Fill(Rgb c) {
-  for (size_t i = 0; i + 2 < data_.size(); i += 3) {
-    data_[i] = c.r;
-    data_[i + 1] = c.g;
-    data_[i + 2] = c.b;
+  const size_t end = data_.size() - data_.size() % 3;
+  if (end == 0) return;
+  uint8_t* data = data_.data();
+  data[0] = c.r;
+  data[1] = c.g;
+  data[2] = c.b;
+  // Double the filled prefix; every copy starts on a pixel boundary.
+  for (size_t filled = 3; filled < end;) {
+    const size_t chunk = std::min(filled, end - filled);
+    std::memcpy(data + filled, data, chunk);
+    filled += chunk;
   }
 }
 
@@ -37,10 +47,18 @@ void Image::DrawLine(int x0, int y0, int x1, int y1, double thickness,
   const double len = std::sqrt(dx * dx + dy * dy);
   const int steps = std::max(1, static_cast<int>(std::ceil(len * 2)));
   const double radius = thickness / 2.0;
+  int last_x = 0;
+  int last_y = 0;
   for (int i = 0; i <= steps; ++i) {
     const double t = static_cast<double>(i) / steps;
-    DrawDisk(static_cast<int>(std::lround(x0 + t * dx)),
-             static_cast<int>(std::lround(y0 + t * dy)), radius, c);
+    const int x = static_cast<int>(std::lround(x0 + t * dx));
+    const int y = static_cast<int>(std::lround(y0 + t * dy));
+    // Samples half a pixel apart often round to the same centre; the
+    // same disk again would set the same pixels to the same colour.
+    if (i > 0 && x == last_x && y == last_y) continue;
+    DrawDisk(x, y, radius, c);
+    last_x = x;
+    last_y = y;
   }
 }
 

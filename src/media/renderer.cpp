@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 namespace vp::media {
@@ -41,7 +42,104 @@ constexpr std::array<uint8_t, 256> kHeadroom = [] {
   return headroom;
 }();
 
+// The certificate's cells (BoxMullerCellBounds in renderer.hpp).
+constexpr int kRadiusOctaves = 53;  // u1_bits in [1, 2^53)
+constexpr int kRadiusCellBits = 6;
+constexpr int kThetaCellBits = 10;
+constexpr int kThetaCells = 1 << kThetaCellBits;
+constexpr double kCellSlack = 0x1.0p-30;
+
+// u1_bits converts to a double exactly; its exponent is u1_bits's
+// octave and the top six bits of its mantissa the cell in the octave.
+size_t RadiusCell(uint64_t u1_bits) {
+  const uint64_t bits = std::bit_cast<uint64_t>(static_cast<double>(u1_bits));
+  return static_cast<size_t>((bits >> (52 - kRadiusCellBits)) -
+                             (uint64_t{1023} << kRadiusCellBits));
+}
+
+size_t ThetaCell(uint64_t u2_bits) {
+  return static_cast<size_t>(u2_bits >> (53 - kThetaCellBits));
+}
+
+Interval Widened(double a, double b) {
+  return Interval{std::min(a, b) - kCellSlack, std::max(a, b) + kCellSlack};
+}
+
+struct BoxMullerCells {
+  struct Theta {
+    Interval cos;
+    Interval sin;
+  };
+  std::array<Interval, size_t{kRadiusOctaves} << kRadiusCellBits> radius;
+  std::array<Theta, kThetaCells> theta;
+
+  BoxMullerCells() {
+    for (int k = 0; k < kRadiusOctaves; ++k) {
+      for (uint64_t j = 0; j < (uint64_t{1} << kRadiusCellBits); ++j) {
+        // Below octave 6 a cell holds one value or none.
+        const uint64_t lead = (uint64_t{1} << kRadiusCellBits) | j;
+        const uint64_t first = k >= kRadiusCellBits
+                                   ? lead << (k - kRadiusCellBits)
+                                   : lead >> (kRadiusCellBits - k);
+        const uint64_t last =
+            k >= kRadiusCellBits
+                ? first + (uint64_t{1} << (k - kRadiusCellBits)) - 1
+                : first;
+        Interval& r = radius[RadiusCell(first)];
+        r = Widened(BoxMullerRadius(first), BoxMullerRadius(last));
+        r.lo = std::max(r.lo, 0.0);  // a radius is never negative
+      }
+    }
+    constexpr uint64_t kCellWidth = uint64_t{1} << (53 - kThetaCellBits);
+    for (size_t j = 0; j < theta.size(); ++j) {
+      const GaussianPair a = BoxMuller(1.0, j * kCellWidth);
+      const GaussianPair b = BoxMuller(1.0, (j + 1) * kCellWidth - 1);
+      theta[j] = Theta{Widened(a.first, b.first), Widened(a.second, b.second)};
+    }
+    // Quarter turn q lies on the edge between cells q·kQuarter - 1 and
+    // q·kQuarter. The computed θ there is within an ulp of qπ/2, so
+    // either neighbour may hold the extremum: cos θ = ±1 at even q,
+    // sin θ = ±1 at odd q.
+    constexpr int kQuarter = kThetaCells / 4;
+    for (int q = 0; q <= 4; ++q) {
+      const double peak = q % 4 < 2 ? 1.0 : -1.0;
+      for (const int j : {q * kQuarter - 1, q * kQuarter}) {
+        if (j < 0 || j >= kThetaCells) continue;
+        Theta& cell = theta[static_cast<size_t>(j)];
+        Interval& f = q % 2 == 0 ? cell.cos : cell.sin;
+        f.lo = std::min(f.lo, peak - kCellSlack);
+        f.hi = std::max(f.hi, peak + kCellSlack);
+      }
+    }
+  }
+};
+
+// Built on first use, once per process; about 86 KB.
+const BoxMullerCells& Cells() {
+  static const BoxMullerCells cells;
+  return cells;
+}
+
+// The bucket of AddSensorNoise(c, sd·(r·f)) for every r in `radius` and
+// f in `factor`, or -1 when the interval straddles a bucket edge. With
+// r ≥ 0, the four corners' minimum is at f.lo and their maximum at
+// f.hi, and the rounded products keep that order.
+inline int CertifiedBucket(uint8_t c, double sd, const Interval& radius,
+                           const Interval& factor) {
+  const double lo = sd * std::min(radius.lo * factor.lo, radius.hi * factor.lo);
+  const double hi = sd * std::max(radius.lo * factor.hi, radius.hi * factor.hi);
+  const int bucket = AddSensorNoise(c, lo) >> 4;
+  return bucket == AddSensorNoise(c, hi) >> 4 ? bucket : -1;
+}
+
 }  // namespace
+
+BoxMullerCellBounds BoxMullerCell(uint64_t u1_bits, uint64_t u2_bits) {
+  const BoxMullerCells& cells = Cells();
+  const BoxMullerCells::Theta& theta = cells.theta[ThetaCell(u2_bits)];
+  return BoxMullerCellBounds{cells.radius[RadiusCell(u1_bits)], theta.cos,
+                             theta.sin};
+}
 
 Image RenderScene(const Pose& pose, const SceneOptions& options,
                   uint64_t frame_seed) {
@@ -163,39 +261,67 @@ NoisyQuantizer::NoisyQuantizer(double noise_stddev)
   }
 }
 
-void NoisyQuantizer::Apply(Image& image, uint64_t frame_seed) const {
+NoisyQuantizer::TailCounts NoisyQuantizer::Apply(Image& image,
+                                                 uint64_t frame_seed) const {
   std::vector<uint8_t>& data = image.data();
+  TailCounts counts;
   if (!(stddev_ > 0)) {
     for (uint8_t& v : data) v = static_cast<uint8_t>(v >> 4);
-    return;
+    return counts;
   }
-  Rng rng = SensorNoiseRng(frame_seed);
+  const BoxMullerCells& cells = Cells();
+  // The loop stores through uint8_t*, which may alias any object whose
+  // address has escaped, as the seeded generator's has (to its
+  // constructor). A copy's never does, so its state stays in registers
+  // instead of going through memory on every draw.
+  const Rng seeded = SensorNoiseRng(frame_seed);
+  Rng rng = seeded;
+  uint8_t* const d = data.data();
   const size_t n = data.size();
-  // One Box–Muller pair per two channels, as RenderScene draws them; an
-  // odd last channel takes the first value of a fresh pair.
-  for (size_t i = 0; i < n; i += 2) {
-    const bool pair = i + 1 < n;
-    const uint8_t c0 = data[i];
-    const uint8_t c1 = pair ? data[i + 1] : c0;
+  // One Box–Muller pair per two channels, as RenderScene draws them.
+  for (size_t i = 0; i + 1 < n; i += 2) {
+    const uint8_t c0 = d[i];
+    const uint8_t c1 = d[i + 1];
     const Rng::BoxMullerDraw draw = rng.NextBoxMullerDraw();
     const uint8_t headroom = std::min(kHeadroom[c0], kHeadroom[c1]);
     if (draw.u1_bits > u1_threshold_[headroom]) {
       // |stddev·r·cos θ| and |stddev·r·sin θ| are at most stddev·r,
       // which is below both headrooms: neither bucket changes.
-      data[i] = static_cast<uint8_t>(c0 >> 4);
-      if (pair) data[i + 1] = static_cast<uint8_t>(c1 >> 4);
+      d[i] = static_cast<uint8_t>(c0 >> 4);
+      d[i + 1] = static_cast<uint8_t>(c1 >> 4);
       continue;
     }
+    ++counts.tail;
+    const Interval& radius = cells.radius[RadiusCell(draw.u1_bits)];
+    const BoxMullerCells::Theta& theta = cells.theta[ThetaCell(draw.u2_bits)];
+    const int b0 = CertifiedBucket(c0, stddev_, radius, theta.cos);
+    const int b1 = CertifiedBucket(c1, stddev_, radius, theta.sin);
+    if (b0 >= 0 && b1 >= 0) {
+      d[i] = static_cast<uint8_t>(b0);
+      d[i + 1] = static_cast<uint8_t>(b1);
+      continue;
+    }
+    ++counts.exact;
     // NextGaussian(0, sd) is 0.0 + sd·g; adding it to a channel gives
     // the same double as adding sd·g (the two differ only for -0.0).
     const GaussianPair g =
         BoxMuller(BoxMullerRadius(draw.u1_bits), draw.u2_bits);
-    data[i] = static_cast<uint8_t>(AddSensorNoise(c0, stddev_ * g.first) >> 4);
-    if (pair) {
-      data[i + 1] =
-          static_cast<uint8_t>(AddSensorNoise(c1, stddev_ * g.second) >> 4);
-    }
+    d[i] = static_cast<uint8_t>(AddSensorNoise(c0, stddev_ * g.first) >> 4);
+    d[i + 1] =
+        static_cast<uint8_t>(AddSensorNoise(c1, stddev_ * g.second) >> 4);
   }
+  if (n % 2 == 1) {
+    // An odd last channel takes the first value of a fresh pair; one
+    // channel a frame runs the exact transform.
+    ++counts.tail;
+    ++counts.exact;
+    const Rng::BoxMullerDraw draw = rng.NextBoxMullerDraw();
+    const GaussianPair g =
+        BoxMuller(BoxMullerRadius(draw.u1_bits), draw.u2_bits);
+    d[n - 1] =
+        static_cast<uint8_t>(AddSensorNoise(d[n - 1], stddev_ * g.first) >> 4);
+  }
+  return counts;
 }
 
 }  // namespace vp::media

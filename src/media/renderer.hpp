@@ -75,14 +75,33 @@ void AddSensorNoiseAt(Image& clean, std::span<const uint32_t> pixels,
 /// RenderCleanScene image, in place, into the 4-bit buckets (v >> 4)
 /// of the RenderScene image with the same pose, options and seed, bit
 /// for bit, without building that noisy image. It steps the same noise
-/// stream, but skips the Box–Muller transform for a pair whose radius
-/// cannot carry either channel out of its bucket (see codec.hpp), which
-/// is most pairs at the default noise.
+/// stream and settles each pair in the cheapest way that is exact:
+///
+/// - Fast path. A pair whose radius cannot carry either channel out of
+///   its bucket (see codec.hpp) keeps both buckets; u1_threshold_
+///   decides this from u1's bits alone. This is most pairs at the
+///   default noise.
+/// - Certified tail. Otherwise the pair's draw picks a radius cell and
+///   a θ cell (BoxMullerCellBounds), whose intervals hold every value
+///   BoxMullerRadius and BoxMuller can return for a draw in them. The
+///   exact noise is sd·(r·cos θ) rounded twice; rounding is monotone,
+///   so it lies between the same expression on the interval's corners.
+///   c + noise, the clamp to [0, 255], the truncation and the >> 4 are
+///   monotone too, so when both ends of the interval land in the same
+///   bucket that is the channel's bucket.
+/// - Exact. Only when an interval straddles a bucket edge does the pair
+///   run libm's log, sqrt, cos and sin, as RenderScene does.
 class NoisyQuantizer {
  public:
   explicit NoisyQuantizer(double noise_stddev);
 
-  void Apply(Image& clean, uint64_t frame_seed) const;
+  /// How Apply settled the pairs that missed the fast path. The pair an
+  /// odd last channel draws always runs the exact transform.
+  struct TailCounts {
+    uint64_t tail = 0;   // pairs past the fast path
+    uint64_t exact = 0;  // of those, pairs that ran the exact transform
+  };
+  TailCounts Apply(Image& clean, uint64_t frame_seed) const;
 
  private:
   double stddev_;
@@ -90,6 +109,32 @@ class NoisyQuantizer {
   /// u1_threshold_[h] moves no channel by h or more.
   std::array<uint64_t, 17> u1_threshold_;
 };
+
+/// A closed interval [lo, hi].
+struct Interval {
+  double lo = 0;
+  double hi = 0;
+};
+
+/// The certificate's cells. u1_bits (1 ≤ u1_bits < 2^53) falls in one
+/// of 2^6 cells of its octave [2^k, 2^(k+1)), split by the six bits
+/// after its leading one; u2_bits (< 2^53) in one of 2^10 equal cells
+/// of the turn, so quarter turns fall on cell edges. The bounds are
+/// built once per process, in static storage, from BoxMullerRadius and
+/// BoxMuller(1, ·) at each cell's end points: r decreases with u1, and
+/// cos θ and sin θ are monotone inside a cell, except that a cell next
+/// to a quarter turn also holds that turn's extremum (±1). Each bound
+/// is widened by 2^-30. libm's values may break monotonicity by its
+/// error: sqrt is correctly rounded and glibc's log, cos and sin stay
+/// within about one ulp, so a value can pass its cell's end points by a
+/// few ulps at most, and an ulp is at most 2^-49 for r < 16 and 2^-52
+/// for |cos|, |sin| ≤ 1. The margin is over 2^17 times four such ulps.
+struct BoxMullerCellBounds {
+  Interval radius;  // holds BoxMullerRadius(u1_bits)
+  Interval cos;     // holds BoxMuller(1, u2_bits).first
+  Interval sin;     // holds BoxMuller(1, u2_bits).second
+};
+BoxMullerCellBounds BoxMullerCell(uint64_t u1_bits, uint64_t u2_bits);
 
 /// The body-space → pixel transform used by RenderScene; exposed so
 /// accuracy evaluations can map ground-truth poses into pixel space.

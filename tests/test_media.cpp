@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <span>
 #include <string>
@@ -333,6 +334,94 @@ TEST(Renderer, InvisibleJointsNotDrawn) {
   const Rgb at_nose =
       image.At(static_cast<int>(nose.x), static_cast<int>(nose.y));
   EXPECT_GT(ColorDistance(at_nose, KeypointColor(kNose)), 60);
+}
+
+// Every value the exact path can compute lies in its draw's cell: the
+// certificate's tables are sound. Covers every cell's end points and
+// their neighbours, both sides of every quarter turn, the extreme u1
+// values, and seeded random draws spread over all 53 octaves.
+TEST(BoxMullerCells, HoldEveryValueOfTheirCell) {
+  int checked = 0;
+  std::string first_failure;
+  const auto note = [&](const std::string& what) {
+    if (first_failure.empty()) first_failure = what;
+  };
+  const auto check_radius = [&](uint64_t u1) {
+    ++checked;
+    const Interval r = BoxMullerCell(u1, 0).radius;
+    const double v = BoxMullerRadius(u1);
+    if (!(r.lo <= v && v <= r.hi)) note("u1_bits " + std::to_string(u1));
+  };
+  const auto check_theta = [&](uint64_t u2) {
+    ++checked;
+    const BoxMullerCellBounds cell = BoxMullerCell(1, u2);
+    const GaussianPair g = BoxMuller(1.0, u2);
+    if (!(cell.cos.lo <= g.first && g.first <= cell.cos.hi) ||
+        !(cell.sin.lo <= g.second && g.second <= cell.sin.hi)) {
+      note("u2_bits " + std::to_string(u2));
+    }
+  };
+  constexpr uint64_t kLimit = uint64_t{1} << 53;
+  for (int k = 0; k < 53; ++k) {
+    const uint64_t octave = uint64_t{1} << k;
+    const uint64_t width = k >= 6 ? octave >> 6 : 1;
+    for (uint64_t first = octave; first < 2 * octave; first += width) {
+      for (const uint64_t u1 : {first - 1, first, first + 1, first + width - 1,
+                                first + width}) {
+        if (u1 >= 1 && u1 < kLimit) check_radius(u1);
+      }
+    }
+  }
+  check_radius(1);
+  check_radius(kLimit - 1);
+  constexpr uint64_t kThetaCell = uint64_t{1} << 43;
+  for (uint64_t first = 0; first < kLimit; first += kThetaCell) {
+    for (const uint64_t u2 : {first - 1, first, first + 1,
+                              first + kThetaCell - 2, first + kThetaCell - 1}) {
+      if (u2 < kLimit) check_theta(u2);
+    }
+  }
+  for (uint64_t quarter = 0; quarter <= 4; ++quarter) {
+    for (int delta = -2; delta <= 2; ++delta) {
+      const uint64_t u2 = quarter * (kLimit / 4) + static_cast<uint64_t>(delta);
+      if (u2 < kLimit) check_theta(u2);
+    }
+  }
+  Rng rng(20261017);
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t u1 = rng.NextU53() >> rng.NextInt(0, 52);
+    if (u1 >= 1) check_radius(u1);
+    check_theta(rng.NextU53());
+  }
+  EXPECT_TRUE(first_failure.empty()) << "first value outside its cell: "
+                                     << first_failure;
+  EXPECT_GT(checked, 400000);
+}
+
+// At the default noise, nearly every pair past the fast path is settled
+// by the certificate without libm.
+TEST(NoisyQuantizer, CertificateSettlesAllButAFewTailPairs) {
+  SceneOptions scene;
+  scene.width = 320;
+  scene.height = 240;
+  scene.noise_stddev = 3.0;
+  const SyntheticVideoSource source(DefaultWorkoutScript(), 20.0, scene, 1);
+  const NoisyQuantizer quantizer(scene.noise_stddev);
+  uint64_t tail = 0;
+  uint64_t exact = 0;
+  for (uint64_t seq = 0; seq < source.frame_count(); seq += 40) {
+    Image image = source.CaptureClean(seq);
+    const NoisyQuantizer::TailCounts counts = quantizer.Apply(image, seq);
+    tail += counts.tail;
+    exact += counts.exact;
+  }
+  EXPECT_GT(tail, 1000u);
+  EXPECT_LE(exact * 50, tail) << exact << " of " << tail << " reached libm";
+
+  Image clean = source.CaptureClean(0);
+  const NoisyQuantizer::TailCounts none = NoisyQuantizer(0.0).Apply(clean, 0);
+  EXPECT_EQ(none.tail, 0u);
+  EXPECT_EQ(none.exact, 0u);
 }
 
 // ----------------------------------------------------------------- Codec
@@ -787,16 +876,57 @@ struct CaptureEncodedCase {
   int width;
   int height;
   double noise;
+  Rgb background = SceneOptions{}.background;
+  std::vector<Prop> props = {};
+
+  SceneOptions Scene() const {
+    SceneOptions scene;
+    scene.width = width;
+    scene.height = height;
+    scene.noise_stddev = noise;
+    scene.background = background;
+    scene.props = props;
+    return scene;
+  }
 };
+
+void PrintTo(const CaptureEncodedCase& c, std::ostream* os) {
+  *os << c.width << "x" << c.height << " noise " << c.noise << " background ("
+      << int{c.background.r} << "," << int{c.background.g} << ","
+      << int{c.background.b} << ") props " << c.props.size();
+}
+
+// Scenes whose background and prop channels sit on a bucket edge
+// (16, 32, 240: headroom 0), one level from one (15, 17, 31, 239:
+// headroom 1) or on the clamp (255), at every noise level from below a
+// level to past the clamps. 5×3 and 7×3 have odd channel counts; the
+// person's bones (90, 90, 96) add a headroom-0 channel to every bone
+// pixel.
+std::vector<CaptureEncodedCase> BucketEdgeCases() {
+  const Rgb backgrounds[] = {
+      {15, 16, 17}, {31, 32, 239}, {240, 255, 16}, {17, 15, 32}};
+  const std::vector<Prop> props = {
+      Prop{"box", 0.05, 0.1, 0.4, 0.35, Rgb{239, 240, 31}},
+      Prop{"lamp", 0.6, 0.05, 0.3, 0.5, Rgb{255, 17, 16}}};
+  const std::pair<int, int> sizes[] = {{64, 48}, {5, 3}, {7, 3}};
+  std::vector<CaptureEncodedCase> cases;
+  for (const double noise : {0.5, 3.0, 9.0, 40.0}) {
+    for (const auto& [width, height] : sizes) {
+      for (const Rgb background : backgrounds) {
+        cases.push_back({width, height, noise, background});
+        cases.push_back({width, height, noise, background, props});
+      }
+    }
+    cases.push_back({320, 240, noise, backgrounds[1], props});
+  }
+  return cases;
+}
 
 class CaptureEncodedExact
     : public ::testing::TestWithParam<CaptureEncodedCase> {};
 
 TEST_P(CaptureEncodedExact, MatchesEncodeOfCaptureFrame) {
-  SceneOptions scene;
-  scene.width = GetParam().width;
-  scene.height = GetParam().height;
-  scene.noise_stddev = GetParam().noise;
+  const SceneOptions scene = GetParam().Scene();
   for (uint64_t seed : {1u, 7u, 90210u}) {
     SyntheticVideoSource source(DefaultWorkoutScript(), 20.0, scene, seed);
     for (uint64_t seq : {0u, 1u, 37u, 160u, 301u, 555u, 799u}) {
@@ -825,6 +955,54 @@ INSTANTIATE_TEST_SUITE_P(
                       CaptureEncodedCase{5, 3, 0.5},
                       CaptureEncodedCase{5, 3, 3.0},
                       CaptureEncodedCase{5, 3, 40.0}));
+INSTANTIATE_TEST_SUITE_P(BucketEdges, CaptureEncodedExact,
+                         ::testing::ValuesIn(BucketEdgeCases()));
+
+// FNV-1a over the bytes of every frame `fn` passes on.
+class Fingerprint {
+ public:
+  void Add(const Bytes& bytes) {
+    for (const uint8_t b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001B3ULL;
+    }
+    ++frames_;
+  }
+  uint64_t hash() const { return hash_; }
+  int frames() const { return frames_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+  int frames_ = 0;
+};
+
+// The camera's bytes, pinned to literals taken from the pre-certificate
+// implementation (exact Box–Muller for every tail pair, per-byte RLE),
+// so render, quantizer and RLE stay byte-identical to it without going
+// through EncodeFrame.
+TEST(CaptureEncoded, GoldenFingerprint) {
+  Fingerprint matrix;
+  const int visited = test_support::ForEachMatrixFrame(
+      [&](const SyntheticVideoSource& source, uint64_t seq,
+          const std::string&) {
+        matrix.Add(source.CaptureEncoded(seq, source.CaptureTime(seq)));
+      });
+  EXPECT_EQ(visited, 1680);
+  EXPECT_EQ(matrix.frames(), 1680);
+  EXPECT_EQ(matrix.hash(), 0x17F1878CBB8C1D2EULL);
+
+  Fingerprint edges;
+  for (const CaptureEncodedCase& c : BucketEdgeCases()) {
+    for (uint64_t seed : {1u, 90210u}) {
+      const SyntheticVideoSource source(DefaultWorkoutScript(), 20.0,
+                                        c.Scene(), seed);
+      for (uint64_t seq : {0u, 37u, 301u}) {
+        edges.Add(source.CaptureEncoded(seq, source.CaptureTime(seq)));
+      }
+    }
+  }
+  EXPECT_EQ(edges.frames(), 600);
+  EXPECT_EQ(edges.hash(), 0xC22038F6B59DB90CULL);
+}
 
 TEST(CaptureEncoded, MatchesAcrossTheWorkoutScript) {
   SceneOptions scene;

@@ -467,11 +467,16 @@ TEST(ServingEndToEnd, FitnessPipelineRunsThroughScheduler) {
   for (const auto& [key, sched] : orchestrator.schedulers()) {
     submitted += sched->stats().submitted;
     batches += sched->stats().batches;
+    // Every request is dispatched, shed or still queued. A dispatched
+    // request stays counted in `dispatched` after its batch completes;
+    // the ones still running are a part of it, not a fourth outcome.
     EXPECT_EQ(sched->stats().submitted,
               sched->stats().dispatched + sched->stats().shed_deadline +
                   sched->stats().shed_stale +
-                  static_cast<uint64_t>(sched->queue_depth()) +
-                  static_cast<uint64_t>(sched->inflight_requests()))
+                  static_cast<uint64_t>(sched->queue_depth()))
+        << key.first << "/" << key.second;
+    EXPECT_LE(static_cast<uint64_t>(sched->inflight_requests()),
+              sched->stats().dispatched)
         << key.first << "/" << key.second;
   }
   EXPECT_GT(submitted, 200u);
