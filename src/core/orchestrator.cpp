@@ -50,6 +50,19 @@ std::optional<media::FrameId> FrameIdOf(const json::Value& payload) {
   return media::FrameIdFromNumber(id->AsDouble());
 }
 
+/// A blocking call waits by suspending the handler fiber it runs on.
+/// init() and top-level module code have none: they run synchronously
+/// while a module starts (deploy, wake, migrate, restore), outside
+/// virtual time. The blocking entry points check this before they
+/// schedule anything, so a refused call leaves no event behind.
+Status RequireHandlerFiber() {
+  if (sim::Fiber::Current() != nullptr) return Status::Ok();
+  return Status(StatusCode::kFailedPrecondition,
+                "blocking call outside an event handler: init() runs "
+                "outside virtual time; block from a set_timer(0, ...) "
+                "event instead");
+}
+
 }  // namespace
 
 ModuleRuntime* PipelineDeployment::FindModule(const std::string& name) {
@@ -171,37 +184,22 @@ media::FrameStore& Orchestrator::store(const std::string& device) {
 
 Status Orchestrator::Await(const bool& done) {
   if (done) return Status::Ok();
-  if (sim::Fiber* fiber = sim::Fiber::Current()) {
-    // Handler path: suspend back to the simulator loop. The post-event
-    // hook resumes this fiber at the exact event that flips `done`.
-    // Pumping the simulator here instead would make the wait
-    // re-entrant: a nested blocked handler — possibly another home's
-    // on a shared fleet simulator — pins the stack, and this handler
-    // would resume late by an amount that depends on its co-tenants.
-    if (draining_fibers_) {
-      return Status(StatusCode::kInternal,
-                    "orchestrator shutting down while a module was blocked "
-                    "on a service response");
-    }
-    fiber_waiters_.push_back({&done, fiber});
-    sim::Fiber::Suspend();
-    if (!done) {
-      // Woken by DrainFibers, not by the response: unwind.
-      return Status(StatusCode::kInternal,
-                    "orchestrator shut down while a module was blocked on "
-                    "a service response");
-    }
-    return Status::Ok();
+  VP_RETURN_IF_ERROR(RequireHandlerFiber());
+  if (draining_fibers_) {
+    return Status(StatusCode::kInternal,
+                  "orchestrator shutting down while a module was blocked "
+                  "on a service response");
   }
-  // Scheduler-stack path (deploy/bootstrap costs): no fiber to
-  // suspend, so pump re-entrantly. Nothing runs concurrently at
-  // deploy time, so the overshoot problem above does not apply.
-  while (!done) {
-    if (!cluster_->simulator().Step()) {
-      return Status(StatusCode::kInternal,
-                    "event queue drained while a module was blocked on a "
-                    "service response");
-    }
+  // Suspend back to the simulator loop, never step it from here (a
+  // re-entrant wait resumes late — see sim::Fiber). The post-event
+  // hook resumes this fiber at the exact event that flips `done`.
+  fiber_waiters_.push_back({&done, sim::Fiber::Current()});
+  sim::Fiber::Suspend();
+  if (!done) {
+    // Woken by DrainFibers, not by the response: unwind.
+    return Status(StatusCode::kInternal,
+                  "orchestrator shut down while a module was blocked on "
+                  "a service response");
   }
   return Status::Ok();
 }
@@ -246,6 +244,7 @@ void Orchestrator::DrainFibers() {
 }
 
 Status Orchestrator::BlockOnLane(sim::ExecutionLane& lane, Duration cost) {
+  VP_RETURN_IF_ERROR(RequireHandlerFiber());
   bool done = false;
   lane.Run(cost, [&done] { done = true; });
   return Await(done);
@@ -705,6 +704,7 @@ void Orchestrator::SyncReplicaDowntime() {
 Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
                                               const std::string& service,
                                               json::Value payload) {
+  VP_RETURN_IF_ERROR_R(RequireHandlerFiber());
   const DeploymentPlan& plan = caller.pipeline().plan();
   auto it = plan.service_device.find(service);
   if (it == plan.service_device.end()) {

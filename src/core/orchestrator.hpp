@@ -258,8 +258,9 @@ class Orchestrator {
   Result<PipelineDeployment*> Deploy(PipelineSpec spec, DeployArgs args);
 
   void StartAll();
-  /// Advance virtual time by `duration` (events may overshoot slightly
-  /// when a blocked handler spans the boundary).
+  /// Advance virtual time by `duration`: run every event due by
+  /// Now() + duration, then Housekeep(). A handler still blocked at the
+  /// horizon stays suspended until a later run.
   void RunFor(Duration duration);
 
   /// Post-run bookkeeping (replica-downtime sync, drained-runtime
@@ -377,9 +378,6 @@ class Orchestrator {
   /// anymore. Returns the number of zombies fenced.
   size_t FenceStaleRuntimes(const std::string& device);
 
-  /// Run `cost` on `lane`, blocking (in virtual time) until done.
-  Status BlockOnLane(sim::ExecutionLane& lane, Duration cost);
-
   // -- accessors ---------------------------------------------------------
   sim::Cluster& cluster() { return *cluster_; }
   net::Fabric& fabric() { return *fabric_; }
@@ -476,13 +474,14 @@ class Orchestrator {
     Result<json::Value> value{json::Value()};
   };
 
-  /// Block until `done` flips. On a handler fiber this suspends and is
-  /// resumed at the exact event that flips the flag; on the scheduler
-  /// stack (deploy/bootstrap paths) it pumps the simulator re-entrantly.
+  /// Block until `done` flips: suspend the calling handler's fiber,
+  /// which is resumed at the exact event that flips the flag. Off a
+  /// fiber (init() and top-level module code) it returns
+  /// FAILED_PRECONDITION: a wait never steps the simulator.
   Status Await(const bool& done);
 
-  /// Run `body` (a module handler) on its own fiber so a blocking
-  /// Await inside it suspends instead of pumping the shared simulator.
+  /// Run `body` (a module handler) on its own fiber, which a blocking
+  /// Await inside it suspends.
   void RunOnFiber(std::function<void()> body);
 
   /// Resume any blocked handler whose Await flag the event that just
@@ -500,6 +499,9 @@ class Orchestrator {
 
   /// Block the caller for `d` of virtual time (retry backoff).
   Status SleepFor(Duration d);
+  /// Run `cost` on `lane`, blocking (in virtual time) until done
+  /// (busy_ms).
+  Status BlockOnLane(sim::ExecutionLane& lane, Duration cost);
 
   /// One attempt of a service call (no retries). Timed: an attempt
   /// that outlives the per-attempt budget resolves to kTimeout and the
@@ -544,13 +546,6 @@ class Orchestrator {
   Status BindServiceGateway(const std::string& device,
                             const std::string& service);
   uint16_t AllocatePort() { return next_port_++; }
-
-  /// Resolve + (if remote) encode a frame referenced by `payload`;
-  /// returns the message to send and strips/keeps frame_id as needed.
-  Result<net::Message> BuildFrameMessage(ModuleRuntime& caller,
-                                         json::Value payload,
-                                         const std::string& target_device,
-                                         const std::string& type);
 
   sim::Cluster* cluster_;
   OrchestratorOptions options_;

@@ -129,9 +129,9 @@ void ParallelSimulator::RunBarrierTasksDue() {
     barrier_tasks_.erase(barrier_tasks_.begin() +
                          static_cast<ptrdiff_t>(best));
     task();
-    // The task may have run a legacy deploy pump that drained and
-    // refilled mailboxes arbitrarily; deliver anything new before the
-    // next segment.
+    // The task may have Posted mail due at the fence. Deliver it now,
+    // in task order: left in a mailbox it is invisible when the next
+    // segment is sized, and the segment would run past its due time.
     DrainMailboxes();
   }
 }
@@ -141,6 +141,9 @@ bool ParallelSimulator::EarliestShardEvent(TimePoint* when) {
   for (auto& s : shards_) {
     TimePoint t;
     if (s->shard_.PeekNextTime(&t)) {
+      // Segments run every shard up to the fence, and nothing between
+      // segments steps a shard, so no event is left behind it.
+      assert(t >= fence_ && "shard event behind the barrier fence");
       if (!found || t < *when) *when = t;
       found = true;
     }
@@ -225,10 +228,7 @@ void ParallelSimulator::RunUntil(TimePoint until) {
     DrainMailboxes();
     RunBarrierTasksDue();
     TimePoint next_event;
-    bool has_event = EarliestShardEvent(&next_event);
-    // A legacy deploy pump may have left a shard clock past the fence;
-    // the earliest *schedulable* work is still never before it.
-    if (has_event && next_event < fence_) next_event = fence_;
+    const bool has_event = EarliestShardEvent(&next_event);
     TimePoint next_barrier;
     const bool has_barrier = NextBarrierTime(&next_barrier);
 
@@ -264,8 +264,7 @@ void ParallelSimulator::RunUntilIdle() {
     DrainMailboxes();
     RunBarrierTasksDue();
     TimePoint next_event;
-    bool has_event = EarliestShardEvent(&next_event);
-    if (has_event && next_event < fence_) next_event = fence_;
+    const bool has_event = EarliestShardEvent(&next_event);
     TimePoint next_barrier;
     const bool has_barrier = NextBarrierTime(&next_barrier);
     if (!has_event && !has_barrier) return;
@@ -276,7 +275,6 @@ void ParallelSimulator::RunUntilIdle() {
     } else {
       seg = next_barrier;
     }
-    if (seg < fence_) seg = fence_;
     ExecuteSegment(seg);
     fence_ = seg;
   }

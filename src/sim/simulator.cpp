@@ -109,20 +109,14 @@ void SimulatorShard::PopAndRun() {
   Task task = std::move(ev->task);
   ReleaseNode(ev);
   task();
-  // The hook vector is consulted after *every* event but is empty in
-  // all non-fleet runs — skip it outright then.
+  // Every Orchestrator registers a hook (it resumes blocked handler
+  // fibers); only a bare engine with no orchestrator on it skips the
+  // loop outright.
   if (!post_event_hooks_.empty()) {
     for (size_t i = 0; i < post_event_hooks_.size(); ++i) {
       post_event_hooks_[i].second();
     }
   }
-}
-
-bool SimulatorShard::Step() {
-  TimePoint next;
-  if (!PeekNextTime(&next)) return false;
-  PopAndRun();
-  return true;
 }
 
 void SimulatorShard::RunUntil(TimePoint until) {
@@ -132,8 +126,8 @@ void SimulatorShard::RunUntil(TimePoint until) {
 }
 
 void SimulatorShard::RunUntilIdle() {
-  while (Step()) {
-  }
+  TimePoint next;
+  while (PeekNextTime(&next)) PopAndRun();
 }
 
 uint64_t SimulatorShard::AddPostEventHook(Task hook) {

@@ -87,9 +87,6 @@ class SimulatorShard {
 
   void RunUntilIdle();
 
-  /// Execute at most one event. Returns false if the queue is empty.
-  bool Step();
-
   uint64_t AddPostEventHook(Task hook);
   void RemovePostEventHook(uint64_t id);
 
@@ -189,11 +186,6 @@ class Simulator {
   void RunUntilIdle() {
     assert(InOwningContext());
     shard_.RunUntilIdle();
-  }
-
-  bool Step() {
-    assert(InOwningContext());
-    return shard_.Step();
   }
 
   /// Register `hook` to run after every executed event, at that

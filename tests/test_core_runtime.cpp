@@ -361,6 +361,70 @@ TEST(Runtime, BusyMsHostFunctionChargesTheLane) {
   EXPECT_LT(latency.mean_ms, 140.0);
 }
 
+// ------------------------------------------ init() outside virtual time
+
+// The fitness pipeline with `init` prepended to its first script
+// module's source.
+PipelineSpec FitnessWithInit(const std::string& init) {
+  auto spec = apps::fitness::Spec();
+  EXPECT_TRUE(spec.ok());
+  for (ModuleSpec& m : spec->modules) {
+    if (m.type != ModuleType::kScript) continue;
+    m.code = init + "\n" + m.code;
+    break;
+  }
+  return std::move(*spec);
+}
+
+// init() runs synchronously while a module starts, outside virtual
+// time: a blocking host call there is refused with FAILED_PRECONDITION
+// instead of stepping the simulator.
+TEST(InitOutsideVirtualTime, BusyMsFailsTheDeployWithoutMovingTheClock) {
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(
+      FitnessWithInit("function init() { busy_ms(5); }"), std::move(args));
+  ASSERT_FALSE(deployment.ok());
+  EXPECT_EQ(deployment.error().code(), StatusCode::kFailedPrecondition)
+      << deployment.error().ToString();
+  EXPECT_EQ(cluster->Now(), TimePoint());
+}
+
+TEST(InitOutsideVirtualTime, CaughtServiceCallDeploysAndWakesInPlace) {
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(FitnessWithInit(R"JS(
+    var init_error = "none";
+    function init() {
+      try { call_service("pose_detector", {}); }
+      catch (e) { init_error = e.code; }
+    })JS"),
+                                        std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.error().ToString();
+  EXPECT_EQ(cluster->Now(), TimePoint());
+  PipelineDeployment* pipeline = *deployment;
+  const json::Value error =
+      pipeline->FindModule("pose_detection_module")
+          ->context()
+          .GetGlobal("init_error");
+  ASSERT_TRUE(error.is_string());
+  EXPECT_EQ(error.AsString(), "FAILED_PRECONDITION");
+
+  // Handlers block as usual; a wake re-runs init() at the current
+  // instant.
+  pipeline->Start();
+  orchestrator.RunFor(Duration::Seconds(2));
+  EXPECT_GT(pipeline->metrics().frames_completed(), 0u);
+  ASSERT_TRUE(orchestrator.HibernatePipeline(pipeline).ok());
+  const TimePoint before = cluster->Now();
+  ASSERT_TRUE(orchestrator.WakePipeline(pipeline).ok());
+  EXPECT_EQ(cluster->Now(), before);
+}
+
 // ------------------------------------------------- hostile frame ids
 
 // Script numbers that name no frame — out of range for a 64-bit id,

@@ -99,18 +99,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.executed_events(), 5u);
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator sim;
-  int count = 0;
-  sim.After(Duration::Millis(1), [&] { ++count; });
-  sim.After(Duration::Millis(2), [&] { ++count; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_FALSE(sim.Step());
-  EXPECT_EQ(count, 2);
-}
-
 // ----------------------------------------------------------------- Lane
 
 TEST(ExecutionLane, SerializesWork) {

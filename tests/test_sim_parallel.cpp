@@ -4,7 +4,7 @@
 // sequential engine for the same seed, at ANY worker-thread count.
 //
 // Seed-sweepable: VP_TEST_SEED varies the fleet seed (default 42); the
-// cross-check additionally sweeps seeds 1..5 explicitly.
+// cross-check additionally runs seeds 1..5, one test per seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -265,12 +265,9 @@ void DeployFitness(fleet::Home& home, double fps) {
   home.pipelines.push_back(*deployment);
 }
 
-/// Everything observable about one home, rendered engine-neutrally.
-/// Monitor sample timestamps are normalized to the home's first sample
-/// (deploy-time clock pumping shifts absolute time uniformly per
-/// engine; per-home dynamics must be invariant under that shift —
-/// the same property Fleet.HomeMetricsIndependentOfFleetSize checks
-/// across fleet sizes).
+/// Everything observable about one home, rendered engine-neutrally:
+/// pipeline totals and the monitor-sample series, with absolute
+/// timestamps.
 struct HomeResult {
   uint64_t completed = 0;
   uint64_t captured = 0;
@@ -284,9 +281,9 @@ struct HomeResult {
   }
 };
 
-std::string CanonSample(const core::MonitorSample& s, TimePoint epoch) {
+std::string CanonSample(const core::MonitorSample& s) {
   std::ostringstream os;
-  os << "t+" << (s.when - epoch).micros() << " bytes=" << s.network_bytes;
+  os << "t=" << s.when.micros() << " bytes=" << s.network_bytes;
   for (const auto& [name, fps] : s.pipeline_fps) {
     os << " fps[" << name << "]=" << fps;
   }
@@ -307,7 +304,7 @@ std::string CanonSample(const core::MonitorSample& s, TimePoint epoch) {
 
 struct FleetResult {
   std::vector<HomeResult> homes;
-  uint64_t executed = 0;  // comparable across thread counts only
+  uint64_t executed = 0;
   uint64_t cloud_served = 0;
 };
 
@@ -330,11 +327,6 @@ FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
     DeployFitness(fleet.home(id), 10);
     if (::testing::Test::HasFatalFailure()) return {};
   }
-  // Deploys pump each home's clock (sequential: one shared clock,
-  // serialized; parallel: per-shard clocks, independent). This run
-  // brings every clock to the same fence on the parallel engine so
-  // all homes observe the same active window below on both engines.
-  fleet.RunFor(Duration::Seconds(2));
   if (cloud) {
     for (int id = 0; id < fleet.size(); ++id) {
       auto tick = std::make_shared<std::function<void()>>();
@@ -360,16 +352,20 @@ FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
     hr.captured = metrics.frames_captured();
     hr.fps = metrics.EndToEndFps();
     hr.sheds = metrics.requests_shed();
-    const auto& samples = fleet.home(id).monitor->samples();
-    const TimePoint epoch = samples.empty() ? TimePoint() : samples[0].when;
-    for (const auto& s : samples) hr.samples.push_back(CanonSample(s, epoch));
+    for (const auto& s : fleet.home(id).monitor->samples()) {
+      hr.samples.push_back(CanonSample(s));
+    }
     result.homes.push_back(std::move(hr));
   }
   return result;
 }
 
-void ExpectHomesEqual(const FleetResult& a, const FleetResult& b,
-                      const std::string& what) {
+/// The two runs agree on every home and on the engine-wide totals:
+/// executed events and cloud jobs served.
+void ExpectSameRun(const FleetResult& a, const FleetResult& b,
+                   const std::string& what) {
+  EXPECT_EQ(a.executed, b.executed) << what;
+  EXPECT_EQ(a.cloud_served, b.cloud_served) << what;
   ASSERT_EQ(a.homes.size(), b.homes.size()) << what;
   for (size_t h = 0; h < a.homes.size(); ++h) {
     const HomeResult& x = a.homes[h];
@@ -386,30 +382,27 @@ void ExpectHomesEqual(const FleetResult& a, const FleetResult& b,
   }
 }
 
-TEST(ParallelFleet, BitIdenticalToSequentialAcrossSeedsAndThreads) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const FleetResult seq =
-        RunCrossCheckFleet(seed, /*homes=*/8, /*cloud=*/false,
-                           /*parallel=*/false, 0);
-    ASSERT_FALSE(seq.homes.empty());
-    FleetResult par1;
-    for (int threads : {1, 2, 8}) {
-      const FleetResult par = RunCrossCheckFleet(
-          seed, 8, false, /*parallel=*/true, threads);
-      ExpectHomesEqual(seq, par,
-                       "threads=" + std::to_string(threads));
-      // Across thread counts the parallel engine must agree on
-      // EVERYTHING, including total executed events.
-      if (threads == 1) {
-        par1 = par;
-      } else {
-        EXPECT_EQ(par.executed, par1.executed)
-            << "threads=" << threads;
-      }
-    }
+// One test per seed, so each seed can run as its own ctest entry
+// (tests/CMakeLists.txt) and no entry nears the per-test timeout in
+// the sanitizer build.
+class ParallelFleetSeed : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ParallelFleetSeed, BitIdenticalToSequentialAcrossThreads) {
+  const uint64_t seed = GetParam();
+  const FleetResult seq =
+      RunCrossCheckFleet(seed, /*homes=*/8, /*cloud=*/false,
+                         /*parallel=*/false, 0);
+  ASSERT_FALSE(seq.homes.empty());
+  for (int threads : {1, 2, 8}) {
+    const FleetResult par =
+        RunCrossCheckFleet(seed, 8, false, /*parallel=*/true, threads);
+    ExpectSameRun(seq, par, "threads=" + std::to_string(threads));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelFleetSeed,
+                         ::testing::Range<uint64_t>(1, 6),
+                         ::testing::PrintToStringParamName());
 
 TEST(ParallelFleet, CloudCoupledFleetMatchesSequential) {
   const uint64_t seed = TestSeed();
@@ -420,9 +413,7 @@ TEST(ParallelFleet, CloudCoupledFleetMatchesSequential) {
   for (int threads : {1, 2, 8}) {
     const FleetResult par =
         RunCrossCheckFleet(seed, 8, true, /*parallel=*/true, threads);
-    ExpectHomesEqual(seq, par, "cloud threads=" + std::to_string(threads));
-    EXPECT_EQ(par.cloud_served, seq.cloud_served)
-        << "threads=" << threads;
+    ExpectSameRun(seq, par, "cloud threads=" + std::to_string(threads));
   }
 }
 
