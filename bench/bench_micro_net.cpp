@@ -2,22 +2,74 @@
 // per second the simulator can process).
 //
 // Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// times the message hot paths (ByteSize memoization, encode/decode),
-// writing BENCH_net.json for CI to archive.
+// times the message hot paths on the fitness pipeline's two largest
+// service payloads (ByteSize vs json::Write, fan-out copy,
+// encode/decode), writing BENCH_net.json for CI to archive.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 
+#include "cv/pose_detector.hpp"
+#include "cv/rep_counter.hpp"
 #include "harness.hpp"
 #include "json/parse.hpp"
 #include "json/write.hpp"
+#include "media/video_source.hpp"
 #include "net/message.hpp"
 #include "sim/cluster.hpp"
 
 using namespace vp;
 
 namespace {
+
+// Poses detected on the first `n` frames of the default workout video.
+std::vector<cv::DetectedPose> WorkoutPoses(int n) {
+  const media::SyntheticVideoSource source(media::DefaultWorkoutScript(), 20.0);
+  std::vector<cv::DetectedPose> poses;
+  for (int seq = 0; seq < n; ++seq) {
+    poses.push_back(cv::DetectPose(source, static_cast<uint64_t>(seq)));
+  }
+  return poses;
+}
+
+net::Message ServiceRequest(json::Value payload) {
+  net::Message m("request", std::move(payload));
+  m.set_sender("fitness/activity_detector_module");
+  m.set_seq(42);
+  return m;
+}
+
+// The activity_classifier request: a sliding window of 15 poses. Every
+// service call ships its payload under the single-device plan
+// (edgeeye_baseline), so each one is sized for the network.
+net::Message ClassifierRequest() {
+  json::Value payload = json::Value::MakeObject();
+  for (const auto& pose : WorkoutPoses(15)) {
+    payload["poses"].PushBack(pose.ToJson());
+  }
+  return ServiceRequest(std::move(payload));
+}
+
+// A rep_counter request: the fresh pose plus the counter's state with
+// a full feature window.
+net::Message RepCounterRequest() {
+  const std::vector<cv::DetectedPose> poses = WorkoutPoses(80);
+  const cv::RepCounter counter;
+  cv::RepCounterState state;
+  for (const auto& pose : poses) state = *counter.Step(std::move(state), pose);
+  json::Value payload = json::Value::MakeObject();
+  payload["pose"] = poses.back().ToJson();
+  payload["state"] = state.ToJson();
+  return ServiceRequest(std::move(payload));
+}
+
+void BM_MessageByteSize(benchmark::State& state) {
+  const net::Message m = ClassifierRequest();
+  state.counters["bytes"] = static_cast<double>(m.ByteSize());
+  for (auto _ : state) benchmark::DoNotOptimize(m.ByteSize());
+}
+BENCHMARK(BM_MessageByteSize);
 
 void BM_MessageEncodeDecode(benchmark::State& state) {
   net::Message m("frame");
@@ -84,85 +136,63 @@ double NowUs() {
       .count();
 }
 
-net::Message SampleMessage() {
-  net::Message m("frame");
-  m.set_sender("pose_detection_module");
-  m.set_seq(42);
-  json::Value payload = json::Value::MakeObject();
-  for (int i = 0; i < 17; ++i) {
-    json::Value kp = json::Value::MakeObject();
-    kp["x"] = json::Value(i * 1.5);
-    kp["y"] = json::Value(i * 2.5);
-    payload["keypoints"].PushBack(std::move(kp));
+// Best of `rounds` timings of `iters` calls of `fn`, in ns per call.
+template <typename Fn>
+double BestNs(int iters, Fn fn) {
+  const int rounds = 5;
+  double best = 1e18;
+  for (int r = 0; r < rounds; ++r) {
+    const double start = NowUs();
+    for (int i = 0; i < iters; ++i) fn();
+    best = std::min(best, (NowUs() - start) * 1e3 / iters);
   }
-  m.set_payload(std::move(payload));
-  m.AddPart(Bytes(20000, 0x3C));
-  return m;
+  return best;
 }
 
 int SmokeMain() {
-  const int rounds = 5;
-  const int iters = 20000;
-
-  // ByteSize on a message whose cache is warm (the per-send hot path
-  // in Push/Request/Publish) vs. re-encoding the payload every time.
-  const net::Message warm = SampleMessage();
-  (void)warm.ByteSize();
-  double cached_ns = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    const double start = NowUs();
-    for (int i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(warm.ByteSize());
-    }
-    cached_ns = std::min(cached_ns, (NowUs() - start) * 1e3 / iters);
-  }
-  double uncached_ns = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    net::Message m = SampleMessage();
-    const double start = NowUs();
-    for (int i = 0; i < iters / 20; ++i) {
-      m.payload();  // invalidate (and un-share) like a real mutation
-      benchmark::DoNotOptimize(m.ByteSize());
-    }
-    uncached_ns =
-        std::min(uncached_ns, (NowUs() - start) * 1e3 / (iters / 20));
-  }
-
-  // Fan-out copy cost: what Fabric::Publish pays per subscriber.
-  double copy_ns = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    const double start = NowUs();
-    for (int i = 0; i < iters; ++i) {
-      net::Message copy = warm;
-      benchmark::DoNotOptimize(copy);
-    }
-    copy_ns = std::min(copy_ns, (NowUs() - start) * 1e3 / iters);
-  }
-
-  // Full wire round trip.
-  double codec_us = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    const double start = NowUs();
-    for (int i = 0; i < iters / 20; ++i) {
-      const Bytes wire = warm.Encode();
-      auto decoded = net::Message::Decode(wire);
-      benchmark::DoNotOptimize(decoded);
-    }
-    codec_us = std::min(codec_us, (NowUs() - start) / (iters / 20));
-  }
+  const int iters = 1000;
+  const net::Message classifier = ClassifierRequest();
+  const net::Message rep_counter = RepCounterRequest();
 
   json::Value doc = json::Value::MakeObject();
   doc["bench"] = json::Value("micro_net");
-  doc["bytesize_ns_cached"] = json::Value(cached_ns);
-  doc["bytesize_ns_uncached"] = json::Value(uncached_ns);
-  doc["bytesize_speedup"] = json::Value(uncached_ns / cached_ns);
+
+  // ByteSize (the per-send hot path in Push/Request/Publish) against
+  // printing the payload with json::Write.
+  const auto time_sizing = [&](const net::Message& m, const char* name) {
+    const double size_ns =
+        BestNs(iters, [&] { benchmark::DoNotOptimize(m.ByteSize()); });
+    const double write_ns = BestNs(
+        iters, [&] { benchmark::DoNotOptimize(json::Write(m.payload())); });
+    const std::string key = name;
+    doc[key + "_bytes"] = json::Value(m.ByteSize());
+    doc[key + "_bytesize_ns"] = json::Value(size_ns);
+    doc[key + "_write_ns"] = json::Value(write_ns);
+    std::printf("%s: %zu bytes, ByteSize %.0f ns, Write %.0f ns\n", name,
+                m.ByteSize(), size_ns, write_ns);
+  };
+
+  time_sizing(classifier, "classifier_request");
+  time_sizing(rep_counter, "rep_counter_request");
+
+  // Fan-out copy cost: what Fabric::Publish pays per subscriber.
+  const double copy_ns = BestNs(20 * iters, [&] {
+    net::Message copy = classifier;
+    benchmark::DoNotOptimize(copy);
+  });
+
+  // Full wire round trip.
+  const double codec_ns = BestNs(iters, [&] {
+    const Bytes wire = classifier.Encode();
+    auto decoded = net::Message::Decode(wire);
+    benchmark::DoNotOptimize(decoded);
+  });
+
   doc["copy_ns"] = json::Value(copy_ns);
-  doc["encode_decode_us"] = json::Value(codec_us);
+  doc["encode_decode_us"] = json::Value(codec_ns / 1e3);
   bench::WriteBenchJson("net", doc);
-  std::printf(
-      "bytesize: cached %.0f ns, uncached %.0f ns (%.0fx); "
-      "copy %.0f ns; encode+decode %.1f us\n",
-      cached_ns, uncached_ns, uncached_ns / cached_ns, copy_ns, codec_us);
+  std::printf("copy %.0f ns; encode+decode %.1f us\n", copy_ns,
+              codec_ns / 1e3);
   return 0;
 }
 

@@ -1,27 +1,72 @@
 #include "json/write.hpp"
 
-#include <atomic>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
 
 namespace vp::json {
 namespace {
 
-void WriteNumber(std::string& out, double d) {
-  // Integers print without a fractional part; everything else uses
-  // shortest-ish %.17g for round-tripping.
-  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-    return;
+// A sink that keeps only the number of bytes a std::string would have
+// received; WriteImpl takes either.
+struct ByteCounter {
+  size_t size = 0;
+  ByteCounter& operator+=(char) {
+    ++size;
+    return *this;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  ByteCounter& operator+=(std::string_view s) {
+    size += s.size();
+    return *this;
+  }
+  void append(size_t n, char) { size += n; }
+};
+
+// Integers below 1e15 print as printf's "%lld", everything else finite
+// as "%.17g" (round-trips every double). std::to_chars is specified to
+// produce exactly those bytes in the C locale. JSON has no spelling
+// for NaN or ±inf: they write null, as JSON.stringify does.
+std::string_view FormatNumber(double d, char (&buf)[32]) {
+  if (!std::isfinite(d)) return "null";
+  char* const last = buf + sizeof buf;
+  const std::to_chars_result r =
+      d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, last, static_cast<long long>(d))
+          : std::to_chars(buf, last, d, std::chars_format::general, 17);
+  return {buf, static_cast<size_t>(r.ptr - buf)};
 }
 
-void WriteImpl(const Value& v, int indent, int depth, std::string& out) {
+// Appends `s` quoted, escaping in place: unescaped runs go out whole.
+template <typename Sink>
+void WriteString(Sink& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out += s.substr(run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out += std::string_view(esc, sizeof esc);
+      }
+    }
+  }
+  out += s.substr(run);
+  out += '"';
+}
+
+template <typename Sink>
+void WriteImpl(const Value& v, int indent, int depth, Sink& out) {
   const bool pretty = indent >= 0;
   const auto newline = [&](int d) {
     if (!pretty) return;
@@ -35,13 +80,13 @@ void WriteImpl(const Value& v, int indent, int depth, std::string& out) {
     case Type::kBool:
       out += v.AsBool() ? "true" : "false";
       break;
-    case Type::kNumber:
-      WriteNumber(out, v.AsDouble());
+    case Type::kNumber: {
+      char buf[32];
+      out += FormatNumber(v.AsDouble(), buf);
       break;
+    }
     case Type::kString:
-      out += '"';
-      out += EscapeString(v.AsString());
-      out += '"';
+      WriteString(out, v.AsString());
       break;
     case Type::kArray: {
       const auto& arr = v.AsArray();
@@ -71,9 +116,8 @@ void WriteImpl(const Value& v, int indent, int depth, std::string& out) {
         if (!first) out += ',';
         first = false;
         newline(depth + 1);
-        out += '"';
-        out += EscapeString(k);
-        out += "\":";
+        WriteString(out, k);
+        out += ':';
         if (pretty) out += ' ';
         WriteImpl(val, indent, depth + 1, out);
       }
@@ -86,46 +130,17 @@ void WriteImpl(const Value& v, int indent, int depth, std::string& out) {
 
 }  // namespace
 
-std::string EscapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-// Homes on different simulator shards serialize concurrently.
-std::atomic<uint64_t> g_write_calls{0};
-}  // namespace
-
-uint64_t WriteCallCountForTest() {
-  return g_write_calls.load(std::memory_order_relaxed);
-}
-
 std::string Write(const Value& v, int indent) {
-  g_write_calls.fetch_add(1, std::memory_order_relaxed);
   std::string out;
   WriteImpl(v, indent, 0, out);
   if (indent >= 0) out += '\n';
   return out;
+}
+
+size_t WrittenSize(const Value& v) {
+  ByteCounter counter;
+  WriteImpl(v, -1, 0, counter);
+  return counter.size;
 }
 
 }  // namespace vp::json

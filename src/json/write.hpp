@@ -1,6 +1,13 @@
 // JSON serialization.
+//
+// The compact bytes are a wire-size contract: a Message's simulated
+// wire time is charged from them, so one byte more or less moves
+// virtual time. Integral numbers below 1e15 print as printf's "%lld",
+// every other finite number as "%.17g" (C locale), which round-trips
+// every double. NaN and ±inf have no JSON spelling and write `null`.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "json/value.hpp"
@@ -11,11 +18,8 @@ namespace vp::json {
 /// print with the given indent width.
 std::string Write(const Value& v, int indent = -1);
 
-/// Number of Write() calls so far in this process. Lets tests assert
-/// that hot paths (Message::ByteSize) don't re-serialize payloads.
-uint64_t WriteCallCountForTest();
-
-/// Escape a string for embedding in JSON (without surrounding quotes).
-std::string EscapeString(const std::string& s);
+/// Write(v).size() — the compact text's length — computed by the same
+/// walk without building the string.
+size_t WrittenSize(const Value& v);
 
 }  // namespace vp::json

@@ -25,19 +25,11 @@ json::Value& Message::payload() {
   } else if (payload_.use_count() > 1) {
     payload_ = std::make_shared<json::Value>(*payload_);  // un-share
   }
-  // The caller may mutate through the returned reference at any later
-  // time — invalidate now and keep the cache disabled (a ByteSize or
-  // Encode between the access and the mutation must not re-memoize a
-  // size the mutation then silently invalidates).
-  payload_bytes_ = kNoSize;
-  payload_ref_outstanding_ = true;
   return *payload_;
 }
 
 void Message::set_payload(json::Value v) {
   payload_ = std::make_shared<json::Value>(std::move(v));
-  payload_bytes_ = kNoSize;
-  payload_ref_outstanding_ = false;  // old references point elsewhere now
 }
 
 std::vector<Bytes>& Message::mutable_parts() {
@@ -50,18 +42,13 @@ std::vector<Bytes>& Message::mutable_parts() {
 }
 
 size_t Message::ByteSize() const {
-  size_t payload_bytes = payload_bytes_;
-  if (payload_bytes == kNoSize) {
-    payload_bytes = json::Write(payload()).size();
-    if (!payload_ref_outstanding_) payload_bytes_ = payload_bytes;
-  }
   size_t size = 4;                       // magic
   size += 4 + type_.size();              // type
   size += 4 + sender_.size();            // sender
   size += 8;                             // seq
   size += 4;                             // link_seq
   size += 8;                             // fence_epoch
-  size += 4 + payload_bytes;             // payload JSON
+  size += 4 + json::WrittenSize(payload());  // payload JSON
   size += 4;                             // part count
   for (const auto& p : parts()) size += 4 + p.size();
   size += 4;                             // checksum
@@ -76,12 +63,7 @@ Bytes Message::Encode() const {
   w.WriteU64(seq_);
   w.WriteU32(link_seq_);
   w.WriteU64(fence_epoch_);
-  std::string payload_text = json::Write(payload());
-  // ByteSize can reuse this — unless a mutable payload reference is
-  // still outstanding, in which case memoizing here would go stale on
-  // the next mutation through that reference.
-  if (!payload_ref_outstanding_) payload_bytes_ = payload_text.size();
-  w.WriteString(payload_text);
+  w.WriteString(json::Write(payload()));
   const auto& ps = parts();
   w.WriteU32(static_cast<uint32_t>(ps.size()));
   for (const auto& p : ps) w.WriteBytes(p);
@@ -131,8 +113,6 @@ Result<Message> Message::Decode(std::span<const uint8_t> data) {
   if (!payload_text.ok()) return payload_text.error();
   auto payload = json::Parse(*payload_text);
   if (!payload.ok()) return payload.error();
-  // The size cache stays unset: a re-serialization of the parsed value
-  // is not guaranteed byte-identical to the text we just read.
   m.set_payload(std::move(*payload));
 
   auto count = r.ReadU32();

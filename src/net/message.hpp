@@ -9,9 +9,9 @@
 // Payload and parts are copy-on-write: copying a Message shares them
 // behind shared_ptrs and only a mutating accessor clones (fan-out in
 // Fabric::Publish copies one Message per subscriber — per-copy cost
-// must not scale with frame size). The encoded-payload size is
-// memoized so ByteSize() — called on every Push/Request/Publish for
-// network accounting — serializes the JSON at most once per payload.
+// must not scale with frame size). ByteSize() — called on every
+// Push/Request/Publish for network accounting — sizes the payload with
+// json::WrittenSize, without printing it.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +60,7 @@ class Message {
   const json::Value& payload() const {
     return payload_ ? *payload_ : NullJson();
   }
-  /// Mutable access un-shares the payload and invalidates the
-  /// memoized encoded size.
+  /// Mutable access un-shares the payload.
   json::Value& payload();
   void set_payload(json::Value v);
 
@@ -79,9 +78,7 @@ class Message {
   /// Not part of the wire format: it never leaves the device.
   void Hold(std::shared_ptr<const void> object) { held_ = std::move(object); }
 
-  /// Exact size of Encode()'s output, without encoding. The payload's
-  /// serialized size is computed once and cached (shared copies reuse
-  /// it — the payload is immutable while shared).
+  /// Exact size of Encode()'s output, without encoding.
   size_t ByteSize() const;
 
   /// Binary wire format (little-endian, length-prefixed). The encoding
@@ -94,8 +91,6 @@ class Message {
   static const json::Value& NullJson();
   static const std::vector<Bytes>& NoParts();
 
-  static constexpr size_t kNoSize = static_cast<size_t>(-1);
-
   std::string type_;
   std::string sender_;
   uint64_t seq_ = 0;
@@ -104,13 +99,6 @@ class Message {
   std::shared_ptr<json::Value> payload_;
   std::shared_ptr<std::vector<Bytes>> parts_;
   std::shared_ptr<const void> held_;
-  /// json::Write(payload).size(), or kNoSize before first use.
-  mutable size_t payload_bytes_ = kNoSize;
-  /// True once payload() handed out a mutable reference: the caller
-  /// can mutate the value at any later point (including after an
-  /// Encode/ByteSize), so the size cache must stay disabled until the
-  /// payload is replaced wholesale via set_payload.
-  bool payload_ref_outstanding_ = false;
 };
 
 }  // namespace vp::net

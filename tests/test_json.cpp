@@ -1,6 +1,13 @@
 // Tests for the JSON document model, parser and writer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
+#include "common/rng.hpp"
 #include "json/parse.hpp"
 #include "json/value.hpp"
 #include "json/write.hpp"
@@ -201,6 +208,122 @@ TEST(JsonWrite, NumbersPrintCleanly) {
 
 TEST(JsonWrite, EscapesControlCharacters) {
   EXPECT_EQ(Write(Value(std::string("a\nb\x01"))), "\"a\\nb\\u0001\"");
+
+  // Every byte, as a key and as a value, round-trips and is sized.
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  Value v = Value::MakeObject();
+  v[all] = Value(all);
+  const std::string text = Write(v);
+  EXPECT_EQ(WrittenSize(v), text.size());
+  EXPECT_NE(text.find(R"("\u0000\u0001)"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"(\t\n\u000b\f\r)"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"(\u001f !\"#)"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"([\\])"), std::string::npos) << text;
+  auto parsed = Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+  EXPECT_EQ(*parsed, v);
+}
+
+TEST(JsonWrite, NonFiniteNumbersWriteNull) {
+  Value v = Value::MakeObject();
+  v["a"] = Value(std::numeric_limits<double>::quiet_NaN());
+  v["b"] = Value(-std::numeric_limits<double>::infinity());
+  v["c"].PushBack(Value(std::numeric_limits<double>::infinity()));
+  const std::string text = Write(v);
+  EXPECT_EQ(text, R"({"a":null,"b":null,"c":[null]})");
+  EXPECT_EQ(WrittenSize(v), text.size());
+  auto parsed = Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+  EXPECT_TRUE(parsed->Find("a")->is_null());
+  EXPECT_TRUE(parsed->Find("b")->is_null());
+  EXPECT_TRUE((*parsed->Find("c"))[0].is_null());
+}
+
+// Reference for the writer's number bytes: printf's "%lld" below 1e15
+// for integers, "%.17g" otherwise. A message's wire size, and so every
+// simulated transfer time, is charged from these bytes.
+std::string PrintfNumber(double d) {
+  char buf[40];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(JsonWrite, NumbersMatchPrintfBytes) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5,
+      DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+      std::nextafter(DBL_MIN, 0.0), DBL_EPSILON,
+      9007199254740992.0, 9007199254740991.0, 9007199254740993.0,
+      -9007199254740992.0, -9007199254740991.0,
+  };
+  // Every power of two and of ten, with its neighbours.
+  const auto with_neighbours = [&](double d) {
+    if (!std::isfinite(d) || d == 0) return;
+    for (const double x :
+         {d, std::nextafter(d, 0.0), std::nextafter(d, DBL_MAX)}) {
+      values.push_back(x);
+      values.push_back(-x);
+    }
+  };
+  for (int e = -1074; e <= 1023; ++e) with_neighbours(std::ldexp(1.0, e));
+  for (int e = -323; e <= 308; ++e) {
+    char text[16];
+    std::snprintf(text, sizeof text, "1e%d", e);
+    with_neighbours(std::strtod(text, nullptr));
+  }
+  Rng rng(20);
+  for (int i = 0; i < 300000; ++i) {  // random finite bit patterns
+    const double d = std::bit_cast<double>(rng.NextU64());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (int i = 0; i < 200000; ++i) {  // pose-like coordinates
+    const double d = rng.NextRange(0, 320);
+    values.push_back(d);
+    values.push_back(std::round(d * 8) / 8);
+  }
+  for (int i = 0; i < 20000; ++i) {  // subnormals
+    values.push_back(std::bit_cast<double>(rng.NextU64() >> 12));
+  }
+  // Either side of the integer cutoff and of %.17g's switches between
+  // fixed and exponent notation.
+  for (const double edge : {1e-5, 1e-4, 1e15, 1e16, 1e17}) {
+    for (int i = 0; i < 60000; ++i) {
+      const double d = edge * std::exp2(rng.NextRange(-1, 1));
+      values.push_back(d);
+      values.push_back(-d);
+    }
+    double up = edge;
+    double down = edge;
+    for (int i = 0; i < 500; ++i) {
+      values.push_back(up);
+      values.push_back(down);
+      up = std::nextafter(up, DBL_MAX);
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  for (int k = -1000; k <= 1000; ++k) {  // integers around the cutoff
+    values.push_back(1e15 + k);
+    values.push_back(-1e15 - k);
+    values.push_back(1e15 + k + 0.5);
+  }
+  ASSERT_GE(values.size(), 1000000u);
+
+  size_t mismatches = 0;
+  std::string first;
+  for (const double d : values) {
+    const Value v(d);
+    const std::string text = Write(v);
+    const std::string expected = PrintfNumber(d);
+    if (text != expected || WrittenSize(v) != text.size()) {
+      if (mismatches++ == 0) first = expected + " wrote " + text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
 TEST(JsonWrite, PrettyPrint) {
@@ -233,6 +356,7 @@ TEST_P(JsonRoundTrip, WriteParseIdentity) {
   auto again = Parse(Write(*v));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*v, *again);
+  EXPECT_EQ(WrittenSize(*v), Write(*v).size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "json/write.hpp"
 #include "net/broker.hpp"
@@ -49,61 +50,35 @@ TEST(Message, ByteSizeMatchesEncoding) {
   EXPECT_EQ(empty.ByteSize(), empty.Encode().size());
 }
 
-TEST(Message, ByteSizeMemoizesPayloadSerialization) {
-  const Message m = SampleMessage();
-  const uint64_t before = json::WriteCallCountForTest();
-  const size_t size = m.ByteSize();
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
-  // Repeated ByteSize calls — the hot path on every Push / Request /
-  // Publish — must not re-serialize the payload.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(m.ByteSize(), size);
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
-  // Copies share the cached size along with the payload.
-  const Message copy = m;
-  EXPECT_EQ(copy.ByteSize(), size);
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
-}
-
-TEST(Message, ByteSizeCacheInvalidatedByMutation) {
+TEST(Message, ByteSizeFollowsMutation) {
   Message m = SampleMessage();
   const size_t original = m.ByteSize();
 
-  // set_payload installs a new payload: the next ByteSize re-encodes.
-  uint64_t before = json::WriteCallCountForTest();
+  // set_payload installs a new payload.
   json::Value bigger = json::Value::MakeObject();
   bigger["text"] = json::Value(std::string(100, 'x'));
   m.set_payload(std::move(bigger));
   EXPECT_GT(m.ByteSize(), original);
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
+  EXPECT_EQ(m.ByteSize(), m.Encode().size());
 
-  // Mutable payload access also invalidates, even though the caller
-  // only *may* mutate through the returned reference.
-  before = json::WriteCallCountForTest();
-  const size_t size2 = m.ByteSize();  // cache still warm — no Write
-  EXPECT_EQ(json::WriteCallCountForTest(), before);
+  // A mutation through payload().
+  const size_t size2 = m.ByteSize();
   m.payload()["more"] = json::Value(12345);
   EXPECT_GT(m.ByteSize(), size2);
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
+  EXPECT_EQ(m.ByteSize(), m.Encode().size());
 
-  // Encode also populates the cache — but only once no mutable payload
-  // reference is outstanding (set_payload retires them; the reference
-  // taken above could still be used to mutate later). ByteSize right
-  // after Encode is then free, and still equals the encoding's size.
+  // ByteSize right after Encode equals the encoding's size.
   json::Value fresh = json::Value::MakeObject();
   fresh["text"] = json::Value(std::string(50, 'w'));
   m.set_payload(std::move(fresh));
-  before = json::WriteCallCountForTest();
   const Bytes wire = m.Encode();
   EXPECT_EQ(m.ByteSize(), wire.size());
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
 }
 
-TEST(Message, RetainedPayloadReferenceNeverGoesStale) {
-  // Regression: a caller keeps the reference from payload() alive,
-  // encodes, and mutates through the reference afterwards. Encode used
-  // to re-memoize the payload size unconditionally, so the later
-  // mutation silently invalidated the cache and ByteSize disagreed
-  // with the wire encoding.
+TEST(Message, ByteSizeFollowsRetainedPayloadReference) {
+  // A caller keeps the reference from payload() alive, encodes, and
+  // mutates through the reference afterwards: ByteSize must still
+  // agree with the wire encoding.
   Message m = SampleMessage();
   json::Value& p = m.payload();  // outstanding mutable reference
   const Bytes first = m.Encode();
@@ -112,24 +87,32 @@ TEST(Message, RetainedPayloadReferenceNeverGoesStale) {
   EXPECT_EQ(m.ByteSize(), m.Encode().size());
   EXPECT_GT(m.ByteSize(), first.size());
 
-  // The same hole through ByteSize instead of Encode: it must not
-  // re-arm the cache while the reference is outstanding.
+  // The same through ByteSize instead of Encode.
   json::Value& q = m.payload();
   const size_t sized = m.ByteSize();
-  const uint64_t while_outstanding = json::WriteCallCountForTest();
   EXPECT_EQ(m.ByteSize(), sized);
-  EXPECT_EQ(json::WriteCallCountForTest(), while_outstanding + 1);
   q["more"] = json::Value(std::string(64, 'z'));
   EXPECT_GT(m.ByteSize(), sized);
   EXPECT_EQ(m.ByteSize(), m.Encode().size());
 
-  // set_payload retires outstanding references (they point at the old
-  // shared value), so memoization resumes.
+  // After set_payload replaces the value wholesale.
   m.set_payload(json::Value::MakeObject());
-  const uint64_t before = json::WriteCallCountForTest();
   const size_t s = m.ByteSize();
+  EXPECT_LT(s, sized);
   EXPECT_EQ(m.ByteSize(), s);
-  EXPECT_EQ(json::WriteCallCountForTest(), before + 1);
+  EXPECT_EQ(s, m.Encode().size());
+}
+
+TEST(Message, NonFiniteNumbersTravelAsNull) {
+  json::Value payload = json::Value::MakeObject();
+  payload["a"] = json::Value(std::numeric_limits<double>::quiet_NaN());
+  payload["b"] = json::Value(-std::numeric_limits<double>::infinity());
+  const Message m("t", std::move(payload));
+  const Bytes wire = m.Encode();
+  EXPECT_EQ(m.ByteSize(), wire.size());
+  auto decoded = Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+  EXPECT_EQ(json::Write(decoded->payload()), R"({"a":null,"b":null})");
 }
 
 TEST(Message, CopiesDoNotShareMutations) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "apps/fitness.hpp"
 #include "core/orchestrator.hpp"
@@ -695,18 +698,40 @@ TEST(MetricsRetention, EvictedTracesFoldIntoSummaries) {
 
 // ----------------------------------------------------------- fuzzing
 
+// A number from every branch of the writer: small integers, fractions,
+// exponent forms, integers either side of the 1e15 cutoff, ±0,
+// subnormals, the extremes and non-finite values.
+double RandomNumber(Rng& rng) {
+  using Limits = std::numeric_limits<double>;
+  const double sign = rng.NextBool() ? 1.0 : -1.0;
+  switch (rng.NextInt(0, 7)) {
+    case 0: return static_cast<double>(rng.NextInt(-1000000, 1000000));
+    case 1: return rng.NextGaussian(0, 1e6);
+    case 2:
+      return sign * rng.NextDouble() *
+             std::pow(10.0, static_cast<double>(rng.NextInt(-300, 300)));
+    case 3: return sign * (1e15 + 0.5 * static_cast<double>(rng.NextInt(-4, 4)));
+    case 4:
+      return sign * Limits::denorm_min() *
+             static_cast<double>(rng.NextInt(0, 1 << 20));
+    case 5: {  // any finite bit pattern
+      double d;
+      do d = std::bit_cast<double>(rng.NextU64());
+      while (!std::isfinite(d));
+      return d;
+    }
+    case 6: return sign * (rng.NextBool() ? Limits::max() : Limits::min());
+    default:
+      return rng.NextBool() ? Limits::quiet_NaN() : sign * Limits::infinity();
+  }
+}
+
 json::Value RandomJson(Rng& rng, int depth) {
   const int kind = static_cast<int>(rng.NextInt(0, depth <= 0 ? 3 : 5));
   switch (kind) {
     case 0: return json::Value(nullptr);
     case 1: return json::Value(rng.NextBool());
-    case 2: {
-      // Mix of integral and fractional values.
-      const double v = rng.NextBool()
-                           ? static_cast<double>(rng.NextInt(-1000000, 1000000))
-                           : rng.NextGaussian(0, 1e6);
-      return json::Value(v);
-    }
+    case 2: return json::Value(RandomNumber(rng));
     case 3: {
       std::string s;
       const int64_t length = rng.NextInt(0, 24);
@@ -733,6 +758,42 @@ json::Value RandomJson(Rng& rng, int depth) {
   }
 }
 
+// `parsed` is Parse(Write(original)): every finite number comes back
+// bit for bit (-0 writes as the integer 0), every non-finite one as null.
+void ExpectSameNumbers(const json::Value& original, const json::Value& parsed) {
+  switch (original.type()) {
+    case json::Type::kNumber: {
+      const double d = original.AsDouble();
+      if (!std::isfinite(d)) {
+        EXPECT_TRUE(parsed.is_null()) << d;
+      } else {
+        ASSERT_TRUE(parsed.is_number()) << d;
+        EXPECT_EQ(std::bit_cast<uint64_t>(parsed.AsDouble()),
+                  std::bit_cast<uint64_t>(d == 0 ? 0.0 : d))
+            << d;
+      }
+      break;
+    }
+    case json::Type::kArray:
+      ASSERT_TRUE(parsed.is_array());
+      ASSERT_EQ(parsed.AsArray().size(), original.AsArray().size());
+      for (size_t i = 0; i < original.AsArray().size(); ++i) {
+        ExpectSameNumbers(original[i], parsed[i]);
+      }
+      break;
+    case json::Type::kObject:
+      ASSERT_TRUE(parsed.is_object());
+      for (const auto& [key, value] : original.AsObject()) {
+        const json::Value* other = parsed.Find(key);
+        ASSERT_NE(other, nullptr) << key;
+        ExpectSameNumbers(value, *other);
+      }
+      break;
+    default:
+      EXPECT_EQ(parsed, original);
+  }
+}
+
 class JsonFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JsonFuzz, WriteParseIdentity) {
@@ -740,10 +801,12 @@ TEST_P(JsonFuzz, WriteParseIdentity) {
   for (int i = 0; i < 50; ++i) {
     const json::Value doc = RandomJson(rng, 4);
     const std::string text = json::Write(doc);
+    EXPECT_EQ(json::WrittenSize(doc), text.size());
     auto parsed = json::Parse(text);
     ASSERT_TRUE(parsed.ok()) << text;
     // Numbers round-trip through %.17g; compare re-serialized text.
     EXPECT_EQ(json::Write(*parsed), text);
+    ExpectSameNumbers(doc, *parsed);
   }
 }
 
@@ -774,6 +837,7 @@ TEST_P(MessageFuzz, EncodeDecodeIdentity) {
     EXPECT_EQ(decoded->seq(), m.seq());
     EXPECT_EQ(decoded->parts(), m.parts());
     EXPECT_EQ(json::Write(decoded->payload()), json::Write(m.payload()));
+    ExpectSameNumbers(m.payload(), decoded->payload());
   }
 }
 

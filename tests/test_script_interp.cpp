@@ -250,6 +250,12 @@ TEST(Stdlib, JsonStringifyParse) {
             R"({"a":[1,"x",true,null]})");
   EXPECT_DOUBLE_EQ(Num("var result = JSON.parse('{\"n\": 41}').n + 1;"), 42);
   EXPECT_FALSE(Eval("var result = JSON.parse('{bad');").ok());
+  // NaN and ±Infinity stringify as null, as in JavaScript, so the text
+  // parses back.
+  EXPECT_EQ(Str("var result = JSON.stringify({ a: 0 / 0, b: [1 / 0, -1 / 0] });"),
+            R"({"a":null,"b":[null,null]})");
+  EXPECT_TRUE(Boolean(
+      "var result = JSON.parse(JSON.stringify({ a: 0 / 0 })).a === null;"));
 }
 
 TEST(Stdlib, ObjectKeysAndArrayIsArray) {
