@@ -1,6 +1,7 @@
 #include "core/orchestrator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 #include "media/codec.hpp"
@@ -10,26 +11,25 @@ namespace vp::core {
 
 namespace {
 
-net::Message MakeReply(const Result<json::Value>& result) {
-  net::Message reply("reply");
+net::Message MakeReply(Result<json::Value> result) {
   json::Value payload = json::Value::MakeObject();
   if (result.ok()) {
     payload["ok"] = json::Value(true);
-    payload["result"] = result.value();
+    payload["result"] = std::move(result).take();
   } else {
     payload["ok"] = json::Value(false);
     payload["code"] = json::Value(StatusCodeName(result.error().code()));
     payload["message"] = json::Value(result.error().message());
   }
-  reply.set_payload(std::move(payload));
-  return reply;
+  return net::Message("reply", std::move(payload));
 }
 
-Result<json::Value> ParseReply(const net::Message& reply) {
-  const json::Value& payload = reply.payload();
+Result<json::Value> ParseReply(net::Message&& reply) {
+  const json::Value& payload = std::as_const(reply).payload();
   if (payload.GetBool("ok")) {
-    const json::Value* result = payload.Find("result");
-    return result ? *result : json::Value();
+    if (payload.Find("result") == nullptr) return json::Value();
+    // The reply is the caller's alone: payload() moves, not copies.
+    return std::move(*reply.payload().AsObject().Find("result"));
   }
   // Reconstruct the remote code faithfully: the retry policy must see
   // UNAVAILABLE/TIMEOUT as transient and everything else as final.
@@ -295,9 +295,9 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
                     " ms")));
               });
 
-          json::Value payload = std::move(message.payload());
           serving::SchedulerRequest sreq;
-          if (const json::Value* sv = payload.Find("__serving");
+          if (const json::Value* sv =
+                  std::as_const(message).payload().Find("__serving");
               sv != nullptr && sv->is_object()) {
             sreq.priority_class =
                 serving::PriorityClassFromName(sv->GetString("class"));
@@ -306,7 +306,9 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
               sreq.deadline = TimePoint::FromMicros(
                   static_cast<int64_t>(d->AsDouble()));
             }
-            payload.AsObject().Erase("__serving");
+            // The caller built this body for the wire alone, so the
+            // erase happens in place.
+            message.payload().AsObject().Erase("__serving");
           }
           if (!message.parts().empty()) {
             // Remote caller shipped the frame. Decode cost is charged
@@ -322,9 +324,9 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
             sreq.request.frame =
                 std::make_shared<const media::EncodedFrame>(std::move(*frame));
           }
-          sreq.request.payload = std::move(payload);
+          sreq.request.payload = message.shared_payload();
           sreq.done = [once](Result<json::Value> result) {
-            once(MakeReply(result));
+            once(MakeReply(std::move(result)));
           };
           sched->Submit(std::move(sreq));
           return;
@@ -362,7 +364,8 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
                   " ms")));
             });
 
-        json::Value payload = std::move(message.payload());
+        services::ServiceRequest request;
+        request.payload = message.shared_payload();
         if (!message.parts().empty()) {
           // Remote caller shipped the frame: decode on this replica's
           // lane (charged), then handle.
@@ -370,10 +373,8 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
           const Duration decode_cost = media::DecodeCost(part.size());
           instance->lane()->Run(
               decode_cost,
-              [instance, payload = std::move(payload),
+              [instance, request = std::move(request),
                part = std::move(part), once]() mutable {
-                services::ServiceRequest request;
-                request.payload = std::move(payload);
                 auto frame = media::EncodedFrame::Parse(std::move(part));
                 if (!frame.ok()) {
                   once(MakeReply(frame.error()));
@@ -383,16 +384,14 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
                     std::move(*frame));
                 instance->Invoke(std::move(request),
                                  [once](Result<json::Value> result) {
-                                   once(MakeReply(result));
+                                   once(MakeReply(std::move(result)));
                                  });
               });
           return;
         }
-        services::ServiceRequest request;
-        request.payload = std::move(payload);
         instance->Invoke(std::move(request),
                          [once](Result<json::Value> result) {
-                           once(MakeReply(result));
+                           once(MakeReply(std::move(result)));
                          });
       });
   if (!bound.ok()) return bound;
@@ -705,6 +704,14 @@ Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
                                               const std::string& service,
                                               json::Value payload) {
   VP_RETURN_IF_ERROR_R(RequireHandlerFiber());
+  // Every path reads the payload as an object ("frame_id", the serving
+  // plan, the service's fields), so anything else fails here, before
+  // any event is scheduled, the same way co-located or remote.
+  if (!payload.is_object() && !payload.is_null()) {
+    return InvalidArgument("call_service('" + service +
+                           "', payload): payload must be an object, not " +
+                           json::TypeName(payload.type()));
+  }
   const DeploymentPlan& plan = caller.pipeline().plan();
   auto it = plan.service_device.find(service);
   if (it == plan.service_device.end()) {
@@ -728,9 +735,12 @@ Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
     deadline = base + Duration::Millis(caller.pipeline().spec().deadline_ms);
   }
 
+  // Issued: from here on the payload is immutable, and every attempt,
+  // message and replica shares this one tree.
+  const auto issued = std::make_shared<const json::Value>(std::move(payload));
   Result<json::Value> result{json::Value()};
   for (int attempt = 0;; ++attempt) {
-    result = CallServiceOnce(caller, service, host_device, payload, priority,
+    result = CallServiceOnce(caller, service, host_device, issued, priority,
                              deadline);
     if (result.ok()) break;
     if (result.error().code() == StatusCode::kTimeout) {
@@ -778,19 +788,21 @@ Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
 
 Result<json::Value> Orchestrator::CallServiceOnce(
     ModuleRuntime& caller, const std::string& service,
-    const std::string& host_device, const json::Value& payload,
-    int priority_class, std::optional<TimePoint> deadline) {
+    const std::string& host_device,
+    const std::shared_ptr<const json::Value>& payload, int priority_class,
+    std::optional<TimePoint> deadline) {
   const ServiceCallOptions& rc = options_.service_call;
+  const std::optional<media::FrameId> frame_id = FrameIdOf(*payload);
 
   // ---- Co-located: in-process call, frame by reference. --------------
   if (host_device == caller.device()) {
     services::ServiceRequest request;
-    if (auto frame_id = FrameIdOf(payload)) {
+    if (frame_id) {
       auto frame = store(caller.device()).Get(*frame_id);
       if (!frame.ok()) return frame.error();
       request.frame = *frame;
     }
-    request.payload = payload;  // copy: a retry reuses the original
+    request.payload = payload;
 
     if (serving::RequestScheduler* sched = scheduler(host_device, service)) {
       // Serving path: same caller-side timeout scaffolding as the
@@ -876,26 +888,30 @@ Result<json::Value> Orchestrator::CallServiceOnce(
   net::Message message("request");
   message.set_sender(caller.name());
   message.set_seq(caller.current_seq());
-  json::Value body = payload;  // copy: a retry rebuilds from the original
-  if (auto frame_id = FrameIdOf(body)) {
-    auto frame = store(caller.device()).Get(*frame_id);
-    if (!frame.ok()) return frame.error();
-    body.AsObject().Erase("frame_id");  // remote ids are meaningless
-    message.AddPart((*frame)->wire());
-  }
-  if (options_.serving.enabled) {
-    // Piggyback the scheduling plan; the remote gateway strips it
-    // before the payload reaches the service handler.
-    json::Value sv = json::Value::MakeObject();
-    sv["class"] =
-        json::Value(std::string(serving::PriorityClassName(priority_class)));
-    if (deadline.has_value()) {
-      sv["deadline_us"] =
-          json::Value(static_cast<double>(deadline->micros()));
+  if (!frame_id && !options_.serving.enabled) {
+    message.set_payload(payload);  // nothing to rewrite: share it
+  } else {
+    json::Value body = *payload;  // the issued payload stays as it was
+    if (frame_id) {
+      auto frame = store(caller.device()).Get(*frame_id);
+      if (!frame.ok()) return frame.error();
+      body.AsObject().Erase("frame_id");  // remote ids are meaningless
+      message.AddPart((*frame)->wire());
     }
-    body["__serving"] = std::move(sv);
+    if (options_.serving.enabled) {
+      // Piggyback the scheduling plan; the remote gateway strips it
+      // before the payload reaches the service handler.
+      json::Value sv = json::Value::MakeObject();
+      sv["class"] = json::Value(
+          std::string(serving::PriorityClassName(priority_class)));
+      if (deadline.has_value()) {
+        sv["deadline_us"] =
+            json::Value(static_cast<double>(deadline->micros()));
+      }
+      body["__serving"] = std::move(sv);
+    }
+    message.set_payload(std::move(body));
   }
-  message.set_payload(std::move(body));
 
   const net::Address gateway = ServiceGateway(host_device, service);
   if (gateway.device.empty()) {
@@ -919,7 +935,7 @@ Result<json::Value> Orchestrator::CallServiceOnce(
       caller.device(), gateway, std::move(message),
       [state](Result<net::Message> reply) {
         if (state->done) return;
-        state->value = reply.ok() ? ParseReply(*reply)
+        state->value = reply.ok() ? ParseReply(std::move(*reply))
                                   : Result<json::Value>(reply.error());
         state->done = true;
       });

@@ -270,6 +270,8 @@ class Orchestrator {
   void Housekeep();
 
   // -- module-runtime service interface --------------------------------
+  /// `payload` must be an object or null (INVALID_ARGUMENT otherwise);
+  /// once issued it is immutable and shared, never copied per attempt.
   Result<json::Value> CallService(ModuleRuntime& caller,
                                   const std::string& service,
                                   json::Value payload);
@@ -395,6 +397,9 @@ class Orchestrator {
   }
   /// Live service gateway endpoints (one per (device, service) pair).
   size_t gateway_count() const { return gateways_.size(); }
+  /// The gateway bound for `service` on `device`; empty when none.
+  net::Address ServiceGateway(const std::string& device,
+                              const std::string& service) const;
   /// Undeployed pipelines still held for in-flight-event drain.
   size_t undeployed_count() const { return undeployed_.size(); }
 
@@ -505,13 +510,13 @@ class Orchestrator {
 
   /// One attempt of a service call (no retries). Timed: an attempt
   /// that outlives the per-attempt budget resolves to kTimeout and the
-  /// late reply, if any, is discarded.
-  Result<json::Value> CallServiceOnce(ModuleRuntime& caller,
-                                      const std::string& service,
-                                      const std::string& host_device,
-                                      const json::Value& payload,
-                                      int priority_class,
-                                      std::optional<TimePoint> deadline);
+  /// late reply, if any, is discarded. `payload` is the issued one,
+  /// shared by every attempt (null or an object).
+  Result<json::Value> CallServiceOnce(
+      ModuleRuntime& caller, const std::string& service,
+      const std::string& host_device,
+      const std::shared_ptr<const json::Value>& payload, int priority_class,
+      std::optional<TimePoint> deadline);
 
   /// Refresh each pipeline's replica_downtime metric from the registry.
   void SyncReplicaDowntime();
@@ -541,8 +546,6 @@ class Orchestrator {
 
   Status EnsureServiceDeployed(const std::string& device,
                                const std::string& service, bool native);
-  net::Address ServiceGateway(const std::string& device,
-                              const std::string& service) const;
   Status BindServiceGateway(const std::string& device,
                             const std::string& service);
   uint16_t AllocatePort() { return next_port_++; }

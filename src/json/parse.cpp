@@ -9,16 +9,22 @@
 namespace vp::json {
 namespace {
 
+/// kBuild: parse into a Value tree. Otherwise only check — every
+/// output pointer is null and nothing is built — with the same
+/// verdict and error.
+template <bool kBuild>
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Result<Value> ParseDocument() {
-    Value out;
-    if (!ParseInto(&out)) return *error_;
+  /// Parse the whole document into `*out` (null when validating).
+  Status ParseDocument(Value* out) {
+    if (!ParseInto(out)) return Status(*error_);
     SkipWhitespace();
-    if (pos_ != text_.size()) return Fail("trailing characters after document");
-    return out;
+    if (pos_ != text_.size()) {
+      return Status(Fail("trailing characters after document"));
+    }
+    return Status::Ok();
   }
 
  private:
@@ -42,16 +48,20 @@ class Parser {
 
   bool ParseArrayInto(Value* out) {
     ++pos_;  // '['
-    *out = Value::MakeArray();
-    Value::Array& arr = out->AsArray();
+    Value::Array* arr = nullptr;
+    if constexpr (kBuild) {
+      *out = Value::MakeArray();
+      arr = &out->AsArray();
+    }
     while (true) {
       SkipWhitespace();
       if (Peek() == ']') {  // empty, or a trailing comma
         ++pos_;
         return true;
       }
-      arr.emplace_back();
-      if (!ParseInto(&arr.back())) return false;
+      Value* item = nullptr;
+      if constexpr (kBuild) item = &arr->emplace_back();
+      if (!ParseInto(item)) return false;
       SkipWhitespace();
       if (Peek() == ',') {
         ++pos_;
@@ -67,16 +77,19 @@ class Parser {
 
   bool ParseObjectInto(Value* out) {
     ++pos_;  // '{'
-    *out = Value::MakeObject();
-    Value::Object& obj = out->AsObject();
+    Value::Object* obj = nullptr;
+    if constexpr (kBuild) {
+      *out = Value::MakeObject();
+      obj = &out->AsObject();
+    }
     while (true) {
       SkipWhitespace();
       if (Peek() == '}') {  // empty, or a trailing comma
         ++pos_;
         return true;
       }
-      Value* slot = ParseKey(obj);
-      if (slot == nullptr || !ParseInto(slot)) return false;
+      Value* slot = nullptr;
+      if (!ParseKey(obj, &slot) || !ParseInto(slot)) return false;
       SkipWhitespace();
       if (Peek() == ',') {
         ++pos_;
@@ -90,51 +103,43 @@ class Parser {
     }
   }
 
-  /// `"key":` — the member's slot in `obj` (a repeated key overwrites),
-  /// or nullptr on error.
-  Value* ParseKey(Value::Object& obj) {
-    if (Peek() != '"') {
-      Reject(Fail("expected object key string"));
-      return nullptr;
-    }
-    auto key = ParseString();
-    if (!key.ok()) {
-      Reject(key.error());
-      return nullptr;
-    }
+  /// `"key":` — sets `*slot` to the member's slot in `obj` (a repeated
+  /// key overwrites); false on error.
+  bool ParseKey(Value::Object* obj, Value** slot) {
+    if (Peek() != '"') return Reject(Fail("expected object key string"));
+    std::string key;
+    if (!ParseString(&key)) return false;
     SkipWhitespace();
-    if (Peek() != ':') {
-      Reject(Fail("expected ':' after key"));
-      return nullptr;
-    }
+    if (Peek() != ':') return Reject(Fail("expected ':' after key"));
     ++pos_;
-    return &obj[*key];
+    if constexpr (kBuild) *slot = &(*obj)[key];
+    return true;
   }
 
   bool ParseScalarInto(Value* out) {
     switch (text_[pos_]) {
       case '"': {
-        auto s = ParseString();
-        if (!s.ok()) return Reject(s.error());
-        *out = Value(std::move(*s));
+        std::string s;
+        if (!ParseString(&s)) return false;
+        if constexpr (kBuild) *out = Value(std::move(s));
         return true;
       }
       case 't':
         if (!Match("true")) return Reject(Fail("invalid literal"));
-        *out = Value(true);
+        if constexpr (kBuild) *out = Value(true);
         return true;
       case 'f':
         if (!Match("false")) return Reject(Fail("invalid literal"));
-        *out = Value(false);
+        if constexpr (kBuild) *out = Value(false);
         return true;
       case 'n':
         if (!Match("null")) return Reject(Fail("invalid literal"));
-        *out = Value(nullptr);
+        if constexpr (kBuild) *out = Value(nullptr);
         return true;
       default: {
-        auto n = ParseNumber();
-        if (!n.ok()) return Reject(n.error());
-        *out = std::move(*n);
+        std::optional<double> n = ParseNumber();
+        if (!n.has_value()) return false;
+        if constexpr (kBuild) *out = Value(*n);
         return true;
       }
     }
@@ -149,30 +154,34 @@ class Parser {
     return Reject(Fail(Format("nesting deeper than %d", kMaxParseDepth)));
   }
 
-  Result<std::string> ParseString() {
+  /// Appends a decoded string to `*out` (left empty when validating);
+  /// false on error.
+  bool ParseString(std::string* out) {
+    const auto put = [out](char c) {
+      if constexpr (kBuild) *out += c;
+    };
     ++pos_;  // '"'
-    std::string out;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        return out;
+        return true;
       }
       if (c == '\\') {
         ++pos_;
         if (pos_ >= text_.size()) break;
         const char e = text_[pos_++];
         switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
+          case '"': put('"'); break;
+          case '\\': put('\\'); break;
+          case '/': put('/'); break;
+          case 'b': put('\b'); break;
+          case 'f': put('\f'); break;
+          case 'n': put('\n'); break;
+          case 'r': put('\r'); break;
+          case 't': put('\t'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return FailStr("bad \\u escape");
+            if (pos_ + 4 > text_.size()) return Reject(Fail("bad \\u escape"));
             unsigned code = 0;
             for (int i = 0; i < 4; ++i) {
               const char h = text_[pos_ + static_cast<size_t>(i)];
@@ -180,35 +189,36 @@ class Parser {
               if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
               else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
               else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return FailStr("bad hex digit in \\u escape");
+              else return Reject(Fail("bad hex digit in \\u escape"));
             }
             pos_ += 4;
             // Encode as UTF-8 (BMP only; surrogate pairs are passed
             // through as two 3-byte sequences — enough for our configs).
             if (code < 0x80) {
-              out += static_cast<char>(code);
+              put(static_cast<char>(code));
             } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
+              put(static_cast<char>(0xC0 | (code >> 6)));
+              put(static_cast<char>(0x80 | (code & 0x3F)));
             } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
+              put(static_cast<char>(0xE0 | (code >> 12)));
+              put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+              put(static_cast<char>(0x80 | (code & 0x3F)));
             }
             break;
           }
           default:
-            return FailStr("unknown escape character");
+            return Reject(Fail("unknown escape character"));
         }
         continue;
       }
-      out += c;
+      put(c);
       ++pos_;
     }
-    return FailStr("unterminated string");
+    return Reject(Fail("unterminated string"));
   }
 
-  Result<Value> ParseNumber() {
+  /// The number at pos_; nullopt on error (see error_).
+  std::optional<double> ParseNumber() {
     const size_t start = pos_;
     if (Peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
@@ -217,14 +227,18 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    if (pos_ == start) return Fail("expected a value");
+    if (pos_ == start) {
+      Reject(Fail("expected a value"));
+      return std::nullopt;
+    }
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-      return Fail("invalid number '" + token + "'");
+      Reject(Fail("invalid number '" + token + "'"));
+      return std::nullopt;
     }
-    return Value(v);
+    return v;
   }
 
   void SkipWhitespace() {
@@ -253,9 +267,7 @@ class Parser {
     return false;
   }
 
-  Error Fail(const std::string& what) const { return FailStr(what); }
-
-  Error FailStr(const std::string& what) const {
+  Error Fail(const std::string& what) const {
     size_t line = 1;
     size_t col = 1;
     for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
@@ -278,7 +290,14 @@ class Parser {
 }  // namespace
 
 Result<Value> Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  Value out;
+  Status status = Parser<true>(text).ParseDocument(&out);
+  if (!status.ok()) return status.error();
+  return out;
+}
+
+Status Validate(std::string_view text) {
+  return Parser<false>(text).ParseDocument(nullptr);
 }
 
 }  // namespace vp::json

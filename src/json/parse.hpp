@@ -18,4 +18,8 @@ inline constexpr int kMaxParseDepth = 128;
 /// Parse a complete JSON document. Errors carry line/column context.
 Result<Value> Parse(std::string_view text);
 
+/// Parse's verdict and error for `text`, from the same parser writing
+/// nowhere: for a caller that only needs to know the text is JSON.
+Status Validate(std::string_view text);
+
 }  // namespace vp::json

@@ -1,5 +1,8 @@
 #include "json/value.hpp"
 
+#include <cassert>
+#include <tuple>
+
 #include "json/write.hpp"
 
 namespace vp::json {
@@ -36,6 +39,14 @@ Value* Value::Object::Find(const std::string& key) {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+Value& Value::Object::Append(std::string_view key) {
+  assert(Find(std::string(key)) == nullptr && "Append: duplicate key");
+  return items_
+      .emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                    std::forward_as_tuple())
+      .second;
 }
 
 bool Value::Object::Erase(const std::string& key) {

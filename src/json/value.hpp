@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -34,6 +35,10 @@ class Value {
     Value* Find(const std::string& key);
     bool Contains(const std::string& key) const { return Find(key) != nullptr; }
     bool Erase(const std::string& key);
+    /// Append a member whose key the caller knows is new — checked in
+    /// debug builds — without operator[]'s lookup.
+    Value& Append(std::string_view key);
+    void reserve(size_t n) { items_.reserve(n); }
     size_t size() const { return items_.size(); }
     bool empty() const { return items_.empty(); }
     auto begin() const { return items_.begin(); }

@@ -86,13 +86,15 @@ namespace {
 struct WireFrame {
   uint64_t seq = 0;
   TimePoint capture_time;
-  json::Value ground_truth;
   int width = 0;
   int height = 0;
   std::span<const uint8_t> runs;
 };
 
-Result<WireFrame> ParseWire(std::span<const uint8_t> data) {
+/// Parses the ground truth into `*ground_truth`, or with nullptr only
+/// validates it: the same checks in the same order either way.
+Result<WireFrame> ParseWire(std::span<const uint8_t> data,
+                            json::Value* ground_truth) {
   ByteReader r(data);
   auto magic = r.ReadU32();
   if (!magic.ok()) return magic.error();
@@ -109,9 +111,14 @@ Result<WireFrame> ParseWire(std::span<const uint8_t> data) {
 
   auto gt_text = r.ReadString();
   if (!gt_text.ok()) return gt_text.error();
-  auto gt = json::Parse(*gt_text);
-  if (!gt.ok()) return gt.error();
-  frame.ground_truth = std::move(*gt);
+  if (ground_truth == nullptr) {
+    Status valid = json::Validate(*gt_text);
+    if (!valid.ok()) return valid.error();
+  } else {
+    auto gt = json::Parse(*gt_text);
+    if (!gt.ok()) return gt.error();
+    *ground_truth = std::move(*gt);
+  }
 
   auto w16 = r.ReadU16();
   if (!w16.ok()) return w16.error();
@@ -153,19 +160,18 @@ void DecodeRuns(std::span<const uint8_t> runs, Image& image) {
 }  // namespace
 
 Result<Frame> DecodeFrame(std::span<const uint8_t> data) {
-  auto wire = ParseWire(data);
-  if (!wire.ok()) return wire.error();
   Frame frame;
+  auto wire = ParseWire(data, &frame.ground_truth);
+  if (!wire.ok()) return wire.error();
   frame.seq = wire->seq;
   frame.capture_time = wire->capture_time;
-  frame.ground_truth = std::move(wire->ground_truth);
   frame.image = Image(wire->width, wire->height);
   DecodeRuns(wire->runs, frame.image);
   return frame;
 }
 
 Result<EncodedFrame> EncodedFrame::Parse(Bytes wire) {
-  auto parsed = ParseWire(wire);
+  auto parsed = ParseWire(wire, nullptr);
   if (!parsed.ok()) return parsed.error();
   EncodedFrame frame;
   frame.seq_ = parsed->seq;

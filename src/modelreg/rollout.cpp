@@ -87,8 +87,9 @@ std::vector<RolloutController::LabeledProbe> ProbesFromHoldout(
     json::Value features = json::Value::MakeArray();
     for (double f : window.features) features.PushBack(json::Value(f));
     payload["window_features"] = std::move(features);
-    out.push_back(
-        RolloutController::LabeledProbe{std::move(payload), window.label});
+    out.push_back(RolloutController::LabeledProbe{
+        std::make_shared<const json::Value>(std::move(payload)),
+        window.label});
   }
   return out;
 }

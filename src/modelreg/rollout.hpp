@@ -104,7 +104,8 @@ class RolloutController {
 
   /// One labelled shadow probe: request payload + ground-truth label.
   struct LabeledProbe {
-    json::Value payload;
+    /// Shared by every request that replays this probe.
+    std::shared_ptr<const json::Value> payload;
     std::string expected_label;
   };
 

@@ -20,16 +20,23 @@ const std::vector<Bytes>& Message::NoParts() {
 }
 
 json::Value& Message::payload() {
-  if (!payload_) {
-    payload_ = std::make_shared<json::Value>();
-  } else if (payload_.use_count() > 1) {
-    payload_ = std::make_shared<json::Value>(*payload_);  // un-share
+  // Write in place only into a tree this message built and holds
+  // alone; a moved-from message holds none and starts a fresh one.
+  if (!payload_ || !owns_payload_ || payload_.use_count() > 1) {
+    set_payload(payload_ ? *payload_ : json::Value());  // un-share
   }
-  return *payload_;
+  // Created non-const by set_payload(json::Value), so writable.
+  return const_cast<json::Value&>(*payload_);
 }
 
 void Message::set_payload(json::Value v) {
   payload_ = std::make_shared<json::Value>(std::move(v));
+  owns_payload_ = true;
+}
+
+void Message::set_payload(std::shared_ptr<const json::Value> v) {
+  payload_ = std::move(v);
+  owns_payload_ = false;
 }
 
 std::vector<Bytes>& Message::mutable_parts() {

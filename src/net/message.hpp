@@ -9,9 +9,12 @@
 // Payload and parts are copy-on-write: copying a Message shares them
 // behind shared_ptrs and only a mutating accessor clones (fan-out in
 // Fabric::Publish copies one Message per subscriber — per-copy cost
-// must not scale with frame size). ByteSize() — called on every
-// Push/Request/Publish for network accounting — sizes the payload with
-// json::WrittenSize, without printing it.
+// must not scale with frame size). A payload can also be shared with
+// whoever built it — a service request is immutable once issued, so
+// its retries, the message and the serving replica read one tree.
+// ByteSize() — called on every Push/Request/Publish for network
+// accounting — sizes the payload with json::WrittenSize, without
+// printing it.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +63,16 @@ class Message {
   const json::Value& payload() const {
     return payload_ ? *payload_ : NullJson();
   }
-  /// Mutable access un-shares the payload.
+  /// Mutable access un-shares the payload: it copies unless this
+  /// message built the tree and is its only holder.
   json::Value& payload();
   void set_payload(json::Value v);
+  /// Share `v` instead of copying it; a later mutable payload() copies.
+  void set_payload(std::shared_ptr<const json::Value> v);
+  /// The payload as shared, without a copy; nullptr when there is none.
+  const std::shared_ptr<const json::Value>& shared_payload() const {
+    return payload_;
+  }
 
   const std::vector<Bytes>& parts() const {
     return parts_ ? *parts_ : NoParts();
@@ -96,7 +106,10 @@ class Message {
   uint64_t seq_ = 0;
   uint32_t link_seq_ = 0;
   uint64_t fence_epoch_ = 0;
-  std::shared_ptr<json::Value> payload_;
+  std::shared_ptr<const json::Value> payload_;
+  // payload_ was created non-const by this message (or a copy of it),
+  // so payload() may write through it once it is the only holder.
+  bool owns_payload_ = false;
   std::shared_ptr<std::vector<Bytes>> parts_;
   std::shared_ptr<const void> held_;
 };

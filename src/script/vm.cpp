@@ -286,10 +286,12 @@ class JsonConversion {
         if (!Convert(items[i], &arr[i])) return false;
       }
     } else if (v.IsHeapType(GcType::kObject)) {
-      json::Value::Object& fields = MakeObject(out);
-      for (const auto& e : static_cast<const GcObject*>(v.AsHeap())->items) {
+      // A GcObject's keys are unique: append them, with no lookup.
+      const auto& items = static_cast<const GcObject*>(v.AsHeap())->items;
+      json::Value::Object& fields = MakeObject(out, items.size());
+      for (const auto& e : items) {
         work_ += e.key.size();  // checked by the value's Admit
-        if (!Convert(e.value, &fields[e.key])) return false;
+        if (!Convert(e.value, &fields.Append(e.key))) return false;
       }
     } else {
       SetScalar(v, out);
@@ -334,9 +336,11 @@ class JsonConversion {
     *out = json::Value(json::Value::Array(size));
     return out->AsArray();
   }
-  static json::Value::Object& MakeObject(json::Value* out) {
+  static json::Value::Object& MakeObject(json::Value* out, size_t size) {
     *out = json::Value::MakeObject();
-    return out->AsObject();
+    json::Value::Object& fields = out->AsObject();
+    fields.reserve(size);
+    return fields;
   }
   static void SetScalar(VpValue v, json::Value* out) {
     if (v.is_number()) {

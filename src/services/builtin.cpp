@@ -116,7 +116,7 @@ class ActivityClassifierService : public ModelBackedService {
         InvalidArgument("activity_classifier: expected 'window_features' "
                         "or 'poses'");
     if (const json::Value* features =
-            request.payload.Find("window_features");
+            request.body().Find("window_features");
         features != nullptr && features->is_array()) {
       std::vector<double> f;
       f.reserve(features->AsArray().size());
@@ -127,8 +127,8 @@ class ActivityClassifierService : public ModelBackedService {
         f.push_back(d.AsDouble());
       }
       prediction = model.ClassifyFeatures(f);
-    } else if (request.payload.Find("poses") != nullptr) {
-      auto poses = PosesFromPayload(request.payload, "poses");
+    } else if (request.body().Find("poses") != nullptr) {
+      auto poses = PosesFromPayload(request.body(), "poses");
       if (!poses.ok()) return poses.error();
       prediction = model.Classify(*poses);
     }
@@ -147,7 +147,7 @@ class RepCounterService : public Service {
     return cv::RepCounter::Cost();
   }
   Result<json::Value> Handle(const ServiceRequest& request) override {
-    const json::Value* pose_json = request.payload.Find("pose");
+    const json::Value* pose_json = request.body().Find("pose");
     if (pose_json == nullptr) {
       return InvalidArgument("rep_counter: missing 'pose'");
     }
@@ -155,7 +155,7 @@ class RepCounterService : public Service {
     if (!pose.ok()) return pose.error();
 
     cv::RepCounterState state;
-    if (const json::Value* state_json = request.payload.Find("state");
+    if (const json::Value* state_json = request.body().Find("state");
         state_json != nullptr && state_json->is_object()) {
       auto parsed = cv::RepCounterState::FromJson(*state_json);
       if (!parsed.ok()) return parsed.error();
@@ -187,7 +187,7 @@ class ObjectDetectorService : public Service {
       return InvalidArgument("object_detector: request carries no frame");
     }
     cv::ObjectDetectorOptions options;
-    if (const json::Value* classes = request.payload.Find("classes");
+    if (const json::Value* classes = request.body().Find("classes");
         classes != nullptr && classes->is_array()) {
       for (const json::Value& cls : classes->AsArray()) {
         options.classes.push_back(cv::ObjectClass{
@@ -213,7 +213,7 @@ class FaceDetectorService : public Service {
   std::string name() const override { return "face_detector"; }
   Duration Cost(const ServiceRequest& request) const override {
     // Cheap path when the caller already has a pose.
-    if (request.payload.Find("pose") != nullptr) {
+    if (request.body().Find("pose") != nullptr) {
       return Duration::Millis(0.8);
     }
     return request.frame ? cv::FaceDetectCost(request.frame->width(),
@@ -224,7 +224,7 @@ class FaceDetectorService : public Service {
     return AmortizedBatchCost(*this, batch, Duration::Millis(8));
   }
   Result<json::Value> Handle(const ServiceRequest& request) override {
-    if (const json::Value* pose_json = request.payload.Find("pose");
+    if (const json::Value* pose_json = request.body().Find("pose");
         pose_json != nullptr) {
       auto pose = cv::DetectedPose::FromJson(*pose_json);
       if (!pose.ok()) return pose.error();
@@ -244,7 +244,7 @@ class FallDetectorService : public Service {
     return cv::FallDetectCost();
   }
   Result<json::Value> Handle(const ServiceRequest& request) override {
-    auto poses = PosesFromPayload(request.payload, "poses");
+    auto poses = PosesFromPayload(request.body(), "poses");
     if (!poses.ok()) return poses.error();
     return cv::AssessFall(*poses).ToJson();
   }
@@ -294,7 +294,7 @@ class ObjectTrackerService : public Service {
   }
   Result<json::Value> Handle(const ServiceRequest& request) override {
     cv::TrackerState state;
-    if (const json::Value* state_json = request.payload.Find("state");
+    if (const json::Value* state_json = request.body().Find("state");
         state_json != nullptr && state_json->is_object()) {
       auto parsed = cv::TrackerState::FromJson(*state_json);
       if (!parsed.ok()) return parsed.error();
@@ -302,7 +302,7 @@ class ObjectTrackerService : public Service {
     }
 
     std::vector<cv::DetectedObject> detections;
-    if (const json::Value* objects = request.payload.Find("objects");
+    if (const json::Value* objects = request.body().Find("objects");
         objects != nullptr && objects->is_array()) {
       for (const json::Value& o : objects->AsArray()) {
         cv::DetectedObject det;
@@ -315,7 +315,7 @@ class ObjectTrackerService : public Service {
       }
     } else if (request.frame) {
       cv::ObjectDetectorOptions options;
-      if (const json::Value* classes = request.payload.Find("classes");
+      if (const json::Value* classes = request.body().Find("classes");
           classes != nullptr && classes->is_array()) {
         for (const json::Value& cls : classes->AsArray()) {
           options.classes.push_back(cv::ObjectClass{
@@ -357,7 +357,7 @@ class DisplayService : public Service {
     json::Value out = json::Value::MakeObject();
     out["displayed"] = json::Value(true);
     out["frames_shown"] = json::Value(frames_shown_);
-    if (const json::Value* overlay = request.payload.Find("overlay")) {
+    if (const json::Value* overlay = request.body().Find("overlay")) {
       out["overlay"] = *overlay;
     }
     return out;

@@ -2,6 +2,11 @@
 
 namespace vp::services {
 
+const json::Value& ServiceRequest::body() const {
+  static const json::Value kNull;
+  return payload ? *payload : kNull;
+}
+
 Duration Service::BatchCost(const ServiceBatch& batch) const {
   Duration total;
   for (const ServiceRequest* request : batch) total += Cost(*request);

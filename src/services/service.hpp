@@ -30,12 +30,18 @@ class ModelHandle;
 namespace vp::services {
 
 struct ServiceRequest {
-  json::Value payload;
+  /// The caller's payload, immutable once the call is issued: its
+  /// retries, the gateway and the replica share this one tree instead
+  /// of copying it. nullptr reads as a JSON null (see body()).
+  std::shared_ptr<const json::Value> payload;
   /// The frame the caller's "frame_id" named (co-located) or shipped
   /// (remote); nullptr when the request carries no frame. Holding it
   /// keeps a co-located frame resident, queued or not. Its pixels
   /// decode on first read, so a service that needs none reads none.
   media::FrameRef frame;
+
+  /// *payload, or JSON null when the request carries none.
+  const json::Value& body() const;
 };
 
 /// A micro-batch of requests handed to one replica in a single

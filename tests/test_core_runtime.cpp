@@ -6,6 +6,11 @@
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
 #include "core/orchestrator.hpp"
+#include "json/write.hpp"
+#include "net/fabric.hpp"
+#include "net/message.hpp"
+#include "services/container.hpp"
+#include "services/registry.hpp"
 #include "sim/cluster.hpp"
 
 namespace vp::core {
@@ -487,6 +492,167 @@ TEST(HostileFrameIds, GetWhatAStaleIdGets) {
             "NOT_FOUND,NOT_FOUND,ok,SCRIPT_ERROR");
   for (const json::Value& row : rows.AsArray()) {
     EXPECT_EQ(row.AsString(), rows.AsArray()[0].AsString());
+  }
+}
+
+// -------------------------------------------------- shared payloads
+
+/// A pose_detector stand-in that keeps the payload object of every
+/// request handed to it. The first request outlasts the 1 s call
+/// timeout, so the caller retries.
+class PayloadRecorder : public services::Service {
+ public:
+  explicit PayloadRecorder(
+      std::vector<std::shared_ptr<const json::Value>>* seen)
+      : seen_(seen) {}
+  std::string name() const override { return "pose_detector"; }
+  Duration Cost(const services::ServiceRequest& request) const override {
+    seen_->push_back(request.payload);
+    return Duration::Millis(seen_->size() == 1 ? 1200 : 1);
+  }
+  Result<json::Value> Handle(const services::ServiceRequest&) override {
+    return json::Value::MakeObject();
+  }
+
+ private:
+  std::vector<std::shared_ptr<const json::Value>>* seen_;
+};
+
+/// Deploys, not yet started, a probe whose first event calls
+/// pose_detector once and keeps "ok" or the caught error code in its
+/// `result` global.
+PipelineDeployment* DeploySharingProbe(Orchestrator& orchestrator,
+                                       PlacementPolicy policy) {
+  auto spec = ParsePipelineConfigText(R"CFG({
+    "name": "sharing",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["probe"] },
+      { "name": "probe", "service": ["pose_detector"], "signal_source": true,
+        "code": "
+          var result = 'none';
+          function event_received(m) {
+            if (result != 'none') return;
+            try {
+              call_service('pose_detector', { tag: 'shared', n: 1.25 });
+              result = 'ok';
+            } catch (e) { result = e.code; }
+          }" }
+    ]
+  })CFG",
+                                      MapResolver({}));
+  EXPECT_TRUE(spec.ok()) << spec.error().ToString();
+  if (!spec.ok()) return nullptr;
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.placement.policy = policy;
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  EXPECT_TRUE(deployment.ok()) << deployment.error().ToString();
+  if (!deployment.ok()) return nullptr;
+  const DeploymentPlan& plan = (*deployment)->plan();
+  EXPECT_EQ(plan.module_device.at("probe") ==
+                plan.service_device.at("pose_detector"),
+            policy == PlacementPolicy::kCoLocate);
+  return *deployment;
+}
+
+std::string ProbeResult(PipelineDeployment& probe) {
+  return json::Write(probe.FindModule("probe")->context().GetGlobal("result"));
+}
+
+/// Runs the probe under `policy` against a PayloadRecorder in place of
+/// the pose replica and returns the payload objects it was handed.
+std::vector<std::shared_ptr<const json::Value>> RecordRetriedCall(
+    PlacementPolicy policy) {
+  std::vector<std::shared_ptr<const json::Value>> seen;
+  auto cluster = sim::MakeHomeTestbed();
+  sim::ExecutionLane lane(&cluster->simulator(), "svc:recorder", 1.0);
+  OrchestratorOptions options;
+  // The timed-out replica stays in balancing, so the retry reaches it.
+  options.service_call.suspect_duration = Duration::Zero();
+  Orchestrator orchestrator(cluster.get(), options);
+  PipelineDeployment* probe = DeploySharingProbe(orchestrator, policy);
+  if (probe == nullptr) return seen;
+  const std::string host = probe->plan().service_device.at("pose_detector");
+
+  services::ServiceRegistry& registry = orchestrator.registry();
+  for (services::ServiceInstance* replica :
+       registry.Replicas(host, "pose_detector")) {
+    replica->Crash(cluster->Now());  // out of balancing for good
+  }
+  registry.Add(std::make_unique<services::ServiceInstance>(
+      host, std::make_unique<PayloadRecorder>(&seen), &lane,
+      /*native=*/false));
+
+  probe->Start();
+  orchestrator.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(ProbeResult(*probe), R"("ok")");
+  return seen;
+}
+
+TEST(SharedPayload, CoLocatedRetryHandsTheReplicaOneObject) {
+  const auto seen = RecordRetriedCall(PlacementPolicy::kCoLocate);
+  ASSERT_EQ(seen.size(), 2u);  // timed out once, then answered
+  ASSERT_NE(seen[0], nullptr);
+  // Both attempts got the issued object itself, not copies of it (the
+  // first is still held, so a copy could not reuse its address).
+  EXPECT_EQ(seen[1].get(), seen[0].get());
+  EXPECT_EQ(json::Write(*seen[0]), R"({"tag":"shared","n":1.25})");
+}
+
+TEST(SharedPayload, RemoteRetryHandsTheReplicaOneObject) {
+  // The gateway hands the replica the object the request message
+  // carried, so a remote retry reaches it uncopied too.
+  const auto seen = RecordRetriedCall(PlacementPolicy::kSingleDevice);
+  ASSERT_EQ(seen.size(), 2u);
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[1].get(), seen[0].get());
+  EXPECT_EQ(json::Write(*seen[0]), R"({"tag":"shared","n":1.25})");
+}
+
+TEST(SharedPayload, RemoteRequestMessageCarriesTheIssuedObject) {
+  // No frame_id to strip and serving off: the request message itself
+  // shares the caller's payload, on every attempt, and sizes exactly
+  // as it encodes. A stand-in gateway keeps each request it receives;
+  // it drops the first, so the caller retries, and answers the second.
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  PipelineDeployment* probe =
+      DeploySharingProbe(orchestrator, PlacementPolicy::kSingleDevice);
+  ASSERT_NE(probe, nullptr);
+  const net::Address gateway = orchestrator.ServiceGateway(
+      probe->plan().service_device.at("pose_detector"), "pose_detector");
+  ASSERT_FALSE(gateway.device.empty());
+  std::vector<net::Message> requests;
+  net::Fabric& fabric = orchestrator.fabric();
+  fabric.Unbind(gateway);
+  ASSERT_TRUE(fabric
+                  .Bind(gateway,
+                        [&requests](net::Message request,
+                                    net::Responder respond) {
+                          requests.push_back(request);  // shares the payload
+                          if (requests.size() == 1) return;  // lost
+                          json::Value reply = json::Value::MakeObject();
+                          reply["ok"] = json::Value(true);
+                          reply["result"] = json::Value::MakeObject();
+                          respond(net::Message("reply", std::move(reply)));
+                        })
+                  .ok());
+
+  probe->Start();
+  orchestrator.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(ProbeResult(*probe), R"("ok")");
+  ASSERT_EQ(requests.size(), 2u);
+  const std::shared_ptr<const json::Value>& issued =
+      requests[0].shared_payload();
+  ASSERT_NE(issued, nullptr);
+  // The first request is still held, so a per-attempt copy could not
+  // reuse its address.
+  EXPECT_EQ(requests[1].shared_payload(), issued);
+  EXPECT_EQ(json::Write(*issued), R"({"tag":"shared","n":1.25})");
+  for (const net::Message& request : requests) {
+    EXPECT_TRUE(request.parts().empty());
+    EXPECT_EQ(request.ByteSize(), request.Encode().size());
   }
 }
 

@@ -131,6 +131,52 @@ TEST(Message, CopiesDoNotShareMutations) {
   EXPECT_EQ(b.ByteSize(), b.Encode().size());
 }
 
+TEST(Message, SharedPayloadIsCopiedBeforeAnyWrite) {
+  // A payload shared in (an issued service request) travels without a
+  // copy and sizes as it encodes. A mutable payload() then copies it,
+  // even once the message is its only holder: it may have been
+  // created const.
+  json::Value issued = json::Value::MakeObject();
+  issued["tag"] = json::Value("shared");
+  issued["n"] = json::Value(0.1);
+  auto shared = std::make_shared<const json::Value>(std::move(issued));
+  Message m("request");
+  m.set_payload(shared);
+  EXPECT_EQ(m.shared_payload(), shared);
+  EXPECT_EQ(m.ByteSize(), m.Encode().size());
+
+  m.payload()["extra"] = json::Value(1);
+  EXPECT_NE(m.shared_payload(), shared);
+  EXPECT_EQ(json::Write(*shared),
+            R"({"tag":"shared","n":0.10000000000000001})");
+  EXPECT_EQ(m.ByteSize(), m.Encode().size());
+
+  Message only("request");
+  only.set_payload(std::make_shared<const json::Value>(*shared));
+  const json::Value* held = only.shared_payload().get();
+  only.payload()["extra"] = json::Value(2);  // sole holder, still copies
+  EXPECT_NE(only.shared_payload().get(), held);
+
+  // A payload the message built itself is written in place once no
+  // copy shares it.
+  const json::Value* own = &m.payload();
+  m.payload()["more"] = json::Value(3);
+  EXPECT_EQ(&m.payload(), own);
+}
+
+TEST(Message, MovedFromMessageGetsAFreshPayload) {
+  // Moving leaves the source owning nothing; writing to it again
+  // starts an empty payload instead of dereferencing the moved one.
+  Message m("request", json::Value::MakeObject());
+  m.payload()["n"] = json::Value(1);
+  Message taken = std::move(m);
+  EXPECT_EQ(json::Write(taken.payload()), R"({"n":1})");
+  m.payload()["n"] = json::Value(2);
+  EXPECT_EQ(json::Write(m.payload()), R"({"n":2})");
+  EXPECT_EQ(json::Write(taken.payload()), R"({"n":1})");
+  EXPECT_EQ(m.ByteSize(), m.Encode().size());
+}
+
 TEST(Message, DecodeRejectsBadMagic) {
   Bytes wire = SampleMessage().Encode();
   wire[0] ^= 0xFF;

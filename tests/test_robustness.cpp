@@ -804,9 +804,62 @@ TEST_P(JsonFuzz, WriteParseIdentity) {
     EXPECT_EQ(json::WrittenSize(doc), text.size());
     auto parsed = json::Parse(text);
     ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_TRUE(json::Validate(text).ok()) << text;
     // Numbers round-trip through %.17g; compare re-serialized text.
     EXPECT_EQ(json::Write(*parsed), text);
     ExpectSameNumbers(doc, *parsed);
+  }
+}
+
+// Parse's verdict and error for `text` must be Validate's, to the byte.
+void ExpectValidateAgrees(const std::string& text) {
+  const auto parsed = json::Parse(text);
+  const Status valid = json::Validate(text);
+  ASSERT_EQ(valid.ok(), parsed.ok()) << text;
+  if (!parsed.ok()) {
+    EXPECT_EQ(valid.error().ToString(), parsed.error().ToString()) << text;
+  }
+}
+
+TEST_P(JsonFuzz, ValidateAgreesWithParse) {
+  // Written documents (compact or pretty), then up to four byte edits
+  // drawn from JSON's own alphabet: most edits break the text
+  // somewhere, at every depth and in every token kind.
+  Rng rng(GetParam() * 7919);
+  static constexpr char kAlphabet[] =
+      "{}[]:,\"\\/ \n\t0123456789.eE+-truefalsnu";
+  int rejected = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::string text =
+        json::Write(RandomJson(rng, 4), rng.NextBool() ? -1 : 2);
+    const int64_t edits = rng.NextInt(0, 4);
+    for (int64_t k = 0; k < edits && !text.empty(); ++k) {
+      const auto at = static_cast<size_t>(
+          rng.NextInt(0, static_cast<int64_t>(text.size()) - 1));
+      const char c = kAlphabet[rng.NextInt(0, sizeof kAlphabet - 2)];
+      switch (rng.NextInt(0, 3)) {
+        case 0: text.erase(at, 1); break;
+        case 1: text.insert(at, 1, c); break;
+        case 2: text[at] = c; break;
+        default: text.resize(at); break;
+      }
+    }
+    ExpectValidateAgrees(text);
+    rejected += json::Validate(text).ok() ? 0 : 1;
+  }
+  EXPECT_GT(rejected, 50);
+}
+
+TEST(JsonValidate, AgreesWithParseOnEdgeCases) {
+  const std::string deep(static_cast<size_t>(json::kMaxParseDepth), '[');
+  const std::string undeep(static_cast<size_t>(json::kMaxParseDepth), ']');
+  for (const std::string& text : std::vector<std::string>{
+           "", " ", "// only a comment", "{}", "[]", "[1,]", "{\"a\":1,}",
+           "1e999", "-", "--5", "1.2.3", "01", "\"\\u12\"", "\"\\uZZZZ\"",
+           "\"\\x\"", "\"abc", "tru", "nul", "{\"a\" 1}", "{1:2}", "[1 2]",
+           "{} extra", "{\"a\":1}\n// trailing comment\n", deep + undeep,
+           "[" + deep + undeep + "]", deep, std::string(200000, '[')}) {
+    ExpectValidateAgrees(text);
   }
 }
 

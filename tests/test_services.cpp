@@ -26,6 +26,13 @@ media::FrameRef MakeFrame(uint64_t seed = 1) {
   return std::make_shared<const media::EncodedFrame>(std::move(*encoded));
 }
 
+/// A request carrying `payload`, shared as an issued call's would be.
+ServiceRequest WithPayload(json::Value payload) {
+  ServiceRequest request;
+  request.payload = std::make_shared<const json::Value>(std::move(payload));
+  return request;
+}
+
 /// Run one request through an instance synchronously (drains the sim).
 Result<json::Value> InvokeSync(sim::Cluster& cluster,
                                ServiceInstance& instance,
@@ -122,8 +129,9 @@ TEST_F(ContainerTest, UnknownDeviceOrService) {
 TEST_F(ContainerTest, StartupDelaysFirstRequest) {
   auto instance = runtime_.Launch("desktop", "rep_counter");
   ASSERT_TRUE(instance.ok());
-  ServiceRequest request;
-  request.payload["pose"] = cv::DetectedPose().ToJson();
+  json::Value payload;
+  payload["pose"] = cv::DetectedPose().ToJson();
+  ServiceRequest request = WithPayload(std::move(payload));
   std::optional<double> completed;
   (*instance)->Invoke(std::move(request), [&](Result<json::Value>) {
     completed = cluster_->Now().millis();
@@ -254,12 +262,12 @@ TEST(Statelessness, RepCounterCarriesStateInRequests) {
         kp.y = 40 + k + ((i / 10) % 2 == 1 ? 30.0 : 0.0);  // two phases
       }
       pose.num_detected = 17;
-      ServiceRequest request;
-      request.payload["pose"] = pose.ToJson();
-      if (!state.is_null()) request.payload["state"] = state;
+      json::Value payload;
+      payload["pose"] = pose.ToJson();
+      if (!state.is_null()) payload["state"] = state;
       auto result = InvokeSync(
           *cluster, *replicas[static_cast<size_t>(i) % replicas.size()],
-          std::move(request));
+          WithPayload(std::move(payload)));
       EXPECT_TRUE(result.ok());
       if (result.ok()) {
         state = *result->Find("state");
@@ -314,8 +322,9 @@ TEST_F(BuiltinsTest, ActivityClassifierAcceptsPoseWindows) {
   for (uint64_t f = 8; f < 8 + 15; ++f) {
     poses.push_back(cv::DetectPose(source.CaptureFrame(f).image).ToJson());
   }
-  ServiceRequest request;
-  request.payload["poses"] = json::Value(std::move(poses));
+  json::Value payload;
+  payload["poses"] = json::Value(std::move(poses));
+  ServiceRequest request = WithPayload(std::move(payload));
   auto result = Call("activity_classifier", std::move(request));
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   EXPECT_EQ(result->GetString("label"), "squat");
@@ -334,8 +343,9 @@ TEST_F(BuiltinsTest, FallDetectorService) {
                                           70 + static_cast<uint64_t>(i)))
             .ToJson());
   }
-  ServiceRequest request;
-  request.payload["poses"] = json::Value(std::move(poses));
+  json::Value payload;
+  payload["poses"] = json::Value(std::move(poses));
+  ServiceRequest request = WithPayload(std::move(payload));
   auto result = Call("fall_detector", std::move(request));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->GetBool("fallen"));
@@ -353,9 +363,10 @@ TEST_F(BuiltinsTest, DisplayCountsFrames) {
   auto instance = runtime_.Launch("desktop", "display");
   ASSERT_TRUE(instance.ok());
   for (int i = 1; i <= 3; ++i) {
-    ServiceRequest request;
-    request.payload["overlay"]["reps"] = json::Value(i);
-    auto result = InvokeSync(*cluster_, **instance, std::move(request));
+    json::Value payload;
+    payload["overlay"]["reps"] = json::Value(i);
+    auto result =
+        InvokeSync(*cluster_, **instance, WithPayload(std::move(payload)));
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->GetBool("displayed"));
     EXPECT_EQ(result->GetInt("frames_shown"), i);
@@ -373,15 +384,16 @@ TEST_F(BuiltinsTest, ObjectDetectorWithClasses) {
   frame.image = media::RenderScene(hidden, scene, 80);
   auto encoded = media::EncodedFrame::Parse(media::EncodeFrame(frame));
   ASSERT_TRUE(encoded.ok());
-  ServiceRequest request;
-  request.frame =
-      std::make_shared<const media::EncodedFrame>(std::move(*encoded));
   json::Value cls = json::Value::MakeObject();
   cls["name"] = json::Value("lamp");
   cls["r"] = json::Value(200);
   cls["g"] = json::Value(160);
   cls["b"] = json::Value(40);
-  request.payload["classes"].PushBack(std::move(cls));
+  json::Value payload;
+  payload["classes"].PushBack(std::move(cls));
+  ServiceRequest request = WithPayload(std::move(payload));
+  request.frame =
+      std::make_shared<const media::EncodedFrame>(std::move(*encoded));
   auto result = Call("object_detector", std::move(request));
   ASSERT_TRUE(result.ok());
   const json::Value* objects = result->Find("objects");
@@ -397,10 +409,9 @@ TEST_F(BuiltinsTest, FaceDetectorBothPaths) {
   ASSERT_TRUE(from_frame.ok());
   EXPECT_TRUE(from_frame->GetBool("found"));
 
-  ServiceRequest by_pose;
-  by_pose.payload["pose"] =
-      cv::DetectPose(MakeFrame(6)->image()).ToJson();
-  auto from_pose = Call("face_detector", std::move(by_pose));
+  json::Value pose;
+  pose["pose"] = cv::DetectPose(MakeFrame(6)->image()).ToJson();
+  auto from_pose = Call("face_detector", WithPayload(std::move(pose)));
   ASSERT_TRUE(from_pose.ok());
   EXPECT_TRUE(from_pose->GetBool("found"));
 }

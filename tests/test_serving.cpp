@@ -537,5 +537,75 @@ TEST(ServingEndToEnd, ScriptCatchesDeadlineExceededShed) {
   EXPECT_GT((*deployment)->metrics().frames_completed(), 80u);
 }
 
+TEST(ServingEndToEnd, NonObjectPayloadIsACatchableInvalidArgument) {
+  // call_service reads its payload as an object: "frame_id", the
+  // serving plan, the service's own fields. An array, a number or a
+  // string fails with one catchable INVALID_ARGUMENT before anything is
+  // scheduled, on all four paths: co-located or remote, serving on or
+  // off. (A remote call with serving on used to abort the host.)
+  const std::string config = R"CFG({
+    "name": "payloads",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["probe"] },
+      { "name": "probe", "service": ["pose_detector"], "signal_source": true,
+        "code": "
+          var codes = [];
+          function code_of(f) {
+            try { f(); return 'ok'; } catch (e) { return e.code; }
+          }
+          function event_received(m) {
+            if (codes.length > 0) return;
+            codes.push(code_of(function () {
+              call_service('pose_detector', [1, 2]); }));
+            codes.push(code_of(function () {
+              call_service('pose_detector', 5); }));
+            codes.push(code_of(function () {
+              call_service('pose_detector', 'frame'); }));
+          }" }
+    ]
+  })CFG";
+  for (const bool serving : {false, true}) {
+    for (const core::PlacementPolicy policy :
+         {core::PlacementPolicy::kCoLocate,
+          core::PlacementPolicy::kSingleDevice}) {
+      SCOPED_TRACE(std::string(core::PlacementPolicyName(policy)) +
+                   (serving ? ", serving" : ", direct"));
+      auto spec = core::ParsePipelineConfigText(config, core::MapResolver({}));
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      auto cluster = sim::MakeHomeTestbed(TestSeed());
+      core::OrchestratorOptions options;
+      options.serving.enabled = serving;
+      core::Orchestrator orchestrator(cluster.get(), options);
+      core::Orchestrator::DeployArgs args;
+      args.workload = apps::fitness::Workout();
+      args.placement.policy = policy;
+      auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+      ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+      const core::DeploymentPlan& plan = (*deployment)->plan();
+      const std::string& host = plan.service_device.at("pose_detector");
+      EXPECT_EQ(plan.module_device.at("probe") == host,
+                policy == core::PlacementPolicy::kCoLocate);
+
+      (*deployment)->Start();
+      orchestrator.RunFor(Duration::Seconds(2));
+      const json::Value codes =
+          (*deployment)->FindModule("probe")->context().GetGlobal("codes");
+      const std::string invalid = R"("INVALID_ARGUMENT")";
+      EXPECT_EQ(json::Write(codes),
+                "[" + invalid + "," + invalid + "," + invalid + "]");
+      // Nothing reached a replica or a scheduler, and frames still flow.
+      for (services::ServiceInstance* replica :
+           orchestrator.registry().Replicas(host, "pose_detector")) {
+        EXPECT_EQ(replica->stats().requests, 0u);
+      }
+      for (const auto& [key, sched] : orchestrator.schedulers()) {
+        EXPECT_EQ(sched->stats().submitted, 0u) << key.second;
+      }
+      EXPECT_GT((*deployment)->metrics().frames_completed(), 5u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vp
