@@ -48,15 +48,6 @@ Outcome Measure(bool autoscale, double seconds) {
 
 }  // namespace
 
-json::Value ToJson(const Outcome& o) {
-  json::Value out = json::Value::MakeObject();
-  out["fitness_fps"] = json::Value(o.fitness_fps);
-  out["gesture_fps"] = json::Value(o.gesture_fps);
-  out["pose_replicas"] = json::Value(o.pose_replicas);
-  out["scale_events"] = json::Value(o.scale_events);
-  return out;
-}
-
 int main() {
   const double seconds = BenchSeconds(40.0);
   std::printf("=== Autoscaling the shared pose service "
@@ -76,12 +67,5 @@ int main() {
   std::printf("\nexpected: the autoscaler adds replica(s) once the shared "
               "service saturates, recovering per-pipeline FPS toward the "
               "solo rate (~11).\n");
-
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("autoscale");
-  doc["virtual_seconds"] = json::Value(seconds);
-  doc["fixed"] = ToJson(fixed);
-  doc["autoscaled"] = ToJson(scaled);
-  WriteBenchJson("autoscale", doc);
   return 0;
 }

@@ -13,6 +13,9 @@
 //   * stateful modules come back from controller-held checkpoints
 //     (never from scratch),
 //   * the whole timeline is bit-for-bit deterministic under a seed.
+//
+// Exits with the number of failed checks; ctest runs the bench as the
+// `bench_device_failure` entry.
 #include <cstdio>
 #include <memory>
 #include <tuple>

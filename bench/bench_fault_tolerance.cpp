@@ -9,6 +9,9 @@
 //   * faulted throughput ≥ 80% of the fault-free rate,
 //   * throughput recovers once the faults clear,
 //   * the whole timeline is bit-for-bit deterministic under a seed.
+//
+// Exits with the number of failed checks; ctest runs the bench as the
+// `bench_fault_tolerance` entry.
 #include <cstdio>
 #include <tuple>
 

@@ -17,7 +17,8 @@
 // ONLY in wave 2's members. Without gating, every later wave stages
 // the poisoned candidate too — the blast the gate prevents.
 //
-// Results → BENCH_fleet.json.
+// Exits non-zero when a claim fails; ctest runs the bench in smoke
+// mode as the `bench_fleet` entry.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -77,15 +78,19 @@ void DeployFitnessTo(fleet::Home& home, double fps) {
 /// background work) — keeps the shared tier and its fair-share path
 /// hot for the whole run. Ticks live on each home's own simulator (its
 /// shard on the parallel engine) and jobs travel through CloudSubmit's
-/// modeled WAN hop, so the pattern is engine-agnostic.
+/// modeled WAN hop, so the pattern is engine-agnostic. The pending
+/// event owns each tick and a tick holds itself only weakly, so the
+/// ticks go with the fleet's simulator.
 void StartCloudOffload(fleet::Fleet& fleet) {
   for (int id = 0; id < fleet.size(); ++id) {
     auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&fleet, id, tick]() {
+    *tick = [&fleet, id, self = std::weak_ptr(tick)] {
       fleet.CloudSubmit(id, Duration::Millis(50));
-      fleet.home_simulator(id).After(Duration::Millis(500), *tick);
+      fleet.home_simulator(id).After(Duration::Millis(500),
+                                     [next = self.lock()] { (*next)(); });
     };
-    fleet.home_simulator(id).After(Duration::Millis(500), *tick);
+    fleet.home_simulator(id).After(Duration::Millis(500),
+                                   [tick] { (*tick)(); });
   }
 }
 
@@ -98,7 +103,7 @@ struct RunResult {
   bool halted = false;
   int waves = 0;
   int waves_passed = 0;
-  std::vector<double> wave_wall_ms;
+  std::vector<double> wave_s;  // virtual time from wave start to its gate
   std::vector<int> wave_sizes;
   int blast_homes = 0;         // homes the poisoned version reached
   int failed_wave_size = 0;    // expected blast under gating
@@ -175,14 +180,12 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
   result.waves = static_cast<int>(controller.waves().size());
   for (const auto& wave : controller.waves()) {
     result.wave_sizes.push_back(static_cast<int>(wave.members.size()));
-    if (wave.state == fleet::FleetController::WaveState::kPassed) {
-      ++result.waves_passed;
-      result.wave_wall_ms.push_back((wave.finished - wave.started).millis());
-    } else if (wave.state == fleet::FleetController::WaveState::kFailed) {
-      result.wave_wall_ms.push_back((wave.finished - wave.started).millis());
-    } else {
-      result.wave_wall_ms.push_back(0);
-    }
+    using WaveState = fleet::FleetController::WaveState;
+    if (wave.state == WaveState::kPassed) ++result.waves_passed;
+    const bool gated =
+        wave.state == WaveState::kPassed || wave.state == WaveState::kFailed;
+    result.wave_s.push_back(
+        gated ? (wave.finished - wave.started).seconds() : 0.0);
   }
   result.reverted = controller.reverted_homes();
 
@@ -209,37 +212,38 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
   return result;
 }
 
-json::Value ToJson(const RunResult& r) {
-  json::Value out = json::Value::MakeObject();
-  out["homes"] = json::Value(r.homes);
-  out["engine"] = json::Value(r.parallel ? std::string("parallel")
-                                         : std::string("sequential"));
-  out["threads"] = json::Value(r.threads);
-  out["wall_s"] = json::Value(r.wall_s);
-  out["done"] = json::Value(r.done);
-  out["halted"] = json::Value(r.halted);
-  out["waves"] = json::Value(r.waves);
-  out["waves_passed"] = json::Value(r.waves_passed);
-  json::Value::Array walls;
-  for (double w : r.wave_wall_ms) walls.push_back(json::Value(w));
-  out["wave_wall_ms"] = json::Value(std::move(walls));
-  json::Value::Array sizes;
-  for (int s : r.wave_sizes) sizes.push_back(json::Value(s));
-  out["wave_sizes"] = json::Value(std::move(sizes));
-  out["blast_homes"] = json::Value(r.blast_homes);
-  out["failed_wave_size"] = json::Value(r.failed_wave_size);
-  out["blast_contained"] = json::Value(r.blast_contained);
-  out["reverted_homes"] = json::Value(r.reverted);
-  out["overhead_ratio"] = json::Value(r.overhead_ratio);
-  out["total_events"] = json::Value(static_cast<double>(r.total_events));
-  out["overhead_events"] =
-      json::Value(static_cast<double>(r.overhead_events));
-  out["cloud_served"] = json::Value(static_cast<double>(r.cloud_served));
-  out["registry_trainings"] =
-      json::Value(static_cast<double>(r.registry_trainings));
-  out["registry_dedupe_hits"] =
-      json::Value(static_cast<double>(r.registry_dedupe_hits));
-  return out;
+/// `values` joined by '/', each printed with `format`.
+template <typename T>
+std::string Slashed(const std::vector<T>& values, const char* format) {
+  std::string out;
+  char buf[32];
+  for (const T& value : values) {
+    std::snprintf(buf, sizeof(buf), format, value);
+    if (!out.empty()) out += '/';
+    out += buf;
+  }
+  return out.empty() ? "-" : out;
+}
+
+void PrintRow(const char* run, const RunResult& r) {
+  char threads[8] = "-";
+  if (r.parallel) std::snprintf(threads, sizeof(threads), "%d", r.threads);
+  const char* rollout = r.halted                    ? "halted"
+                        : !r.done                   ? "INCOMPLETE"
+                        : r.waves_passed == r.waves ? "complete"
+                                                    : "waves failed";
+  std::printf(
+      "%-15s %5d %-10s %7s %5d %6d %-12s %-20s %9llu %6llu %10llu %7llu "
+      "%7llu %8.2f%% %7.2f  %s\n",
+      run, r.homes, r.parallel ? "parallel" : "sequential", threads, r.waves,
+      r.waves_passed, Slashed(r.wave_sizes, "%d").c_str(),
+      Slashed(r.wave_s, "%.2f").c_str(),
+      static_cast<unsigned long long>(r.registry_trainings),
+      static_cast<unsigned long long>(r.registry_dedupe_hits),
+      static_cast<unsigned long long>(r.cloud_served),
+      static_cast<unsigned long long>(r.overhead_events),
+      static_cast<unsigned long long>(r.total_events),
+      r.overhead_ratio * 100.0, r.wall_s, rollout);
 }
 
 }  // namespace
@@ -253,46 +257,25 @@ int main() {
 
   std::printf("=== Fleet control plane: staged rollout across home-count "
               "sweep (fitness@%.0f) ===\n", fps);
+  std::printf("wave time: virtual seconds from a wave's start to its gate "
+              "(0: never started); control: controller + monitor + cloud "
+              "events; host s: wall-clock of the run\n");
+  std::printf(
+      "%-15s %5s %-10s %7s %5s %6s %-12s %-20s %9s %6s %10s %7s %7s %9s "
+      "%7s  %s\n",
+      "run", "homes", "engine", "threads", "waves", "passed", "wave sizes",
+      "wave time (s)", "trainings", "dedupe", "cloud jobs", "control",
+      "events", "overhead", "host s", "rollout");
 
   bool all_clean_ok = true;
   bool overhead_ok = true;
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("fleet");
-  json::Value::Array clean_runs;
-
-  std::printf("%-6s %-10s %7s %6s %13s %9s %11s %11s %11s\n", "homes",
-              "engine", "threads", "waves", "wall/wave(s)", "dedupe",
-              "cloud jobs", "overhead", "rollout");
-  auto print_row = [](const RunResult& r) {
-    double mean_wall = 0;
-    for (double w : r.wave_wall_ms) mean_wall += w;
-    if (!r.wave_wall_ms.empty()) {
-      mean_wall /= static_cast<double>(r.wave_wall_ms.size()) * 1000.0;
-    }
-    char threads[8];
-    if (r.parallel) {
-      std::snprintf(threads, sizeof(threads), "%d", r.threads);
-    } else {
-      std::snprintf(threads, sizeof(threads), "-");
-    }
-    std::printf("%-6d %-10s %7s %6d %13.2f %9llu %11llu %10.2f%% %11s\n",
-                r.homes, r.parallel ? "parallel" : "sequential", threads,
-                r.waves, mean_wall,
-                static_cast<unsigned long long>(r.registry_dedupe_hits),
-                static_cast<unsigned long long>(r.cloud_served),
-                r.overhead_ratio * 100.0,
-                r.done && r.waves_passed == r.waves ? "complete"
-                                                    : "INCOMPLETE");
-  };
   for (int n : sweep) {
     const RunResult r = RunFleet(n, Mode::kClean, fps);
-    print_row(r);
+    PrintRow("clean", r);
     all_clean_ok = all_clean_ok && r.done && r.waves_passed == r.waves &&
                    !r.halted;
     overhead_ok = overhead_ok && r.overhead_ratio < 0.05;
-    clean_runs.push_back(ToJson(r));
   }
-  doc["clean"] = json::Value(std::move(clean_runs));
 
   // Engine comparison: the same clean rollout on the sharded-parallel
   // engine across worker-thread counts (16 homes full, 4 smoke — the
@@ -301,28 +284,25 @@ int main() {
   const std::vector<int> thread_sweep =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
   bool parallel_ok = true;
-  json::Value::Array engine_runs;
   for (int threads : thread_sweep) {
     const RunResult r =
         RunFleet(engine_n, Mode::kClean, fps, /*parallel=*/true, threads);
-    print_row(r);
+    PrintRow("clean", r);
     parallel_ok = parallel_ok && r.done && r.waves_passed == r.waves &&
                   !r.halted;
-    engine_runs.push_back(ToJson(r));
   }
-  doc["engines"] = json::Value(std::move(engine_runs));
 
   // Blast radius: the same poisoned wave with and without fleet gating.
   const RunResult gated = RunFleet(blast_n, Mode::kPoisonGated, fps);
   const RunResult ungated = RunFleet(blast_n, Mode::kPoisonUngated, fps);
-  doc["poison_gated"] = ToJson(gated);
-  doc["poison_ungated"] = ToJson(ungated);
+  PrintRow("poison gated", gated);
+  PrintRow("poison ungated", ungated);
   overhead_ok = overhead_ok && gated.overhead_ratio < 0.05;
 
-  std::printf("\nblast radius at %d homes: gated %d/%d homes, ungated %d/%d "
-              "homes\n",
-              blast_n, gated.blast_homes, blast_n, ungated.blast_homes,
-              blast_n);
+  std::printf("\nblast radius at %d homes (poisoned wave of %d): gated %d/%d "
+              "homes, %d reverted; ungated %d/%d homes, %d reverted\n",
+              blast_n, gated.failed_wave_size, gated.blast_homes, blast_n,
+              gated.reverted, ungated.blast_homes, blast_n, ungated.reverted);
 
   // Claim 1: every clean sweep completes all waves.
   std::printf("clean rollouts complete at every fleet size  %s\n",
@@ -353,13 +333,6 @@ int main() {
   // keeps controller+monitor+cloud events under 5%% of workload events.
   std::printf("control-plane overhead < 5%% of per-home event volume  %s\n",
               overhead_ok ? "PASS" : "FAIL");
-
-  doc["all_clean_ok"] = json::Value(all_clean_ok);
-  doc["parallel_ok"] = json::Value(parallel_ok);
-  doc["blast_contained"] = json::Value(contained);
-  doc["ungated_spreads"] = json::Value(spreads);
-  doc["overhead_ok"] = json::Value(overhead_ok);
-  WriteBenchJson("fleet", doc);
 
   return (all_clean_ok && parallel_ok && contained && spreads && overhead_ok)
              ? 0

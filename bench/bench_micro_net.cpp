@@ -1,18 +1,10 @@
 // Microbenchmarks: messaging + JSON + the DES kernel itself (events
-// per second the simulator can process).
-//
-// Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// times the message hot paths on the fitness pipeline's two largest
-// service payloads (ByteSize vs json::Write, fan-out copy,
-// encode/decode), writing BENCH_net.json for CI to archive.
+// per second the simulator can process). The message hot paths run on
+// the fitness pipeline's two largest service payloads.
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <chrono>
 
 #include "cv/pose_detector.hpp"
 #include "cv/rep_counter.hpp"
-#include "harness.hpp"
 #include "json/parse.hpp"
 #include "json/write.hpp"
 #include "media/video_source.hpp"
@@ -64,12 +56,45 @@ net::Message RepCounterRequest() {
   return ServiceRequest(std::move(payload));
 }
 
-void BM_MessageByteSize(benchmark::State& state) {
-  const net::Message m = ClassifierRequest();
+// ByteSize (the per-send hot path in Push/Request/Publish) against
+// printing the payload with json::Write.
+void BM_MessageByteSize(benchmark::State& state, net::Message (*make)()) {
+  const net::Message m = make();
   state.counters["bytes"] = static_cast<double>(m.ByteSize());
   for (auto _ : state) benchmark::DoNotOptimize(m.ByteSize());
 }
-BENCHMARK(BM_MessageByteSize);
+BENCHMARK_CAPTURE(BM_MessageByteSize, classifier, &ClassifierRequest);
+BENCHMARK_CAPTURE(BM_MessageByteSize, rep_counter, &RepCounterRequest);
+
+void BM_PayloadWrite(benchmark::State& state, net::Message (*make)()) {
+  const net::Message m = make();
+  state.counters["bytes"] =
+      static_cast<double>(json::Write(m.payload()).size());
+  for (auto _ : state) benchmark::DoNotOptimize(json::Write(m.payload()));
+}
+BENCHMARK_CAPTURE(BM_PayloadWrite, classifier, &ClassifierRequest);
+BENCHMARK_CAPTURE(BM_PayloadWrite, rep_counter, &RepCounterRequest);
+
+// Fan-out copy cost: what Fabric::Publish pays per subscriber.
+void BM_MessageCopy(benchmark::State& state) {
+  const net::Message m = ClassifierRequest();
+  for (auto _ : state) {
+    net::Message copy = m;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_MessageCopy);
+
+// Full wire round trip of a service request.
+void BM_RequestEncodeDecode(benchmark::State& state) {
+  const net::Message m = ClassifierRequest();
+  for (auto _ : state) {
+    const Bytes wire = m.Encode();
+    auto decoded = net::Message::Decode(wire);
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_RequestEncodeDecode);
 
 void BM_MessageEncodeDecode(benchmark::State& state) {
   net::Message m("frame");
@@ -128,81 +153,4 @@ void BM_NetworkSend(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSend);
 
-// ------------------------------------------------------- smoke mode
-
-double NowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Best of `rounds` timings of `iters` calls of `fn`, in ns per call.
-template <typename Fn>
-double BestNs(int iters, Fn fn) {
-  const int rounds = 5;
-  double best = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    const double start = NowUs();
-    for (int i = 0; i < iters; ++i) fn();
-    best = std::min(best, (NowUs() - start) * 1e3 / iters);
-  }
-  return best;
-}
-
-int SmokeMain() {
-  const int iters = 1000;
-  const net::Message classifier = ClassifierRequest();
-  const net::Message rep_counter = RepCounterRequest();
-
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("micro_net");
-
-  // ByteSize (the per-send hot path in Push/Request/Publish) against
-  // printing the payload with json::Write.
-  const auto time_sizing = [&](const net::Message& m, const char* name) {
-    const double size_ns =
-        BestNs(iters, [&] { benchmark::DoNotOptimize(m.ByteSize()); });
-    const double write_ns = BestNs(
-        iters, [&] { benchmark::DoNotOptimize(json::Write(m.payload())); });
-    const std::string key = name;
-    doc[key + "_bytes"] = json::Value(m.ByteSize());
-    doc[key + "_bytesize_ns"] = json::Value(size_ns);
-    doc[key + "_write_ns"] = json::Value(write_ns);
-    std::printf("%s: %zu bytes, ByteSize %.0f ns, Write %.0f ns\n", name,
-                m.ByteSize(), size_ns, write_ns);
-  };
-
-  time_sizing(classifier, "classifier_request");
-  time_sizing(rep_counter, "rep_counter_request");
-
-  // Fan-out copy cost: what Fabric::Publish pays per subscriber.
-  const double copy_ns = BestNs(20 * iters, [&] {
-    net::Message copy = classifier;
-    benchmark::DoNotOptimize(copy);
-  });
-
-  // Full wire round trip.
-  const double codec_ns = BestNs(iters, [&] {
-    const Bytes wire = classifier.Encode();
-    auto decoded = net::Message::Decode(wire);
-    benchmark::DoNotOptimize(decoded);
-  });
-
-  doc["copy_ns"] = json::Value(copy_ns);
-  doc["encode_decode_us"] = json::Value(codec_ns / 1e3);
-  bench::WriteBenchJson("net", doc);
-  std::printf("copy %.0f ns; encode+decode %.1f us\n", copy_ns,
-              codec_ns / 1e3);
-  return 0;
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  if (vp::bench::SmokeMode()) return SmokeMain();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

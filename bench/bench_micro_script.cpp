@@ -1,17 +1,10 @@
 // Microbenchmarks: the vpscript engine (our Duktape stand-in) — the
 // per-event overhead every module pays.
-//
-// Custom main(): VP_BENCH_SMOKE=1 skips google-benchmark and instead
-// times event dispatch, Context::Load and one native host call,
-// writing BENCH_script.json for CI to archive.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
+#include <cstdlib>
 #include <memory>
-#include <vector>
 
-#include "harness.hpp"
 #include "script/context.hpp"
 #include "script/parser.hpp"
 
@@ -130,77 +123,4 @@ void BM_JsonVmRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonVmRoundTrip);
 
-// ------------------------------------------------------- smoke mode
-
-double NowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`rounds` wall time (µs) of `calls` invocations of `fn`.
-/// Scheduler noise is strictly additive, so the minimum is unbiased.
-template <typename Fn>
-double BestUs(int rounds, int calls, Fn&& fn) {
-  double best = 1e18;
-  for (int r = 0; r < rounds; ++r) {
-    const double start = NowUs();
-    for (int i = 0; i < calls; ++i) fn();
-    best = std::min(best, (NowUs() - start) / calls);
-  }
-  return best;
-}
-
-int SmokeMain() {
-  // Best-of-9: more rounds tighten the minimum without biasing it.
-  const int rounds = 9;
-
-  // Per-event dispatch: one Context::Call of the module's handler.
-  script::Context context;
-  if (!context.Load(kModuleSource).ok()) std::abort();
-  json::Value message = json::Value::MakeObject();
-  message["value"] = json::Value(1.5);
-  auto dispatch = [&] {
-    auto result = context.Call("event_received", {message});
-    benchmark::DoNotOptimize(result);
-  };
-  for (int i = 0; i < 2000; ++i) dispatch();  // warm caches
-  const double dispatch_us = BestUs(rounds, 5000, dispatch);
-
-  // Load: a fresh context linking the cached program + top level.
-  const double load_us = BestUs(rounds, 300, [] {
-    script::Context fresh;
-    benchmark::DoNotOptimize(fresh.Load(kModuleSource));
-  });
-
-  // One native host call with a small object argument.
-  auto host = MakeHostCallContext();
-  const json::Value n(static_cast<double>(kHostCallsPerEntry));
-  const double host_call_us =
-      BestUs(rounds, 20, [&] {
-        auto result = host->Call("host_calls", {n});
-        benchmark::DoNotOptimize(result);
-      }) /
-      kHostCallsPerEntry;
-
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("micro_script");
-  doc["dispatch_us_vm"] = json::Value(dispatch_us);
-  doc["load_us"] = json::Value(load_us);
-  doc["host_call_us"] = json::Value(host_call_us);
-  bench::WriteBenchJson("script", doc);
-  std::printf("dispatch %.2f us, load %.1f us, host call %.3f us\n",
-              dispatch_us, load_us, host_call_us);
-  return 0;
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  if (vp::bench::SmokeMode()) return SmokeMain();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

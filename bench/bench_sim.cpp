@@ -14,24 +14,22 @@
 //
 // Every parallel run is cross-checked against the sequential engine:
 // per-home pipeline metrics must match exactly (the determinism
-// contract, docs/sim.md). The satellite event-pool numbers are
-// reported as allocations without/with the free list.
+// contract, docs/sim.md). Each run also reports its event nodes as
+// heap allocations against free-list reuses.
 //
-// Results → BENCH_sim.json. The ≥3× speedup acceptance gate only
-// applies when the host actually has ≥8 cores (host_cores in the
-// JSON); determinism and pooling gates always apply.
+// The ≥3× speedup acceptance gate only applies when the host actually
+// has ≥8 cores (the header prints the count); determinism and pooling
+// gates always apply.
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/fitness.hpp"
 #include "fleet/fleet.hpp"
 #include "harness.hpp"
-#include "json/write.hpp"
 
 using namespace vp;
 using namespace vp::bench;
@@ -100,14 +98,17 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
   if (coupled) {
     // Per-home offload ticks live on each home's own simulator (its
     // shard on the parallel engine); the jobs themselves cross shards
-    // through the engine's barrier mailboxes.
+    // through the engine's barrier mailboxes. The pending event owns
+    // each tick and a tick holds itself only weakly, so nothing leaks.
     for (int id = 0; id < fleet.size(); ++id) {
       auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&fleet, id, tick]() {
+      *tick = [&fleet, id, self = std::weak_ptr(tick)] {
         fleet.CloudSubmit(id, Duration::Millis(30));
-        fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+        fleet.home_simulator(id).After(Duration::Millis(250),
+                                       [next = self.lock()] { (*next)(); });
       };
-      fleet.home_simulator(id).After(Duration::Millis(250), *tick);
+      fleet.home_simulator(id).After(Duration::Millis(250),
+                                     [tick] { (*tick)(); });
     }
   }
   fleet.StartAll();
@@ -136,21 +137,23 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
   return out;
 }
 
-json::Value RowJson(const std::string& engine, int threads,
-                    const RunOutcome& r, double speedup, bool identical) {
-  json::Value row = json::Value::MakeObject();
-  row["engine"] = json::Value(engine);
-  row["threads"] = json::Value(threads);
-  row["wall_s"] = json::Value(r.wall_s);
-  row["events"] = json::Value(static_cast<double>(r.events));
-  row["events_per_s"] = json::Value(
-      r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0);
-  row["segments"] = json::Value(static_cast<double>(r.segments));
-  row["speedup_vs_sequential"] = json::Value(speedup);
-  row["node_allocs"] = json::Value(static_cast<double>(r.alloc.node_allocs));
-  row["pool_reuses"] = json::Value(static_cast<double>(r.alloc.pool_reuses));
-  row["identical_to_sequential"] = json::Value(identical);
-  return row;
+/// One table row; `threads` is 0 for the sequential engine.
+void PrintRow(int threads, const RunOutcome& r, double speedup,
+              const char* identical) {
+  char thread_count[16] = "-";
+  char segments[24] = "-";
+  if (threads > 0) {
+    std::snprintf(thread_count, sizeof(thread_count), "%d", threads);
+    std::snprintf(segments, sizeof(segments), "%llu",
+                  static_cast<unsigned long long>(r.segments));
+  }
+  std::printf("%-12s %8s %9.2f %9llu %11.0f %9s %12llu %12llu %8.2fx %11s\n",
+              threads > 0 ? "parallel" : "sequential", thread_count, r.wall_s,
+              static_cast<unsigned long long>(r.events),
+              r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0,
+              segments, static_cast<unsigned long long>(r.alloc.node_allocs),
+              static_cast<unsigned long long>(r.alloc.pool_reuses), speedup,
+              identical);
 }
 
 }  // namespace
@@ -166,12 +169,6 @@ int main() {
               "(%d homes, fitness@10, %.0f s virtual, host cores: %u) ===\n",
               homes, seconds, host_cores);
 
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("sim");
-  doc["homes"] = json::Value(homes);
-  doc["virtual_seconds"] = json::Value(seconds);
-  doc["host_cores"] = json::Value(static_cast<int>(host_cores));
-
   bool determinism_ok = true;
   bool pool_ok = true;
   double best_speedup_at_8 = 0;
@@ -180,30 +177,17 @@ int main() {
     const char* label = coupled ? "coupled (cloud, 20 ms lookahead)"
                                 : "independent (no cloud)";
     std::printf("\n-- %s --\n", label);
-    std::printf("%-12s %8s %9s %11s %9s %9s %11s\n", "engine", "threads",
-                "wall(s)", "events/s", "segments", "speedup", "identical");
+    std::printf("%-12s %8s %9s %9s %11s %9s %12s %12s %9s %11s\n",
+                "engine", "threads", "wall(s)", "events", "events/s",
+                "segments", "heap allocs", "pool reuses", "speedup",
+                "identical");
 
     const RunOutcome seq = RunWorkload(homes, seconds, coupled, false, 0);
-    std::printf("%-12s %8s %9.2f %11.0f %9s %9s %11s\n", "sequential", "-",
-                seq.wall_s,
-                seq.wall_s > 0 ? static_cast<double>(seq.events) / seq.wall_s
-                               : 0.0,
-                "-", "1.00x", "-");
-    json::Value::Array rows;
-    rows.push_back(RowJson("sequential", 0, seq, 1.0, true));
-
+    PrintRow(0, seq, 1.0, "-");
     // The free list should serve nearly every event after warm-up: the
-    // "before" count is what new/delete per event used to cost.
-    const uint64_t acquires = seq.alloc.node_allocs + seq.alloc.pool_reuses;
+    // heap allocations are what new/delete per event would cost
+    // without it.
     pool_ok = pool_ok && seq.alloc.pool_reuses > seq.alloc.node_allocs;
-    std::printf("   event nodes: %llu acquired, %llu heap allocations "
-                "(pool hit rate %.1f%%)\n",
-                static_cast<unsigned long long>(acquires),
-                static_cast<unsigned long long>(seq.alloc.node_allocs),
-                acquires > 0 ? 100.0 *
-                                   static_cast<double>(seq.alloc.pool_reuses) /
-                                   static_cast<double>(acquires)
-                             : 0.0);
 
     for (int threads : thread_sweep) {
       const RunOutcome par = RunWorkload(homes, seconds, coupled, true,
@@ -218,16 +202,8 @@ int main() {
       if (threads == 8 && speedup > best_speedup_at_8) {
         best_speedup_at_8 = speedup;
       }
-      std::printf("%-12s %8d %9.2f %11.0f %9llu %8.2fx %11s\n", "parallel",
-                  threads, par.wall_s,
-                  par.wall_s > 0
-                      ? static_cast<double>(par.events) / par.wall_s
-                      : 0.0,
-                  static_cast<unsigned long long>(par.segments), speedup,
-                  identical ? "yes" : "NO");
-      rows.push_back(RowJson("parallel", threads, par, speedup, identical));
+      PrintRow(threads, par, speedup, identical ? "yes" : "NO");
     }
-    doc[coupled ? "coupled" : "independent"] = json::Value(std::move(rows));
   }
 
   std::printf("\nper-home metrics and event totals identical on every "
@@ -237,8 +213,8 @@ int main() {
               pool_ok ? "PASS" : "FAIL");
 
   // The wall-clock acceptance gate needs real cores to mean anything;
-  // on smaller hosts the thread sweep still proves determinism and the
-  // JSON still records the curve.
+  // on smaller hosts the thread sweep still proves determinism and
+  // prints the curve.
   const bool gate_speedup = host_cores >= 8;
   const bool speedup_ok = !gate_speedup || best_speedup_at_8 >= 3.0;
   if (gate_speedup) {
@@ -249,13 +225,6 @@ int main() {
                 "needs 8 — informational)\n",
                 best_speedup_at_8, host_cores);
   }
-
-  doc["determinism_ok"] = json::Value(determinism_ok);
-  doc["pool_ok"] = json::Value(pool_ok);
-  doc["speedup_at_8_threads"] = json::Value(best_speedup_at_8);
-  doc["speedup_gate_applies"] = json::Value(gate_speedup);
-  doc["speedup_ok"] = json::Value(speedup_ok);
-  WriteBenchJson("sim", doc);
 
   return (determinism_ok && pool_ok && speedup_ok) ? 0 : 1;
 }

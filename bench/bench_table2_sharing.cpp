@@ -16,8 +16,7 @@ using namespace vp::bench;
 int main() {
   const double seconds = BenchSeconds(40.0);
   std::printf("=== Table 2 (col 4): two pipelines sharing the pose "
-              "service ===\n");
-  json::Value rows_json = json::Value::MakeArray();
+              "service (%.0f s) ===\n", seconds);
   std::printf("%-12s %14s %14s %14s  %s\n", "Source FPS", "Fitness",
               "Gesture", "Solo fitness", "(paper pair)");
 
@@ -52,24 +51,9 @@ int main() {
     std::printf("%-12.0f %14.2f %14.2f %14.2f  %s  [pose replicas: %zu]\n",
                 row.fps, fitness_fps, gesture_fps, solo_fps, row.pair,
                 pose_replicas);
-
-    json::Value row_json = json::Value::MakeObject();
-    row_json["source_fps"] = json::Value(row.fps);
-    row_json["fitness_fps"] = json::Value(fitness_fps);
-    row_json["gesture_fps"] = json::Value(gesture_fps);
-    row_json["solo_fitness_fps"] = json::Value(solo_fps);
-    row_json["pose_replicas"] = json::Value(pose_replicas);
-    row_json["paper_pair"] = json::Value(std::string(row.pair));
-    rows_json.AsArray().push_back(std::move(row_json));
   }
   std::printf("\npaper shape check: sharing is free at 5-10 FPS; at 20 FPS "
               "the single shared replica saturates and both pipelines drop "
               "below the solo rate.\n");
-
-  json::Value doc = json::Value::MakeObject();
-  doc["bench"] = json::Value("table2_sharing");
-  doc["virtual_seconds"] = json::Value(seconds);
-  doc["rows"] = std::move(rows_json);
-  WriteBenchJson("table2_sharing", doc);
   return 0;
 }

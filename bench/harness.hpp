@@ -5,16 +5,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "apps/fall.hpp"
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
 #include "apps/iot.hpp"
 #include "core/orchestrator.hpp"
-#include "json/write.hpp"
 #include "sim/cluster.hpp"
 
 namespace vp::bench {
@@ -138,25 +136,12 @@ inline void Run(Session& session, double seconds) {
   session.orchestrator->RunFor(Duration::Seconds(seconds));
 }
 
-/// CI smoke mode (VP_BENCH_SMOKE=1): shrink virtual run time so the
-/// bench finishes fast while still exercising the full path and
-/// emitting its JSON.
+/// Smoke mode (VP_BENCH_SMOKE=1): shrink virtual run time so the
+/// bench finishes fast while still exercising the full path and its
+/// gates. The gated benches run this way as tier-1 ctest entries.
 inline bool SmokeMode() { return std::getenv("VP_BENCH_SMOKE") != nullptr; }
 inline double BenchSeconds(double full, double smoke = 8.0) {
   return SmokeMode() ? smoke : full;
-}
-
-/// Write a benchmark's machine-readable results as BENCH_<name>.json
-/// in the working directory (CI archives these as artifacts).
-inline void WriteBenchJson(const std::string& name, const json::Value& doc) {
-  const std::string path = "BENCH_" + name + ".json";
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  file << json::Write(doc, 1) << "\n";
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace vp::bench
