@@ -120,29 +120,52 @@ void BM_RenderCleanScene(benchmark::State& state) {
 BENCHMARK(BM_RenderCleanScene)->Arg(64)->Arg(320);
 
 // Each iteration first copies the clean render back (a memcpy of the
-// image), since Apply quantizes in place.
-void BM_NoisyQuantizerApply(benchmark::State& state) {
+// image), since Apply quantizes in place. BM_NoisyQuantizerApply runs
+// Apply's own choice (the lanes on a CPU with AVX-512 F/BW/DQ/VL, which
+// the `lanes` counter reports), BM_NoisyQuantizerScalar the scalar loop
+// on the same streams. Both report, per frame over seeds 0..63, the
+// pairs past the fast path and those that reached libm: equal counters
+// mean equal settling.
+template <bool kScalar>
+void NoisyQuantizerBench(benchmark::State& state) {
   const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));
   const media::Image clean = source.CaptureClean(80);
   const media::NoisyQuantizer quantizer(source.scene().noise_stddev);
+  const auto apply = [&](media::Image& image, uint64_t seed) {
+    return kScalar ? quantizer.ApplyScalar(image,
+                                           media::SensorNoiseStream(seed))
+                   : quantizer.Apply(image, seed);
+  };
   media::Image work = clean;
   uint64_t seed = 0;
-  uint64_t tail = 0;
-  uint64_t exact = 0;
   for (auto _ : state) {
     work.data() = clean.data();
-    const auto counts = quantizer.Apply(work, seed++);
-    tail += counts.tail;
-    exact += counts.exact;
+    apply(work, seed++ % 64);
     benchmark::DoNotOptimize(work.data().data());
     benchmark::ClobberMemory();
   }
-  // Per frame: pairs past the fast path, and those that reached libm.
-  const auto frames = static_cast<double>(state.iterations());
-  state.counters["tail"] = static_cast<double>(tail) / frames;
-  state.counters["libm"] = static_cast<double>(exact) / frames;
+  uint64_t tail = 0;
+  uint64_t exact = 0;
+  for (uint64_t s = 0; s < 64; ++s) {
+    work.data() = clean.data();
+    const auto counts = apply(work, s);
+    tail += counts.tail;
+    exact += counts.exact;
+  }
+  state.counters["tail"] = static_cast<double>(tail) / 64;
+  state.counters["libm"] = static_cast<double>(exact) / 64;
+  state.counters["lanes"] = !kScalar && media::NoisyQuantizer::LanesSupported();
+}
+
+void BM_NoisyQuantizerApply(benchmark::State& state) {
+  NoisyQuantizerBench<false>(state);
 }
 BENCHMARK(BM_NoisyQuantizerApply)->Arg(64)->Arg(320);
+
+void BM_NoisyQuantizerScalar(benchmark::State& state) {
+  NoisyQuantizerBench<true>(state);
+}
+BENCHMARK(BM_NoisyQuantizerScalar)->Arg(64)->Arg(320);
 
 void BM_EncodeQuantizedFrame(benchmark::State& state) {
   const auto source = SizedWorkoutSource(static_cast<int>(state.range(0)));

@@ -52,6 +52,9 @@ struct SceneOptions {
 Image RenderScene(const Pose& pose, const SceneOptions& options,
                   uint64_t frame_seed);
 
+/// The sensor-noise stream RenderScene draws for `frame_seed`.
+Rng SensorNoiseStream(uint64_t frame_seed);
+
 /// RenderScene without the sensor noise (`noise_stddev` is ignored).
 Image RenderCleanScene(const Pose& pose, const SceneOptions& options);
 
@@ -91,6 +94,37 @@ void AddSensorNoiseAt(Image& clean, std::span<const uint32_t> pixels,
 ///   bucket that is the channel's bucket.
 /// - Exact. Only when an interval straddles a bucket edge does the pair
 ///   run libm's log, sqrt, cos and sin, as RenderScene does.
+///
+/// Two paths step the stream. Apply takes the lanes on a CPU with
+/// AVX-512 (F, BW, DQ and VL), checked once per process, and the scalar
+/// loop elsewhere; both give the same bytes and the same TailCounts.
+///
+/// - Scalar loop. One generator draws the pairs in order and settles
+///   each as above. It is the fallback and the tests' reference.
+/// - Lanes. Eight generators, one per 64-bit lane of an AVX-512
+///   register, each draw a contiguous slice of the frame's pairs: lane
+///   k starts 2·k·L draws into the stream, L = LanePairs(n), by
+///   Rng::Jump, which is exact. The vector code does integer work
+///   only: the draws, the pair headrooms, and the fast path as an
+///   unsigned 64-bit compare of u1's whole draw against
+///   (u1_threshold_[h] << 11) | 0x7FF, which holds exactly when u1's
+///   top 53 bits exceed u1_threshold_[h]. It compress-stores each
+///   other pair (its u1 draw, the state word u2 is drawn from, its
+///   index) and hands them, 512 pairs at a time, to the scalar loop's
+///   own settle code. That code is compiled apart from the vector code,
+///   for the baseline instruction set (inside an AVX-512 function GCC
+///   contracts a·b + c into an FMA, which rounds differently), so every
+///   floating-point value comes from the same instructions on both
+///   paths. The pairs after the last full lane slice and an odd last
+///   channel run the scalar loop from lane 7's final state.
+/// - Redraw rule. The scalar loop redraws a u1 of 0, which puts every
+///   later lane one draw off. A u1 of 0 never passes the fast path, so
+///   the settle code meets every one. Until the lanes finish, fast-path
+///   pairs keep their clean channels (one >> 4 pass ends the lanes) and
+///   each settled pair's clean channels are logged (a per-thread log,
+///   reused across frames, sized by the tail pairs rather than the
+///   frame). At the first u1 of 0 the lanes put those channels back and
+///   the scalar loop runs the whole frame.
 class NoisyQuantizer {
  public:
   explicit NoisyQuantizer(double noise_stddev);
@@ -103,7 +137,25 @@ class NoisyQuantizer {
   };
   TailCounts Apply(Image& clean, uint64_t frame_seed) const;
 
+  /// Apply's two paths, drawing from `rng` rather than the frame seed's
+  /// stream. ApplyLanes runs the scalar loop where the lanes do not
+  /// run: on a CPU without the features, without noise, or when
+  /// LanePairs is 0.
+  TailCounts ApplyScalar(Image& clean, Rng rng) const;
+  TailCounts ApplyLanes(Image& clean, Rng rng) const;
+
+  /// Whether this CPU runs the lanes.
+  static bool LanesSupported();
+  /// The pairs each lane draws in a frame of `channels` channels: a
+  /// multiple of 8, or 0 when the frame is too small to fill the lanes.
+  static size_t LanePairs(size_t channels);
+
  private:
+  /// The scalar loop over pairs [first_pair, n / 2) of d and an odd
+  /// last channel, drawing from `rng`.
+  void QuantizeFrom(uint8_t* d, size_t n, size_t first_pair, Rng rng,
+                    TailCounts& counts) const;
+
   double stddev_;
   /// Indexed by bucket headroom (0..16): a pair whose u1 is above
   /// u1_threshold_[h] moves no channel by h or more.

@@ -2,8 +2,12 @@
 // strings, virtual time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -159,6 +163,142 @@ TEST(Rng, BoolProbability) {
     if (rng.NextBool(0.3)) ++heads;
   }
   EXPECT_NEAR(heads / 10000.0, 0.3, 0.02);
+}
+
+// Jump-ahead. Polynomials over GF(2) of degree < 256 are four words,
+// bit b of word w the coefficient of x^(64w+b); x^256 is implicit.
+using Poly = std::array<uint64_t, 4>;
+
+// The characteristic polynomial of xoshiro256's step, less its x^256
+// term, found by Berlekamp–Massey from one state bit's sequence: the
+// step has period 2^256 - 1, so that sequence's minimal polynomial is
+// the step's characteristic polynomial.
+Poly CharacteristicPolynomial() {
+  Rng rng = Rng::FromState({0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL,
+                            0x13579BDF2468ACE0ULL, 0x0F1E2D3C4B5A6978ULL});
+  std::vector<int> bits;
+  for (int i = 0; i < 1024; ++i) {
+    bits.push_back(static_cast<int>(rng.State()[0] & 1));
+    rng.NextU64();
+  }
+  // Connection polynomial C(x) = 1 + c1·x + ... + cL·x^L.
+  std::vector<int> c(bits.size() + 1, 0);
+  std::vector<int> b(bits.size() + 1, 0);
+  c[0] = b[0] = 1;
+  size_t length = 0;
+  size_t m = 1;
+  for (size_t n = 0; n < bits.size(); ++n) {
+    int discrepancy = bits[n];
+    for (size_t i = 1; i <= length; ++i) discrepancy ^= c[i] & bits[n - i];
+    if (discrepancy == 0) {
+      ++m;
+      continue;
+    }
+    const std::vector<int> previous = c;
+    for (size_t i = 0; i + m < c.size(); ++i) c[i + m] ^= b[i];
+    if (2 * length <= n) {
+      length = n + 1 - length;
+      b = previous;
+      m = 1;
+    } else {
+      ++m;
+    }
+  }
+  EXPECT_EQ(length, 256u);
+  // p(x) = x^256·C(1/x): the coefficient of x^(256 - i) is c_i.
+  Poly p{};
+  for (size_t i = 1; i <= 256; ++i) {
+    const size_t degree = 256 - i;
+    if (c[i] != 0) p[degree / 64] |= uint64_t{1} << (degree % 64);
+  }
+  return p;
+}
+
+// a·b mod (x^256 + low), by Horner's rule over a's bits.
+Poly MulMod(const Poly& a, const Poly& b, const Poly& low) {
+  Poly r{};
+  for (int bit = 255; bit >= 0; --bit) {
+    const bool carry = (r[3] >> 63) != 0;
+    for (int w = 3; w > 0; --w) r[w] = (r[w] << 1) | (r[w - 1] >> 63);
+    r[0] <<= 1;
+    if (carry) {
+      for (int w = 0; w < 4; ++w) r[w] ^= low[w];
+    }
+    if ((a[bit / 64] >> (bit % 64)) & 1) {
+      for (int w = 0; w < 4; ++w) r[w] ^= b[w];
+    }
+  }
+  return r;
+}
+
+TEST(Rng, FromStateContinuesTheStream) {
+  Rng rng(99);
+  rng.NextU64();
+  Rng copy = Rng::FromState(rng.State());
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(copy.NextU64(), rng.NextU64());
+}
+
+TEST(Rng, JumpTableIsRepeatedSquaringModTheCharacteristicPolynomial) {
+  const Poly low = CharacteristicPolynomial();
+  // x^256 ≡ low (mod p); each further entry squares the previous one.
+  Poly power = low;
+  const std::span<const std::array<uint64_t, 4>> table = JumpTable();
+  ASSERT_EQ(table.size(), size_t{64 - kJumpTableFirstPower});
+  for (size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table[i], power) << "x^(2^" << i + kJumpTableFirstPower << ")";
+    power = MulMod(power, power, low);
+  }
+  // The reference implementation's jump() and long_jump() constants are
+  // x^(2^128) and x^(2^192).
+  for (int i = 64; i < 128; ++i) power = MulMod(power, power, low);
+  EXPECT_EQ(power, (Poly{0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL,
+                         0xA9582618E03FC9AAULL, 0x39ABDC4529B1661CULL}));
+  for (int i = 128; i < 192; ++i) power = MulMod(power, power, low);
+  EXPECT_EQ(power, (Poly{0x76E15D3EFEFDCBBFULL, 0xC5004E441C522FB3ULL,
+                         0x77710069854EE241ULL, 0x39109BB02ACBE635ULL}));
+}
+
+TEST(Rng, JumpEqualsStepping) {
+  std::vector<uint64_t> counts = {0, 1, 2};
+  for (int k = 2; k <= 20; ++k) {
+    const uint64_t power = uint64_t{1} << k;
+    counts.insert(counts.end(), {power - 1, power, power + 1});
+  }
+  std::sort(counts.begin(), counts.end());
+  Rng states(31337);
+  std::vector<Rng> starts = {Rng(1), Rng(20261019)};
+  for (int i = 0; i < 3; ++i) {
+    starts.push_back(Rng::FromState({states.NextU64(), states.NextU64(),
+                                     states.NextU64(), states.NextU64()}));
+  }
+  for (const Rng& start : starts) {
+    Rng stepped = start;
+    uint64_t steps = 0;
+    for (const uint64_t n : counts) {
+      for (; steps < n; ++steps) stepped.NextU64();
+      Rng jumped = start;
+      jumped.Jump(n);
+      ASSERT_EQ(jumped.State(), stepped.State()) << "n = " << n;
+      ASSERT_EQ(jumped.NextU64(), Rng(stepped).NextU64());
+    }
+  }
+}
+
+TEST(Rng, JumpsCompose) {
+  Rng draws(4242);
+  for (int i = 0; i < 40; ++i) {
+    // a + b stays below 2^64.
+    const uint64_t a = draws.NextU64() >> (1 + i % 40);
+    const uint64_t b = draws.NextU64() >> 1;
+    const Rng start = Rng::FromState({draws.NextU64(), draws.NextU64(),
+                                      draws.NextU64(), draws.NextU64()});
+    Rng twice = start;
+    twice.Jump(a);
+    twice.Jump(b);
+    Rng once = start;
+    once.Jump(a + b);
+    ASSERT_EQ(twice.State(), once.State()) << a << " + " << b;
+  }
 }
 
 // ---------------------------------------------------------------- Bytes

@@ -2,8 +2,10 @@
 // renderer, the codec, frame stores and the synthetic camera.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <ostream>
 #include <set>
 #include <span>
@@ -1017,9 +1019,10 @@ TEST(CaptureEncoded, MatchesAcrossTheWorkoutScript) {
   }
 }
 
-TEST(CaptureEncoded, MatchesAtEveryBucketEdge) {
-  // A 16×16 grid of props whose colors cover every channel value, so
-  // every bucket edge (and headroom 0) meets the noise.
+// A 16×16 grid of props whose colors cover every channel value, so
+// every bucket edge (and headroom 0) meets the noise. A small person in
+// a corner leaves most props uncovered.
+SceneOptions EveryChannelValueScene() {
   SceneOptions scene;
   scene.width = 96;
   scene.height = 64;
@@ -1033,9 +1036,13 @@ TEST(CaptureEncoded, MatchesAtEveryBucketEdge) {
                      static_cast<uint8_t>(k * 7)};
     scene.props.push_back(prop);
   }
-  // A small person in a corner leaves most props uncovered.
   scene.person_height = 0.3;
   scene.person_center_x = 0.85;
+  return scene;
+}
+
+TEST(CaptureEncoded, MatchesAtEveryBucketEdge) {
+  SceneOptions scene = EveryChannelValueScene();
   scene.noise_stddev = 0.0;
   const SyntheticVideoSource clean(DefaultGestureScript(), 15.0, scene, 11);
   const Frame clean_frame = clean.CaptureFrame(0);
@@ -1051,6 +1058,208 @@ TEST(CaptureEncoded, MatchesAtEveryBucketEdge) {
       ASSERT_EQ(source.CaptureEncoded(seq, t),
                 EncodeCapturedFrame(source, seq, t))
           << "noise " << noise << " seq " << seq;
+    }
+  }
+}
+
+// ---------------------------------------------------------------- Lanes
+
+// NoisyQuantizer's lanes against its scalar loop on the same stream.
+// Where the CPU cannot run the lanes, ApplyLanes is the scalar loop and
+// these tests skip, saying so.
+constexpr const char* kNoLanes =
+    "this CPU lacks AVX-512 F/BW/DQ/VL: NoisyQuantizer's lanes do not run";
+
+::testing::AssertionResult LanesMatchScalar(const NoisyQuantizer& quantizer,
+                                            const Image& clean,
+                                            const Rng& stream) {
+  Image lanes = clean;
+  Image scalar = clean;
+  const NoisyQuantizer::TailCounts a = quantizer.ApplyLanes(lanes, stream);
+  const NoisyQuantizer::TailCounts b = quantizer.ApplyScalar(scalar, stream);
+  size_t differing = 0;
+  size_t first = 0;
+  for (size_t i = 0; i < lanes.data().size(); ++i) {
+    if (lanes.data()[i] == scalar.data()[i]) continue;
+    if (differing++ == 0) first = i;
+  }
+  if (differing > 0) {
+    return ::testing::AssertionFailure()
+           << differing << " channels differ, the first at " << first;
+  }
+  if (a.tail != b.tail || a.exact != b.exact) {
+    return ::testing::AssertionFailure()
+           << "tail " << a.tail << " vs " << b.tail << ", exact " << a.exact
+           << " vs " << b.exact;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Whether ApplyLanes runs the lanes (not the scalar loop) on `clean`.
+bool LanesRunOn(const Image& clean, double noise) {
+  return noise > 0 && NoisyQuantizer::LanePairs(clean.byte_size()) > 0;
+}
+
+TEST(NoisyQuantizerLanes, MatchTheScalarLoopOverTheSceneMatrix) {
+  if (!NoisyQuantizer::LanesSupported()) GTEST_SKIP() << kNoLanes;
+  int laned = 0;
+  int differing = 0;
+  uint64_t stream_seed = 0;
+  const int visited = test_support::ForEachMatrixFrame(
+      [&](const SyntheticVideoSource& source, uint64_t seq,
+          const std::string& what) {
+        const double noise = source.scene().noise_stddev;
+        const Image clean = source.CaptureClean(seq);
+        laned += LanesRunOn(clean, noise);
+        const ::testing::AssertionResult same = LanesMatchScalar(
+            NoisyQuantizer(noise), clean, SensorNoiseStream(++stream_seed));
+        if (!same) {
+          ++differing;
+          ADD_FAILURE() << what << ": " << same.message();
+        }
+      });
+  EXPECT_EQ(visited, 1680);
+  EXPECT_EQ(differing, 0);
+  // Noise above 0 at 320×240, 160×120 and 64×48; 5×3 runs the loop.
+  EXPECT_EQ(laned, 4 * 3 * 7 * 3 * 4) << "frames the lanes ran";
+}
+
+TEST(NoisyQuantizerLanes, MatchTheScalarLoopAtBucketEdges) {
+  if (!NoisyQuantizer::LanesSupported()) GTEST_SKIP() << kNoLanes;
+  int laned = 0;
+  for (const CaptureEncodedCase& c : BucketEdgeCases()) {
+    const NoisyQuantizer quantizer(c.noise);
+    for (const uint64_t seed : {1u, 90210u}) {
+      const SyntheticVideoSource source(DefaultWorkoutScript(), 20.0,
+                                        c.Scene(), seed);
+      for (const uint64_t seq : {0u, 37u, 301u}) {
+        const Image clean = source.CaptureClean(seq);
+        laned += LanesRunOn(clean, c.noise);
+        EXPECT_TRUE(LanesMatchScalar(quantizer, clean,
+                                     SensorNoiseStream(seed * 1000 + seq)))
+            << ::testing::PrintToString(c) << " seed " << seed << " seq "
+            << seq;
+      }
+    }
+  }
+  EXPECT_EQ(laned, 4 * 9 * 6) << "frames the lanes ran";  // 64×48, 320×240
+}
+
+// Every headroom from 0 to 16 (two black channels in one pair) reaches
+// the fast path's table lookup.
+TEST(NoisyQuantizerLanes, MatchTheScalarLoopAtEveryHeadroom) {
+  if (!NoisyQuantizer::LanesSupported()) GTEST_SKIP() << kNoLanes;
+  SceneOptions scene = EveryChannelValueScene();
+  // Half-size props on black: black pairs between them.
+  for (Prop& prop : scene.props) {
+    prop.w /= 2;
+    prop.h /= 2;
+  }
+  scene.background = Rgb{0, 0, 0};
+  const SyntheticVideoSource source(DefaultGestureScript(), 15.0, scene, 11);
+  const Image clean = source.CaptureClean(0);
+  int black_pairs = 0;
+  for (size_t i = 0; i + 1 < clean.byte_size(); i += 2) {
+    black_pairs += clean.data()[i] == 0 && clean.data()[i + 1] == 0;
+  }
+  ASSERT_GT(black_pairs, 1000);
+  for (const double noise : {0.5, 3.0, 9.0, 40.0}) {
+    ASSERT_TRUE(LanesRunOn(clean, noise));
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      EXPECT_TRUE(LanesMatchScalar(NoisyQuantizer(noise), clean,
+                                   SensorNoiseStream(seed)))
+          << "noise " << noise << " seed " << seed;
+    }
+  }
+}
+
+// Frames and streams drawn from VP_TEST_SEED (1 when unset): odd and
+// uneven sizes, noise from a fraction of a level to past the clamps,
+// any generator state.
+TEST(NoisyQuantizerLanes, MatchTheScalarLoopOnSeededFrames) {
+  if (!NoisyQuantizer::LanesSupported()) GTEST_SKIP() << kNoLanes;
+  const char* env = std::getenv("VP_TEST_SEED");
+  Rng rng(env != nullptr ? std::strtoull(env, nullptr, 10) : 1);
+  const std::pair<int, int> sizes[] = {{320, 240}, {160, 120}, {96, 64},
+                                       {64, 48},   {33, 31},   {101, 77}};
+  int laned = 0;
+  for (int i = 0; i < 120; ++i) {
+    const auto [width, height] = sizes[rng.NextInt(0, 5)];
+    SceneOptions scene;
+    scene.width = width;
+    scene.height = height;
+    scene.noise_stddev = rng.NextBool(0.5) ? 3.0 : rng.NextRange(0.05, 50.0);
+    const SyntheticVideoSource source(DefaultWorkoutScript(), 20.0, scene,
+                                      rng.NextU64());
+    const uint64_t seq =
+        static_cast<uint64_t>(rng.NextInt(0, source.frame_count() - 1));
+    const Image clean = source.CaptureClean(seq);
+    laned += LanesRunOn(clean, scene.noise_stddev);
+    const Rng stream = Rng::FromState(
+        {rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64()});
+    EXPECT_TRUE(LanesMatchScalar(NoisyQuantizer(scene.noise_stddev), clean,
+                                 stream))
+        << width << "x" << height << " noise " << scene.noise_stddev
+        << " seq " << seq;
+  }
+  EXPECT_GT(laned, 90) << "frames the lanes ran";
+}
+
+// The inverse of one xoshiro256 step.
+std::array<uint64_t, 4> StepBack(const std::array<uint64_t, 4>& next) {
+  const uint64_t s3a = (next[3] >> 45) | (next[3] << 19);
+  // The step left s2 ^ s0 ^ (s1 << 17) and s1 ^ s2 ^ s0: x = s2 ^ s0
+  // solves x ^ (x << 17) = next[2] ^ (next[1] << 17).
+  const uint64_t y = next[2] ^ (next[1] << 17);
+  const uint64_t x = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+  const uint64_t s1 = next[1] ^ x;
+  const uint64_t s0 = next[0] ^ s3a;
+  return {s0, s1, x ^ s0, s3a ^ s1};
+}
+
+TEST(NoisyQuantizerLanes, StepBackInvertsTheGeneratorStep) {
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const std::array<uint64_t, 4> before = rng.State();
+    rng.NextU64();
+    ASSERT_EQ(StepBack(rng.State()), before);
+  }
+}
+
+// A stream whose u1 draw for pair `pair` is 0, which the scalar loop
+// redraws: the state before that draw has s1 = 0, as the value is
+// rotl(s1·5, 7)·9, and the stream starts 2·pair draws before it.
+Rng StreamRedrawingAt(size_t pair, uint64_t salt) {
+  Rng words(salt);
+  std::array<uint64_t, 4> state = {words.NextU64(), 0, words.NextU64(),
+                                   words.NextU64()};
+  for (size_t i = 0; i < 2 * pair; ++i) state = StepBack(state);
+  return Rng::FromState(state);
+}
+
+TEST(NoisyQuantizerLanes, RedrawInAMiddleOrTheLastLaneGivesTheScalarBytes) {
+  if (!NoisyQuantizer::LanesSupported()) GTEST_SKIP() << kNoLanes;
+  for (const auto& [width, height] :
+       {std::pair{320, 240}, std::pair{64, 48}}) {
+    SceneOptions scene;
+    scene.width = width;
+    scene.height = height;
+    const SyntheticVideoSource source(DefaultWorkoutScript(), 20.0, scene, 5);
+    const Image clean = source.CaptureClean(80);
+    const NoisyQuantizer quantizer(scene.noise_stddev);
+    const size_t lane = NoisyQuantizer::LanePairs(clean.byte_size());
+    ASSERT_GT(lane, 0u);
+    // Both frames split evenly: lane 3's middle pair, lane 7's first
+    // and the frame's last.
+    ASSERT_EQ(8 * lane, clean.byte_size() / 2);
+    for (const size_t pair : {3 * lane + lane / 2, 7 * lane, 8 * lane - 1}) {
+      const Rng stream = StreamRedrawingAt(pair, pair);
+      Rng at = stream;
+      at.Jump(2 * pair);
+      ASSERT_EQ(at.NextU53(), 0u) << "pair " << pair;
+      EXPECT_TRUE(LanesMatchScalar(quantizer, clean, stream))
+          << width << "x" << height << ", u1 = 0 at pair " << pair
+          << " of lanes of " << lane;
     }
   }
 }
