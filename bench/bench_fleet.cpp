@@ -10,6 +10,12 @@
 // cloud events per home as a fraction of per-home workload events
 // (must stay < 5% — the control plane reads rollups, not frames).
 //
+// Partitions (at N = 16 full / 4 smoke): the clean rollout reruns on
+// eight shards at several worker-thread counts. The fleet controller
+// runs at barriers at every shard count, so each of those rows must
+// print the same waves, wave times, events and overhead as the
+// one-shard row of the sweep.
+//
 // Blast radius (at N = 16 full / 4 smoke): a supply-chain poison lands
 // exactly at wave 2's start. With gating, the wave's local rollbacks
 // fail the fleet gate: the rollout halts, later waves never start, the
@@ -76,11 +82,11 @@ void DeployFitnessTo(fleet::Home& home, double fps) {
 
 /// Each home offloads one 50 ms cloud job every 500 ms (re-id style
 /// background work) — keeps the shared tier and its fair-share path
-/// hot for the whole run. Ticks live on each home's own simulator (its
-/// shard on the parallel engine) and jobs travel through CloudSubmit's
-/// modeled WAN hop, so the pattern is engine-agnostic. The pending
-/// event owns each tick and a tick holds itself only weakly, so the
-/// ticks go with the fleet's simulator.
+/// hot for the whole run. Ticks live on each home's own shard and jobs
+/// travel through CloudSubmit's modeled WAN hop, so the pattern is the
+/// same at every shard count. The pending event owns each tick and a
+/// tick holds itself only weakly, so the ticks go with the fleet's
+/// engine.
 void StartCloudOffload(fleet::Fleet& fleet) {
   for (int id = 0; id < fleet.size(); ++id) {
     auto tick = std::make_shared<std::function<void()>>();
@@ -96,8 +102,8 @@ void StartCloudOffload(fleet::Fleet& fleet) {
 
 struct RunResult {
   int homes = 0;
-  bool parallel = false;
-  int threads = 0;   // worker threads (parallel engine only)
+  int shards = 0;
+  int threads = 0;   // worker threads
   double wall_s = 0; // host wall-clock for the simulation itself
   bool done = false;
   bool halted = false;
@@ -127,7 +133,7 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
   options.enable_cloud = true;
   options.cloud.slots = std::max(2, homes / 4);
   options.cloud.speed = 4.0;
-  options.parallel = parallel;
+  options.parallel = parallel;  // off: one shard, on the calling thread
   options.parallel_options.shards = 8;
   options.parallel_options.threads = threads;
   fleet::Fleet fleet(options);
@@ -141,8 +147,8 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
   if (mode != Mode::kClean) {
     controller.on_wave_start = [&](int wave) {
       if (wave == 1) {
-        (void)fleet.home(0).injector->ScheduleModelPoison(
-            "fleet/activity_classifier", fleet.simulator().Now());
+        (void)fleet.home(0).injector->PoisonModelNow(
+            "fleet/activity_classifier");
       }
     };
   }
@@ -171,8 +177,8 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
 
   RunResult result;
   result.homes = homes;
-  result.parallel = parallel;
-  result.threads = parallel ? fleet.parallel_engine()->threads() : 0;
+  result.shards = fleet.parallel_engine()->shards();
+  result.threads = fleet.parallel_engine()->threads();
   result.wall_s =
       std::chrono::duration<double>(wall_stop - wall_start).count();
   result.done = controller.rollout_done();
@@ -197,6 +203,8 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
     result.blast_contained = exposed == poisoned_wave.members;
   }
 
+  // The total counts each control task as one event, so total −
+  // overhead is exactly the per-home workload.
   const uint64_t total = fleet.executed_events();
   const uint64_t overhead =
       controller.overhead_events() + fleet.SharedOverheadEvents();
@@ -210,6 +218,20 @@ RunResult RunFleet(int homes, Mode mode, double fps, bool parallel = false,
   result.registry_trainings = fleet.models().trainings();
   result.registry_dedupe_hits = fleet.models().dedupe_hits();
   return result;
+}
+
+/// The two runs print the same virtual-time results: every column but
+/// the engine's shape and the host seconds.
+bool SamePrintedResults(const RunResult& a, const RunResult& b) {
+  return a.homes == b.homes && a.done == b.done && a.halted == b.halted &&
+         a.waves == b.waves && a.waves_passed == b.waves_passed &&
+         a.wave_sizes == b.wave_sizes && a.wave_s == b.wave_s &&
+         a.registry_trainings == b.registry_trainings &&
+         a.registry_dedupe_hits == b.registry_dedupe_hits &&
+         a.cloud_served == b.cloud_served &&
+         a.overhead_events == b.overhead_events &&
+         a.total_events == b.total_events &&
+         a.overhead_ratio == b.overhead_ratio;
 }
 
 /// `values` joined by '/', each printed with `format`.
@@ -226,16 +248,14 @@ std::string Slashed(const std::vector<T>& values, const char* format) {
 }
 
 void PrintRow(const char* run, const RunResult& r) {
-  char threads[8] = "-";
-  if (r.parallel) std::snprintf(threads, sizeof(threads), "%d", r.threads);
   const char* rollout = r.halted                    ? "halted"
                         : !r.done                   ? "INCOMPLETE"
                         : r.waves_passed == r.waves ? "complete"
                                                     : "waves failed";
   std::printf(
-      "%-15s %5d %-10s %7s %5d %6d %-12s %-20s %9llu %6llu %10llu %7llu "
+      "%-15s %5d %6d %7d %5d %6d %-12s %-20s %9llu %6llu %10llu %7llu "
       "%7llu %8.2f%% %7.2f  %s\n",
-      run, r.homes, r.parallel ? "parallel" : "sequential", threads, r.waves,
+      run, r.homes, r.shards, r.threads, r.waves,
       r.waves_passed, Slashed(r.wave_sizes, "%d").c_str(),
       Slashed(r.wave_s, "%.2f").c_str(),
       static_cast<unsigned long long>(r.registry_trainings),
@@ -261,35 +281,36 @@ int main() {
               "(0: never started); control: controller + monitor + cloud "
               "events; host s: wall-clock of the run\n");
   std::printf(
-      "%-15s %5s %-10s %7s %5s %6s %-12s %-20s %9s %6s %10s %7s %7s %9s "
+      "%-15s %5s %6s %7s %5s %6s %-12s %-20s %9s %6s %10s %7s %7s %9s "
       "%7s  %s\n",
-      "run", "homes", "engine", "threads", "waves", "passed", "wave sizes",
+      "run", "homes", "shards", "threads", "waves", "passed", "wave sizes",
       "wave time (s)", "trainings", "dedupe", "cloud jobs", "control",
       "events", "overhead", "host s", "rollout");
 
+  // Partition comparison: the same clean rollout on eight shards across
+  // worker-thread counts (16 homes full, 4 smoke), against the sweep's
+  // one-shard row of that size.
+  const int engine_n = smoke ? 4 : 16;
   bool all_clean_ok = true;
   bool overhead_ok = true;
+  RunResult one_shard;
   for (int n : sweep) {
     const RunResult r = RunFleet(n, Mode::kClean, fps);
     PrintRow("clean", r);
     all_clean_ok = all_clean_ok && r.done && r.waves_passed == r.waves &&
                    !r.halted;
     overhead_ok = overhead_ok && r.overhead_ratio < 0.05;
+    if (n == engine_n) one_shard = r;
   }
 
-  // Engine comparison: the same clean rollout on the sharded-parallel
-  // engine across worker-thread counts (16 homes full, 4 smoke — the
-  // largest sweep size reuses the sequential row above as baseline).
-  const int engine_n = smoke ? 4 : 16;
   const std::vector<int> thread_sweep =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 8};
-  bool parallel_ok = true;
+  bool partitions_ok = true;
   for (int threads : thread_sweep) {
     const RunResult r =
         RunFleet(engine_n, Mode::kClean, fps, /*parallel=*/true, threads);
     PrintRow("clean", r);
-    parallel_ok = parallel_ok && r.done && r.waves_passed == r.waves &&
-                  !r.halted;
+    partitions_ok = partitions_ok && SamePrintedResults(one_shard, r);
   }
 
   // Blast radius: the same poisoned wave with and without fleet gating.
@@ -308,10 +329,11 @@ int main() {
   std::printf("clean rollouts complete at every fleet size  %s\n",
               all_clean_ok ? "PASS" : "FAIL");
 
-  // Claim 1b: the same rollout completes on the parallel engine at
-  // every thread count.
-  std::printf("clean rollouts complete on the parallel engine  %s\n",
-              parallel_ok ? "PASS" : "FAIL");
+  // Claim 1b: the rollout does not depend on the partition — eight
+  // shards at every thread count print the one-shard row.
+  std::printf("8-shard rollouts at %d homes print the 1-shard row (waves, "
+              "wave times, events, overhead)  %s\n",
+              engine_n, partitions_ok ? "PASS" : "FAIL");
 
   // Claim 2: gating contains the poison to the failed wave — the
   // rollout halts, later waves never start, promoted homes revert, and
@@ -334,7 +356,8 @@ int main() {
   std::printf("control-plane overhead < 5%% of per-home event volume  %s\n",
               overhead_ok ? "PASS" : "FAIL");
 
-  return (all_clean_ok && parallel_ok && contained && spreads && overhead_ok)
+  return (all_clean_ok && partitions_ok && contained && spreads &&
+          overhead_ok)
              ? 0
              : 1;
 }

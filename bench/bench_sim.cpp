@@ -1,21 +1,23 @@
-// Engine benchmark: sequential vs sharded-parallel discrete-event core
-// on a multi-home fleet workload, swept over worker-thread counts.
+// Engine benchmark: the sharded discrete-event core on a multi-home
+// fleet workload, one shard against eight shards swept over
+// worker-thread counts.
 //
 // Two workloads, both fitness@10 with the serving layer on:
 //
 //  * independent — no cloud tier, so homes never interact: the
-//    parallel engine's lookahead is effectively unbounded and a whole
-//    run is a handful of epochs. This is the pure engine-throughput
-//    ceiling.
+//    engine's lookahead is effectively unbounded and a whole run is a
+//    handful of epochs. This is the pure engine-throughput ceiling.
 //  * coupled — every home offloads a 30 ms cloud job every 250 ms
 //    through the shared tier, so the engine must fence at the 20 ms
 //    WAN lookahead window. This prices the conservative-synchronization
 //    overhead (segments column).
 //
-// Every parallel run is cross-checked against the sequential engine:
-// per-home pipeline metrics must match exactly (the determinism
-// contract, docs/sim.md). Each run also reports its event nodes as
-// heap allocations against free-list reuses.
+// The baseline is one shard on one thread — a sequential fleet. Every
+// eight-shard run is cross-checked against it: per-home pipeline
+// metrics, cloud totals and executed events must match exactly (the
+// determinism contract, docs/sim.md), and its speedup is measured
+// against it. Each run also reports its segments, and its event nodes
+// as heap allocations against free-list reuses.
 //
 // The ≥3× speedup acceptance gate only applies when the host actually
 // has ≥8 cores (the header prints the count); determinism and pooling
@@ -71,20 +73,24 @@ struct HomeFp {
 struct RunOutcome {
   double wall_s = 0;
   uint64_t events = 0;
-  uint64_t segments = 0;  // 0 on the sequential engine
+  uint64_t segments = 0;
+  int shards = 0;
+  int threads = 0;
   uint64_t cloud_served = 0;
   sim::SimAllocStats alloc;
   std::vector<HomeFp> homes;
 };
 
-RunOutcome RunWorkload(int homes, double seconds, bool coupled,
-                       bool parallel, int threads) {
+/// One shard runs on the calling thread (a sequential fleet); more run
+/// on `threads` worker threads.
+RunOutcome RunWorkload(int homes, double seconds, bool coupled, int shards,
+                       int threads) {
   fleet::FleetOptions options;
   options.homes = homes;
   options.seed = 42;
   options.orchestrator.serving.enabled = true;
-  options.parallel = parallel;
-  options.parallel_options.shards = 8;
+  options.parallel = shards > 1;
+  options.parallel_options.shards = shards;
   options.parallel_options.threads = threads;
   if (coupled) {
     options.enable_cloud = true;
@@ -96,10 +102,10 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
     DeployFitnessTo(fleet.home(id), 10);
   }
   if (coupled) {
-    // Per-home offload ticks live on each home's own simulator (its
-    // shard on the parallel engine); the jobs themselves cross shards
-    // through the engine's barrier mailboxes. The pending event owns
-    // each tick and a tick holds itself only weakly, so nothing leaks.
+    // Per-home offload ticks live on each home's own shard; the jobs
+    // themselves cross shards through the engine's barrier mailboxes.
+    // The pending event owns each tick and a tick holds itself only
+    // weakly, so nothing leaks.
     for (int id = 0; id < fleet.size(); ++id) {
       auto tick = std::make_shared<std::function<void()>>();
       *tick = [&fleet, id, self = std::weak_ptr(tick)] {
@@ -121,9 +127,9 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
   out.wall_s = std::chrono::duration<double>(stop - start).count();
   out.events = fleet.executed_events();
   out.alloc = fleet.alloc_stats();
-  if (fleet.parallel_engine()) {
-    out.segments = fleet.parallel_engine()->segments();
-  }
+  out.shards = fleet.parallel_engine()->shards();
+  out.threads = fleet.parallel_engine()->threads();
+  out.segments = fleet.parallel_engine()->segments();
   if (fleet.cloud()) out.cloud_served = fleet.cloud()->served_total();
   for (int id = 0; id < fleet.size(); ++id) {
     const auto& metrics = fleet.home(id).pipelines[0]->metrics();
@@ -137,21 +143,13 @@ RunOutcome RunWorkload(int homes, double seconds, bool coupled,
   return out;
 }
 
-/// One table row; `threads` is 0 for the sequential engine.
-void PrintRow(int threads, const RunOutcome& r, double speedup,
-              const char* identical) {
-  char thread_count[16] = "-";
-  char segments[24] = "-";
-  if (threads > 0) {
-    std::snprintf(thread_count, sizeof(thread_count), "%d", threads);
-    std::snprintf(segments, sizeof(segments), "%llu",
-                  static_cast<unsigned long long>(r.segments));
-  }
-  std::printf("%-12s %8s %9.2f %9llu %11.0f %9s %12llu %12llu %8.2fx %11s\n",
-              threads > 0 ? "parallel" : "sequential", thread_count, r.wall_s,
+void PrintRow(const RunOutcome& r, double speedup, const char* identical) {
+  std::printf("%6d %8d %9.2f %9llu %11.0f %9llu %12llu %12llu %8.2fx %11s\n",
+              r.shards, r.threads, r.wall_s,
               static_cast<unsigned long long>(r.events),
               r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0,
-              segments, static_cast<unsigned long long>(r.alloc.node_allocs),
+              static_cast<unsigned long long>(r.segments),
+              static_cast<unsigned long long>(r.alloc.node_allocs),
               static_cast<unsigned long long>(r.alloc.pool_reuses), speedup,
               identical);
 }
@@ -165,7 +163,7 @@ int main() {
   const std::vector<int> thread_sweep = {1, 2, 4, 8};
   const unsigned host_cores = std::thread::hardware_concurrency();
 
-  std::printf("=== Discrete-event core: sequential vs sharded-parallel "
+  std::printf("=== Discrete-event core: 1 shard vs 8 shards "
               "(%d homes, fitness@10, %.0f s virtual, host cores: %u) ===\n",
               homes, seconds, host_cores);
 
@@ -177,37 +175,38 @@ int main() {
     const char* label = coupled ? "coupled (cloud, 20 ms lookahead)"
                                 : "independent (no cloud)";
     std::printf("\n-- %s --\n", label);
-    std::printf("%-12s %8s %9s %9s %11s %9s %12s %12s %9s %11s\n",
-                "engine", "threads", "wall(s)", "events", "events/s",
+    std::printf("%6s %8s %9s %9s %11s %9s %12s %12s %9s %11s\n",
+                "shards", "threads", "wall(s)", "events", "events/s",
                 "segments", "heap allocs", "pool reuses", "speedup",
                 "identical");
 
-    const RunOutcome seq = RunWorkload(homes, seconds, coupled, false, 0);
-    PrintRow(0, seq, 1.0, "-");
+    const RunOutcome one = RunWorkload(homes, seconds, coupled, 1, 1);
+    PrintRow(one, 1.0, "-");
     // The free list should serve nearly every event after warm-up: the
     // heap allocations are what new/delete per event would cost
     // without it.
-    pool_ok = pool_ok && seq.alloc.pool_reuses > seq.alloc.node_allocs;
+    pool_ok = pool_ok && one.alloc.pool_reuses > one.alloc.node_allocs;
 
     for (int threads : thread_sweep) {
-      const RunOutcome par = RunWorkload(homes, seconds, coupled, true,
-                                         threads);
+      const RunOutcome eight =
+          RunWorkload(homes, seconds, coupled, 8, threads);
       // Per-home metrics, cloud totals and executed events must match
-      // the sequential engine exactly (docs/sim.md).
-      const bool identical = par.homes == seq.homes &&
-                             par.cloud_served == seq.cloud_served &&
-                             par.events == seq.events;
+      // the one-shard run exactly (docs/sim.md).
+      const bool identical = eight.homes == one.homes &&
+                             eight.cloud_served == one.cloud_served &&
+                             eight.events == one.events;
       determinism_ok = determinism_ok && identical;
-      const double speedup = par.wall_s > 0 ? seq.wall_s / par.wall_s : 0.0;
+      const double speedup = eight.wall_s > 0 ? one.wall_s / eight.wall_s
+                                              : 0.0;
       if (threads == 8 && speedup > best_speedup_at_8) {
         best_speedup_at_8 = speedup;
       }
-      PrintRow(threads, par, speedup, identical ? "yes" : "NO");
+      PrintRow(eight, speedup, identical ? "yes" : "NO");
     }
   }
 
-  std::printf("\nper-home metrics and event totals identical on every "
-              "parallel run  %s\n",
+  std::printf("\nper-home metrics and event totals of every 8-shard run "
+              "identical to the 1-shard run  %s\n",
               determinism_ok ? "PASS" : "FAIL");
   std::printf("event-node pool recycles more than it allocates  %s\n",
               pool_ok ? "PASS" : "FAIL");

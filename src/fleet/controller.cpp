@@ -14,8 +14,7 @@ FleetController::FleetController(Fleet* fleet, std::string service,
 void FleetController::Start() {
   if (running_) return;
   running_ = true;
-  // ScheduleControl: a plain event on the sequential engine; a
-  // barrier task (every shard quiesced) on the parallel one — Tick
+  // ScheduleControl runs a barrier task, every shard quiesced: Tick
   // reads every home's monitor and may mutate orchestrators fleet-wide,
   // which no single shard's thread is allowed to do mid-epoch.
   fleet_->ScheduleControl(poll_interval_, [this]() { Tick(); });
@@ -120,11 +119,9 @@ void FleetController::StartWave(int index) {
   Wave& wave = waves_[static_cast<size_t>(index)];
   wave.state = WaveState::kDeploying;
   wave.started = fleet_->simulator().Now();
-  // The hook fires before the deploy is scheduled: anything it
-  // schedules at Now() (e.g. a supply-chain poison) lands first on the
-  // sequential engine. (On the parallel engine the deploy runs at the
-  // next barrier, before that segment's events — hooks that must win
-  // the race should act synchronously rather than via an event.)
+  // The hook runs before the deploy is scheduled and must act
+  // synchronously: the deploy runs at this barrier or the next one,
+  // before any shard event the hook could schedule at Now().
   if (on_wave_start) on_wave_start(index);
   fleet_->ScheduleControl(Duration::Zero(),
                           [this, index]() { DeployWave(index); });

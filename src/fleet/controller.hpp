@@ -1,6 +1,8 @@
 // FleetController: aggregated telemetry + staged rollout waves.
 //
-// The controller is the fleet's control plane. It does two things, and
+// The controller is the fleet's control plane. It runs only as barrier
+// tasks (Fleet::ScheduleControl), with every shard quiesced, at the
+// same virtual times whatever the shard count. It does two things, and
 // does both on *rollups*, never per-frame data, so its event overhead
 // stays bounded no matter how busy the homes are:
 //
@@ -93,8 +95,9 @@ class FleetController {
   void RegisterModelHooks(sim::FaultInjector& injector);
 
   /// Fires synchronously at the start of each wave, before its members
-  /// deploy — a test schedules a poison at Now() here and the poison
-  /// lands ahead of the deployment.
+  /// deploy. Hooks act synchronously — e.g. FaultInjector::
+  /// PoisonModelNow — because the deploy runs at a barrier, ahead of
+  /// any simulator event the hook could schedule.
   std::function<void(int wave)> on_wave_start;
 
   bool rollout_active() const { return active_; }
@@ -128,8 +131,9 @@ class FleetController {
                             static_cast<double>(total);
   }
 
-  /// Simulator events this controller has executed (poll ticks + wave
-  /// deployments) — the bench's overhead accounting reads this.
+  /// Control tasks this controller has run (poll ticks + wave
+  /// deployments), each one event of Fleet::executed_events() — the
+  /// bench's overhead accounting reads this.
   uint64_t overhead_events() const { return overhead_events_; }
 
   /// Fleet rollup block: homes, cloud stats, per-wave state with

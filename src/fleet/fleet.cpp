@@ -19,22 +19,21 @@ uint64_t HomeSeed(uint64_t fleet_seed, int home_id) {
 }
 
 Fleet::Fleet(FleetOptions options) : options_(options) {
-  if (options_.parallel) {
-    // The conservative lookahead window must cover the minimum
-    // cross-shard latency. Cloud links are the only cross-home edges,
-    // so: the WAN latency when the cloud is on; with no cloud the
-    // homes are fully independent and the window is effectively
-    // unbounded (whole runs become single epochs).
-    sim::ParallelOptions popt = options_.parallel_options;
-    popt.lookahead = options_.enable_cloud ? options_.cloud_link_latency
-                                           : Duration::Seconds(3600);
-    parallel_ = std::make_unique<sim::ParallelSimulator>(popt);
-  } else {
-    simulator_ = std::make_unique<sim::Simulator>();
-  }
+  // One shard runs on the calling thread: `threads` clamps to 1.
+  sim::ParallelOptions engine_options = options_.parallel_options;
+  if (!options_.parallel) engine_options.shards = 1;
+  // The conservative lookahead window must cover the minimum
+  // cross-shard latency. Cloud links are the only cross-home edges,
+  // so: the WAN latency when the cloud is on; with no cloud the homes
+  // are fully independent and the window is effectively unbounded
+  // (whole runs become single epochs).
+  engine_options.lookahead = options_.enable_cloud
+                                 ? options_.cloud_link_latency
+                                 : Duration::Seconds(3600);
+  engine_ = std::make_unique<sim::ParallelSimulator>(engine_options);
   if (options_.enable_cloud) {
-    // Shard 0 hosts the cloud tier on the parallel engine: jobs from
-    // every home converge there through the barrier mailboxes.
+    // Shard 0 hosts the cloud tier: jobs from every home converge
+    // there through the barrier mailboxes.
     cloud_ = std::make_unique<CloudTier>(&simulator(), options_.cloud);
   }
   for (int i = 0; i < options_.homes; ++i) AddHome();
@@ -83,20 +82,12 @@ void Fleet::StartAll() {
 }
 
 void Fleet::RunFor(Duration duration) {
-  if (parallel_) {
-    parallel_->RunFor(duration);
-  } else {
-    simulator_->RunUntil(simulator_->Now() + duration);
-  }
+  engine_->RunFor(duration);
   for (auto& home : homes_) home->orchestrator->Housekeep();
 }
 
 void Fleet::ScheduleControl(Duration delay, sim::Task task) {
-  if (parallel_) {
-    parallel_->AtBarrier(parallel_->Now() + delay, std::move(task));
-  } else {
-    simulator_->After(delay, std::move(task));
-  }
+  engine_->AtBarrier(engine_->Now() + delay, std::move(task));
 }
 
 void Fleet::CloudSubmit(int home_id, Duration cost, sim::Task on_done) {
@@ -105,38 +96,25 @@ void Fleet::CloudSubmit(int home_id, Duration cost, sim::Task on_done) {
   const std::string tenant = homes_[static_cast<size_t>(home_id)]->name;
   // Per-home WAN stagger: +home_id microseconds of path length. It
   // keeps distinct homes' cloud arrivals from ever tying at the same
-  // (time, seq) — the one place engine-dependent tie-breaking could
+  // (time, seq) — the one place partition-dependent tie-breaking could
   // otherwise creep in — at a cost (< 1 ms per 1000 homes) far below
   // the WAN latency it perturbs.
   const Duration wan =
       options_.cloud_link_latency + Duration::Micros(home_id);
-  if (parallel_) {
-    const int hs = home_shard(home_id);
-    sim::ParallelSimulator* engine = parallel_.get();
-    const TimePoint sent = parallel_->shard(hs).Now();
-    parallel_->Post(
-        0, sent + wan,
-        [this, engine, tenant, cost, hs, wan,
-         done = std::move(on_done)]() mutable {
-          (void)cloud_->Submit(
-              tenant, cost,
-              [engine, hs, wan, done = std::move(done)]() {
-                if (done) {
-                  engine->Post(hs, engine->shard(0).Now() + wan,
-                               std::move(done));
-                }
-              });
-        });
-  } else {
-    sim::Simulator* sim = simulator_.get();
-    sim->At(sim->Now() + wan,
-            [this, sim, tenant, cost, wan, done = std::move(on_done)]() mutable {
-              (void)cloud_->Submit(
-                  tenant, cost, [sim, wan, done = std::move(done)]() {
-                    if (done) sim->After(wan, std::move(done));
-                  });
+  const int hs = home_shard(home_id);
+  sim::ParallelSimulator* engine = engine_.get();
+  engine->Post(
+      0, engine->shard(hs).Now() + wan,
+      [this, engine, tenant, cost, hs, wan,
+       done = std::move(on_done)]() mutable {
+        (void)cloud_->Submit(
+            tenant, cost, [engine, hs, wan, done = std::move(done)]() {
+              if (done) {
+                engine->Post(hs, engine->shard(0).Now() + wan,
+                             std::move(done));
+              }
             });
-  }
+      });
 }
 
 std::vector<int> Fleet::HomesExposedTo(const std::string& version_id) const {

@@ -1,9 +1,11 @@
-// Fleet: many simulated homes on ONE discrete-event simulator.
+// Fleet: many simulated homes on ONE discrete-event engine.
 //
 // Each home is a full §5.1 testbed — its own Cluster (devices +
 // network), its own Orchestrator (fabric, services, serving layer,
 // rollout controller), its own FaultInjector and PipelineMonitor — all
-// scheduling on a single shared virtual clock. The only cross-home
+// scheduling on one sharded engine (sim::ParallelSimulator) with a
+// single virtual clock. A sequential fleet is the engine's one-shard
+// case, run on the calling thread. The only cross-home
 // couplings are deliberate: one content-addressed ModelRegistry (a
 // recipe trains once per fleet, not once per home) and one optional
 // CloudTier (shared slots, per-tenant fair-share/quota).
@@ -52,21 +54,21 @@ struct FleetOptions {
   /// Shared cloud tier; disabled by default.
   bool enable_cloud = false;
   CloudOptions cloud;
-  /// Event engine. false = the exact legacy single-threaded simulator.
-  /// true = sim::ParallelSimulator: homes are partitioned across
-  /// per-shard event loops run by worker threads; per-home metrics are
-  /// bit-identical to the sequential engine for the same seed at any
-  /// thread count (see docs/sim.md for the contract and its edges).
+  /// false = one shard, run on the calling thread; `parallel_options`
+  /// is ignored. true = homes are partitioned across
+  /// `parallel_options.shards` event loops run by worker threads.
+  /// Per-home metrics are bit-identical either way, for the same seed
+  /// at any shard and thread count (docs/sim.md).
   bool parallel = false;
-  /// Parallel engine tuning. `shards` fixes the home partition (homes
-  /// map to shards round-robin, a pure function of home id) and
-  /// `threads` only chooses how many cores execute it. `lookahead` is
-  /// overridden by the fleet: the WAN latency when the cloud tier is
-  /// on — cloud links are the only cross-home edges — and effectively
-  /// unbounded otherwise.
+  /// Engine tuning when `parallel` is set. `shards` fixes the home
+  /// partition (homes map to shards round-robin, a pure function of
+  /// home id) and `threads` only chooses how many cores execute it.
+  /// `lookahead` is always overridden by the fleet: the WAN latency
+  /// when the cloud tier is on — cloud links are the only cross-home
+  /// edges — and effectively unbounded otherwise.
   sim::ParallelOptions parallel_options;
   /// One-way WAN latency between any home and the cloud tier. Doubles
-  /// as the parallel engine's conservative lookahead window.
+  /// as the engine's conservative lookahead window.
   Duration cloud_link_latency = Duration::Millis(20);
 };
 
@@ -89,68 +91,56 @@ class Fleet {
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
-  /// Instantiate the next home (id = current size) on the shared
-  /// simulator, with all of its RNG streams derived from the fleet
-  /// seed and that id.
+  /// Instantiate the next home (id = current size) on its shard, with
+  /// all of its RNG streams derived from the fleet seed and that id.
   Home& AddHome();
 
   int size() const { return static_cast<int>(homes_.size()); }
   Home& home(int id) { return *homes_[static_cast<size_t>(id)]; }
   const Home& home(int id) const { return *homes_[static_cast<size_t>(id)]; }
 
-  /// The control-plane simulator: the single shared simulator on the
-  /// sequential engine, shard 0 (cloud + control) on the parallel one.
-  /// Its clock is the fleet clock between runs on both engines.
-  sim::Simulator& simulator() {
-    return parallel_ ? parallel_->shard(0) : *simulator_;
-  }
-  /// The simulator that home `id`'s events live on. Same object as
-  /// simulator() on the sequential engine; that home's shard on the
-  /// parallel one. Schedule per-home work (offload ticks, faults) here.
+  /// Shard 0: the cloud tier's simulator. Its clock is the fleet clock
+  /// between runs and inside control tasks.
+  sim::Simulator& simulator() { return engine_->shard(0); }
+  /// The simulator that home `id`'s events live on: its shard.
+  /// Schedule per-home work (offload ticks, faults) here.
   sim::Simulator& home_simulator(int id) {
-    return parallel_ ? parallel_->shard(home_shard(id)) : *simulator_;
+    return engine_->shard(home_shard(id));
   }
   /// Fixed home→shard assignment: round-robin over the shard count, a
   /// pure function of home id — stable under fleet growth, balanced by
-  /// construction. 0 for every home on the sequential engine.
-  int home_shard(int id) const {
-    return parallel_ ? id % parallel_->shards() : 0;
-  }
-  /// The parallel engine, or nullptr on the sequential one.
-  sim::ParallelSimulator* parallel_engine() { return parallel_.get(); }
-  /// Total events executed across the whole fleet (all shards).
-  uint64_t executed_events() const {
-    return parallel_ ? parallel_->executed_events()
-                     : simulator_->executed_events();
-  }
-  sim::SimAllocStats alloc_stats() const {
-    return parallel_ ? parallel_->alloc_stats() : simulator_->alloc_stats();
-  }
+  /// construction.
+  int home_shard(int id) const { return id % engine_->shards(); }
+  /// The engine; never null.
+  sim::ParallelSimulator* parallel_engine() { return engine_.get(); }
+  /// Total events executed across the whole fleet: every shard's
+  /// events plus the control tasks run at barriers.
+  uint64_t executed_events() const { return engine_->executed_events(); }
+  sim::SimAllocStats alloc_stats() const { return engine_->alloc_stats(); }
   modelreg::ModelRegistry& models() { return registry_; }
   CloudTier* cloud() { return cloud_.get(); }
   const FleetOptions& options() const { return options_; }
 
-  /// Schedule a control-plane task `delay` from now. On the sequential
-  /// engine this is an ordinary simulator event; on the parallel
-  /// engine it runs at the first barrier fence ≥ its due time, with
-  /// every shard quiesced — the only context in which reading or
-  /// mutating many homes at once is safe. The FleetController ticks
-  /// through this.
+  /// Schedule a control-plane task `delay` from now. It runs at the
+  /// first barrier fence ≥ its due time, with every shard quiesced —
+  /// the only context in which reading or mutating many homes at once
+  /// is safe — and counts as one executed event. The FleetController
+  /// ticks through this.
   void ScheduleControl(Duration delay, sim::Task task);
 
   /// Submit a cloud job on behalf of `home_id`, modeling the WAN hop
   /// in both directions: the job reaches the cloud tier one WAN
   /// latency after now, and `on_done` runs back on the home's side one
-  /// WAN latency after the slot finishes. Identical virtual timing on
-  /// both engines; on the parallel engine these are the only
-  /// cross-shard messages. Each home's effective WAN gets a +home_id
+  /// WAN latency after the slot finishes. Both hops are cross-shard
+  /// messages (the only ones), with the same virtual timing at every
+  /// shard count. Each home's effective WAN gets a +home_id
   /// microsecond stagger so distinct homes' cloud arrivals never tie.
   void CloudSubmit(int home_id, Duration cost, sim::Task on_done = nullptr);
 
   /// Start every home's cameras and monitor.
   void StartAll();
 
-  /// Advance the shared clock once, then run each home's post-run
+  /// Advance the fleet clock once, then run each home's post-run
   /// bookkeeping (the per-home RunFor would re-run boundary events).
   void RunFor(Duration duration);
 
@@ -167,9 +157,7 @@ class Fleet {
 
  private:
   FleetOptions options_;
-  // Exactly one of these is set, per options_.parallel.
-  std::unique_ptr<sim::Simulator> simulator_;
-  std::unique_ptr<sim::ParallelSimulator> parallel_;
+  std::unique_ptr<sim::ParallelSimulator> engine_;
   modelreg::ModelRegistry registry_;
   std::unique_ptr<CloudTier> cloud_;
   std::vector<std::unique_ptr<Home>> homes_;

@@ -28,8 +28,8 @@
 //     pre-compiled bytecode from the program cache, so warm/hot starts
 //     skip parse + resolve + compile (+ Load).
 //
-// Everything runs on simulator events — per-seed deterministic on both
-// the sequential and sharded-parallel engines.
+// Everything runs on simulator events — per-seed deterministic,
+// standalone or in a fleet at any shard count.
 #pragma once
 
 #include <map>

@@ -19,7 +19,7 @@
 //    fall-detection pipeline waking late still beats not waking.
 //
 // Everything is driven by simulator events, so a 100-pipeline burst is
-// deterministic per seed on both the sequential and parallel engines.
+// deterministic per seed, standalone or in a fleet at any shard count.
 #pragma once
 
 #include <array>

@@ -163,12 +163,20 @@ Status FaultInjector::ScheduleModelPoison(const std::string& label,
     return Status(StatusCode::kNotFound,
                   "no registered model group '" + label + "'");
   }
-  sim_->At(at, [this, label] {
-    auto it = model_groups_.find(label);
-    if (it == model_groups_.end() || !it->second.poison) return;
+  sim_->At(at, [this, label] { (void)PoisonModelNow(label); });
+  return Status::Ok();
+}
+
+Status FaultInjector::PoisonModelNow(const std::string& label) {
+  auto it = model_groups_.find(label);
+  if (it == model_groups_.end()) {
+    return Status(StatusCode::kNotFound,
+                  "no registered model group '" + label + "'");
+  }
+  if (it->second.poison) {
     ++stats_.model_poisons;
     it->second.poison();
-  });
+  }
   return Status::Ok();
 }
 

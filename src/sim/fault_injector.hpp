@@ -164,6 +164,7 @@ class FaultInjector {
   /// Immediate variants (same semantics, at Now()).
   Status CrashDeviceNow(const std::string& name, Duration downtime);
   Status RebootDeviceNow(const std::string& name);
+  Status PoisonModelNow(const std::string& label);
 
   // -- probabilistic faults ---------------------------------------------
   /// Start rolling for crashes/wedges every options.interval across all

@@ -128,6 +128,7 @@ void ParallelSimulator::RunBarrierTasksDue() {
     Task task = std::move(barrier_tasks_[best].task);
     barrier_tasks_.erase(barrier_tasks_.begin() +
                          static_cast<ptrdiff_t>(best));
+    ++barrier_tasks_run_;
     task();
     // The task may have Posted mail due at the fence. Deliver it now,
     // in task order: left in a mailbox it is invisible when the next
@@ -140,7 +141,7 @@ bool ParallelSimulator::EarliestShardEvent(TimePoint* when) {
   bool found = false;
   for (auto& s : shards_) {
     TimePoint t;
-    if (s->shard_.PeekNextTime(&t)) {
+    if (s->PeekNextTime(&t)) {
       // Segments run every shard up to the fence, and nothing between
       // segments steps a shard, so no event is left behind it.
       assert(t >= fence_ && "shard event behind the barrier fence");
@@ -170,7 +171,7 @@ void ParallelSimulator::ExecuteSegment(TimePoint seg_end) {
     epoch_end_ = seg_end;
     for (auto& s : shards_) {
       detail::tl_running_shard = s.get();
-      s->shard_.RunUntil(seg_end);
+      s->RunUntil(seg_end);
       detail::tl_running_shard = nullptr;
     }
     in_epoch_.store(false, std::memory_order_relaxed);
@@ -214,7 +215,7 @@ void ParallelSimulator::WorkerMain() {
       lock.unlock();
       Simulator* s = shards_[static_cast<size_t>(i)].get();
       detail::tl_running_shard = s;
-      s->shard_.RunUntil(seg_end);
+      s->RunUntil(seg_end);
       detail::tl_running_shard = nullptr;
       lock.lock();
       if (--shards_remaining_ == 0) done_cv_.notify_one();
@@ -255,7 +256,7 @@ void ParallelSimulator::RunUntil(TimePoint until) {
     fence_ = seg;
   }
   if (fence_ < until) fence_ = until;
-  for (auto& s : shards_) s->shard_.AdvanceTo(until);
+  for (auto& s : shards_) s->AdvanceTo(until);
 }
 
 void ParallelSimulator::RunUntilIdle() {
@@ -281,7 +282,7 @@ void ParallelSimulator::RunUntilIdle() {
 }
 
 uint64_t ParallelSimulator::executed_events() const {
-  uint64_t total = 0;
+  uint64_t total = barrier_tasks_run_;
   for (const auto& s : shards_) total += s->executed_events();
   return total;
 }

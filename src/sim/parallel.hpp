@@ -4,7 +4,9 @@
 // worker-thread pool. Event sources are partitioned across shards
 // (the fleet layer maps each home to a fixed shard); shards interact
 // only through explicitly cross-shard messages, which in VideoPipe
-// means cloud links — the sole inter-home edges.
+// means cloud links — the sole inter-home edges. Every fleet runs on
+// this engine: a sequential fleet is one shard run on the calling
+// thread.
 //
 // Execution alternates between *segments* (epochs) and *barriers*:
 //
@@ -22,9 +24,12 @@
 // single global window.
 //
 // Determinism contract (see docs/sim.md):
-//  * Per-home event streams are identical to the sequential engine —
-//    homes only ever see their own shard plus barrier-delivered cloud
-//    messages whose virtual arrival times are engine-independent.
+//  * Results do not depend on the partition: the fence sequence is a
+//    function of event times, barrier deadlines and the lookahead, not
+//    of the shard count, and a home only ever sees its own events plus
+//    barrier-delivered cloud messages whose virtual arrival times are
+//    partition-independent. One shard is the reference every other
+//    shard count reproduces.
 //  * Execution is bit-identical for a given seed at ANY thread count,
 //    including 1: the shard count, the fence sequence and the mailbox
 //    drain order ((time, src_shard, seq), with destination-side seq
@@ -108,7 +113,8 @@ class ParallelSimulator {
   /// coordinator) assert on this.
   bool in_epoch() const { return in_epoch_.load(std::memory_order_relaxed); }
 
-  /// Aggregates across shards.
+  /// Aggregates across shards. executed_events() counts each barrier
+  /// task run as one event.
   uint64_t executed_events() const;
   size_t pending_events() const;  // shard heaps + undelivered mail
   SimAllocStats alloc_stats() const;
@@ -153,6 +159,7 @@ class ParallelSimulator {
 
   std::vector<BarrierTask> barrier_tasks_;
   uint64_t next_barrier_id_ = 1;
+  uint64_t barrier_tasks_run_ = 0;
 
   // Worker pool. Coordinator publishes an epoch (generation + fence)
   // under mu_; workers claim shards one at a time under mu_ with a

@@ -10,12 +10,12 @@ namespace detail {
 thread_local const Simulator* tl_running_shard = nullptr;
 }  // namespace detail
 
-SimulatorShard::~SimulatorShard() {
+Simulator::~Simulator() {
   for (Event* ev : heap_) delete ev;
   for (Event* ev : free_nodes_) delete ev;
 }
 
-SimulatorShard::Event* SimulatorShard::AcquireNode(TimePoint when, Task task) {
+Simulator::Event* Simulator::AcquireNode(TimePoint when, Task task) {
   Event* ev;
   if (!free_nodes_.empty()) {
     ev = free_nodes_.back();
@@ -32,24 +32,26 @@ SimulatorShard::Event* SimulatorShard::AcquireNode(TimePoint when, Task task) {
   return ev;
 }
 
-void SimulatorShard::ReleaseNode(Event* ev) {
+void Simulator::ReleaseNode(Event* ev) {
   ev->task = nullptr;  // drop captures now, not at next pool reuse
   free_nodes_.push_back(ev);
 }
 
-void SimulatorShard::PushNode(Event* ev) {
+void Simulator::PushNode(Event* ev) {
   heap_.push_back(ev);
   std::push_heap(heap_.begin(), heap_.end(), EventPtrLess{});
 }
 
-SimulatorShard::Event* SimulatorShard::PopTop() {
+Simulator::Event* Simulator::PopTop() {
   std::pop_heap(heap_.begin(), heap_.end(), EventPtrLess{});
   Event* ev = heap_.back();
   heap_.pop_back();
   return ev;
 }
 
-uint64_t SimulatorShard::At(TimePoint when, Task task) {
+uint64_t Simulator::At(TimePoint when, Task task) {
+  assert(InOwningContext() &&
+         "event scheduled on a shard from a foreign thread");
   if (when < now_) when = now_;
   Event* ev = AcquireNode(when, std::move(task));
   const uint64_t id = ev->id;
@@ -59,7 +61,8 @@ uint64_t SimulatorShard::At(TimePoint when, Task task) {
   return id;
 }
 
-bool SimulatorShard::Cancel(uint64_t id) {
+bool Simulator::Cancel(uint64_t id) {
+  assert(InOwningContext());
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return false;
   // Tombstone in place: the heap node stays put (O(1) cancel) but the
@@ -75,7 +78,7 @@ bool SimulatorShard::Cancel(uint64_t id) {
   return true;
 }
 
-void SimulatorShard::CompactTombstones() {
+void Simulator::CompactTombstones() {
   size_t kept = 0;
   for (Event* ev : heap_) {
     if (ev->task) {
@@ -90,7 +93,7 @@ void SimulatorShard::CompactTombstones() {
   ++alloc_stats_.heap_compactions;
 }
 
-bool SimulatorShard::PeekNextTime(TimePoint* when) {
+bool Simulator::NextEventTime(TimePoint* when) {
   while (!heap_.empty() && !heap_.front()->task) {
     --tombstones_;
     ReleaseNode(PopTop());
@@ -100,7 +103,7 @@ bool SimulatorShard::PeekNextTime(TimePoint* when) {
   return true;
 }
 
-void SimulatorShard::PopAndRun() {
+void Simulator::PopAndRun() {
   Event* ev = PopTop();
   now_ = ev->when;
   by_id_.erase(ev->id);
@@ -119,24 +122,27 @@ void SimulatorShard::PopAndRun() {
   }
 }
 
-void SimulatorShard::RunUntil(TimePoint until) {
+void Simulator::RunUntil(TimePoint until) {
+  assert(InOwningContext());
   TimePoint next;
-  while (PeekNextTime(&next) && next <= until) PopAndRun();
+  while (NextEventTime(&next) && next <= until) PopAndRun();
   if (now_ < until) now_ = until;
 }
 
-void SimulatorShard::RunUntilIdle() {
+void Simulator::RunUntilIdle() {
+  assert(InOwningContext());
   TimePoint next;
-  while (PeekNextTime(&next)) PopAndRun();
+  while (NextEventTime(&next)) PopAndRun();
 }
 
-uint64_t SimulatorShard::AddPostEventHook(Task hook) {
+uint64_t Simulator::AddPostEventHook(Task hook) {
+  assert(InOwningContext());
   const uint64_t id = next_hook_id_++;
   post_event_hooks_.emplace_back(id, std::move(hook));
   return id;
 }
 
-void SimulatorShard::RemovePostEventHook(uint64_t id) {
+void Simulator::RemovePostEventHook(uint64_t id) {
   for (auto it = post_event_hooks_.begin(); it != post_event_hooks_.end();
        ++it) {
     if (it->first == id) {

@@ -1,4 +1,4 @@
-// Fleet-scale control plane (src/fleet): many homes on one simulator,
+// Fleet-scale control plane (src/fleet): many homes on one engine,
 // shared model registry, shared cloud tier, staged rollout waves with
 // fleet-level gating and blast-radius containment.
 //
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/fitness.hpp"
+#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "fleet/cloud.hpp"
 #include "fleet/controller.hpp"
@@ -57,6 +58,19 @@ core::PipelineDeployment* DeployFitness(fleet::Home& home, double fps) {
   return *deployment;
 }
 
+/// Every home's steady-state invariants hold: credit conservation, one
+/// live lineage per module, no duplicate completions and no
+/// zombie-served frames. CheckNow() only — a periodic sweep would add
+/// simulator events to the run.
+void ExpectInvariantsHold(fleet::Fleet& fleet) {
+  for (int id = 0; id < fleet.size(); ++id) {
+    core::InvariantChecker checker(fleet.home(id).orchestrator.get());
+    checker.CheckNow();
+    EXPECT_EQ(checker.total_violations(), 0u)
+        << fleet.home(id).name << "\n" << checker.Report();
+  }
+}
+
 fleet::FleetOptions ServingFleetOptions(int homes) {
   fleet::FleetOptions options;
   options.homes = homes;
@@ -91,6 +105,7 @@ TEST(Fleet, HomesGetDerivedSeedsAndSharedRegistry) {
   EXPECT_FALSE(fleet.home(0).cluster->owns_simulator());
   EXPECT_EQ(&fleet.home(0).cluster->simulator(),
             &fleet.home(1).cluster->simulator());
+  ExpectInvariantsHold(fleet);
 }
 
 // ------------------------------------------------- registry dedupe
@@ -106,6 +121,7 @@ TEST(Fleet, SharedRegistryTrainsEachRecipeOnce) {
   // trainings, every request answered from the shared cache.
   EXPECT_EQ(fleet.models().trainings(), after_first);
   EXPECT_GE(fleet.models().dedupe_hits(), 1u);
+  ExpectInvariantsHold(fleet);
 }
 
 // ---------------------------------------------------- determinism
@@ -125,6 +141,7 @@ HomeFingerprint RunFleetAndFingerprint(int homes, int probe_home,
   }
   fleet.StartAll();
   fleet.RunFor(Duration::Seconds(seconds));
+  ExpectInvariantsHold(fleet);
   const auto& metrics = fleet.home(probe_home).pipelines[0]->metrics();
   HomeFingerprint fp;
   fp.completed = metrics.frames_completed();
@@ -217,6 +234,7 @@ TEST(Fleet, StagedRolloutPromotesWaveByWave) {
           << fleet.home(id).name;
     }
   }
+  ExpectInvariantsHold(fleet);
 }
 
 TEST(Fleet, PoisonedWaveHaltsRollbackAndBoundsBlastRadius) {
@@ -235,9 +253,7 @@ TEST(Fleet, PoisonedWaveHaltsRollbackAndBoundsBlastRadius) {
   controller.on_wave_start = [&](int wave) {
     if (wave == 1) {
       ASSERT_TRUE(fleet.home(0)
-                      .injector
-                      ->ScheduleModelPoison("fleet/activity_classifier",
-                                            fleet.simulator().Now())
+                      .injector->PoisonModelNow("fleet/activity_classifier")
                       .ok());
     }
   };
@@ -289,6 +305,7 @@ TEST(Fleet, PoisonedWaveHaltsRollbackAndBoundsBlastRadius) {
       EXPECT_NE(orch.rollout().stable_version(device, service), poisoned);
     }
   }
+  ExpectInvariantsHold(fleet);
 }
 
 // ------------------------------------------------------ cloud tier
@@ -442,6 +459,7 @@ TEST(Fleet, TraceAndRollupsCarryHomeLabels) {
   EXPECT_NE(doc.find("\"waves\""), std::string::npos);
   EXPECT_NE(doc.find("home0"), std::string::npos);
   EXPECT_NE(doc.find("home1"), std::string::npos);
+  ExpectInvariantsHold(fleet);
 }
 
 }  // namespace

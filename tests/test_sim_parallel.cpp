@@ -1,7 +1,8 @@
 // Sharded parallel discrete-event engine: primitives, conservative
-// synchronization, and the determinism contract (docs/sim.md) — the
-// parallel engine must produce bit-identical per-home results to the
-// sequential engine for the same seed, at ANY worker-thread count.
+// synchronization, and the determinism contract (docs/sim.md) — a
+// fleet on eight shards must produce bit-identical per-home results to
+// the same fleet on one shard (a sequential fleet) for the same seed,
+// at ANY worker-thread count, controller-driven rollouts included.
 //
 // Seed-sweepable: VP_TEST_SEED varies the fleet seed (default 42); the
 // cross-check additionally runs seeds 1..5, one test per seed.
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "apps/fitness.hpp"
+#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "fleet/cloud.hpp"
 #include "fleet/controller.hpp"
@@ -66,6 +68,23 @@ TEST(ParallelSimulator, SingleShardDegeneratesToSequential) {
   engine.Post(0, TimePoint::FromMicros(200), [&] { order.push_back(2); });
   engine.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ParallelSimulator, BarrierTasksCountAsExecutedEvents) {
+  sim::ParallelOptions opt;
+  opt.shards = 1;
+  sim::ParallelSimulator engine(opt);
+  engine.Post(0, TimePoint::FromMicros(100), [] {});
+  engine.Post(0, TimePoint::FromMicros(300), [] {});
+  int ran = 0;
+  engine.AtBarrier(TimePoint::FromMicros(200), [&ran] { ++ran; });
+  const uint64_t cancelled =
+      engine.AtBarrier(TimePoint::FromMicros(250), [] { FAIL(); });
+  EXPECT_TRUE(engine.CancelBarrier(cancelled));
+  engine.RunUntil(TimePoint::FromMicros(1000));
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(engine.shard(0).executed_events(), 2u);
+  EXPECT_EQ(engine.executed_events(), 3u);
 }
 
 // A ring workload: every shard runs a periodic local tick that also
@@ -237,7 +256,7 @@ TEST(SimulatorPool, PostEventHooksStillFire) {
   EXPECT_EQ(fired, 2);
 }
 
-// ------------------------------------- sequential ⇔ parallel contract
+// ------------------------------------- one shard ⇔ eight shards contract
 
 modelreg::RolloutPolicy FastPolicy() {
   modelreg::RolloutPolicy policy;
@@ -265,7 +284,20 @@ void DeployFitness(fleet::Home& home, double fps) {
   home.pipelines.push_back(*deployment);
 }
 
-/// Everything observable about one home, rendered engine-neutrally:
+/// Every home's steady-state invariants hold at the end of a run:
+/// credit conservation, one live lineage per module, no duplicate
+/// completions and no zombie-served frames. CheckNow() only — a
+/// periodic sweep would add events to the totals these tests compare.
+void ExpectInvariantsHold(fleet::Fleet& fleet) {
+  for (int id = 0; id < fleet.size(); ++id) {
+    core::InvariantChecker checker(fleet.home(id).orchestrator.get());
+    checker.CheckNow();
+    EXPECT_EQ(checker.total_violations(), 0u)
+        << fleet.home(id).name << "\n" << checker.Report();
+  }
+}
+
+/// Everything observable about one home, rendered partition-neutrally:
 /// pipeline totals and the monitor-sample series, with absolute
 /// timestamps.
 struct HomeResult {
@@ -308,16 +340,49 @@ struct FleetResult {
   uint64_t cloud_served = 0;
 };
 
-FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
-                               bool parallel, int threads,
-                               double seconds = 5.0) {
+/// The fleet options of a cross-check run. One shard is the sequential
+/// fleet (`parallel` off); any other count runs the homes partitioned.
+fleet::FleetOptions PartitionedOptions(uint64_t seed, int homes, int shards,
+                                       int threads) {
   fleet::FleetOptions options;
   options.homes = homes;
   options.seed = seed;
   options.orchestrator.serving.enabled = true;
-  options.parallel = parallel;
-  options.parallel_options.shards = 8;
+  options.parallel = shards > 1;
+  options.parallel_options.shards = shards;
   options.parallel_options.threads = threads;
+  return options;
+}
+
+HomeResult ObserveHome(const fleet::Home& home) {
+  const auto& metrics = home.pipelines[0]->metrics();
+  HomeResult hr;
+  hr.completed = metrics.frames_completed();
+  hr.captured = metrics.frames_captured();
+  hr.fps = metrics.EndToEndFps();
+  hr.sheds = metrics.requests_shed();
+  for (const auto& s : home.monitor->samples()) {
+    hr.samples.push_back(CanonSample(s));
+  }
+  return hr;
+}
+
+FleetResult ObserveFleet(fleet::Fleet& fleet) {
+  FleetResult result;
+  result.executed = fleet.executed_events();
+  if (fleet.cloud()) result.cloud_served = fleet.cloud()->served_total();
+  for (int id = 0; id < fleet.size(); ++id) {
+    result.homes.push_back(ObserveHome(fleet.home(id)));
+  }
+  ExpectInvariantsHold(fleet);
+  return result;
+}
+
+FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
+                               int shards, int threads,
+                               double seconds = 5.0) {
+  fleet::FleetOptions options =
+      PartitionedOptions(seed, homes, shards, threads);
   if (cloud) {
     options.enable_cloud = true;
     options.cloud.slots = 2;
@@ -341,23 +406,7 @@ FleetResult RunCrossCheckFleet(uint64_t seed, int homes, bool cloud,
   }
   fleet.StartAll();
   fleet.RunFor(Duration::Seconds(seconds));
-
-  FleetResult result;
-  result.executed = fleet.executed_events();
-  if (fleet.cloud()) result.cloud_served = fleet.cloud()->served_total();
-  for (int id = 0; id < fleet.size(); ++id) {
-    const auto& metrics = fleet.home(id).pipelines[0]->metrics();
-    HomeResult hr;
-    hr.completed = metrics.frames_completed();
-    hr.captured = metrics.frames_captured();
-    hr.fps = metrics.EndToEndFps();
-    hr.sheds = metrics.requests_shed();
-    for (const auto& s : fleet.home(id).monitor->samples()) {
-      hr.samples.push_back(CanonSample(s));
-    }
-    result.homes.push_back(std::move(hr));
-  }
-  return result;
+  return ObserveFleet(fleet);
 }
 
 /// The two runs agree on every home and on the engine-wide totals:
@@ -387,16 +436,15 @@ void ExpectSameRun(const FleetResult& a, const FleetResult& b,
 // the sanitizer build.
 class ParallelFleetSeed : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ParallelFleetSeed, BitIdenticalToSequentialAcrossThreads) {
+TEST_P(ParallelFleetSeed, EightShardsMatchOneShardAcrossThreads) {
   const uint64_t seed = GetParam();
-  const FleetResult seq =
-      RunCrossCheckFleet(seed, /*homes=*/8, /*cloud=*/false,
-                         /*parallel=*/false, 0);
-  ASSERT_FALSE(seq.homes.empty());
+  const FleetResult one =
+      RunCrossCheckFleet(seed, /*homes=*/8, /*cloud=*/false, /*shards=*/1, 1);
+  ASSERT_FALSE(one.homes.empty());
   for (int threads : {1, 2, 8}) {
-    const FleetResult par =
-        RunCrossCheckFleet(seed, 8, false, /*parallel=*/true, threads);
-    ExpectSameRun(seq, par, "threads=" + std::to_string(threads));
+    const FleetResult eight =
+        RunCrossCheckFleet(seed, 8, false, /*shards=*/8, threads);
+    ExpectSameRun(one, eight, "threads=" + std::to_string(threads));
   }
 }
 
@@ -404,40 +452,55 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelFleetSeed,
                          ::testing::Range<uint64_t>(1, 6),
                          ::testing::PrintToStringParamName());
 
-TEST(ParallelFleet, CloudCoupledFleetMatchesSequential) {
+TEST(ParallelFleet, CloudCoupledEightShardsMatchOneShard) {
   const uint64_t seed = TestSeed();
-  const FleetResult seq = RunCrossCheckFleet(seed, 8, /*cloud=*/true,
-                                             /*parallel=*/false, 0);
-  ASSERT_FALSE(seq.homes.empty());
-  EXPECT_GT(seq.cloud_served, 0u);
+  const FleetResult one =
+      RunCrossCheckFleet(seed, 8, /*cloud=*/true, /*shards=*/1, 1);
+  ASSERT_FALSE(one.homes.empty());
+  EXPECT_GT(one.cloud_served, 0u);
   for (int threads : {1, 2, 8}) {
-    const FleetResult par =
-        RunCrossCheckFleet(seed, 8, true, /*parallel=*/true, threads);
-    ExpectSameRun(seq, par, "cloud threads=" + std::to_string(threads));
+    const FleetResult eight =
+        RunCrossCheckFleet(seed, 8, true, /*shards=*/8, threads);
+    ExpectSameRun(one, eight, "cloud threads=" + std::to_string(threads));
   }
 }
 
-// The fleet controller drives its ticks through barrier tasks on the
-// parallel engine; a full staged rollout must still land (functional
-// check — barrier scheduling quantizes control timing, so this is not
-// a bit-exactness test against the sequential engine).
-TEST(ParallelFleet, StagedRolloutCompletesOnParallelEngine) {
-  fleet::FleetOptions options;
-  options.homes = 3;
-  options.seed = TestSeed();
-  options.orchestrator.serving.enabled = true;
+/// A controller-driven staged rollout and everything it decided.
+struct RolloutResult {
+  std::vector<fleet::FleetController::Wave> waves;
+  bool done = false;
+  bool halted = false;
+  bool poisoned = false;
+  int reverted = 0;
+  uint64_t overhead_events = 0;
+  FleetResult fleet;
+};
+
+/// A clean rollout of a same-quality candidate over 2 homes on distinct
+/// shards (waves of 1 and 1 home), or a gated one whose supply chain is
+/// poisoned as wave 1 starts.
+RolloutResult RunRollout(uint64_t seed, bool poison, int shards,
+                         int threads) {
+  fleet::FleetOptions options = PartitionedOptions(seed, 2, shards, threads);
   options.orchestrator.models.rollout = FastPolicy();
-  options.parallel = true;
-  options.parallel_options.shards = 8;
-  options.parallel_options.threads = 8;
   fleet::Fleet fleet(options);
   for (int id = 0; id < fleet.size(); ++id) {
-    DeployFitness(fleet.home(id), 12);
-    if (::testing::Test::HasFatalFailure()) return;
+    DeployFitness(fleet.home(id), 10);
+    if (::testing::Test::HasFatalFailure()) return {};
   }
 
   fleet::FleetController controller(&fleet, "activity_classifier",
                                     Duration::Millis(400));
+  controller.RegisterModelHooks(*fleet.home(0).injector);
+  if (poison) {
+    controller.on_wave_start = [&fleet](int wave) {
+      if (wave == 1) {
+        EXPECT_TRUE(fleet.home(0)
+                        .injector->PoisonModelNow("fleet/activity_classifier")
+                        .ok());
+      }
+    };
+  }
   fleet.StartAll();
   fleet.RunFor(Duration::Seconds(1));
 
@@ -445,24 +508,81 @@ TEST(ParallelFleet, StagedRolloutCompletesOnParallelEngine) {
   candidate.train_seed = 4242;
   fleet::FleetRolloutOptions rollout;
   rollout.policy = FastPolicy();
-  ASSERT_TRUE(controller.BeginFleetRollout(candidate, rollout).ok());
-  ASSERT_EQ(controller.waves().size(), 3u);
-
+  EXPECT_TRUE(controller.BeginFleetRollout(candidate, rollout).ok());
   for (int i = 0;
        i < 60 && !controller.rollout_done() && !controller.halted(); ++i) {
     fleet.RunFor(Duration::Seconds(1));
   }
-  EXPECT_TRUE(controller.rollout_done());
-  EXPECT_FALSE(controller.halted());
-  for (int id = 0; id < fleet.size(); ++id) {
-    const auto& orch = *fleet.home(id).orchestrator;
-    for (const auto& [device, service] : orch.rollout().groups()) {
-      if (service != "activity_classifier") continue;
-      EXPECT_EQ(orch.rollout().stable_version(device, service),
-                controller.candidate_version())
-          << fleet.home(id).name;
-    }
+  fleet.RunFor(Duration::Seconds(2));  // let halt-path reverts settle
+
+  RolloutResult result;
+  result.waves = controller.waves();
+  result.done = controller.rollout_done();
+  result.halted = controller.halted();
+  result.poisoned = controller.poisoned();
+  result.reverted = controller.reverted_homes();
+  result.overhead_events = controller.overhead_events();
+  result.fleet = ObserveFleet(fleet);
+  return result;
+}
+
+void ExpectSameRollout(const RolloutResult& a, const RolloutResult& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.done, b.done) << what;
+  EXPECT_EQ(a.halted, b.halted) << what;
+  EXPECT_EQ(a.poisoned, b.poisoned) << what;
+  EXPECT_EQ(a.reverted, b.reverted) << what;
+  EXPECT_EQ(a.overhead_events, b.overhead_events) << what;
+  ASSERT_EQ(a.waves.size(), b.waves.size()) << what;
+  for (size_t w = 0; w < a.waves.size(); ++w) {
+    const auto& x = a.waves[w];
+    const auto& y = b.waves[w];
+    const std::string wave = what + " wave " + std::to_string(w);
+    EXPECT_EQ(x.state, y.state) << wave;
+    EXPECT_EQ(x.members, y.members) << wave;
+    EXPECT_EQ(x.staged_version, y.staged_version) << wave;
+    EXPECT_EQ(x.promoted, y.promoted) << wave;
+    EXPECT_EQ(x.started, y.started) << wave;
+    EXPECT_EQ(x.finished, y.finished) << wave;
+    EXPECT_EQ(x.candidate_accuracy, y.candidate_accuracy) << wave;
+    EXPECT_EQ(x.stable_accuracy, y.stable_accuracy) << wave;
+    EXPECT_EQ(x.candidate_p95_ms, y.candidate_p95_ms) << wave;
+    EXPECT_EQ(x.stable_p95_ms, y.stable_p95_ms) << wave;
   }
+  ExpectSameRun(a.fleet, b.fleet, what);
+}
+
+// The fleet controller runs at barriers at every shard count, so a
+// whole staged rollout — wave timing, gate inputs and verdicts, the
+// halt path's reverts — is bit-identical across partitions.
+void ExpectRolloutIdenticalAcrossPartitions(bool poison) {
+  const uint64_t seed = TestSeed();
+  const RolloutResult one = RunRollout(seed, poison, /*shards=*/1, 1);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(one.waves.size(), 2u);
+  if (poison) {
+    EXPECT_TRUE(one.poisoned);
+    EXPECT_TRUE(one.halted);
+    EXPECT_NE(one.waves[1].staged_version, one.waves[0].staged_version);
+  } else {
+    EXPECT_TRUE(one.done);
+    EXPECT_FALSE(one.halted);
+  }
+  for (int threads : {1, 2, 8}) {
+    const RolloutResult eight = RunRollout(seed, poison, 8, threads);
+    ExpectSameRollout(one, eight, "threads=" + std::to_string(threads));
+  }
+}
+
+// Each fleet trains its own model versions, which dominates these runs
+// in the sanitizer build, so the two rollouts are separate tests and
+// separate ctest entries.
+TEST(ParallelFleet, CleanRolloutIdenticalAcrossPartitions) {
+  ExpectRolloutIdenticalAcrossPartitions(/*poison=*/false);
+}
+
+TEST(ParallelFleet, PoisonedRolloutIdenticalAcrossPartitions) {
+  ExpectRolloutIdenticalAcrossPartitions(/*poison=*/true);
 }
 
 }  // namespace
