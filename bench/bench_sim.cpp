@@ -17,7 +17,9 @@
 // metrics, cloud totals and executed events must match exactly (the
 // determinism contract, docs/sim.md), and its speedup is measured
 // against it. Each run also reports its segments, and its event nodes
-// as heap allocations against free-list reuses.
+// as heap allocations against free-list reuses. One untimed, unprinted
+// baseline episode runs first, so the first printed row does not carry
+// the process's warm-up (page faults, allocator growth, cold caches).
 //
 // The ≥3× speedup acceptance gate only applies when the host actually
 // has ≥8 cores (the header prints the count); determinism and pooling
@@ -170,6 +172,8 @@ int main() {
   bool determinism_ok = true;
   bool pool_ok = true;
   double best_speedup_at_8 = 0;
+
+  (void)RunWorkload(homes, seconds, /*coupled=*/false, 1, 1);  // warm-up
 
   for (const bool coupled : {false, true}) {
     const char* label = coupled ? "coupled (cloud, 20 ms lookahead)"

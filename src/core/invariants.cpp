@@ -67,6 +67,12 @@ void InvariantChecker::CheckNow() {
                         pipeline->metrics().zombies_served())));
     }
 
+    // 5. A wake starts every module or none: asleep, nothing runs.
+    if (pipeline->hibernated() && !pipeline->modules().empty()) {
+      Record(Format("pipeline '%s': hibernated with live runtimes",
+                    name.c_str()));
+    }
+
     // 3. Split-brain exclusion: at most one live (bound, unfenced,
     // host-up) runtime per (module, epoch). Pre- and post-recovery
     // incarnations may overlap across a partition, but only at

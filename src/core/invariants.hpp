@@ -17,6 +17,8 @@
 //      *different* epochs, and fencing retires the old one at heal.
 //   4. With epoch fencing enabled, no zombie ever serves a frame
 //      (zombies_served() stays 0).
+//   5. A hibernated pipeline holds no live runtime: a wake either
+//      starts every module or none (modules() stays empty).
 //
 // CheckConvergence() adds the end-of-run (post-heal, quiet-tail)
 // conditions: the failure detector's verdict agrees with ground-truth

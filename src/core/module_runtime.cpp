@@ -1,6 +1,7 @@
 #include "core/module_runtime.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/log.hpp"
 #include "core/orchestrator.hpp"
@@ -15,32 +16,24 @@ ModuleRuntime::ModuleRuntime(Orchestrator* orchestrator,
     : orchestrator_(orchestrator), pipeline_(pipeline), spec_(spec),
       device_(std::move(device)), address_(std::move(address)) {}
 
-Status ModuleRuntime::Initialize(
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions) {
-  script::ContextOptions options;
-  options.limits = orchestrator_->options().script_limits;
-  options.random_seed =
-      orchestrator_->options().seed ^ std::hash<std::string>{}(spec_->name);
-  context_ = std::make_unique<script::Context>(options);
-  return BindAndStart(extra_host_functions, /*load=*/true);
+uint64_t ModuleScriptSeed(uint64_t seed, const std::string& module) {
+  return seed ^ std::hash<std::string>{}(module);
 }
 
-Status ModuleRuntime::InitializeWith(
-    std::unique_ptr<script::Context> context,
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions) {
-  context_ = std::move(context);
-  // The pool context already ran Load for this module's source, so the
-  // engine is live; globals/host functions defined below import into it
-  // directly (Context forwards post-Load definitions to the engine).
-  return BindAndStart(extra_host_functions, /*load=*/false);
-}
-
-Status ModuleRuntime::BindAndStart(
-    const std::vector<std::pair<std::string, script::HostFunction>>&
-        extra_host_functions,
-    bool load) {
+Status ModuleRuntime::Initialize(std::unique_ptr<script::Context> pooled) {
+  const bool load = pooled == nullptr;
+  if (load) {
+    script::ContextOptions options;
+    options.limits = orchestrator_->options().script_limits;
+    options.random_seed =
+        ModuleScriptSeed(orchestrator_->options().seed, spec_->name);
+    context_ = std::make_unique<script::Context>(options);
+  } else {
+    // The pool context already ran Load for this module's source, so
+    // the engine is live; globals/host functions defined below import
+    // into it directly (Context forwards post-Load definitions).
+    context_ = std::move(pooled);
+  }
   context_->DefineGlobal("MODULE_NAME", json::Value(spec_->name));
   context_->DefineGlobal("DEVICE_NAME", json::Value(device_));
   context_->DefineGlobal("PIPELINE_NAME",
@@ -116,8 +109,11 @@ Status ModuleRuntime::BindAndStart(
         return script::VpValue::Boolean(true);
       });
 
-  for (const auto& [name, fn] : extra_host_functions) {
-    context_->RegisterHostFunction(name, fn);
+  if (auto extras = pipeline_->extra_host_functions_.find(spec_->name);
+      extras != pipeline_->extra_host_functions_.end()) {
+    for (const auto& [name, fn] : extras->second) {
+      context_->RegisterHostFunction(name, fn);
+    }
   }
 
   if (load) VP_RETURN_IF_ERROR(context_->Load(spec_->code));

@@ -5,7 +5,8 @@
 // module code" — here a vpscript Context — with the Table-1 API bound
 // as host functions:
 //
-//   init()                          module-defined, called on deploy
+//   init()                          module-defined, called at every
+//                                   start: deploy/migrate/restore/wake
 //   event_received(message)         module-defined, called per event
 //   call_service(service, message)  → response (blocks in virtual time)
 //   call_module(module, message)    → fire-and-forget to a next_module
@@ -32,6 +33,12 @@ namespace vp::core {
 class Orchestrator;
 class PipelineDeployment;
 
+/// Random seed of `module`'s script context under an orchestrator
+/// seeded `seed`. Every context built for the module — cold, prewarmed
+/// or pooled — takes it from here: a warm-pool hit must keep the
+/// module's Math.random stream.
+uint64_t ModuleScriptSeed(uint64_t seed, const std::string& module);
+
 struct ModuleRuntimeStats {
   uint64_t events = 0;
   uint64_t dropped_replaced = 0;  // parked message overwritten
@@ -55,21 +62,13 @@ class ModuleRuntime {
                 const ModuleSpec* spec, std::string device,
                 net::Address address);
 
-  /// Build the script context, bind host functions, load the module
-  /// code and run its init().
-  Status Initialize(
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions);
-
-  /// Hot-start variant: adopt `context` — a pre-built, pre-Loaded
-  /// context from the lifecycle warm pool (same source, same seed as
-  /// Initialize would produce) — bind host functions and run init(),
-  /// skipping parse/resolve/compile AND Load entirely. Host functions
-  /// registered after Load import directly into the live engine.
-  Status InitializeWith(
-      std::unique_ptr<script::Context> context,
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions);
+  /// Build the script context, bind host functions (Table 1 plus the
+  /// pipeline's extras for this module), load the module code and run
+  /// its init(). `pooled`, when set, is a pre-Loaded context from the
+  /// lifecycle warm pool (same source, same seed): it is adopted and
+  /// Load is skipped — host functions registered after Load import
+  /// directly into the live engine.
+  Status Initialize(std::unique_ptr<script::Context> pooled);
 
   /// Fabric delivery entry point.
   void OnMessage(net::Message message);
@@ -116,13 +115,6 @@ class ModuleRuntime {
   void NoteServiceCallExhausted() { service_call_exhausted_ = true; }
 
  private:
-  /// Shared tail of Initialize / InitializeWith: define the module
-  /// globals, bind host functions, optionally Load, and run init().
-  Status BindAndStart(
-      const std::vector<std::pair<std::string, script::HostFunction>>&
-          extra_host_functions,
-      bool load);
-
   void ProcessMessage(net::Message message);
   void ExecuteHandler(net::Message message);
   void FinishEvent();

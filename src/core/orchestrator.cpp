@@ -63,6 +63,38 @@ Status RequireHandlerFiber() {
                 "event instead");
 }
 
+/// `checkpoint` if restoring it at placement `epoch` keeps the
+/// module's lineage; nullptr if it predates the previous placement —
+/// restoring it would roll back state a later instance superseded.
+const ModuleCheckpoint* FreshCheckpoint(const ModuleCheckpoint* checkpoint,
+                                        uint64_t epoch) {
+  return checkpoint != nullptr && checkpoint->epoch + 1 >= epoch ? checkpoint
+                                                                 : nullptr;
+}
+
+/// Route the messages for `runtime`'s address to it.
+Status BindModule(net::Fabric& fabric, ModuleRuntime& runtime) {
+  ModuleRuntime* raw = &runtime;
+  return fabric.Bind(runtime.address(),
+                     [raw](net::Message message, net::Responder) {
+                       raw->OnMessage(std::move(message));
+                     });
+}
+
+/// Route credits to `pipeline`'s camera; a no-op while its credit
+/// endpoint is still bound (a source device that was partitioned, not
+/// crashed, kept it).
+Status BindCredit(net::Fabric& fabric, PipelineDeployment& pipeline) {
+  if (fabric.IsBound(pipeline.camera_address())) return Status::Ok();
+  CameraDriver* camera = &pipeline.camera();
+  return fabric.Bind(pipeline.camera_address(),
+                     [camera](net::Message message, net::Responder) {
+                       if (message.type() == "credit") {
+                         camera->OnCredit(message.seq());
+                       }
+                     });
+}
+
 }  // namespace
 
 ModuleRuntime* PipelineDeployment::FindModule(const std::string& name) {
@@ -551,29 +583,7 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
     deployment->addresses_[m.name] = net::Address{device, port};
   }
 
-  // 3. Script module runtimes.
-  deployment->extra_host_functions_ = args.extra_host_functions;
-  for (const ModuleSpec& m : pspec.modules) {
-    if (m.type != ModuleType::kScript) continue;
-    const std::string& device = pplan.module_device.at(m.name);
-    auto runtime = std::make_unique<ModuleRuntime>(
-        this, deployment.get(), &m, device, deployment->addresses_[m.name]);
-    ModuleRuntime* raw = runtime.get();
-    VP_RETURN_IF_ERROR_R(fabric_->Bind(
-        deployment->addresses_[m.name],
-        [raw](net::Message message, net::Responder) {
-          raw->OnMessage(std::move(message));
-        }));
-    std::vector<std::pair<std::string, script::HostFunction>> extras;
-    if (auto it = args.extra_host_functions.find(m.name);
-        it != args.extra_host_functions.end()) {
-      extras = it->second;
-    }
-    VP_RETURN_IF_ERROR_R(runtime->Initialize(extras));
-    deployment->modules_.push_back(std::move(runtime));
-  }
-
-  // 4. Camera (source module + native video-source service).
+  // 3. Camera (source module + native video-source service).
   const ModuleSpec* source = pspec.FindModule(pspec.source.module);
   sim::Device* source_device =
       cluster_->FindDevice(deployment->source_device_);
@@ -623,12 +633,15 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
       std::move(video_source), &deployment->metrics_, std::move(emit),
       options_.camera_options);
 
-  CameraDriver* camera = deployment->camera_.get();
-  VP_RETURN_IF_ERROR_R(fabric_->Bind(
-      deployment->camera_address_,
-      [camera](net::Message message, net::Responder) {
-        if (message.type() == "credit") camera->OnCredit(message.seq());
-      }));
+  // 4. Script modules, then every endpoint. When one fails, nothing of
+  //    the pipeline stays routed; it is parked with the undeployed ones
+  //    so events its modules' init() armed still find them.
+  deployment->extra_host_functions_ = std::move(args.extra_host_functions);
+  if (Status started = StartModules(*deployment, 0, nullptr);
+      !started.ok()) {
+    undeployed_.push_back({std::move(deployment), cluster_->Now()});
+    return started.error();
+  }
 
   VP_INFO("orchestrator") << "deployed pipeline '" << pspec.name
                           << "': " << pplan.ToString();
@@ -992,66 +1005,159 @@ Status Orchestrator::MigrateModule(PipelineDeployment& pipeline,
                   "no script module '" + module + "' in pipeline '" +
                       pipeline.spec().name + "'");
   }
-  const ModuleSpec* spec = pipeline.spec().FindModule(module);
   if (old_runtime->device() == target_device) return Status::Ok();
-
-  // Snapshot, then cut the old instance off the fabric. Messages that
-  // arrive before the new instance is up are dropped (watchdog
-  // recovers the credit).
+  // A synchronous same-lineage handoff: the new instance keeps the
+  // epoch (no fence — in-flight frames stay valid).
   const json::Value snapshot = old_runtime->context().SnapshotState();
-  const std::string old_device = old_runtime->device();
-  fabric_->Unbind(old_runtime->address());
+  return MoveModule(pipeline, *old_runtime, target_device,
+                    old_runtime->epoch(), &snapshot, old_runtime->device(),
+                    "migrate");
+}
 
-  const net::Address new_address{target_device, AllocatePort()};
-  auto runtime = std::make_unique<ModuleRuntime>(
-      this, &pipeline, spec, target_device, new_address);
-  std::vector<std::pair<std::string, script::HostFunction>> extras;
-  if (auto it = pipeline.extra_host_functions_.find(module);
-      it != pipeline.extra_host_functions_.end()) {
-    extras = it->second;
+Result<std::unique_ptr<ModuleRuntime>> Orchestrator::StartModule(
+    PipelineDeployment& pipeline, const ModuleSpec& spec,
+    const std::string& device, const net::Address& address, uint64_t epoch,
+    const json::Value* state, std::unique_ptr<script::Context> pooled) {
+  auto runtime = std::make_unique<ModuleRuntime>(this, &pipeline, &spec,
+                                                 device, address);
+  runtime->set_epoch(epoch);  // before init(): its messages carry it
+  Status started = runtime->Initialize(std::move(pooled));
+  if (started.ok() && state != nullptr) {
+    started = runtime->context().RestoreState(*state);
   }
-  VP_RETURN_IF_ERROR(runtime->Initialize(extras));
-  VP_RETURN_IF_ERROR(runtime->context().RestoreState(snapshot));
-  // Migration is a synchronous same-lineage handoff: the new instance
-  // keeps the epoch (no fence — in-flight frames stay valid).
-  runtime->set_epoch(old_runtime->epoch());
+  if (started.ok()) return runtime;
+  runtime->Fence();
+  pipeline.retired_modules_.push_back({std::move(runtime), cluster_->Now()});
+  return started.error();
+}
 
-  ModuleRuntime* raw = runtime.get();
-  // Ship the state over the network; the new instance goes live (binds
-  // its endpoint) when the snapshot arrives. Reliable: a transient
-  // partition or corrupted transfer must delay the cutover, not leave
-  // the module permanently unbound.
-  net::Message state_transfer("migrate", snapshot);
-  const size_t transfer_bytes = state_transfer.ByteSize();
+Status Orchestrator::StartModules(PipelineDeployment& pipeline,
+                                  uint64_t epoch_step,
+                                  const ContextProvider& contexts) {
+  auto checkpoint_of =
+      [&pipeline](const std::string& module) -> const ModuleCheckpoint* {
+    auto it = pipeline.hibernation_checkpoints_.find(module);
+    return it == pipeline.hibernation_checkpoints_.end() ? nullptr
+                                                         : &it->second;
+  };
+  std::vector<std::unique_ptr<ModuleRuntime>> started;
+  Status status;
+  for (const ModuleSpec& m : pipeline.spec_.modules) {
+    if (m.type != ModuleType::kScript) continue;
+    const std::string& device = pipeline.plan_.module_device.at(m.name);
+    const uint64_t epoch = pipeline.module_epoch(m.name) + epoch_step;
+    const ModuleCheckpoint* fresh =
+        FreshCheckpoint(checkpoint_of(m.name), epoch);
+    auto runtime = StartModule(pipeline, m, device,
+                               pipeline.addresses_.at(m.name), epoch,
+                               fresh != nullptr ? &fresh->state : nullptr,
+                               contexts ? contexts(m, device) : nullptr);
+    if (!runtime.ok()) {
+      status = runtime.status();
+      break;
+    }
+    started.push_back(std::move(runtime).take());
+  }
+  size_t bound = 0;
+  while (status.ok() && bound < started.size()) {
+    status = BindModule(*fabric_, *started[bound]);
+    if (status.ok()) ++bound;
+  }
+  if (status.ok()) status = BindCredit(*fabric_, pipeline);
+  if (!status.ok()) {
+    while (bound > 0) fabric_->Unbind(started[--bound]->address());
+    for (auto& runtime : started) {
+      runtime->Fence();
+      pipeline.retired_modules_.push_back(
+          {std::move(runtime), cluster_->Now()});
+    }
+    return status;
+  }
+  for (auto& runtime : started) {
+    RecordStart(pipeline, runtime->name(), runtime->epoch(),
+                checkpoint_of(runtime->name()));
+    pipeline.modules_.push_back(std::move(runtime));
+  }
+  return Status::Ok();
+}
+
+Status Orchestrator::MoveModule(PipelineDeployment& pipeline,
+                                ModuleRuntime& old_runtime,
+                                const std::string& target_device,
+                                uint64_t epoch, const json::Value* state,
+                                const std::string& ship_from,
+                                const char* transfer) {
+  const net::Address address{target_device, AllocatePort()};
+  auto started = StartModule(pipeline, old_runtime.spec(), target_device,
+                             address, epoch, state, nullptr);
+  if (!started.ok()) return started.status();
+  ModuleRuntime* runtime = started->get();
+
+  // Cut the old instance off the fabric — unless its device is alive
+  // but unreachable (a partition, not a crash): the control plane
+  // cannot mutate state across a partition, so the old instance stays
+  // bound as a zombie until the heal fences it.
+  const std::string old_device = old_runtime.device();
+  sim::Device* old_host = cluster_->FindDevice(old_device);
+  if (old_host == nullptr || !old_host->up() ||
+      cluster_->network().Reachable(ship_from, old_device)) {
+    fabric_->Unbind(old_runtime.address());  // no-op if the crash got it
+  }
+
+  // Ship the state (with none, the tiny init message); the new instance
+  // binds its endpoint when it arrives. Reliable: a transient partition
+  // or a corrupted transfer must delay the bind, not lose it.
+  const size_t transfer_bytes =
+      net::Message(transfer,
+                   state != nullptr ? *state : json::Value::MakeObject())
+          .ByteSize();
   cluster_->network().SendReliable(
-      old_device, target_device, transfer_bytes,
-      [this, raw, new_address] {
-        Status bound = fabric_->Bind(
-            new_address, [raw](net::Message message, net::Responder) {
-              raw->OnMessage(std::move(message));
-            });
+      ship_from, target_device, transfer_bytes, [this, runtime] {
+        Status bound = BindModule(*fabric_, *runtime);
         if (!bound.ok()) {
-          VP_ERROR("orchestrator")
-              << "migration bind failed: " << bound.ToString();
+          VP_ERROR("orchestrator") << "bind of '" << runtime->name()
+                                   << "' failed: " << bound.ToString();
         }
       });
 
   // Retire the old runtime (kept alive: an in-flight handler may still
   // be executing on it) and route the module name to the new one.
+  const std::string& module = old_runtime.name();
   for (auto& owned : pipeline.modules_) {
-    if (owned.get() == old_runtime) {
-      pipeline.retired_modules_.push_back(
-          {std::move(owned), cluster_->Now()});
-      owned = std::move(runtime);
-      break;
-    }
+    if (owned.get() != &old_runtime) continue;
+    pipeline.retired_modules_.push_back({std::move(owned), cluster_->Now()});
+    owned = std::move(started).take();
+    break;
   }
-  pipeline.addresses_[module] = new_address;
+  pipeline.addresses_[module] = address;
   pipeline.plan_.module_device[module] = target_device;
-  VP_INFO("orchestrator") << "migrated " << module << ": " << old_device
-                          << " → " << target_device << " ("
+  VP_INFO("orchestrator") << transfer << " '" << module << "': "
+                          << old_device << " → " << target_device << " ("
                           << transfer_bytes << " B of state)";
   return Status::Ok();
+}
+
+void Orchestrator::RecordStart(PipelineDeployment& pipeline,
+                               const std::string& module, uint64_t epoch,
+                               const ModuleCheckpoint* checkpoint) {
+  pipeline.module_epochs_[module] = epoch;
+  if (checkpoint == nullptr) return;
+  if (FreshCheckpoint(checkpoint, epoch) != nullptr) {
+    pipeline.metrics_.OnCheckpointRestored(
+        (cluster_->Now() - checkpoint->taken_at).millis());
+    return;
+  }
+  pipeline.metrics_.OnCheckpointRejectedStale();
+  VP_WARN("orchestrator") << "'" << module << "' started clean: stale "
+                          << "checkpoint (epoch " << checkpoint->epoch
+                          << " < current " << (epoch - 1) << ")";
+}
+
+void Orchestrator::ReleaseEndpoints(PipelineDeployment& pipeline) {
+  fabric_->Unbind(pipeline.camera_address_);
+  for (const auto& [module, address] : pipeline.addresses_) {
+    fabric_->Unbind(address);
+  }
 }
 
 Status Orchestrator::Undeploy(PipelineDeployment* pipeline) {
@@ -1064,10 +1170,7 @@ Status Orchestrator::Undeploy(PipelineDeployment* pipeline) {
                   "pipeline is not currently deployed");
   }
   pipeline->Stop();
-  fabric_->Unbind(pipeline->camera_address());
-  for (const auto& [module, address] : pipeline->addresses_) {
-    fabric_->Unbind(address);
-  }
+  ReleaseEndpoints(*pipeline);
   VP_INFO("orchestrator") << "undeployed pipeline '"
                           << pipeline->spec().name << "'";
   undeployed_.push_back({std::move(*it), cluster_->Now()});
@@ -1117,10 +1220,7 @@ Status Orchestrator::HibernatePipeline(PipelineDeployment* pipeline) {
   // The addresses themselves are REMEMBERED (addresses_) — wake
   // rebinds the same ports so the emit path and port-layout
   // determinism survive a hibernate/wake cycle.
-  fabric_->Unbind(pipeline->camera_address_);
-  for (const auto& [module, address] : pipeline->addresses_) {
-    fabric_->Unbind(address);
-  }
+  ReleaseEndpoints(*pipeline);
 
   // 4. Release the script contexts: retire every runtime. In-flight
   // events (handler completions, set_timer callbacks) keep the retired
@@ -1201,74 +1301,13 @@ Status Orchestrator::WakePipeline(PipelineDeployment* pipeline,
     }
   }
 
-  // Rebuild the module runtimes in spec order (same as Deploy). Each
-  // wake starts a new placement epoch — anything a pre-hibernation
-  // zombie still emits is fenced — but REUSES the old address, so the
-  // camera's emit closure and the port layout are untouched.
+  // Start every module (spec order, as Deploy) at a new placement
+  // epoch — anything a pre-hibernation zombie still emits is fenced —
+  // but at its OLD address, so the camera's emit closure and the port
+  // layout are untouched. Unlike failure recovery, the state never
+  // left the home: the endpoints bind at once.
   const TimePoint now = cluster_->Now();
-  for (const ModuleSpec& m : pipeline->spec_.modules) {
-    if (m.type != ModuleType::kScript) continue;
-    const std::string& device = pipeline->plan_.module_device.at(m.name);
-    const uint64_t new_epoch = pipeline->module_epoch(m.name) + 1;
-    pipeline->module_epochs_[m.name] = new_epoch;
-    const net::Address address = pipeline->addresses_.at(m.name);
-
-    auto runtime = std::make_unique<ModuleRuntime>(this, pipeline, &m,
-                                                   device, address);
-    runtime->set_epoch(new_epoch);
-    std::vector<std::pair<std::string, script::HostFunction>> extras;
-    if (auto eit = pipeline->extra_host_functions_.find(m.name);
-        eit != pipeline->extra_host_functions_.end()) {
-      extras = eit->second;
-    }
-    // Hot path: a pooled, pre-Loaded context skips parse + resolve +
-    // compile + Load. Cold path: full Initialize (which itself hits
-    // the shared program cache for the compile step).
-    std::unique_ptr<script::Context> pooled =
-        contexts ? contexts(m, device) : nullptr;
-    VP_RETURN_IF_ERROR(pooled != nullptr
-                           ? runtime->InitializeWith(std::move(pooled),
-                                                     extras)
-                           : runtime->Initialize(extras));
-
-    if (auto cit = pipeline->hibernation_checkpoints_.find(m.name);
-        cit != pipeline->hibernation_checkpoints_.end()) {
-      const ModuleCheckpoint& checkpoint = cit->second;
-      if (checkpoint.epoch + 1 < new_epoch) {
-        // A recovery ran between snapshot and wake: the snapshot would
-        // roll that state back. Start clean instead.
-        pipeline->metrics_.OnCheckpointRejectedStale();
-        VP_WARN("orchestrator")
-            << "wake of '" << m.name << "': hibernation checkpoint is "
-            << "stale (epoch " << checkpoint.epoch << " < current "
-            << (new_epoch - 1) << "), starting clean";
-      } else {
-        VP_RETURN_IF_ERROR(
-            runtime->context().RestoreState(checkpoint.state));
-        pipeline->metrics_.OnCheckpointRestored(
-            (now - checkpoint.taken_at).millis());
-      }
-    }
-
-    // Bind synchronously: unlike failure recovery, the state never
-    // left the home — there is no transfer to wait for.
-    ModuleRuntime* raw = runtime.get();
-    VP_RETURN_IF_ERROR(fabric_->Bind(
-        address, [raw](net::Message message, net::Responder) {
-          raw->OnMessage(std::move(message));
-        }));
-    pipeline->modules_.push_back(std::move(runtime));
-  }
-
-  // Rewire the camera's credit endpoint and restart the source.
-  if (!fabric_->IsBound(pipeline->camera_address_)) {
-    CameraDriver* camera = pipeline->camera_.get();
-    VP_RETURN_IF_ERROR(fabric_->Bind(
-        pipeline->camera_address_,
-        [camera](net::Message message, net::Responder) {
-          if (message.type() == "credit") camera->OnCredit(message.seq());
-        }));
-  }
+  VP_RETURN_IF_ERROR(StartModules(*pipeline, 1, contexts));
   pipeline->hibernated_ = false;
   pipeline->camera_->WriteOffOutstanding();
   pipeline->camera_->Start();
@@ -1386,94 +1425,22 @@ Status Orchestrator::RestoreModule(PipelineDeployment& pipeline,
                                    const std::string& target_device,
                                    const ModuleCheckpoint* checkpoint,
                                    const std::string& ship_from) {
-  const ModuleSpec* spec = pipeline.spec_.FindModule(module);
   ModuleRuntime* old_runtime = pipeline.FindModule(module);
-  if (spec == nullptr || old_runtime == nullptr) {
+  if (old_runtime == nullptr) {
     return Status(StatusCode::kNotFound,
                   "no script module '" + module + "' in pipeline '" +
                       pipeline.spec_.name + "'");
   }
-  const std::string& from = ship_from.empty() ? target_device : ship_from;
-  // Unbind the dead instance's endpoint — unless its device is alive
-  // but unreachable (a partition, not a crash): the control plane
-  // cannot mutate state across a partition, so the old instance stays
-  // bound as a zombie until the heal fences it.
-  sim::Device* old_dev = cluster_->FindDevice(old_runtime->device());
-  const bool old_alive = old_dev != nullptr && old_dev->up();
-  if (!old_alive ||
-      cluster_->network().Reachable(from, old_runtime->device())) {
-    fabric_->Unbind(old_runtime->address());  // no-op if the crash got it
-  }
-
   // Fencing: the replacement starts a new placement epoch. Anything
   // the superseded instance still emits carries the old epoch and is
   // dropped at receivers.
-  const uint64_t new_epoch = pipeline.module_epoch(module) + 1;
-  pipeline.module_epochs_[module] = new_epoch;
-
-  const net::Address new_address{target_device, AllocatePort()};
-  auto runtime = std::make_unique<ModuleRuntime>(
-      this, &pipeline, spec, target_device, new_address);
-  runtime->set_epoch(new_epoch);
-  std::vector<std::pair<std::string, script::HostFunction>> extras;
-  if (auto it = pipeline.extra_host_functions_.find(module);
-      it != pipeline.extra_host_functions_.end()) {
-    extras = it->second;
-  }
-  VP_RETURN_IF_ERROR(runtime->Initialize(extras));
-  json::Value state = json::Value::MakeObject();
-  if (checkpoint != nullptr && checkpoint->epoch + 1 < new_epoch) {
-    // The snapshot predates the previous recovery of this module:
-    // restoring it would roll back state the newer instance already
-    // superseded. Start from scratch instead.
-    pipeline.metrics_.OnCheckpointRejectedStale();
-    VP_WARN("orchestrator")
-        << "rejecting stale checkpoint for '" << module << "' (epoch "
-        << checkpoint->epoch << " < current " << (new_epoch - 1) << ")";
-    checkpoint = nullptr;
-  }
-  if (checkpoint != nullptr) {
-    VP_RETURN_IF_ERROR(runtime->context().RestoreState(checkpoint->state));
-    pipeline.metrics_.OnCheckpointRestored(
-        (cluster_->Now() - checkpoint->taken_at).millis());
-    state = checkpoint->state;
-  }
-
-  ModuleRuntime* raw = runtime.get();
-  // Ship the checkpointed state from the controller to the target; the
-  // fresh instance goes live (binds its endpoint) on arrival. With no
-  // checkpoint the transfer is just the (tiny) init message. Reliable:
-  // dup/reorder/corruption or a transient partition must delay the
-  // bind, not lose it.
-  net::Message transfer("restore", state);
-  const size_t transfer_bytes = transfer.ByteSize();
-  cluster_->network().SendReliable(
-      from, target_device, transfer_bytes, [this, raw, new_address] {
-        Status bound = fabric_->Bind(
-            new_address, [raw](net::Message message, net::Responder) {
-              raw->OnMessage(std::move(message));
-            });
-        if (!bound.ok()) {
-          VP_ERROR("orchestrator")
-              << "restore bind failed: " << bound.ToString();
-        }
-      });
-
-  for (auto& owned : pipeline.modules_) {
-    if (owned.get() == old_runtime) {
-      pipeline.retired_modules_.push_back(
-          {std::move(owned), cluster_->Now()});
-      owned = std::move(runtime);
-      break;
-    }
-  }
-  pipeline.addresses_[module] = new_address;
-  pipeline.plan_.module_device[module] = target_device;
-  VP_INFO("orchestrator") << "restored module '" << module << "' on "
-                          << target_device
-                          << (checkpoint != nullptr ? " from checkpoint"
-                                                    : " from scratch")
-                          << " (" << transfer_bytes << " B)";
+  const uint64_t epoch = pipeline.module_epoch(module) + 1;
+  const ModuleCheckpoint* fresh = FreshCheckpoint(checkpoint, epoch);
+  VP_RETURN_IF_ERROR(MoveModule(
+      pipeline, *old_runtime, target_device, epoch,
+      fresh != nullptr ? &fresh->state : nullptr,
+      ship_from.empty() ? target_device : ship_from, "restore"));
+  RecordStart(pipeline, module, epoch, checkpoint);
   return Status::Ok();
 }
 
@@ -1666,14 +1633,8 @@ Status Orchestrator::ResumeAfterDeviceReturn(
       if (!restored.ok()) worst = restored;
     }
     // The camera's credit endpoint died with the device; rebind it.
-    if (!fabric_->IsBound(pipeline->camera_address_)) {
-      CameraDriver* camera = pipeline->camera_.get();
-      Status bound = fabric_->Bind(
-          pipeline->camera_address_,
-          [camera](net::Message message, net::Responder) {
-            if (message.type() == "credit") camera->OnCredit(message.seq());
-          });
-      if (!bound.ok()) worst = bound;
+    if (Status bound = BindCredit(*fabric_, *pipeline); !bound.ok()) {
+      worst = bound;
     }
     pipeline->paused_by_failure_ = false;
     pipeline->camera_->WriteOffOutstanding();

@@ -218,14 +218,14 @@ class PipelineDeployment {
   /// Module state captured by HibernatePipeline, consumed (and kept,
   /// for inspection) by WakePipeline.
   std::map<std::string, ModuleCheckpoint> hibernation_checkpoints_;
-  /// module name → placement epoch (absent = 1). Bumped by
-  /// RestoreModule on every failure re-placement; NOT by live
-  /// migration (same lineage, synchronous handoff).
+  /// module name → placement epoch (absent = 1). Recorded when a
+  /// start commits: restore and wake bump it; live migration keeps it
+  /// (same lineage, synchronous handoff).
   std::map<std::string, uint64_t> module_epochs_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<RetiredModule> retired_modules_;
-  /// Per-module extra host functions from DeployArgs (needed again
-  /// when a module migrates and gets a fresh context).
+  /// Per-module extra host functions from DeployArgs, registered by
+  /// every start of the module.
   std::map<std::string,
            std::vector<std::pair<std::string, script::HostFunction>>>
       extra_host_functions_;
@@ -343,11 +343,6 @@ class Orchestrator {
 
   // -- self-healing ------------------------------------------------------
 
-  // Compatibility aliases — the types moved to namespace scope so
-  // PipelineDeployment can hold hibernation snapshots.
-  using ModuleCheckpoint = vp::core::ModuleCheckpoint;
-  using CheckpointLookup = vp::core::CheckpointLookup;
-
   /// React to a *confirmed* device death (the failure detector's
   /// suspicion window elapsed): for every pipeline touching `device`,
   /// re-plan over the surviving devices, restore lost script modules
@@ -419,13 +414,15 @@ class Orchestrator {
   }
 
   /// Live-migrate a script module to another device (§7 "automatic
-  /// deployment, scheduling"): snapshot its serializable state, ship
-  /// it over the network, resume in a fresh context on the target and
-  /// rebind the module's address there. Messages arriving during the
+  /// deployment, scheduling"): snapshot its serializable state and
+  /// start the module from it on the target, at a new port and the same
+  /// epoch; only then cut the old instance off, ship the state and bind
+  /// the new address when it arrives. Messages arriving during the
   /// cutover are dropped; the camera's credit watchdog recovers any
   /// frame lost this way. The deployment plan is updated, so
   /// subsequent co-location decisions (local vs remote service calls)
-  /// follow the module.
+  /// follow the module. A start that fails (init() errs on the target)
+  /// leaves the module where it was, bound and serving.
   Status MigrateModule(PipelineDeployment& pipeline,
                        const std::string& module,
                        const std::string& target_device);
@@ -457,11 +454,12 @@ class Orchestrator {
   /// Rebuild a hibernated pipeline and start it: fresh runtimes (new
   /// placement epoch, SAME addresses — port layout is part of the
   /// determinism contract), state restored from the hibernation
-  /// checkpoints, camera credit endpoint rebound, camera restarted.
-  /// `contexts`, when set, supplies pre-Loaded warm-pool contexts so a
-  /// wake skips parse/resolve/compile AND Load. Fails with
-  /// FAILED_PRECONDITION (pipeline stays hibernated, retryable) when
-  /// any target device is down.
+  /// checkpoints, endpoints bound once every module has started, camera
+  /// restarted. `contexts`, when set, supplies pre-Loaded warm-pool
+  /// contexts so a wake skips parse/resolve/compile AND Load. Fails
+  /// with FAILED_PRECONDITION when any target device is down, or with
+  /// a module's init() error; either way the pipeline stays hibernated
+  /// at its old epochs with its checkpoints, retryable.
   Status WakePipeline(PipelineDeployment* pipeline,
                       const ContextProvider& contexts = nullptr);
 
@@ -530,14 +528,51 @@ class Orchestrator {
   void HandleDeviceReboot(const std::string& device);
 
   /// Replace `module`'s (dead or retired) runtime with a fresh one on
-  /// `target_device`, restoring `checkpoint` if present and shipping
-  /// the state bytes from `ship_from` (the controller). The new
-  /// endpoint binds when the state transfer arrives.
+  /// `target_device` at a new port and the next epoch, restoring
+  /// `checkpoint` unless it is stale, and shipping the state bytes from
+  /// `ship_from` (the controller). The new endpoint binds when the
+  /// state transfer arrives; a start that fails changes nothing.
   Status RestoreModule(PipelineDeployment& pipeline,
                        const std::string& module,
                        const std::string& target_device,
                        const ModuleCheckpoint* checkpoint,
                        const std::string& ship_from);
+
+  /// The one way a module runtime starts (deploy, migrate, restore,
+  /// wake): construct it at `address` and `epoch`, run init() (in
+  /// `pooled`, a warm-pool context, when set) and restore `state` when
+  /// set. It binds and records nothing. On failure the half-built
+  /// runtime is fenced and retired into `pipeline`, so events its
+  /// init() armed still find it (and are dropped).
+  Result<std::unique_ptr<ModuleRuntime>> StartModule(
+      PipelineDeployment& pipeline, const ModuleSpec& spec,
+      const std::string& device, const net::Address& address,
+      uint64_t epoch, const json::Value* state,
+      std::unique_ptr<script::Context> pooled);
+
+  /// Deploy's and wake's start: every script module at its address,
+  /// `epoch_step` past its epoch, from its fresh hibernation checkpoint.
+  /// Once all have started, bind every endpoint and record; a failure
+  /// unbinds what it bound and retires what it started.
+  Status StartModules(PipelineDeployment& pipeline, uint64_t epoch_step,
+                      const ContextProvider& contexts);
+
+  /// Migrate's and restore's start: `old_runtime`'s module on
+  /// `target_device` at a new port and `epoch`, from `state`. Once it
+  /// started, cut the old instance off, ship the state from `ship_from`
+  /// (a `transfer` message) and bind the new endpoint on arrival.
+  Status MoveModule(PipelineDeployment& pipeline, ModuleRuntime& old_runtime,
+                    const std::string& target_device, uint64_t epoch,
+                    const json::Value* state, const std::string& ship_from,
+                    const char* transfer);
+
+  /// Record a committed start: the module's epoch, and its checkpoint
+  /// as restored (fresh) or rejected (stale).
+  void RecordStart(PipelineDeployment& pipeline, const std::string& module,
+                   uint64_t epoch, const ModuleCheckpoint* checkpoint);
+
+  /// Unbind the camera's credit endpoint and every module address.
+  void ReleaseEndpoints(PipelineDeployment& pipeline);
 
   /// Reclaim retired runtimes and undeployed pipelines whose drain
   /// watermark is `retired_drain_window` in the past (satellite:

@@ -84,7 +84,7 @@ void SelfHealer::CheckpointTick() {
           runtime->device(), controller_, bytes,
           [this, pipeline_name, module_name, state, now, epoch] {
             StoreCheckpoint(pipeline_name, module_name,
-                            Orchestrator::ModuleCheckpoint{state, now, epoch});
+                            ModuleCheckpoint{state, now, epoch});
           });
     }
   }
@@ -94,7 +94,7 @@ void SelfHealer::CheckpointTick() {
 
 void SelfHealer::StoreCheckpoint(const std::string& pipeline_name,
                                  const std::string& module_name,
-                                 Orchestrator::ModuleCheckpoint incoming) {
+                                 ModuleCheckpoint incoming) {
   // Fencing at the store: a checkpoint from a superseded placement
   // epoch (a zombie still snapshotting across a heal, or a transfer
   // delayed past a recovery) must never overwrite newer state.
@@ -113,7 +113,7 @@ void SelfHealer::StoreCheckpoint(const std::string& pipeline_name,
   }
   auto it = checkpoints_.find({pipeline_name, module_name});
   if (it != checkpoints_.end()) {
-    const Orchestrator::ModuleCheckpoint& stored = it->second;
+    const ModuleCheckpoint& stored = it->second;
     // Same-lineage ordering: never replace a stored snapshot with one
     // from an older epoch, nor an older capture of the same epoch
     // (reordered arrivals).
@@ -128,15 +128,15 @@ void SelfHealer::StoreCheckpoint(const std::string& pipeline_name,
   ++stats_.checkpoints_stored;
 }
 
-Orchestrator::CheckpointLookup SelfHealer::MakeLookup() const {
+CheckpointLookup SelfHealer::MakeLookup() const {
   return [this](const std::string& pipeline, const std::string& module)
-             -> const Orchestrator::ModuleCheckpoint* {
+             -> const ModuleCheckpoint* {
     auto it = checkpoints_.find({pipeline, module});
     return it == checkpoints_.end() ? nullptr : &it->second;
   };
 }
 
-const Orchestrator::ModuleCheckpoint* SelfHealer::checkpoint(
+const ModuleCheckpoint* SelfHealer::checkpoint(
     const std::string& pipeline, const std::string& module) const {
   auto it = checkpoints_.find({pipeline, module});
   return it == checkpoints_.end() ? nullptr : &it->second;

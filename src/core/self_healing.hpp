@@ -64,7 +64,7 @@ class SelfHealer {
   const SelfHealingStats& stats() const { return stats_; }
 
   /// Latest stored checkpoint for (pipeline, module), or nullptr.
-  const Orchestrator::ModuleCheckpoint* checkpoint(
+  const ModuleCheckpoint* checkpoint(
       const std::string& pipeline, const std::string& module) const;
 
   /// Hibernation integration: push a sleep-time snapshot into the
@@ -73,7 +73,7 @@ class SelfHealer {
   /// pipeline's runtimes are released, so a device failure right
   /// after wake still restores fresh state.
   void Store(const std::string& pipeline, const std::string& module,
-             Orchestrator::ModuleCheckpoint incoming) {
+             ModuleCheckpoint incoming) {
     StoreCheckpoint(pipeline, module, std::move(incoming));
   }
 
@@ -82,17 +82,16 @@ class SelfHealer {
   /// Arrival path of a shipped snapshot: epoch-checked before storing.
   void StoreCheckpoint(const std::string& pipeline_name,
                        const std::string& module_name,
-                       Orchestrator::ModuleCheckpoint incoming);
+                       ModuleCheckpoint incoming);
   void OnDeviceDown(const std::string& device, TimePoint last_heard);
   void OnDeviceUp(const std::string& device);
-  Orchestrator::CheckpointLookup MakeLookup() const;
+  CheckpointLookup MakeLookup() const;
 
   Orchestrator* orchestrator_;
   SelfHealingOptions options_;
   std::string controller_;
   std::unique_ptr<FailureDetector> detector_;
-  std::map<std::pair<std::string, std::string>,
-           Orchestrator::ModuleCheckpoint>
+  std::map<std::pair<std::string, std::string>, ModuleCheckpoint>
       checkpoints_;
   bool running_ = false;
   SelfHealingStats stats_;

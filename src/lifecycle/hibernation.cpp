@@ -1,7 +1,5 @@
 #include "lifecycle/hibernation.hpp"
 
-#include <functional>
-
 #include "common/log.hpp"
 
 namespace vp::lifecycle {
@@ -104,9 +102,9 @@ Status HibernationManager::Hibernate(core::PipelineDeployment* pipeline) {
   if (options_.prewarm_on_hibernate) {
     for (const core::ModuleSpec& m : pipeline->spec().modules) {
       if (m.type != core::ModuleType::kScript) continue;
-      const uint64_t seed = orchestrator_->options().seed ^
-                            std::hash<std::string>{}(m.name);
-      (void)pool_.Prewarm(m.code, seed);
+      (void)pool_.Prewarm(
+          m.code, core::ModuleScriptSeed(orchestrator_->options().seed,
+                                         m.name));
     }
   }
 
@@ -240,11 +238,9 @@ HibernationManager::MakeContextProvider() {
   return [this](const core::ModuleSpec& spec,
                 const std::string& device) -> std::unique_ptr<script::Context> {
     (void)device;
-    // Same seed derivation as ModuleRuntime::Initialize — the pooled
-    // context's Math.random stream matches a cold-built one exactly.
-    const uint64_t seed = orchestrator_->options().seed ^
-                          std::hash<std::string>{}(spec.name);
-    return pool_.Acquire(spec.code, seed);
+    return pool_.Acquire(spec.code, core::ModuleScriptSeed(
+                                        orchestrator_->options().seed,
+                                        spec.name));
   };
 }
 

@@ -272,7 +272,7 @@ TEST(Chaos, StaleCheckpointFromHealedPartitionIsRejected) {
   // The store converged to the new lineage, not the zombie's.
   const std::string module = FirstScriptModule(rig);
   ASSERT_FALSE(module.empty());
-  const core::Orchestrator::ModuleCheckpoint* stored =
+  const core::ModuleCheckpoint* stored =
       rig.healer->checkpoint(rig.pipeline->spec().name, module);
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->epoch, rig.pipeline->module_epoch(module));

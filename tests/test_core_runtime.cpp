@@ -5,6 +5,7 @@
 
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
+#include "core/invariants.hpp"
 #include "core/orchestrator.hpp"
 #include "json/write.hpp"
 #include "net/fabric.hpp"
@@ -428,6 +429,62 @@ TEST(InitOutsideVirtualTime, CaughtServiceCallDeploysAndWakesInPlace) {
   const TimePoint before = cluster->Now();
   ASSERT_TRUE(orchestrator.WakePipeline(pipeline).ok());
   EXPECT_EQ(cluster->Now(), before);
+}
+
+// A deploy whose module init() fails leaves nothing routed to the
+// runtimes it built: the pose module's init() armed a timer, the
+// activity module's init() fails, and neither a message for the pose
+// module's port nor the timer finds a freed runtime. The configured
+// ports are free for the next deploy.
+TEST(InitOutsideVirtualTime, FailedDeployLeavesNothingRouted) {
+  auto cluster = sim::MakeHomeTestbed();
+  Orchestrator orchestrator(cluster.get());
+  auto spec = apps::fitness::Spec();
+  ASSERT_TRUE(spec.ok());
+  std::vector<uint16_t> ports;
+  for (ModuleSpec& m : spec->modules) {
+    ports.push_back(m.endpoint.port);
+    if (m.name == "pose_detection_module") {
+      m.code = "function init() { set_timer(100); }\n" + m.code;
+    } else if (m.name == "activity_detector_module") {
+      m.code = "function init() { busy_ms(5); }\n" + m.code;
+    }
+  }
+  Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto failed = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code(), StatusCode::kFailedPrecondition)
+      << failed.error().ToString();
+  EXPECT_TRUE(orchestrator.pipelines().empty());
+  EXPECT_EQ(orchestrator.undeployed_count(), 1u);
+  for (sim::Device* device : cluster->devices()) {
+    for (uint16_t port : ports) {
+      EXPECT_FALSE(orchestrator.fabric().IsBound({device->name(), port}))
+          << device->name() << ":" << port;
+    }
+  }
+
+  net::Message frame("frame", json::Value::MakeObject());
+  ASSERT_TRUE(orchestrator.fabric()
+                  .Push("desktop", net::Address{"desktop", 5861},
+                        std::move(frame))
+                  .ok());
+  orchestrator.RunFor(Duration::Seconds(1));
+
+  Orchestrator::DeployArgs again;
+  again.workload = apps::fitness::Workout();
+  auto redeployed = orchestrator.Deploy(*apps::fitness::Spec(),
+                                        std::move(again));
+  ASSERT_TRUE(redeployed.ok()) << redeployed.error().ToString();
+  EXPECT_EQ(*(*redeployed)->ModuleAddress("pose_detection_module"),
+            (net::Address{"desktop", 5861}));
+  (*redeployed)->Start();
+  orchestrator.RunFor(Duration::Seconds(2));
+  EXPECT_GT((*redeployed)->metrics().frames_completed(), 0u);
+  InvariantChecker checker(&orchestrator);
+  checker.CheckNow();
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
 }
 
 // ------------------------------------------------- hostile frame ids

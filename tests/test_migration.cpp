@@ -1,17 +1,42 @@
-// Tests for module state snapshots and live module migration, plus a
-// long multi-app soak run with chaos (lossy Wi-Fi + migrations).
+// Tests for module state snapshots, live module migration and the one
+// module start path (deploy, migrate, restore, wake), plus a long
+// multi-app soak run with chaos (lossy Wi-Fi + migrations).
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "apps/fall.hpp"
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
+#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
+#include "lifecycle/hibernation.hpp"
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
+#include "sim/fault_injector.hpp"
 
 namespace vp {
 namespace {
+
+void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
+  core::InvariantChecker checker(&orchestrator);
+  checker.CheckNow();
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+}
+
+/// The fitness pipeline with `code` prepended to `module`'s source.
+core::PipelineSpec FitnessWith(const std::string& module,
+                               const std::string& code) {
+  auto spec = apps::fitness::Spec();
+  EXPECT_TRUE(spec.ok());
+  for (core::ModuleSpec& m : spec->modules) {
+    if (m.name == module) m.code = code + "\n" + m.code;
+  }
+  return std::move(*spec);
+}
 
 // ------------------------------------------------- snapshot / restore
 
@@ -106,6 +131,7 @@ TEST(Migration, MovesAModuleAndItsStateAcrossDevices) {
   // …and the migrated module handles events on the TV without errors.
   EXPECT_GT(after->stats().events, 50u);
   EXPECT_EQ(after->stats().script_errors, 0u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Migration, RepCountContinuesAcrossTheMove) {
@@ -130,6 +156,7 @@ TEST(Migration, RepCountContinuesAcrossTheMove) {
   // Counting resumed from the migrated state, not from zero.
   EXPECT_GE(reps_after, reps_before_move + 5);
   EXPECT_GE(reps_after, 10);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Migration, RejectsUnknownTargets) {
@@ -151,6 +178,7 @@ TEST(Migration, RejectsUnknownTargets) {
   EXPECT_TRUE(orchestrator.MigrateModule(**deployment, "rep_counter_module",
                                          "desktop")
                   .ok());
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Migration, CoLocationFollowsTheModule) {
@@ -174,12 +202,347 @@ TEST(Migration, CoLocationFollowsTheModule) {
                       .ok());
     }
     orchestrator.RunFor(Duration::Seconds(15));
+    ExpectInvariantsHold(orchestrator);
     return (*deployment)->metrics().EndToEndFps();
   };
   const double colocated_fps = run_segment(false);
   const double displaced_fps = run_segment(true);
   EXPECT_LT(displaced_fps, colocated_fps - 0.5)
       << "remote pose calls after displacement must cost throughput";
+}
+
+// A migration whose start fails on the target (init() refuses the TV)
+// leaves the module where it was: same runtime, address, epoch and
+// state, still bound and still counting reps.
+TEST(Migration, FailedStartLeavesTheModuleWhereItWas) {
+  auto cluster = sim::MakeHomeTestbed();
+  core::Orchestrator orchestrator(cluster.get());
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(
+      FitnessWith("rep_counter_module", R"JS(
+        function init() {
+          if (DEVICE_NAME == "tv") { throw "no room on the tv"; }
+        })JS"),
+      std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.error().ToString();
+  core::PipelineDeployment& pipeline = **deployment;
+  pipeline.Start();
+  orchestrator.RunFor(Duration::Seconds(10));
+
+  const std::string module = "rep_counter_module";
+  core::ModuleRuntime* runtime = pipeline.FindModule(module);
+  ASSERT_NE(runtime, nullptr);
+  const net::Address address{"desktop", 5863};
+  ASSERT_EQ(*pipeline.ModuleAddress(module), address);
+  const json::Value state = runtime->context().SnapshotState();
+  const uint64_t events = runtime->stats().events;
+
+  const Status migrated = orchestrator.MigrateModule(pipeline, module, "tv");
+  ASSERT_FALSE(migrated.ok());
+  EXPECT_NE(migrated.message().find("no room on the tv"), std::string::npos)
+      << migrated.ToString();
+  EXPECT_EQ(pipeline.FindModule(module), runtime);
+  EXPECT_EQ(*pipeline.ModuleAddress(module), address);
+  EXPECT_TRUE(orchestrator.fabric().IsBound(address));
+  EXPECT_EQ(pipeline.plan().module_device.at(module), "desktop");
+  EXPECT_EQ(pipeline.module_epoch(module), 1u);
+  EXPECT_EQ(runtime->epoch(), 1u);
+  EXPECT_EQ(runtime->context().SnapshotState(), state);
+
+  orchestrator.RunFor(Duration::Seconds(3));
+  EXPECT_GT(runtime->stats().events, events);
+  ExpectInvariantsHold(orchestrator);
+}
+
+// ------------------------------------------------ one module start path
+
+/// Fitness whose activity module's init() throws while `init_allowed`
+/// is false (a host function reads it).
+struct GatedInitRig {
+  std::unique_ptr<sim::Cluster> cluster = sim::MakeHomeTestbed();
+  core::Orchestrator orchestrator{cluster.get()};
+  bool init_allowed = true;
+  core::PipelineDeployment* pipeline = nullptr;
+  std::vector<std::string> modules;  // the script modules
+
+  GatedInitRig() {
+    core::Orchestrator::DeployArgs args;
+    args.workload = apps::fitness::Workout();
+    args.extra_host_functions["activity_detector_module"].emplace_back(
+        "init_allowed",
+        [this](script::Vm&, script::HostArgs) -> Result<script::VpValue> {
+          return script::VpValue::Boolean(init_allowed);
+        });
+    auto deployment = orchestrator.Deploy(
+        FitnessWith("activity_detector_module", R"JS(
+          function init() {
+            if (!init_allowed()) { throw "init refused"; }
+          })JS"),
+        std::move(args));
+    EXPECT_TRUE(deployment.ok()) << deployment.error().ToString();
+    pipeline = *deployment;
+    for (const auto& runtime : pipeline->modules()) {
+      modules.push_back(runtime->name());
+    }
+    pipeline->Start();
+    orchestrator.RunFor(Duration::Seconds(3));
+  }
+
+  /// Asleep with nothing started: no runtime, no bound module address
+  /// (doorbells aside), every module at epoch 1.
+  void ExpectAsleep(bool doorbells) {
+    EXPECT_TRUE(pipeline->hibernated());
+    EXPECT_TRUE(pipeline->modules().empty());
+    for (const std::string& module : modules) {
+      EXPECT_EQ(orchestrator.fabric().IsBound(
+                    *pipeline->ModuleAddress(module)),
+                doorbells)
+          << module;
+      EXPECT_EQ(pipeline->module_epoch(module), 1u) << module;
+    }
+    ExpectInvariantsHold(orchestrator);
+  }
+};
+
+// A wake whose init() fails starts nothing: the pipeline stays
+// hibernated at its old epochs with its checkpoints, so a later wake
+// restores them as fresh.
+TEST(FailedStart, WakeLeavesThePipelineHibernatedAndWakeable) {
+  GatedInitRig rig;
+  ASSERT_EQ(rig.modules.size(), 4u);
+  ASSERT_TRUE(rig.orchestrator.HibernatePipeline(rig.pipeline).ok());
+  rig.init_allowed = false;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status woken = rig.orchestrator.WakePipeline(rig.pipeline);
+    ASSERT_FALSE(woken.ok());
+    EXPECT_NE(woken.message().find("init refused"), std::string::npos)
+        << woken.ToString();
+    rig.ExpectAsleep(/*doorbells=*/false);
+  }
+
+  rig.init_allowed = true;
+  const core::PipelineMetrics& metrics = rig.pipeline->metrics();
+  const uint64_t restored = metrics.checkpoints_restored();
+  ASSERT_TRUE(rig.orchestrator.WakePipeline(rig.pipeline).ok());
+  EXPECT_EQ(metrics.checkpoints_restored(), restored + rig.modules.size());
+  EXPECT_EQ(metrics.checkpoints_rejected_stale(), 0u);
+  for (const std::string& module : rig.modules) {
+    EXPECT_EQ(rig.pipeline->module_epoch(module), 2u) << module;
+  }
+  const uint64_t completed = metrics.frames_completed();
+  rig.orchestrator.RunFor(Duration::Seconds(2));
+  EXPECT_GT(metrics.frames_completed(), completed);
+  ExpectInvariantsHold(rig.orchestrator);
+}
+
+// The same failure through the lifecycle manager: the failed wake
+// re-arms a doorbell on every module address, and the next frame at
+// one wakes the pipeline once init() succeeds.
+TEST(FailedStart, RequestedWakeReArmsEveryDoorbell) {
+  GatedInitRig rig;
+  lifecycle::HibernationOptions options;
+  options.auto_hibernate = false;
+  lifecycle::HibernationManager manager(&rig.orchestrator, options);
+  manager.Start();
+  ASSERT_TRUE(manager.Hibernate(rig.pipeline).ok());
+  rig.orchestrator.RunFor(Duration::Seconds(1));
+  rig.init_allowed = false;
+  Status wake_status(StatusCode::kInternal, "pending");
+  manager.RequestWake(rig.pipeline->spec().name,
+                      [&](const Status& s) { wake_status = s; });
+  rig.orchestrator.RunFor(Duration::Seconds(1));
+  EXPECT_FALSE(wake_status.ok());
+  EXPECT_EQ(manager.stats().failed_wakes, 1u);
+  rig.ExpectAsleep(/*doorbells=*/true);
+
+  rig.init_allowed = true;
+  net::Message frame("frame", json::Value::MakeObject());
+  ASSERT_TRUE(rig.orchestrator.fabric()
+                  .Push(rig.pipeline->source_device(),
+                        *rig.pipeline->ModuleAddress(rig.modules.front()),
+                        std::move(frame))
+                  .ok());
+  rig.orchestrator.RunFor(Duration::Seconds(3));
+  EXPECT_FALSE(rig.pipeline->hibernated());
+  EXPECT_EQ(manager.stats().doorbell_wakes, 1u);
+  EXPECT_GT(rig.pipeline->metrics().frames_completed(), 0u);
+  ExpectInvariantsHold(rig.orchestrator);
+}
+
+/// Fitness with a `marker` global in the rep counter, on a home whose
+/// devices can crash (the nuc takes over the desktop's containers).
+struct StartRig {
+  static constexpr const char* kModule = "rep_counter_module";
+  std::unique_ptr<sim::Cluster> cluster = sim::MakeExtendedTestbed();
+  core::Orchestrator orchestrator{cluster.get()};
+  sim::FaultInjector injector{&cluster->simulator(), &cluster->network()};
+  core::PipelineDeployment* pipeline = nullptr;
+  TimePoint crashed_at;
+  core::ModuleCheckpoint checkpoint;
+
+  StartRig() { orchestrator.RegisterDevicesForFaults(injector); }
+
+  Status Deploy() {
+    core::Orchestrator::DeployArgs args;
+    args.workload = apps::fitness::Workout();
+    auto deployment = orchestrator.Deploy(
+        FitnessWith(kModule, "var marker = \"initial\";"), std::move(args));
+    if (!deployment.ok()) return deployment.status();
+    pipeline = *deployment;
+    return Status::Ok();
+  }
+  void DeployAndRun() {
+    ASSERT_TRUE(Deploy().ok());
+    pipeline->Start();
+    orchestrator.RunFor(Duration::Seconds(3));
+  }
+  void Mark(const char* marker) {
+    json::Value state = json::Value::MakeObject();
+    state["marker"] = json::Value(marker);
+    ASSERT_TRUE(
+        pipeline->FindModule(kModule)->context().RestoreState(state).ok());
+  }
+  void HibernateAndWake() {
+    ASSERT_TRUE(orchestrator.HibernatePipeline(pipeline).ok());
+    ASSERT_TRUE(orchestrator.WakePipeline(pipeline).ok());
+    orchestrator.RunFor(Duration::Seconds(2));
+  }
+  void CrashDesktop() {
+    crashed_at = cluster->Now() + Duration::Millis(100);
+    ASSERT_TRUE(
+        injector.ScheduleDeviceCrash("desktop", crashed_at, Duration::Zero())
+            .ok());
+    orchestrator.RunFor(Duration::Seconds(1));
+  }
+  /// Recover from the desktop's loss, offering a checkpoint of the rep
+  /// counter taken at placement epoch `epoch`.
+  Status Recover(uint64_t epoch) {
+    checkpoint.state = json::Value::MakeObject();
+    checkpoint.state["marker"] = json::Value("checkpoint");
+    checkpoint.taken_at = cluster->Now();
+    checkpoint.epoch = epoch;
+    return orchestrator.RecoverFromDeviceFailure(
+        "desktop", crashed_at,
+        [this](const std::string&, const std::string& module) {
+          return module == kModule ? &checkpoint : nullptr;
+        },
+        "phone");
+  }
+};
+
+// What each caller of the one start path decides. `marker` names the
+// state the module starts from: "initial" (none), "live" (the running
+// instance's, by snapshot or hibernation checkpoint) or "checkpoint".
+enum class Port { kConfigured, kNew, kSame };
+struct StartCase {
+  const char* caller;
+  std::function<void(StartRig&)> prepare;
+  std::function<Status(StartRig&)> start;
+  Port port;
+  uint64_t epoch_step;
+  const char* marker;
+  bool bound_at_once;
+  uint64_t restored;
+  uint64_t rejected;
+};
+
+TEST(ModuleStart, EachCallerKeepsItsPolicy) {
+  const std::vector<StartCase> cases = {
+      {"deploy", [](StartRig&) {},
+       [](StartRig& rig) { return rig.Deploy(); }, Port::kConfigured, 0,
+       "initial", true, 0, 0},
+      {"migrate",
+       [](StartRig& rig) {
+         rig.DeployAndRun();
+         rig.Mark("live");
+       },
+       [](StartRig& rig) {
+         return rig.orchestrator.MigrateModule(*rig.pipeline,
+                                               StartRig::kModule, "tv");
+       },
+       Port::kNew, 0, "live", false, 0, 0},
+      {"restore",
+       [](StartRig& rig) {
+         rig.DeployAndRun();
+         rig.Mark("live");
+         rig.CrashDesktop();
+       },
+       [](StartRig& rig) { return rig.Recover(1); }, Port::kNew, 1,
+       "checkpoint", false, 1, 0},
+      {"restore from a stale checkpoint",
+       [](StartRig& rig) {
+         rig.DeployAndRun();
+         rig.Mark("live");
+         rig.HibernateAndWake();
+         rig.CrashDesktop();
+       },
+       [](StartRig& rig) { return rig.Recover(1); }, Port::kNew, 1,
+       "initial", false, 0, 1},
+      {"wake",
+       [](StartRig& rig) {
+         rig.DeployAndRun();
+         rig.Mark("live");
+         ASSERT_TRUE(rig.orchestrator.HibernatePipeline(rig.pipeline).ok());
+         rig.orchestrator.RunFor(Duration::Seconds(1));
+       },
+       [](StartRig& rig) {
+         return rig.orchestrator.WakePipeline(rig.pipeline);
+       },
+       Port::kSame, 1, "live", true, 4, 0},
+  };
+  for (const StartCase& c : cases) {
+    SCOPED_TRACE(c.caller);
+    StartRig rig;
+    c.prepare(rig);
+    const char* module = StartRig::kModule;
+    const bool deployed = rig.pipeline != nullptr;
+    const net::Address before =
+        deployed ? *rig.pipeline->ModuleAddress(module) : net::Address{};
+    const uint64_t epoch = deployed ? rig.pipeline->module_epoch(module) : 1;
+    const uint64_t restored =
+        deployed ? rig.pipeline->metrics().checkpoints_restored() : 0;
+    const uint64_t rejected =
+        deployed ? rig.pipeline->metrics().checkpoints_rejected_stale() : 0;
+
+    const Status started = c.start(rig);
+    ASSERT_TRUE(started.ok()) << started.ToString();
+    core::PipelineDeployment& pipeline = *rig.pipeline;
+    const net::Address address = *pipeline.ModuleAddress(module);
+    switch (c.port) {
+      case Port::kConfigured:
+        EXPECT_EQ(address, (net::Address{"desktop", 5863}));
+        break;
+      case Port::kNew:
+        EXPECT_NE(address, before);
+        EXPECT_GE(address.port, 20000);
+        break;
+      case Port::kSame:
+        EXPECT_EQ(address, before);
+        break;
+    }
+    core::ModuleRuntime* runtime = pipeline.FindModule(module);
+    ASSERT_NE(runtime, nullptr);
+    EXPECT_EQ(runtime->address(), address);
+    EXPECT_EQ(runtime->epoch(), epoch + c.epoch_step);
+    EXPECT_EQ(pipeline.module_epoch(module), epoch + c.epoch_step);
+    EXPECT_EQ(runtime->context().GetGlobal("marker"), json::Value(c.marker));
+    EXPECT_EQ(rig.orchestrator.fabric().IsBound(address), c.bound_at_once);
+    EXPECT_EQ(pipeline.metrics().checkpoints_restored() - restored,
+              c.restored);
+    EXPECT_EQ(pipeline.metrics().checkpoints_rejected_stale() - rejected,
+              c.rejected);
+
+    // Bound on arrival at the latest, and serving.
+    pipeline.Start();
+    const uint64_t completed = pipeline.metrics().frames_completed();
+    rig.orchestrator.RunFor(Duration::Seconds(5));
+    EXPECT_TRUE(rig.orchestrator.fabric().IsBound(address));
+    EXPECT_EQ(pipeline.FindModule(module), runtime);
+    EXPECT_GT(runtime->stats().events, 0u);
+    EXPECT_GT(pipeline.metrics().frames_completed(), completed);
+    ExpectInvariantsHold(rig.orchestrator);
+  }
 }
 
 // --------------------------------------------------------------- soak
