@@ -50,6 +50,14 @@ std::optional<media::FrameId> FrameIdOf(const json::Value& payload) {
   return media::FrameIdFromNumber(id->AsDouble());
 }
 
+/// A frame a remote caller shipped, decoded for the replica.
+Result<media::FrameRef> ParseShippedFrame(Bytes part) {
+  auto frame = media::EncodedFrame::Parse(std::move(part));
+  if (!frame.ok()) return frame.error();
+  return media::FrameRef(
+      std::make_shared<const media::EncodedFrame>(std::move(*frame)));
+}
+
 /// A blocking call waits by suspending the handler fiber it runs on.
 /// init() and top-level module code have none: they run synchronously
 /// while a module starts (deploy, wake, migrate, restore), outside
@@ -189,7 +197,8 @@ serving::RequestScheduler* Orchestrator::scheduler(
              .emplace(std::make_pair(device, service),
                       std::make_unique<serving::RequestScheduler>(
                           &cluster_->simulator(), registry_.get(), device,
-                          service, options_.serving.scheduler))
+                          service, options_.serving.scheduler,
+                          options_.service_call.suspect_duration))
              .first;
   }
   return it->second.get();
@@ -302,129 +311,35 @@ Status Orchestrator::BindServiceGateway(const std::string& device,
       address, [this, device, service](net::Message message,
                                        net::Responder respond) {
         if (!respond) return;  // services are request/response only
-
-        if (serving::RequestScheduler* sched = scheduler(device, service)) {
-          // Serving path: strip the piggybacked scheduling plan and
-          // submit to the scheduler (which owns replica choice and
-          // health). The gateway watchdog stays — a wedged replica
-          // swallows its whole batch and the remote caller must still
-          // get a timely TIMEOUT.
-          auto answered = std::make_shared<bool>(false);
-          net::Responder once = [answered, respond](net::Message reply) {
-            if (*answered) return;
-            *answered = true;
-            respond(std::move(reply));
-          };
-          const Duration timeout = options_.service_call.timeout;
-          cluster_->simulator().After(
-              timeout, [answered, once, device, service, timeout] {
-                if (*answered) return;
-                once(MakeReply(Timeout(
-                    "replica of '" + service + "' on " + device +
-                    " did not answer within " +
-                    std::to_string(
-                        static_cast<long long>(timeout.millis())) +
-                    " ms")));
-              });
-
-          serving::SchedulerRequest sreq;
-          if (const json::Value* sv =
-                  std::as_const(message).payload().Find("__serving");
-              sv != nullptr && sv->is_object()) {
-            sreq.priority_class =
-                serving::PriorityClassFromName(sv->GetString("class"));
-            if (const json::Value* d = sv->Find("deadline_us");
-                d != nullptr && d->is_number()) {
-              sreq.deadline = TimePoint::FromMicros(
-                  static_cast<int64_t>(d->AsDouble()));
-            }
-            // The caller built this body for the wire alone, so the
-            // erase happens in place.
-            message.payload().AsObject().Erase("__serving");
+        // Strip the piggybacked scheduling plan (serving on) before the
+        // payload reaches the service handler. The caller built this
+        // body for the wire alone, so the erase happens in place.
+        int priority_class = serving::PriorityClassFromName("normal");
+        std::optional<TimePoint> deadline;
+        if (const json::Value* sv =
+                std::as_const(message).payload().Find("__serving");
+            sv != nullptr && sv->is_object()) {
+          priority_class =
+              serving::PriorityClassFromName(sv->GetString("class"));
+          if (const json::Value* d = sv->Find("deadline_us");
+              d != nullptr && d->is_number()) {
+            deadline =
+                TimePoint::FromMicros(static_cast<int64_t>(d->AsDouble()));
           }
-          if (!message.parts().empty()) {
-            // Remote caller shipped the frame. Decode cost is charged
-            // with the batch (extra_cost) — the replica is not chosen
-            // until dispatch, so there is no lane to charge yet.
-            Bytes part = std::move(message.mutable_parts().front());
-            sreq.extra_cost = media::DecodeCost(part.size());
-            auto frame = media::EncodedFrame::Parse(std::move(part));
-            if (!frame.ok()) {
-              once(MakeReply(frame.error()));
-              return;
-            }
-            sreq.request.frame =
-                std::make_shared<const media::EncodedFrame>(std::move(*frame));
-          }
-          sreq.request.payload = message.shared_payload();
-          sreq.done = [once](Result<json::Value> result) {
-            once(MakeReply(std::move(result)));
-          };
-          sched->Submit(std::move(sreq));
-          return;
+          message.payload().AsObject().Erase("__serving");
         }
-
-        services::ServiceInstance* instance =
-            registry_->Find(device, service);
-        if (instance == nullptr) {
-          respond(MakeReply(
-              Unavailable("no replica of '" + service + "' on " + device)));
-          return;
+        std::optional<Bytes> shipped_frame;
+        if (!message.parts().empty()) {
+          shipped_frame = std::move(message.mutable_parts().front());
         }
-
-        // Gateway watchdog: first of {replica reply, timeout} wins. A
-        // wedged replica swallows the request, so without this the
-        // remote caller would hang for its full (laxer) budget and the
-        // replica would never be health-marked.
-        auto answered = std::make_shared<bool>(false);
-        net::Responder once = [answered, respond](net::Message reply) {
-          if (*answered) return;
-          *answered = true;
-          respond(std::move(reply));
-        };
-        const Duration timeout = options_.service_call.timeout;
-        cluster_->simulator().After(
-            timeout, [this, answered, instance, once, device, service,
-                      timeout] {
-              if (*answered) return;
-              instance->MarkSuspected(cluster_->Now() +
-                                      options_.service_call.suspect_duration);
-              once(MakeReply(Timeout(
-                  "replica of '" + service + "' on " + device +
-                  " did not answer within " +
-                  std::to_string(static_cast<long long>(timeout.millis())) +
-                  " ms")));
-            });
-
         services::ServiceRequest request;
         request.payload = message.shared_payload();
-        if (!message.parts().empty()) {
-          // Remote caller shipped the frame: decode on this replica's
-          // lane (charged), then handle.
-          Bytes part = std::move(message.mutable_parts().front());
-          const Duration decode_cost = media::DecodeCost(part.size());
-          instance->lane()->Run(
-              decode_cost,
-              [instance, request = std::move(request),
-               part = std::move(part), once]() mutable {
-                auto frame = media::EncodedFrame::Parse(std::move(part));
-                if (!frame.ok()) {
-                  once(MakeReply(frame.error()));
-                  return;
-                }
-                request.frame = std::make_shared<const media::EncodedFrame>(
-                    std::move(*frame));
-                instance->Invoke(std::move(request),
-                                 [once](Result<json::Value> result) {
-                                   once(MakeReply(std::move(result)));
-                                 });
-              });
-          return;
-        }
-        instance->Invoke(std::move(request),
-                         [once](Result<json::Value> result) {
-                           once(MakeReply(std::move(result)));
-                         });
+        DispatchCall(device, service, std::move(request),
+                     std::move(shipped_frame), priority_class, deadline,
+                     Duration::Zero(),
+                     [respond](Result<json::Value> result) {
+                       respond(MakeReply(std::move(result)));
+                     });
       });
   if (!bound.ok()) return bound;
   gateways_[{device, service}] = address;
@@ -573,14 +488,25 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
 
   // 2. Module addresses. Configured ports are honored when free;
   //    conflicts (e.g. two pipelines from the same template) fall back
-  //    to auto-assigned ports.
-  for (const ModuleSpec& m : pspec.modules) {
-    const std::string& device = pplan.module_device.at(m.name);
-    uint16_t port = m.endpoint.port;
-    if (port == 0 || fabric_->IsBound(net::Address{device, port})) {
-      port = AllocatePort();
+  //    to auto-assigned ports. Only a script module binds its address,
+  //    and its port is free when unbound and remembered by no deployed
+  //    pipeline: a hibernated one has released its endpoints but wakes
+  //    at the same addresses.
+  auto remembered = [this](const net::Address& address) {
+    for (const auto& other : pipelines_) {
+      for (const auto& [module, owned] : other->addresses_) {
+        if (owned == address) return true;
+      }
     }
-    deployment->addresses_[m.name] = net::Address{device, port};
+    return false;
+  };
+  for (const ModuleSpec& m : pspec.modules) {
+    net::Address address{pplan.module_device.at(m.name), m.endpoint.port};
+    if (address.port == 0 || fabric_->IsBound(address) ||
+        (m.type == ModuleType::kScript && remembered(address))) {
+      address.port = AllocatePort();
+    }
+    deployment->addresses_[m.name] = std::move(address);
   }
 
   // 3. Camera (source module + native video-source service).
@@ -799,6 +725,107 @@ Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
   return result;
 }
 
+void Orchestrator::DispatchCall(
+    const std::string& device, const std::string& service,
+    services::ServiceRequest request, std::optional<Bytes> shipped_frame,
+    int priority_class, std::optional<TimePoint> deadline, Duration hop,
+    std::function<void(Result<json::Value>)> done) {
+  serving::RequestScheduler* sched = scheduler(device, service);
+  services::ServiceInstance* replica =
+      sched == nullptr ? registry_->Find(device, service) : nullptr;
+  if (sched == nullptr && replica == nullptr) {
+    done(Unavailable("no available replica of '" + service + "' on " +
+                     device));
+    return;
+  }
+  // The call's state is shared: a reply that comes after the watchdog
+  // answered must find it alive and answered, not a dangling stack.
+  struct Call {
+    bool answered = false;
+    uint64_t watchdog = 0;
+    std::function<void(Result<json::Value>)> done;
+  };
+  auto call = std::make_shared<Call>();
+  call->done = std::move(done);
+  auto answer = [this, call](Result<json::Value> result) {
+    if (call->answered) return;
+    call->answered = true;
+    cluster_->simulator().Cancel(call->watchdog);  // false once it fired
+    call->done(std::move(result));
+  };
+  auto after_hop = [this, hop](std::function<void()> step) {
+    if (hop > Duration::Zero()) {
+      cluster_->simulator().After(hop, std::move(step));
+    } else {
+      step();
+    }
+  };
+  auto reply = [after_hop, answer](Result<json::Value> result) {
+    after_hop([answer, result = std::move(result)]() mutable {
+      answer(std::move(result));
+    });
+  };
+
+  // Watchdog: first of {reply, timeout} wins. A wedged replica swallows
+  // the request, so without it the caller would wait out its own (for
+  // a remote call, laxer) budget and the replica would never be
+  // health-marked.
+  const Duration timeout = options_.service_call.timeout;
+  call->watchdog = cluster_->simulator().After(
+      timeout, [this, answer, replica, device, service, timeout] {
+        if (replica != nullptr) {
+          replica->MarkSuspected(cluster_->Now() +
+                                 options_.service_call.suspect_duration);
+        }
+        answer(Timeout(
+            "call to '" + service + "' on " + device + " timed out after " +
+            std::to_string(static_cast<long long>(timeout.millis())) +
+            " ms"));
+      });
+
+  after_hop([sched, replica, answer, reply, priority_class, deadline,
+             request = std::move(request),
+             shipped_frame = std::move(shipped_frame)]() mutable {
+    if (sched != nullptr) {
+      serving::SchedulerRequest sreq;
+      sreq.request = std::move(request);
+      sreq.priority_class = priority_class;
+      sreq.deadline = deadline;
+      if (shipped_frame) {
+        // No replica is chosen until dispatch, so there is no lane to
+        // charge yet: the decode rides with the batch.
+        sreq.extra_cost = media::DecodeCost(shipped_frame->size());
+        auto frame = ParseShippedFrame(std::move(*shipped_frame));
+        if (!frame.ok()) {
+          answer(frame.error());
+          return;
+        }
+        sreq.request.frame = std::move(*frame);
+      }
+      sreq.done = reply;
+      sched->Submit(std::move(sreq));
+      return;
+    }
+    if (!shipped_frame) {
+      replica->Invoke(std::move(request), reply);
+      return;
+    }
+    // Decode on the replica's lane (charged), then handle.
+    const Duration decode = media::DecodeCost(shipped_frame->size());
+    replica->lane()->Run(decode, [replica, answer, reply,
+                                  request = std::move(request),
+                                  part = std::move(*shipped_frame)]() mutable {
+      auto frame = ParseShippedFrame(std::move(part));
+      if (!frame.ok()) {
+        answer(frame.error());
+        return;
+      }
+      request.frame = std::move(*frame);
+      replica->Invoke(std::move(request), reply);
+    });
+  });
+}
+
 Result<json::Value> Orchestrator::CallServiceOnce(
     ModuleRuntime& caller, const std::string& service,
     const std::string& host_device,
@@ -816,84 +843,15 @@ Result<json::Value> Orchestrator::CallServiceOnce(
       request.frame = *frame;
     }
     request.payload = payload;
-
-    if (serving::RequestScheduler* sched = scheduler(host_device, service)) {
-      // Serving path: same caller-side timeout scaffolding as the
-      // direct path, but the request goes through the scheduler, which
-      // owns replica choice, batching and health — so a timeout here
-      // (could be queueing, not a sick replica) marks nothing suspect.
-      auto state = std::make_shared<PendingResult>();
-      const uint64_t timer = cluster_->simulator().After(
-          rc.timeout, [state, service, host_device, rc] {
-            if (state->done) return;
-            state->done = true;
-            state->value = Result<json::Value>(Timeout(
-                "call to '" + service + "' on " + host_device +
-                " timed out after " +
-                std::to_string(static_cast<long long>(rc.timeout.millis())) +
-                " ms"));
-          });
-      const Duration ipc = cluster_->network().loopback_delay();
-      cluster_->simulator().After(
-          ipc, [this, sched, state, ipc, priority_class, deadline,
-                request = std::move(request)]() mutable {
-            serving::SchedulerRequest sreq;
-            sreq.request = std::move(request);
-            sreq.priority_class = priority_class;
-            sreq.deadline = deadline;
-            sreq.done = [this, state, ipc](Result<json::Value> result) {
-              cluster_->simulator().After(
-                  ipc, [state, result = std::move(result)]() mutable {
-                    if (state->done) return;
-                    state->value = std::move(result);
-                    state->done = true;
-                  });
-            };
-            sched->Submit(std::move(sreq));
-          });
-      VP_RETURN_IF_ERROR_R(Await(state->done));
-      cluster_->simulator().Cancel(timer);  // no-op if it already fired
-      return std::move(state->value);
-    }
-
-    services::ServiceInstance* instance =
-        registry_->Find(host_device, service);
-    if (instance == nullptr) {
-      return Unavailable("no available replica of '" + service + "' on " +
-                         host_device);
-    }
-    // The call state is shared: after a timeout resolves the attempt,
-    // the late replica reply (if it ever comes) must find the state
-    // alive and see done == true, not a dangling stack frame.
     auto state = std::make_shared<PendingResult>();
-    const uint64_t deadline = cluster_->simulator().After(
-        rc.timeout, [this, state, instance, service, host_device, rc] {
-          if (state->done) return;
-          state->done = true;
-          state->value = Result<json::Value>(Timeout(
-              "call to '" + service + "' on " + host_device +
-              " timed out after " +
-              std::to_string(static_cast<long long>(rc.timeout.millis())) +
-              " ms"));
-          instance->MarkSuspected(cluster_->Now() + rc.suspect_duration);
-        });
-    const Duration ipc = cluster_->network().loopback_delay();
-    cluster_->simulator().After(
-        ipc, [this, instance, state, ipc,
-              request = std::move(request)]() mutable {
-          instance->Invoke(
-              std::move(request),
-              [this, state, ipc](Result<json::Value> result) {
-                cluster_->simulator().After(
-                    ipc, [state, result = std::move(result)]() mutable {
-                      if (state->done) return;
-                      state->value = std::move(result);
-                      state->done = true;
-                    });
-              });
-        });
+    DispatchCall(host_device, service, std::move(request), std::nullopt,
+                 priority_class, deadline,
+                 cluster_->network().loopback_delay(),
+                 [state](Result<json::Value> result) {
+                   state->value = std::move(result);
+                   state->done = true;
+                 });
     VP_RETURN_IF_ERROR_R(Await(state->done));
-    cluster_->simulator().Cancel(deadline);  // no-op if it already fired
     return std::move(state->value);
   }
 

@@ -39,8 +39,9 @@ namespace vp::core {
 /// cold start is 350 ms and backlogs add tens of ms); fault benches
 /// tighten them explicitly.
 struct ServiceCallOptions {
-  /// Per-attempt budget, measured at the caller for co-located calls
-  /// and at the gateway for remote ones.
+  /// Per-attempt budget, measured on the replica group's device (see
+  /// Orchestrator::DispatchCall): from the call co-located, from the
+  /// gateway's receipt of the request remote.
   Duration timeout = Duration::Seconds(1.0);
   /// Extra slack the *caller* grants a remote gateway on top of
   /// `timeout` (transfer + reply time); the caller-side timer is the
@@ -52,8 +53,9 @@ struct ServiceCallOptions {
   /// Backoff before retry k (0-based): backoff_base * multiplier^k.
   Duration backoff_base = Duration::Millis(25);
   double backoff_multiplier = 2.0;
-  /// How long a timed-out replica sits out of load balancing before
-  /// the breaker half-opens and it may be tried again.
+  /// How long a timed-out replica — or, with serving on, one that
+  /// swallowed a batch — sits out of load balancing before the breaker
+  /// half-opens and it may be tried again.
   Duration suspect_duration = Duration::Seconds(1.0);
 };
 
@@ -515,6 +517,24 @@ class Orchestrator {
       const std::string& host_device,
       const std::shared_ptr<const json::Value>& payload, int priority_class,
       std::optional<TimePoint> deadline);
+
+  /// The one way a module's request reaches the (device, service)
+  /// replica group, co-located or through the gateway: the group's
+  /// scheduler when serving is on, else the least-backlog replica
+  /// (UNAVAILABLE at once when there is none). Arms the
+  /// `service_call.timeout` watchdog, then delivers after `hop` and
+  /// replies after `hop` (the loopback delay co-located; zero, inline,
+  /// at the gateway). A `shipped_frame` is decoded on the picked
+  /// replica's lane before the call, or charged as the batch's
+  /// extra_cost. `done` is answered exactly once; a watchdog that wins
+  /// answers TIMEOUT and suspects the replica it picked (nothing behind
+  /// a scheduler: there a timeout may be queueing, and the scheduler
+  /// suspects a replica that swallows its batch).
+  void DispatchCall(const std::string& device, const std::string& service,
+                    services::ServiceRequest request,
+                    std::optional<Bytes> shipped_frame, int priority_class,
+                    std::optional<TimePoint> deadline, Duration hop,
+                    std::function<void(Result<json::Value>)> done);
 
   /// Refresh each pipeline's replica_downtime metric from the registry.
   void SyncReplicaDowntime();

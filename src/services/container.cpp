@@ -6,57 +6,17 @@ namespace vp::services {
 
 void ServiceInstance::Invoke(ServiceRequest request,
                              std::function<void(Result<json::Value>)> done) {
-  ++stats_.requests;
-  if (crashed_) {
-    // Connection refused: the caller learns immediately, not via a
-    // timeout.
-    ++stats_.refused;
-    ++stats_.errors;
-    if (done) {
-      done(Unavailable("replica of '" + name_ + "' on " + device_ +
-                       " is down"));
-    }
-    return;
-  }
-  Duration cost = impl_->Cost(request);
-  if (cost_jitter_ > 0.0) {
-    const double factor =
-        std::max(0.5, 1.0 + jitter_rng_.NextGaussian(0.0, cost_jitter_));
-    cost = cost * factor;
-  }
-  stats_.busy += cost;
-  const uint64_t epoch = epoch_;
-  lane_->Run(cost, [this, epoch, request = std::move(request),
-                    done = std::move(done)]() mutable {
-    if (wedged_) {
-      // Hung process: the request was accepted and is now lost. Only a
-      // caller-side timeout can recover from this.
-      ++stats_.swallowed;
-      return;
-    }
-    if (epoch != epoch_ || crashed_) {
-      // The replica crashed after admitting this request; the result
-      // died with the process.
-      ++stats_.refused;
-      ++stats_.errors;
-      if (done) {
-        done(Unavailable("replica of '" + name_ + "' on " + device_ +
-                         " crashed mid-request"));
-      }
-      return;
-    }
-    auto result = impl_->Handle(request);
-    if (!result.ok()) ++stats_.errors;
-    if (done) done(std::move(result));
-  });
+  std::vector<BatchEntry> entries;
+  entries.push_back(BatchEntry{std::move(request), std::move(done)});
+  InvokeBatch(std::move(entries), Duration::Zero(), nullptr);
 }
 
 void ServiceInstance::InvokeBatch(
     std::vector<BatchEntry> entries, Duration extra_cost,
     std::function<void(bool delivered)> batch_done) {
   stats_.requests += entries.size();
-  ++stats_.batches;
   if (crashed_) {
+    // Connection refused: callers learn immediately, not via a timeout.
     stats_.refused += entries.size();
     stats_.errors += entries.size();
     for (BatchEntry& entry : entries) {
@@ -82,17 +42,21 @@ void ServiceInstance::InvokeBatch(
   lane_->Run(cost, [this, epoch, entries = std::move(entries),
                     batch_done = std::move(batch_done)]() mutable {
     if (wedged_) {
+      // Hung process: the batch was accepted and is now lost. Only a
+      // timeout can recover from this.
       stats_.swallowed += entries.size();
       if (batch_done) batch_done(false);
       return;
     }
     if (epoch != epoch_ || crashed_) {
+      // The replica crashed after admitting the batch; the results died
+      // with the process.
       stats_.refused += entries.size();
       stats_.errors += entries.size();
       for (BatchEntry& entry : entries) {
         if (entry.done) {
           entry.done(Unavailable("replica of '" + name_ + "' on " + device_ +
-                                 " crashed mid-batch"));
+                                 " crashed mid-request"));
         }
       }
       if (batch_done) batch_done(true);

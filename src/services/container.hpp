@@ -30,8 +30,6 @@ struct ServiceInstanceStats {
   uint64_t swallowed = 0;
   /// Requests refused or voided because the replica was crashed.
   uint64_t refused = 0;
-  /// Micro-batches admitted via InvokeBatch.
-  uint64_t batches = 0;
 };
 
 /// One member of a micro-batch: the request plus its caller's
@@ -59,24 +57,23 @@ class ServiceInstance {
   /// Tasks admitted but not finished on this replica's lane.
   int backlog(TimePoint now) const { return lane_->backlog(now); }
 
-  /// Asynchronously handle a request: the compute cost is charged on
-  /// this replica's lane; `done` fires at completion with the result.
-  /// A crashed replica answers kUnavailable immediately (connection
-  /// refused); a wedged replica accepts the request and never answers.
+  /// Asynchronously handle one request: a batch of one (InvokeBatch
+  /// with no extra cost), which costs exactly `impl->Cost(request)`,
+  /// jittered once, and is answered by `impl->Handle(request)`.
   void Invoke(ServiceRequest request,
               std::function<void(Result<json::Value>)> done);
 
   /// Execute several requests as ONE lane admission (micro-batching):
   /// the batch is charged `impl->BatchCost(batch) + extra_cost`,
-  /// jittered once, so services with per-call setup amortize it.
-  /// Fault semantics mirror Invoke, batch-wide: a crashed replica
-  /// refuses every entry immediately; a wedge swallows the whole batch
-  /// (no entry's `done` fires — callers recover by timeout); a crash
-  /// mid-batch fails every entry with kUnavailable and nothing is
-  /// handled twice. `batch_done(delivered)` fires when the batch
-  /// resolves — `delivered` is false only for the swallowed case, so a
-  /// scheduler can health-mark the replica the way PR 1's gateway
-  /// watchdog does.
+  /// jittered once, so services with per-call setup amortize it, and
+  /// each entry's `done` fires at completion with its result. Faults
+  /// are batch-wide: a crashed replica refuses every entry immediately
+  /// with kUnavailable (connection refused); a wedge accepts the batch
+  /// and never answers (no entry's `done` fires — callers recover by
+  /// timeout); a crash mid-batch fails every entry with kUnavailable
+  /// and nothing is handled twice. `batch_done(delivered)` fires when
+  /// the batch resolves — `delivered` is false only for the swallowed
+  /// case, so a scheduler can health-mark the replica.
   void InvokeBatch(std::vector<BatchEntry> entries, Duration extra_cost,
                    std::function<void(bool delivered)> batch_done);
 

@@ -65,7 +65,7 @@ class ServiceRegistry {
 
   /// Device death: crash every replica on `device` and move them out of
   /// their groups so lookups stop finding them. The corpses are kept
-  /// alive in a graveyard — in-flight gateway watchdog lambdas hold raw
+  /// alive in a graveyard — in-flight dispatch watchdogs hold raw
   /// ServiceInstance pointers — until registry destruction. Returns the
   /// number of replicas retired.
   size_t RetireDevice(const std::string& device, TimePoint now);

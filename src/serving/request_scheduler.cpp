@@ -24,9 +24,11 @@ const char* PriorityClassName(int priority_class) {
 RequestScheduler::RequestScheduler(sim::Simulator* simulator,
                                    services::ServiceRegistry* registry,
                                    std::string device, std::string service,
-                                   SchedulerOptions options)
+                                   SchedulerOptions options,
+                                   Duration suspect_duration)
     : simulator_(simulator), registry_(registry), device_(std::move(device)),
-      service_(std::move(service)), options_(options) {
+      service_(std::move(service)), options_(options),
+      suspect_duration_(suspect_duration) {
   if (options_.max_batch_size < 1) options_.max_batch_size = 1;
 }
 
@@ -366,10 +368,14 @@ void RequestScheduler::Dispatch(services::ServiceInstance* replica,
   ++stats_.batch_size_histogram[size];
   inflight_requests_ += size;
   busy_replicas_[replica] = span.id;
+  // Service time counts from when the lane can start the batch: a
+  // replica's cold start is not service time, and counting it would
+  // shed every deadlined request behind a model that never resamples.
+  const TimePoint start = std::max(now, replica->lane()->busy_until());
 
   replica->InvokeBatch(
       std::move(entries), extra_cost,
-      [this, replica, span, size](bool delivered) mutable {
+      [this, replica, span, size, start](bool delivered) mutable {
         const TimePoint done_at = simulator_->Now();
         // Guarded by batch id: if this replica was retired mid-batch
         // and a later replica reused the address, its entry belongs to
@@ -390,16 +396,16 @@ void RequestScheduler::Dispatch(services::ServiceInstance* replica,
         span.complete = done_at;
         span.delivered = delivered;
         if (!delivered) {
-          // The replica swallowed the batch (wedge): the same circuit
-          // breaker the gateway watchdog uses, from the scheduler.
+          // The replica swallowed the batch (wedge): the service-call
+          // circuit breaker, marked here because a caller's watchdog
+          // suspects nothing behind a scheduler.
           ++stats_.batches_swallowed;
-          replica->MarkSuspected(done_at + options_.suspect_duration);
+          replica->MarkSuspected(done_at + suspect_duration_);
           VP_WARN("serving") << device_ << "/" << service_
                              << ": replica swallowed a batch of " << size
                              << "; suspected";
         } else {
-          const double per_request_ms =
-              (done_at - span.dispatch).millis() / size;
+          const double per_request_ms = (done_at - start).millis() / size;
           stats_.ewma_service_ms =
               stats_.ewma_service_ms == 0
                   ? per_request_ms

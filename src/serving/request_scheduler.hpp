@@ -79,9 +79,6 @@ struct SchedulerOptions {
   /// kUnavailable (retryable — the caller's PR 1 retry/abandon path
   /// takes over) so a dead replica group cannot grow the queue forever.
   Duration max_queue_wait = Duration::Seconds(2.0);
-  /// How long a replica that swallowed a batch (wedged) sits out of
-  /// scheduling — mirrors the gateway watchdog's circuit breaker.
-  Duration suspect_duration = Duration::Seconds(1.0);
   /// Completed batch spans kept for Chrome trace export.
   size_t span_retention = 4096;
 };
@@ -128,7 +125,8 @@ struct SchedulerStats {
   std::array<uint64_t, kNumPriorityClasses> shed_per_class{};
   /// Batch size → count (the batch-size histogram).
   std::map<int, uint64_t> batch_size_histogram;
-  /// EWMA per-request service time (ms); 0 until the first completion.
+  /// EWMA per-request service time (ms), from the batch's lane start
+  /// to its completion; 0 until the first completion.
   double ewma_service_ms = 0;
   Duration queue_delay_total;
   uint64_t queue_delay_samples = 0;
@@ -148,15 +146,19 @@ struct SchedulerStats {
 
 class RequestScheduler {
  public:
+  /// A replica that swallows a batch (wedged) sits out of scheduling
+  /// for `suspect_duration`: the orchestrator passes its service-call
+  /// circuit breaker (ServiceCallOptions::suspect_duration).
   RequestScheduler(sim::Simulator* simulator,
                    services::ServiceRegistry* registry, std::string device,
-                   std::string service, SchedulerOptions options = {});
+                   std::string service, SchedulerOptions options = {},
+                   Duration suspect_duration = Duration::Seconds(1.0));
 
   /// Enqueue a request. The callback fires exactly once — with the
   /// service result, kDeadlineExceeded (shed), or kUnavailable (stale
   /// entry, or the replica died with the batch). Exception: a wedged
-  /// replica swallows its batch and fires no callbacks — the
-  /// caller-side timeout recovers, exactly as in PR 1.
+  /// replica swallows its batch and fires no callbacks — the caller's
+  /// watchdog recovers.
   void Submit(SchedulerRequest request);
 
   /// The autoscaler's signal: (queued + in-flight) requests per
@@ -236,6 +238,7 @@ class RequestScheduler {
   std::string device_;
   std::string service_;
   SchedulerOptions options_;
+  Duration suspect_duration_;
 
   std::array<std::deque<Pending>, kNumPriorityClasses> queues_;
   uint64_t submit_seq_ = 0;

@@ -385,6 +385,67 @@ TEST(Hibernation, UndeployAfterHibernateLeavesNothingResident) {
   EXPECT_FALSE(rig.orchestrator->fabric().IsBound(*module_address));
 }
 
+TEST(Hibernation, SleepingPipelineKeepsItsConfiguredAddresses) {
+  // A hibernated pipeline has released its endpoints but wakes at the
+  // same addresses, so a second pipeline from the same template must
+  // not take them. Undeploying either one then leaves the other's
+  // endpoints alone.
+  for (const bool undeploy_sleeper : {true, false}) {
+    SCOPED_TRACE(undeploy_sleeper ? "undeploy the woken one"
+                                  : "undeploy the newcomer");
+    auto cluster = sim::MakeHomeTestbed(TestSeed());
+    core::OrchestratorOptions options;
+    options.seed = TestSeed();
+    core::Orchestrator orchestrator(cluster.get(), options);
+    auto deploy = [&](const std::string& name) {
+      auto spec = apps::fitness::Spec();
+      EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+      spec->name = name;
+      core::Orchestrator::DeployArgs args;
+      args.workload = apps::fitness::Workout();
+      args.seed = TestSeed();
+      auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+      EXPECT_TRUE(deployment.ok()) << deployment.status().ToString();
+      return deployment.ok() ? *deployment : nullptr;
+    };
+    const std::string pose = "pose_detection_module";
+
+    core::PipelineDeployment* a = deploy("a");
+    ASSERT_NE(a, nullptr);
+    const net::Address configured = *a->ModuleAddress(pose);
+    ASSERT_EQ(configured.port, 5861);
+    a->Start();
+    orchestrator.RunFor(Duration::Seconds(3));
+    ASSERT_TRUE(orchestrator.HibernatePipeline(a).ok());
+    EXPECT_FALSE(orchestrator.fabric().IsBound(configured));
+
+    core::PipelineDeployment* b = deploy("b");
+    ASSERT_NE(b, nullptr);
+    for (const core::ModuleSpec& m : a->spec().modules) {
+      if (m.type != core::ModuleType::kScript) continue;
+      EXPECT_NE(a->ModuleAddress(m.name)->ToString(),
+                b->ModuleAddress(m.name)->ToString());
+    }
+    b->Start();
+    ASSERT_TRUE(orchestrator.WakePipeline(a).ok());
+    EXPECT_EQ(a->ModuleAddress(pose)->ToString(), configured.ToString());
+    orchestrator.RunFor(Duration::Seconds(3));
+
+    core::PipelineDeployment* gone = undeploy_sleeper ? a : b;
+    core::PipelineDeployment* kept = undeploy_sleeper ? b : a;
+    const uint64_t before = kept->metrics().frames_completed();
+    EXPECT_GT(before, 10u);
+    ASSERT_TRUE(orchestrator.Undeploy(gone).ok());
+    orchestrator.RunFor(Duration::Seconds(3));
+    EXPECT_GT(kept->metrics().frames_completed(), before + 10);
+    EXPECT_TRUE(orchestrator.fabric().IsBound(*kept->ModuleAddress(pose)));
+
+    core::InvariantChecker checker(&orchestrator);
+    checker.CheckNow();
+    EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  }
+}
+
 // ------------------------------------------------ burst admission
 
 TEST(WakeupAdmission, BurstRespectsPriorityConcurrencyAndDeadlines) {

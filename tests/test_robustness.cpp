@@ -12,6 +12,7 @@
 #include <limits>
 
 #include "apps/fitness.hpp"
+#include "core/invariants.hpp"
 #include "core/orchestrator.hpp"
 #include "core/self_healing.hpp"
 #include "json/parse.hpp"
@@ -29,6 +30,15 @@ namespace {
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
+}
+
+/// Orchestrator-driven tests end with the runtime invariants intact:
+/// credit conservation, one live lineage per module, no duplicate
+/// completions, no zombie-served frames.
+void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
+  core::InvariantChecker checker(&orchestrator);
+  checker.CheckNow();
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
 }
 
 // --------------------------------------------------- failure injection
@@ -55,6 +65,7 @@ TEST(FailureInjection, PipelineSurvivesLossyWifi) {
   EXPECT_GT(cluster->network().stats().retransmits, 10u);
   EXPECT_GT((*deployment)->metrics().frames_completed(), 120u);
   EXPECT_GT((*deployment)->metrics().EndToEndFps(), 7.0);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(FailureInjection, DeadLinkDeliversLateInsteadOfHanging) {
@@ -100,6 +111,7 @@ TEST(FailureInjection, SlowServiceTriggersWatchdogNotWedge) {
   // 300 ms ref on the phone ≈ 857 ms actual — over the 400 ms timeout.
   EXPECT_GT((*deployment)->camera().credit_timeouts(), 3u);
   EXPECT_GT((*deployment)->metrics().frames_completed(), 8u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ------------------------------------------- fault-tolerant service calls
@@ -173,6 +185,7 @@ TEST(FaultTolerance, ReplicaCrashMidPipelineRecovers) {
   EXPECT_GE(metrics.replica_downtime_ms(), 900.0);
   // And after the restart the pipeline returned to a healthy rate.
   EXPECT_GT(metrics.frames_completed(), mid + 80);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FaultTolerance, WedgedReplicaTimesOutInsteadOfStallingPipeline) {
@@ -208,6 +221,7 @@ TEST(FaultTolerance, WedgedReplicaTimesOutInsteadOfStallingPipeline) {
   EXPECT_GT(replicas.front()->stats().swallowed, 0u);
   // Steady-state recovery after the wedge clears.
   EXPECT_GT(metrics.frames_completed(), mid + 80);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FaultTolerance, RetryExhaustionDropsFrameAndReturnsCredit) {
@@ -254,6 +268,7 @@ TEST(FaultTolerance, RetryExhaustionDropsFrameAndReturnsCredit) {
   EXPECT_GT(metrics.frames_abandoned(), 50u);
   EXPECT_GT(rig.pipeline->camera().frames_emitted(), 120u);
   EXPECT_LE(rig.pipeline->camera().credit_timeouts(), 2u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FaultTolerance, ScriptCanCatchServiceFailureAndRecover) {
@@ -292,6 +307,7 @@ TEST(FaultTolerance, ScriptCanCatchServiceFailureAndRecover) {
   const json::Value state = proc->context().SnapshotState();
   EXPECT_GT(state.GetDouble("failures", 0), 20.0);
   EXPECT_EQ(state.GetString("last_code", ""), "UNAVAILABLE");
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FaultTolerance, RandomFaultTimelineIsDeterministic) {
@@ -537,6 +553,7 @@ TEST(FrameLifetime, RequestQueuedPastItsCallersTimeoutHoldsItsFrame) {
   // requests hold the rest.
   EXPECT_GT(most_held, 2u);
   ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FrameLifetime, HibernateAndUndeployRelease) {

@@ -6,11 +6,13 @@
 // Seed-sweepable: set VP_TEST_SEED to vary cluster seeds; default 42.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/fitness.hpp"
+#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "core/trace_export.hpp"
@@ -28,6 +30,15 @@ namespace {
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
+}
+
+/// Orchestrator-driven tests end with the runtime invariants intact:
+/// credit conservation, one live lineage per module, no duplicate
+/// completions, no zombie-served frames.
+void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
+  core::InvariantChecker checker(&orchestrator);
+  checker.CheckNow();
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
 }
 
 media::FrameRef MakeFrame(uint64_t seed = 1) {
@@ -496,6 +507,7 @@ TEST(ServingEndToEnd, FitnessPipelineRunsThroughScheduler) {
   EXPECT_NE(trace.find("\"serving\""), std::string::npos);
   EXPECT_NE(trace.find("batch["), std::string::npos);
   EXPECT_NE(trace.find("desktop/pose_detector"), std::string::npos);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(ServingEndToEnd, ScriptCatchesDeadlineExceededShed) {
@@ -535,6 +547,7 @@ TEST(ServingEndToEnd, ScriptCatchesDeadlineExceededShed) {
   EXPECT_GT(state.GetDouble("sheds", 0), 20.0);
   EXPECT_GT((*deployment)->metrics().requests_shed(), 20u);
   EXPECT_GT((*deployment)->metrics().frames_completed(), 80u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(ServingEndToEnd, NonObjectPayloadIsACatchableInvalidArgument) {
@@ -605,6 +618,314 @@ TEST(ServingEndToEnd, NonObjectPayloadIsACatchableInvalidArgument) {
       EXPECT_GT((*deployment)->metrics().frames_completed(), 5u);
     }
   }
+}
+
+TEST(ServingEndToEnd, ColdStartDoesNotLockATightDeadlineOut) {
+  // The first batch waits out the replica's 350 ms container cold
+  // start. Counted as service time, that wait would start the EWMA
+  // near 390 ms, and a lone pipeline whose deadline sits below it would
+  // be shed on admission for good: a shed request never dispatches, so
+  // the model never corrects. Service time counts from the batch's
+  // lane start instead, so the deadline costs (almost) no frames.
+  auto completed = [](core::PlacementPolicy policy, double deadline_ms) {
+    auto cluster = sim::MakeHomeTestbed(TestSeed());
+    core::OrchestratorOptions options;
+    options.serving.enabled = true;
+    core::Orchestrator orchestrator(cluster.get(), options);
+    auto spec = apps::fitness::Spec();
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    spec->priority = "interactive";
+    spec->deadline_ms = deadline_ms;
+    core::Orchestrator::DeployArgs args;
+    args.workload = apps::fitness::Workout();
+    args.placement.policy = policy;
+    auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+    EXPECT_TRUE(deployment.ok()) << deployment.status().ToString();
+    if (!deployment.ok()) return uint64_t{0};
+    (*deployment)->Start();
+    orchestrator.RunFor(Duration::Seconds(20));
+    ExpectInvariantsHold(orchestrator);
+    return (*deployment)->metrics().frames_completed();
+  };
+  for (const core::PlacementPolicy policy :
+       {core::PlacementPolicy::kCoLocate,
+        core::PlacementPolicy::kSingleDevice}) {
+    SCOPED_TRACE(core::PlacementPolicyName(policy));
+    const uint64_t unbounded = completed(policy, 0);
+    const uint64_t bounded = completed(policy, 400);
+    EXPECT_GT(unbounded, 100u);
+    EXPECT_LE(bounded, unbounded + 2);
+    EXPECT_GE(bounded + 2, unbounded);
+  }
+}
+
+// ------------------------------------------ the four dispatch paths
+
+// A module that makes one pose call, on its first frame past the
+// replica's cold start, and records how the call ended and when.
+constexpr const char* kOneCallConfig = R"CFG({
+  "name": "one_call",
+  "source": { "fps": 10, "width": 64, "height": 48 },
+  "modules": [
+    { "name": "cam", "type": "source", "next_module": ["probe"] },
+    { "name": "probe", "service": ["pose_detector"], "signal_source": true,
+      "code": "
+        var code = ''; var t0 = -1; var t1 = -1;
+        function event_received(m) {
+          if (t0 >= 0 || now_ms() < 1000) return;
+          t0 = now_ms();
+          try {
+            call_service('pose_detector', { frame_id: m.frame_id });
+            code = 'OK';
+          } catch (e) {
+            code = e.code;
+          }
+          t1 = now_ms();
+        }" }
+  ]
+})CFG";
+
+struct OneCallRig {
+  std::unique_ptr<sim::Cluster> cluster;
+  std::unique_ptr<core::Orchestrator> orchestrator;
+  core::PipelineDeployment* pipeline = nullptr;
+  std::string host;  // the pose group's device
+  services::ServiceInstance* replica = nullptr;
+};
+
+OneCallRig MakeOneCallRig(core::PlacementPolicy policy,
+                          core::OrchestratorOptions options) {
+  OneCallRig rig;
+  rig.cluster = sim::MakeHomeTestbed(TestSeed());
+  options.seed = TestSeed();
+  rig.orchestrator =
+      std::make_unique<core::Orchestrator>(rig.cluster.get(), options);
+  auto spec = core::ParsePipelineConfigText(kOneCallConfig,
+                                            core::MapResolver({}));
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.placement.policy = policy;
+  auto deployment =
+      rig.orchestrator->Deploy(std::move(*spec), std::move(args));
+  EXPECT_TRUE(deployment.ok()) << deployment.status().ToString();
+  rig.pipeline = *deployment;
+  rig.host = rig.pipeline->plan().service_device.at("pose_detector");
+  auto replicas = rig.orchestrator->registry().Replicas(rig.host,
+                                                        "pose_detector");
+  EXPECT_EQ(replicas.size(), 1u);
+  rig.replica = replicas.front();
+  return rig;
+}
+
+/// Virtual microseconds between two now_ms() readings a script kept.
+int64_t MicrosBetween(const json::Value& state, const char* from,
+                      const char* to) {
+  return std::llround(state.GetDouble(to, -1) * 1e3) -
+         std::llround(state.GetDouble(from, -1) * 1e3);
+}
+
+TEST(DispatchPaths, WedgedReplicaTimesOutFromTheGroupsDevice) {
+  // One call into a wedged replica on each path: co-located or through
+  // the gateway, serving off or on. The watchdog runs where the
+  // replica group is, so a co-located caller waits exactly `timeout`
+  // and a remote one `timeout` plus the two network legs: the gateway
+  // answers, not the caller's backstop at timeout + remote_slack.
+  for (const bool serving : {false, true}) {
+    for (const core::PlacementPolicy policy :
+         {core::PlacementPolicy::kCoLocate,
+          core::PlacementPolicy::kSingleDevice}) {
+      const bool remote = policy == core::PlacementPolicy::kSingleDevice;
+      SCOPED_TRACE(std::string(remote ? "remote" : "co-located") +
+                   (serving ? ", serving" : ", direct"));
+      core::OrchestratorOptions options;
+      options.serving.enabled = serving;
+      options.service_call.timeout = Duration::Millis(200);
+      options.service_call.remote_slack = Duration::Millis(100);
+      options.service_call.max_retries = 0;
+      OneCallRig rig = MakeOneCallRig(policy, options);
+      ASSERT_NE(rig.replica, nullptr);
+      EXPECT_EQ(rig.pipeline->plan().module_device.at("probe") != rig.host,
+                remote);
+      rig.replica->SetWedged(true);
+      rig.pipeline->Start();
+      rig.orchestrator->RunFor(Duration::Millis(1500));
+
+      const json::Value state =
+          rig.pipeline->FindModule("probe")->context().SnapshotState();
+      EXPECT_EQ(state.GetString("code", ""), "TIMEOUT");
+      const int64_t waited_us = MicrosBetween(state, "t0", "t1");
+      if (remote) {
+        EXPECT_GT(waited_us, 200000);
+        EXPECT_LT(waited_us, 300000);
+      } else {
+        EXPECT_EQ(waited_us, 200000);
+      }
+      EXPECT_EQ(rig.replica->stats().swallowed, 1u);
+      EXPECT_TRUE(rig.replica->suspected(rig.cluster->Now()));
+      if (serving) {
+        // Suspected by the scheduler when the batch was swallowed, for
+        // exactly the breaker's duration: the watchdog marked nothing.
+        const serving::RequestScheduler* sched =
+            rig.orchestrator->scheduler(rig.host, "pose_detector");
+        EXPECT_EQ(sched->stats().batches_swallowed, 1u);
+        ASSERT_EQ(sched->spans().size(), 1u);
+        const TimePoint until = sched->spans().back().complete +
+                                options.service_call.suspect_duration;
+        EXPECT_TRUE(rig.replica->suspected(until - Duration::Micros(1)));
+        EXPECT_FALSE(rig.replica->suspected(until));
+      } else {
+        EXPECT_TRUE(rig.orchestrator->schedulers().empty());
+      }
+      ExpectInvariantsHold(*rig.orchestrator);
+    }
+  }
+}
+
+TEST(DispatchPaths, SwallowedBatchSuspectsForTheServiceCallBreaker) {
+  // One circuit-breaker duration: a replica that swallows a batch sits
+  // out for service_call.suspect_duration, as a timed-out direct call's
+  // replica does.
+  core::OrchestratorOptions options;
+  options.serving.enabled = true;
+  options.service_call.suspect_duration = Duration::Millis(300);
+  OneCallRig rig = MakeOneCallRig(core::PlacementPolicy::kCoLocate, options);
+  ASSERT_NE(rig.replica, nullptr);
+  rig.replica->SetWedged(true);
+  rig.pipeline->Start();
+  rig.orchestrator->RunFor(Duration::Millis(1500));
+
+  const serving::RequestScheduler* sched =
+      rig.orchestrator->scheduler(rig.host, "pose_detector");
+  ASSERT_EQ(sched->stats().batches_swallowed, 1u);
+  ASSERT_EQ(sched->spans().size(), 1u);
+  const TimePoint until =
+      sched->spans().back().complete + Duration::Millis(300);
+  EXPECT_TRUE(rig.replica->suspected(until - Duration::Micros(1)));
+  EXPECT_FALSE(rig.replica->suspected(until));
+  ExpectInvariantsHold(*rig.orchestrator);
+}
+
+/// Stands in for pose_detector: answers at once and keeps every
+/// request its handler saw.
+class RecordingPose : public services::Service {
+ public:
+  explicit RecordingPose(std::vector<services::ServiceRequest>* seen)
+      : seen_(seen) {}
+  std::string name() const override { return "pose_detector"; }
+  Duration Cost(const services::ServiceRequest&) const override {
+    return Duration::Millis(5);
+  }
+  Result<json::Value> Handle(const services::ServiceRequest& request) override {
+    seen_->push_back(request);
+    return json::Value::MakeObject();
+  }
+
+ private:
+  std::vector<services::ServiceRequest>* seen_;
+};
+
+TEST(DispatchPaths, GatewaySubmitsShippedFramesToTheScheduler) {
+  // Single-device placement ships every frame to the pose group's
+  // gateway. With serving on, the gateway strips the scheduling plan,
+  // parses the frame and submits to the group's scheduler.
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "shipper",
+    "priority": "interactive",
+    "source": { "fps": 10, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["proc"] },
+      { "name": "proc", "service": ["pose_detector"], "signal_source": true,
+        "code": "var answered = 0; function event_received(m) { call_service('pose_detector', { frame_id: m.frame_id, seq: m.seq }); answered = answered + 1; }" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::OrchestratorOptions options;
+  options.serving.enabled = true;
+  core::Orchestrator orchestrator(cluster.get(), options);
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.placement.policy = core::PlacementPolicy::kSingleDevice;
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const std::string host =
+      (*deployment)->plan().service_device.at("pose_detector");
+  ASSERT_NE((*deployment)->plan().module_device.at("proc"), host);
+
+  // Swap the group's replica for the recorder.
+  orchestrator.registry().RetireGroup(host, "pose_detector", cluster->Now());
+  sim::ExecutionLane* lane =
+      cluster->FindDevice(host)->AllocateContainerLane("svc:pose_detector");
+  ASSERT_NE(lane, nullptr);
+  std::vector<services::ServiceRequest> seen;
+  orchestrator.registry().Add(std::make_unique<services::ServiceInstance>(
+      host, std::make_unique<RecordingPose>(&seen), lane, /*native=*/false));
+
+  (*deployment)->Start();
+  orchestrator.RunFor(Duration::Seconds(3));
+
+  const serving::RequestScheduler* sched =
+      orchestrator.scheduler(host, "pose_detector");
+  EXPECT_GT(sched->stats().submitted, 10u);
+  EXPECT_GT(sched->stats().batches, 10u);
+  ASSERT_GT(seen.size(), 10u);
+  for (const services::ServiceRequest& request : seen) {
+    EXPECT_EQ(request.body().Find("__serving"), nullptr);
+    EXPECT_EQ(request.body().Find("frame_id"), nullptr);
+    ASSERT_NE(request.frame, nullptr);
+    EXPECT_EQ(static_cast<double>(request.frame->seq()),
+              request.body().GetDouble("seq", -1));
+  }
+  const json::Value state =
+      (*deployment)->FindModule("proc")->context().SnapshotState();
+  EXPECT_GE(state.GetDouble("answered", 0), seen.size() - 1.0);
+  ExpectInvariantsHold(orchestrator);
+}
+
+TEST(DispatchPaths, GatewayShedsPastDeadlineRemotely) {
+  // ScriptCatchesDeadlineExceededShed, single-device: the gateway's
+  // scheduler sheds, and the caller catches the same DEADLINE_EXCEEDED.
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "deadliner",
+    "priority": "interactive",
+    "deadline_ms": 20,
+    "source": { "fps": 20, "width": 320, "height": 240 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["proc"] },
+      { "name": "proc", "service": ["pose_detector"], "signal_source": true,
+        "code": "var sheds = 0; var last_code = ''; function event_received(m) { try { call_service('pose_detector', { frame_id: m.frame_id }); } catch (e) { sheds = sheds + 1; last_code = e.code; } }" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto cluster = sim::MakeHomeTestbed(TestSeed());
+  core::OrchestratorOptions options;
+  options.serving.enabled = true;
+  core::Orchestrator orchestrator(cluster.get(), options);
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.placement.policy = core::PlacementPolicy::kSingleDevice;
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const std::string host =
+      (*deployment)->plan().service_device.at("pose_detector");
+  ASSERT_NE((*deployment)->plan().module_device.at("proc"), host);
+  (*deployment)->Start();
+  orchestrator.RunFor(Duration::Seconds(10));
+
+  const json::Value state =
+      (*deployment)->FindModule("proc")->context().SnapshotState();
+  EXPECT_EQ(state.GetString("last_code", ""), "DEADLINE_EXCEEDED");
+  EXPECT_GT(state.GetDouble("sheds", 0), 20.0);
+  EXPECT_GT(orchestrator.scheduler(host, "pose_detector")
+                ->stats()
+                .shed_deadline,
+            20u);
+  EXPECT_GT((*deployment)->metrics().requests_shed(), 20u);
+  EXPECT_GT((*deployment)->metrics().frames_completed(), 80u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace
