@@ -73,6 +73,19 @@ void InvariantChecker::CheckNow() {
                     name.c_str()));
     }
 
+    // 6. The store holds one lineage: each checkpoint at its module's
+    // current epoch.
+    for (const auto& [module, checkpoint] : pipeline->checkpoints()) {
+      if (checkpoint.epoch != pipeline->module_epoch(module)) {
+        Record(Format("pipeline '%s': checkpoint of '%s' at epoch %llu, "
+                      "module at epoch %llu",
+                      name.c_str(), module.c_str(),
+                      static_cast<unsigned long long>(checkpoint.epoch),
+                      static_cast<unsigned long long>(
+                          pipeline->module_epoch(module))));
+      }
+    }
+
     // 3. Split-brain exclusion: at most one live (bound, unfenced,
     // host-up) runtime per (module, epoch). Pre- and post-recovery
     // incarnations may overlap across a partition, but only at

@@ -19,6 +19,9 @@
 //      (zombies_served() stays 0).
 //   5. A hibernated pipeline holds no live runtime: a wake either
 //      starts every module or none (modules() stays empty).
+//   6. One lineage in the checkpoint store: every checkpoint a
+//      pipeline holds is at its module's current epoch, so no restore
+//      can roll state back across a recovery.
 //
 // CheckConvergence() adds the end-of-run (post-heal, quiet-tail)
 // conditions: the failure detector's verdict agrees with ground-truth

@@ -123,8 +123,8 @@ class PipelineMetrics {
   /// A stale-epoch message was accepted because fencing is disabled —
   /// the split-brain exposure the fence exists to close.
   void OnZombieServed() { ++zombies_served_; }
-  /// The self-healer refused a checkpoint older than the module's
-  /// current placement epoch.
+  /// The checkpoint store refused a checkpoint from an older placement
+  /// epoch than the module's, or an older capture than the one held.
   void OnCheckpointRejectedStale() { ++checkpoints_rejected_stale_; }
 
   // -- retention --------------------------------------------------------

@@ -34,7 +34,7 @@ Result<json::Value> ParseReply(net::Message&& reply) {
   // Reconstruct the remote code faithfully: the retry policy must see
   // UNAVAILABLE/TIMEOUT as transient and everything else as final.
   return Error(StatusCodeFromName(payload.GetString("code", "UNKNOWN")),
-               "service error: " + payload.GetString("message"));
+               payload.GetString("message"));
 }
 
 bool RetryableCode(StatusCode code) {
@@ -71,13 +71,12 @@ Status RequireHandlerFiber() {
                 "event instead");
 }
 
-/// `checkpoint` if restoring it at placement `epoch` keeps the
-/// module's lineage; nullptr if it predates the previous placement —
-/// restoring it would roll back state a later instance superseded.
-const ModuleCheckpoint* FreshCheckpoint(const ModuleCheckpoint* checkpoint,
-                                        uint64_t epoch) {
-  return checkpoint != nullptr && checkpoint->epoch + 1 >= epoch ? checkpoint
-                                                                 : nullptr;
+/// The state of `module`'s checkpoint in `pipeline`'s store, or
+/// nullptr when it holds none.
+const json::Value* CheckpointState(const PipelineDeployment& pipeline,
+                                   const std::string& module) {
+  auto it = pipeline.checkpoints().find(module);
+  return it == pipeline.checkpoints().end() ? nullptr : &it->second.state;
 }
 
 /// Route the messages for `runtime`'s address to it.
@@ -467,6 +466,7 @@ Result<PipelineDeployment*> Orchestrator::Deploy(PipelineSpec spec,
   if (!plan.ok()) return plan.error();
 
   auto deployment = std::make_unique<PipelineDeployment>();
+  deployment->serial_ = next_serial_++;
   deployment->spec_ = std::move(spec);
   deployment->plan_ = std::move(*plan);
   deployment->placement_ = args.placement;  // re-planned on device failure
@@ -992,23 +992,15 @@ Result<std::unique_ptr<ModuleRuntime>> Orchestrator::StartModule(
 Status Orchestrator::StartModules(PipelineDeployment& pipeline,
                                   uint64_t epoch_step,
                                   const ContextProvider& contexts) {
-  auto checkpoint_of =
-      [&pipeline](const std::string& module) -> const ModuleCheckpoint* {
-    auto it = pipeline.hibernation_checkpoints_.find(module);
-    return it == pipeline.hibernation_checkpoints_.end() ? nullptr
-                                                         : &it->second;
-  };
   std::vector<std::unique_ptr<ModuleRuntime>> started;
   Status status;
   for (const ModuleSpec& m : pipeline.spec_.modules) {
     if (m.type != ModuleType::kScript) continue;
     const std::string& device = pipeline.plan_.module_device.at(m.name);
-    const uint64_t epoch = pipeline.module_epoch(m.name) + epoch_step;
-    const ModuleCheckpoint* fresh =
-        FreshCheckpoint(checkpoint_of(m.name), epoch);
     auto runtime = StartModule(pipeline, m, device,
-                               pipeline.addresses_.at(m.name), epoch,
-                               fresh != nullptr ? &fresh->state : nullptr,
+                               pipeline.addresses_.at(m.name),
+                               pipeline.module_epoch(m.name) + epoch_step,
+                               CheckpointState(pipeline, m.name),
                                contexts ? contexts(m, device) : nullptr);
     if (!runtime.ok()) {
       status = runtime.status();
@@ -1032,8 +1024,7 @@ Status Orchestrator::StartModules(PipelineDeployment& pipeline,
     return status;
   }
   for (auto& runtime : started) {
-    RecordStart(pipeline, runtime->name(), runtime->epoch(),
-                checkpoint_of(runtime->name()));
+    RecordStart(pipeline, runtime->name(), runtime->epoch());
     pipeline.modules_.push_back(std::move(runtime));
   }
   return Status::Ok();
@@ -1096,19 +1087,38 @@ Status Orchestrator::MoveModule(PipelineDeployment& pipeline,
 }
 
 void Orchestrator::RecordStart(PipelineDeployment& pipeline,
-                               const std::string& module, uint64_t epoch,
-                               const ModuleCheckpoint* checkpoint) {
+                               const std::string& module, uint64_t epoch) {
   pipeline.module_epochs_[module] = epoch;
-  if (checkpoint == nullptr) return;
-  if (FreshCheckpoint(checkpoint, epoch) != nullptr) {
-    pipeline.metrics_.OnCheckpointRestored(
-        (cluster_->Now() - checkpoint->taken_at).millis());
-    return;
+  auto it = pipeline.checkpoints_.find(module);
+  if (it == pipeline.checkpoints_.end()) return;
+  // The state the new instance started from is its lineage's latest
+  // checkpoint until it ships a newer one.
+  it->second.epoch = epoch;
+  pipeline.metrics_.OnCheckpointRestored(
+      (cluster_->Now() - it->second.taken_at).millis());
+}
+
+bool Orchestrator::AdmitCheckpoint(PipelineDeployment& pipeline,
+                                   const std::string& module,
+                                   ModuleCheckpoint checkpoint) {
+  // A checkpoint from a superseded placement epoch (a zombie still
+  // snapshotting across a heal, or a transfer delayed past a
+  // recovery) must never overwrite newer state; nor may an older
+  // capture of the same epoch (reordered arrivals).
+  const uint64_t current = pipeline.module_epoch(module);
+  auto it = pipeline.checkpoints_.find(module);
+  if (checkpoint.epoch < current ||
+      (it != pipeline.checkpoints_.end() &&
+       checkpoint.taken_at < it->second.taken_at)) {
+    pipeline.metrics_.OnCheckpointRejectedStale();
+    VP_WARN("orchestrator")
+        << "rejecting stale checkpoint for " << pipeline.spec_.name << "/"
+        << module << " (epoch " << checkpoint.epoch << ", module at "
+        << current << ")";
+    return false;
   }
-  pipeline.metrics_.OnCheckpointRejectedStale();
-  VP_WARN("orchestrator") << "'" << module << "' started clean: stale "
-                          << "checkpoint (epoch " << checkpoint->epoch
-                          << " < current " << (epoch - 1) << ")";
+  pipeline.checkpoints_[module] = std::move(checkpoint);
+  return true;
 }
 
 void Orchestrator::ReleaseEndpoints(PipelineDeployment& pipeline) {
@@ -1153,17 +1163,15 @@ Status Orchestrator::HibernatePipeline(PipelineDeployment* pipeline) {
   }
   const TimePoint now = cluster_->Now();
 
-  // 1. Snapshot every module BEFORE touching anything, so a failure
-  // here leaves the pipeline running untouched. Snapshotting a busy
-  // module is safe: globals are readable mid-handler, and the retired
-  // runtime below finishes its handler on its own fiber.
-  pipeline->hibernation_checkpoints_.clear();
+  // 1. Snapshot every module into the store BEFORE touching anything.
+  // Each is the newest capture at its module's epoch, so the store
+  // admits it. Snapshotting a busy module is safe: globals are
+  // readable mid-handler, and the retired runtime below finishes its
+  // handler on its own fiber.
   for (const auto& m : pipeline->modules_) {
-    ModuleCheckpoint checkpoint;
-    checkpoint.state = m->context().SnapshotState();
-    checkpoint.taken_at = now;
-    checkpoint.epoch = m->epoch();
-    pipeline->hibernation_checkpoints_[m->name()] = std::move(checkpoint);
+    AdmitCheckpoint(*pipeline, m->name(),
+                    ModuleCheckpoint{m->context().SnapshotState(), now,
+                                     m->epoch()});
   }
 
   // 2. Quiesce the source. The camera object stays constructed (it is
@@ -1223,7 +1231,7 @@ Status Orchestrator::HibernatePipeline(PipelineDeployment* pipeline) {
   pipeline->hibernated_at_ = now;
   ++hibernations_;
   VP_INFO("orchestrator") << "hibernated pipeline '" << pipeline->spec_.name
-                          << "' (" << pipeline->hibernation_checkpoints_.size()
+                          << "' (" << pipeline->checkpoints_.size()
                           << " module checkpoints held)";
   return Status::Ok();
 }
@@ -1381,7 +1389,6 @@ void Orchestrator::HandleDeviceReboot(const std::string& device) {
 Status Orchestrator::RestoreModule(PipelineDeployment& pipeline,
                                    const std::string& module,
                                    const std::string& target_device,
-                                   const ModuleCheckpoint* checkpoint,
                                    const std::string& ship_from) {
   ModuleRuntime* old_runtime = pipeline.FindModule(module);
   if (old_runtime == nullptr) {
@@ -1393,18 +1400,17 @@ Status Orchestrator::RestoreModule(PipelineDeployment& pipeline,
   // the superseded instance still emits carries the old epoch and is
   // dropped at receivers.
   const uint64_t epoch = pipeline.module_epoch(module) + 1;
-  const ModuleCheckpoint* fresh = FreshCheckpoint(checkpoint, epoch);
   VP_RETURN_IF_ERROR(MoveModule(
       pipeline, *old_runtime, target_device, epoch,
-      fresh != nullptr ? &fresh->state : nullptr,
+      CheckpointState(pipeline, module),
       ship_from.empty() ? target_device : ship_from, "restore"));
-  RecordStart(pipeline, module, epoch, checkpoint);
+  RecordStart(pipeline, module, epoch);
   return Status::Ok();
 }
 
 Status Orchestrator::RecoverFromDeviceFailure(
     const std::string& device, TimePoint failed_since,
-    const CheckpointLookup& checkpoints, const std::string& checkpoint_host) {
+    const std::string& checkpoint_host) {
   const double detection_ms = (cluster_->Now() - failed_since).millis();
   Status worst = Status::Ok();
   for (const auto& pipeline : pipelines_) {
@@ -1469,7 +1475,6 @@ Status Orchestrator::RecoverFromDeviceFailure(
     for (const std::string& module : lost_modules) {
       Status restored = RestoreModule(
           *pipeline, module, fresh->module_device.at(module),
-          checkpoints ? checkpoints(pipeline->spec_.name, module) : nullptr,
           checkpoint_host);
       if (!restored.ok()) worst = restored;
     }
@@ -1551,8 +1556,7 @@ size_t Orchestrator::FenceStaleRuntimes(const std::string& device) {
 }
 
 Status Orchestrator::ResumeAfterDeviceReturn(
-    const std::string& device, const CheckpointLookup& checkpoints,
-    const std::string& checkpoint_host) {
+    const std::string& device, const std::string& checkpoint_host) {
   sim::Device* dev = cluster_->FindDevice(device);
   if (dev == nullptr) {
     return Status(StatusCode::kNotFound, "unknown device '" + device + "'");
@@ -1584,10 +1588,8 @@ Status Orchestrator::ResumeAfterDeviceReturn(
       if (m->device() == device) dead_modules.push_back(m->name());
     }
     for (const std::string& module : dead_modules) {
-      Status restored = RestoreModule(
-          *pipeline, module, device,
-          checkpoints ? checkpoints(pipeline->spec_.name, module) : nullptr,
-          checkpoint_host);
+      Status restored =
+          RestoreModule(*pipeline, module, device, checkpoint_host);
       if (!restored.ok()) worst = restored;
     }
     // The camera's credit endpoint died with the device; rebind it.

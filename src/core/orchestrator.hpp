@@ -115,20 +115,19 @@ struct OrchestratorOptions {
   uint64_t seed = 42;
 };
 
-/// Last checkpoint of one module's script state, as stored on the
-/// controller device by the SelfHealer's checkpoint shipper (and, for
-/// hibernation, held by the pipeline itself between sleep and wake).
+/// Last checkpoint of one module's script state, held in its
+/// pipeline's store (PipelineDeployment::checkpoints): a snapshot the
+/// SelfHealer shipped to the controller, or the one HibernatePipeline
+/// took at sleep.
 struct ModuleCheckpoint {
   json::Value state;
   TimePoint taken_at;
-  /// Placement epoch of the runtime the snapshot was taken from. A
-  /// checkpoint older than the module's current epoch is stale —
-  /// restoring it would roll state back across a recovery.
+  /// Placement epoch of the lineage the state belongs to: the runtime
+  /// the snapshot was taken from, moved to the new epoch when a start
+  /// restores it. A checkpoint from an older epoch than the module's
+  /// would roll state back across a recovery; the store refuses it.
   uint64_t epoch = 1;
 };
-/// (pipeline name, module name) → latest checkpoint or nullptr.
-using CheckpointLookup = std::function<const ModuleCheckpoint*(
-    const std::string& pipeline, const std::string& module)>;
 
 /// One deployed pipeline: spec + plan + live modules + camera + metrics.
 class PipelineDeployment {
@@ -163,11 +162,18 @@ class PipelineDeployment {
   /// When the pipeline entered hibernation (meaningful only while
   /// hibernated()).
   TimePoint hibernated_at() const { return hibernated_at_; }
-  /// Snapshots taken at hibernation, module name → checkpoint.
-  const std::map<std::string, ModuleCheckpoint>& hibernation_checkpoints()
-      const {
-    return hibernation_checkpoints_;
+  /// The pipeline's checkpoint store, module name → latest checkpoint:
+  /// shipped snapshots and sleep snapshots, admitted by
+  /// Orchestrator::AdmitCheckpoint, read by every restore and wake.
+  /// Each one is at its module's current epoch (InvariantChecker
+  /// rule 6).
+  const std::map<std::string, ModuleCheckpoint>& checkpoints() const {
+    return checkpoints_;
   }
+  /// Identity of this deployment within its orchestrator: a shipped
+  /// checkpoint lands only in the deployment whose runtime took it,
+  /// never in a successor deployed under the same name.
+  uint64_t serial() const { return serial_; }
 
   /// Retired runtimes (migration/recovery leftovers) not yet reclaimed.
   size_t retired_module_count() const { return retired_modules_.size(); }
@@ -207,6 +213,7 @@ class PipelineDeployment {
     TimePoint retired_at;
   };
 
+  uint64_t serial_ = 0;
   PipelineSpec spec_;
   DeploymentPlan plan_;
   PlacementOptions placement_;  // re-run on device failure
@@ -217,9 +224,8 @@ class PipelineDeployment {
   bool paused_by_failure_ = false;
   bool hibernated_ = false;
   TimePoint hibernated_at_;
-  /// Module state captured by HibernatePipeline, consumed (and kept,
-  /// for inspection) by WakePipeline.
-  std::map<std::string, ModuleCheckpoint> hibernation_checkpoints_;
+  /// The checkpoint store (see checkpoints()).
+  std::map<std::string, ModuleCheckpoint> checkpoints_;
   /// module name → placement epoch (absent = 1). Recorded when a
   /// start commits: restore and wake bump it; live migration keeps it
   /// (same lineage, synchronous handoff).
@@ -345,10 +351,17 @@ class Orchestrator {
 
   // -- self-healing ------------------------------------------------------
 
+  /// The checkpoint store's one admission rule, for shipped and sleep
+  /// snapshots alike: refuse a checkpoint from an epoch older than the
+  /// module's, or an older capture than the one held (counted in
+  /// `checkpoints_rejected_stale()`). Returns whether it was stored.
+  bool AdmitCheckpoint(PipelineDeployment& pipeline,
+                       const std::string& module, ModuleCheckpoint checkpoint);
+
   /// React to a *confirmed* device death (the failure detector's
   /// suspicion window elapsed): for every pipeline touching `device`,
   /// re-plan over the surviving devices, restore lost script modules
-  /// from their last checkpoint (shipped from `checkpoint_host`),
+  /// from the pipeline's checkpoints (shipped from `checkpoint_host`),
   /// relaunch lost service replicas, and write off the in-flight frame
   /// if it died with the device. A pipeline whose *source* device died
   /// pauses instead (the camera is that device's sensor) and resumes
@@ -357,17 +370,15 @@ class Orchestrator {
   /// measured from it (the control plane's honest clock).
   Status RecoverFromDeviceFailure(const std::string& device,
                                   TimePoint failed_since,
-                                  const CheckpointLookup& checkpoints,
                                   const std::string& checkpoint_host);
 
   /// A dead device came back (heartbeats resumed after a reboot). The
   /// machine is cold and empty: relaunch its planned replicas, rebuild
-  /// its modules (from checkpoints where available) and un-pause any
-  /// pipeline that was waiting on its source device. Zombies are
-  /// fenced first (see FenceStaleRuntimes) — a device that was merely
-  /// partitioned, not crashed, comes back warm and stale.
+  /// its modules (from the pipeline's checkpoints where held) and
+  /// un-pause any pipeline that was waiting on its source device.
+  /// Zombies are fenced first (see FenceStaleRuntimes) — a device that
+  /// was merely partitioned, not crashed, comes back warm and stale.
   Status ResumeAfterDeviceReturn(const std::string& device,
-                                 const CheckpointLookup& checkpoints,
                                  const std::string& checkpoint_host);
 
   /// Split-brain cleanup on device reconnect: shut down (fence +
@@ -445,7 +456,7 @@ class Orchestrator {
       const ModuleSpec& spec, const std::string& device)>;
 
   /// Put an idle pipeline to sleep: snapshot every script module's
-  /// state into the pipeline's hibernation checkpoint map, stop the
+  /// state into the pipeline's checkpoint store, stop the
   /// camera (it stays constructed — restartable), unbind the module
   /// and camera endpoints, and retire the module runtimes so
   /// ReclaimDrained frees their contexts. Frame-store slots for
@@ -455,7 +466,7 @@ class Orchestrator {
 
   /// Rebuild a hibernated pipeline and start it: fresh runtimes (new
   /// placement epoch, SAME addresses — port layout is part of the
-  /// determinism contract), state restored from the hibernation
+  /// determinism contract), state restored from the pipeline's
   /// checkpoints, endpoints bound once every module has started, camera
   /// restarted. `contexts`, when set, supplies pre-Loaded warm-pool
   /// contexts so a wake skips parse/resolve/compile AND Load. Fails
@@ -548,14 +559,14 @@ class Orchestrator {
   void HandleDeviceReboot(const std::string& device);
 
   /// Replace `module`'s (dead or retired) runtime with a fresh one on
-  /// `target_device` at a new port and the next epoch, restoring
-  /// `checkpoint` unless it is stale, and shipping the state bytes from
-  /// `ship_from` (the controller). The new endpoint binds when the
-  /// state transfer arrives; a start that fails changes nothing.
+  /// `target_device` at a new port and the next epoch, restoring the
+  /// pipeline's checkpoint of it when one is held, and shipping the
+  /// state bytes from `ship_from` (the controller). The new endpoint
+  /// binds when the state transfer arrives; a start that fails changes
+  /// nothing.
   Status RestoreModule(PipelineDeployment& pipeline,
                        const std::string& module,
                        const std::string& target_device,
-                       const ModuleCheckpoint* checkpoint,
                        const std::string& ship_from);
 
   /// The one way a module runtime starts (deploy, migrate, restore,
@@ -571,7 +582,7 @@ class Orchestrator {
       std::unique_ptr<script::Context> pooled);
 
   /// Deploy's and wake's start: every script module at its address,
-  /// `epoch_step` past its epoch, from its fresh hibernation checkpoint.
+  /// `epoch_step` past its epoch, from the pipeline's checkpoint of it.
   /// Once all have started, bind every endpoint and record; a failure
   /// unbinds what it bound and retires what it started.
   Status StartModules(PipelineDeployment& pipeline, uint64_t epoch_step,
@@ -586,10 +597,10 @@ class Orchestrator {
                     const json::Value* state, const std::string& ship_from,
                     const char* transfer);
 
-  /// Record a committed start: the module's epoch, and its checkpoint
-  /// as restored (fresh) or rejected (stale).
+  /// Record a committed start at `epoch`: the module's epoch, and the
+  /// checkpoint it restored (if the store holds one), moved to `epoch`.
   void RecordStart(PipelineDeployment& pipeline, const std::string& module,
-                   uint64_t epoch, const ModuleCheckpoint* checkpoint);
+                   uint64_t epoch);
 
   /// Unbind the camera's credit endpoint and every module address.
   void ReleaseEndpoints(PipelineDeployment& pipeline);
@@ -635,6 +646,7 @@ class Orchestrator {
   std::vector<Undeployed> undeployed_;
   uint64_t hibernations_ = 0;
   uint64_t wakes_ = 0;
+  uint64_t next_serial_ = 1;
   uint16_t next_port_ = 20000;
   Rng jitter_rng_;
   /// Handlers blocked in Await() on a fiber, in suspension order. The

@@ -57,9 +57,8 @@ void SelfHealer::CheckpointTick() {
   const TimePoint now = orchestrator_->cluster().Now();
   for (const auto& pipeline : orchestrator_->pipelines()) {
     if (pipeline->paused()) continue;  // nothing new while paused
-    // A hibernated pipeline has no live runtimes; its sleep-time state
-    // is already in the store (the HibernationManager ships it at
-    // hibernate via Store) and cannot change until wake.
+    // A hibernated pipeline has no live runtimes; its sleep snapshot
+    // is already in its store and cannot change until wake.
     if (pipeline->hibernated()) continue;
     for (const ModuleSpec& m : pipeline->spec().modules) {
       if (m.type != ModuleType::kScript) continue;
@@ -72,7 +71,7 @@ void SelfHealer::CheckpointTick() {
       net::Message message("checkpoint", state);
       const size_t bytes = message.ByteSize();
       ++stats_.checkpoints_shipped;
-      const std::string pipeline_name = pipeline->spec().name;
+      const uint64_t serial = pipeline->serial();
       const std::string module_name = m.name;
       const uint64_t epoch = runtime->epoch();
       // Capture the state by value: the checkpoint must not reference
@@ -82,9 +81,9 @@ void SelfHealer::CheckpointTick() {
       // checkpoint, exactly like a real half-written upload.
       orchestrator_->cluster().network().Send(
           runtime->device(), controller_, bytes,
-          [this, pipeline_name, module_name, state, now, epoch] {
-            StoreCheckpoint(pipeline_name, module_name,
-                            ModuleCheckpoint{state, now, epoch});
+          [this, serial, module_name, state, now, epoch] {
+            OnCheckpointArrived(serial, module_name,
+                                ModuleCheckpoint{state, now, epoch});
           });
     }
   }
@@ -92,62 +91,30 @@ void SelfHealer::CheckpointTick() {
                                              [this] { CheckpointTick(); });
 }
 
-void SelfHealer::StoreCheckpoint(const std::string& pipeline_name,
-                                 const std::string& module_name,
-                                 ModuleCheckpoint incoming) {
-  // Fencing at the store: a checkpoint from a superseded placement
-  // epoch (a zombie still snapshotting across a heal, or a transfer
-  // delayed past a recovery) must never overwrite newer state.
+void SelfHealer::OnCheckpointArrived(uint64_t serial,
+                                     const std::string& module,
+                                     ModuleCheckpoint incoming) {
+  // Only the deployment whose runtime took the snapshot may store it:
+  // after an undeploy, a successor under the same name is another
+  // lineage.
   for (const auto& pipeline : orchestrator_->pipelines()) {
-    if (pipeline->spec().name != pipeline_name) continue;
-    if (incoming.epoch < pipeline->module_epoch(module_name)) {
+    if (pipeline->serial() != serial) continue;
+    if (orchestrator_->AdmitCheckpoint(*pipeline, module,
+                                       std::move(incoming))) {
+      ++stats_.checkpoints_stored;
+    } else {
       ++stats_.checkpoints_rejected_stale;
-      pipeline->metrics().OnCheckpointRejectedStale();
-      VP_WARN("self-healing")
-          << "rejecting stale checkpoint for " << pipeline_name << "/"
-          << module_name << " (epoch " << incoming.epoch << " < "
-          << pipeline->module_epoch(module_name) << ")";
-      return;
     }
-    break;
+    return;
   }
-  auto it = checkpoints_.find({pipeline_name, module_name});
-  if (it != checkpoints_.end()) {
-    const ModuleCheckpoint& stored = it->second;
-    // Same-lineage ordering: never replace a stored snapshot with one
-    // from an older epoch, nor an older capture of the same epoch
-    // (reordered arrivals).
-    if (incoming.epoch < stored.epoch ||
-        (incoming.epoch == stored.epoch &&
-         incoming.taken_at < stored.taken_at)) {
-      ++stats_.checkpoints_rejected_stale;
-      return;
-    }
-  }
-  checkpoints_[{pipeline_name, module_name}] = std::move(incoming);
-  ++stats_.checkpoints_stored;
-}
-
-CheckpointLookup SelfHealer::MakeLookup() const {
-  return [this](const std::string& pipeline, const std::string& module)
-             -> const ModuleCheckpoint* {
-    auto it = checkpoints_.find({pipeline, module});
-    return it == checkpoints_.end() ? nullptr : &it->second;
-  };
-}
-
-const ModuleCheckpoint* SelfHealer::checkpoint(
-    const std::string& pipeline, const std::string& module) const {
-  auto it = checkpoints_.find({pipeline, module});
-  return it == checkpoints_.end() ? nullptr : &it->second;
 }
 
 void SelfHealer::OnDeviceDown(const std::string& device,
                               TimePoint last_heard) {
   if (device == controller_) {
     // Should not happen (the check loop pauses with the controller),
-    // but guard anyway: with the controller gone there is no store to
-    // restore from and nobody to run recovery.
+    // but guard anyway: with the controller gone nobody serves
+    // restores or runs recovery.
     VP_WARN("self-healing")
         << "controller '" << controller_
         << "' is down — no recovery possible (single point of "
@@ -155,13 +122,8 @@ void SelfHealer::OnDeviceDown(const std::string& device,
     return;
   }
   if (detector_->health(controller_) == DeviceHealth::kDown) return;
-  if (!options_.auto_recover) {
-    VP_WARN("self-healing") << "auto-recover disabled; ignoring loss of '"
-                            << device << "'";
-    return;
-  }
-  Status recovered = orchestrator_->RecoverFromDeviceFailure(
-      device, last_heard, MakeLookup(), controller_);
+  Status recovered =
+      orchestrator_->RecoverFromDeviceFailure(device, last_heard, controller_);
   if (recovered.ok()) {
     ++stats_.recoveries;
   } else {
@@ -172,9 +134,7 @@ void SelfHealer::OnDeviceDown(const std::string& device,
 }
 
 void SelfHealer::OnDeviceUp(const std::string& device) {
-  if (!options_.auto_recover) return;
-  Status resumed = orchestrator_->ResumeAfterDeviceReturn(
-      device, MakeLookup(), controller_);
+  Status resumed = orchestrator_->ResumeAfterDeviceReturn(device, controller_);
   if (resumed.ok()) {
     ++stats_.resumes;
   } else {

@@ -48,9 +48,7 @@ Home& Fleet::AddHome() {
   home->id = id;
   home->name = "home" + std::to_string(id);
   sim::Simulator* home_sim = &home_simulator(id);
-  home->cluster = options_.extended_testbed
-                      ? sim::MakeExtendedTestbed(home_sim, seed)
-                      : sim::MakeHomeTestbed(home_sim, seed);
+  home->cluster = sim::MakeHomeTestbed(home_sim, seed);
 
   core::OrchestratorOptions orch_options = options_.orchestrator;
   orch_options.seed = seed;

@@ -43,8 +43,6 @@ struct FleetOptions {
   /// Homes created up front (AddHome() adds more later).
   int homes = 0;
   uint64_t seed = 42;
-  /// Use the 4-device extended testbed instead of the 3-device one.
-  bool extended_testbed = false;
   /// Base orchestrator options. Per home, `seed` is overridden with
   /// HomeSeed(fleet seed, home id) and `models.registry` with the
   /// fleet-shared registry.

@@ -33,15 +33,7 @@ void HibernationManager::IdleTick() {
     for (const auto& pipeline : orchestrator_->pipelines()) {
       if (pipeline->hibernated() || pipeline->paused()) continue;
       const std::string& name = pipeline->spec().name;
-      uint64_t completed = pipeline->metrics().frames_completed();
-      if (monitor_ != nullptr && monitor_->latest() != nullptr) {
-        // Judge from the monitor's published timeseries when watched —
-        // the lifecycle decision then uses exactly what dashboards see.
-        const auto& sampled = monitor_->latest()->frames_completed;
-        if (auto it = sampled.find(name); it != sampled.end()) {
-          completed = it->second;
-        }
-      }
+      const uint64_t completed = pipeline->metrics().frames_completed();
       IdleTrack& track = idle_[name];
       if (!track.seen || completed != track.last_completed) {
         track.seen = true;
@@ -87,25 +79,13 @@ Status HibernationManager::Hibernate(core::PipelineDeployment* pipeline) {
   }
   ++stats_.hibernations;
 
-  // Keep the SelfHealer's store warm: a device failure right after the
-  // eventual wake must restore sleep-time state, not pre-sleep state
-  // from the last shipped checkpoint.
-  if (healer_ != nullptr) {
-    for (const auto& [module, checkpoint] :
-         pipeline->hibernation_checkpoints()) {
-      healer_->Store(pipeline->spec().name, module, checkpoint);
-    }
-  }
-
   // Pre-warm pooled contexts so the wake is a hot start. Failures are
   // fine — that module just cold-starts (through the program cache).
-  if (options_.prewarm_on_hibernate) {
-    for (const core::ModuleSpec& m : pipeline->spec().modules) {
-      if (m.type != core::ModuleType::kScript) continue;
-      (void)pool_.Prewarm(
-          m.code, core::ModuleScriptSeed(orchestrator_->options().seed,
-                                         m.name));
-    }
+  for (const core::ModuleSpec& m : pipeline->spec().modules) {
+    if (m.type != core::ModuleType::kScript) continue;
+    (void)pool_.Prewarm(
+        m.code,
+        core::ModuleScriptSeed(orchestrator_->options().seed, m.name));
   }
 
   // Arm the doorbells only after the grace window: the frame that was

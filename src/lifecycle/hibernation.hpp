@@ -7,16 +7,16 @@
 // scarce RAM. The HibernationManager:
 //
 //  1. DETECTS idleness — no completed frames for `idle_window`,
-//     sampled on a fixed cadence (optionally from a PipelineMonitor's
-//     timeseries, so the same data that feeds dashboards feeds the
-//     lifecycle decision);
-//  2. HIBERNATES — snapshots module state through the same checkpoint
-//     machinery the SelfHealer ships (and, when attached, into the
-//     SelfHealer's store), then releases the pipeline's runtime
+//     sampled on a fixed cadence;
+//  2. HIBERNATES — snapshots module state into the pipeline's
+//     checkpoint store, the one the SelfHealer ships into and every
+//     restore reads, so a device failure right after the wake restores
+//     the sleep snapshot. It then releases the pipeline's runtime
 //     footprint: module contexts retired (freed after the drain
 //     window), endpoints unbound, exclusive frame-store slots cleared,
 //     the camera stopped. Shared service replicas stay up and the
-//     autoscaler may retire the idle ones;
+//     autoscaler may retire the idle ones. One pooled context per
+//     module is prewarmed for the wake;
 //  3. REHYDRATES on the first arriving frame: while hibernated, the
 //     pipeline's old addresses carry lightweight doorbell bindings —
 //     any "frame" message rings the doorbell and enqueues a wake.
@@ -37,9 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
-#include "core/self_healing.hpp"
 #include "lifecycle/context_pool.hpp"
 #include "serving/wakeup_admission.hpp"
 
@@ -53,9 +51,6 @@ struct HibernationOptions {
   /// Hibernate idle pipelines automatically. Off = only explicit
   /// Hibernate() calls (tests, operator policy).
   bool auto_hibernate = true;
-  /// Prewarm one pooled context per module at hibernate time, so the
-  /// eventual wake is a hot start.
-  bool prewarm_on_hibernate = true;
   /// Delay between hibernation and arming the doorbells. In-flight
   /// data-plane messages (the written-off frame, late service replies)
   /// drain into the unbound addresses during this window instead of
@@ -82,18 +77,6 @@ class HibernationManager {
  public:
   HibernationManager(core::Orchestrator* orchestrator,
                      HibernationOptions options = {});
-
-  /// Judge idleness from `monitor`'s sampled timeseries instead of
-  /// reading pipeline metrics directly. The monitor must outlive the
-  /// manager's ticking.
-  void WatchMonitor(const core::PipelineMonitor* monitor) {
-    monitor_ = monitor;
-  }
-
-  /// Ship hibernation snapshots into `healer`'s checkpoint store (same
-  /// epoch fencing as shipped checkpoints), so post-wake failure
-  /// recovery restores fresh state. Must outlive the manager.
-  void AttachHealer(core::SelfHealer* healer) { healer_ = healer; }
 
   /// Begin the idle-detection loop.
   void Start();
@@ -136,8 +119,6 @@ class HibernationManager {
 
   core::Orchestrator* orchestrator_;
   HibernationOptions options_;
-  const core::PipelineMonitor* monitor_ = nullptr;
-  core::SelfHealer* healer_ = nullptr;
   serving::WakeupAdmission admission_;
   ContextPool pool_;
   bool running_ = false;

@@ -44,7 +44,7 @@ void WakeupAdmission::Pump() {
     auto& queue = queues_[cls];
     // Shed expired non-interactive wakes before they consume a slot.
     // Interactive never sheds — late beats never for that class.
-    if (options_.shed_expired && cls != 0) {
+    if (cls != 0) {
       for (auto it = queue.begin(); it != queue.end();) {
         if (now > it->deadline) {
           ++stats_.shed_per_class[cls];

@@ -46,8 +46,6 @@ struct WakeupAdmissionOptions {
   Duration wake_cost = Duration::Millis(25);
   /// Deadline assigned to wakes submitted without one.
   Duration default_deadline = Duration::Seconds(2);
-  /// Shed queued non-interactive wakes whose deadline passed.
-  bool shed_expired = true;
 };
 
 struct WakeupStats {

@@ -133,11 +133,4 @@ std::unique_ptr<Cluster> MakeExtendedTestbed(uint64_t seed) {
   return cluster;
 }
 
-std::unique_ptr<Cluster> MakeExtendedTestbed(Simulator* simulator,
-                                             uint64_t seed) {
-  auto cluster = MakeHomeTestbed(simulator, seed);
-  AddNuc(*cluster);
-  return cluster;
-}
-
 }  // namespace vp::sim

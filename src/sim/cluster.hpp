@@ -75,8 +75,4 @@ std::unique_ptr<Cluster> MakeHomeTestbed(Simulator* simulator, uint64_t seed);
 /// enough for the fitness pipeline's 3 containerized services).
 std::unique_ptr<Cluster> MakeExtendedTestbed(uint64_t seed = 42);
 
-/// Extended testbed on an external (shared) simulator.
-std::unique_ptr<Cluster> MakeExtendedTestbed(Simulator* simulator,
-                                             uint64_t seed);
-
 }  // namespace vp::sim

@@ -142,7 +142,6 @@ TEST(Chaos, HibernationChurnDuringSoakHoldsInvariants) {
   lifecycle_options.auto_hibernate = false;  // churned explicitly below
   lifecycle::HibernationManager manager(rig.orchestrator.get(),
                                         lifecycle_options);
-  manager.AttachHealer(rig.healer.get());
 
   sim::ChaosOptions chaos_options;
   chaos_options.horizon = Duration::Seconds(ChaosHorizonSeconds());
@@ -272,11 +271,12 @@ TEST(Chaos, StaleCheckpointFromHealedPartitionIsRejected) {
   // The store converged to the new lineage, not the zombie's.
   const std::string module = FirstScriptModule(rig);
   ASSERT_FALSE(module.empty());
-  const core::ModuleCheckpoint* stored =
-      rig.healer->checkpoint(rig.pipeline->spec().name, module);
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(stored->epoch, rig.pipeline->module_epoch(module));
-  EXPECT_GE(stored->epoch, 2u);
+  ASSERT_EQ(rig.pipeline->checkpoints().count(module), 1u);
+  const core::ModuleCheckpoint& stored = rig.pipeline->checkpoints().at(module);
+  EXPECT_EQ(stored.epoch, rig.pipeline->module_epoch(module));
+  EXPECT_GE(stored.epoch, 2u);
+  rig.checker->CheckNow();
+  EXPECT_EQ(rig.checker->violations().size(), 0u) << rig.checker->Report();
 }
 
 // ------------------------------------------ adversarial credit links

@@ -22,9 +22,12 @@
 #include "serving/wakeup_admission.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_injector.hpp"
+#include "invariants_hold.hpp"
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
@@ -187,7 +190,7 @@ TEST(Hibernation, IdleDetectionHibernatesAndReleasesResources) {
   EXPECT_EQ(rig.manager->stats().hibernations, 1u);
 
   // The snapshot was taken before release.
-  ASSERT_EQ(rig.pipeline->hibernation_checkpoints().count("m"), 1u);
+  ASSERT_EQ(rig.pipeline->checkpoints().count("m"), 1u);
 
   // Resource release: no live modules, retired contexts drained (the
   // run went well past the 2 s drain window), script heap at zero.
@@ -205,6 +208,7 @@ TEST(Hibernation, IdleDetectionHibernatesAndReleasesResources) {
   // Start() on a hibernated pipeline is a no-op — only a wake revives.
   rig.pipeline->Start();
   EXPECT_FALSE(rig.pipeline->camera().running());
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, StateSurvivesHibernateAndWake) {
@@ -253,9 +257,7 @@ TEST(Hibernation, StateSurvivesHibernateAndWake) {
   EXPECT_GE(rig.manager->pool().stats().hits, 1u);
 
   // Credit conservation survived the cycle.
-  core::InvariantChecker checker(rig.orchestrator.get());
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, DoorbellFrameWakesThePipeline) {
@@ -283,6 +285,7 @@ TEST(Hibernation, DoorbellFrameWakesThePipeline) {
   EXPECT_EQ(rig.manager->stats().doorbell_wakes, 1u);
   EXPECT_EQ(rig.manager->stats().wakes, 1u);
   EXPECT_GT(rig.pipeline->metrics().frames_completed(), 0u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, HibernateDuringInflightHandlerIsGraceful) {
@@ -308,9 +311,7 @@ TEST(Hibernation, HibernateDuringInflightHandlerIsGraceful) {
   EXPECT_TRUE(wake_status.ok()) << wake_status.ToString();
   EXPECT_FALSE(rig.pipeline->hibernated());
 
-  core::InvariantChecker checker(rig.orchestrator.get());
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, WakeRacingDeviceFailureStaysHibernatedThenRetries) {
@@ -358,6 +359,7 @@ TEST(Hibernation, WakeRacingDeviceFailureStaysHibernatedThenRetries) {
   EXPECT_TRUE(wake_status.ok()) << wake_status.ToString();
   EXPECT_FALSE(rig.pipeline->hibernated());
   EXPECT_EQ(rig.manager->stats().wakes, 1u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, UndeployAfterHibernateLeavesNothingResident) {
@@ -383,6 +385,7 @@ TEST(Hibernation, UndeployAfterHibernateLeavesNothingResident) {
   // No stranded frame-store slots or endpoints.
   EXPECT_EQ(rig.orchestrator->store(device).size(), 0u);
   EXPECT_FALSE(rig.orchestrator->fabric().IsBound(*module_address));
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(Hibernation, SleepingPipelineKeepsItsConfiguredAddresses) {
@@ -440,9 +443,7 @@ TEST(Hibernation, SleepingPipelineKeepsItsConfiguredAddresses) {
     EXPECT_GT(kept->metrics().frames_completed(), before + 10);
     EXPECT_TRUE(orchestrator.fabric().IsBound(*kept->ModuleAddress(pose)));
 
-    core::InvariantChecker checker(&orchestrator);
-    checker.CheckNow();
-    EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+    ExpectInvariantsHold(orchestrator);
   }
 }
 
@@ -575,6 +576,7 @@ TEST(Hibernation, BurstWakeAdmitsInteractiveFirst) {
   ASSERT_EQ(wake_order.size(), 6u);
   EXPECT_EQ(wake_order.front(), "burst0");  // interactive first
   EXPECT_LE(manager.admission().stats().peak_inflight, 2);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // -------------------------------------- chaos + invariants ride-along
@@ -625,6 +627,7 @@ TEST(Hibernation, SurvivesDeviceChaosWithInvariantsIntact) {
   EXPECT_FALSE(rig.pipeline->hibernated());
   EXPECT_GT(rig.pipeline->metrics().frames_completed(), 0u);
   EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 // ------------------------------------------------ fleet determinism
@@ -681,6 +684,9 @@ HomeFingerprint RunFleetWithHibernation(int homes, int probe_home) {
     managers[id]->RequestWake("fleet_pipe");
   }
   fleet.RunFor(Duration::Seconds(4));
+  for (int id = 0; id < fleet.size(); ++id) {
+    ExpectInvariantsHold(*fleet.home(id).orchestrator);
+  }
 
   fleet::Home& probe = fleet.home(probe_home);
   HomeFingerprint fp;
@@ -705,7 +711,7 @@ TEST(Hibernation, FleetSizeDoesNotPerturbHibernatingHomes) {
   EXPECT_EQ(in3.counter, in5.counter);
 }
 
-// ------------------------------------------ monitor & healer hooks
+// ------------------------------------- monitor and checkpoint store
 
 TEST(Hibernation, MonitorCountsHibernatedPipelines) {
   lifecycle::HibernationOptions options;
@@ -714,7 +720,6 @@ TEST(Hibernation, MonitorCountsHibernatedPipelines) {
   core::PipelineMonitor monitor(rig.orchestrator.get(),
                                 Duration::Millis(500));
   monitor.Start();
-  rig.manager->WatchMonitor(&monitor);
   rig.manager->Start();
   rig.pipeline->Start();
   rig.orchestrator->RunFor(Duration::Seconds(2));
@@ -729,9 +734,10 @@ TEST(Hibernation, MonitorCountsHibernatedPipelines) {
   // The rollup JSON carries the lifecycle block for fleet dashboards.
   json::Value doc = rollup.ToJson();
   EXPECT_EQ(doc["hibernated_pipelines"].AsDouble(), 1.0);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
-TEST(Hibernation, SleepSnapshotsLandInTheHealerStore) {
+TEST(Hibernation, SleepSnapshotSupersedesTheShippedCheckpoint) {
   lifecycle::HibernationOptions options;
   options.auto_hibernate = false;
   auto rig = MakeRig("healed", 5, options);
@@ -739,22 +745,128 @@ TEST(Hibernation, SleepSnapshotsLandInTheHealerStore) {
   healing.checkpoint_interval = Duration::Seconds(1);
   core::SelfHealer healer(rig.orchestrator.get(), healing);
   ASSERT_TRUE(healer.Start().ok());
-  rig.manager->AttachHealer(&healer);
   rig.manager->Start();
   rig.pipeline->Start();
-  rig.orchestrator->RunFor(Duration::Seconds(3));
+  // Checkpoints ship every second: stop just past the t = 3 s one,
+  // with its transfer still on the wire.
+  rig.orchestrator->RunFor(Duration::Seconds(3) + Duration::Micros(1));
+  ASSERT_EQ(rig.pipeline->checkpoints().count("m"), 1u);
+  const TimePoint shipped_at = rig.pipeline->checkpoints().at("m").taken_at;
+  const core::SelfHealingStats& stats = healer.stats();
+  ASSERT_EQ(stats.checkpoints_shipped,
+            stats.checkpoints_stored + stats.checkpoints_rejected_stale + 1);
 
   core::ModuleRuntime* module = rig.pipeline->FindModule("m");
   const double counter = module->context().GetGlobal("counter").AsDouble();
   ASSERT_TRUE(rig.manager->Hibernate(rig.pipeline).ok());
 
-  // The healer's store holds the sleep-time snapshot (not an older
-  // shipped one): its counter matches the moment of hibernation.
-  const core::ModuleCheckpoint* stored = healer.checkpoint("healed", "m");
-  ASSERT_NE(stored, nullptr);
-  const json::Value* stored_counter = stored->state.Find("counter");
+  // The pipeline's one store holds the sleep snapshot, not the older
+  // shipped one: its counter matches the moment of hibernation.
+  const core::ModuleCheckpoint& stored = rig.pipeline->checkpoints().at("m");
+  EXPECT_GT(stored.taken_at, shipped_at);
+  const json::Value* stored_counter = stored.state.Find("counter");
   ASSERT_NE(stored_counter, nullptr);
   EXPECT_EQ(stored_counter->AsDouble(), counter);
+
+  // The snapshot shipped before the sleep lands after it, an older
+  // capture at the same epoch: the store refuses it.
+  const uint64_t stored_before = stats.checkpoints_stored;
+  const uint64_t rejected_before = stats.checkpoints_rejected_stale;
+  rig.orchestrator->RunFor(Duration::Seconds(3));
+  EXPECT_EQ(stats.checkpoints_stored, stored_before);
+  EXPECT_EQ(stats.checkpoints_rejected_stale, rejected_before + 1);
+  EXPECT_EQ(rig.pipeline->checkpoints().at("m").taken_at, stored.taken_at);
+  ExpectInvariantsHold(*rig.orchestrator);
+}
+
+// A device failure right after a wake, before any checkpoint has
+// shipped since: the module resumes from the sleep snapshot, which the
+// wake moved to the new epoch, instead of starting clean.
+TEST(Hibernation, CrashAfterWakeRestoresTheSleepSnapshot) {
+  auto cluster = sim::MakeExtendedTestbed(TestSeed());
+  core::OrchestratorOptions orchestrator_options;
+  orchestrator_options.seed = TestSeed();
+  core::Orchestrator orchestrator(cluster.get(), orchestrator_options);
+  // A counter co-located with the pose service on the desktop.
+  auto spec = core::ParsePipelineConfigText(R"CFG({
+    "name": "wake_then_crash",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["counter"] },
+      { "name": "counter", "service": ["pose_detector"],
+        "signal_source": true,
+        "code": "var count = 0; function event_received(m) { try { call_service('pose_detector', { frame_id: m.frame_id }); } catch (e) {} count = count + 1; }" }
+    ]
+  })CFG",
+                                            core::MapResolver({}));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  args.seed = TestSeed();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  core::PipelineDeployment& pipeline = **deployment;
+  ASSERT_EQ(pipeline.plan().module_device.at("counter"), "desktop");
+  auto count = [&pipeline] {
+    return pipeline.FindModule("counter")->context().GetGlobal("count")
+        .AsDouble();
+  };
+
+  sim::FaultInjector injector(&cluster->simulator(), &cluster->network(),
+                              TestSeed());
+  orchestrator.RegisterReplicasForFaults(injector);
+  orchestrator.RegisterDevicesForFaults(injector);
+  // No checkpoint ships within the scenario: the sleep snapshot is the
+  // only one the store can hold.
+  core::SelfHealingOptions healing;
+  healing.detector.heartbeat_interval = Duration::Millis(100);
+  healing.detector.suspect_after = Duration::Millis(250);
+  healing.detector.suspicion_window = Duration::Millis(400);
+  healing.detector.controller_device = "tv";
+  healing.checkpoint_interval = Duration::Seconds(60);
+  core::SelfHealer healer(&orchestrator, healing);
+  ASSERT_TRUE(healer.Start().ok());
+  lifecycle::HibernationOptions options;
+  options.auto_hibernate = false;
+  lifecycle::HibernationManager manager(&orchestrator, options);
+  manager.Start();
+
+  pipeline.Start();
+  orchestrator.RunFor(Duration::Seconds(3));
+  const double at_sleep = count();
+  ASSERT_GT(at_sleep, 20);
+  ASSERT_TRUE(manager.Hibernate(&pipeline).ok());
+  orchestrator.RunFor(Duration::Seconds(1));
+
+  double at_wake = -1;
+  Status woke(StatusCode::kInternal, "pending");
+  manager.RequestWake("wake_then_crash", [&](const Status& s) {
+    woke = s;
+    if (s.ok()) at_wake = count();
+  });
+  orchestrator.RunFor(Duration::Millis(200));
+  ASSERT_TRUE(woke.ok()) << woke.ToString();
+  EXPECT_EQ(at_wake, at_sleep);
+  EXPECT_EQ(pipeline.module_epoch("counter"), 2u);
+  EXPECT_EQ(pipeline.checkpoints().at("counter").epoch, 2u);
+
+  const core::PipelineMetrics& metrics = pipeline.metrics();
+  const uint64_t restored = metrics.checkpoints_restored();
+  const uint64_t rejected = metrics.checkpoints_rejected_stale();
+  ASSERT_TRUE(injector
+                  .ScheduleDeviceCrash("desktop",
+                                       cluster->Now() + Duration::Millis(100),
+                                       Duration::Zero())
+                  .ok());
+  orchestrator.RunFor(Duration::Seconds(2));
+
+  EXPECT_EQ(healer.stats().recoveries, 1u);
+  EXPECT_NE(pipeline.plan().module_device.at("counter"), "desktop");
+  EXPECT_EQ(pipeline.module_epoch("counter"), 3u);
+  EXPECT_EQ(metrics.checkpoints_restored(), restored + 1);
+  EXPECT_EQ(metrics.checkpoints_rejected_stale(), rejected);
+  EXPECT_GE(count(), at_wake);
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

@@ -10,22 +10,18 @@
 #include "apps/fall.hpp"
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
-#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "lifecycle/hibernation.hpp"
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_injector.hpp"
+#include "invariants_hold.hpp"
 
 namespace vp {
 namespace {
 
-void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
-  core::InvariantChecker checker(&orchestrator);
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
-}
+using test_support::ExpectInvariantsHold;
 
 /// The fitness pipeline with `code` prepended to `module`'s source.
 core::PipelineSpec FitnessWith(const std::string& module,
@@ -307,7 +303,7 @@ struct GatedInitRig {
 
 // A wake whose init() fails starts nothing: the pipeline stays
 // hibernated at its old epochs with its checkpoints, so a later wake
-// restores them as fresh.
+// restores them.
 TEST(FailedStart, WakeLeavesThePipelineHibernatedAndWakeable) {
   GatedInitRig rig;
   ASSERT_EQ(rig.modules.size(), 4u);
@@ -379,7 +375,6 @@ struct StartRig {
   sim::FaultInjector injector{&cluster->simulator(), &cluster->network()};
   core::PipelineDeployment* pipeline = nullptr;
   TimePoint crashed_at;
-  core::ModuleCheckpoint checkpoint;
 
   StartRig() { orchestrator.RegisterDevicesForFaults(injector); }
 
@@ -415,25 +410,23 @@ struct StartRig {
             .ok());
     orchestrator.RunFor(Duration::Seconds(1));
   }
-  /// Recover from the desktop's loss, offering a checkpoint of the rep
-  /// counter taken at placement epoch `epoch`.
+  /// Offer the store a checkpoint of the rep counter taken at
+  /// placement epoch `epoch`, then recover from the desktop's loss.
   Status Recover(uint64_t epoch) {
-    checkpoint.state = json::Value::MakeObject();
-    checkpoint.state["marker"] = json::Value("checkpoint");
-    checkpoint.taken_at = cluster->Now();
-    checkpoint.epoch = epoch;
-    return orchestrator.RecoverFromDeviceFailure(
-        "desktop", crashed_at,
-        [this](const std::string&, const std::string& module) {
-          return module == kModule ? &checkpoint : nullptr;
-        },
-        "phone");
+    json::Value state = json::Value::MakeObject();
+    state["marker"] = json::Value("checkpoint");
+    (void)orchestrator.AdmitCheckpoint(
+        *pipeline, kModule,
+        core::ModuleCheckpoint{std::move(state), cluster->Now(), epoch});
+    return orchestrator.RecoverFromDeviceFailure("desktop", crashed_at,
+                                                 "phone");
   }
 };
 
 // What each caller of the one start path decides. `marker` names the
 // state the module starts from: "initial" (none), "live" (the running
-// instance's, by snapshot or hibernation checkpoint) or "checkpoint".
+// instance's, by snapshot or sleep snapshot) or "checkpoint" (the one
+// offered to the store). `rejected` counts offers the store refused.
 enum class Port { kConfigured, kNew, kSame };
 struct StartCase {
   const char* caller;
@@ -470,15 +463,18 @@ TEST(ModuleStart, EachCallerKeepsItsPolicy) {
        },
        [](StartRig& rig) { return rig.Recover(1); }, Port::kNew, 1,
        "checkpoint", false, 1, 0},
-      {"restore from a stale checkpoint",
+      // The wake moved the sleep snapshots to epoch 2, so an epoch-1
+      // checkpoint is superseded: the store refuses it, and the
+      // desktop's three script modules restore their sleep snapshots.
+      {"restore after a wake, offered a superseded checkpoint",
        [](StartRig& rig) {
          rig.DeployAndRun();
          rig.Mark("live");
          rig.HibernateAndWake();
          rig.CrashDesktop();
        },
-       [](StartRig& rig) { return rig.Recover(1); }, Port::kNew, 1,
-       "initial", false, 0, 1},
+       [](StartRig& rig) { return rig.Recover(1); }, Port::kNew, 1, "live",
+       false, 3, 1},
       {"wake",
        [](StartRig& rig) {
          rig.DeployAndRun();
@@ -618,6 +614,7 @@ TEST(Soak, ThreeAppsLossyWifiMigrationsAndAutoscaling) {
                 .Replicas("desktop", "pose_detector")
                 .size(),
             2u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

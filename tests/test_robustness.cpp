@@ -12,7 +12,6 @@
 #include <limits>
 
 #include "apps/fitness.hpp"
-#include "core/invariants.hpp"
 #include "core/orchestrator.hpp"
 #include "core/self_healing.hpp"
 #include "json/parse.hpp"
@@ -23,6 +22,7 @@
 #include "script/parser.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_injector.hpp"
+#include "invariants_hold.hpp"
 
 namespace vp {
 namespace {
@@ -32,14 +32,7 @@ uint64_t TestSeed() {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
 }
 
-/// Orchestrator-driven tests end with the runtime invariants intact:
-/// credit conservation, one live lineage per module, no duplicate
-/// completions, no zombie-served frames.
-void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
-  core::InvariantChecker checker(&orchestrator);
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
-}
+using test_support::ExpectInvariantsHold;
 
 // --------------------------------------------------- failure injection
 

@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "apps/fitness.hpp"
-#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "core/self_healing.hpp"
@@ -16,9 +15,12 @@
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_injector.hpp"
+#include "invariants_hold.hpp"
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
@@ -75,6 +77,33 @@ HealRig MakeRig(Result<core::PipelineSpec> spec,
   return rig;
 }
 
+/// A pipeline whose `counter` module counts frames, co-located with
+/// the pose service on the desktop: its count is the state a restore
+/// must carry over.
+Result<core::PipelineSpec> CountingSpec() {
+  return core::ParsePipelineConfigText(R"CFG({
+    "name": "counting",
+    "source": { "fps": 20, "width": 64, "height": 48 },
+    "modules": [
+      { "name": "cam", "type": "source", "next_module": ["counter"] },
+      { "name": "counter", "service": ["pose_detector"],
+        "next_module": ["sink"],
+        "code": "var count = 0; function event_received(m) { try { call_service('pose_detector', { frame_id: m.frame_id }); } catch (e) {} count = count + 1; call_module('sink', { seq: m.seq, count: count }); }" },
+      { "name": "sink", "signal_source": true,
+        "code": "var last = 0; function event_received(m) { last = m.count; }" }
+    ]
+  })CFG",
+                                       core::MapResolver({}));
+}
+
+/// The counter module's count in `pipeline` (-1 when it has none).
+double CountOf(core::PipelineDeployment& pipeline) {
+  core::ModuleRuntime* counter = pipeline.FindModule("counter");
+  EXPECT_NE(counter, nullptr);
+  if (counter == nullptr) return -1;
+  return counter->context().SnapshotState().GetDouble("count", -1);
+}
+
 // ------------------------------------------------ failure detection
 
 TEST(FailureDetector, LossyWifiDoesNotFalsePositive) {
@@ -100,6 +129,7 @@ TEST(FailureDetector, LossyWifiDoesNotFalsePositive) {
   }
   // Retransmits did happen — the window absorbed them.
   EXPECT_GT(cluster->network().stats().retransmits, 50u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(FailureDetector, CrashIsDeclaredWithinSuspicionWindow) {
@@ -120,6 +150,7 @@ TEST(FailureDetector, CrashIsDeclaredWithinSuspicionWindow) {
   const double heard_ms = detector->last_heard("nuc").millis();
   EXPECT_GE(heard_ms, 4900.0);
   EXPECT_LE(heard_ms, 5000.0);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 // ------------------------------------------------ full self-healing
@@ -164,34 +195,21 @@ TEST(SelfHealing, NonSourceDeviceCrashRecoversWithinBound) {
   // …and the pipeline kept completing frames on the new placement.
   EXPECT_GT(metrics.frames_completed(), before + 80);
   EXPECT_FALSE(rig.pipeline->paused());
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(SelfHealing, CheckpointedCounterResumesInsteadOfResetting) {
-  // A module with a monotone counter, co-located with the pose service
-  // on the desktop. After the desktop dies the counter must continue
-  // from its last checkpoint — never restart from zero — and end
-  // within a few checkpoint intervals of a fault-free run.
-  auto spec_text = R"CFG({
-    "name": "counting",
-    "source": { "fps": 20, "width": 64, "height": 48 },
-    "modules": [
-      { "name": "cam", "type": "source", "next_module": ["counter"] },
-      { "name": "counter", "service": ["pose_detector"],
-        "next_module": ["sink"],
-        "code": "var count = 0; function event_received(m) { try { call_service('pose_detector', { frame_id: m.frame_id }); } catch (e) {} count = count + 1; call_module('sink', { seq: m.seq, count: count }); }" },
-      { "name": "sink", "signal_source": true,
-        "code": "var last = 0; function event_received(m) { last = m.count; }" }
-    ]
-  })CFG";
-
+  // The counter is co-located with the pose service on the desktop.
+  // After the desktop dies the counter must continue from its last
+  // checkpoint — never restart from zero — and end within a few
+  // checkpoint intervals of a fault-free run.
   struct Counts {
     double mid;   // t = 9.5 s, just before the crash
     double post;  // t = 12.0 s, shortly after recovery completes
     double end;   // t = 25.0 s
   };
   auto run = [&](bool crash) {
-    auto rig = MakeRig(
-        core::ParsePipelineConfigText(spec_text, core::MapResolver({})));
+    auto rig = MakeRig(CountingSpec());
     if (crash) {
       EXPECT_TRUE(rig.injector
                       ->ScheduleDeviceCrash(
@@ -199,11 +217,7 @@ TEST(SelfHealing, CheckpointedCounterResumesInsteadOfResetting) {
                           Duration::Zero())
                       .ok());
     }
-    auto count_now = [&rig] {
-      core::ModuleRuntime* counter = rig.pipeline->FindModule("counter");
-      EXPECT_NE(counter, nullptr);
-      return counter->context().SnapshotState().GetDouble("count", -1);
-    };
+    auto count_now = [&rig] { return CountOf(*rig.pipeline); };
     rig.pipeline->Start();
     rig.orchestrator->RunFor(Duration::Seconds(9.5));
     Counts counts;
@@ -212,6 +226,7 @@ TEST(SelfHealing, CheckpointedCounterResumesInsteadOfResetting) {
     counts.post = count_now();
     rig.orchestrator->RunFor(Duration::Seconds(13));
     counts.end = count_now();
+    ExpectInvariantsHold(*rig.orchestrator);
     return counts;
   };
 
@@ -333,7 +348,6 @@ TEST(SelfHealing, HostileModuleStateSurvivesEverySnapshotPath) {
   lifecycle::HibernationOptions sleep;
   sleep.auto_hibernate = false;
   lifecycle::HibernationManager manager(rig.orchestrator.get(), sleep);
-  manager.AttachHealer(rig.healer.get());
   manager.Start();
 
   auto holder = [&rig] { return rig.pipeline->FindModule("holder"); };
@@ -358,13 +372,12 @@ TEST(SelfHealing, HostileModuleStateSurvivesEverySnapshotPath) {
             "SCRIPT_ERROR");
   EXPECT_EQ(holder()->stats().script_errors, 1u);
   expect_clean(holder()->context().SnapshotState(), "live");
-  const core::ModuleCheckpoint* shipped =
-      rig.healer->checkpoint("hostile", "holder");
-  ASSERT_NE(shipped, nullptr);
-  expect_clean(shipped->state, "shipped checkpoint");
+  ASSERT_EQ(rig.pipeline->checkpoints().count("holder"), 1u);
+  expect_clean(rig.pipeline->checkpoints().at("holder").state,
+               "shipped checkpoint");
 
   ASSERT_TRUE(manager.Hibernate(rig.pipeline).ok());
-  expect_clean(rig.pipeline->hibernation_checkpoints().at("holder").state,
+  expect_clean(rig.pipeline->checkpoints().at("holder").state,
                "hibernation");
   Status woke(StatusCode::kInternal, "pending");
   manager.RequestWake("hostile", [&woke](const Status& s) { woke = s; });
@@ -392,10 +405,7 @@ TEST(SelfHealing, HostileModuleStateSurvivesEverySnapshotPath) {
   EXPECT_NE(rig.pipeline->plan().module_device.at("holder"), to);
   expect_progress("restored");
   expect_clean(holder()->context().SnapshotState(), "restored");
-
-  core::InvariantChecker checker(rig.orchestrator.get());
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(SelfHealing, SourceDeviceCrashPausesThenRebootResumes) {
@@ -428,6 +438,7 @@ TEST(SelfHealing, SourceDeviceCrashPausesThenRebootResumes) {
   EXPECT_GT(rig.pipeline->metrics().frames_completed(), during + 60);
   EXPECT_EQ(rig.healer->detector()->health("phone"),
             core::DeviceHealth::kHealthy);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 // ----------------------------------------- monitor health surfaces
@@ -463,6 +474,7 @@ TEST(SelfHealing, MonitorSurfacesDeviceAndReplicaHealth) {
   const std::string json = json::Write(last.ToJson());
   EXPECT_NE(json.find("device_health"), std::string::npos);
   EXPECT_NE(json.find("replica_health"), std::string::npos);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 // ------------------------------- undeploy / redeploy + reclamation
@@ -507,6 +519,66 @@ TEST(Lifecycle, UndeployRedeployReusesReplicasWithoutLeaks) {
             completed_first * 8 / 10);
   // And the drained first deployment was reclaimed (2 s window).
   EXPECT_EQ(orchestrator.undeployed_count(), 0u);
+  ExpectInvariantsHold(orchestrator);
+}
+
+// A checkpoint belongs to the deployment whose runtime took it. A
+// successor deployed under the same name is another lineage: it starts
+// clean from a failure before it ships a checkpoint of its own, whether
+// the predecessor's last checkpoint landed before the undeploy or was
+// still in flight at the redeploy (it is dropped on arrival).
+TEST(SelfHealing, RedeployUnderTheSameNameStartsClean) {
+  for (const bool in_flight : {false, true}) {
+    SCOPED_TRACE(in_flight ? "predecessor's checkpoint in flight"
+                           : "predecessor's checkpoint stored");
+    auto rig = MakeRig(CountingSpec());
+    const core::SelfHealingStats& stats = rig.healer->stats();
+    rig.pipeline->Start();
+    // Checkpoints ship every second: stop between two, or just past
+    // the t = 4 s one with its transfers still on the wire.
+    rig.orchestrator->RunFor(in_flight
+                                 ? Duration::Seconds(4) + Duration::Micros(1)
+                                 : Duration::Seconds(4.5));
+    ASSERT_EQ(rig.pipeline->checkpoints().count("counter"), 1u);
+    const uint64_t landed =
+        stats.checkpoints_stored + stats.checkpoints_rejected_stale;
+    ASSERT_EQ(stats.checkpoints_shipped > landed, in_flight);
+    const double predecessor = CountOf(*rig.pipeline);
+    ASSERT_GT(predecessor, 40);
+
+    ASSERT_TRUE(rig.orchestrator->Undeploy(rig.pipeline).ok());
+    auto spec = CountingSpec();
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    core::Orchestrator::DeployArgs args;
+    args.workload = apps::fitness::Workout();
+    args.seed = TestSeed();
+    auto deployment =
+        rig.orchestrator->Deploy(std::move(*spec), std::move(args));
+    ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+    core::PipelineDeployment& successor = **deployment;
+    ASSERT_EQ(successor.plan().module_device.at("counter"), "desktop");
+    successor.Start();
+
+    // The desktop dies before the next checkpoint tick, so the
+    // successor never ships one from there.
+    ASSERT_TRUE(rig.injector
+                    ->ScheduleDeviceCrash(
+                        "desktop", rig.cluster->Now() + Duration::Millis(300),
+                        Duration::Zero())
+                    .ok());
+    const uint64_t stored = stats.checkpoints_stored;
+    rig.orchestrator->RunFor(Duration::Millis(250));
+    EXPECT_EQ(stats.checkpoints_stored, stored);
+    EXPECT_TRUE(successor.checkpoints().empty());
+
+    rig.orchestrator->RunFor(Duration::Seconds(2));
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_NE(successor.plan().module_device.at("counter"), "desktop");
+    EXPECT_EQ(successor.metrics().checkpoints_restored(), 0u);
+    EXPECT_GE(CountOf(successor), 0);
+    EXPECT_LT(CountOf(successor), predecessor);
+    ExpectInvariantsHold(*rig.orchestrator);
+  }
 }
 
 TEST(Lifecycle, RetiredMigrationRuntimesAreReclaimedAfterDrain) {
@@ -534,6 +606,7 @@ TEST(Lifecycle, RetiredMigrationRuntimesAreReclaimedAfterDrain) {
   const uint64_t completed = (*deployment)->metrics().frames_completed();
   orchestrator.RunFor(Duration::Seconds(2));
   EXPECT_GT((*deployment)->metrics().frames_completed(), completed + 10);
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

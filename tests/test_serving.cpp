@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "apps/fitness.hpp"
-#include "core/invariants.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "core/trace_export.hpp"
@@ -23,6 +22,7 @@
 #include "services/container.hpp"
 #include "services/registry.hpp"
 #include "sim/cluster.hpp"
+#include "invariants_hold.hpp"
 
 namespace vp {
 namespace {
@@ -32,14 +32,7 @@ uint64_t TestSeed() {
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
 }
 
-/// Orchestrator-driven tests end with the runtime invariants intact:
-/// credit conservation, one live lineage per module, no duplicate
-/// completions, no zombie-served frames.
-void ExpectInvariantsHold(core::Orchestrator& orchestrator) {
-  core::InvariantChecker checker(&orchestrator);
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
-}
+using test_support::ExpectInvariantsHold;
 
 media::FrameRef MakeFrame(uint64_t seed = 1) {
   media::Frame frame;
@@ -670,7 +663,7 @@ constexpr const char* kOneCallConfig = R"CFG({
     { "name": "cam", "type": "source", "next_module": ["probe"] },
     { "name": "probe", "service": ["pose_detector"], "signal_source": true,
       "code": "
-        var code = ''; var t0 = -1; var t1 = -1;
+        var code = ''; var message = ''; var t0 = -1; var t1 = -1;
         function event_received(m) {
           if (t0 >= 0 || now_ms() < 1000) return;
           t0 = now_ms();
@@ -679,6 +672,7 @@ constexpr const char* kOneCallConfig = R"CFG({
             code = 'OK';
           } catch (e) {
             code = e.code;
+            message = e.message;
           }
           t1 = now_ms();
         }" }
@@ -730,7 +724,9 @@ TEST(DispatchPaths, WedgedReplicaTimesOutFromTheGroupsDevice) {
   // the gateway, serving off or on. The watchdog runs where the
   // replica group is, so a co-located caller waits exactly `timeout`
   // and a remote one `timeout` plus the two network legs: the gateway
-  // answers, not the caller's backstop at timeout + remote_slack.
+  // answers, not the caller's backstop at timeout + remote_slack. Every
+  // path reads the same error message.
+  std::vector<std::string> messages;
   for (const bool serving : {false, true}) {
     for (const core::PlacementPolicy policy :
          {core::PlacementPolicy::kCoLocate,
@@ -754,6 +750,11 @@ TEST(DispatchPaths, WedgedReplicaTimesOutFromTheGroupsDevice) {
       const json::Value state =
           rig.pipeline->FindModule("probe")->context().SnapshotState();
       EXPECT_EQ(state.GetString("code", ""), "TIMEOUT");
+      messages.push_back(state.GetString("message", ""));
+      EXPECT_NE(messages.back().find("call to 'pose_detector' on " +
+                                     rig.host + " timed out after 200 ms"),
+                std::string::npos)
+          << messages.back();
       const int64_t waited_us = MicrosBetween(state, "t0", "t1");
       if (remote) {
         EXPECT_GT(waited_us, 200000);
@@ -779,6 +780,10 @@ TEST(DispatchPaths, WedgedReplicaTimesOutFromTheGroupsDevice) {
       }
       ExpectInvariantsHold(*rig.orchestrator);
     }
+  }
+  ASSERT_EQ(messages.size(), 4u);
+  for (const std::string& message : messages) {
+    EXPECT_EQ(message, messages[0]);
   }
 }
 
