@@ -34,10 +34,6 @@ void ByteWriter::WriteBytes(std::span<const uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void ByteWriter::WriteRaw(std::span<const uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-}
-
 Result<uint8_t> ByteReader::ReadU8() {
   if (!Need(1)) return ParseError("ReadU8 past end");
   return data_[pos_++];

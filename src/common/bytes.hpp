@@ -30,8 +30,6 @@ class ByteWriter {
   void WriteString(std::string_view s);
   /// Length-prefixed (u32) blob.
   void WriteBytes(std::span<const uint8_t> data);
-  /// Raw bytes, no length prefix.
-  void WriteRaw(std::span<const uint8_t> data);
 
   size_t size() const { return buf_.size(); }
   const Bytes& data() const { return buf_; }

@@ -5,6 +5,13 @@
 #include "media/codec.hpp"
 
 namespace vp::core {
+namespace {
+
+/// Sensor/ISP cost per captured frame (reference ms), charged on the
+/// camera's native lane in addition to the real encode cost.
+constexpr Duration kCaptureCost = Duration::Millis(1.0);
+
+}  // namespace
 
 CameraDriver::CameraDriver(sim::Simulator* sim, sim::ExecutionLane* lane,
                            media::SyntheticVideoSource source,
@@ -93,8 +100,8 @@ void CameraDriver::CaptureAndEmit() {
   const TimePoint capture_time = sim_->Now();
   Bytes encoded = source_.CaptureEncoded(seq, capture_time);
   const media::SceneOptions& scene = source_.scene();
-  const Duration cost = options_.capture_cost +
-                        media::EncodeCost(scene.width, scene.height);
+  const Duration cost =
+      kCaptureCost + media::EncodeCost(scene.width, scene.height);
   metrics_->OnCaptured(seq, capture_time);
 
   lane_->Run(cost, [this, seq, capture_time,

@@ -21,10 +21,9 @@
 
 namespace vp::core {
 
+/// A captured frame costs the camera's native lane 1 reference ms of
+/// sensor/ISP time on top of the real encode cost.
 struct CameraOptions {
-  /// Sensor/ISP cost per captured frame (reference ms), charged on the
-  /// camera's native lane in addition to the real encode cost.
-  Duration capture_cost = Duration::Millis(1.0);
   /// Watchdog: if the sink's credit does not return within this long
   /// after an emission (frame lost to a module failure), the credit is
   /// regenerated so the pipeline cannot wedge.

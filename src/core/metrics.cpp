@@ -1,7 +1,8 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "common/percentile.hpp"
 
 namespace vp::core {
 
@@ -16,13 +17,9 @@ LatencySummary Summarize(const std::vector<double>& samples_ms) {
   double sum = 0;
   for (double s : sorted) sum += s;
   out.mean_ms = sum / static_cast<double>(sorted.size());
-  const auto at = [&](double q) {
-    const double idx = q * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<size_t>(std::llround(idx))];
-  };
-  out.p50_ms = at(0.50);
-  out.p95_ms = at(0.95);
-  out.p99_ms = at(0.99);
+  out.p50_ms = PercentileOfSorted(sorted, 0.50);
+  out.p95_ms = PercentileOfSorted(sorted, 0.95);
+  out.p99_ms = PercentileOfSorted(sorted, 0.99);
   return out;
 }
 

@@ -8,6 +8,12 @@
 #include "media/codec.hpp"
 
 namespace vp::core {
+namespace {
+
+/// Per-event module runtime overhead (context dispatch), ref ms.
+constexpr Duration kModuleEventOverhead = Duration::Millis(0.25);
+
+}  // namespace
 
 ModuleRuntime::ModuleRuntime(Orchestrator* orchestrator,
                              PipelineDeployment* pipeline,
@@ -24,7 +30,6 @@ Status ModuleRuntime::Initialize(std::unique_ptr<script::Context> pooled) {
   const bool load = pooled == nullptr;
   if (load) {
     script::ContextOptions options;
-    options.limits = orchestrator_->options().script_limits;
     options.random_seed =
         ModuleScriptSeed(orchestrator_->options().seed, spec_->name);
     context_ = std::make_unique<script::Context>(options);
@@ -173,7 +178,7 @@ void ModuleRuntime::OnMessage(net::Message message) {
 void ModuleRuntime::ProcessMessage(net::Message message) {
   // Pre-handler cost on the device's module lane: dispatch overhead
   // plus (when the message carries an encoded frame) the decode.
-  Duration cost = orchestrator_->options().module_event_overhead;
+  Duration cost = kModuleEventOverhead;
   if (!message.parts().empty()) {
     cost += media::DecodeCost(message.parts().front().size());
   }

@@ -11,6 +11,12 @@ namespace vp::core {
 
 namespace {
 
+/// Multiplicative stddev applied to service compute times (models
+/// real-device variance; keeps FPS rows honest).
+constexpr double kServiceCostJitter = 0.06;
+/// Each retry of a service call backs off this much longer.
+constexpr double kBackoffMultiplier = 2.0;
+
 net::Message MakeReply(Result<json::Value> result) {
   json::Value payload = json::Value::MakeObject();
   if (result.ok()) {
@@ -124,11 +130,10 @@ Orchestrator::Orchestrator(sim::Cluster* cluster, OrchestratorOptions options)
     : cluster_(cluster), options_(options), jitter_rng_(options.seed) {
   fabric_ = std::make_unique<net::Fabric>(cluster_);
   catalog_ = services::ServiceCatalog::WithBuiltins();
-  services::ContainerOptions container_options = options_.container_options;
-  container_options.cost_jitter = options_.service_cost_jitter;
-  container_options.jitter_seed = options_.seed;
   containers_ = std::make_unique<services::ContainerRuntime>(
-      cluster_, &catalog_, container_options);
+      cluster_, &catalog_,
+      services::ContainerOptions{.cost_jitter = kServiceCostJitter,
+                                 .jitter_seed = options_.seed});
   registry_ = std::make_unique<services::ServiceRegistry>(cluster_);
   autoscaler_ = std::make_unique<services::Autoscaler>(
       cluster_, containers_.get(), registry_.get(),
@@ -398,18 +403,6 @@ Status Orchestrator::BeginModelRollout(
   if (!candidate.ok()) return candidate.status();
   return rollout_->BeginRollout(device, service, *candidate,
                                 std::move(policy));
-}
-
-Status Orchestrator::AbortModelRollout(const std::string& device,
-                                       const std::string& service) {
-  if (!rollout_->Manages(device, service)) {
-    return Status(StatusCode::kNotFound,
-                  "no managed model group " + device + "/" + service);
-  }
-  if (rollout_->phase(device, service) != modelreg::RolloutPhase::kCanary) {
-    return Status::Ok();  // nothing in flight
-  }
-  return rollout_->CancelRollout(device, service);
 }
 
 Status Orchestrator::RevertModel(const std::string& device,
@@ -690,7 +683,7 @@ Result<json::Value> Orchestrator::CallService(ModuleRuntime& caller,
     }
     metrics.OnRetry();
     Duration backoff = rc.backoff_base;
-    for (int k = 0; k < attempt; ++k) backoff = backoff * rc.backoff_multiplier;
+    for (int k = 0; k < attempt; ++k) backoff = backoff * kBackoffMultiplier;
     if (backoff > Duration::Zero()) VP_RETURN_IF_ERROR_R(SleepFor(backoff));
   }
   if (result.ok()) {
@@ -1326,7 +1319,7 @@ void Orchestrator::RegisterReplicasForFaults(sim::FaultInjector& injector) {
     sim::ReplicaHooks hooks;
     hooks.crash = [this, instance] { instance->Crash(cluster_->Now()); };
     hooks.restart = [this, instance] {
-      instance->Restart(cluster_->Now(), options_.container_options.startup);
+      instance->Restart(cluster_->Now(), services::kContainerStartup);
     };
     hooks.set_wedged = [instance](bool wedged) {
       instance->SetWedged(wedged);

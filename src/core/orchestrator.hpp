@@ -50,9 +50,8 @@ struct ServiceCallOptions {
   /// Retries after the first failed attempt; only UNAVAILABLE and
   /// TIMEOUT are retried (deterministic handler errors are not).
   int max_retries = 2;
-  /// Backoff before retry k (0-based): backoff_base * multiplier^k.
+  /// Backoff before retry k (0-based): backoff_base * 2^k.
   Duration backoff_base = Duration::Millis(25);
-  double backoff_multiplier = 2.0;
   /// How long a timed-out replica — or, with serving on, one that
   /// swallowed a batch — sits out of load balancing before the breaker
   /// half-opens and it may be tried again.
@@ -79,15 +78,10 @@ struct ModelLifecycleOptions {
   modelreg::RolloutPolicy rollout;
 };
 
+/// Every module context runs under the default script::ScriptLimits,
+/// cold-started or drawn from the lifecycle warm pool.
 struct OrchestratorOptions {
-  /// Per-event module runtime overhead (context dispatch), ref ms.
-  Duration module_event_overhead = Duration::Millis(0.25);
-  script::ScriptLimits script_limits;
-  services::ContainerOptions container_options;
   CameraOptions camera_options;
-  /// Multiplicative stddev applied to service compute times
-  /// (models real-device variance; keeps FPS rows honest).
-  double service_cost_jitter = 0.06;
   /// Frame-store capacity per device: an overflow bound on the frames
   /// in flight there (past it, the oldest ids stop resolving).
   size_t frame_store_capacity = 64;
@@ -326,12 +320,6 @@ class Orchestrator {
       std::optional<modelreg::RolloutPolicy> policy = std::nullopt);
 
   // -- external rollout driving (fleet control plane) --------------------
-
-  /// Operator/fleet abort of an in-flight canary on (device, service):
-  /// the group drains back to its incumbent. No-op when the group is
-  /// already stable.
-  Status AbortModelRollout(const std::string& device,
-                           const std::string& service);
 
   /// Warm-swap the group back to `version_id` (which must exist in the
   /// model registry — e.g. the incumbent recorded before a fleet-wide

@@ -134,21 +134,17 @@ Result<DeploymentPlan> PlanDeployment(const PipelineSpec& spec,
   }
 
   for (const std::string& service : all_services) {
-    // Capability-bound native services (e.g. display on the TV) stay
-    // on their device except under the baseline, which (Fig. 5) hosts
-    // *all* services on the remote server.
-    if (options.policy != PlacementPolicy::kSingleDevice) {
-      bool placed = false;
-      for (const auto& [capability, handled] : options.capability_services) {
-        if (handled != service) continue;
-        if (sim::Device* device = DeviceWithCapability(cluster, capability)) {
-          plan.service_device[service] = device->name();
-          plan.native_services.push_back(service);
-          placed = true;
-          break;
-        }
+    // The display service binds to the device with the "display"
+    // capability (the TV) and runs natively there, except under the
+    // baseline, which (Fig. 5) hosts *all* services on the remote
+    // server.
+    if (service == "display" &&
+        options.policy != PlacementPolicy::kSingleDevice) {
+      if (sim::Device* device = DeviceWithCapability(cluster, "display")) {
+        plan.service_device[service] = device->name();
+        plan.native_services.push_back(service);
+        continue;
       }
-      if (placed) continue;
     }
 
     if (options.policy == PlacementPolicy::kLatencyAware) {

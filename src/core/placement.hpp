@@ -55,10 +55,6 @@ struct PlacementOptions {
   /// Baseline: the remote server hosting all services (default: the
   /// fastest container-capable device).
   std::string server_device;
-  /// Services that bind to a device capability and run natively there
-  /// (capability → handled service). Default: display → "display".
-  std::map<std::string, std::string> capability_services = {
-      {"display", "display"}};
 };
 
 /// Compute a deployment plan. Honors explicit `device` pins in the

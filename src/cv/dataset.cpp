@@ -38,7 +38,7 @@ std::vector<LabeledWindow> GenerateActivityDataset(
           {{label, clip_duration, params}});
       // Labels come from KnownMotionLabels; Make cannot fail here.
       media::SyntheticVideoSource source(std::move(*script), options.fps,
-                                         options.scene, rng.NextU64());
+                                         media::SceneOptions{}, rng.NextU64());
       const auto start =
           static_cast<uint64_t>(rng.NextInt(0, 2));
       std::vector<DetectedPose> poses;

@@ -39,7 +39,6 @@ struct DatasetOptions {
   /// Windows generated per label.
   int samples_per_label = 14;
   double fps = 15.0;
-  media::SceneOptions scene;
   uint64_t seed = 99;
 };
 

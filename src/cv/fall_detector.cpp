@@ -15,6 +15,11 @@ json::Value FallAssessment::ToJson() const {
 
 namespace {
 
+/// A frame looks fallen past this torso angle from vertical…
+constexpr double kAngleThresholdDeg = 55.0;
+/// …and a window is fallen when this fraction of its frames do.
+constexpr double kMajority = 0.6;
+
 /// Torso angle from vertical, in degrees; -1 when undetectable.
 double TorsoAngle(const DetectedPose& pose) {
   const auto& ls = pose.keypoints[media::kLeftShoulder];
@@ -47,8 +52,7 @@ double TorsoAngle(const DetectedPose& pose) {
 
 }  // namespace
 
-FallAssessment AssessFall(const std::vector<DetectedPose>& window,
-                          const FallDetectorOptions& options) {
+FallAssessment AssessFall(const std::vector<DetectedPose>& window) {
   FallAssessment out;
   if (window.empty()) return out;
   int measured = 0;
@@ -57,13 +61,13 @@ FallAssessment AssessFall(const std::vector<DetectedPose>& window,
     const double angle = TorsoAngle(pose);
     if (angle < 0) continue;
     ++measured;
-    if (angle > options.angle_threshold_deg) ++fallen_frames;
+    if (angle > kAngleThresholdDeg) ++fallen_frames;
   }
   out.torso_angle_deg = TorsoAngle(window.back());
   if (measured == 0) return out;
   out.fallen_fraction =
       static_cast<double>(fallen_frames) / static_cast<double>(measured);
-  out.fallen = out.fallen_fraction >= options.majority;
+  out.fallen = out.fallen_fraction >= kMajority;
   return out;
 }
 

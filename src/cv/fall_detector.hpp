@@ -25,13 +25,9 @@ struct FallAssessment {
   json::Value ToJson() const;
 };
 
-struct FallDetectorOptions {
-  double angle_threshold_deg = 55.0;
-  double majority = 0.6;
-};
-
-FallAssessment AssessFall(const std::vector<DetectedPose>& window,
-                          const FallDetectorOptions& options = {});
+/// A frame looks fallen when its torso is more than 55° from vertical;
+/// the window is fallen when at least 60% of its measured frames do.
+FallAssessment AssessFall(const std::vector<DetectedPose>& window);
 
 inline Duration FallDetectCost() { return Duration::Millis(1.5); }
 

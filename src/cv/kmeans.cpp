@@ -7,6 +7,12 @@
 #include "cv/features.hpp"
 
 namespace vp::cv {
+namespace {
+
+/// Lloyd iterations before KMeans stops without converging.
+constexpr int kMaxIterations = 50;
+
+}  // namespace
 
 int NearestCentroid(const std::vector<std::vector<double>>& centroids,
                     const std::vector<double>& point) {
@@ -71,7 +77,7 @@ Result<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
   }
 
   result.assignment.assign(points.size(), -1);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
     // Assign.
     bool changed = false;

@@ -21,12 +21,11 @@ struct KMeansResult {
 };
 
 struct KMeansOptions {
-  int max_iterations = 50;
   uint64_t seed = 17;
 };
 
-/// Cluster `points` into k groups. Errors when points.size() < k or
-/// dimensions are inconsistent.
+/// Cluster `points` into k groups, in at most 50 Lloyd iterations.
+/// Errors when points.size() < k or dimensions are inconsistent.
 Result<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
                             int k, const KMeansOptions& options = {});
 

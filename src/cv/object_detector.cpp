@@ -21,6 +21,12 @@ json::Value DetectedObject::ToJson() const {
 
 namespace {
 
+/// Max color distance from a blob's mean to a class color.
+constexpr int kClassColorTolerance = 40;
+/// Pixels at least this far from the background estimate enter the
+/// foreground mask.
+constexpr int kBackgroundTolerance = 45;
+
 /// Estimate the background color as the median-ish of the four
 /// corners (robust enough for indoor scenes with a dominant wall).
 media::Rgb EstimateBackground(const media::Image& image) {
@@ -62,7 +68,7 @@ std::vector<DetectedObject> DetectObjects(
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       const media::Rgb c = image.At(x, y);
-      if (media::ColorDistance(c, background) < options.background_tolerance) {
+      if (media::ColorDistance(c, background) < kBackgroundTolerance) {
         continue;
       }
       if (IsPersonColor(c)) continue;
@@ -119,7 +125,7 @@ std::vector<DetectedObject> DetectObjects(
       object.y1 = max_y;
       object.pixels = count;
       object.class_name = "unknown";
-      int best = options.color_tolerance + 1;
+      int best = kClassColorTolerance + 1;
       for (const ObjectClass& cls : options.classes) {
         const int d = media::ColorDistance(mean, cls.color);
         if (d < best) {
@@ -130,7 +136,7 @@ std::vector<DetectedObject> DetectObjects(
       object.confidence =
           object.class_name == "unknown"
               ? 0.0
-              : 1.0 - static_cast<double>(best) / options.color_tolerance;
+              : 1.0 - static_cast<double>(best) / kClassColorTolerance;
       objects.push_back(object);
     }
   }

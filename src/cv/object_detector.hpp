@@ -31,13 +31,10 @@ struct DetectedObject {
 };
 
 struct ObjectDetectorOptions {
-  /// Registered classes; blobs not matching any class within
-  /// `color_tolerance` are labeled "unknown".
+  /// Registered classes; blobs whose mean color is not within 40 of
+  /// any class color are labeled "unknown". Pixels at least 45 from
+  /// the background estimate enter the foreground mask.
   std::vector<ObjectClass> classes;
-  int color_tolerance = 40;
-  /// Pixels differing from the background estimate by more than this
-  /// enter the foreground mask.
-  int background_tolerance = 45;
   int min_blob_pixels = 12;
 };
 

@@ -61,6 +61,9 @@ Result<DetectedPose> DetectedPose::FromJson(const json::Value& v) {
 
 namespace {
 
+/// Bounding-box margin around the outermost joints (pixels).
+constexpr double kBBoxMargin = 4.0;
+
 /// Sums of the coordinates of the pixels matching one joint, added in
 /// raster order.
 struct BlobSums {
@@ -72,7 +75,7 @@ using JointSums = std::array<BlobSums, media::kNumKeypoints>;
 /// The detector's per-pixel rule, with the joint palette at hand.
 class JointMatcher {
  public:
-  explicit JointMatcher(int color_tolerance) : tolerance_(color_tolerance) {
+  JointMatcher() {
     for (int k = 0; k < media::kNumKeypoints; ++k) {
       palette_[static_cast<size_t>(k)] = media::KeypointColor(k);
     }
@@ -90,7 +93,7 @@ class JointMatcher {
       if (maxc < 200) return -1;
     }
     int best_joint = -1;
-    int best_dist = tolerance_ + 1;
+    int best_dist = kPoseColorTolerance + 1;
     for (int k = 0; k < media::kNumKeypoints; ++k) {
       const int d = media::ColorDistance(c, palette_[static_cast<size_t>(k)]);
       if (d < best_dist) {
@@ -111,7 +114,6 @@ class JointMatcher {
 
  private:
   std::array<media::Rgb, media::kNumKeypoints> palette_;
-  int tolerance_;
 };
 
 void Accumulate(JointSums& sums, int joint, int x, int y) {
@@ -127,7 +129,7 @@ DetectedPose FinishPose(const JointSums& sums, int width, int height,
                         const PoseDetectorOptions& options) {
   DetectedPose pose;
   const double expected_area =
-      M_PI * 2.2 * 2.2;  // nominal marker radius from SceneOptions
+      M_PI * 2.2 * 2.2;  // nominal marker radius the renderer draws
   for (int k = 0; k < media::kNumKeypoints; ++k) {
     const BlobSums& a = sums[static_cast<size_t>(k)];
     DetectedKeypoint& kp = pose.keypoints[static_cast<size_t>(k)];
@@ -149,11 +151,11 @@ DetectedPose FinishPose(const JointSums& sums, int width, int height,
       x1 = std::max(x1, kp.x);
       y1 = std::max(y1, kp.y);
     }
-    pose.bbox = BoundingBox{
-        std::max(0.0, x0 - options.bbox_margin),
-        std::max(0.0, y0 - options.bbox_margin),
-        std::min<double>(width - 1, x1 + options.bbox_margin),
-        std::min<double>(height - 1, y1 + options.bbox_margin), true};
+    pose.bbox = BoundingBox{std::max(0.0, x0 - kBBoxMargin),
+                            std::max(0.0, y0 - kBBoxMargin),
+                            std::min<double>(width - 1, x1 + kBBoxMargin),
+                            std::min<double>(height - 1, y1 + kBBoxMargin),
+                            true};
   }
   return pose;
 }
@@ -163,7 +165,7 @@ DetectedPose FinishPose(const JointSums& sums, int width, int height,
 DetectedPose DetectPose(const media::Image& image,
                         const PoseDetectorOptions& options) {
   // One pass over the pixels; nearest palette color within tolerance.
-  const JointMatcher matcher(options.color_tolerance);
+  const JointMatcher matcher;
   JointSums sums{};
   for (int y = 0; y < image.height(); ++y) {
     for (int x = 0; x < image.width(); ++x) {
@@ -184,10 +186,9 @@ DetectedPose DetectPose(const media::SyntheticVideoSource& source,
   // shift of k's color (triangle inequality); a pixel further than that
   // from every joint color is rejected whatever its noise. Scenes are
   // runs of one color, so each pixel reuses the verdict of the last.
-  const int reach =
-      options.color_tolerance +
-      media::MaxSensorNoiseShift(source.scene().noise_stddev);
-  const JointMatcher matcher(options.color_tolerance);
+  const int reach = kPoseColorTolerance +
+                    media::MaxSensorNoiseShift(source.scene().noise_stddev);
+  const JointMatcher matcher;
   std::vector<uint32_t> live;  // pixel indices y·width + x, ascending
   media::Rgb last_color;
   bool last_live = matcher.WithinReach(last_color, reach);
@@ -217,7 +218,7 @@ DetectedPose DetectPose(const media::SyntheticVideoSource& source,
 
 DetectedPose DetectPose(const media::EncodedFrame& frame,
                         const PoseDetectorOptions& options) {
-  const JointMatcher matcher(options.color_tolerance);
+  const JointMatcher matcher;
   const auto width = static_cast<size_t>(frame.width());
   JointSums sums{};
   media::ForEachRun(frame.runs(), [&](media::Rgb color, size_t first,

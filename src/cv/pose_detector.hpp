@@ -53,13 +53,12 @@ struct DetectedPose {
   static Result<DetectedPose> FromJson(const json::Value& v);
 };
 
+/// Max per-channel color distance for a pixel to match a joint.
+inline constexpr int kPoseColorTolerance = 26;
+
 struct PoseDetectorOptions {
-  /// Max per-channel color distance for a pixel to match a joint.
-  int color_tolerance = 26;
   /// Minimum blob pixels for a joint to count as detected.
   int min_blob_pixels = 3;
-  /// Bounding-box margin around the outermost joints (pixels).
-  double bbox_margin = 4.0;
 };
 
 /// Run detection on an image: the reference for the overloads below.
@@ -68,7 +67,7 @@ DetectedPose DetectPose(const media::Image& image,
 
 /// Exactly DetectPose(source.CaptureFrame(seq).image, options), without
 /// building the noisy image. A pixel can only match a joint if its color
-/// is within color_tolerance of that joint's; noise moves a channel at
+/// is within kPoseColorTolerance of that joint's; noise moves a channel at
 /// most media::MaxSensorNoiseShift from its clean value, so a pixel
 /// whose clean color is further than tolerance + shift from every joint
 /// color is rejected whatever its noise. At the default noise that is

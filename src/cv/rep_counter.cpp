@@ -9,6 +9,11 @@ namespace vp::cv {
 
 namespace {
 
+/// Minimum separation between the two centroids for the clustering to
+/// be trusted (prevents counting during idle).
+constexpr double kMinClusterSeparation = 0.35;
+constexpr uint64_t kKMeansSeed = 23;
+
 json::Value VectorToJson(const std::vector<double>& v) {
   json::Value::Array arr;
   arr.reserve(v.size());
@@ -94,16 +99,14 @@ Result<RepCounterState> RepCounter::Step(RepCounterState state,
     return state;
   }
 
-  KMeansOptions km;
-  km.seed = options_.kmeans_seed;
-  auto clusters = KMeans(state.features, 2, km);
+  auto clusters = KMeans(state.features, 2, {.seed = kKMeansSeed});
   if (!clusters.ok()) return clusters.error();
 
   // Trust the clustering only when the two centroids are genuinely
   // apart; otherwise (idle) hold the current state.
   const double separation =
       L2Distance(clusters->centroids[0], clusters->centroids[1]);
-  if (separation < options_.min_cluster_separation) {
+  if (separation < kMinClusterSeparation) {
     state.pending_run = 0;
     return state;
   }

@@ -29,10 +29,6 @@ struct RepCounterOptions {
   int window = 64;
   /// Frames required before clustering starts.
   int min_frames = 12;
-  /// Minimum separation between the two centroids for the clustering
-  /// to be trusted (prevents counting during idle).
-  double min_cluster_separation = 0.35;
-  uint64_t kmeans_seed = 23;
 };
 
 struct RepCounterState {

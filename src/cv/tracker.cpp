@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace vp::cv {
+namespace {
+
+/// Minimum IoU for a detection to continue a track.
+constexpr double kIouThreshold = 0.3;
+
+}  // namespace
 
 json::Value Track::ToJson() const {
   json::Value out = json::Value::MakeObject();
@@ -79,7 +85,7 @@ TrackerState UpdateTracks(TrackerState state,
   std::vector<bool> track_matched(state.tracks.size(), false);
 
   while (true) {
-    double best_iou = options.iou_threshold;
+    double best_iou = kIouThreshold;
     size_t best_track = state.tracks.size();
     size_t best_detection = detections.size();
     for (size_t t = 0; t < state.tracks.size(); ++t) {

@@ -39,8 +39,6 @@ struct TrackerState {
 };
 
 struct TrackerOptions {
-  /// Minimum IoU for a detection to continue a track.
-  double iou_threshold = 0.3;
   /// Tracks are dropped after this many consecutive misses.
   int max_misses = 5;
 };
@@ -49,8 +47,9 @@ struct TrackerOptions {
 double IoU(double ax0, double ay0, double ax1, double ay1, double bx0,
            double by0, double bx1, double by1);
 
-/// One tracking step: associate `detections` with `state.tracks`,
-/// update, birth and retire tracks. Pure function.
+/// One tracking step: associate `detections` with `state.tracks`
+/// (a detection continues a track above IoU 0.3), update, birth and
+/// retire tracks. Pure function.
 TrackerState UpdateTracks(TrackerState state,
                           const std::vector<DetectedObject>& detections,
                           const TrackerOptions& options = {});

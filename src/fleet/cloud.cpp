@@ -25,7 +25,7 @@ void CloudTier::RegisterTenant(const std::string& tenant, int weight) {
   // throttled.
   if (options_.quota_share > 0) {
     t.tokens = options_.quota_share * options_.slots * options_.speed *
-               options_.quota_window.seconds() * options_.quota_burst_windows;
+               options_.quota_window.seconds() * kQuotaBurstWindows;
   }
   index_[tenant] = static_cast<int>(tenants_.size());
   tenants_.push_back(std::move(t));
@@ -90,7 +90,7 @@ void CloudTier::ScheduleRefill() {
     refill_running_ = false;
     const double refill = options_.quota_share * options_.slots *
                           options_.speed * options_.quota_window.seconds();
-    const double cap = refill * options_.quota_burst_windows;
+    const double cap = refill * kQuotaBurstWindows;
     for (Tenant& t : tenants_) {
       t.tokens = std::min(cap, t.tokens + refill);
     }

@@ -26,6 +26,10 @@
 
 namespace vp::fleet {
 
+/// Token-bucket depth of a tenant quota, in refill windows (burst
+/// allowance).
+inline constexpr double kQuotaBurstWindows = 2.0;
+
 struct CloudOptions {
   /// Concurrent jobs the pool executes.
   int slots = 4;
@@ -39,8 +43,6 @@ struct CloudOptions {
   double quota_share = 0.0;
   /// Token-bucket refill cadence when the quota is on.
   Duration quota_window = Duration::Millis(250);
-  /// Bucket depth, in refill windows (burst allowance).
-  double quota_burst_windows = 2.0;
 };
 
 class CloudTier {

@@ -1,9 +1,33 @@
 #include "fleet/controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace vp::fleet {
+namespace {
+
+/// Cumulative wave fractions of the fleet, ascending. A 0 entry means
+/// "exactly one home" regardless of fleet size.
+constexpr std::array<double, 4> kWaveFractions = {0.0, 0.01, 0.5, 1.0};
+
+void Append(modelreg::GateWindow& into, const modelreg::GateWindow& from) {
+  into.hits.insert(into.hits.end(), from.hits.begin(), from.hits.end());
+  into.latency_ms.insert(into.latency_ms.end(), from.latency_ms.begin(),
+                         from.latency_ms.end());
+}
+
+}  // namespace
+
+WaveWindows PoolCanaryWindows(
+    const std::vector<modelreg::RolloutController::GroupView>& views) {
+  WaveWindows pooled;
+  for (const auto& view : views) {
+    Append(pooled.stable, view.stable_window);
+    Append(pooled.candidate, view.candidate_window);
+  }
+  return pooled;
+}
 
 FleetController::FleetController(Fleet* fleet, std::string service,
                                  Duration poll_interval)
@@ -30,9 +54,7 @@ void FleetController::Tick() {
 
 void FleetController::CollectRollups() {
   for (int id = 0; id < fleet_->size(); ++id) {
-    const Home& home = fleet_->home(id);
-    if (!home.monitor) continue;
-    const core::MonitorSample* sample = home.monitor->latest();
+    const core::MonitorSample* sample = fleet_->home(id).monitor->latest();
     if (sample == nullptr) continue;
     auto it = rollups_.find(id);
     if (it != rollups_.end() && it->second.when == sample->when) continue;
@@ -85,10 +107,8 @@ Status FleetController::BeginFleetRollout(const modelreg::ModelSpec& candidate,
   // max(previous + 1, ceil(fraction * N)) homes.
   waves_.clear();
   const int n = fleet_->size();
-  std::vector<double> fractions = options.wave_fractions;
-  std::sort(fractions.begin(), fractions.end());
   int prev = 0;
-  for (double fraction : fractions) {
+  for (double fraction : kWaveFractions) {
     int target = std::max(
         prev + 1, static_cast<int>(std::ceil(fraction * n)));
     target = std::min(target, n);
@@ -173,9 +193,7 @@ void FleetController::PollWave() {
 
   // Every member settled back to a stable phase: pool the gates.
   wave.promoted = 0;
-  double cand_acc_sum = 0, cand_probes = 0;
-  double stable_acc_sum = 0, stable_probes = 0;
-  double cand_p95_sum = 0, stable_p95_sum = 0;
+  std::vector<modelreg::RolloutController::GroupView> canary_views;
   for (int id : wave.members) {
     MemberState& member = members_[id];
     const core::Orchestrator& orch = *fleet_->home(id).orchestrator;
@@ -183,39 +201,18 @@ void FleetController::PollWave() {
         wave.staged_version) {
       ++wave.promoted;
     }
-    if (member.saw_canary) {
-      const auto& v = member.last_canary_view;
-      cand_acc_sum += v.candidate_accuracy * v.candidate_probes;
-      cand_p95_sum += v.candidate_p95_ms * v.candidate_probes;
-      cand_probes += v.candidate_probes;
-      stable_acc_sum += v.stable_accuracy * v.stable_probes;
-      stable_p95_sum += v.stable_p95_ms * v.stable_probes;
-      stable_probes += v.stable_probes;
-    }
+    if (member.saw_canary) canary_views.push_back(member.last_canary_view);
   }
-  if (cand_probes > 0) {
-    wave.candidate_accuracy = cand_acc_sum / cand_probes;
-    wave.candidate_p95_ms = cand_p95_sum / cand_probes;
-  }
-  if (stable_probes > 0) {
-    wave.stable_accuracy = stable_acc_sum / stable_probes;
-    wave.stable_p95_ms = stable_p95_sum / stable_probes;
-  }
+  const WaveWindows pooled = PoolCanaryWindows(canary_views);
+  wave.candidate_accuracy = pooled.candidate.accuracy();
+  wave.stable_accuracy = pooled.stable.accuracy();
+  wave.candidate_p95_ms = pooled.candidate.p95_ms();
+  wave.stable_p95_ms = pooled.stable.p95_ms();
 
   const bool all_promoted =
       wave.promoted == static_cast<int>(wave.members.size());
-  bool gates_clear = true;
-  if (cand_probes > 0) {
-    if (wave.candidate_accuracy <
-        wave.stable_accuracy - options_.accuracy_margin) {
-      gates_clear = false;
-    }
-    if (wave.stable_p95_ms > 0 &&
-        wave.candidate_p95_ms >
-            wave.stable_p95_ms * options_.latency_inflation) {
-      gates_clear = false;
-    }
-  }
+  const bool gates_clear = !modelreg::CandidateRegressed(
+      pooled.stable, pooled.candidate, modelreg::RolloutPolicy{});
   FinishWave(wave, all_promoted && gates_clear);
 }
 

@@ -10,15 +10,18 @@
 //    MonitorSample into a MonitorRollup (a few hundred bytes/home) and
 //    keeps the latest rollup per home.
 //
-//  * Staged rollout — BeginFleetRollout(spec) plans waves over the
-//    homes (1 home → 1% → 50% → all by default), deploys the candidate
+//  * Staged rollout — BeginFleetRollout(spec) plans cumulative waves
+//    over the homes (1 home → 1% → 50% → all; each wave widens to
+//    max(previous + 1, ceil(fraction × homes))), deploys the candidate
 //    to each wave through the homes' own canary machinery
 //    (Orchestrator::BeginModelRollout), and gates each wave on the
-//    *aggregated* canary accuracy/latency across its members: every
-//    member must promote locally AND the pooled candidate windows must
-//    clear the fleet gates. A failed wave halts the rollout — later
-//    waves never start — and rolls every previously-promoted home back
-//    to its recorded baseline (blast-radius containment).
+//    *pooled* canary windows of its members: every member must
+//    promote locally AND the pooled windows must clear the same gate
+//    each home's canary applies (modelreg::CandidateRegressed, at
+//    RolloutPolicy's default margin and inflation). A failed wave
+//    halts the rollout — later waves never start — and rolls every
+//    previously-promoted home back to its recorded baseline
+//    (blast-radius containment).
 //
 // Supply-chain fault: the controller registers a fleet-level model
 // hook ("fleet/<service>") with a FaultInjector. Once poisoned, every
@@ -40,21 +43,21 @@
 namespace vp::fleet {
 
 struct FleetRolloutOptions {
-  /// Cumulative wave fractions of the fleet. Each wave's member count
-  /// is max(previous + 1, ceil(fraction * homes)) — a 0 entry means
-  /// "exactly one home" regardless of fleet size.
-  std::vector<double> wave_fractions = {0.0, 0.01, 0.5, 1.0};
   /// Per-home canary policy override (defaults to each home's own).
   std::optional<modelreg::RolloutPolicy> policy;
-  /// Fleet gate: pooled candidate accuracy must be within this margin
-  /// of the pooled incumbent accuracy across the wave's members.
-  double accuracy_margin = 0.08;
-  /// Fleet gate: pooled candidate p95 ≤ pooled incumbent p95 × this.
-  double latency_inflation = 1.6;
   /// false: waves advance regardless of gate outcome (the bench's
   /// no-gating baseline — measures the blast radius gating prevents).
   bool gate_waves = true;
 };
+
+/// A wave's gate inputs: each version's canary windows of the wave's
+/// members, pooled sample by sample.
+struct WaveWindows {
+  modelreg::GateWindow stable;
+  modelreg::GateWindow candidate;
+};
+WaveWindows PoolCanaryWindows(
+    const std::vector<modelreg::RolloutController::GroupView>& views);
 
 class FleetController {
  public:
@@ -71,7 +74,7 @@ class FleetController {
     /// Wave start (deploy scheduled) → gate decision, virtual time.
     TimePoint started;
     TimePoint finished;
-    /// Pooled canary-window gate inputs across members (probe-weighted).
+    /// The gate's reading of the members' pooled canary windows.
     double candidate_accuracy = 0;
     double stable_accuracy = 0;
     double candidate_p95_ms = 0;
@@ -116,20 +119,6 @@ class FleetController {
     return rollups_;
   }
   uint64_t rollups_collected() const { return rollups_collected_; }
-
-  /// Fraction of the fleet's pipelines currently hibernated, over the
-  /// latest rollups (0 when no rollup arrived yet). The scale-to-zero
-  /// dashboard number: how much of the fleet is actually asleep.
-  double HibernatedFraction() const {
-    uint64_t total = 0, hibernated = 0;
-    for (const auto& [id, rollup] : rollups_) {
-      total += static_cast<uint64_t>(rollup.pipelines);
-      hibernated += rollup.hibernated_pipelines;
-    }
-    return total == 0 ? 0.0
-                      : static_cast<double>(hibernated) /
-                            static_cast<double>(total);
-  }
 
   /// Control tasks this controller has run (poll ticks + wave
   /// deployments), each one event of Fleet::executed_events() — the

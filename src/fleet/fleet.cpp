@@ -7,6 +7,15 @@
 #include "serving/request_scheduler.hpp"
 
 namespace vp::fleet {
+namespace {
+
+/// One-way WAN latency between any home and the cloud tier. Doubles as
+/// the engine's conservative lookahead window.
+constexpr Duration kCloudLinkLatency = Duration::Millis(20);
+/// Every home's PipelineMonitor samples at this cadence.
+constexpr Duration kMonitorInterval = Duration::Millis(500);
+
+}  // namespace
 
 uint64_t HomeSeed(uint64_t fleet_seed, int home_id) {
   // SplitMix64 finalizer over the pair. The +1 keeps home 0 of fleet
@@ -19,6 +28,9 @@ uint64_t HomeSeed(uint64_t fleet_seed, int home_id) {
 }
 
 Fleet::Fleet(FleetOptions options) : options_(options) {
+  if (options_.orchestrator.models.registry == nullptr) {
+    options_.orchestrator.models.registry = &registry_;
+  }
   // One shard runs on the calling thread: `threads` clamps to 1.
   sim::ParallelOptions engine_options = options_.parallel_options;
   if (!options_.parallel) engine_options.shards = 1;
@@ -27,9 +39,8 @@ Fleet::Fleet(FleetOptions options) : options_(options) {
   // so: the WAN latency when the cloud is on; with no cloud the homes
   // are fully independent and the window is effectively unbounded
   // (whole runs become single epochs).
-  engine_options.lookahead = options_.enable_cloud
-                                 ? options_.cloud_link_latency
-                                 : Duration::Seconds(3600);
+  engine_options.lookahead = options_.enable_cloud ? kCloudLinkLatency
+                                                  : Duration::Seconds(3600);
   engine_ = std::make_unique<sim::ParallelSimulator>(engine_options);
   if (options_.enable_cloud) {
     // Shard 0 hosts the cloud tier: jobs from every home converge
@@ -52,7 +63,6 @@ Home& Fleet::AddHome() {
 
   core::OrchestratorOptions orch_options = options_.orchestrator;
   orch_options.seed = seed;
-  orch_options.models.registry = &registry_;
   home->orchestrator = std::make_unique<core::Orchestrator>(
       home->cluster.get(), orch_options);
 
@@ -62,10 +72,8 @@ Home& Fleet::AddHome() {
       home_sim, &home->cluster->network(),
       HomeSeed(options_.seed ^ 0xf1ee7c0de5ULL, id));
 
-  if (options_.monitor_interval > Duration::Zero()) {
-    home->monitor = std::make_unique<core::PipelineMonitor>(
-        home->orchestrator.get(), options_.monitor_interval);
-  }
+  home->monitor = std::make_unique<core::PipelineMonitor>(
+      home->orchestrator.get(), kMonitorInterval);
   if (cloud_) cloud_->RegisterTenant(home->name);
 
   homes_.push_back(std::move(home));
@@ -75,7 +83,7 @@ Home& Fleet::AddHome() {
 void Fleet::StartAll() {
   for (auto& home : homes_) {
     home->orchestrator->StartAll();
-    if (home->monitor) home->monitor->Start();
+    home->monitor->Start();
   }
 }
 
@@ -97,8 +105,7 @@ void Fleet::CloudSubmit(int home_id, Duration cost, sim::Task on_done) {
   // (time, seq) — the one place partition-dependent tie-breaking could
   // otherwise creep in — at a cost (< 1 ms per 1000 homes) far below
   // the WAN latency it perturbs.
-  const Duration wan =
-      options_.cloud_link_latency + Duration::Micros(home_id);
+  const Duration wan = kCloudLinkLatency + Duration::Micros(home_id);
   const int hs = home_shard(home_id);
   sim::ParallelSimulator* engine = engine_.get();
   engine->Post(
@@ -155,7 +162,7 @@ std::vector<int> Fleet::HomesExposedTo(const std::string& version_id) const {
 uint64_t Fleet::SharedOverheadEvents() const {
   uint64_t events = cloud_ ? cloud_->events() : 0;
   for (const auto& home : homes_) {
-    if (home->monitor) events += home->monitor->samples().size();
+    events += home->monitor->samples().size();
   }
   return events;
 }

@@ -44,11 +44,10 @@ struct FleetOptions {
   int homes = 0;
   uint64_t seed = 42;
   /// Base orchestrator options. Per home, `seed` is overridden with
-  /// HomeSeed(fleet seed, home id) and `models.registry` with the
-  /// fleet-shared registry.
+  /// HomeSeed(fleet seed, home id). A null `models.registry` is
+  /// replaced with the fleet's own; a caller's registry is shared by
+  /// every home and is what models() returns.
   core::OrchestratorOptions orchestrator;
-  /// Per-home monitor cadence; Zero disables monitors entirely.
-  Duration monitor_interval = Duration::Millis(500);
   /// Shared cloud tier; disabled by default.
   bool enable_cloud = false;
   CloudOptions cloud;
@@ -61,13 +60,11 @@ struct FleetOptions {
   /// Engine tuning when `parallel` is set. `shards` fixes the home
   /// partition (homes map to shards round-robin, a pure function of
   /// home id) and `threads` only chooses how many cores execute it.
-  /// `lookahead` is always overridden by the fleet: the WAN latency
-  /// when the cloud tier is on — cloud links are the only cross-home
-  /// edges — and effectively unbounded otherwise.
+  /// `lookahead` is always overridden by the fleet: the one-way WAN
+  /// latency to the cloud tier (20 ms) when the cloud tier is on —
+  /// cloud links are the only cross-home edges — and effectively
+  /// unbounded otherwise.
   sim::ParallelOptions parallel_options;
-  /// One-way WAN latency between any home and the cloud tier. Doubles
-  /// as the engine's conservative lookahead window.
-  Duration cloud_link_latency = Duration::Millis(20);
 };
 
 /// One home of the fleet.
@@ -77,6 +74,7 @@ struct Home {
   std::unique_ptr<sim::Cluster> cluster;
   std::unique_ptr<core::Orchestrator> orchestrator;
   std::unique_ptr<sim::FaultInjector> injector;
+  /// Samples the home every 500 ms once StartAll runs.
   std::unique_ptr<core::PipelineMonitor> monitor;
   /// Pipelines deployed into this home (owner: the orchestrator).
   std::vector<core::PipelineDeployment*> pipelines;
@@ -115,7 +113,11 @@ class Fleet {
   /// events plus the control tasks run at barriers.
   uint64_t executed_events() const { return engine_->executed_events(); }
   sim::SimAllocStats alloc_stats() const { return engine_->alloc_stats(); }
-  modelreg::ModelRegistry& models() { return registry_; }
+  /// The registry every home trains and resolves models in: the
+  /// caller's `orchestrator.models.registry`, or the fleet's own.
+  modelreg::ModelRegistry& models() {
+    return *options_.orchestrator.models.registry;
+  }
   CloudTier* cloud() { return cloud_.get(); }
   const FleetOptions& options() const { return options_; }
 
@@ -156,6 +158,7 @@ class Fleet {
  private:
   FleetOptions options_;
   std::unique_ptr<sim::ParallelSimulator> engine_;
+  /// Used when the caller set no registry.
   modelreg::ModelRegistry registry_;
   std::unique_ptr<CloudTier> cloud_;
   std::vector<std::unique_ptr<Home>> homes_;

@@ -1,10 +1,8 @@
 #include "fleet/trace.hpp"
 
-#include <fstream>
 #include <string>
 
 #include "core/trace_export.hpp"
-#include "json/write.hpp"
 
 namespace vp::fleet {
 
@@ -35,18 +33,6 @@ json::Value FleetChromeTrace(Fleet& fleet, int pids_per_home) {
   doc["traceEvents"] = json::Value(std::move(events));
   doc["displayTimeUnit"] = json::Value("ms");
   return doc;
-}
-
-Status WriteFleetChromeTrace(Fleet& fleet, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return Status(StatusCode::kNotFound, "cannot open " + path);
-  }
-  file << json::Write(FleetChromeTrace(fleet), 1);
-  if (!file) {
-    return Status(StatusCode::kInternal, "short write to " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace vp::fleet

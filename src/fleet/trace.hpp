@@ -14,7 +14,4 @@ namespace vp::fleet {
 /// prefix "home<h>/".
 json::Value FleetChromeTrace(Fleet& fleet, int pids_per_home = 8);
 
-/// Write FleetChromeTrace to `path`.
-Status WriteFleetChromeTrace(Fleet& fleet, const std::string& path);
-
 }  // namespace vp::fleet

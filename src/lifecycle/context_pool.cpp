@@ -9,7 +9,6 @@ ContextPool::ContextPool(ContextPoolOptions options)
 
 Status ContextPool::Prewarm(const std::string& source, uint64_t random_seed) {
   script::ContextOptions context_options;
-  context_options.limits = options_.limits;
   context_options.random_seed = random_seed;
   auto context = std::make_unique<script::Context>(context_options);
   Status loaded = context->Load(source);

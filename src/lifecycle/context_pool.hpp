@@ -23,10 +23,11 @@
 
 namespace vp::lifecycle {
 
+/// Pooled contexts run under the default script::ScriptLimits, as a
+/// module's cold-started context does.
 struct ContextPoolOptions {
   /// Pooled contexts kept at once (oldest evicted beyond this).
   size_t capacity = 64;
-  script::ScriptLimits limits;
 };
 
 struct ContextPoolStats {

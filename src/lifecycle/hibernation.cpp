@@ -3,18 +3,21 @@
 #include "common/log.hpp"
 
 namespace vp::lifecycle {
+namespace {
+
+/// Delay between hibernation and arming the doorbells. In-flight
+/// data-plane messages (the written-off frame, late service replies)
+/// drain into the unbound addresses during this window instead of
+/// ringing a doorbell and waking the pipeline right back up.
+constexpr Duration kDoorbellGrace = Duration::Millis(250);
+
+}  // namespace
 
 HibernationManager::HibernationManager(core::Orchestrator* orchestrator,
                                        HibernationOptions options)
     : orchestrator_(orchestrator), options_(std::move(options)),
       admission_(&orchestrator->cluster().simulator(), options_.admission),
-      pool_([&] {
-        // Pooled contexts must match what Initialize would build, or a
-        // hot start silently changes module limits.
-        ContextPoolOptions pool_options = options_.pool;
-        pool_options.limits = orchestrator->options().script_limits;
-        return pool_options;
-      }()) {}
+      pool_(options_.pool) {}
 
 void HibernationManager::Start() {
   if (running_) return;
@@ -92,15 +95,13 @@ Status HibernationManager::Hibernate(core::PipelineDeployment* pipeline) {
   // in flight at hibernation (already written off) would otherwise
   // ring them the moment it lands.
   const std::string name = pipeline->spec().name;
-  orchestrator_->cluster().simulator().After(
-      options_.doorbell_grace, [this, name] {
-        core::PipelineDeployment* p = Find(name);
-        if (p == nullptr || !p->hibernated() ||
-            wake_pending_.count(name) != 0) {
-          return;  // woken (or gone) before the grace window elapsed
-        }
-        ArmDoorbells(p);
-      });
+  orchestrator_->cluster().simulator().After(kDoorbellGrace, [this, name] {
+    core::PipelineDeployment* p = Find(name);
+    if (p == nullptr || !p->hibernated() || wake_pending_.count(name) != 0) {
+      return;  // woken (or gone) before the grace window elapsed
+    }
+    ArmDoorbells(p);
+  });
   idle_.erase(pipeline->spec().name);
   return Status::Ok();
 }

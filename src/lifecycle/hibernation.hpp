@@ -51,11 +51,6 @@ struct HibernationOptions {
   /// Hibernate idle pipelines automatically. Off = only explicit
   /// Hibernate() calls (tests, operator policy).
   bool auto_hibernate = true;
-  /// Delay between hibernation and arming the doorbells. In-flight
-  /// data-plane messages (the written-off frame, late service replies)
-  /// drain into the unbound addresses during this window instead of
-  /// ringing a doorbell and waking the pipeline right back up.
-  Duration doorbell_grace = Duration::Millis(250);
   ContextPoolOptions pool;
   serving::WakeupAdmissionOptions admission;
   /// Wake deadline for pipelines whose spec carries no deadline_ms.

@@ -62,19 +62,6 @@ void Image::DrawLine(int x0, int y0, int x1, int y1, double thickness,
   }
 }
 
-void Image::DrawRect(int x0, int y0, int x1, int y1, Rgb c) {
-  if (x0 > x1) std::swap(x0, x1);
-  if (y0 > y1) std::swap(y0, y1);
-  for (int x = x0; x <= x1; ++x) {
-    SetClipped(x, y0, c);
-    SetClipped(x, y1, c);
-  }
-  for (int y = y0; y <= y1; ++y) {
-    SetClipped(x0, y, c);
-    SetClipped(x1, y, c);
-  }
-}
-
 Image Image::Downsample(int factor) const {
   if (factor <= 1) return *this;
   const int w = std::max(1, width_ / factor);

@@ -68,9 +68,6 @@ class Image {
   /// Line from (x0,y0) to (x1,y1) with the given thickness, clipped.
   void DrawLine(int x0, int y0, int x1, int y1, double thickness, Rgb c);
 
-  /// Axis-aligned rectangle outline.
-  void DrawRect(int x0, int y0, int x1, int y1, Rgb c);
-
   /// Downsample by integer factor (box filter) — used by the image
   /// classifier service.
   Image Downsample(int factor) const;

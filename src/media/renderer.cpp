@@ -10,11 +10,20 @@
 #endif
 
 namespace vp::media {
+namespace {
+
+/// The person's feet, normalized to the image height.
+constexpr double kPersonFootY = 0.97;
+/// Joint marker radius and bone thickness, in pixels.
+constexpr double kJointRadius = 2.2;
+constexpr double kBoneThickness = 2.0;
+
+}  // namespace
 
 Point2 BodyToPixel(const Point2& body_point, const SceneOptions& options) {
   const double person_px_h = options.person_height * options.height;
   const double person_px_w = person_px_h * 0.6;
-  const double foot_y = options.person_foot_y * options.height;
+  const double foot_y = kPersonFootY * options.height;
   const double top_y = foot_y - person_px_h;
   const double center_x = options.person_center_x * options.width;
   return Point2{center_x + (body_point.x - 0.5) * person_px_w,
@@ -187,7 +196,7 @@ Image RenderCleanScene(const Pose& pose, const SceneOptions& options) {
                    static_cast<int>(std::lround(pa.y)),
                    static_cast<int>(std::lround(pb.x)),
                    static_cast<int>(std::lround(pb.y)),
-                   options.bone_thickness, bone_color);
+                   kBoneThickness, bone_color);
   }
 
   // Joint markers (drawn over bones; overlapping joints occlude each
@@ -197,7 +206,7 @@ Image RenderCleanScene(const Pose& pose, const SceneOptions& options) {
     if (!pose.visible[static_cast<size_t>(k)]) continue;
     const Point2 p = BodyToPixel(pose[k], options);
     image.DrawDisk(static_cast<int>(std::lround(p.x)),
-                   static_cast<int>(std::lround(p.y)), options.joint_radius,
+                   static_cast<int>(std::lround(p.y)), kJointRadius,
                    KeypointColor(k));
   }
   return image;

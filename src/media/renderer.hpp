@@ -31,16 +31,12 @@ struct SceneOptions {
   int width = 160;
   int height = 120;
   /// Person placement: body-space unit square maps to a box of
-  /// person_height × (person_height * 0.6) pixels, feet at
-  /// person_foot_y (normalized).
+  /// person_height × (person_height * 0.6) pixels, feet at 0.97 of the
+  /// image height.
   double person_center_x = 0.5;
-  double person_foot_y = 0.97;
   double person_height = 0.88;  // fraction of image height
   /// Sensor noise stddev (per channel, 8-bit).
   double noise_stddev = 3.0;
-  /// Joint marker radius in pixels.
-  double joint_radius = 2.2;
-  double bone_thickness = 2.0;
   /// Mid-quantization-bucket color so codec round-trips keep the
   /// background flat (see codec.hpp).
   Rgb background{24, 24, 24};

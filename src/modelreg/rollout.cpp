@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
+#include "common/percentile.hpp"
 #include "services/container.hpp"
 #include "services/registry.hpp"
 #include "serving/request_scheduler.hpp"
@@ -94,20 +95,23 @@ std::vector<RolloutController::LabeledProbe> ProbesFromHoldout(
   return out;
 }
 
-double RolloutController::VersionWindow::accuracy() const {
-  if (probe_hits.empty()) return 0;
-  int hits = 0;
-  for (bool hit : probe_hits) hits += hit ? 1 : 0;
-  return static_cast<double>(hits) / static_cast<double>(probe_hits.size());
+double GateWindow::accuracy() const {
+  if (hits.empty()) return 0;
+  const auto hit_count = std::count(hits.begin(), hits.end(), true);
+  return static_cast<double>(hit_count) / static_cast<double>(hits.size());
 }
 
-double RolloutController::VersionWindow::p95_ms() const {
-  if (latency_ms.empty()) return 0;
-  std::vector<double> sorted(latency_ms.begin(), latency_ms.end());
-  std::sort(sorted.begin(), sorted.end());
-  const size_t index = static_cast<size_t>(
-      std::llround(0.95 * static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
+double GateWindow::p95_ms() const {
+  return Percentile({latency_ms.begin(), latency_ms.end()}, 0.95);
+}
+
+bool CandidateRegressed(const GateWindow& stable, const GateWindow& candidate,
+                        const RolloutPolicy& policy) {
+  if (candidate.accuracy() < stable.accuracy() - policy.accuracy_margin) {
+    return true;
+  }
+  return stable.latency_ms.size() >= 8 && candidate.latency_ms.size() >= 8 &&
+         candidate.p95_ms() > stable.p95_ms() * policy.latency_inflation;
 }
 
 RolloutController::RolloutController(sim::Simulator* simulator,
@@ -201,15 +205,6 @@ std::vector<std::pair<std::string, std::string>> RolloutController::groups()
   return group_order_;
 }
 
-void RolloutController::SetProbes(const std::string& device,
-                                  const std::string& service,
-                                  std::vector<LabeledProbe> probes) {
-  if (Group* group = FindGroup(device, service)) {
-    group->probes = std::move(probes);
-    group->next_probe = 0;
-  }
-}
-
 RolloutController::GroupView RolloutController::View(
     const std::string& device, const std::string& service) const {
   GroupView view;
@@ -220,19 +215,11 @@ RolloutController::GroupView RolloutController::View(
   view.candidate_version = group->candidate ? group->candidate->id : "";
   if (group->stable) {
     auto it = group->windows.find(group->stable->id);
-    if (it != group->windows.end()) {
-      view.stable_probes = it->second.probes;
-      view.stable_accuracy = it->second.accuracy();
-      view.stable_p95_ms = it->second.p95_ms();
-    }
+    if (it != group->windows.end()) view.stable_window = it->second.samples;
   }
   if (group->candidate) {
     auto it = group->windows.find(group->candidate->id);
-    if (it != group->windows.end()) {
-      view.candidate_probes = it->second.probes;
-      view.candidate_accuracy = it->second.accuracy();
-      view.candidate_p95_ms = it->second.p95_ms();
-    }
+    if (it != group->windows.end()) view.candidate_window = it->second.samples;
     for (services::ServiceInstance* replica :
          registry_->Replicas(device, service)) {
       if (replica->model_version() == group->candidate->id) {
@@ -492,14 +479,14 @@ void RolloutController::PushSample(Group& group, const std::string& version,
   auto it = group.windows.find(version);
   if (it == group.windows.end()) return;
   VersionWindow& window = it->second;
-  window.probe_hits.push_back(hit);
-  window.latency_ms.push_back(latency_ms);
+  window.samples.hits.push_back(hit);
+  window.samples.latency_ms.push_back(latency_ms);
   ++window.probes;
-  while (window.probe_hits.size() > group.policy.sample_window) {
-    window.probe_hits.pop_front();
+  while (window.samples.hits.size() > group.policy.sample_window) {
+    window.samples.hits.pop_front();
   }
-  while (window.latency_ms.size() > group.policy.sample_window) {
-    window.latency_ms.pop_front();
+  while (window.samples.latency_ms.size() > group.policy.sample_window) {
+    window.samples.latency_ms.pop_front();
   }
 }
 
@@ -514,11 +501,11 @@ void RolloutController::HarvestSpans(Group& group) {
     }
     auto it = group.windows.find(span.model_version);
     if (it == group.windows.end()) continue;
-    VersionWindow& window = it->second;
-    window.latency_ms.push_back((span.complete - span.dispatch).millis() /
-                                span.size);
-    while (window.latency_ms.size() > group.policy.sample_window) {
-      window.latency_ms.pop_front();
+    std::deque<double>& latency_ms = it->second.samples.latency_ms;
+    latency_ms.push_back((span.complete - span.dispatch).millis() /
+                         span.size);
+    while (latency_ms.size() > group.policy.sample_window) {
+      latency_ms.pop_front();
     }
   }
 }
@@ -532,21 +519,14 @@ void RolloutController::Evaluate(Group& group) {
   if (stable.probes < p.min_probes || candidate.probes < p.min_probes) {
     return;  // not enough evidence yet, keep canarying
   }
-  const bool accuracy_regressed =
-      candidate.accuracy() < stable.accuracy() - p.accuracy_margin;
-  // The latency gate needs a minimum of real samples on both sides; 8
-  // keeps a single outlier from deciding a rollout.
-  const bool latency_regressed =
-      stable.latency_ms.size() >= 8 && candidate.latency_ms.size() >= 8 &&
-      candidate.p95_ms() > stable.p95_ms() * p.latency_inflation;
-  if (accuracy_regressed || latency_regressed) {
+  if (CandidateRegressed(stable.samples, candidate.samples, p)) {
     VP_WARN("rollout") << group.device << "/" << group.service
                        << ": candidate " << group.candidate->id
                        << " failed the live gate (accuracy "
-                       << candidate.accuracy() * 100.0 << "% vs "
-                       << stable.accuracy() * 100.0 << "%, p95 "
-                       << candidate.p95_ms() << " ms vs " << stable.p95_ms()
-                       << " ms) -- rolling back";
+                       << candidate.samples.accuracy() * 100.0 << "% vs "
+                       << stable.samples.accuracy() * 100.0 << "%, p95 "
+                       << candidate.samples.p95_ms() << " ms vs "
+                       << stable.samples.p95_ms() << " ms) -- rolling back";
     Rollback(group);
     return;
   }

@@ -82,6 +82,27 @@ struct RolloutPolicy {
   json::Value ToJson() const;
 };
 
+/// One version's gate window: the outcomes of its latest
+/// `sample_window` probes and its latest `sample_window` per-request
+/// latencies (probe round trips and harvested traffic spans).
+struct GateWindow {
+  std::deque<bool> hits;
+  std::deque<double> latency_ms;
+
+  /// Hits over probes in the window; 0 when it holds none.
+  double accuracy() const;
+  /// Percentile(latency_ms, 0.95); 0 when it holds none.
+  double p95_ms() const;
+};
+
+/// The live gate, shared by a group's canary and a fleet wave: true
+/// when `candidate`'s accuracy is below `stable`'s by more than
+/// `policy.accuracy_margin`, or, with at least 8 latency samples on
+/// both sides (so one outlier cannot decide), its p95 exceeds
+/// `stable`'s × `policy.latency_inflation`.
+bool CandidateRegressed(const GateWindow& stable, const GateWindow& candidate,
+                        const RolloutPolicy& policy);
+
 struct RolloutStats {
   /// Completed per-replica hot swaps (upgrades, canaries, reverts).
   uint64_t swaps = 0;
@@ -177,23 +198,16 @@ class RolloutController {
     std::string stable_version;
     std::string candidate_version;
     int canary_replicas = 0;
-    int stable_probes = 0;
-    int candidate_probes = 0;
-    double stable_accuracy = 0;
-    double candidate_accuracy = 0;
-    double stable_p95_ms = 0;
-    double candidate_p95_ms = 0;
+    /// Each version's gate window, as the group's gate reads it.
+    GateWindow stable_window;
+    GateWindow candidate_window;
   };
   GroupView View(const std::string& device, const std::string& service) const;
 
  private:
   struct VersionWindow {
-    std::deque<bool> probe_hits;
-    std::deque<double> latency_ms;
+    GateWindow samples;
     int probes = 0;
-
-    double accuracy() const;
-    double p95_ms() const;
   };
 
   struct Group {
@@ -217,13 +231,6 @@ class RolloutController {
     uint64_t generation = 0;  // invalidates in-flight probe callbacks
   };
 
- public:
-  /// Override the probe pool for a group (defaults to probes built
-  /// from the stable artifact's holdout windows at adoption).
-  void SetProbes(const std::string& device, const std::string& service,
-                 std::vector<LabeledProbe> probes);
-
- private:
   using GroupKey = std::pair<std::string, std::string>;
 
   Group* FindGroup(const std::string& device, const std::string& service);

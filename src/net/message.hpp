@@ -80,7 +80,6 @@ class Message {
   /// Mutable access un-shares the parts vector.
   std::vector<Bytes>& mutable_parts();
   void AddPart(Bytes part) { mutable_parts().push_back(std::move(part)); }
-  void ClearParts() { parts_.reset(); }
 
   /// Keep `object` alive while this message, or a copy of it, exists.
   /// A same-device message holds the frame its payload names this

@@ -3,6 +3,12 @@
 #include "common/log.hpp"
 
 namespace vp::services {
+namespace {
+
+/// Scale-down never retires below this many replicas.
+constexpr int kMinReplicasPerGroup = 1;
+
+}  // namespace
 
 Autoscaler::Autoscaler(sim::Cluster* cluster, ContainerRuntime* containers,
                        ServiceRegistry* registry, AutoscalerOptions options)
@@ -64,12 +70,11 @@ void Autoscaler::Check() {
     // time (gracefully — only an idle replica, never below the floor).
     if (options_.scale_down_grace_checks > 0 &&
         load < options_.backlog_low_water &&
-        static_cast<int>(replicas.size()) > options_.min_replicas_per_group) {
+        static_cast<int>(replicas.size()) > kMinReplicasPerGroup) {
       if (++idle_checks_[key] >= options_.scale_down_grace_checks) {
         idle_checks_[key] = 0;
-        const size_t keep =
-            static_cast<size_t>(options_.min_replicas_per_group);
-        if (registry_->RetireIdleReplica(device, service, keep, now)) {
+        if (registry_->RetireIdleReplica(device, service, kMinReplicasPerGroup,
+                                         now)) {
           const int after = static_cast<int>(replicas.size()) - 1;
           events_.push_back(ScaleEvent{now, device, service, after, -1});
           VP_INFO("autoscaler")

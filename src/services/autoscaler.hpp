@@ -7,9 +7,8 @@
 // replica exceeds the high-water mark, launches another replica of the
 // same service on the same device (if container cores remain). When it
 // stays below the low-water mark for a sustained run of checks, an
-// idle replica is gracefully retired (keeping at least
-// `min_replicas_per_group`) so batched dispatch does not strand
-// over-provisioned replicas.
+// idle replica is gracefully retired (keeping at least one) so batched
+// dispatch does not strand over-provisioned replicas.
 //
 // The load signal defaults to raw replica lane backlog; the serving
 // layer plugs in a LoadProbe so scheduler queue pressure (queued +
@@ -34,8 +33,6 @@ struct AutoscalerOptions {
   /// … for this many consecutive checks (0 disables scale-down).
   int scale_down_grace_checks = 4;
   int max_replicas_per_group = 4;
-  /// Never retire below this many replicas.
-  int min_replicas_per_group = 1;
 };
 
 struct ScaleEvent {

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace vp::services {
+namespace {
+
+/// Native services start almost immediately.
+constexpr Duration kNativeStartup = Duration::Millis(5);
+
+}  // namespace
 
 void ServiceInstance::Invoke(ServiceRequest request,
                              std::function<void(Result<json::Value>)> done) {
@@ -130,7 +136,7 @@ Result<std::unique_ptr<ServiceInstance>> ContainerRuntime::LaunchImpl(
 
   // Startup: occupy the new lane for the cold-start duration so early
   // requests queue behind it.
-  lane->Run(native ? options_.native_startup : options_.startup, nullptr);
+  lane->Run(native ? kNativeStartup : kContainerStartup, nullptr);
 
   // Model-backed services get their version resolved per replica, so
   // different replicas of one group can run different versions (the

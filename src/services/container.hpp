@@ -150,11 +150,12 @@ class ServiceInstance {
   Duration downtime_;
 };
 
+/// Container cold-start delay (image already present on device): a
+/// fresh or restarted replica's lane is busy this long before its
+/// first request runs.
+inline constexpr Duration kContainerStartup = Duration::Millis(350);
+
 struct ContainerOptions {
-  /// Container cold-start delay (image already present on device).
-  Duration startup = Duration::Millis(350);
-  /// Native services start immediately.
-  Duration native_startup = Duration::Millis(5);
   /// Service compute-time jitter (multiplicative σ; 0 = deterministic).
   double cost_jitter = 0.0;
   uint64_t jitter_seed = 1;

@@ -26,18 +26,6 @@ ServiceInstance* ServiceRegistry::Find(const std::string& device,
   return best;
 }
 
-std::vector<ServiceInstance*> ServiceRegistry::ReplicasRunning(
-    const std::string& device, const std::string& service,
-    const std::string& version) {
-  std::vector<ServiceInstance*> out;
-  auto it = groups_.find(Key{device, service});
-  if (it == groups_.end()) return out;
-  for (const auto& instance : it->second) {
-    if (instance->model_version() == version) out.push_back(instance.get());
-  }
-  return out;
-}
-
 std::vector<std::string> ServiceRegistry::LiveModelVersions(
     const std::string& device, const std::string& service) {
   std::vector<std::string> out;

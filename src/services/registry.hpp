@@ -39,12 +39,6 @@ class ServiceRegistry {
   size_t AvailableReplicaCount(const std::string& device,
                                const std::string& service);
 
-  /// Replicas of the group whose bound model is `version` (rollout
-  /// bookkeeping: which replicas run the canary vs the incumbent).
-  std::vector<ServiceInstance*> ReplicasRunning(const std::string& device,
-                                                const std::string& service,
-                                                const std::string& version);
-
   /// Distinct model versions live in one group, in first-seen order.
   /// A completed promote/rollback must leave exactly one.
   std::vector<std::string> LiveModelVersions(const std::string& device,

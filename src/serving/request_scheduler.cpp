@@ -6,6 +6,14 @@
 #include "serving/fair_share.hpp"
 
 namespace vp::serving {
+namespace {
+
+/// EWMA smoothing factor for the per-request service-time estimate.
+constexpr double kEwmaAlpha = 0.2;
+/// Completed batch spans kept for Chrome trace export.
+constexpr size_t kSpanRetention = 4096;
+
+}  // namespace
 
 int PriorityClassFromName(const std::string& name) {
   if (name == "interactive") return 0;
@@ -409,11 +417,11 @@ void RequestScheduler::Dispatch(services::ServiceInstance* replica,
           stats_.ewma_service_ms =
               stats_.ewma_service_ms == 0
                   ? per_request_ms
-                  : options_.ewma_alpha * per_request_ms +
-                        (1.0 - options_.ewma_alpha) * stats_.ewma_service_ms;
+                  : kEwmaAlpha * per_request_ms +
+                        (1.0 - kEwmaAlpha) * stats_.ewma_service_ms;
         }
         spans_.push_back(span);
-        if (spans_.size() > options_.span_retention) spans_.pop_front();
+        if (spans_.size() > kSpanRetention) spans_.pop_front();
         Pump();
       });
 }

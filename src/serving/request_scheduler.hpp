@@ -70,17 +70,13 @@ struct SchedulerOptions {
   /// this dispatches ahead of higher classes.
   Duration starvation_grace = Duration::Millis(250);
   /// Predictively shed on admission when the EWMA service-time model
-  /// says the deadline cannot be met (in addition to shedding requests
-  /// whose deadline already passed).
+  /// (smoothing factor 0.2) says the deadline cannot be met (in
+  /// addition to shedding requests whose deadline already passed).
   bool predictive_shedding = true;
-  /// EWMA smoothing factor for the per-request service-time estimate.
-  double ewma_alpha = 0.2;
   /// Hard cap on queue residence: entries older than this fail with
   /// kUnavailable (retryable — the caller's PR 1 retry/abandon path
   /// takes over) so a dead replica group cannot grow the queue forever.
   Duration max_queue_wait = Duration::Seconds(2.0);
-  /// Completed batch spans kept for Chrome trace export.
-  size_t span_retention = 4096;
 };
 
 /// One request as submitted to the scheduler.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "common/percentile.hpp"
 
 namespace vp::serving {
 
@@ -11,16 +12,14 @@ WakeupAdmission::WakeupAdmission(sim::Simulator* sim,
     : sim_(sim), options_(options) {}
 
 void WakeupAdmission::Submit(std::string name, int priority_class,
-                             std::optional<TimePoint> deadline, WakeFn wake,
-                             DoneFn done) {
+                             TimePoint deadline, WakeFn wake, DoneFn done) {
   priority_class =
       std::clamp(priority_class, 0, kNumPriorityClasses - 1);
   Pending pending;
   pending.name = std::move(name);
   pending.priority_class = priority_class;
   pending.submitted = sim_->Now();
-  pending.deadline =
-      deadline.value_or(pending.submitted + options_.default_deadline);
+  pending.deadline = deadline;
   pending.seq = next_seq_++;
   pending.wake = std::move(wake);
   pending.done = std::move(done);
@@ -111,12 +110,7 @@ size_t WakeupAdmission::queue_depth() const {
 }
 
 double WakeupAdmission::WakeLatencyP95Ms() const {
-  if (stats_.wake_latency_ms.empty()) return 0;
-  std::vector<double> sorted = stats_.wake_latency_ms;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t index = std::min(
-      sorted.size() - 1, static_cast<size_t>(0.95 * sorted.size()));
-  return sorted[index];
+  return Percentile(stats_.wake_latency_ms, 0.95);
 }
 
 }  // namespace vp::serving

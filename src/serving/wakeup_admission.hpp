@@ -25,7 +25,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,8 +43,6 @@ struct WakeupAdmissionOptions {
   /// Virtual-time cost charged per wake before the rehydration runs —
   /// models context bring-up / checkpoint fetch on the control plane.
   Duration wake_cost = Duration::Millis(25);
-  /// Deadline assigned to wakes submitted without one.
-  Duration default_deadline = Duration::Seconds(2);
 };
 
 struct WakeupStats {
@@ -73,9 +70,8 @@ class WakeupAdmission {
 
   /// Enqueue a wake for `name` (diagnostic label). Dispatch happens on
   /// simulator events as slots free up.
-  void Submit(std::string name, int priority_class,
-              std::optional<TimePoint> deadline, WakeFn wake,
-              DoneFn done = nullptr);
+  void Submit(std::string name, int priority_class, TimePoint deadline,
+              WakeFn wake, DoneFn done = nullptr);
 
   size_t queue_depth() const;
   int inflight() const { return inflight_total_; }

@@ -1,11 +1,45 @@
 #include "sim/chaos.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
 
 namespace vp::sim {
+namespace {
+
+/// Idle gap between consecutive episodes, drawn uniformly.
+constexpr Duration kMinGap = Duration::Millis(600);
+constexpr Duration kMaxGap = Duration::Seconds(3);
+/// Episode length, drawn uniformly.
+constexpr Duration kMinDuration = Duration::Millis(400);
+constexpr Duration kMaxDuration = Duration::Seconds(2);
+
+/// Relative weight of each episode kind, in draw order.
+struct KindWeight {
+  ChaosEpisode::Kind kind;
+  double weight;
+};
+constexpr std::array<KindWeight, 5> kKindWeights = {{
+    {ChaosEpisode::Kind::kPartition, 3.0},
+    {ChaosEpisode::Kind::kDeviceCrash, 2.0},
+    {ChaosEpisode::Kind::kReplicaCrash, 2.0},
+    {ChaosEpisode::Kind::kWedge, 1.0},
+    {ChaosEpisode::Kind::kLinkDegrade, 2.0},
+}};
+
+/// Link spec applied during a link-degrade episode: lossy, jittery
+/// and adversarial (duplicates, reorders, corrupts).
+constexpr LinkSpec kDegradedLink{.latency = Duration::Millis(40),
+                                 .bandwidth_bps = 20e6,
+                                 .jitter = Duration::Millis(15),
+                                 .loss = 0.10,
+                                 .duplicate = 0.08,
+                                 .reorder = 0.08,
+                                 .corrupt = 0.05};
+
+}  // namespace
 
 const char* ChaosEpisodeKindName(ChaosEpisode::Kind kind) {
   switch (kind) {
@@ -24,7 +58,6 @@ ChaosSchedule::ChaosSchedule(Simulator* sim, FaultInjector* injector,
       options_(std::move(options)) {}
 
 Duration ChaosSchedule::DrawBetween(Duration lo, Duration hi) {
-  if (hi <= lo) return lo;
   return lo + (hi - lo) * rng_.NextDouble();
 }
 
@@ -46,54 +79,46 @@ Status ChaosSchedule::Arm() {
     if (!is_protected) crashable.push_back(name);
   }
 
-  // Episode kinds with at least one eligible target, with their weights.
-  // A partition needs two sides; a link degrade needs two endpoints.
-  struct KindEntry {
-    ChaosEpisode::Kind kind;
-    double weight;
+  // Episode kinds with at least one eligible target. A partition needs
+  // two sides; a link degrade needs two endpoints.
+  auto eligible = [&](ChaosEpisode::Kind kind) {
+    switch (kind) {
+      case ChaosEpisode::Kind::kPartition:
+        return devices.size() >= 2 && !crashable.empty();
+      case ChaosEpisode::Kind::kDeviceCrash:
+        return !crashable.empty();
+      case ChaosEpisode::Kind::kReplicaCrash:
+      case ChaosEpisode::Kind::kWedge:
+        return !replicas.empty();
+      case ChaosEpisode::Kind::kLinkDegrade:
+        return devices.size() >= 2;
+    }
+    return false;
   };
-  std::vector<KindEntry> kinds;
-  if (devices.size() >= 2 && !crashable.empty() &&
-      options_.partition_weight > 0) {
-    kinds.push_back({ChaosEpisode::Kind::kPartition,
-                     options_.partition_weight});
-  }
-  if (!crashable.empty() && options_.device_crash_weight > 0) {
-    kinds.push_back({ChaosEpisode::Kind::kDeviceCrash,
-                     options_.device_crash_weight});
-  }
-  if (!replicas.empty() && options_.replica_crash_weight > 0) {
-    kinds.push_back({ChaosEpisode::Kind::kReplicaCrash,
-                     options_.replica_crash_weight});
-  }
-  if (!replicas.empty() && options_.wedge_weight > 0) {
-    kinds.push_back({ChaosEpisode::Kind::kWedge, options_.wedge_weight});
-  }
-  if (devices.size() >= 2 && options_.link_degrade_weight > 0) {
-    kinds.push_back({ChaosEpisode::Kind::kLinkDegrade,
-                     options_.link_degrade_weight});
+  std::vector<KindWeight> kinds;
+  for (const KindWeight& entry : kKindWeights) {
+    if (eligible(entry.kind)) kinds.push_back(entry);
   }
   if (kinds.empty()) {
     return Status(StatusCode::kFailedPrecondition,
                   "no eligible chaos targets registered");
   }
   double total_weight = 0;
-  for (const KindEntry& entry : kinds) total_weight += entry.weight;
+  for (const KindWeight& entry : kinds) total_weight += entry.weight;
 
   const TimePoint start = sim_->Now();
   const TimePoint last_heal = start + options_.horizon - options_.quiet_tail;
-  TimePoint cursor = start + DrawBetween(options_.min_gap, options_.max_gap);
+  TimePoint cursor = start + DrawBetween(kMinGap, kMaxGap);
 
   // Sequential, non-overlapping episodes: each one ends (heals) before
   // the next begins, and everything heals by `last_heal`.
   while (true) {
-    const Duration duration =
-        DrawBetween(options_.min_duration, options_.max_duration);
+    const Duration duration = DrawBetween(kMinDuration, kMaxDuration);
     if (cursor + duration > last_heal) break;
 
     double roll = rng_.NextDouble() * total_weight;
     ChaosEpisode::Kind kind = kinds.back().kind;
-    for (const KindEntry& entry : kinds) {
+    for (const KindWeight& entry : kinds) {
       if (roll < entry.weight) {
         kind = entry.kind;
         break;
@@ -144,8 +169,7 @@ Status ChaosSchedule::Arm() {
     }
     ArmEpisode(episode, side_a, side_b);
     episodes_.push_back(std::move(episode));
-    cursor = cursor + duration + DrawBetween(options_.min_gap,
-                                             options_.max_gap);
+    cursor = cursor + duration + DrawBetween(kMinGap, kMaxGap);
   }
 
   VP_INFO("chaos") << "armed " << episodes_.size() << " episodes over "
@@ -179,7 +203,7 @@ void ChaosSchedule::ArmEpisode(const ChaosEpisode& episode,
       injector_->ScheduleLinkFault(episode.detail.substr(0, split),
                                    episode.detail.substr(split + 3),
                                    episode.at, episode.duration,
-                                   options_.degraded);
+                                   kDegradedLink);
       break;
     }
   }

@@ -6,6 +6,12 @@
 // front. The same seed always produces the same timeline, so a chaos
 // soak that trips an invariant is replayable bit-for-bit.
 //
+// Gaps between episodes are drawn from [600 ms, 3 s] and episode
+// lengths from [400 ms, 2 s]. Kinds are drawn by fixed relative
+// weights: partition 3, device crash 2, replica crash 2, wedge 1, link
+// degrade 2; a kind with no eligible target (e.g. partitions on a
+// 1-device cluster) drops out.
+//
 // Every episode heals itself, and nothing is scheduled inside the
 // final `quiet_tail` of the horizon: by the end of a run the cluster
 // has had time to converge, which is what the InvariantChecker's
@@ -30,32 +36,10 @@ struct ChaosOptions {
   /// No episode starts (or is still active) inside the last
   /// `quiet_tail` of the horizon — convergence headroom.
   Duration quiet_tail = Duration::Seconds(10);
-  /// Idle gap between consecutive episodes, drawn uniformly.
-  Duration min_gap = Duration::Millis(600);
-  Duration max_gap = Duration::Seconds(3);
-  /// Episode length, drawn uniformly.
-  Duration min_duration = Duration::Millis(400);
-  Duration max_duration = Duration::Seconds(2);
-  /// Relative weights of each episode kind. A kind with no eligible
-  /// target (e.g. partitions on a 1-device cluster) drops out.
-  double partition_weight = 3.0;
-  double device_crash_weight = 2.0;
-  double replica_crash_weight = 2.0;
-  double wedge_weight = 1.0;
-  double link_degrade_weight = 2.0;
   /// Devices never crashed and always kept on the majority side of a
   /// partition (the controller must stay able to coordinate, or every
   /// episode is just "no recovery happens").
   std::vector<std::string> protected_devices;
-  /// Link spec applied during a link-degrade episode: lossy, jittery
-  /// and adversarial (duplicates, reorders, corrupts).
-  LinkSpec degraded{.latency = Duration::Millis(40),
-                    .bandwidth_bps = 20e6,
-                    .jitter = Duration::Millis(15),
-                    .loss = 0.10,
-                    .duplicate = 0.08,
-                    .reorder = 0.08,
-                    .corrupt = 0.05};
 };
 
 struct ChaosEpisode {

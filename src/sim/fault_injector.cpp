@@ -137,15 +137,6 @@ Status FaultInjector::CrashDeviceNow(const std::string& name,
   return Status::Ok();
 }
 
-Status FaultInjector::RebootDeviceNow(const std::string& name) {
-  if (FindDevice(name) == nullptr) {
-    return Status(StatusCode::kNotFound,
-                  "no registered device '" + name + "'");
-  }
-  RebootDevice(name);
-  return Status::Ok();
-}
-
 void FaultInjector::RegisterModelGroup(const std::string& label,
                                        ModelHooks hooks) {
   auto it = model_groups_.find(label);
@@ -264,41 +255,6 @@ void FaultInjector::RandomTick() {
         rng_.NextBool(random_options_.wedge_probability)) {
       WedgeNow(label, random_options_.wedge_duration);
     }
-  }
-  // Device power-loss rolls, in registration order.
-  if (random_options_.device_crash_probability > 0.0) {
-    for (const std::string& name : device_order_) {
-      DeviceState* device = FindDevice(name);
-      if (device == nullptr || device->down) continue;
-      if (rng_.NextBool(random_options_.device_crash_probability)) {
-        CrashDevice(name, random_options_.device_crash_downtime);
-      }
-    }
-  }
-  // Partition roll: split the registered devices into a random
-  // bipartition. Skipped while a previous partition is still in force
-  // (one split at a time keeps timelines interpretable).
-  if (random_options_.partition_probability > 0.0 && !partition_active_ &&
-      device_order_.size() >= 2 &&
-      rng_.NextBool(random_options_.partition_probability)) {
-    std::vector<std::string> side_a, side_b;
-    for (const std::string& name : device_order_) {
-      (rng_.NextBool(0.5) ? side_a : side_b).push_back(name);
-    }
-    // A one-sided draw is no partition at all — move one device over
-    // deterministically so the split is real.
-    if (side_a.empty()) {
-      side_a.push_back(side_b.back());
-      side_b.pop_back();
-    } else if (side_b.empty()) {
-      side_b.push_back(side_a.back());
-      side_a.pop_back();
-    }
-    network_->Partition({side_a, side_b});
-    partition_active_ = true;
-    ++stats_.partitions;
-    sim_->After(random_options_.partition_duration,
-                [this] { HealPartitionNow(); });
   }
   sim_->After(random_options_.interval, [this] { RandomTick(); });
 }

@@ -70,16 +70,6 @@ struct RandomFaultOptions {
   /// Per tick, per replica: probability of a wedge (hang).
   double wedge_probability = 0.0;
   Duration wedge_duration = Duration::Millis(400);
-  /// Per tick (cluster-wide): probability of a network partition. The
-  /// cluster splits into a random bipartition of registered devices and
-  /// heals `partition_duration` later. Only one partition is active at
-  /// a time.
-  double partition_probability = 0.0;
-  Duration partition_duration = Duration::Millis(800);
-  /// Per tick, per device: probability of a power-loss crash followed
-  /// by a cold reboot `device_crash_downtime` later.
-  double device_crash_probability = 0.0;
-  Duration device_crash_downtime = Duration::Millis(600);
 };
 
 struct FaultInjectorStats {
@@ -163,7 +153,6 @@ class FaultInjector {
 
   /// Immediate variants (same semantics, at Now()).
   Status CrashDeviceNow(const std::string& name, Duration downtime);
-  Status RebootDeviceNow(const std::string& name);
   Status PoisonModelNow(const std::string& label);
 
   // -- probabilistic faults ---------------------------------------------
@@ -207,8 +196,7 @@ class FaultInjector {
   std::vector<std::string> model_order_;
   RandomFaultOptions random_options_;
   bool random_running_ = false;
-  /// True while a partition placed by this injector is in force —
-  /// random rolls skip starting another until the heal fires.
+  /// True while a partition placed by this injector is in force.
   bool partition_active_ = false;
   FaultInjectorStats stats_;
 };

@@ -139,7 +139,6 @@ class Network {
                          size_t bytes) const;
 
   const NetworkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetworkStats{}; }
 
  private:
   struct LinkState {

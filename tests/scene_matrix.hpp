@@ -23,7 +23,6 @@ namespace vp::test_support {
 /// frames, in a fixed order; returns how many it visited.
 template <typename Fn>
 int ForEachMatrixFrame(Fn&& fn) {
-  const cv::PoseDetectorOptions options;
   const media::Rgb nose = media::KeypointColor(media::kNose);
   auto prop = [&](int levels_off_nose) {
     const auto red = static_cast<uint8_t>(nose.r - levels_off_nose);
@@ -31,7 +30,7 @@ int ForEachMatrixFrame(Fn&& fn) {
                        media::Rgb{red, nose.g, nose.b}};
   };
   const std::vector<std::vector<media::Prop>> props = {
-      {}, {prop(6)}, {prop(options.color_tolerance + 4)}};
+      {}, {prop(6)}, {prop(cv::kPoseColorTolerance + 4)}};
   const uint64_t seeds[] = {3, 11, 2024};
   const std::pair<int, int> sizes[] = {{160, 120}, {320, 240}, {64, 48},
                                        {5, 3}};

@@ -6,10 +6,13 @@
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
 #include "core/orchestrator.hpp"
+#include "invariants_hold.hpp"
 #include "sim/cluster.hpp"
 
 namespace vp::apps {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 TEST(GestureApp, ConfigParsesAndPlaces) {
   auto spec = gesture::Spec();
@@ -47,6 +50,7 @@ TEST(GestureApp, ClapTogglesTheLightWaveTogglesTheDoorbell) {
     EXPECT_GT(command.when.seconds(), 3.0);  // after the idle prefix
     EXPECT_LT(command.when.seconds(), 18.0);
   }
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(GestureApp, NoGesturesNoCommands) {
@@ -62,6 +66,7 @@ TEST(GestureApp, NoGesturesNoCommands) {
   (*deployment)->Start();
   orchestrator.RunFor(Duration::Seconds(15));
   EXPECT_TRUE(hub.log().empty());
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(FallApp, RaisesExactlyOneAlertAroundTheFall) {
@@ -83,6 +88,7 @@ TEST(FallApp, RaisesExactlyOneAlertAroundTheFall) {
   EXPECT_GT(alert.when.seconds(), 14.0);
   EXPECT_LT(alert.when.seconds(), 19.0);
   EXPECT_GT(alert.torso_angle_deg, 50.0);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(FallApp, NoFallNoAlert) {
@@ -98,6 +104,7 @@ TEST(FallApp, NoFallNoAlert) {
   orchestrator.RunFor(Duration::Seconds(30));
   EXPECT_TRUE(log.alerts().empty())
       << "squats/lunges must not look like falls";
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Apps, AllThreeConfigsShareThePoseDetector) {
@@ -133,6 +140,7 @@ TEST(Apps, AllThreeConfigsShareThePoseDetector) {
     EXPECT_GT(pipeline->metrics().frames_completed(), 10u)
         << pipeline->spec().name;
   }
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(IoTHub, ExecuteSemantics) {

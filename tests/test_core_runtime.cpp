@@ -5,8 +5,8 @@
 
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
-#include "core/invariants.hpp"
 #include "core/orchestrator.hpp"
+#include "invariants_hold.hpp"
 #include "json/write.hpp"
 #include "net/fabric.hpp"
 #include "net/message.hpp"
@@ -16,6 +16,8 @@
 
 namespace vp::core {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 struct Deployed {
   std::unique_ptr<sim::Cluster> cluster;
@@ -59,6 +61,7 @@ TEST(Runtime, FitnessPipelineProcessesFrames) {
     EXPECT_GT(runtime->stats().events, 100u) << module;
     EXPECT_EQ(runtime->stats().script_errors, 0u) << module;
   }
+  ExpectInvariantsHold(*d.orchestrator);
 }
 
 TEST(Runtime, ApplicationLogicActuallyWorks) {
@@ -75,6 +78,7 @@ TEST(Runtime, ApplicationLogicActuallyWorks) {
       display->context().GetGlobal("frames_rendered");
   ASSERT_TRUE(rendered.is_number());
   EXPECT_GT(rendered.AsDouble(), 300);
+  ExpectInvariantsHold(*d.orchestrator);
 }
 
 TEST(Runtime, QueueFreeFlowControl) {
@@ -106,6 +110,7 @@ TEST(Runtime, QueueFreeFlowControl) {
     }
     previous = &trace;
   }
+  ExpectInvariantsHold(*d.orchestrator);
 }
 
 TEST(Runtime, VideoPipeBeatsBaseline) {
@@ -124,6 +129,8 @@ TEST(Runtime, VideoPipeBeatsBaseline) {
             blm.ModuleLatency("rep_counter_module").mean_ms);
   EXPECT_LT(vpm.ModuleLatency("activity_detector_module").mean_ms,
             blm.ModuleLatency("activity_detector_module").mean_ms);
+  ExpectInvariantsHold(*vp.orchestrator);
+  ExpectInvariantsHold(*bl.orchestrator);
 }
 
 TEST(Runtime, LowSourceFpsIsNotThrottled) {
@@ -132,6 +139,7 @@ TEST(Runtime, LowSourceFpsIsNotThrottled) {
   EXPECT_GT(d.pipeline->metrics().EndToEndFps(), 4.2);
   EXPECT_LE(d.pipeline->metrics().EndToEndFps(), 5.05);
   EXPECT_LT(d.pipeline->camera().frames_dropped(), 5u);
+  ExpectInvariantsHold(*d.orchestrator);
 }
 
 TEST(Runtime, TwoPipelinesShareThePoseService) {
@@ -167,6 +175,7 @@ TEST(Runtime, TwoPipelinesShareThePoseService) {
   EXPECT_GE(orchestrator.registry().RequestCount("desktop", "pose_detector"),
             (*fitness)->metrics().frames_completed() +
                 (*gesture)->metrics().frames_completed());
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, ManualServiceScalingAddsReplicas) {
@@ -183,6 +192,7 @@ TEST(Runtime, ManualServiceScalingAddsReplicas) {
       2u);
   EXPECT_EQ(orchestrator.ScaleService("desktop", "teleporter").code(),
             StatusCode::kNotFound);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, ScriptErrorDoesNotKillThePipeline) {
@@ -226,6 +236,7 @@ TEST(Runtime, ScriptErrorDoesNotKillThePipeline) {
   // and the pipeline keeps flowing.
   EXPECT_GT((*deployment)->camera().credit_timeouts(), 2u);
   EXPECT_GT((*deployment)->metrics().frames_completed(), 10u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, ErroredFramesRecoverViaSinkSignal) {
@@ -253,6 +264,7 @@ TEST(Runtime, ErroredFramesRecoverViaSinkSignal) {
   orchestrator.RunFor(Duration::Seconds(5));
   // ~10 fps for 5 s ≈ 50 frames, half of them erroring.
   EXPECT_GT((*deployment)->metrics().frames_completed(), 35u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, UndeclaredServiceCallIsRejected) {
@@ -279,6 +291,7 @@ TEST(Runtime, UndeclaredServiceCallIsRejected) {
   // authority on the service surface, §3.1).
   EXPECT_GT((*deployment)->FindModule("sink_module")->stats().script_errors,
             5u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, UndeclaredModuleEdgeIsRejected) {
@@ -306,6 +319,7 @@ TEST(Runtime, UndeclaredModuleEdgeIsRejected) {
   orchestrator.RunFor(Duration::Seconds(2));
   EXPECT_GT((*deployment)->FindModule("a_module")->stats().script_errors, 5u);
   EXPECT_EQ((*deployment)->FindModule("b_module")->stats().events, 0u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Runtime, MetricsTracesAreInternallyConsistent) {
@@ -325,12 +339,14 @@ TEST(Runtime, MetricsTracesAreInternallyConsistent) {
   EXPECT_LE(total.min_ms, total.mean_ms);
   EXPECT_LE(total.mean_ms, total.max_ms);
   EXPECT_LE(total.p50_ms, total.p95_ms);
+  ExpectInvariantsHold(*d.orchestrator);
 }
 
 TEST(Runtime, DeterministicAcrossRuns) {
   auto run = [] {
     Deployed d = DeployFitness(PlacementPolicy::kCoLocate, 20.0,
                                Duration::Seconds(10));
+    ExpectInvariantsHold(*d.orchestrator);
     return std::make_pair(d.pipeline->metrics().frames_completed(),
                           d.pipeline->metrics().TotalLatency().mean_ms);
   };
@@ -365,6 +381,7 @@ TEST(Runtime, BusyMsHostFunctionChargesTheLane) {
       (*deployment)->metrics().ModuleLatency("work_module");
   EXPECT_GT(latency.mean_ms, 100.0);
   EXPECT_LT(latency.mean_ms, 140.0);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ------------------------------------------ init() outside virtual time
@@ -396,6 +413,7 @@ TEST(InitOutsideVirtualTime, BusyMsFailsTheDeployWithoutMovingTheClock) {
   EXPECT_EQ(deployment.error().code(), StatusCode::kFailedPrecondition)
       << deployment.error().ToString();
   EXPECT_EQ(cluster->Now(), TimePoint());
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(InitOutsideVirtualTime, CaughtServiceCallDeploysAndWakesInPlace) {
@@ -429,6 +447,7 @@ TEST(InitOutsideVirtualTime, CaughtServiceCallDeploysAndWakesInPlace) {
   const TimePoint before = cluster->Now();
   ASSERT_TRUE(orchestrator.WakePipeline(pipeline).ok());
   EXPECT_EQ(cluster->Now(), before);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // A deploy whose module init() fails leaves nothing routed to the
@@ -482,9 +501,7 @@ TEST(InitOutsideVirtualTime, FailedDeployLeavesNothingRouted) {
   (*redeployed)->Start();
   orchestrator.RunFor(Duration::Seconds(2));
   EXPECT_GT((*redeployed)->metrics().frames_completed(), 0u);
-  InvariantChecker checker(&orchestrator);
-  checker.CheckNow();
-  EXPECT_EQ(checker.total_violations(), 0u) << checker.Report();
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ------------------------------------------------- hostile frame ids
@@ -550,6 +567,7 @@ TEST(HostileFrameIds, GetWhatAStaleIdGets) {
   for (const json::Value& row : rows.AsArray()) {
     EXPECT_EQ(row.AsString(), rows.AsArray()[0].AsString());
   }
+  ExpectInvariantsHold(orchestrator);
 }
 
 // -------------------------------------------------- shared payloads
@@ -644,6 +662,7 @@ std::vector<std::shared_ptr<const json::Value>> RecordRetriedCall(
   probe->Start();
   orchestrator.RunFor(Duration::Seconds(5));
   EXPECT_EQ(ProbeResult(*probe), R"("ok")");
+  ExpectInvariantsHold(orchestrator);
   return seen;
 }
 
@@ -711,6 +730,7 @@ TEST(SharedPayload, RemoteRequestMessageCarriesTheIssuedObject) {
     EXPECT_TRUE(request.parts().empty());
     EXPECT_EQ(request.ByteSize(), request.Encode().size());
   }
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

@@ -7,12 +7,15 @@
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "cv/tracker.hpp"
+#include "invariants_hold.hpp"
 #include "net/fabric.hpp"
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 // ------------------------------------------------------ script extras
 
@@ -416,6 +419,7 @@ TEST(Monitor, SamplesPipelinesAndServices) {
   const std::string report = monitor.Report();
   EXPECT_NE(report.find("fitness"), std::string::npos);
   EXPECT_NE(report.find("pose_detector"), std::string::npos);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Monitor, PublishesTelemetryOverPubSub) {
@@ -445,6 +449,7 @@ TEST(Monitor, PublishesTelemetryOverPubSub) {
 
   ASSERT_GE(observed_fps.size(), 6u);
   EXPECT_GT(observed_fps.back(), 5.0);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // --------------------------------------------- Latency-aware placement
@@ -522,6 +527,7 @@ TEST(LatencyAwarePlacement, RunsEndToEnd) {
   (*deployment)->Start();
   orchestrator.RunFor(Duration::Seconds(10));
   EXPECT_GT((*deployment)->metrics().EndToEndFps(), 9.0);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ----------------------------------------- Tracker service end-to-end
@@ -569,6 +575,7 @@ TEST(TrackerService, TracksThroughThePipeline) {
   const json::Value ids = module->context().GetGlobal("seen_ids");
   ASSERT_TRUE(ids.is_object());
   EXPECT_EQ(ids.AsObject().size(), 1u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

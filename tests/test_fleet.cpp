@@ -71,12 +71,22 @@ void ExpectInvariantsHold(fleet::Fleet& fleet) {
   }
 }
 
+/// One model registry for every fleet in this binary that counts no
+/// trainings. Training is a pure function of the recipe and runs
+/// outside virtual time, so sharing it moves no simulated result and
+/// trains each recipe once per binary instead of once per fleet.
+modelreg::ModelRegistry& SharedTestRegistry() {
+  static modelreg::ModelRegistry registry;
+  return registry;
+}
+
 fleet::FleetOptions ServingFleetOptions(int homes) {
   fleet::FleetOptions options;
   options.homes = homes;
   options.seed = TestSeed();
   options.orchestrator.serving.enabled = true;
   options.orchestrator.models.rollout = FastPolicy();
+  options.orchestrator.models.registry = &SharedTestRegistry();
   return options;
 }
 
@@ -111,7 +121,10 @@ TEST(Fleet, HomesGetDerivedSeedsAndSharedRegistry) {
 // ------------------------------------------------- registry dedupe
 
 TEST(Fleet, SharedRegistryTrainsEachRecipeOnce) {
-  fleet::Fleet fleet(ServingFleetOptions(2));
+  // The fleet's own registry: this test counts its trainings.
+  fleet::FleetOptions options = ServingFleetOptions(2);
+  options.orchestrator.models.registry = nullptr;
+  fleet::Fleet fleet(options);
   DeployFitness(fleet.home(0), 10);
   const uint64_t after_first = fleet.models().trainings();
   EXPECT_GE(after_first, 1u);  // v0 activity model trained for home 0
@@ -121,6 +134,20 @@ TEST(Fleet, SharedRegistryTrainsEachRecipeOnce) {
   // trainings, every request answered from the shared cache.
   EXPECT_EQ(fleet.models().trainings(), after_first);
   EXPECT_GE(fleet.models().dedupe_hits(), 1u);
+  ExpectInvariantsHold(fleet);
+}
+
+TEST(Fleet, CallersRegistryServesEveryHome) {
+  modelreg::ModelRegistry registry;
+  fleet::FleetOptions options = ServingFleetOptions(2);
+  options.orchestrator.models.registry = &registry;
+  fleet::Fleet fleet(options);
+  EXPECT_EQ(&fleet.models(), &registry);
+  for (int id = 0; id < fleet.size(); ++id) {
+    EXPECT_EQ(&fleet.home(id).orchestrator->models(), &registry);
+  }
+  DeployFitness(fleet.home(0), 10);
+  EXPECT_GE(registry.trainings(), 1u);
   ExpectInvariantsHold(fleet);
 }
 
@@ -209,7 +236,7 @@ TEST(Fleet, StagedRolloutPromotesWaveByWave) {
   fleet::FleetRolloutOptions rollout;
   rollout.policy = FastPolicy();
   ASSERT_TRUE(controller.BeginFleetRollout(candidate, rollout).ok());
-  // N=3 with the default fractions plans 3 waves: 1, 2, 3 homes.
+  // N=3: the wave fractions plan 3 waves of 1, 2 and 3 homes.
   ASSERT_EQ(controller.waves().size(), 3u);
 
   for (int i = 0; i < 60 && !controller.rollout_done() &&
@@ -263,7 +290,7 @@ TEST(Fleet, PoisonedWaveHaltsRollbackAndBoundsBlastRadius) {
   fleet::FleetRolloutOptions rollout;
   rollout.policy = FastPolicy();
   ASSERT_TRUE(controller.BeginFleetRollout(candidate, rollout).ok());
-  // N=5 default fractions: waves of 1, 1, 1, 2 homes.
+  // N=5: waves of 1, 1, 1 and 2 homes.
   ASSERT_EQ(controller.waves().size(), 4u);
 
   for (int i = 0; i < 60 && !controller.rollout_done() &&
@@ -306,6 +333,89 @@ TEST(Fleet, PoisonedWaveHaltsRollbackAndBoundsBlastRadius) {
     }
   }
   ExpectInvariantsHold(fleet);
+}
+
+// ------------------------------------------------------ wave gate
+
+/// A gate window of `hits` hits in `probes` probes and `samples`
+/// latencies of `latency_ms` each.
+modelreg::GateWindow Window(int hits, int probes, double latency_ms,
+                            int samples) {
+  modelreg::GateWindow window;
+  for (int i = 0; i < probes; ++i) window.hits.push_back(i < hits);
+  window.latency_ms.assign(static_cast<size_t>(samples), latency_ms);
+  return window;
+}
+
+/// A member's last canary view: the two windows its gate read.
+modelreg::RolloutController::GroupView CanaryView(
+    modelreg::GateWindow stable, modelreg::GateWindow candidate) {
+  modelreg::RolloutController::GroupView view;
+  view.phase = modelreg::RolloutPhase::kCanary;
+  view.stable_window = std::move(stable);
+  view.candidate_window = std::move(candidate);
+  return view;
+}
+
+// The wave gate pools the members' windows sample by sample, so a
+// member weighs as much as the samples its windows hold, however many
+// probes it sent since its rollout began. Each row pools a member that
+// canaried long (say 1000 probes per version) and looks clean with one
+// that canaried briefly (10 probes) and regressed: weighted by those
+// probe counts, the row would clear the gate.
+TEST(FleetWaveGate, PoolsTheMembersWindowsSampleBySample) {
+  const modelreg::RolloutPolicy policy;  // the wave's 0.08 and x1.6
+  const auto long_run =
+      CanaryView(Window(60, 64, 10.0, 20), Window(60, 64, 10.0, 20));
+
+  // Latency: the brief member's candidate p95 is 100 ms against 10.
+  // Weighted, (10·1000 + 100·10) / 1010 ≈ 10.9 ms is under 16; the
+  // pooled p95 is 100 ms.
+  const fleet::WaveWindows slow = fleet::PoolCanaryWindows(
+      {long_run,
+       CanaryView(Window(60, 64, 10.0, 20), Window(60, 64, 100.0, 20))});
+  EXPECT_LT((10.0 * 1000 + 100.0 * 10) / 1010,
+            10.0 * policy.latency_inflation);
+  EXPECT_EQ(slow.candidate.latency_ms.size(), 40u);
+  EXPECT_EQ(slow.stable.p95_ms(), 10.0);
+  EXPECT_EQ(slow.candidate.p95_ms(), 100.0);
+  EXPECT_EQ(slow.candidate.accuracy(), slow.stable.accuracy());
+  EXPECT_TRUE(
+      modelreg::CandidateRegressed(slow.stable, slow.candidate, policy));
+
+  // Accuracy: the brief member's candidate hits 4 of 64 probes.
+  // Weighted, 0.929 is within 0.08 of 0.9375; pooled, 64/128 = 0.5
+  // against 120/128 = 0.9375.
+  const fleet::WaveWindows wrong = fleet::PoolCanaryWindows(
+      {long_run,
+       CanaryView(Window(60, 64, 10.0, 20), Window(4, 64, 10.0, 20))});
+  EXPECT_GE((60.0 / 64 * 1000 + 4.0 / 64 * 10) / 1010,
+            60.0 / 64 - policy.accuracy_margin);
+  EXPECT_EQ(wrong.candidate.accuracy(), 0.5);
+  EXPECT_EQ(wrong.stable.accuracy(), 0.9375);
+  EXPECT_TRUE(
+      modelreg::CandidateRegressed(wrong.stable, wrong.candidate, policy));
+
+  // The clean member alone clears the gate, and so does a wave with no
+  // canary windows at all.
+  const fleet::WaveWindows clean = fleet::PoolCanaryWindows({long_run});
+  EXPECT_FALSE(modelreg::CandidateRegressed(clean.stable, clean.candidate,
+                                            policy));
+  const fleet::WaveWindows none = fleet::PoolCanaryWindows({});
+  EXPECT_FALSE(
+      modelreg::CandidateRegressed(none.stable, none.candidate, policy));
+}
+
+// Fewer than 8 latency samples on either side cannot fail the latency
+// gate: one outlier must not decide a wave any more than a canary.
+TEST(FleetWaveGate, LatencyNeedsEightPooledSamplesPerSide) {
+  const modelreg::RolloutPolicy policy;
+  const auto member =
+      CanaryView(Window(20, 20, 10.0, 4), Window(20, 20, 100.0, 4));
+  const fleet::WaveWindows one = fleet::PoolCanaryWindows({member});
+  EXPECT_FALSE(modelreg::CandidateRegressed(one.stable, one.candidate, policy));
+  const fleet::WaveWindows two = fleet::PoolCanaryWindows({member, member});
+  EXPECT_TRUE(modelreg::CandidateRegressed(two.stable, two.candidate, policy));
 }
 
 // ------------------------------------------------------ cloud tier
@@ -394,7 +504,7 @@ TEST(Cloud, HardQuotaCapsATenantEvenWithIdleSlots) {
   const double cap_cost_s =
       options.quota_share * 2.0 * seconds +
       options.quota_share * 2.0 * options.quota_window.seconds() *
-          options.quota_burst_windows;
+          fleet::kQuotaBurstWindows;
   EXPECT_LE(noisy.served_cost_seconds, cap_cost_s + 0.11);
   EXPECT_GE(noisy.served_cost_seconds, 0.5 * cap_cost_s);
   EXPECT_GT(noisy.backlog, 0);  // throttled, not starved of demand

@@ -8,12 +8,15 @@
 #include "apps/fitness.hpp"
 #include "apps/gesture.hpp"
 #include "core/orchestrator.hpp"
+#include "invariants_hold.hpp"
 #include "media/ppm.hpp"
 #include "media/renderer.hpp"
 #include "sim/cluster.hpp"
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 // -------------------------------------------------------------- timers
 
@@ -63,6 +66,7 @@ TEST(ModuleTimers, FireAfterTheRequestedDelay) {
   EXPECT_LE(fires, 21);
   EXPECT_GT(frames, 40);
   EXPECT_EQ(module->stats().script_errors, 0u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(ModuleTimers, TimerEventsCarryThePayload) {
@@ -97,6 +101,7 @@ TEST(ModuleTimers, TimerEventsCarryThePayload) {
                 .GetGlobal("tag")
                 .AsString(),
             "hello");
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(ModuleTimers, InvalidArgumentsError) {
@@ -120,6 +125,7 @@ TEST(ModuleTimers, InvalidArgumentsError) {
   (*deployment)->Start();
   orchestrator.RunFor(Duration::Seconds(2));
   EXPECT_GT((*deployment)->FindModule("m")->stats().script_errors, 3u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ------------------------------------------------------------ undeploy
@@ -148,6 +154,7 @@ TEST(Undeploy, StopsTrafficAndFreesThePipelineSlot) {
   // No further frames completed after teardown (in-flight remnants may
   // add at most a frame or two).
   EXPECT_LE((*deployment)->metrics().frames_completed(), completed + 2);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Undeploy, RedeploySameConfigReusesConfiguredPorts) {
@@ -174,6 +181,7 @@ TEST(Undeploy, RedeploySameConfigReusesConfiguredPorts) {
   (*second)->Start();
   orchestrator.RunFor(Duration::Seconds(5));
   EXPECT_GT((*second)->metrics().frames_completed(), 20u);
+  ExpectInvariantsHold(orchestrator);
 }
 
 TEST(Undeploy, SharedServicesSurviveForOtherPipelines) {
@@ -198,6 +206,7 @@ TEST(Undeploy, SharedServicesSurviveForOtherPipelines) {
   // The gesture pipeline keeps running on the shared pose service —
   // faster now that it has the replica to itself.
   EXPECT_GT((*gesture)->metrics().frames_completed(), gesture_before + 80);
+  ExpectInvariantsHold(orchestrator);
 }
 
 // ----------------------------------------------------------------- PPM
@@ -279,6 +288,7 @@ TEST(TraceExport, ProducesValidChromeTraceJson) {
   buffer << file.rdbuf();
   EXPECT_TRUE(json::Parse(buffer.str()).ok());
   std::remove(path.c_str());
+  ExpectInvariantsHold(orchestrator);
 }
 
 }  // namespace

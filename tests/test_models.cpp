@@ -16,6 +16,7 @@
 #include "core/orchestrator.hpp"
 #include "core/trace_export.hpp"
 #include "cv/dataset.hpp"
+#include "invariants_hold.hpp"
 #include "json/write.hpp"
 #include "media/codec.hpp"
 #include "media/renderer.hpp"
@@ -29,6 +30,8 @@
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
@@ -443,6 +446,7 @@ TEST(ModelLifecycle, DeployAdoptsStableVersionEverywhere) {
   EXPECT_EQ(versions[0], v0);
   // The registry trained v0 exactly once, shared by all replicas.
   EXPECT_EQ(rig.models.trainings(), 1u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(ModelLifecycle, HotSwapUpgradeDropsZeroFrames) {
@@ -482,6 +486,7 @@ TEST(ModelLifecycle, HotSwapUpgradeDropsZeroFrames) {
   EXPECT_EQ(rig.pipeline->metrics().call_timeouts(), 0u);
   EXPECT_GT(rig.pipeline->metrics().frames_completed(),
             completed_before + 20u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(ModelLifecycle, PoisonedCanaryAutoRollsBack) {
@@ -522,6 +527,7 @@ TEST(ModelLifecycle, PoisonedCanaryAutoRollsBack) {
   EXPECT_GT(rig.orchestrator->rollout().stats().last_rollback_ms, 0.0);
   // The pipeline survived the whole episode without dropping frames.
   EXPECT_EQ(rig.pipeline->metrics().frames_abandoned(), 0u);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(ModelLifecycle, HealthyCanaryPromotesToExactlyOneLiveVersion) {
@@ -561,6 +567,7 @@ TEST(ModelLifecycle, HealthyCanaryPromotesToExactlyOneLiveVersion) {
       rig.orchestrator->registry().LiveModelVersions(rig.device, rig.service);
   ASSERT_EQ(versions.size(), 1u);
   EXPECT_EQ(versions[0], next.ContentId());
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(ModelLifecycle, MonitorAndTraceCarryModelVersions) {
@@ -595,6 +602,7 @@ TEST(ModelLifecycle, MonitorAndTraceCarryModelVersions) {
   const core::LatencySummary total = rig.pipeline->metrics().TotalLatency();
   EXPECT_GE(total.p99_ms, total.p95_ms);
   EXPECT_GE(total.max_ms, total.p99_ms);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 }  // namespace

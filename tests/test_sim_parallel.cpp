@@ -476,6 +476,15 @@ struct RolloutResult {
   FleetResult fleet;
 };
 
+/// One model registry for every rollout fleet in this binary. Training
+/// is a pure function of the recipe and runs outside virtual time, so
+/// sharing it moves no compared field; each recipe trains once per
+/// binary instead of once per fleet.
+modelreg::ModelRegistry& RolloutRegistry() {
+  static modelreg::ModelRegistry registry;
+  return registry;
+}
+
 /// A clean rollout of a same-quality candidate over 2 homes on distinct
 /// shards (waves of 1 and 1 home), or a gated one whose supply chain is
 /// poisoned as wave 1 starts.
@@ -483,6 +492,7 @@ RolloutResult RunRollout(uint64_t seed, bool poison, int shards,
                          int threads) {
   fleet::FleetOptions options = PartitionedOptions(seed, 2, shards, threads);
   options.orchestrator.models.rollout = FastPolicy();
+  options.orchestrator.models.registry = &RolloutRegistry();
   fleet::Fleet fleet(options);
   for (int id = 0; id < fleet.size(); ++id) {
     DeployFitness(fleet.home(id), 10);
@@ -574,9 +584,9 @@ void ExpectRolloutIdenticalAcrossPartitions(bool poison) {
   }
 }
 
-// Each fleet trains its own model versions, which dominates these runs
-// in the sanitizer build, so the two rollouts are separate tests and
-// separate ctest entries.
+// Training the model versions dominates these runs in the sanitizer
+// build, so the two rollouts are separate tests and separate ctest
+// entries, and each trains its versions once, in RolloutRegistry().
 TEST(ParallelFleet, CleanRolloutIdenticalAcrossPartitions) {
   ExpectRolloutIdenticalAcrossPartitions(/*poison=*/false);
 }
