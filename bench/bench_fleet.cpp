@@ -8,7 +8,8 @@
 // 1 → 1% → 50% → all staged rollout. Measured per wave: virtual wall
 // time to the gate decision. Measured per run: controller + monitor +
 // cloud events per home as a fraction of per-home workload events
-// (must stay < 5% — the control plane reads rollups, not frames).
+// (must stay < 5% — the control plane reads per-home summaries, not
+// frames).
 //
 // Partitions (at N = 16 full / 4 smoke): the clean rollout reruns on
 // eight shards at several worker-thread counts. The fleet controller
@@ -351,8 +352,9 @@ int main() {
               ungated.blast_homes, gated.blast_homes,
               spreads ? "PASS" : "FAIL");
 
-  // Claim 4: the control plane stays cheap — rollup-based collection
-  // keeps controller+monitor+cloud events under 5%% of workload events.
+  // Claim 4: the control plane stays cheap — it polls per-home
+  // summaries, so controller+monitor+cloud events stay under 5% of
+  // workload events.
   std::printf("control-plane overhead < 5%% of per-home event volume  %s\n",
               overhead_ok ? "PASS" : "FAIL");
 

@@ -142,10 +142,7 @@ void ModuleRuntime::OnMessage(net::Message message) {
   // A fenced runtime is administratively dead: recovery superseded it
   // while its device was partitioned away. Nothing it would do now is
   // authoritative.
-  if (fenced_) {
-    ++stats_.dropped_fenced;
-    return;
-  }
+  if (fenced_) return;
   // Epoch fence: a message stamped with a placement epoch older than
   // the sender module's current epoch comes from a zombie instance —
   // one that recovery already replaced. Serving it would double-serve
@@ -154,7 +151,6 @@ void ModuleRuntime::OnMessage(net::Message message) {
     const uint64_t current = pipeline_->module_epoch(message.sender());
     if (message.fence_epoch() < current) {
       if (orchestrator_->options().epoch_fencing) {
-        ++stats_.dropped_stale_epoch;
         pipeline_->metrics().OnZombieFenced();
         return;
       }
@@ -260,7 +256,6 @@ void ModuleRuntime::ExecuteHandler(net::Message message) {
     // unreachable through every retry. Drop the frame and return its
     // credit now — plain script errors still go through the camera
     // watchdog instead.
-    ++stats_.frames_abandoned;
     orchestrator_->AbandonFrame(*this, current_seq_);
   }
   service_call_exhausted_ = false;
@@ -325,7 +320,6 @@ Result<script::VpValue> ModuleRuntime::HostCallModule(
   }
   auto payload = PayloadArg(vm, args, 1);
   if (!payload.ok()) return payload.error();
-  ++stats_.module_sends;
   Status sent = orchestrator_->SendToModule(*this, target, std::move(*payload));
   if (!sent.ok()) return ScriptError(sent.message());
   return script::VpValue::Undefined();

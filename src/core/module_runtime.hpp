@@ -44,16 +44,8 @@ struct ModuleRuntimeStats {
   uint64_t dropped_replaced = 0;  // parked message overwritten
   uint64_t script_errors = 0;
   uint64_t service_calls = 0;
-  uint64_t module_sends = 0;
-  /// Frames dropped here after a service call exhausted its retries.
-  uint64_t frames_abandoned = 0;
   /// Events discarded because this runtime's device was down.
   uint64_t dropped_device_down = 0;
-  /// Events discarded because this runtime was fenced (stale epoch).
-  uint64_t dropped_fenced = 0;
-  /// Events discarded because the sender's placement epoch was stale
-  /// (a zombie runtime still emitting after recovery superseded it).
-  uint64_t dropped_stale_epoch = 0;
 };
 
 class ModuleRuntime {

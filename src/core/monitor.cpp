@@ -6,174 +6,56 @@
 
 namespace vp::core {
 
+void MonitorSample::Add(std::string name, Labels labels, double value) {
+  readings.push_back(Reading{std::move(name), std::move(labels), value});
+}
+
+void MonitorSample::Add(std::string name, Labels labels, std::string text) {
+  readings.push_back(
+      Reading{std::move(name), std::move(labels), std::move(text)});
+}
+
+namespace {
+
+template <typename T>
+std::optional<T> FindReading(const std::vector<Reading>& readings,
+                             std::string_view name, const Labels& labels) {
+  for (const Reading& r : readings) {
+    const T* value = std::get_if<T>(&r.value);
+    if (value != nullptr && r.name == name && r.labels == labels) {
+      return *value;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<double> MonitorSample::Number(std::string_view name,
+                                            const Labels& labels) const {
+  return FindReading<double>(readings, name, labels);
+}
+
+std::optional<std::string> MonitorSample::Text(std::string_view name,
+                                               const Labels& labels) const {
+  return FindReading<std::string>(readings, name, labels);
+}
+
 json::Value MonitorSample::ToJson(const std::string& home) const {
   json::Value out = json::Value::MakeObject();
+  out["t_ms"] = json::Value(when.millis());
   if (!home.empty()) out["home"] = json::Value(home);
-  out["t_ms"] = json::Value(when.millis());
-  json::Value fps = json::Value::MakeObject();
-  for (const auto& [pipeline, value] : pipeline_fps) {
-    fps[pipeline] = json::Value(value);
-  }
-  out["pipeline_fps"] = std::move(fps);
-  json::Value backlog = json::Value::MakeObject();
-  for (const auto& [group, value] : service_backlog) {
-    backlog[group] = json::Value(value);
-  }
-  out["service_backlog"] = std::move(backlog);
-  json::Value replicas = json::Value::MakeObject();
-  for (const auto& [group, healths] : replica_health) {
-    json::Value list = json::Value::MakeArray();
-    for (const std::string& health : healths) {
-      list.PushBack(json::Value(health));
+  for (const Reading& r : readings) {
+    json::Value entry = json::Value::MakeObject();
+    for (const auto& [label, value] : r.labels) {
+      entry[label] = json::Value(value);
     }
-    replicas[group] = std::move(list);
-  }
-  out["replica_health"] = std::move(replicas);
-  json::Value devices = json::Value::MakeObject();
-  for (const auto& [device, health] : device_health) {
-    devices[device] = json::Value(health);
-  }
-  out["device_health"] = std::move(devices);
-  out["network_bytes"] = json::Value(static_cast<double>(network_bytes));
-  json::Value faults = json::Value::MakeObject();
-  faults["partitions"] = json::Value(static_cast<double>(partitions));
-  faults["duplicates_delivered"] =
-      json::Value(static_cast<double>(duplicates_delivered));
-  faults["reorders"] = json::Value(static_cast<double>(reorders));
-  faults["corruptions_dropped"] =
-      json::Value(static_cast<double>(corruptions_dropped));
-  faults["zombies_fenced"] =
-      json::Value(static_cast<double>(zombies_fenced));
-  out["faults"] = std::move(faults);
-  json::Value lifecycle = json::Value::MakeObject();
-  lifecycle["hibernated_pipelines"] =
-      json::Value(static_cast<double>(hibernated_pipelines));
-  lifecycle["hibernations"] = json::Value(static_cast<double>(hibernations));
-  lifecycle["wakes"] = json::Value(static_cast<double>(wakes));
-  out["lifecycle"] = std::move(lifecycle);
-  if (!scheduler_queue_depth.empty()) {
-    json::Value serving = json::Value::MakeObject();
-    for (const auto& [group, depth] : scheduler_queue_depth) {
-      json::Value entry = json::Value::MakeObject();
-      entry["queue_depth"] = json::Value(depth);
-      if (auto it = scheduler_queue_delay_ms.find(group);
-          it != scheduler_queue_delay_ms.end()) {
-        entry["queue_delay_ms"] = json::Value(it->second);
-      }
-      if (auto it = scheduler_batch_occupancy.find(group);
-          it != scheduler_batch_occupancy.end()) {
-        entry["batch_occupancy"] = json::Value(it->second);
-      }
-      if (auto it = scheduler_sheds.find(group);
-          it != scheduler_sheds.end()) {
-        entry["sheds"] = json::Value(static_cast<double>(it->second));
-      }
-      serving[group] = std::move(entry);
+    if (const auto* text = std::get_if<std::string>(&r.value)) {
+      entry["text"] = json::Value(*text);
+    } else {
+      entry["value"] = json::Value(std::get<double>(r.value));
     }
-    out["serving"] = std::move(serving);
-  }
-  if (!model_version.empty()) {
-    json::Value models = json::Value::MakeObject();
-    for (const auto& [group, version] : model_version) {
-      json::Value entry = json::Value::MakeObject();
-      entry["version"] = json::Value(version);
-      if (auto it = rollout_phase.find(group); it != rollout_phase.end()) {
-        entry["phase"] = json::Value(it->second);
-      }
-      if (auto it = replica_model_versions.find(group);
-          it != replica_model_versions.end()) {
-        json::Value list = json::Value::MakeArray();
-        for (const std::string& v : it->second) {
-          list.PushBack(json::Value(v));
-        }
-        entry["replica_versions"] = std::move(list);
-      }
-      models[group] = std::move(entry);
-    }
-    out["models"] = std::move(models);
-  }
-  return out;
-}
-
-MonitorRollup RollupSample(const MonitorSample& sample) {
-  MonitorRollup rollup;
-  rollup.when = sample.when;
-  rollup.pipelines = static_cast<int>(sample.pipeline_fps.size());
-  for (const auto& [pipeline, fps] : sample.pipeline_fps) {
-    (void)pipeline;
-    rollup.total_fps += fps;
-  }
-  for (const auto& [pipeline, completed] : sample.frames_completed) {
-    (void)pipeline;
-    rollup.frames_completed += completed;
-  }
-  double utilization = 0;
-  for (const auto& [device, value] : sample.device_utilization) {
-    (void)device;
-    utilization += value;
-  }
-  rollup.mean_utilization =
-      sample.device_utilization.empty()
-          ? 0.0
-          : utilization /
-                static_cast<double>(sample.device_utilization.size());
-  rollup.network_bytes = sample.network_bytes;
-  for (const auto& [group, count] : sample.service_replicas) {
-    (void)group;
-    rollup.replicas += count;
-  }
-  for (const auto& [group, healths] : sample.replica_health) {
-    (void)group;
-    for (const std::string& health : healths) {
-      if (health != "healthy") ++rollup.unhealthy_replicas;
-    }
-  }
-  for (const auto& [device, health] : sample.device_health) {
-    (void)device;
-    if (health != "healthy") ++rollup.unhealthy_devices;
-  }
-  for (const auto& [group, sheds] : sample.scheduler_sheds) {
-    (void)group;
-    rollup.sheds += sheds;
-  }
-  rollup.zombies_fenced = sample.zombies_fenced;
-  rollup.hibernated_pipelines = sample.hibernated_pipelines;
-  rollup.hibernations = sample.hibernations;
-  rollup.wakes = sample.wakes;
-  rollup.model_version = sample.model_version;
-  rollup.rollout_phase = sample.rollout_phase;
-  return rollup;
-}
-
-json::Value MonitorRollup::ToJson() const {
-  json::Value out = json::Value::MakeObject();
-  out["t_ms"] = json::Value(when.millis());
-  out["pipelines"] = json::Value(pipelines);
-  out["total_fps"] = json::Value(total_fps);
-  out["frames_completed"] =
-      json::Value(static_cast<double>(frames_completed));
-  out["mean_utilization"] = json::Value(mean_utilization);
-  out["network_bytes"] = json::Value(static_cast<double>(network_bytes));
-  out["replicas"] = json::Value(replicas);
-  out["unhealthy_replicas"] = json::Value(unhealthy_replicas);
-  out["unhealthy_devices"] = json::Value(unhealthy_devices);
-  out["sheds"] = json::Value(static_cast<double>(sheds));
-  out["zombies_fenced"] = json::Value(static_cast<double>(zombies_fenced));
-  out["hibernated_pipelines"] =
-      json::Value(static_cast<double>(hibernated_pipelines));
-  out["hibernations"] = json::Value(static_cast<double>(hibernations));
-  out["wakes"] = json::Value(static_cast<double>(wakes));
-  if (!model_version.empty()) {
-    json::Value models = json::Value::MakeObject();
-    for (const auto& [group, version] : model_version) {
-      json::Value entry = json::Value::MakeObject();
-      entry["version"] = json::Value(version);
-      if (auto it = rollout_phase.find(group); it != rollout_phase.end()) {
-        entry["phase"] = json::Value(it->second);
-      }
-      models[group] = std::move(entry);
-    }
-    out["models"] = std::move(models);
+    out[r.name].PushBack(std::move(entry));
   }
   return out;
 }
@@ -201,95 +83,99 @@ void PipelineMonitor::Start() {
 
 void PipelineMonitor::Sample() {
   if (!running_) return;
+  const TimePoint now = orchestrator_->cluster().Now();
   MonitorSample sample;
-  sample.when = orchestrator_->cluster().Now();
+  sample.when = now;
 
+  uint64_t zombies_fenced = 0;
   for (const auto& pipeline : orchestrator_->pipelines()) {
     const std::string& name = pipeline->spec().name;
     const uint64_t completed = pipeline->metrics().frames_completed();
-    const uint64_t previous = last_completed_.count(name)
-                                  ? last_completed_[name]
-                                  : 0;
-    sample.frames_completed[name] = completed;
-    sample.pipeline_fps[name] =
-        static_cast<double>(completed - previous) / interval_.seconds();
-    last_completed_[name] = completed;
+    uint64_t& previous = last_completed_[name];
+    sample.Add("frames_completed", {{"pipeline", name}}, completed);
+    sample.Add("pipeline_fps", {{"pipeline", name}},
+               static_cast<double>(completed - previous) / interval_.seconds());
+    previous = completed;
+    zombies_fenced += pipeline->metrics().zombies_fenced();
   }
 
-  const TimePoint now = orchestrator_->cluster().Now();
   for (const auto& [device, service] : watched_services_) {
-    const std::string key = device + "/" + service;
-    int backlog = 0;
+    const std::string group = device + "/" + service;
     auto replicas = orchestrator_->registry().Replicas(device, service);
+    int backlog = 0;
     for (services::ServiceInstance* replica : replicas) {
       backlog += replica->backlog(now);
     }
-    sample.service_backlog[key] = backlog;
-    sample.service_replicas[key] = static_cast<int>(replicas.size());
-    // The circuit breaker's view of each replica: crashed replicas are
-    // down, timed-out ones sit suspect until the breaker half-opens.
-    std::vector<std::string> healths;
-    for (services::ServiceInstance* replica : replicas) {
-      if (replica->crashed()) {
-        healths.push_back("down");
-      } else if (replica->suspected(now)) {
-        healths.push_back("suspect");
-      } else {
-        healths.push_back("healthy");
+    sample.Add("service_backlog", {{"group", group}}, backlog);
+    sample.Add("service_replicas", {{"group", group}}, replicas.size());
+    const bool managed = orchestrator_->rollout().Manages(device, service);
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      const Labels replica = {{"group", group}, {"replica", std::to_string(i)}};
+      // The circuit breaker's view of each replica: crashed replicas are
+      // down, timed-out ones sit suspect until the breaker half-opens.
+      sample.Add("replica_health", replica,
+                 replicas[i]->crashed()        ? "down"
+                 : replicas[i]->suspected(now) ? "suspect"
+                                               : "healthy");
+      // Canaries show up as a mixed set of replica versions.
+      if (managed) {
+        sample.Add("replica_model_version", replica,
+                   replicas[i]->model_version());
       }
     }
-    sample.replica_health[key] = std::move(healths);
-    if (orchestrator_->rollout().Manages(device, service)) {
-      sample.model_version[key] =
-          orchestrator_->rollout().stable_version(device, service);
-      sample.rollout_phase[key] = modelreg::RolloutPhaseName(
-          orchestrator_->rollout().phase(device, service));
-      std::vector<std::string> versions;
-      for (services::ServiceInstance* replica : replicas) {
-        versions.push_back(replica->model_version());
-      }
-      sample.replica_model_versions[key] = std::move(versions);
+    if (managed) {
+      sample.Add("model_version", {{"group", group}},
+                 orchestrator_->rollout().stable_version(device, service));
+      sample.Add("rollout_phase", {{"group", group}},
+                 modelreg::RolloutPhaseName(
+                     orchestrator_->rollout().phase(device, service)));
     }
   }
   if (detector_ != nullptr) {
     for (const auto& [device, health] : detector_->snapshot()) {
-      sample.device_health[device] = DeviceHealthName(health);
+      sample.Add("device_health", {{"device", device}},
+                 DeviceHealthName(health));
     }
   }
+  // Module-lane utilization over the last interval, in [0, 1].
   for (sim::Device* device : orchestrator_->cluster().devices()) {
     const Duration busy = device->module_lane().busy_time();
-    const Duration previous = last_busy_.count(device->name())
-                                  ? last_busy_[device->name()]
-                                  : Duration::Zero();
-    sample.device_utilization[device->name()] =
-        std::min(1.0, (busy - previous).seconds() / interval_.seconds());
-    last_busy_[device->name()] = busy;
+    Duration& previous = last_busy_[device->name()];
+    sample.Add(
+        "device_utilization", {{"device", device->name()}},
+        std::min(1.0, (busy - previous).seconds() / interval_.seconds()));
+    previous = busy;
   }
-  sample.network_bytes = orchestrator_->cluster().network().stats().bytes;
 
   const sim::NetworkStats& net_stats =
       orchestrator_->cluster().network().stats();
-  sample.duplicates_delivered = net_stats.duplicates_delivered;
-  sample.reorders = net_stats.reorders;
-  sample.corruptions_dropped =
-      orchestrator_->fabric().dedup_stats().corruptions_dropped;
-  if (injector_ != nullptr) {
-    sample.partitions = injector_->stats().partitions;
-  }
-  for (const auto& pipeline : orchestrator_->pipelines()) {
-    sample.zombies_fenced += pipeline->metrics().zombies_fenced();
-  }
-  sample.hibernated_pipelines = orchestrator_->hibernated_count();
-  sample.hibernations = orchestrator_->hibernations();
-  sample.wakes = orchestrator_->wakes();
+  sample.Add("network_bytes", {}, net_stats.bytes);
+  // Cumulative fault counters: duplicates and reorders the network's
+  // knobs made, corrupted frames the fabric's checksum gate dropped,
+  // partitions the watched injector started (0 without one), and
+  // stale-epoch runtimes fenced across pipelines.
+  sample.Add("duplicates_delivered", {}, net_stats.duplicates_delivered);
+  sample.Add("reorders", {}, net_stats.reorders);
+  sample.Add("corruptions_dropped", {},
+             orchestrator_->fabric().dedup_stats().corruptions_dropped);
+  sample.Add("partitions", {},
+             injector_ != nullptr ? injector_->stats().partitions : 0);
+  sample.Add("zombies_fenced", {}, zombies_fenced);
+  // Scale-to-zero: pipelines asleep now, and transitions since deploy.
+  sample.Add("hibernated_pipelines", {}, orchestrator_->hibernated_count());
+  sample.Add("hibernations", {}, orchestrator_->hibernations());
+  sample.Add("wakes", {}, orchestrator_->wakes());
 
+  // Serving layer (no readings when it is off).
   for (const auto& [key, sched] : orchestrator_->schedulers()) {
-    const std::string group = key.first + "/" + key.second;
+    const Labels group = {{"group", key.first + "/" + key.second}};
     const serving::SchedulerStats& stats = sched->stats();
-    sample.scheduler_queue_depth[group] = sched->queue_depth();
-    sample.scheduler_queue_delay_ms[group] = stats.mean_queue_delay_ms();
-    sample.scheduler_batch_occupancy[group] = stats.mean_batch_occupancy();
-    sample.scheduler_sheds[group] = stats.shed_deadline + stats.shed_stale;
+    sample.Add("scheduler_queue_depth", group, sched->queue_depth());
+    sample.Add("scheduler_queue_delay_ms", group, stats.mean_queue_delay_ms());
+    sample.Add("scheduler_batch_occupancy", group,
+               stats.mean_batch_occupancy());
+    sample.Add("scheduler_sheds", group,
+               stats.shed_deadline + stats.shed_stale);
   }
 
   if (!publish_topic_.empty()) {
@@ -302,75 +188,44 @@ void PipelineMonitor::Sample() {
 }
 
 std::string PipelineMonitor::Report() const {
-  std::string out;
   if (samples_.empty()) return "no samples\n";
-
-  std::map<std::string, std::vector<double>> fps_series;
+  struct Series {
+    double low = 0, high = 0, total = 0;
+    size_t count = 0;
+    std::string text;  // last value of a text reading
+  };
+  // Keyed by "name{label=value,…}", so a name's readings print together.
+  std::map<std::string, Series> series;
   for (const MonitorSample& sample : samples_) {
-    for (const auto& [pipeline, fps] : sample.pipeline_fps) {
-      fps_series[pipeline].push_back(fps);
+    for (const Reading& r : sample.readings) {
+      std::string key = r.name;
+      for (const auto& [label, value] : r.labels) {
+        key += (key.size() == r.name.size() ? "{" : ",") + label + "=" + value;
+      }
+      if (!r.labels.empty()) key += "}";
+      Series& s = series[key];
+      if (const auto* text = std::get_if<std::string>(&r.value)) {
+        s.text = *text;
+        continue;
+      }
+      const double x = std::get<double>(r.value);
+      s.low = s.count == 0 ? x : std::min(s.low, x);
+      s.high = s.count == 0 ? x : std::max(s.high, x);
+      s.total += x;
+      ++s.count;
     }
   }
-  out += Format("monitor: %zu samples over %.1f s\n", samples_.size(),
-                (samples_.back().when - samples_.front().when).seconds());
-  for (const auto& [pipeline, series] : fps_series) {
-    double total = 0;
-    double low = series.empty() ? 0 : series[0];
-    double high = 0;
-    for (double fps : series) {
-      total += fps;
-      low = std::min(low, fps);
-      high = std::max(high, fps);
+  std::string out =
+      Format("monitor: %zu samples over %.1f s\n", samples_.size(),
+             (samples_.back().when - samples_.front().when).seconds());
+  for (const auto& [key, s] : series) {
+    if (s.count == 0) {
+      out += Format("  %-56s = %s\n", key.c_str(), s.text.c_str());
+    } else {
+      out += Format("  %-56s min/mean/max = %.2f / %.2f / %.2f\n",
+                    key.c_str(), s.low,
+                    s.total / static_cast<double>(s.count), s.high);
     }
-    out += Format("  pipeline %-12s fps min/mean/max = %.1f / %.1f / %.1f\n",
-                  pipeline.c_str(), low,
-                  total / static_cast<double>(series.size()), high);
-  }
-
-  std::map<std::string, int> peak_backlog;
-  for (const MonitorSample& sample : samples_) {
-    for (const auto& [group, backlog] : sample.service_backlog) {
-      peak_backlog[group] = std::max(peak_backlog[group], backlog);
-    }
-  }
-  for (const auto& [group, backlog] : peak_backlog) {
-    out += Format("  service  %-24s peak backlog = %d (replicas: %d)\n",
-                  group.c_str(), backlog,
-                  samples_.back().service_replicas.count(group)
-                      ? samples_.back().service_replicas.at(group)
-                      : 0);
-  }
-
-  std::map<std::string, double> peak_utilization;
-  for (const MonitorSample& sample : samples_) {
-    for (const auto& [device, utilization] : sample.device_utilization) {
-      peak_utilization[device] =
-          std::max(peak_utilization[device], utilization);
-    }
-  }
-  for (const auto& [device, utilization] : peak_utilization) {
-    out += Format("  device   %-24s peak module-lane load = %.0f%%\n",
-                  device.c_str(), utilization * 100);
-  }
-  for (const auto& [group, occupancy] :
-       samples_.back().scheduler_batch_occupancy) {
-    const auto& last = samples_.back();
-    out += Format(
-        "  serving  %-24s batch occupancy = %.2f, queue delay = %.1f ms, "
-        "sheds = %llu\n",
-        group.c_str(), occupancy,
-        last.scheduler_queue_delay_ms.count(group)
-            ? last.scheduler_queue_delay_ms.at(group)
-            : 0.0,
-        static_cast<unsigned long long>(
-            last.scheduler_sheds.count(group) ? last.scheduler_sheds.at(group)
-                                              : 0));
-  }
-  for (const auto& [group, version] : samples_.back().model_version) {
-    const auto& phases = samples_.back().rollout_phase;
-    out += Format("  model    %-24s version = %s (%s)\n", group.c_str(),
-                  version.c_str(),
-                  phases.count(group) ? phases.at(group).c_str() : "stable");
   }
   return out;
 }

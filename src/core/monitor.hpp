@@ -6,10 +6,20 @@
 // service group on a fixed virtual-time cadence, keeps the timeseries,
 // and can publish each sample on a fabric PUB/SUB topic so dashboards
 // (or the autoscaler of tomorrow) can subscribe from any device.
+//
+// A sample is one list of labeled readings, filled in one pass by
+// PipelineMonitor::Sample from the counters the layers already keep.
+// Its JSON writer and Report() read every reading without knowing its
+// name, so a new home signal is one line in Sample(). A fleet
+// controller exports each home's latest sample under a "home" label.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/failure_detector.hpp"
@@ -18,104 +28,40 @@
 
 namespace vp::core {
 
+/// (label, value) pairs naming what a reading is about: "pipeline",
+/// "group" ("device/service"), "device" or "replica" (its index in
+/// the group).
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// One monitor reading: a number, or a text (health, model version,
+/// rollout phase).
+struct Reading {
+  std::string name;
+  Labels labels;
+  std::variant<double, std::string> value;
+};
+
 struct MonitorSample {
   TimePoint when;
-  /// Pipeline name → frames completed during the last interval / dt.
-  std::map<std::string, double> pipeline_fps;
-  /// Pipeline name → cumulative completed frames.
-  std::map<std::string, uint64_t> frames_completed;
-  /// "device/service" → instantaneous backlog across replicas.
-  std::map<std::string, int> service_backlog;
-  /// "device/service" → replica count.
-  std::map<std::string, int> service_replicas;
-  /// "device/service" → per-replica health ("healthy" / "suspect" /
-  /// "down"), from the circuit breaker's view of each replica.
-  std::map<std::string, std::vector<std::string>> replica_health;
-  /// Device → module-lane utilization over the last interval [0,1].
-  std::map<std::string, double> device_utilization;
-  /// Device → liveness as the failure detector sees it ("healthy" /
-  /// "suspect" / "down"). Empty when no detector is watched.
-  std::map<std::string, std::string> device_health;
-  uint64_t network_bytes = 0;
+  /// In Sample()'s iteration order, which is deterministic.
+  std::vector<Reading> readings;
 
-  // -- fault visibility (cumulative counters) ---------------------------
-  /// Partitions started so far (watched injector; 0 without one).
-  uint64_t partitions = 0;
-  /// Extra message copies the network minted (duplication knob).
-  uint64_t duplicates_delivered = 0;
-  /// Messages the network delivered out of order (reorder knob).
-  uint64_t reorders = 0;
-  /// Corrupted frames the fabric's checksum gate dropped.
-  uint64_t corruptions_dropped = 0;
-  /// Stale-epoch runtimes fenced (messages dropped + runtimes retired),
-  /// summed across pipelines.
-  uint64_t zombies_fenced = 0;
+  void Add(std::string name, Labels labels, double value);
+  void Add(std::string name, Labels labels, std::string text);
 
-  // -- scale-to-zero lifecycle ------------------------------------------
-  /// Pipelines currently hibernated (instantaneous).
-  uint64_t hibernated_pipelines = 0;
-  /// Cumulative hibernate / wake transitions since deploy.
-  uint64_t hibernations = 0;
-  uint64_t wakes = 0;
+  /// The number (or text) reading `name` with exactly `labels`;
+  /// nullopt when the sample holds none.
+  std::optional<double> Number(std::string_view name,
+                               const Labels& labels = {}) const;
+  std::optional<std::string> Text(std::string_view name,
+                                  const Labels& labels = {}) const;
 
-  // -- serving layer (empty maps when disabled) -------------------------
-  /// "device/service" → requests queued in the scheduler.
-  std::map<std::string, int> scheduler_queue_depth;
-  /// "device/service" → mean queueing delay so far (ms).
-  std::map<std::string, double> scheduler_queue_delay_ms;
-  /// "device/service" → mean dispatched batch size.
-  std::map<std::string, double> scheduler_batch_occupancy;
-  /// "device/service" → cumulative shed requests (deadline + stale).
-  std::map<std::string, uint64_t> scheduler_sheds;
-
-  // -- model lifecycle (rollout-managed groups only) --------------------
-  /// "device/service" → stable model version (content id).
-  std::map<std::string, std::string> model_version;
-  /// "device/service" → rollout phase ("stable"/"canary"/"rolling_back").
-  std::map<std::string, std::string> rollout_phase;
-  /// "device/service" → live model version per replica (canaries show
-  /// up as a mixed list).
-  std::map<std::string, std::vector<std::string>> replica_model_versions;
-
-  /// When `home` is non-empty the object carries a "home" label — a
-  /// fleet controller tags each member's telemetry with its home id so
-  /// one merged document stays attributable.
+  /// {"t_ms", optional "home", then each reading name → a list of
+  /// {<label>: …, "value": x} or {<label>: …, "text": "…"} entries}.
+  /// A fleet controller passes `home` so one merged document stays
+  /// attributable.
   json::Value ToJson(const std::string& home = std::string()) const;
 };
-
-/// Aggregated snapshot of one home, rolled up from a MonitorSample.
-/// This is what crosses the home → fleet boundary: a few hundred bytes
-/// per home per interval instead of raw per-frame data, so fleet
-/// controller overhead stays bounded no matter how busy a home is.
-struct MonitorRollup {
-  TimePoint when;
-  int pipelines = 0;
-  double total_fps = 0;
-  uint64_t frames_completed = 0;
-  /// Mean module-lane utilization across the home's devices [0,1].
-  double mean_utilization = 0;
-  uint64_t network_bytes = 0;
-  int replicas = 0;
-  /// Replicas the circuit breaker sees as suspect or down.
-  int unhealthy_replicas = 0;
-  /// Devices the failure detector sees as suspect or down.
-  int unhealthy_devices = 0;
-  uint64_t sheds = 0;
-  uint64_t zombies_fenced = 0;
-  /// Scale-to-zero: hibernated pipelines now / cumulative transitions.
-  uint64_t hibernated_pipelines = 0;
-  uint64_t hibernations = 0;
-  uint64_t wakes = 0;
-  /// "device/service" → stable model version / rollout phase, for the
-  /// fleet controller's wave bookkeeping.
-  std::map<std::string, std::string> model_version;
-  std::map<std::string, std::string> rollout_phase;
-
-  json::Value ToJson() const;
-};
-
-/// Fold a full sample into the aggregate a fleet controller ships.
-MonitorRollup RollupSample(const MonitorSample& sample);
 
 class PipelineMonitor {
  public:
@@ -152,8 +98,8 @@ class PipelineMonitor {
   }
   Duration interval() const { return interval_; }
 
-  /// Multi-line text summary (min/mean/max fps per pipeline, peak
-  /// backlog per service group).
+  /// Multi-line text summary: min/mean/max of each numeric reading
+  /// over the samples, and the last value of each text reading.
   std::string Report() const;
 
  private:

@@ -127,7 +127,6 @@ void SelfHealer::OnDeviceDown(const std::string& device,
   if (recovered.ok()) {
     ++stats_.recoveries;
   } else {
-    ++stats_.failed_recoveries;
     VP_ERROR("self-healing") << "recovery from loss of '" << device
                              << "' failed: " << recovered.ToString();
   }

@@ -39,7 +39,6 @@ struct SelfHealingStats {
   /// one whose deployment was undeployed meanwhile is dropped).
   uint64_t checkpoints_stored = 0;
   uint64_t recoveries = 0;
-  uint64_t failed_recoveries = 0;
   uint64_t resumes = 0;
   /// Arriving checkpoints the store refused: from an older placement
   /// epoch than the module's, or an older capture than the one held —

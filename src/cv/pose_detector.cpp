@@ -64,6 +64,9 @@ namespace {
 /// Bounding-box margin around the outermost joints (pixels).
 constexpr double kBBoxMargin = 4.0;
 
+/// Minimum blob pixels for a joint to count as detected.
+constexpr int kMinBlobPixels = 3;
+
 /// Sums of the coordinates of the pixels matching one joint, added in
 /// raster order.
 struct BlobSums {
@@ -125,15 +128,14 @@ void Accumulate(JointSums& sums, int joint, int x, int y) {
 }
 
 /// Blob centroids → keypoints → the person's bounding box.
-DetectedPose FinishPose(const JointSums& sums, int width, int height,
-                        const PoseDetectorOptions& options) {
+DetectedPose FinishPose(const JointSums& sums, int width, int height) {
   DetectedPose pose;
   const double expected_area =
       M_PI * 2.2 * 2.2;  // nominal marker radius the renderer draws
   for (int k = 0; k < media::kNumKeypoints; ++k) {
     const BlobSums& a = sums[static_cast<size_t>(k)];
     DetectedKeypoint& kp = pose.keypoints[static_cast<size_t>(k)];
-    if (a.count >= options.min_blob_pixels) {
+    if (a.count >= kMinBlobPixels) {
       kp.detected = true;
       kp.x = a.sx / a.count;
       kp.y = a.sy / a.count;
@@ -162,8 +164,7 @@ DetectedPose FinishPose(const JointSums& sums, int width, int height,
 
 }  // namespace
 
-DetectedPose DetectPose(const media::Image& image,
-                        const PoseDetectorOptions& options) {
+DetectedPose DetectPose(const media::Image& image) {
   // One pass over the pixels; nearest palette color within tolerance.
   const JointMatcher matcher;
   JointSums sums{};
@@ -172,11 +173,11 @@ DetectedPose DetectPose(const media::Image& image,
       Accumulate(sums, matcher.Match(image.At(x, y)), x, y);
     }
   }
-  return FinishPose(sums, image.width(), image.height(), options);
+  return FinishPose(sums, image.width(), image.height());
 }
 
 DetectedPose DetectPose(const media::SyntheticVideoSource& source,
-                        uint64_t seq, const PoseDetectorOptions& options) {
+                        uint64_t seq) {
   media::Image image = source.CaptureClean(seq);
   const int width = image.width();
 
@@ -213,11 +214,10 @@ DetectedPose DetectPose(const media::SyntheticVideoSource& source,
     const int y = static_cast<int>(p / static_cast<uint32_t>(width));
     Accumulate(sums, matcher.Match(image.At(x, y)), x, y);
   }
-  return FinishPose(sums, width, image.height(), options);
+  return FinishPose(sums, width, image.height());
 }
 
-DetectedPose DetectPose(const media::EncodedFrame& frame,
-                        const PoseDetectorOptions& options) {
+DetectedPose DetectPose(const media::EncodedFrame& frame) {
   const JointMatcher matcher;
   const auto width = static_cast<size_t>(frame.width());
   JointSums sums{};
@@ -239,7 +239,7 @@ DetectedPose DetectPose(const media::EncodedFrame& frame,
       p += n;
     }
   });
-  return FinishPose(sums, frame.width(), frame.height(), options);
+  return FinishPose(sums, frame.width(), frame.height());
 }
 
 Duration PoseDetectCost(int width, int height) {

@@ -56,16 +56,10 @@ struct DetectedPose {
 /// Max per-channel color distance for a pixel to match a joint.
 inline constexpr int kPoseColorTolerance = 26;
 
-struct PoseDetectorOptions {
-  /// Minimum blob pixels for a joint to count as detected.
-  int min_blob_pixels = 3;
-};
-
 /// Run detection on an image: the reference for the overloads below.
-DetectedPose DetectPose(const media::Image& image,
-                        const PoseDetectorOptions& options = {});
+DetectedPose DetectPose(const media::Image& image);
 
-/// Exactly DetectPose(source.CaptureFrame(seq).image, options), without
+/// Exactly DetectPose(source.CaptureFrame(seq).image), without
 /// building the noisy image. A pixel can only match a joint if its color
 /// is within kPoseColorTolerance of that joint's; noise moves a channel at
 /// most media::MaxSensorNoiseShift from its clean value, so a pixel
@@ -76,15 +70,14 @@ DetectedPose DetectPose(const media::Image& image,
 /// past the rest) and go through the same per-pixel rule, in the same
 /// raster order, so every field, doubles included, is bit-identical.
 DetectedPose DetectPose(const media::SyntheticVideoSource& source,
-                        uint64_t seq, const PoseDetectorOptions& options = {});
+                        uint64_t seq);
 
-/// Exactly DetectPose(frame.image(), options), without decoding: each
+/// Exactly DetectPose(frame.image()), without decoding: each
 /// run's color is matched once and the run's pixel coordinates are
 /// added to that joint's blob sums. The sums are sums of integers,
 /// exact in a double whatever the order, so every field is
 /// bit-identical to the pixel pass.
-DetectedPose DetectPose(const media::EncodedFrame& frame,
-                        const PoseDetectorOptions& options = {});
+DetectedPose DetectPose(const media::EncodedFrame& frame);
 
 /// Reference-device compute cost of one detection on a width×height
 /// frame (the dominant cost in the paper's pipeline; Fig. 6 shows pose

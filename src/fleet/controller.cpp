@@ -39,28 +39,17 @@ void FleetController::Start() {
   if (running_) return;
   running_ = true;
   // ScheduleControl runs a barrier task, every shard quiesced: Tick
-  // reads every home's monitor and may mutate orchestrators fleet-wide,
-  // which no single shard's thread is allowed to do mid-epoch.
+  // reads every wave member's rollout state and may mutate
+  // orchestrators fleet-wide, which no single shard's thread is
+  // allowed to do mid-epoch.
   fleet_->ScheduleControl(poll_interval_, [this]() { Tick(); });
 }
 
 void FleetController::Tick() {
   if (!running_) return;
   ++overhead_events_;
-  CollectRollups();
   if (active_) PollWave();
   fleet_->ScheduleControl(poll_interval_, [this]() { Tick(); });
-}
-
-void FleetController::CollectRollups() {
-  for (int id = 0; id < fleet_->size(); ++id) {
-    const core::MonitorSample* sample = fleet_->home(id).monitor->latest();
-    if (sample == nullptr) continue;
-    auto it = rollups_.find(id);
-    if (it != rollups_.end() && it->second.when == sample->when) continue;
-    rollups_[id] = core::RollupSample(*sample);
-    ++rollups_collected_;
-  }
 }
 
 void FleetController::RegisterModelHooks(sim::FaultInjector& injector) {
@@ -318,10 +307,11 @@ json::Value FleetController::ToJson() const {
   doc["fleet"] = std::move(fleet);
 
   json::Value::Array homes;
-  for (const auto& [id, rollup] : rollups_) {
-    json::Value entry = rollup.ToJson();
-    entry["home"] = json::Value(fleet_->home(id).name);
-    homes.push_back(std::move(entry));
+  for (int id = 0; id < fleet_->size(); ++id) {
+    const Home& home = fleet_->home(id);
+    if (const core::MonitorSample* sample = home.monitor->latest()) {
+      homes.push_back(sample->ToJson(home.name));
+    }
   }
   doc["homes"] = json::Value(std::move(homes));
   return doc;

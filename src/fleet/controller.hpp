@@ -2,13 +2,12 @@
 //
 // The controller is the fleet's control plane. It runs only as barrier
 // tasks (Fleet::ScheduleControl), with every shard quiesced, at the
-// same virtual times whatever the shard count. It does two things, and
-// does both on *rollups*, never per-frame data, so its event overhead
-// stays bounded no matter how busy the homes are:
+// same virtual times whatever the shard count. It reads per-home
+// summaries, never per-frame data, so its event overhead stays bounded
+// no matter how busy the homes are:
 //
-//  * Telemetry — on a fixed cadence it folds each home's latest
-//    MonitorSample into a MonitorRollup (a few hundred bytes/home) and
-//    keeps the latest rollup per home.
+//  * Telemetry — ToJson exports each home's latest MonitorSample,
+//    labeled with the home's name.
 //
 //  * Staged rollout — BeginFleetRollout(spec) plans cumulative waves
 //    over the homes (1 home → 1% → 50% → all; each wave widens to
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
 #include "modelreg/registry.hpp"
 #include "modelreg/rollout.hpp"
@@ -84,7 +82,8 @@ class FleetController {
   FleetController(Fleet* fleet, std::string service,
                   Duration poll_interval = Duration::Millis(500));
 
-  /// Begin periodic rollup collection (idempotent).
+  /// Begin the periodic control tick that polls rollout waves
+  /// (idempotent).
   void Start();
   void Stop() { running_ = false; }
 
@@ -113,20 +112,14 @@ class FleetController {
   const std::string& candidate_version() const { return candidate_id_; }
   const std::string& service() const { return service_; }
 
-  /// Latest rollup per home (id → rollup); homes with no sample yet
-  /// are absent.
-  const std::map<int, core::MonitorRollup>& rollups() const {
-    return rollups_;
-  }
-  uint64_t rollups_collected() const { return rollups_collected_; }
-
   /// Control tasks this controller has run (poll ticks + wave
   /// deployments), each one event of Fleet::executed_events() — the
   /// bench's overhead accounting reads this.
   uint64_t overhead_events() const { return overhead_events_; }
 
-  /// Fleet rollup block: homes, cloud stats, per-wave state with
-  /// pooled accuracy/p95, and the latest per-home telemetry rollups.
+  /// Fleet block: homes, cloud stats, per-wave state with pooled
+  /// accuracy/p95; then "homes", each home's latest monitor sample
+  /// labeled with its name (homes with no sample yet are absent).
   json::Value ToJson() const;
 
  private:
@@ -140,7 +133,6 @@ class FleetController {
   };
 
   void Tick();
-  void CollectRollups();
   void StartWave(int index);
   void DeployWave(int index);
   void PollWave();
@@ -165,8 +157,6 @@ class FleetController {
   std::map<int, MemberState> members_;  // home id → state
   int reverted_homes_ = 0;
 
-  std::map<int, core::MonitorRollup> rollups_;
-  uint64_t rollups_collected_ = 0;
   uint64_t overhead_events_ = 0;
 };
 

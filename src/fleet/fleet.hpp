@@ -13,10 +13,10 @@
 // Determinism contract: home h of a fleet seeded S derives every one
 // of its RNG streams (cluster/network jitter, orchestrator jitter,
 // container cold-start jitter, fault injector) from HomeSeed(S, h) —
-// never from fleet size or sibling state. Fleet components (monitor
-// rollups, controller, cloud) only *read* home state and draw no
-// random numbers, so home h's metrics are bit-identical whether the
-// fleet has 1, 3 or 5000 homes.
+// never from fleet size or sibling state. Fleet components (monitors,
+// controller, cloud) only *read* home state and draw no random
+// numbers, so home h's metrics are bit-identical whether the fleet has
+// 1, 3 or 5000 homes.
 #pragma once
 
 #include <memory>

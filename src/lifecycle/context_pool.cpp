@@ -12,10 +12,7 @@ Status ContextPool::Prewarm(const std::string& source, uint64_t random_seed) {
   context_options.random_seed = random_seed;
   auto context = std::make_unique<script::Context>(context_options);
   Status loaded = context->Load(source);
-  if (!loaded.ok()) {
-    ++stats_.load_failures;
-    return loaded;
-  }
+  if (!loaded.ok()) return loaded;
   Entry entry;
   entry.code_hash = script::HashProgramSource(source);
   entry.seed = random_seed;

@@ -35,9 +35,6 @@ struct ContextPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evicted = 0;
-  /// Prewarms whose Load failed (e.g. top-level code needs globals the
-  /// module runtime defines later) — such modules always cold-start.
-  uint64_t load_failures = 0;
   size_t entries = 0;
 };
 

@@ -76,10 +76,7 @@ Status HibernationManager::Hibernate(core::PipelineDeployment* pipeline) {
                       "' has a wake in flight");
   }
   Status status = orchestrator_->HibernatePipeline(pipeline);
-  if (!status.ok()) {
-    ++stats_.hibernate_failures;
-    return status;
-  }
+  if (!status.ok()) return status;
   ++stats_.hibernations;
 
   // Pre-warm pooled contexts so the wake is a hot start. Failures are
@@ -165,7 +162,6 @@ void HibernationManager::RequestWake(const std::string& pipeline,
     if (done) done(Status::Ok());
     return;
   }
-  ++stats_.requested_wakes;
   SubmitWake(pipeline, std::move(done));
 }
 

@@ -61,11 +61,8 @@ struct HibernationStats {
   uint64_t hibernations = 0;
   uint64_t wakes = 0;
   uint64_t failed_wakes = 0;
-  uint64_t hibernate_failures = 0;
   /// Wakes triggered by a data-plane doorbell (first arriving frame).
   uint64_t doorbell_wakes = 0;
-  /// Wakes triggered by RequestWake (control plane / burst drivers).
-  uint64_t requested_wakes = 0;
 };
 
 class HibernationManager {

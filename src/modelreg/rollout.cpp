@@ -211,8 +211,6 @@ RolloutController::GroupView RolloutController::View(
   const Group* group = FindGroup(device, service);
   if (group == nullptr) return view;
   view.phase = group->phase;
-  view.stable_version = group->stable ? group->stable->id : "";
-  view.candidate_version = group->candidate ? group->candidate->id : "";
   if (group->stable) {
     auto it = group->windows.find(group->stable->id);
     if (it != group->windows.end()) view.stable_window = it->second.samples;
@@ -220,12 +218,6 @@ RolloutController::GroupView RolloutController::View(
   if (group->candidate) {
     auto it = group->windows.find(group->candidate->id);
     if (it != group->windows.end()) view.candidate_window = it->second.samples;
-    for (services::ServiceInstance* replica :
-         registry_->Replicas(device, service)) {
-      if (replica->model_version() == group->candidate->id) {
-        ++view.canary_replicas;
-      }
-    }
   }
   return view;
 }
@@ -537,8 +529,6 @@ void RolloutController::Evaluate(Group& group) {
 
 void RolloutController::Promote(Group& group) {
   ++stats_.promotions;
-  stats_.last_promotion_ms =
-      (simulator_->Now() - group.rollout_started).millis();
   VP_INFO("rollout") << group.device << "/" << group.service
                      << ": promoting " << group.candidate->id
                      << " (survived the decision window)";

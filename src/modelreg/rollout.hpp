@@ -111,8 +111,6 @@ struct RolloutStats {
   uint64_t rollbacks = 0;
   /// BeginRollout → rollback decision, for the latest rollback (ms).
   double last_rollback_ms = 0;
-  /// BeginRollout → promotion decision, for the latest promotion (ms).
-  double last_promotion_ms = 0;
 };
 
 class RolloutController {
@@ -192,12 +190,9 @@ class RolloutController {
   std::vector<std::pair<std::string, std::string>> groups() const;
   const RolloutStats& stats() const { return stats_; }
 
-  /// Live gate inputs for one group (monitor/bench visibility).
+  /// Live gate inputs for one group (the fleet wave gate reads them).
   struct GroupView {
     RolloutPhase phase = RolloutPhase::kStable;
-    std::string stable_version;
-    std::string candidate_version;
-    int canary_replicas = 0;
     /// Each version's gate window, as the group's gate reads it.
     GateWindow stable_window;
     GateWindow candidate_window;

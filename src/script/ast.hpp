@@ -2,17 +2,14 @@
 //
 // Plain struct hierarchy with unique_ptr ownership, produced by the
 // parser and consumed once by the bytecode compiler (compiler.hpp). A
-// resolver pass (resolver.hpp) runs in between and rewrites the tree
-// in place: member names and object-literal keys get interned property
-// ids, and constant subexpressions are folded.
+// resolver pass (resolver.hpp) runs in between and folds constant
+// subexpressions in place.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "script/intern.hpp"
 
 namespace vp::script {
 
@@ -57,8 +54,6 @@ enum class ExprKind {
 
 struct ObjectProperty {
   std::string key;
-  /// Interned by the resolver (kNoNameId before it runs).
-  uint32_t key_id = kNoNameId;
   ExprPtr value;
 };
 
@@ -71,7 +66,6 @@ struct Expr {
   OpCode op_code = OpCode::kNone;
   bool bool_value = false;    // kBool
   bool prefix = false;        // kUpdate
-  uint32_t name_id = kNoNameId;  // kMember: interned property id
   double number = 0;          // kNumber
 
   std::string string_value;  // string literal / identifier / member name

@@ -356,9 +356,8 @@ class FnCompiler {
 
   /// Name constant for property access: interned so the VM dispatches
   /// array methods and object lookups on integer ids.
-  uint16_t NameConst(const std::string& name, uint32_t name_id) {
-    if (name_id == kNoNameId) name_id = Interner::Global().Intern(name);
-    return StringConst(name, name_id);
+  uint16_t NameConst(const std::string& name) {
+    return StringConst(name, Interner::Global().Intern(name));
   }
 
   void EmitRuntimeError(const std::string& message, int line) {
@@ -894,7 +893,7 @@ class FnCompiler {
         }
         for (const ObjectProperty& p : e.properties) {
           EmitOp(Op::kConst, e.line);
-          EmitU16(NameConst(p.key, p.key_id));
+          EmitU16(NameConst(p.key));
           CompileExpr(*p.value);
         }
         EmitOp(Op::kObject, e.line);
@@ -960,7 +959,7 @@ class FnCompiler {
       case ExprKind::kMember:
         CompileExpr(*e.a);
         EmitOp(Op::kGetProp, e.line);
-        EmitU16(NameConst(e.string_value, e.name_id));
+        EmitU16(NameConst(e.string_value));
         return;
       case ExprKind::kIndex:
         CompileExpr(*e.a);
@@ -1024,7 +1023,7 @@ class FnCompiler {
         CompileExpr(*target.a);
         EmitOp(Op::kSwap, line);  // [obj, value]
         EmitOp(Op::kSetProp, line);
-        EmitU16(NameConst(target.string_value, target.name_id));
+        EmitU16(NameConst(target.string_value));
         return;
       case ExprKind::kIndex:
         CompileExpr(*target.a);
@@ -1067,7 +1066,7 @@ class FnCompiler {
       CompileExpr(*callee.a);
       for (const ExprPtr& arg : e.elements) CompileExpr(*arg);
       EmitOp(Op::kInvoke, e.line);
-      EmitU16(NameConst(callee.string_value, callee.name_id));
+      EmitU16(NameConst(callee.string_value));
       EmitByte(static_cast<uint8_t>(e.elements.size()), e.line);
       return;
     }

@@ -1,6 +1,6 @@
 // Name interning for the vpscript engine.
 //
-// The resolver pass and the runtime agree on a process-wide mapping
+// The compiler and the runtime agree on a process-wide mapping
 // from identifier / property-key spellings to dense uint32 ids, so the
 // hot paths (variable lookup, object member access) compare integers
 // instead of strings. The table is append-only and bounded: only names
@@ -52,7 +52,7 @@ class Interner {
 
   // Spellings by id, append-only.
   std::deque<std::string> names_;
-  // Interning sits on the resolve and context-construction paths, so
+  // Interning sits on the compile and context-construction paths, so
   // the index is a flat open-addressing table (linear probing,
   // power-of-two capacity) instead of std::unordered_map — one cache
   // line per probe, no per-node allocation. Entries store id + 1 so 0

@@ -115,10 +115,6 @@ class Resolver {
   void Run(Program& program) { ResolveStmts(program.statements); }
 
  private:
-  static uint32_t Intern(const std::string& s) {
-    return Interner::Global().Intern(s);
-  }
-
   void ResolveStmts(std::vector<StmtPtr>& stmts) {
     for (auto& s : stmts) ResolveStmt(*s);
   }
@@ -140,14 +136,7 @@ class Resolver {
   void ResolveExpr(Expr& e) {
     switch (e.kind) {
       case ExprKind::kObjectLiteral:
-        for (auto& p : e.properties) {
-          p.key_id = Intern(p.key);
-          ResolveExpr(*p.value);
-        }
-        return;
-      case ExprKind::kMember:
-        ResolveExpr(*e.a);
-        e.name_id = Intern(e.string_value);
+        for (auto& p : e.properties) ResolveExpr(*p.value);
         return;
       case ExprKind::kFunction:
         ResolveStmts(e.body);

@@ -2,13 +2,10 @@
 //
 // Runs once per distinct source (the program cache compiles each
 // source once), between the parser and the compiler, and rewrites the
-// AST in place:
-//
-//   * member accesses and object-literal keys are pre-interned so
-//     property lookups in the VM compare integer ids;
-//   * constant subexpressions (`2 * 3 + 1`, `"a" + "b"`, `!false`,
-//     folded conditionals and short-circuits) are evaluated at resolve
-//     time with the VM's own operator semantics.
+// AST in place: constant subexpressions (`2 * 3 + 1`, `"a" + "b"`,
+// `!false`, folded conditionals and short-circuits) are evaluated at
+// resolve time with the VM's own operator semantics. Member names and
+// object-literal keys are interned by the compiler, as it emits them.
 //
 // Scope layout (locals, upvalues, globals) is the compiler's business;
 // the resolver never changes what a program means.

@@ -201,12 +201,10 @@ void FaultInjector::ScheduleLinkFault(const std::string& a,
     const LinkSpec original_ba = network_->link(b, a);
     network_->SetLink(a, b, degraded);
     network_->SetLink(b, a, degraded);
-    ++stats_.link_faults;
     if (duration > Duration::Zero()) {
       sim_->After(duration, [this, a, b, original_ab, original_ba] {
         network_->SetLink(a, b, original_ab);
         network_->SetLink(b, a, original_ba);
-        ++stats_.link_restores;
       });
     }
   });

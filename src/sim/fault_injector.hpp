@@ -77,8 +77,6 @@ struct FaultInjectorStats {
   uint64_t restarts = 0;
   uint64_t wedges = 0;
   uint64_t unwedges = 0;
-  uint64_t link_faults = 0;
-  uint64_t link_restores = 0;
   uint64_t device_crashes = 0;
   uint64_t device_reboots = 0;
   uint64_t model_poisons = 0;

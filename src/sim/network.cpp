@@ -155,7 +155,6 @@ TimePoint Network::SendTagged(const std::string& from, const std::string& to,
     at = at + spec.reorder_delay;
   }
   if (spec.corrupt > 0.0 && rng_.NextBool(spec.corrupt)) {
-    ++stats_.corruptions;
     note.corrupted = true;
   }
   if (spec.duplicate > 0.0 && rng_.NextBool(spec.duplicate)) {

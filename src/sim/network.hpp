@@ -56,8 +56,6 @@ struct NetworkStats {
   uint64_t duplicates_delivered = 0;
   /// Messages delivered late (out of order) by the reorder knob.
   uint64_t reorders = 0;
-  /// Messages delivered with a corrupted payload.
-  uint64_t corruptions = 0;
 };
 
 class Network {

@@ -336,16 +336,19 @@ TEST(Chaos, MonitorExposesFaultCounters) {
 
   ASSERT_FALSE(monitor.samples().empty());
   const core::MonitorSample& last = monitor.samples().back();
-  EXPECT_EQ(last.partitions, 1u);
-  EXPECT_GT(last.duplicates_delivered, 0u);
-  EXPECT_GT(last.reorders, 0u);
-  EXPECT_GT(last.corruptions_dropped, 0u);
+  EXPECT_EQ(last.Number("partitions"), 1.0);
+  EXPECT_GT(last.Number("duplicates_delivered").value_or(0), 0.0);
+  EXPECT_GT(last.Number("reorders").value_or(0), 0.0);
+  EXPECT_GT(last.Number("corruptions_dropped").value_or(0), 0.0);
 
   const std::string json = json::Write(last.ToJson());
-  EXPECT_NE(json.find("\"faults\""), std::string::npos);
+  EXPECT_NE(json.find("\"duplicates_delivered\""), std::string::npos);
+  EXPECT_NE(json.find("\"reorders\""), std::string::npos);
   EXPECT_NE(json.find("\"partitions\""), std::string::npos);
   EXPECT_NE(json.find("\"corruptions_dropped\""), std::string::npos);
   EXPECT_NE(json.find("\"zombies_fenced\""), std::string::npos);
+  rig.checker->CheckNow();
+  EXPECT_EQ(rig.checker->violations().size(), 0u) << rig.checker->Report();
 }
 
 }  // namespace

@@ -146,15 +146,14 @@ TEST(PoseDetector, CapturedFrameDetectionIsBitIdenticalToTheImagePath) {
   // The prop tolerance + 4 levels off the nose color matches only
   // through noise: the liveness bound must carry the noise shift for
   // those frames to agree.
-  const PoseDetectorOptions options;
   int mismatches = 0;
   std::string first_mismatch;
   const int frames = test_support::ForEachMatrixFrame(
       [&](const media::SyntheticVideoSource& source, uint64_t seq,
           const std::string& where) {
         const std::string diff = FirstDifference(
-            DetectPose(source.CaptureFrame(seq).image, options),
-            DetectPose(source, seq, options));
+            DetectPose(source.CaptureFrame(seq).image),
+            DetectPose(source, seq));
         if (!diff.empty() && mismatches++ == 0) {
           first_mismatch = diff + " at " + where;
         }
@@ -166,7 +165,6 @@ TEST(PoseDetector, CapturedFrameDetectionIsBitIdenticalToTheImagePath) {
 TEST(PoseDetector, RunDetectionIsBitIdenticalToTheImagePath) {
   // The pose service's path: the camera's bytes, detected on their runs,
   // against the same bytes decoded and detected pixel by pixel.
-  const PoseDetectorOptions options;
   int mismatches = 0;
   int people = 0;
   std::string first_mismatch;
@@ -177,10 +175,10 @@ TEST(PoseDetector, RunDetectionIsBitIdenticalToTheImagePath) {
         const auto decoded = media::DecodeFrame(wire);
         const auto encoded = media::EncodedFrame::Parse(wire);
         ASSERT_TRUE(decoded.ok() && encoded.ok()) << where;
-        const DetectedPose from_pixels = DetectPose(decoded->image, options);
+        const DetectedPose from_pixels = DetectPose(decoded->image);
         if (from_pixels.person_found()) ++people;
         const std::string diff =
-            FirstDifference(from_pixels, DetectPose(*encoded, options));
+            FirstDifference(from_pixels, DetectPose(*encoded));
         if (!diff.empty() && mismatches++ == 0) {
           first_mismatch = diff + " at " + where;
         }

@@ -3,11 +3,15 @@
 // monitor and the latency-aware placement policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
 #include "apps/fitness.hpp"
 #include "core/monitor.hpp"
 #include "core/orchestrator.hpp"
 #include "cv/tracker.hpp"
 #include "invariants_hold.hpp"
+#include "json/write.hpp"
 #include "net/fabric.hpp"
 #include "script/context.hpp"
 #include "sim/cluster.hpp"
@@ -410,11 +414,13 @@ TEST(Monitor, SamplesPipelinesAndServices) {
 
   ASSERT_GE(monitor.samples().size(), 15u);
   const core::MonitorSample& sample = monitor.samples().back();
-  ASSERT_TRUE(sample.pipeline_fps.count("fitness"));
-  EXPECT_GT(sample.pipeline_fps.at("fitness"), 5.0);
-  ASSERT_TRUE(sample.service_backlog.count("desktop/pose_detector"));
-  EXPECT_EQ(sample.service_replicas.at("desktop/pose_detector"), 1);
-  EXPECT_GT(sample.network_bytes, 100000u);
+  const auto fps = sample.Number("pipeline_fps", {{"pipeline", "fitness"}});
+  ASSERT_TRUE(fps.has_value());
+  EXPECT_GT(*fps, 5.0);
+  const core::Labels pose = {{"group", "desktop/pose_detector"}};
+  ASSERT_TRUE(sample.Number("service_backlog", pose).has_value());
+  EXPECT_EQ(sample.Number("service_replicas", pose).value_or(0), 1.0);
+  EXPECT_GT(sample.Number("network_bytes").value_or(0), 100000.0);
 
   const std::string report = monitor.Report();
   EXPECT_NE(report.find("fitness"), std::string::npos);
@@ -435,8 +441,11 @@ TEST(Monitor, PublishesTelemetryOverPubSub) {
   orchestrator.fabric().Subscribe(
       "home/telemetry", "tv", [&](net::Message m) {
         const json::Value* fps = m.payload().Find("pipeline_fps");
-        if (fps != nullptr) {
-          observed_fps.push_back(fps->GetDouble("fitness"));
+        if (fps == nullptr) return;
+        for (const json::Value& entry : fps->AsArray()) {
+          if (entry.GetString("pipeline") == "fitness") {
+            observed_fps.push_back(entry.GetDouble("value"));
+          }
         }
       });
 
@@ -449,6 +458,64 @@ TEST(Monitor, PublishesTelemetryOverPubSub) {
 
   ASSERT_GE(observed_fps.size(), 6u);
   EXPECT_GT(observed_fps.back(), 5.0);
+  ExpectInvariantsHold(orchestrator);
+}
+
+TEST(Monitor, JsonHoldsEveryReading) {
+  // Serving on and a model-backed group watched, so the sample holds
+  // scheduler, replica and model readings as well as the home's.
+  auto cluster = sim::MakeHomeTestbed();
+  core::OrchestratorOptions options;
+  options.serving.enabled = true;
+  core::Orchestrator orchestrator(cluster.get(), options);
+  auto spec = apps::fitness::Spec();
+  core::Orchestrator::DeployArgs args;
+  args.workload = apps::fitness::Workout();
+  auto deployment = orchestrator.Deploy(std::move(*spec), std::move(args));
+  ASSERT_TRUE(deployment.ok());
+
+  core::PipelineMonitor monitor(&orchestrator, Duration::Millis(500));
+  monitor.WatchService("desktop", "pose_detector");
+  for (const auto& [device, service] : orchestrator.rollout().groups()) {
+    monitor.WatchService(device, service);
+  }
+  monitor.Start();
+  (*deployment)->Start();
+  orchestrator.RunFor(Duration::Seconds(3));
+  monitor.Stop();
+
+  ASSERT_NE(monitor.latest(), nullptr);
+  const core::MonitorSample& sample = *monitor.latest();
+  const json::Value doc = sample.ToJson();
+  // A subscriber sees device load, replica counts and frame totals.
+  for (const char* name :
+       {"frames_completed", "service_replicas", "device_utilization",
+        "scheduler_queue_depth", "model_version", "replica_model_version"}) {
+    EXPECT_NE(doc.Find(name), nullptr) << name;
+  }
+  // Each reading is one entry under its name: its labels, and its
+  // value or text.
+  size_t entries = 0;
+  for (const auto& [name, list] : doc.AsObject()) {
+    if (list.is_array()) entries += list.AsArray().size();
+  }
+  EXPECT_EQ(entries, sample.readings.size());
+  for (const core::Reading& r : sample.readings) {
+    const json::Value* list = doc.Find(r.name);
+    ASSERT_NE(list, nullptr) << r.name;
+    json::Value want = json::Value::MakeObject();
+    for (const auto& [label, value] : r.labels) {
+      want[label] = json::Value(value);
+    }
+    if (const auto* text = std::get_if<std::string>(&r.value)) {
+      want["text"] = json::Value(*text);
+    } else {
+      want["value"] = json::Value(std::get<double>(r.value));
+    }
+    const auto& found = list->AsArray();
+    EXPECT_NE(std::find(found.begin(), found.end(), want), found.end())
+        << r.name << ": " << json::Write(want, 0);
+  }
   ExpectInvariantsHold(orchestrator);
 }
 

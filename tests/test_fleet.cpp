@@ -18,12 +18,15 @@
 #include "fleet/controller.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/trace.hpp"
+#include "invariants_hold.hpp"
 #include "json/write.hpp"
 #include "modelreg/registry.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace vp {
 namespace {
+
+using test_support::ExpectInvariantsHold;
 
 uint64_t TestSeed() {
   const char* env = std::getenv("VP_TEST_SEED");
@@ -218,6 +221,7 @@ TEST(Fleet, SingleHomeFleetMatchesDirectOrchestrator) {
   EXPECT_EQ(fleet_fp.completed, (*deployment)->metrics().frames_completed());
   EXPECT_EQ(fleet_fp.captured, (*deployment)->metrics().frames_captured());
   EXPECT_EQ(fleet_fp.fps, (*deployment)->metrics().EndToEndFps());
+  ExpectInvariantsHold(orch);
 }
 
 // ------------------------------------------------- staged rollout
@@ -535,7 +539,7 @@ TEST(Cloud, DeterministicAcrossRuns) {
 
 // ------------------------------------------------ telemetry labels
 
-TEST(Fleet, TraceAndRollupsCarryHomeLabels) {
+TEST(Fleet, TraceAndTelemetryCarryHomeLabels) {
   fleet::Fleet fleet(ServingFleetOptions(2));
   for (int id = 0; id < fleet.size(); ++id) DeployFitness(fleet.home(id), 10);
   fleet::FleetController controller(&fleet, "activity_classifier",
@@ -558,13 +562,19 @@ TEST(Fleet, TraceAndRollupsCarryHomeLabels) {
   EXPECT_NE(labelled.find("\"home\""), std::string::npos);
   EXPECT_NE(labelled.find("home1"), std::string::npos);
 
-  // Controller rollups: bounded aggregates, one per home, labelled.
-  EXPECT_GE(controller.rollups_collected(), 2u);
-  ASSERT_EQ(controller.rollups().size(), 2u);
-  const core::MonitorRollup& rollup = controller.rollups().at(0);
-  EXPECT_GT(rollup.pipelines, 0);
-  EXPECT_GT(rollup.frames_completed, 0u);
-  const std::string doc = json::Write(controller.ToJson(), 0);
+  // Controller export: each home's latest sample, one per home,
+  // labelled.
+  const json::Value fleet_doc = controller.ToJson();
+  const json::Value* homes = fleet_doc.Find("homes");
+  ASSERT_NE(homes, nullptr);
+  ASSERT_EQ(homes->AsArray().size(), 2u);
+  const json::Value& home0 = homes->AsArray()[0];
+  EXPECT_EQ(home0.GetString("home"), "home0");
+  const json::Value* completed = home0.Find("frames_completed");
+  ASSERT_NE(completed, nullptr);
+  ASSERT_FALSE(completed->AsArray().empty());
+  EXPECT_GT(completed->AsArray()[0].GetDouble("value"), 0.0);
+  const std::string doc = json::Write(fleet_doc, 0);
   EXPECT_NE(doc.find("\"fleet\""), std::string::npos);
   EXPECT_NE(doc.find("\"waves\""), std::string::npos);
   EXPECT_NE(doc.find("home0"), std::string::npos);

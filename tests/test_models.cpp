@@ -583,14 +583,17 @@ TEST(ModelLifecycle, MonitorAndTraceCarryModelVersions) {
   ASSERT_FALSE(monitor.samples().empty());
   const core::MonitorSample& sample = monitor.samples().back();
   const std::string group = rig.device + "/" + rig.service;
-  ASSERT_TRUE(sample.model_version.count(group));
-  EXPECT_EQ(sample.model_version.at(group),
-            modelreg::DefaultActivitySpec().ContentId());
-  EXPECT_EQ(sample.rollout_phase.at(group), "stable");
-  ASSERT_FALSE(sample.replica_model_versions.at(group).empty());
+  const auto version = sample.Text("model_version", {{"group", group}});
+  ASSERT_TRUE(version.has_value());
+  EXPECT_EQ(*version, modelreg::DefaultActivitySpec().ContentId());
+  EXPECT_EQ(sample.Text("rollout_phase", {{"group", group}}), "stable");
+  ASSERT_TRUE(sample
+                  .Text("replica_model_version",
+                        {{"group", group}, {"replica", "0"}})
+                  .has_value());
   const std::string doc = json::Write(sample.ToJson());
-  EXPECT_NE(doc.find("\"models\""), std::string::npos);
-  EXPECT_NE(doc.find("\"phase\""), std::string::npos);
+  EXPECT_NE(doc.find("\"model_version\""), std::string::npos);
+  EXPECT_NE(doc.find("\"rollout_phase\""), std::string::npos);
 
   // Chrome trace: serving batch slices are annotated with the model
   // version that served them.

@@ -317,6 +317,7 @@ TEST(FaultTolerance, RandomFaultTimelineIsDeterministic) {
     injector.StartRandomFaults(faults);
     rig.pipeline->Start();
     rig.orchestrator->RunFor(Duration::Seconds(15));
+    ExpectInvariantsHold(*rig.orchestrator);
     const core::PipelineMetrics& m = rig.pipeline->metrics();
     return std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>(
         injector.stats().crashes, injector.stats().wedges,
@@ -472,6 +473,7 @@ TEST(FrameLifetime, BranchFinishingAfterTheSinkStillResolvesItsFrame) {
   EXPECT_GT(rig.pipeline->FindModule("sink")->stats().events,
             slow->stats().events + 20);
   ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FrameLifetime, UndecodableFramesAndHandlerErrorsRelease) {
@@ -509,6 +511,7 @@ TEST(FrameLifetime, UndecodableFramesAndHandlerErrorsRelease) {
   EXPECT_GT(proc->stats().script_errors, 20u);
   EXPECT_EQ(rig.pipeline->FindModule("sink")->stats().script_errors, 0u);
   ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FrameLifetime, RequestQueuedPastItsCallersTimeoutHoldsItsFrame) {
@@ -581,6 +584,7 @@ TEST(FrameLifetime, HibernateAndUndeployRelease) {
   for (const sim::Device* d : rig.cluster->devices()) {
     EXPECT_EQ(rig.orchestrator->store(d->name()).size(), 0u) << d->name();
   }
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 core::SelfHealingOptions LifetimeHealing() {
@@ -662,6 +666,7 @@ TEST(FrameLifetime, DeviceCrashClearsAtOnceAndDeadLanesRelease) {
   rig.orchestrator->RunFor(Duration::Seconds(3));
   EXPECT_GT(b->stats().dropped_device_down, 0u);
   ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(FrameLifetime, StaleEpochFenceReleases) {
@@ -675,6 +680,7 @@ TEST(FrameLifetime, StaleEpochFenceReleases) {
   rig.orchestrator->RunFor(Duration::Seconds(20));
   EXPECT_GT(rig.pipeline->metrics().zombies_fenced(), 0u);
   ExpectStoresDrain(*rig.cluster, *rig.orchestrator);
+  ExpectInvariantsHold(*rig.orchestrator);
 }
 
 TEST(MetricsRetention, EvictedTracesFoldIntoSummaries) {

@@ -464,12 +464,14 @@ TEST(SelfHealing, MonitorSurfacesDeviceAndReplicaHealth) {
   ASSERT_FALSE(monitor.samples().empty());
   const core::MonitorSample& first = monitor.samples().front();
   const core::MonitorSample& last = monitor.samples().back();
-  EXPECT_EQ(first.device_health.at("nuc"), "healthy");
-  EXPECT_EQ(last.device_health.at("nuc"), "down");
-  EXPECT_EQ(last.device_health.at("desktop"), "healthy");
-  ASSERT_EQ(last.replica_health.count(pose_device + "/pose_detector"), 1u);
-  EXPECT_EQ(last.replica_health.at(pose_device + "/pose_detector").front(),
-            "healthy");
+  EXPECT_EQ(first.Text("device_health", {{"device", "nuc"}}), "healthy");
+  EXPECT_EQ(last.Text("device_health", {{"device", "nuc"}}), "down");
+  EXPECT_EQ(last.Text("device_health", {{"device", "desktop"}}), "healthy");
+  const auto replica = last.Text(
+      "replica_health",
+      {{"group", pose_device + "/pose_detector"}, {"replica", "0"}});
+  ASSERT_TRUE(replica.has_value());
+  EXPECT_EQ(*replica, "healthy");
   // Both surfaces serialize into the telemetry JSON.
   const std::string json = json::Write(last.ToJson());
   EXPECT_NE(json.find("device_health"), std::string::npos);

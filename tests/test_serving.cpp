@@ -486,12 +486,15 @@ TEST(ServingEndToEnd, FitnessPipelineRunsThroughScheduler) {
   EXPECT_GT(submitted, 200u);
   EXPECT_GT(batches, 0u);
 
-  // Monitor samples carry the scheduler maps…
+  // Monitor samples carry the scheduler readings…
   ASSERT_FALSE(monitor.samples().empty());
   const core::MonitorSample& sample = monitor.samples().back();
-  ASSERT_TRUE(sample.scheduler_queue_delay_ms.count("desktop/pose_detector"));
-  EXPECT_GE(sample.scheduler_batch_occupancy.at("desktop/pose_detector"), 1.0);
-  EXPECT_NE(json::Write(sample.ToJson()).find("serving"), std::string::npos);
+  const core::Labels pose = {{"group", "desktop/pose_detector"}};
+  ASSERT_TRUE(sample.Number("scheduler_queue_delay_ms", pose).has_value());
+  EXPECT_GE(sample.Number("scheduler_batch_occupancy", pose).value_or(0),
+            1.0);
+  EXPECT_NE(json::Write(sample.ToJson()).find("scheduler_batch_occupancy"),
+            std::string::npos);
 
   // …and the Chrome trace export grows a "serving" process with one
   // slice per dispatched batch.
@@ -609,6 +612,7 @@ TEST(ServingEndToEnd, NonObjectPayloadIsACatchableInvalidArgument) {
         EXPECT_EQ(sched->stats().submitted, 0u) << key.second;
       }
       EXPECT_GT((*deployment)->metrics().frames_completed(), 5u);
+      ExpectInvariantsHold(orchestrator);
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "fleet/cloud.hpp"
 #include "fleet/controller.hpp"
 #include "fleet/fleet.hpp"
+#include "json/write.hpp"
 #include "modelreg/registry.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
@@ -298,8 +299,8 @@ void ExpectInvariantsHold(fleet::Fleet& fleet) {
 }
 
 /// Everything observable about one home, rendered partition-neutrally:
-/// pipeline totals and the monitor-sample series, with absolute
-/// timestamps.
+/// pipeline totals and every monitor sample's JSON (its absolute
+/// timestamp and every reading).
 struct HomeResult {
   uint64_t completed = 0;
   uint64_t captured = 0;
@@ -312,27 +313,6 @@ struct HomeResult {
            fps == o.fps && sheds == o.sheds && samples == o.samples;
   }
 };
-
-std::string CanonSample(const core::MonitorSample& s) {
-  std::ostringstream os;
-  os << "t=" << s.when.micros() << " bytes=" << s.network_bytes;
-  for (const auto& [name, fps] : s.pipeline_fps) {
-    os << " fps[" << name << "]=" << fps;
-  }
-  for (const auto& [name, frames] : s.frames_completed) {
-    os << " done[" << name << "]=" << frames;
-  }
-  for (const auto& [key, depth] : s.scheduler_queue_depth) {
-    os << " q[" << key << "]=" << depth;
-  }
-  for (const auto& [key, shed] : s.scheduler_sheds) {
-    os << " shed[" << key << "]=" << shed;
-  }
-  for (const auto& [dev, util] : s.device_utilization) {
-    os << " util[" << dev << "]=" << util;
-  }
-  return os.str();
-}
 
 struct FleetResult {
   std::vector<HomeResult> homes;
@@ -362,7 +342,7 @@ HomeResult ObserveHome(const fleet::Home& home) {
   hr.fps = metrics.EndToEndFps();
   hr.sheds = metrics.requests_shed();
   for (const auto& s : home.monitor->samples()) {
-    hr.samples.push_back(CanonSample(s));
+    hr.samples.push_back(json::Write(s.ToJson()));
   }
   return hr;
 }
